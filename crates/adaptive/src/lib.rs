@@ -248,6 +248,7 @@ impl LabelingBuilder for AdaptiveBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lll_core::ids::ElemId;
     use lll_core::ops::Op;
     use lll_core::testkit::run_against_oracle;
     use lll_core::traits::ListLabeling;
@@ -293,9 +294,9 @@ mod tests {
         let mut classic = ClassicBuilder.build(n, m);
         let mut cost_a = 0u64;
         let mut cost_c = 0u64;
-        for _ in 0..n {
-            cost_a += apma.insert(hammer_rank).cost();
-            cost_c += classic.insert(hammer_rank).cost();
+        for i in 0..n as u64 {
+            cost_a += apma.insert(hammer_rank, ElemId(i)).cost();
+            cost_c += classic.insert(hammer_rank, ElemId(i)).cost();
         }
         let (a, c) = (cost_a as f64 / n as f64, cost_c as f64 / n as f64);
         assert!(
@@ -308,8 +309,8 @@ mod tests {
     fn predictor_tracks_hot_segment() {
         let n = 2048;
         let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
-        for _ in 0..n / 2 {
-            apma.insert(0);
+        for i in 0..n / 2 {
+            apma.insert(0, ElemId(i as u64));
         }
         // The head of the array should be the hottest region.
         let tree = apma.tree().clone();
@@ -326,7 +327,7 @@ mod tests {
         let n = 4096;
         let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
         for i in 0..n / 2 {
-            apma.insert(i / 7);
+            apma.insert(i / 7, ElemId(i as u64));
         }
         assert_eq!(apma.len(), n / 2);
         let labels: Vec<usize> = (0..apma.len()).map(|r| apma.label_of_rank(r)).collect();
@@ -340,7 +341,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let mut total = 0u64;
         for len in 0..n {
-            total += apma.insert(rng.gen_range(0..=len)).cost();
+            total += apma.insert(rng.gen_range(0..=len), ElemId(len as u64)).cost();
         }
         let amortized = total as f64 / n as f64;
         assert!(amortized < 80.0, "adaptive amortized {amortized} too high on random input");

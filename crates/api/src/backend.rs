@@ -16,10 +16,10 @@
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
 use lll_core::growable::{Growable, GrowableStats, Handle};
-use lll_core::ids::ElemId;
 use lll_core::metrics::{ListMetrics, MetricsHandle};
 use lll_core::report::{BulkReport, OpReport};
 use lll_core::rng::derive_seed;
+use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_deamortized::DeamortizedBuilder;
 use lll_embedding::layered::{corollary11_builder, inner_yz_builder, layered_configs};
@@ -93,53 +93,63 @@ pub trait RawList {
     /// growth rebuild the log is empty and the epoch bumps once instead.
     fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, BulkReport);
 
+    /// The physical slot array of the current epoch: a label is a position
+    /// in it, and the element stored there is the element's handle (move
+    /// logs therefore name elements by handle).
+    fn slots(&self) -> &SlotArray;
+
+    /// The rank of the element whose label is `label` — the one
+    /// label→rank resolution, counted in the backend's metrics.
+    fn rank_at_label(&self, label: usize) -> usize;
+
     /// The label of the first element, if any.
-    fn first_label(&self) -> Option<usize>;
+    fn first_label(&self) -> Option<usize> {
+        self.slots().next_occupied_at_or_after(0)
+    }
 
     /// The label of the last element, if any.
-    fn last_label(&self) -> Option<usize>;
+    fn last_label(&self) -> Option<usize> {
+        self.slots()
+            .num_slots()
+            .checked_sub(1)
+            .and_then(|l| self.slots().prev_occupied_at_or_before(l))
+    }
 
     /// The label of the next element strictly after `label` — one
     /// occupancy query, no rank resolution (the cursor walking primitive).
-    fn next_label_after(&self, label: usize) -> Option<usize>;
+    fn next_label_after(&self, label: usize) -> Option<usize> {
+        self.slots().next_occupied_at_or_after(label + 1)
+    }
 
     /// The label of the previous element strictly before `label`.
-    fn prev_label_before(&self, label: usize) -> Option<usize>;
+    fn prev_label_before(&self, label: usize) -> Option<usize> {
+        label.checked_sub(1).and_then(|l| self.slots().prev_occupied_at_or_before(l))
+    }
 
-    /// The handle of the element stored at `label` (`None` on a free slot).
-    fn handle_at_label(&self, label: usize) -> Option<Handle>;
+    /// The handle of the element stored at `label` (`None` on a free slot
+    /// or past the end).
+    fn handle_at_label(&self, label: usize) -> Option<Handle> {
+        (label < self.slots().num_slots()).then(|| self.slots().get(label)).flatten()
+    }
 
     /// The handle of the element of `rank`.
-    fn handle_at_rank(&self, rank: usize) -> Handle;
+    fn handle_at_rank(&self, rank: usize) -> Handle {
+        self.slots().get(self.label_of_rank(rank)).expect("select lands on an element")
+    }
 
     /// The label (slot position) of the element of `rank`.
-    fn label_of_rank(&self, rank: usize) -> usize;
-
-    /// The rank of the element whose label is `label`.
-    fn rank_at_label(&self, label: usize) -> usize;
-
-    /// Translate a move-log element identity into its stable handle
-    /// (`None` if the identity is not live in the current epoch).
-    fn handle_of_elem(&self, elem: ElemId) -> Option<Handle>;
-
-    /// `(handle, label)` for every element in rank order — the label-table
-    /// resynchronization path after a rebuild.
-    fn labels_snapshot(&self) -> Vec<(Handle, usize)>;
-
-    /// Visit `(handle, label)` for every element in rank order without
-    /// materializing the [`labels_snapshot`](Self::labels_snapshot) `Vec` —
-    /// the zero-copy sweep label-table resyncs and snapshot writers stream
-    /// through.
-    fn for_each_label(&self, f: &mut dyn FnMut(Handle, usize));
+    fn label_of_rank(&self, rank: usize) -> usize {
+        self.slots().select(rank)
+    }
 
     /// Restore an **empty** backend to `handles.len()` elements in one
     /// O(n) bulk sweep, binding `handles[r]` to rank `r` — the
     /// snapshot-restore path ([`Growable::load_with_handles`]): persisted
     /// handles stay valid and future insertions never collide with them.
     ///
-    /// Panics if the backend is non-empty or any handle is the reserved
-    /// `u64::MAX`. Handles must be distinct (checked in debug builds;
-    /// decode paths validate before calling).
+    /// Panics if the backend is non-empty or any handle has the reserved
+    /// index `u32::MAX`. Handle indices must be distinct (checked in debug
+    /// builds; decode paths validate before calling).
     fn load_with_handles(&mut self, handles: &[Handle]);
 
     /// The underlying algorithm's name.
@@ -190,48 +200,12 @@ impl<B: LabelingBuilder> RawList for Growable<B> {
         Growable::splice_at(self, rank, count)
     }
 
-    fn first_label(&self) -> Option<usize> {
-        Growable::first_label(self)
-    }
-
-    fn last_label(&self) -> Option<usize> {
-        Growable::last_label(self)
-    }
-
-    fn next_label_after(&self, label: usize) -> Option<usize> {
-        Growable::next_label_after(self, label)
-    }
-
-    fn prev_label_before(&self, label: usize) -> Option<usize> {
-        Growable::prev_label_before(self, label)
-    }
-
-    fn handle_at_label(&self, label: usize) -> Option<Handle> {
-        Growable::handle_at_label(self, label)
-    }
-
-    fn handle_at_rank(&self, rank: usize) -> Handle {
-        Growable::handle_at_rank(self, rank)
-    }
-
-    fn label_of_rank(&self, rank: usize) -> usize {
-        Growable::label_of_rank(self, rank)
+    fn slots(&self) -> &SlotArray {
+        self.inner().slots()
     }
 
     fn rank_at_label(&self, label: usize) -> usize {
         Growable::rank_at_label(self, label)
-    }
-
-    fn handle_of_elem(&self, elem: ElemId) -> Option<Handle> {
-        Growable::handle_of_elem(self, elem)
-    }
-
-    fn labels_snapshot(&self) -> Vec<(Handle, usize)> {
-        Growable::labels_snapshot(self)
-    }
-
-    fn for_each_label(&self, f: &mut dyn FnMut(Handle, usize)) {
-        Growable::for_each_label(self, f)
     }
 
     fn load_with_handles(&mut self, handles: &[Handle]) {
@@ -617,48 +591,12 @@ impl RawList for ErasedList {
         self.inner.splice_reported(rank, count)
     }
 
-    fn first_label(&self) -> Option<usize> {
-        self.inner.first_label()
-    }
-
-    fn last_label(&self) -> Option<usize> {
-        self.inner.last_label()
-    }
-
-    fn next_label_after(&self, label: usize) -> Option<usize> {
-        self.inner.next_label_after(label)
-    }
-
-    fn prev_label_before(&self, label: usize) -> Option<usize> {
-        self.inner.prev_label_before(label)
-    }
-
-    fn handle_at_label(&self, label: usize) -> Option<Handle> {
-        self.inner.handle_at_label(label)
-    }
-
-    fn handle_at_rank(&self, rank: usize) -> Handle {
-        self.inner.handle_at_rank(rank)
-    }
-
-    fn label_of_rank(&self, rank: usize) -> usize {
-        self.inner.label_of_rank(rank)
+    fn slots(&self) -> &SlotArray {
+        self.inner.slots()
     }
 
     fn rank_at_label(&self, label: usize) -> usize {
         self.inner.rank_at_label(label)
-    }
-
-    fn handle_of_elem(&self, elem: ElemId) -> Option<Handle> {
-        self.inner.handle_of_elem(elem)
-    }
-
-    fn labels_snapshot(&self) -> Vec<(Handle, usize)> {
-        self.inner.labels_snapshot()
-    }
-
-    fn for_each_label(&self, f: &mut dyn FnMut(Handle, usize)) {
-        self.inner.for_each_label(f)
     }
 
     fn load_with_handles(&mut self, handles: &[Handle]) {
@@ -710,8 +648,8 @@ mod tests {
     fn build_fixed_is_paper_shaped() {
         for backend in Backend::ALL {
             let mut s = ListBuilder::new().backend(backend).build_fixed(128);
-            for _ in 0..64 {
-                s.insert(0);
+            for i in 0..64 {
+                s.insert(0, lll_core::ids::ElemId(i));
             }
             assert_eq!(s.len(), 64);
             let labels: Vec<usize> = (0..s.len()).map(|r| s.label_of_rank(r)).collect();
@@ -730,7 +668,7 @@ mod tests {
         }
         assert_eq!(stat.len(), RawList::len(&dynn));
         for r in (0..200).step_by(17) {
-            assert_eq!(Growable::label_of_rank(&stat, r), dynn.label_of_rank(r));
+            assert_eq!(stat.label_of_rank(r), dynn.label_of_rank(r));
         }
     }
 

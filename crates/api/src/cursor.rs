@@ -163,11 +163,7 @@ impl<'a, K: Ord, V, L: RawList> MapCursor<'a, K, V, L> {
     /// The entry under the cursor, or `None` off either end.
     pub fn entry(&self) -> Option<(&'a K, &'a V)> {
         match self.pos {
-            Pos::On(l) => {
-                let h = self.map.backend().handle_at_label(l)?;
-                let (k, v) = self.map.pair_of(h);
-                Some((k, v))
-            }
+            Pos::On(l) => Some(self.map.entry_at(l)),
             _ => None,
         }
     }

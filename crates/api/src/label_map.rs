@@ -4,17 +4,22 @@
 //! cache-friendly indexes because a range scan is a contiguous sweep of
 //! one physical array).
 //!
-//! Keys are kept physically sorted in the backend's slot array. Point
-//! operations binary-search ranks over the labels (O(log n) comparisons,
-//! each an O(log m) rank→element lookup); range scans walk consecutive
-//! ranks, which the backend lays out left-to-right in memory.
+//! Keys are kept physically sorted in the backend's slot array, and each
+//! entry lives in a slab indexed by its element id
+//! ([`ElemId::index`](lll_core::ids::ElemId::index)). Point operations
+//! binary-search the slot positions themselves, as a packed-memory-array
+//! search does (Bender–Hu, TODS 2007): each probe skips the gap at its
+//! midpoint with one occupancy-bitmap query and reads the key of the slot
+//! it lands on through the slab — O(log m) probes, no rank arithmetic and
+//! no hashing. Only an insertion or removal resolves one rank, for the
+//! backend. Range scans walk label to label, which the backend lays out
+//! left-to-right in memory.
 
 use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::MapCursor;
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::growable::Handle;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::{Bound, RangeBounds};
@@ -37,7 +42,10 @@ use std::ops::{Bound, RangeBounds};
 /// ```
 pub struct LabelMap<K: Ord, V, L: RawList = ErasedList> {
     list: L,
-    entry: HashMap<Handle, (K, V)>,
+    /// Entries by element-id index. The backend gives a deleted element's
+    /// index to a later insertion, so the slab stays at the map's peak
+    /// population.
+    slab: Vec<Option<(K, V)>>,
 }
 
 impl<K: Ord, V> LabelMap<K, V> {
@@ -84,7 +92,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// Panics if the backend is non-empty.
     pub fn with_backend(list: L) -> Self {
         assert!(list.is_empty(), "LabelMap requires an empty backend");
-        Self { list, entry: HashMap::new() }
+        Self { list, slab: Vec::new() }
     }
 
     /// Number of entries.
@@ -128,12 +136,39 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.list.metrics_handle()
     }
 
-    fn pair_at_rank(&self, rank: usize) -> &(K, V) {
-        &self.entry[&self.list.handle_at_rank(rank)]
+    /// The entry of the live element `h`.
+    fn entry(&self, h: Handle) -> &(K, V) {
+        self.slab[h.index()].as_ref().expect("slab entry for live element")
     }
 
-    pub(crate) fn pair_of(&self, h: Handle) -> &(K, V) {
-        &self.entry[&h]
+    fn entry_mut(&mut self, h: Handle) -> &mut (K, V) {
+        self.slab[h.index()].as_mut().expect("slab entry for live element")
+    }
+
+    /// Store the entry of the new element `h`.
+    fn put(&mut self, h: Handle, kv: (K, V)) {
+        let i = h.index();
+        if i >= self.slab.len() {
+            self.slab.resize_with(i + 1, || None);
+        }
+        debug_assert!(self.slab[i].is_none(), "slab index {i} already holds an entry");
+        self.slab[i] = Some(kv);
+    }
+
+    /// Remove the entry of the just-deleted element `h`.
+    fn take(&mut self, h: Handle) -> (K, V) {
+        self.slab[h.index()].take().expect("slab entry for deleted element")
+    }
+
+    /// The element stored at the occupied slot `label`.
+    fn handle_at(&self, label: usize) -> Handle {
+        self.list.slots().get(label).expect("label of a live element")
+    }
+
+    /// The entry stored at the occupied slot `label`.
+    pub(crate) fn entry_at(&self, label: usize) -> (&K, &V) {
+        let (k, v) = self.entry(self.handle_at(label));
+        (k, v)
     }
 
     /// Read-only access to the underlying backend (cost counters, labels,
@@ -147,7 +182,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// **Panics** if `rank >= len`; [`get_key_at_rank`](Self::get_key_at_rank)
     /// is the checked variant.
     pub fn key_at_rank(&self, rank: usize) -> &K {
-        &self.pair_at_rank(rank).0
+        &self.entry(self.list.handle_at_rank(rank)).0
     }
 
     /// The key of rank `rank`, or `None` if `rank >= len` — the checked
@@ -156,22 +191,74 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         (rank < self.len()).then(|| self.key_at_rank(rank))
     }
 
+    /// The label of the first entry whose key fails `before`, or `None` if
+    /// every key passes; the keys that pass must be a prefix of the key
+    /// order. A binary search over slot positions: each probe finds the
+    /// first element at or after its midpoint with one bitmap query and
+    /// reads that element's key through the slab.
+    fn partition_label(&self, mut before: impl FnMut(&K) -> bool) -> Option<usize> {
+        let slots = self.list.slots();
+        let (mut lo, mut hi) = (0, slots.num_slots());
+        // Invariant: the keys at labels below `lo` pass, and `found` is the
+        // first element at or after `hi`, whose key fails.
+        let mut found = None;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match slots.next_occupied_at_or_after(mid).filter(|&p| p < hi) {
+                Some(p) if before(self.entry_at(p).0) => lo = p + 1,
+                Some(p) => {
+                    found = Some(p);
+                    hi = mid;
+                }
+                None => hi = mid,
+            }
+        }
+        found
+    }
+
+    /// The label of the first key ≥ `key`.
+    fn lower_bound_label<Q>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.partition_label(|k| k.borrow() < key)
+    }
+
+    /// The label of the first key > `key`.
+    fn upper_bound_label<Q>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.partition_label(|k| k.borrow() <= key)
+    }
+
+    /// The label of `key` if present. Like `BTreeMap`, equality is judged
+    /// by `Ord::cmp` alone (never `PartialEq`), so keys whose `Eq`
+    /// disagrees with their ordering still behave consistently.
+    fn label_of_key<Q>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let label = self.lower_bound_label(key)?;
+        self.entry_at(label).0.borrow().cmp(key).is_eq().then_some(label)
+    }
+
+    /// The rank of the element at `label`, or `len` for `None` (past the
+    /// last element).
+    fn rank_of_label(&self, label: Option<usize>) -> usize {
+        label.map_or(self.len(), |l| self.list.rank_at_label(l))
+    }
+
     /// The rank of the first key ≥ `key` (== `len` if no such key).
     pub fn lower_bound<Q>(&self, key: &Q) -> usize
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key_at_rank(mid).borrow() < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.rank_of_label(self.lower_bound_label(key))
     }
 
     /// The rank of the first key > `key` (== `len` if no such key).
@@ -180,42 +267,22 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key_at_rank(mid).borrow() <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// The rank of `key` if present. Like `BTreeMap`, equality is judged
-    /// by `Ord::cmp` alone (never `PartialEq`), so keys whose `Eq`
-    /// disagrees with their ordering still behave consistently.
-    fn rank_of_key<Q>(&self, key: &Q) -> Option<usize>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let r = self.lower_bound(key);
-        (r < self.len() && self.key_at_rank(r).borrow().cmp(key).is_eq()).then_some(r)
+        self.rank_of_label(self.upper_bound_label(key))
     }
 
     /// Insert `key → value`. Returns the previous value if the key was
     /// present (like `BTreeMap`, the entry keeps its position, handle, and
     /// originally stored key).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let rank = self.lower_bound(&key);
-        if rank < self.len() && self.key_at_rank(rank).cmp(&key).is_eq() {
-            let h = self.list.handle_at_rank(rank);
-            let entry = self.entry.get_mut(&h).expect("entry for live handle");
-            return Some(std::mem::replace(&mut entry.1, value));
+        let label = self.lower_bound_label(&key);
+        if let Some(l) = label {
+            let entry = self.entry_mut(self.handle_at(l));
+            if entry.0.cmp(&key).is_eq() {
+                return Some(std::mem::replace(&mut entry.1, value));
+            }
         }
-        let h = self.list.insert(rank);
-        self.entry.insert(h, (key, value));
+        let h = self.list.insert(self.rank_of_label(label));
+        self.put(h, (key, value));
         None
     }
 
@@ -235,7 +302,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.rank_of_key(key).map(|r| &self.pair_at_rank(r).1)
+        self.label_of_key(key).map(|l| self.entry_at(l).1)
     }
 
     /// Mutable access to the value of `key`.
@@ -244,9 +311,8 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let r = self.rank_of_key(key)?;
-        let h = self.list.handle_at_rank(r);
-        self.entry.get_mut(&h).map(|(_, v)| v)
+        let h = self.handle_at(self.label_of_key(key)?);
+        Some(&mut self.entry_mut(h).1)
     }
 
     /// True if `key` is present.
@@ -255,7 +321,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.rank_of_key(key).is_some()
+        self.label_of_key(key).is_some()
     }
 
     /// Remove `key`, returning its value.
@@ -264,25 +330,19 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let rank = self.rank_of_key(key)?;
-        let h = self.list.delete(rank);
-        self.entry.remove(&h).map(|(_, v)| v)
+        let label = self.label_of_key(key)?;
+        let h = self.list.delete(self.list.rank_at_label(label));
+        Some(self.take(h).1)
     }
 
     /// The smallest entry.
     pub fn first_key_value(&self) -> Option<(&K, &V)> {
-        (!self.is_empty()).then(|| {
-            let (k, v) = self.pair_at_rank(0);
-            (k, v)
-        })
+        self.list.first_label().map(|l| self.entry_at(l))
     }
 
     /// The largest entry.
     pub fn last_key_value(&self) -> Option<(&K, &V)> {
-        (!self.is_empty()).then(|| {
-            let (k, v) = self.pair_at_rank(self.len() - 1);
-            (k, v)
-        })
+        self.list.last_label().map(|l| self.entry_at(l))
     }
 
     /// Remove and return the smallest entry.
@@ -291,7 +351,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
             return None;
         }
         let h = self.list.delete(0);
-        self.entry.remove(&h)
+        Some(self.take(h))
     }
 
     /// Remove and return the largest entry.
@@ -300,17 +360,14 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
             return None;
         }
         let h = self.list.delete(self.len() - 1);
-        self.entry.remove(&h)
+        Some(self.take(h))
     }
 
     /// Remove every entry, keeping the backend (and its cost counters)
     /// alive. Deletions run back-to-front — removal is free in the paper's
     /// cost model, so this is O(n) plus at most O(n) shrink-rebuild moves.
     pub fn clear(&mut self) {
-        while !self.is_empty() {
-            let h = self.list.delete(self.len() - 1);
-            self.entry.remove(&h);
-        }
+        while self.pop_last().is_some() {}
     }
 
     /// Consume the map into its entries, sorted ascending by key — the
@@ -334,7 +391,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         let mut tail = Vec::with_capacity(self.len() - at);
         while self.len() > at {
             let h = self.list.delete(at);
-            tail.push(self.entry.remove(&h).expect("entry for live handle"));
+            tail.push(self.take(h));
         }
         tail
     }
@@ -363,7 +420,8 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
 
     /// Iterate the entries with keys in `range`, in ascending key order —
     /// physically, a left-to-right sweep of the backend's slot array. The
-    /// bounds accept any borrowed form of the key type.
+    /// bounds accept any borrowed form of the key type. Creating the range
+    /// is two label searches; stepping is one occupancy query per entry.
     ///
     /// Unlike `BTreeMap::range`, an inverted range (start > end) yields an
     /// empty iterator instead of panicking.
@@ -373,23 +431,23 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         Q: Ord + ?Sized,
         R: RangeBounds<Q>,
     {
-        let start = match range.start_bound() {
-            Bound::Included(k) => self.lower_bound(k),
-            Bound::Excluded(k) => self.upper_bound(k),
-            Bound::Unbounded => 0,
+        let next = match range.start_bound() {
+            Bound::Included(k) => self.lower_bound_label(k),
+            Bound::Excluded(k) => self.upper_bound_label(k),
+            Bound::Unbounded => self.list.first_label(),
         };
+        // `None`: no entry past the range's end.
         let end = match range.end_bound() {
-            Bound::Included(k) => self.upper_bound(k),
-            Bound::Excluded(k) => self.lower_bound(k),
-            Bound::Unbounded => self.len(),
+            Bound::Included(k) => self.upper_bound_label(k),
+            Bound::Excluded(k) => self.lower_bound_label(k),
+            Bound::Unbounded => None,
         };
-        Range { map: self, next: start, end: end.max(start) }
+        Range { map: self, next, end }
     }
 
     /// Iterate all entries in ascending key order — a label-to-label walk
     /// of the backend's occupancy structure, allocating nothing and
-    /// resolving no ranks per step (unlike [`range`](Self::range), which
-    /// resolves ranks lazily so it can stay cheap on small sub-ranges).
+    /// resolving no ranks.
     pub fn iter(&self) -> Iter<'_, K, V, L> {
         Iter { map: self, label: self.list.first_label(), remaining: self.len() }
     }
@@ -417,16 +475,14 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     }
 
     /// A read-only cursor parked on the first entry with key ≥ `key`
-    /// (exhausted if every key is smaller). One rank→label resolution at
-    /// creation; stepping is label-native from there.
+    /// (exhausted if every key is smaller). One label search at creation;
+    /// stepping is label-native from there.
     pub fn cursor_at<Q>(&self, key: &Q) -> MapCursor<'_, K, V, L>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let rank = self.lower_bound(key);
-        let label = (rank < self.len()).then(|| self.list.label_of_rank(rank));
-        MapCursor::new(self, label)
+        MapCursor::new(self, self.lower_bound_label(key))
     }
 
     /// Merge a batch of entries **sorted ascending by key** in bulk: runs of
@@ -452,40 +508,48 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
                 false
             }
         });
+        // The open gap's run and the label of its successor (`None`: the
+        // gap is at the end). Labels stay valid until the run lands: nothing
+        // else changes the backend meanwhile.
         let mut pending: Vec<(K, V)> = Vec::new();
-        let mut pending_rank = 0usize;
+        let mut pending_succ = None;
         for (k, v) in batch {
             if !pending.is_empty() {
                 // Still strictly below the successor of the open gap?
-                let continues =
-                    pending_rank >= self.len() || k.cmp(self.key_at_rank(pending_rank)).is_lt();
+                let continues = pending_succ.is_none_or(|l| k.cmp(self.entry_at(l).0).is_lt());
                 if continues {
                     pending.push((k, v));
                     continue;
                 }
-                self.splice_pending(pending_rank, &mut pending);
+                self.splice_pending(pending_succ, &mut pending);
             }
-            let rank = self.lower_bound(&k);
-            if rank < self.len() && self.key_at_rank(rank).cmp(&k).is_eq() {
+            let label = self.lower_bound_label(&k);
+            match label {
                 // Existing key: replace the value, keep position and handle.
-                let h = self.list.handle_at_rank(rank);
-                self.entry.get_mut(&h).expect("entry for live handle").1 = v;
-            } else {
-                pending_rank = rank;
-                pending.push((k, v));
+                Some(l) if self.entry_at(l).0.cmp(&k).is_eq() => {
+                    self.entry_mut(self.handle_at(l)).1 = v;
+                }
+                _ => {
+                    pending_succ = label;
+                    pending.push((k, v));
+                }
             }
         }
         if !pending.is_empty() {
-            self.splice_pending(pending_rank, &mut pending);
+            self.splice_pending(pending_succ, &mut pending);
         }
     }
 
-    /// Land an accumulated run of brand-new keys as one backend splice.
-    fn splice_pending(&mut self, rank: usize, run: &mut Vec<(K, V)>) {
+    /// Land an accumulated run of brand-new keys, just before the element
+    /// at `succ` (at the end for `None`), as one backend splice.
+    fn splice_pending(&mut self, succ: Option<usize>, run: &mut Vec<(K, V)>) {
+        let rank = self.rank_of_label(succ);
         let (handles, _) = self.list.splice_reported(rank, run.len());
         debug_assert_eq!(handles.len(), run.len());
+        let slab_len = handles.iter().map(|h| h.index() + 1).max().unwrap_or(0);
+        self.slab.reserve(slab_len.saturating_sub(self.slab.len()));
         for (h, kv) in handles.into_iter().zip(run.drain(..)) {
-            self.entry.insert(h, kv);
+            self.put(h, kv);
         }
     }
 }
@@ -593,11 +657,9 @@ impl<'a, K: Ord, V, L: RawList> Iterator for Iter<'a, K, V, L> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let l = self.label?;
-        let h = self.map.list.handle_at_label(l)?;
         self.label = self.map.list.next_label_after(l);
         self.remaining -= 1;
-        let (k, v) = self.map.pair_of(h);
-        Some((k, v))
+        Some(self.map.entry_at(l))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -615,8 +677,8 @@ impl<K: Ord, V, L: RawList> IntoIterator for LabelMap<K, V, L> {
     /// the same O(1)-space occupancy walk as [`LabelMap::iter`], over the
     /// moved-in backend.
     fn into_iter(self) -> Self::IntoIter {
-        let label = self.list.first_label();
-        IntoIter { list: self.list, label, entry: self.entry }
+        let (label, remaining) = (self.list.first_label(), self.len());
+        IntoIter { list: self.list, label, slab: self.slab, remaining }
     }
 }
 
@@ -624,7 +686,8 @@ impl<K: Ord, V, L: RawList> IntoIterator for LabelMap<K, V, L> {
 pub struct IntoIter<K, V, L: RawList = ErasedList> {
     list: L,
     label: Option<usize>,
-    entry: HashMap<Handle, (K, V)>,
+    slab: Vec<Option<(K, V)>>,
+    remaining: usize,
 }
 
 impl<K, V, L: RawList> Iterator for IntoIter<K, V, L> {
@@ -634,11 +697,12 @@ impl<K, V, L: RawList> Iterator for IntoIter<K, V, L> {
         let l = self.label?;
         let h = self.list.handle_at_label(l)?;
         self.label = self.list.next_label_after(l);
-        self.entry.remove(&h)
+        self.remaining -= 1;
+        self.slab[h.index()].take()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.entry.len(), Some(self.entry.len()))
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -650,27 +714,38 @@ impl<K: Ord + fmt::Debug, V: fmt::Debug, L: RawList> fmt::Debug for LabelMap<K, 
     }
 }
 
-/// Iterator over a key range of a [`LabelMap`], in ascending key order.
+/// Iterator over a key range of a [`LabelMap`], in ascending key order: a
+/// label-to-label walk. Its exact [`len`](ExactSizeIterator::len) costs up
+/// to two rank resolutions per call; stepping costs none.
 pub struct Range<'a, K: Ord, V, L: RawList> {
     map: &'a LabelMap<K, V, L>,
-    next: usize,
-    end: usize,
+    /// The label of the next entry to yield.
+    next: Option<usize>,
+    /// The label of the first entry past the range (`None`: the range runs
+    /// to the last entry).
+    end: Option<usize>,
+}
+
+impl<K: Ord, V, L: RawList> Range<'_, K, V, L> {
+    /// The next label, if it is still inside the range.
+    fn pending(&self) -> Option<usize> {
+        self.next.filter(|&l| self.end.is_none_or(|e| l < e))
+    }
 }
 
 impl<'a, K: Ord, V, L: RawList> Iterator for Range<'a, K, V, L> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.end {
-            return None;
-        }
-        let (k, v) = self.map.pair_at_rank(self.next);
-        self.next += 1;
-        Some((k, v))
+        let l = self.pending()?;
+        self.next = self.map.list.next_label_after(l);
+        Some(self.map.entry_at(l))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.end - self.next;
+        let n = self
+            .pending()
+            .map_or(0, |l| self.map.rank_of_label(self.end) - self.map.list.rank_at_label(l));
         (n, Some(n))
     }
 }
@@ -898,6 +973,7 @@ mod tests {
     #[test]
     fn iter_walks_labels_without_rank_resolution_or_snapshot_allocs() {
         use lll_classic::ClassicBuilder;
+        use lll_core::growable::Growable;
         let mut map: LabelMap<u32, u32, _> =
             LabelMap::with_backend(ListBuilder::new().build_growable(ClassicBuilder));
         for k in 0..500 {
@@ -918,6 +994,34 @@ mod tests {
         it.next();
         it.next();
         assert_eq!(it.len(), 498);
+        // Keyed lookups search labels: they resolve no rank at all.
+        type Map = LabelMap<u32, u32, Growable<ClassicBuilder>>;
+        let resolutions = |map: &Map| map.backend().rank_resolutions();
+        let r0 = resolutions(&map);
+        for k in 0..1000 {
+            assert_eq!(map.get(&k).is_some(), map.contains_key(&k));
+        }
+        assert_eq!(resolutions(&map), r0, "get/contains_key must not resolve ranks");
+        // A fresh insertion or a removal resolves exactly one, for the
+        // backend; replacing a value or missing a key resolves none.
+        for (op, want) in [(0, 1), (1, 0), (2, 1), (3, 0)] {
+            let r0 = resolutions(&map);
+            match op {
+                0 => assert_eq!(map.insert(7, 0), None),
+                1 => assert_eq!(map.insert(7, 1), Some(0)),
+                2 => assert_eq!(map.remove(&7), Some(1)),
+                _ => assert_eq!(map.remove(&7), None),
+            }
+            assert_eq!(resolutions(&map) - r0, want, "op {op}");
+        }
+        // A range walks labels: at most two resolutions (for its exact
+        // length), however far it goes.
+        for k in [0, 1, 10, 100, 1000] {
+            let r0 = resolutions(&map);
+            let got: Vec<(&u32, &u32)> = map.range(10..).take(k).collect();
+            assert_eq!(got.len(), k.min(495));
+            assert!(resolutions(&map) - r0 <= 2, "range().take({k}) resolved too many ranks");
+        }
         // The owning iterator walks the same way.
         let owned: Vec<(u32, u32)> = map.into_iter().collect();
         assert_eq!(owned, collected);

@@ -18,7 +18,7 @@ use lll_core::growable::Handle;
 use lll_core::ids::ElemId;
 use lll_core::report::{BulkReport, OpReport};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -175,16 +175,17 @@ impl<V, L: RawList> OrderedList<V, L> {
     }
 
     /// Absorb one operation's or batch's label churn, or resync after a
-    /// rebuild. Updates apply in stream order, last write winning — bulk
-    /// move logs are chronological (a later move may relocate a
-    /// just-placed element).
+    /// rebuild. Move logs name elements by handle. Updates apply in stream
+    /// order, last write winning — bulk move logs are chronological (a
+    /// later move may relocate a just-placed element) — and skip an element
+    /// the operation deleted after moving it.
     fn sync_updates(&mut self, pre_epoch: u64, updates: impl Iterator<Item = (ElemId, usize)>) {
         if self.list.epoch() != pre_epoch {
             self.resync();
             return;
         }
-        for (elem, pos) in updates {
-            if let Some(h) = self.list.handle_of_elem(elem) {
+        for (h, pos) in updates {
+            if self.value.contains_key(&h) {
                 self.label.insert(h, pos as u32);
             }
         }
@@ -200,15 +201,13 @@ impl<V, L: RawList> OrderedList<V, L> {
         self.sync_updates(pre_epoch, rep.label_updates());
     }
 
-    /// Rebuild the label table from a full backend sweep (the post-rebuild
-    /// path: a rebuild rewrites every label). Streams through the backend's
-    /// zero-copy label visitor — no intermediate snapshot `Vec`.
+    /// Rebuild the label table from one occupancy sweep of the backend's
+    /// slot array (the post-rebuild path: a rebuild rewrites every label).
     fn resync(&mut self) {
         self.label.clear();
-        let label = &mut self.label;
-        self.list.for_each_label(&mut |h, pos| {
-            label.insert(h, pos as u32);
-        });
+        for (pos, h) in self.list.slots().iter_occupied() {
+            self.label.insert(h, pos as u32);
+        }
     }
 
     /// Insert `value` at `rank`, returning its stable handle.
@@ -397,10 +396,10 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// Verify the label table exactly mirrors the backend (O(n); used by
     /// tests).
     pub fn check_labels(&self) {
-        let snap = self.list.labels_snapshot();
-        assert_eq!(snap.len(), self.label.len(), "label table size diverged");
-        assert_eq!(snap.len(), self.value.len(), "value table size diverged");
-        for (h, pos) in snap {
+        let slots = self.list.slots();
+        assert_eq!(slots.len(), self.label.len(), "label table size diverged");
+        assert_eq!(slots.len(), self.value.len(), "value table size diverged");
+        for (pos, h) in slots.iter_occupied() {
             assert_eq!(self.label.get(&h), Some(&(pos as u32)), "stale label for {h:?}");
         }
     }
@@ -450,7 +449,8 @@ impl<V: Codec> OrderedList<V> {
     ///
     /// Never panics on bad input: truncated, corrupted, version- or
     /// container-mismatched streams return the matching [`SnapshotError`]
-    /// variant (duplicate handles are [`SnapshotError::Corrupt`]). Reading
+    /// variant (handles that share an [index](ElemId::index), or carry the
+    /// reserved index `u32::MAX`, are [`SnapshotError::Corrupt`]). Reading
     /// from a `File`? Wrap it in a [`std::io::BufReader`].
     ///
     /// [`Growable::load_with_handles`]: lll_core::growable::Growable::load_with_handles
@@ -460,18 +460,23 @@ impl<V: Codec> OrderedList<V> {
             .map_err(|_| SnapshotError::Corrupt("element count exceeds host width".into()))?;
         let mut handles: Vec<Handle> = Vec::with_capacity(count.min(1 << 16));
         let mut values: HashMap<Handle, V> = HashMap::with_capacity(count.min(1 << 16));
+        let mut indices: HashSet<usize> = HashSet::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let raw = u64::decode(r)?;
-            if raw == u64::MAX {
-                return Err(SnapshotError::Corrupt("reserved handle value".into()));
+            let h = ElemId(u64::decode(r)?);
+            if h.index() == ElemId::NONE.index() {
+                return Err(SnapshotError::Corrupt("reserved handle index".into()));
             }
             let v = V::decode(r)?;
-            // The value table doubles as the duplicate detector: one hash
-            // structure, one probe per entry.
-            if values.insert(Handle(raw), v).is_some() {
-                return Err(SnapshotError::Corrupt(format!("duplicate handle {raw}")));
+            // Live elements never share an index: the backend's id
+            // allocator gives each index to one element at a time.
+            if !indices.insert(h.index()) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "duplicate handle index {}",
+                    h.index()
+                )));
             }
-            handles.push(Handle(raw));
+            values.insert(h, v);
+            handles.push(h);
         }
         let mut list = ListBuilder::from_config(header.config()).build();
         list.load_with_handles(&handles);

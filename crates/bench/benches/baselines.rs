@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use lll_adaptive::AdaptiveBuilder;
 use lll_api::{Backend, LabelMap, ListBuilder};
 use lll_classic::ClassicBuilder;
+use lll_core::ids::IdGen;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_deamortized::DeamortizedBuilder;
 use lll_randomized::RandomizedBuilder;
@@ -18,8 +19,9 @@ use lll_workloads::{hammer_inserts, uniform_random_inserts, Workload};
 
 fn run_workload_bench<B: LabelingBuilder>(b: &B, w: &Workload) {
     let mut s = b.build_default(w.peak);
+    let mut ids = IdGen::new();
     for &op in &w.ops {
-        criterion::black_box(s.apply(op).cost());
+        criterion::black_box(s.apply(op, &mut ids).cost());
     }
 }
 

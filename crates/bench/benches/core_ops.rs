@@ -53,7 +53,7 @@ fn bench_backend(backend: Backend, n: usize, seed: u64) -> Row {
     let t = Instant::now();
     for len in 0..n {
         let rank = rng.gen_range(0..=len);
-        s.insert_into(rank, &mut rep);
+        s.insert_into(rank, lll_core::ids::ElemId(len as u64), &mut rep);
         std::hint::black_box(rep.cost());
     }
     let insert_secs = t.elapsed().as_secs_f64();
@@ -101,7 +101,7 @@ fn classic_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
     let t = Instant::now();
     for len in 0..n {
         let rank = rng.gen_range(0..=len);
-        s.insert_into(rank, &mut rep);
+        s.insert_into(rank, lll_core::ids::ElemId(len as u64), &mut rep);
         std::hint::black_box(rep.cost());
     }
     t.elapsed().as_secs_f64()

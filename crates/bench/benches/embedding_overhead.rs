@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
+use lll_core::ids::IdGen;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_embedding::EmbedBuilder;
 use lll_workloads::uniform_random_inserts;
@@ -17,8 +18,9 @@ fn bench_overhead(c: &mut Criterion) {
         bch.iter_batched(
             || AdaptiveBuilder::default().build_default(w.peak),
             |mut s| {
+                let mut ids = IdGen::new();
                 for &op in &w.ops {
-                    criterion::black_box(s.apply(op).cost());
+                    criterion::black_box(s.apply(op, &mut ids).cost());
                 }
             },
             BatchSize::PerIteration,
@@ -28,8 +30,9 @@ fn bench_overhead(c: &mut Criterion) {
         bch.iter_batched(
             || EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder).build_default(w.peak),
             |mut s| {
+                let mut ids = IdGen::new();
                 for &op in &w.ops {
-                    criterion::black_box(s.apply(op).cost());
+                    criterion::black_box(s.apply(op, &mut ids).cost());
                 }
             },
             BatchSize::PerIteration,

@@ -1,6 +1,7 @@
 //! E5/E13 wall-clock throughput of Corollary 11's layered structure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use lll_core::ids::IdGen;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_embedding::corollary11_builder;
 use lll_workloads::{hammer_inserts, uniform_random_inserts};
@@ -14,8 +15,9 @@ fn bench_layered(c: &mut Criterion) {
             bch.iter_batched(
                 || corollary11_builder(42).build_default(w.peak),
                 |mut s| {
+                    let mut ids = IdGen::new();
                     for &op in &w.ops {
-                        criterion::black_box(s.apply(op).cost());
+                        criterion::black_box(s.apply(op, &mut ids).cost());
                     }
                 },
                 BatchSize::PerIteration,

@@ -1,6 +1,7 @@
 //! E6/E13: learning-augmented PMA throughput across prediction error η.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use lll_core::ids::IdGen;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_predictions::{PredictedBuilder, VecPredictor};
 use lll_workloads::{descending_inserts, with_predictions};
@@ -21,8 +22,9 @@ fn bench_predictions(c: &mut Criterion) {
                     .build_default(pw.workload.peak)
                 },
                 |mut s| {
+                    let mut ids = IdGen::new();
                     for &op in &pw.workload.ops {
-                        criterion::black_box(s.apply(op).cost());
+                        criterion::black_box(s.apply(op, &mut ids).cost());
                     }
                 },
                 BatchSize::PerIteration,

@@ -1,6 +1,7 @@
 //! Workload execution and measurement.
 
 use lll_core::cost::{CostSeries, CostStats};
+use lll_core::ids::IdGen;
 use lll_core::traits::ListLabeling;
 use lll_workloads::Workload;
 use std::time::Instant;
@@ -64,9 +65,10 @@ pub fn run_workload<L: ListLabeling>(structure: &mut L, workload: &Workload) -> 
     );
     let mut stats = CostStats::new();
     let mut series = CostSeries::new();
+    let mut ids = IdGen::new();
     let start = Instant::now();
     for &op in &workload.ops {
-        let cost = structure.apply(op).cost();
+        let cost = structure.apply(op, &mut ids).cost();
         stats.record(cost);
         series.push(cost);
     }

@@ -25,6 +25,7 @@ pub type ClassicPma = PmaBase<ClassicPolicy>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lll_core::ids::{ElemId, IdGen};
     use lll_core::ops::Op;
     use lll_core::testkit::{fit_log_exponent, run_against_oracle};
     use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -72,8 +73,8 @@ mod tests {
         for &n in &[1usize << 10, 1 << 12, 1 << 14] {
             let mut pma = ClassicBuilder.build(n, n * 13 / 10);
             let mut total = 0u64;
-            for _ in 0..n {
-                total += pma.insert(0).cost();
+            for i in 0..n {
+                total += pma.insert(0, ElemId(i as u64)).cost();
             }
             points.push((n, total as f64 / n as f64));
         }
@@ -91,18 +92,20 @@ mod tests {
         let n = 100;
         let mut pma = ClassicBuilder.build(n, 130);
         for i in 0..n {
-            pma.insert(i);
+            pma.insert(i, ElemId(i as u64));
         }
         assert_eq!(pma.len(), n);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pma.insert(0))).is_err());
+        let overflow = std::panic::AssertUnwindSafe(|| pma.insert(0, ElemId(n as u64)));
+        assert!(std::panic::catch_unwind(overflow).is_err());
     }
 
     #[test]
     fn labels_strictly_increase_with_rank() {
         let n = 300;
         let mut pma = ClassicBuilder.build(n, 400);
+        let mut ids = IdGen::new();
         for op in random_insert_ops(n, 5) {
-            pma.apply(op);
+            pma.apply(op, &mut ids);
         }
         let labels: Vec<usize> = (0..n).map(|r| pma.label_of_rank(r)).collect();
         assert!(labels.windows(2).all(|w| w[0] < w[1]));

@@ -6,7 +6,7 @@
 //! it anchors the experiment plots: every PMA variant must beat its linear
 //! per-operation cost by orders of magnitude.
 
-use lll_core::ids::IdGen;
+use lll_core::ids::ElemId;
 use lll_core::report::OpReport;
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -15,7 +15,6 @@ use lll_core::traits::{LabelingBuilder, ListLabeling};
 #[derive(Clone, Debug)]
 pub struct ShiftArray {
     slots: SlotArray,
-    ids: IdGen,
     capacity: usize,
 }
 
@@ -24,7 +23,7 @@ impl ShiftArray {
     /// slots.
     pub fn new(capacity: usize, num_slots: usize) -> Self {
         assert!(num_slots >= capacity);
-        Self { slots: SlotArray::new(num_slots), ids: IdGen::new(), capacity }
+        Self { slots: SlotArray::new(num_slots), capacity }
     }
 }
 
@@ -41,13 +40,7 @@ impl ListLabeling for ShiftArray {
         self.slots.len()
     }
 
-    fn insert(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.insert_into(rank, &mut out);
-        out
-    }
-
-    fn insert_into(&mut self, rank: usize, out: &mut OpReport) {
+    fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport) {
         out.clear();
         let len = self.len();
         assert!(rank <= len, "insert rank {rank} > len {len}");
@@ -55,16 +48,9 @@ impl ListLabeling for ShiftArray {
         for r in (rank..len).rev() {
             self.slots.move_elem(r, r + 1);
         }
-        let id = self.ids.fresh();
         self.slots.place(rank, id);
         self.slots.drain_log_into(&mut out.moves);
         out.placed = Some((id, rank as u32));
-    }
-
-    fn delete(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.delete_into(rank, &mut out);
-        out
     }
 
     fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
@@ -141,7 +127,7 @@ mod tests {
     #[test]
     fn head_insert_costs_are_linear() {
         let mut s = ShiftArray::new(64, 64);
-        let costs: Vec<u64> = (0..64).map(|_| s.insert(0).cost()).collect();
+        let costs: Vec<u64> = (0..64).map(|i| s.insert(0, ElemId(i)).cost()).collect();
         assert_eq!(costs[0], 1);
         assert_eq!(costs[63], 64);
     }
@@ -149,7 +135,7 @@ mod tests {
     #[test]
     fn tail_insert_costs_are_constant() {
         let mut s = ShiftArray::new(64, 64);
-        let costs: Vec<u64> = (0..64).map(|i| s.insert(i).cost()).collect();
+        let costs: Vec<u64> = (0..64).map(|i| s.insert(i, ElemId(i as u64)).cost()).collect();
         assert!(costs.iter().all(|&c| c == 1));
     }
 }

@@ -8,21 +8,28 @@
 //! keeps a **stable handle** across rebuilds, so applications can hold
 //! references to elements without tracking migrations.
 //!
+//! A handle *is* the element's [`ElemId`]: `Growable` allocates every id it
+//! hands to the inner structure and passes the survivors' ids into the
+//! rebuilt one. The id's index part is reused after a deletion, under the
+//! next generation, so indices stay below the peak population and callers
+//! can keep per-element data in a `Vec` indexed by
+//! [`ElemId::index`] (as `lll-api`'s `LabelMap` does). The generation keeps
+//! a reused index from repeating a whole id that the inner structure may
+//! still track (the embedding's ghosts) or that a caller may still hold.
+//!
 //! Rebuild costs amortize: a rebuild of size `n` happens only after Ω(n)
 //! operations, adding amortized O(polylog n) per operation on top of the
 //! inner structure's own bound (the appends performed during the rebuild
 //! are the inner structure's cheapest workload).
 
-use crate::ids::{ElemId, IdGen};
+use crate::ids::ElemId;
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::ops::Op;
 use crate::report::{BulkReport, OpReport};
 use crate::traits::{LabelingBuilder, ListLabeling};
-use std::collections::HashMap;
 
-/// A stable, rebuild-surviving element handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Handle(pub u64);
+/// A stable, rebuild-surviving element handle: the element's [`ElemId`].
+pub type Handle = ElemId;
 
 /// Statistics for the growth machinery.
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,9 +51,11 @@ pub struct GrowableStats {
 pub struct Growable<B: LabelingBuilder> {
     builder: B,
     inner: B::Structure,
-    /// inner element id → stable handle.
-    handle_of: HashMap<ElemId, Handle>,
-    ids: IdGen,
+    /// Ids of deleted elements, most recent last: the next insertion takes
+    /// the last one's index under the next generation.
+    free_ids: Vec<ElemId>,
+    /// One past the largest index issued so far.
+    next_index: u32,
     min_capacity: usize,
     stats: GrowableStats,
     /// Moves performed by ordinary operations (not rebuilds).
@@ -83,8 +92,8 @@ impl<B: LabelingBuilder> Growable<B> {
         Self {
             builder,
             inner,
-            handle_of: HashMap::new(),
-            ids: IdGen::new(),
+            free_ids: Vec::new(),
+            next_index: 0,
             min_capacity: cap,
             stats: GrowableStats::default(),
             op_moves: 0,
@@ -126,8 +135,8 @@ impl<B: LabelingBuilder> Growable<B> {
     /// The rebuild epoch. Labels returned before the epoch last changed are
     /// stale: a rebuild rewrites every slot position. Callers maintaining
     /// label tables from operation reports (see `lll-api`) compare epochs
-    /// around each operation and resynchronize from
-    /// [`labels_snapshot`](Self::labels_snapshot) after a rebuild.
+    /// around each operation and resynchronize with one occupancy sweep of
+    /// the new slot array after a rebuild.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -139,11 +148,25 @@ impl<B: LabelingBuilder> Growable<B> {
         &self.inner
     }
 
-    /// The stable handle of the element currently stored as `elem`, or
-    /// `None` if `elem` is not a live identity of the current epoch.
-    /// Translates [`MoveRec`](crate::report::MoveRec) entries into handles.
-    pub fn handle_of_elem(&self, elem: ElemId) -> Option<Handle> {
-        self.handle_of.get(&elem).copied()
+    /// A fresh id: the most recently freed index under its next
+    /// generation, else the next unissued index. An index whose generation
+    /// is spent is retired instead (see [`release_id`](Self::release_id)),
+    /// so no id is ever issued twice.
+    fn fresh_id(&mut self) -> ElemId {
+        if let Some(old) = self.free_ids.pop() {
+            return ElemId::new(old.index() as u32, old.generation() + 1);
+        }
+        let index = self.next_index;
+        assert!(index < u32::MAX, "element id space exhausted");
+        self.next_index += 1;
+        ElemId::new(index, 0)
+    }
+
+    /// Make a deleted element's index reusable.
+    fn release_id(&mut self, id: ElemId) {
+        if id.generation() < u32::MAX {
+            self.free_ids.push(id);
+        }
     }
 
     /// The rank of the element whose label (slot position) is `label`.
@@ -161,62 +184,6 @@ impl<B: LabelingBuilder> Growable<B> {
         self.metrics.rank_resolutions.get()
     }
 
-    /// The label (slot position) of the first element, if any.
-    pub fn first_label(&self) -> Option<usize> {
-        self.inner.slots().next_occupied_at_or_after(0)
-    }
-
-    /// The label (slot position) of the last element, if any.
-    pub fn last_label(&self) -> Option<usize> {
-        let m = self.inner.slots().num_slots();
-        if m == 0 {
-            return None;
-        }
-        self.inner.slots().prev_occupied_at_or_before(m - 1)
-    }
-
-    /// The label of the next element after `label`, if any — one word-level
-    /// occupancy-bitmap query, no rank arithmetic.
-    pub fn next_label_after(&self, label: usize) -> Option<usize> {
-        self.inner.slots().next_occupied_at_or_after(label + 1)
-    }
-
-    /// The label of the previous element before `label`, if any.
-    pub fn prev_label_before(&self, label: usize) -> Option<usize> {
-        if label == 0 {
-            return None;
-        }
-        self.inner.slots().prev_occupied_at_or_before(label - 1)
-    }
-
-    /// The handle of the element stored at `label`, or `None` for a free
-    /// slot.
-    pub fn handle_at_label(&self, label: usize) -> Option<Handle> {
-        if label >= self.inner.slots().num_slots() {
-            return None;
-        }
-        self.inner.slots().get(label).and_then(|e| self.handle_of_elem(e))
-    }
-
-    /// `(handle, label)` for every element in rank order — a full
-    /// left-to-right sweep of the slot array. This is the resynchronization
-    /// path for label tables after a rebuild.
-    pub fn labels_snapshot(&self) -> Vec<(Handle, usize)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_label(|h, pos| out.push((h, pos)));
-        out
-    }
-
-    /// Visit `(handle, label)` for every element in rank order — the
-    /// zero-copy form of [`labels_snapshot`](Self::labels_snapshot): one
-    /// left-to-right occupancy sweep, no intermediate `Vec`. Label-table
-    /// resyncs and snapshot writers stream through here.
-    pub fn for_each_label(&self, mut f: impl FnMut(Handle, usize)) {
-        for (pos, e) in self.inner.slots().iter_occupied() {
-            f(self.handle_of[&e], pos);
-        }
-    }
-
     /// The inner algorithm's name (stable across rebuilds).
     pub fn backend_name(&self) -> &'static str {
         self.inner.name()
@@ -228,24 +195,6 @@ impl<B: LabelingBuilder> Growable<B> {
         self.op_moves
     }
 
-    /// The label (slot position) of the element of `rank`. Labels are only
-    /// stable between operations, as in any list-labeling structure.
-    pub fn label_of_rank(&self, rank: usize) -> usize {
-        self.inner.label_of_rank(rank)
-    }
-
-    /// The handle of the element of `rank`.
-    pub fn handle_at_rank(&self, rank: usize) -> Handle {
-        self.handle_of[&self.inner.elem_at_rank(rank)]
-    }
-
-    /// Current rank of a handle, or `None` if it was deleted. O(len) scan;
-    /// applications needing faster reverse lookups should maintain them
-    /// from operation reports (see the `order_maintenance` example).
-    pub fn rank_of(&self, h: Handle) -> Option<usize> {
-        (0..self.len()).find(|&r| self.handle_at_rank(r) == h)
-    }
-
     /// Rebuild into a structure of the given capacity, preserving order and
     /// handles.
     fn rebuild(&mut self, new_capacity: usize) {
@@ -255,33 +204,34 @@ impl<B: LabelingBuilder> Growable<B> {
     /// Rebuild into a structure of `new_capacity`, splicing `count` brand
     /// new elements in at `rank` on the way through. The whole population —
     /// survivors and newcomers — lands via **one** bulk
-    /// [`splice`](ListLabeling::splice) into the fresh structure (a single
-    /// evenly-spread sweep on PMA-skeleton backends), and the epoch bumps
-    /// exactly once. Returns the newcomers' handles in rank order.
+    /// [`splice_into`](ListLabeling::splice_into) into the fresh structure
+    /// (a single evenly-spread sweep on PMA-skeleton backends), and the
+    /// epoch bumps exactly once. The survivors' ids come from one
+    /// left-to-right occupancy sweep. Returns the newcomers' handles in
+    /// rank order.
     fn rebuild_merged(&mut self, new_capacity: usize, rank: usize, count: usize) -> Vec<Handle> {
-        let mut order: Vec<Handle> =
-            (0..self.len()).map(|r| self.handle_of[&self.inner.elem_at_rank(r)]).collect();
-        let fresh_handles: Vec<Handle> = (0..count).map(|_| Handle(self.ids.fresh().0)).collect();
-        order.splice(rank..rank, fresh_handles.iter().copied());
-        self.rebuild_with_order(new_capacity, order);
-        fresh_handles
+        let mut order: Vec<ElemId> = Vec::with_capacity(self.len() + count);
+        order.extend(self.inner.slots().iter_occupied().map(|(_, e)| e));
+        let fresh: Vec<ElemId> = (0..count).map(|_| self.fresh_id()).collect();
+        order.splice(rank..rank, fresh.iter().copied());
+        self.rebuild_with_order(new_capacity, &order);
+        fresh
     }
 
-    /// The shared rebuild tail: land `order` (every element's handle, in
-    /// final rank order) in a fresh structure of `new_capacity` via one
-    /// bulk splice, remap identities, and bump the epoch exactly once.
-    /// Both the growth/shrink rebuilds and the snapshot-restore path go
-    /// through here, so their semantics cannot drift apart.
-    fn rebuild_with_order(&mut self, new_capacity: usize, order: Vec<Handle>) {
+    /// The shared rebuild tail: land `order` (every element's id, in final
+    /// rank order) in a fresh structure of `new_capacity` via one bulk
+    /// splice, and bump the epoch exactly once. Both the growth/shrink
+    /// rebuilds and the snapshot-restore path go through here, so their
+    /// semantics cannot drift apart.
+    fn rebuild_with_order(&mut self, new_capacity: usize, order: &[ElemId]) {
         let grew = new_capacity > self.capacity();
         let mut fresh = self.builder.build_default(new_capacity);
         // Install the shared handle before the bulk splice so the rebuild's
         // own moves are observed too.
         fresh.set_metrics(self.metrics.clone());
-        let bulk = fresh.splice(0, order.len());
+        let mut bulk = BulkReport::default();
+        fresh.splice_into(0, order, &mut bulk);
         self.stats.rebuild_moves += bulk.cost();
-        debug_assert_eq!(bulk.placed.len(), order.len(), "splice placed a wrong count");
-        self.handle_of = bulk.placed.iter().copied().zip(order).collect();
         self.inner = fresh;
         self.epoch += 1;
         self.metrics.note_epoch_bump(grew, new_capacity as u64, bulk.cost());
@@ -314,19 +264,18 @@ impl<B: LabelingBuilder> Growable<B> {
     /// preceded it: a rebuild rewrites *every* label, which the report
     /// format cannot express compactly. Callers detect rebuilds by
     /// comparing [`epoch`](Self::epoch) around the call and resynchronize
-    /// from [`labels_snapshot`](Self::labels_snapshot).
+    /// from the new slot array.
     pub fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
         assert!(rank <= self.len(), "insert rank {rank} > len {}", self.len());
         if self.len() == self.capacity() {
             self.stats.grows += 1;
             self.rebuild(self.capacity() * 2);
         }
-        self.inner.insert_into(rank, out);
+        let id = self.fresh_id();
+        self.inner.insert_into(rank, id, out);
         self.op_moves += out.cost();
         self.metrics.note_op_moves(out.cost());
-        let h = Handle(self.ids.fresh().0);
-        self.handle_of.insert(out.placed.expect("insert places").0, h);
-        h
+        id
     }
 
     /// Delete the element of `rank`, shrinking at quarter load. Move
@@ -357,13 +306,13 @@ impl<B: LabelingBuilder> Growable<B> {
         self.op_moves += out.cost();
         self.metrics.note_op_moves(out.cost());
         let (gone, _) = out.removed.expect("delete removes");
-        let h = self.handle_of.remove(&gone).expect("unknown element");
+        self.release_id(gone);
         if self.capacity() > self.min_capacity && self.len() * 4 <= self.capacity() {
             self.stats.shrinks += 1;
             let target = (self.capacity() / 2).max(self.min_capacity);
             self.rebuild(target);
         }
-        h
+        gone
     }
 
     /// Batch-insert `count` new elements at consecutive final ranks
@@ -383,8 +332,7 @@ impl<B: LabelingBuilder> Growable<B> {
     ///   the combined population (capacity doubles until it fits, so a
     ///   bulk load never pays the incremental doubling cascade). The
     ///   report is empty and the **epoch bumps once**; label-table callers
-    ///   resync from [`labels_snapshot`](Self::labels_snapshot) exactly as
-    ///   for any rebuild.
+    ///   resync exactly as for any rebuild.
     pub fn splice_at(&mut self, rank: usize, count: usize) -> (Vec<Handle>, BulkReport) {
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         if count == 0 {
@@ -399,19 +347,12 @@ impl<B: LabelingBuilder> Growable<B> {
             let handles = self.rebuild_merged(cap, rank, count);
             return (handles, BulkReport::default());
         }
-        let bulk = self.inner.splice(rank, count);
+        let ids: Vec<ElemId> = (0..count).map(|_| self.fresh_id()).collect();
+        let mut bulk = BulkReport::default();
+        self.inner.splice_into(rank, &ids, &mut bulk);
         self.op_moves += bulk.cost();
         self.metrics.note_op_moves(bulk.cost());
-        let handles: Vec<Handle> = bulk
-            .placed
-            .iter()
-            .map(|&e| {
-                let h = Handle(self.ids.fresh().0);
-                self.handle_of.insert(e, h);
-                h
-            })
-            .collect();
-        (handles, bulk)
+        (ids, bulk)
     }
 
     /// Bulk-load `count` new elements at the tail (final ranks
@@ -426,43 +367,44 @@ impl<B: LabelingBuilder> Growable<B> {
     /// O(n) bulk sweep, binding `handles[r]` to rank `r` — the
     /// snapshot-restore path: handles persisted before the snapshot stay
     /// valid in the restored structure, so no caller has to re-key. The
-    /// whole population lands via a single [`splice`](ListLabeling::splice)
-    /// into a structure sized for it (~1 move per element), the epoch bumps
-    /// exactly once, and the id allocator advances past every restored
-    /// handle so future insertions cannot collide.
+    /// whole population lands via a single
+    /// [`splice_into`](ListLabeling::splice_into) into a structure sized
+    /// for it (~1 move per element) and the epoch bumps exactly once. New
+    /// ids then take indices above every restored one: the generations of
+    /// the indices in between were not persisted, so they are not reused.
     ///
-    /// Panics if the structure is non-empty or if any handle is the
-    /// reserved value `u64::MAX` (it would saturate the id allocator and
-    /// break the no-collision guarantee). `handles` must also be distinct —
-    /// decoders (see `lll-api`'s `persist` module) validate this before
-    /// calling, so it is re-checked in debug builds only, keeping the
-    /// restore hot path to a single pass.
+    /// Panics if the structure is non-empty or if any handle has the
+    /// reserved index `u32::MAX` (the index of [`ElemId::NONE`]). The
+    /// handles' indices must also be distinct — decoders (see `lll-api`'s
+    /// `persist` module) validate this before calling, so it is re-checked
+    /// in debug builds only, keeping the restore hot path to one pass.
     pub fn load_with_handles(&mut self, handles: &[Handle]) {
         // Validate before touching any state, so the panic paths leave the
         // structure exactly as it was.
         assert!(self.is_empty(), "load_with_handles requires an empty structure");
+        let max_index = handles.iter().map(|h| h.index()).max();
         assert!(
-            !handles.contains(&Handle(u64::MAX)),
-            "load_with_handles rejects the reserved handle u64::MAX"
+            max_index < Some(u32::MAX as usize),
+            "load_with_handles rejects the reserved index u32::MAX"
         );
         #[cfg(debug_assertions)]
         {
-            let distinct: std::collections::HashSet<Handle> = handles.iter().copied().collect();
+            let distinct: std::collections::HashSet<usize> =
+                handles.iter().map(|h| h.index()).collect();
             assert_eq!(
                 distinct.len(),
                 handles.len(),
-                "load_with_handles requires distinct handles"
+                "load_with_handles requires distinct indices"
             );
         }
-        if handles.is_empty() {
-            return;
-        }
+        let Some(max_index) = max_index else { return };
         let mut cap = self.capacity();
         while cap < handles.len() {
             cap *= 2;
         }
-        self.rebuild_with_order(cap, handles.to_vec());
-        self.ids.bump_past(handles.iter().map(|h| h.0).max().expect("non-empty"));
+        self.rebuild_with_order(cap, handles);
+        self.free_ids.clear();
+        self.next_index = self.next_index.max(max_index as u32 + 1);
     }
 
     /// Apply an [`Op`].
@@ -475,7 +417,7 @@ impl<B: LabelingBuilder> Growable<B> {
 
     /// Iterate handles in rank order.
     pub fn iter(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.inner.slots().iter_occupied().map(move |(_, e)| self.handle_of[&e])
+        self.inner.slots().iter_occupied().map(|(_, e)| e)
     }
 
     /// The report-free cost model: ordinary moves + rebuild moves.
@@ -549,8 +491,9 @@ mod tests {
         // several growths happened; order must match insertion order
         let got: Vec<Handle> = g.iter().collect();
         assert_eq!(got, handles);
-        assert_eq!(g.handle_at_rank(137), handles[137]);
-        assert_eq!(g.rank_of(handles[42]), Some(42));
+        assert_eq!(g.inner().elem_at_rank(137), handles[137]);
+        let (label, _) = g.inner().slots().iter_occupied().nth(42).expect("rank 42");
+        assert_eq!(g.rank_at_label(label), 42);
     }
 
     #[test]
@@ -575,21 +518,18 @@ mod tests {
         let mut g = Growable::new(ClassicBuilder, 16);
         let e0 = g.epoch();
         let (h0, rep) = g.insert_reported(0);
-        // The placement reaches the report and translates back to the handle.
-        let placed = rep.placed.expect("insert places").0;
-        assert_eq!(g.handle_of_elem(placed), Some(h0));
+        // The placement reaches the report under the handle itself.
+        assert_eq!(rep.placed_elem(), Some(h0));
         assert_eq!(g.epoch(), e0, "no rebuild yet");
-        // Fill past capacity: epoch must bump, snapshot must mirror order.
+        // Fill past capacity: epoch must bump, the new layout must keep
+        // the handles in order.
         let mut handles = vec![h0];
         for i in 1..40 {
             handles.push(g.insert(i));
         }
         assert!(g.epoch() > e0, "growth must bump the epoch");
-        let snap = g.labels_snapshot();
-        assert_eq!(snap.iter().map(|&(h, _)| h).collect::<Vec<_>>(), handles);
-        assert!(snap.windows(2).all(|w| w[0].1 < w[1].1), "labels increase with rank");
-        for (h, pos) in snap {
-            assert_eq!(g.rank_at_label(pos), g.rank_of(h).unwrap());
+        for (rank, (pos, h)) in g.inner().slots().iter_occupied().enumerate() {
+            assert_eq!((h, g.rank_at_label(pos)), (handles[rank], rank));
         }
         // The inner structure is reachable for introspection.
         assert_eq!(g.inner().len(), g.len());
@@ -636,7 +576,7 @@ mod tests {
         let e0 = g.epoch();
         let (mid, rep) = g.splice_at(10, 8);
         assert_eq!(g.epoch(), e0, "no growth, no epoch bump");
-        assert_eq!(rep.placed.len(), 8);
+        assert_eq!(mid.len(), 8);
         assert!(rep.cost() >= 8, "each newcomer costs at least its placement");
         for (i, h) in mid.iter().enumerate() {
             reference.insert(10 + i, *h);
@@ -663,53 +603,22 @@ mod tests {
     }
 
     #[test]
-    fn label_navigation_walks_without_rank_resolution() {
-        let mut g = Growable::new(ClassicBuilder, 16);
-        let handles: Vec<Handle> = (0..200).map(|i| g.insert(i)).collect();
-        let before = g.rank_resolutions();
-        let mut walked = Vec::with_capacity(200);
-        let mut label = g.first_label();
-        while let Some(l) = label {
-            walked.push(g.handle_at_label(l).expect("occupied label"));
-            label = g.next_label_after(l);
-        }
-        assert_eq!(walked, handles);
-        assert_eq!(g.rank_resolutions(), before, "label walk must not resolve ranks");
-        // And backwards.
-        let mut rev = Vec::with_capacity(200);
-        let mut label = g.last_label();
-        while let Some(l) = label {
-            rev.push(g.handle_at_label(l).expect("occupied label"));
-            label = g.prev_label_before(l);
-        }
-        rev.reverse();
-        assert_eq!(rev, walked);
-        assert_eq!(g.prev_label_before(g.first_label().unwrap()), None);
-        assert_eq!(g.next_label_after(g.last_label().unwrap()), None);
-    }
-
-    #[test]
     fn load_with_handles_restores_identities_in_one_sweep() {
         let n = 1000usize;
         // Persisted handles are arbitrary distinct u64s, not necessarily
         // contiguous — mimic a restored snapshot with gaps.
-        let handles: Vec<Handle> = (0..n as u64).map(|i| Handle(i * 3 + 5)).collect();
+        let handles: Vec<Handle> = (0..n as u64).map(|i| ElemId(i * 3 + 5)).collect();
         let mut g = Growable::new(ClassicBuilder, 16);
         let e0 = g.epoch();
         g.load_with_handles(&handles);
         assert_eq!(g.len(), n);
         assert_eq!(g.epoch(), e0 + 1, "exactly one epoch bump");
         assert_eq!(g.iter().collect::<Vec<_>>(), handles, "rank order == handle order");
-        assert_eq!(g.handle_at_rank(700), handles[700]);
         // O(n) restore: exactly one move (placement) per element.
         assert_eq!(g.total_moves(), n as u64, "restore must be 1 move/element");
         // Fresh insertions never reuse a restored handle value.
         let fresh = g.insert(0);
         assert!(fresh.0 > handles.iter().map(|h| h.0).max().unwrap());
-        // The zero-copy visitor streams the same pairs labels_snapshot collects.
-        let mut visited = Vec::new();
-        g.for_each_label(|h, pos| visited.push((h, pos)));
-        assert_eq!(visited, g.labels_snapshot());
     }
 
     #[test]
@@ -717,16 +626,40 @@ mod tests {
     fn load_with_handles_rejects_non_empty() {
         let mut g = Growable::new(ClassicBuilder, 16);
         g.insert(0);
-        g.load_with_handles(&[Handle(9)]);
+        g.load_with_handles(&[ElemId(9)]);
     }
 
     #[test]
     #[should_panic(expected = "reserved")]
     fn load_with_handles_rejects_reserved_handle() {
-        // Handle(u64::MAX) would saturate the id allocator: the next fresh
-        // handle would collide (release) or overflow (debug).
+        // Index u32::MAX is the sentinel's: the allocator cannot issue
+        // past it.
         let mut g = Growable::new(ClassicBuilder, 16);
-        g.load_with_handles(&[Handle(3), Handle(u64::MAX)]);
+        g.load_with_handles(&[ElemId(3), ElemId::new(u32::MAX, 1)]);
+    }
+
+    #[test]
+    fn fixed_size_churn_reuses_indices_under_new_generations() {
+        // Each deletion frees an index that the next insertion takes under
+        // the next generation: indices stay below the peak population while
+        // no whole id is ever issued twice.
+        let peak = 1000;
+        let mut g = Growable::new(ClassicBuilder, 16);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut live: Vec<Handle> = (0..peak).map(|i| g.insert(i)).collect();
+        let mut issued: std::collections::HashSet<Handle> = live.iter().copied().collect();
+        let mut max_index = 0;
+        for _ in 0..50_000 {
+            let r = rng.gen_range(0..live.len());
+            assert_eq!(g.delete(r), live.remove(r));
+            let r = rng.gen_range(0..=live.len());
+            let h = g.insert(r);
+            assert!(issued.insert(h), "{h:?} issued twice");
+            max_index = max_index.max(h.index());
+            live.insert(r, h);
+        }
+        assert!(max_index < 2 * peak, "index {max_index} outgrew peak population {peak}");
+        assert_eq!(g.iter().collect::<Vec<_>>(), live);
     }
 
     #[test]

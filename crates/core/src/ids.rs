@@ -2,17 +2,21 @@
 //!
 //! List-labeling algorithms treat stored elements as black boxes (paper §2:
 //! "the only information that it knows about the elements is their relative
-//! ranks"). An [`ElemId`] is that black box: a unique, copyable token. The
-//! *user* of a structure maps ids to payloads externally (see the
-//! `database_index` example in the workspace root).
+//! ranks"). An [`ElemId`] is that black box: a unique, copyable token that
+//! the *caller* hands to each insertion and that comes back in move logs.
+//! Structures store ids; they never allocate them.
 
 use std::fmt;
 
 /// A unique identity for one stored element.
 ///
-/// Ids are allocated by an [`IdGen`] owned by each structure and are never
-/// reused within one structure's lifetime. Equality/ordering on `ElemId` is
-/// identity only — it says nothing about element rank.
+/// The low 32 bits are a slab index and the high 32 bits a generation:
+/// [`Growable`](crate::growable::Growable) reuses the index of a deleted
+/// element under the next generation, so callers can keep per-element data
+/// in a `Vec` indexed by [`index`](Self::index) while no live element, and
+/// no deleted one a structure may still track, ever shares a whole id with
+/// another. Equality/ordering on `ElemId` is identity only — it says
+/// nothing about element rank.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElemId(pub u64);
 
@@ -20,8 +24,26 @@ impl ElemId {
     /// Sentinel for "no element" in packed slot storage (the
     /// [`SlotArray`](crate::slot_array::SlotArray) contents array stores
     /// bare `ElemId`s at 8 bytes per slot instead of 16-byte
-    /// `Option<ElemId>`s). Never produced by an [`IdGen`].
+    /// `Option<ElemId>`s). Its index, `u32::MAX`, is never issued.
     pub const NONE: ElemId = ElemId(u64::MAX);
+
+    /// The id with the given slab index and generation.
+    #[inline]
+    pub fn new(index: u32, generation: u32) -> Self {
+        ElemId(u64::from(generation) << 32 | u64::from(index))
+    }
+
+    /// The slab index (low 32 bits).
+    #[inline]
+    pub fn index(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    /// The generation (high 32 bits).
+    #[inline]
+    pub fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
 }
 
 impl fmt::Debug for ElemId {
@@ -36,7 +58,9 @@ impl fmt::Display for ElemId {
     }
 }
 
-/// Monotone id allocator.
+/// Monotone id allocator for callers that drive a fixed-capacity structure
+/// directly: tests, experiments, and the embedding's R-shell, whose
+/// elements are slots rather than stored elements.
 #[derive(Clone, Debug, Default)]
 pub struct IdGen {
     next: u64,
@@ -56,17 +80,9 @@ impl IdGen {
         id
     }
 
-    /// Number of ids handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.next
-    }
-
-    /// Advance the allocator so every id up to and including `id` counts
-    /// as issued — the snapshot-restore path, where previously issued ids
-    /// come back from disk and future [`fresh`](Self::fresh) calls must
-    /// not collide with them. A no-op if `id` was already issued.
-    pub fn bump_past(&mut self, id: u64) {
-        self.next = self.next.max(id.saturating_add(1));
+    /// `count` fresh ids, in allocation order.
+    pub fn fresh_n(&mut self, count: usize) -> Vec<ElemId> {
+        (0..count).map(|_| self.fresh()).collect()
     }
 }
 
@@ -81,7 +97,16 @@ mod tests {
         let b = g.fresh();
         assert_ne!(a, b);
         assert!(a < b);
-        assert_eq!(g.issued(), 2);
+        assert_eq!(g.fresh_n(2), [ElemId(2), ElemId(3)]);
+    }
+
+    #[test]
+    fn index_and_generation_split_the_id() {
+        let id = ElemId::new(7, 3);
+        assert_eq!((id.index(), id.generation()), (7, 3));
+        assert_eq!(ElemId(5).index(), 5);
+        assert_eq!(ElemId(5).generation(), 0);
+        assert_eq!(ElemId::NONE.index(), u32::MAX as usize);
     }
 
     #[test]

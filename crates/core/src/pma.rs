@@ -80,7 +80,6 @@ pub trait RebalancePolicy {
 pub struct PmaBase<P: RebalancePolicy> {
     slots: SlotArray,
     tree: SegTree,
-    ids: IdGen,
     capacity: usize,
     policy: P,
     rebalances: u64,
@@ -101,7 +100,6 @@ impl<P: RebalancePolicy> PmaBase<P> {
         Self {
             slots: SlotArray::new(num_slots),
             tree: SegTree::new(num_slots),
-            ids: IdGen::new(),
             capacity,
             policy,
             rebalances: 0,
@@ -239,33 +237,33 @@ impl<P: RebalancePolicy> PmaBase<P> {
         (pred, succ)
     }
 
-    /// Place a new element for `rank`, shifting minimally if the gap is
-    /// fully occupied. Returns the placement position.
-    fn place_at_rank(&mut self, rank: usize) -> usize {
+    /// Place the new element `id` for `rank`, shifting minimally if the gap
+    /// is fully occupied. Returns the placement position.
+    fn place_at_rank(&mut self, rank: usize, id: ElemId) -> usize {
         let m = self.slots.num_slots();
         let (pred, succ) = self.neighbors(rank);
         let id_pos = match (pred, succ) {
             (None, None) => {
                 let pos = m / 2;
-                return self.do_place(pos);
+                return self.do_place(pos, id);
             }
             (Some(p), None) => {
                 // after the last element: any free slot right of p, else shift left
                 if let Some(f) = self.slots.next_free(p + 1) {
-                    return self.do_place(f);
+                    return self.do_place(f, id);
                 }
                 // no free slot right of p: shift [f..p] left into the free slot
                 let f = self.slots.prev_free(p).expect("no free slot anywhere");
                 for q in f + 1..=p {
                     self.slots.move_elem(q, q - 1);
                 }
-                return self.do_place(p);
+                return self.do_place(p, id);
             }
             (None, Some(q)) => {
                 // before the first element
                 if q > 0 {
                     if let Some(f) = self.slots.prev_free(q - 1) {
-                        return self.do_place(f);
+                        return self.do_place(f, id);
                     }
                 }
                 // no free slot left of q: shift [q..f] right
@@ -273,7 +271,7 @@ impl<P: RebalancePolicy> PmaBase<P> {
                 for t in (q..f).rev() {
                     self.slots.move_elem(t, t + 1);
                 }
-                return self.do_place(q);
+                return self.do_place(q, id);
             }
             (Some(p), Some(q)) => (p, q),
         };
@@ -282,38 +280,37 @@ impl<P: RebalancePolicy> PmaBase<P> {
             // gap has at least one slot; find a free one (the gap may contain
             // nothing else, so every slot in (p, q) is free)
             let mid = p + (q - p) / 2;
-            return self.do_place(mid);
+            return self.do_place(mid, id);
         }
         // adjacent: shift toward the nearest free slot
         let left = self.slots.prev_free(p);
         let right = self.slots.next_free(q);
         match (left, right) {
-            (Some(l), Some(r)) if p - l <= r - q => self.shift_left_and_place(l, p),
-            (Some(_), Some(r)) => self.shift_right_and_place(q, r),
-            (Some(l), None) => self.shift_left_and_place(l, p),
-            (None, Some(r)) => self.shift_right_and_place(q, r),
+            (Some(l), Some(r)) if p - l <= r - q => self.shift_left_and_place(l, p, id),
+            (Some(_), Some(r)) => self.shift_right_and_place(q, r, id),
+            (Some(l), None) => self.shift_left_and_place(l, p, id),
+            (None, Some(r)) => self.shift_right_and_place(q, r, id),
             (None, None) => unreachable!("ensure_room guarantees a free slot"),
         }
     }
 
     /// Shift `[l+1 ..= p]` one slot left (into free slot `l`), then place at `p`.
-    fn shift_left_and_place(&mut self, l: usize, p: usize) -> usize {
+    fn shift_left_and_place(&mut self, l: usize, p: usize, id: ElemId) -> usize {
         for q in l + 1..=p {
             self.slots.move_elem(q, q - 1);
         }
-        self.do_place(p)
+        self.do_place(p, id)
     }
 
     /// Shift `[q .. r)` one slot right (into free slot `r`), then place at `q`.
-    fn shift_right_and_place(&mut self, q: usize, r: usize) -> usize {
+    fn shift_right_and_place(&mut self, q: usize, r: usize, id: ElemId) -> usize {
         for t in (q..r).rev() {
             self.slots.move_elem(t, t + 1);
         }
-        self.do_place(q)
+        self.do_place(q, id)
     }
 
-    fn do_place(&mut self, pos: usize) -> usize {
-        let id = self.ids.fresh();
+    fn do_place(&mut self, pos: usize, id: ElemId) -> usize {
         self.slots.place(pos, id);
         pos
     }
@@ -332,13 +329,7 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
         self.slots.len()
     }
 
-    fn insert(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.insert_into(rank, &mut out);
-        out
-    }
-
-    fn insert_into(&mut self, rank: usize, out: &mut OpReport) {
+    fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport) {
         out.clear();
         assert!(rank <= self.len(), "insert rank {rank} > len {}", self.len());
         assert!(self.len() < self.capacity, "structure at capacity {}", self.capacity);
@@ -351,16 +342,10 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
             };
             self.ensure_room(probe, 1);
         }
-        let pos = self.place_at_rank(rank);
+        let pos = self.place_at_rank(rank, id);
         self.policy.on_insert(&self.tree, pos);
         self.slots.drain_log_into(&mut out.moves);
-        out.placed = self.slots.get(pos).map(|e| (e, pos as u32));
-    }
-
-    fn delete(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.delete_into(rank, &mut out);
-        out
+        out.placed = Some((id, pos as u32));
     }
 
     fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
@@ -378,7 +363,8 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
     /// within its upper threshold, as **one** evenly-spread sweep — at most
     /// one move per resident of the window plus one placement per new
     /// element, instead of `count` independent rebalance cascades.
-    fn splice(&mut self, rank: usize, count: usize) -> BulkReport {
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+        let count = ids.len();
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         assert!(
             self.len() + count <= self.capacity,
@@ -386,14 +372,14 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
             self.capacity,
             self.len()
         );
+        out.clear();
         if count == 0 {
-            return BulkReport::default();
+            return;
         }
         if count == 1 {
             // A run of one is an ordinary insertion — same cost either way.
-            let mut bulk = BulkReport::default();
-            bulk.absorb_op(self.insert(rank));
-            return bulk;
+            out.absorb_op(&self.insert(rank, ids[0]));
+            return;
         }
         let height = self.tree.height();
         let (level, a, b) = if self.is_empty() {
@@ -425,18 +411,17 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
             })
         };
         let at = rank - self.slots.rank_at(a);
-        let ids: Vec<ElemId> = (0..count).map(|_| self.ids.fresh()).collect();
-        let placed = merge_sorted(&mut self.slots, a, b, at, &ids);
+        let placed = merge_sorted(&mut self.slots, a, b, at, ids);
         for &(_, pos) in &placed {
             self.policy.on_insert(&self.tree, pos as usize);
         }
-        let moves = self.slots.drain_log();
+        self.slots.drain_log_into(&mut out.moves);
+        let moved = (out.moves.len() - placed.len()) as u64;
         self.rebalances += 1;
-        self.rebalance_moves += (moves.len() - placed.len()) as u64;
+        self.rebalance_moves += moved;
         self.slots.metrics().note_splice(count as u64);
-        self.slots.metrics().note_rebalance((b - a) as u64, (moves.len() - placed.len()) as u64);
+        self.slots.metrics().note_rebalance((b - a) as u64, moved);
         self.policy.on_rebalance(level, (a, b));
-        BulkReport { moves, placed: ids }
     }
 
     fn slots(&self) -> &SlotArray {
@@ -502,7 +487,8 @@ impl LabelingBuilder for ClassicBuilder {
 /// Run an operation sequence through any structure, returning total cost.
 /// Convenience for tests and examples.
 pub fn run_ops<L: ListLabeling>(l: &mut L, ops: &[Op]) -> u64 {
-    ops.iter().map(|&op| l.apply(op).cost()).sum()
+    let mut ids = IdGen::new();
+    ops.iter().map(|&op| l.apply(op, &mut ids).cost()).sum()
 }
 
 #[cfg(test)]
@@ -516,14 +502,17 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let n = 300;
         let mut pma = ClassicBuilder.build(n, (n as f64 * 1.3) as usize);
+        let mut ids = IdGen::new();
         let mut oracle = Oracle::new();
         for step in 0..2000 {
             let len = pma.len();
             let insert = len == 0 || (len < n && rng.gen_bool(0.7));
             if insert {
                 let r = rng.gen_range(0..=len);
-                let rep = pma.insert(r);
-                oracle.insert(r, rep.placed.unwrap().0);
+                let id = ids.fresh();
+                let rep = pma.insert(r, id);
+                assert_eq!(rep.placed_elem(), Some(id));
+                oracle.insert(r, id);
             } else {
                 let r = rng.gen_range(0..len);
                 let rep = pma.delete(r);
@@ -540,8 +529,9 @@ mod tests {
     fn classic_pma_fills_to_capacity() {
         let n = 200;
         let mut pma = ClassicBuilder.build(n, 260);
+        let mut ids = IdGen::new();
         for i in 0..n {
-            pma.insert(i);
+            pma.insert(i, ids.fresh());
         }
         assert_eq!(pma.len(), n);
     }
@@ -550,9 +540,10 @@ mod tests {
     fn classic_pma_sequential_head_inserts() {
         let n = 500;
         let mut pma = ClassicBuilder.build(n, 700);
+        let mut ids = IdGen::new();
         let mut total = 0;
         for _ in 0..n {
-            total += pma.insert(0).cost();
+            total += pma.insert(0, ids.fresh()).cost();
         }
         assert_eq!(pma.len(), n);
         // amortized cost should be polylog, far below the O(n) of shifting
@@ -564,8 +555,9 @@ mod tests {
     fn classic_pma_delete_to_empty() {
         let n = 64;
         let mut pma = ClassicBuilder.build(n, 96);
+        let mut ids = IdGen::new();
         for i in 0..n {
-            pma.insert(i);
+            pma.insert(i, ids.fresh());
         }
         for _ in 0..n {
             pma.delete(0);
@@ -577,6 +569,7 @@ mod tests {
     fn splice_matches_incremental_semantics() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut ids = IdGen::new();
         for _ in 0..20 {
             let n = 400;
             let mut spliced = ClassicBuilder.build(n, 520);
@@ -586,10 +579,10 @@ mod tests {
             while len < n {
                 let rank = rng.gen_range(0..=len);
                 let count = rng.gen_range(1..=(n - len).min(17));
-                let bulk = spliced.splice(rank, count);
-                assert_eq!(bulk.placed.len(), count);
+                let bulk = spliced.splice(rank, &ids.fresh_n(count));
+                assert!(bulk.cost() >= count as u64, "each newcomer costs its placement");
                 for i in 0..count {
-                    stepped.insert(rank + i);
+                    stepped.insert(rank + i, ids.fresh());
                 }
                 len += count;
                 assert_eq!(spliced.len(), stepped.len());
@@ -604,12 +597,14 @@ mod tests {
     #[test]
     fn splice_placed_ids_are_in_rank_order() {
         let mut pma = ClassicBuilder.build(100, 140);
+        let mut ids = IdGen::new();
         for i in 0..10 {
-            pma.insert(i);
+            pma.insert(i, ids.fresh());
         }
-        let bulk = pma.splice(4, 6);
+        let batch = ids.fresh_n(6);
+        pma.splice(4, &batch);
         // The 6 newcomers occupy ranks 4..10 in batch order.
-        for (i, &e) in bulk.placed.iter().enumerate() {
+        for (i, &e) in batch.iter().enumerate() {
             assert_eq!(pma.elem_at_rank(4 + i), e);
         }
     }
@@ -618,14 +613,15 @@ mod tests {
     fn splice_is_cheaper_than_point_inserts() {
         let n = 2048;
         let mut bulk = ClassicBuilder.build(n, n + n / 4 + 2);
-        let rep = bulk.splice(0, n);
+        let mut ids = IdGen::new();
+        let rep = bulk.splice(0, &ids.fresh_n(n));
         let bulk_cost = rep.cost();
         assert_eq!(bulk.len(), n);
         assert_eq!(bulk_cost, n as u64, "empty-array bulk load is exactly one placement each");
         let mut inc = ClassicBuilder.build(n, n + n / 4 + 2);
         let mut inc_cost = 0u64;
         for i in 0..n {
-            inc_cost += inc.insert(i).cost();
+            inc_cost += inc.insert(i, ids.fresh()).cost();
         }
         assert!(bulk_cost < inc_cost, "bulk {bulk_cost} !< incremental {inc_cost}");
     }
@@ -633,7 +629,7 @@ mod tests {
     #[test]
     fn costs_derive_from_move_log() {
         let mut pma = ClassicBuilder.build(10, 16);
-        let rep = pma.insert(0);
+        let rep = pma.insert(0, ElemId(0));
         assert_eq!(rep.cost(), rep.moves.len() as u64);
         assert_eq!(rep.cost(), 1); // empty array: a single placement
     }
@@ -650,13 +646,14 @@ mod tests {
         let m = n * 13 / 10;
         let full_scan_words = m / 64; // what one O(m) enumeration would cost
         let mut pma = ClassicBuilder.build(n, m);
-        pma.splice(0, n / 2); // bulk prefill: one (big, legitimate) sweep
+        let mut ids = IdGen::new();
+        pma.splice(0, &ids.fresh_n(n / 2)); // bulk prefill: one (big, legitimate) sweep
         let rebalances_before = pma.rebalances();
 
         // A small splice rebalances the smallest window that absorbs it —
         // low-level, a few hundred slots.
         let scan0 = pma.slots().scan_words();
-        pma.splice(n / 4, 8);
+        pma.splice(n / 4, &ids.fresh_n(8));
         let splice_scan = pma.slots().scan_words() - scan0;
         assert!(pma.rebalances() > rebalances_before, "splice must count as a rebalance");
         assert!(
@@ -667,7 +664,7 @@ mod tests {
         // A point insert into the evenly-spread array: gap placement, no
         // rebalance, word-local occupancy questions only.
         let scan0 = pma.slots().scan_words();
-        pma.insert(n / 4);
+        pma.insert(n / 4, ids.fresh());
         let insert_scan = pma.slots().scan_words() - scan0;
         assert!(
             (insert_scan as usize) < full_scan_words / 16,
@@ -684,7 +681,7 @@ mod tests {
         let run = |rep: &mut OpReport| {
             let mut pma = ClassicBuilder.build(n, n * 13 / 10);
             for i in 0..n {
-                pma.insert_into(i / 2, rep);
+                pma.insert_into(i / 2, ElemId(i as u64), rep);
             }
             (pma.slots().log_sink_drains(), pma.slots().log_sink_reuses())
         };
@@ -699,8 +696,9 @@ mod tests {
     fn rebalance_counters_advance() {
         let n = 256;
         let mut pma = ClassicBuilder.build(n, 320);
+        let mut ids = IdGen::new();
         for _ in 0..n {
-            pma.insert(0);
+            pma.insert(0, ids.fresh());
         }
         assert!(pma.rebalances() > 0);
         assert!(pma.rebalance_moves() > 0);

@@ -84,23 +84,11 @@ impl OpReport {
             .map(|mv| (mv.elem, mv.to as usize))
             .chain(self.placed.map(|(e, p)| (e, p as usize)))
     }
-
-    /// Merge another report's moves into this one (used by composite
-    /// structures such as the embedding, which perform moves through several
-    /// sub-structures during one logical operation).
-    pub fn absorb(&mut self, other: OpReport) {
-        self.moves.extend(other.moves);
-        if self.placed.is_none() {
-            self.placed = other.placed;
-        }
-        if self.removed.is_none() {
-            self.removed = other.removed;
-        }
-    }
 }
 
-/// The outcome of a batch insertion ([`ListLabeling::splice`]) — one move
-/// log covering the whole sweep.
+/// The outcome of a batch insertion ([`ListLabeling::splice_into`]) — one
+/// move log covering the whole sweep. The new elements' ids are the ones
+/// the caller passed in.
 ///
 /// Unlike [`OpReport`], which separates the placement from the other moves,
 /// a bulk operation's placements appear **only** in `moves` (a placement is
@@ -108,22 +96,19 @@ impl OpReport {
 /// just-placed element, so chronological order is the only safe order for
 /// label-table maintenance.
 ///
-/// [`ListLabeling::splice`]: crate::traits::ListLabeling::splice
+/// [`ListLabeling::splice_into`]: crate::traits::ListLabeling::splice_into
 #[derive(Clone, Debug, Default)]
 pub struct BulkReport {
     /// Every physical element move performed by the batch, in chronological
     /// order (placements of the new elements included, `from == to`).
     pub moves: Vec<MoveRec>,
-    /// The identities of the newly inserted elements, in rank order.
-    pub placed: Vec<ElemId>,
 }
 
 impl BulkReport {
-    /// Reset for reuse, keeping both buffers' allocations (see
+    /// Reset for reuse, keeping the buffer's allocation (see
     /// [`OpReport::clear`]).
     pub fn clear(&mut self) {
         self.moves.clear();
-        self.placed.clear();
     }
 
     /// The batch's cost in the paper's model: number of element moves.
@@ -140,14 +125,11 @@ impl BulkReport {
     }
 
     /// Fold one single-operation report into this batch (the per-insert
-    /// fallback path of [`ListLabeling::splice`]).
+    /// path of [`ListLabeling::splice_into`]).
     ///
-    /// [`ListLabeling::splice`]: crate::traits::ListLabeling::splice
-    pub fn absorb_op(&mut self, op: OpReport) {
-        self.moves.extend(op.moves);
-        if let Some((e, _)) = op.placed {
-            self.placed.push(e);
-        }
+    /// [`ListLabeling::splice_into`]: crate::traits::ListLabeling::splice_into
+    pub fn absorb_op(&mut self, op: &OpReport) {
+        self.moves.extend_from_slice(&op.moves);
     }
 }
 
@@ -187,30 +169,17 @@ mod tests {
         let mut op = OpReport::default();
         op.moves.push(MoveRec { elem: ElemId(1), from: 4, to: 4 });
         op.placed = Some((ElemId(1), 4));
-        b.absorb_op(op);
+        b.absorb_op(&op);
         let mut op = OpReport::default();
         // The second insert relocates the first element: the later entry
         // must win in label_updates order.
         op.moves.push(MoveRec { elem: ElemId(1), from: 4, to: 5 });
         op.moves.push(MoveRec { elem: ElemId(2), from: 4, to: 4 });
         op.placed = Some((ElemId(2), 4));
-        b.absorb_op(op);
+        b.absorb_op(&op);
         assert_eq!(b.cost(), 3);
-        assert_eq!(b.placed, vec![ElemId(1), ElemId(2)]);
         let last: std::collections::HashMap<ElemId, usize> = b.label_updates().collect();
         assert_eq!(last[&ElemId(1)], 5);
         assert_eq!(last[&ElemId(2)], 4);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = OpReport::default();
-        a.moves.push(MoveRec { elem: ElemId(1), from: 0, to: 1 });
-        let mut b = OpReport::default();
-        b.moves.push(MoveRec { elem: ElemId(2), from: 5, to: 6 });
-        b.placed = Some((ElemId(2), 6));
-        a.absorb(b);
-        assert_eq!(a.cost(), 2);
-        assert_eq!(a.placed, Some((ElemId(2), 6)));
     }
 }

@@ -8,7 +8,7 @@
 //! checks that moves never cross occupied slots), oracle agreement plus the
 //! move discipline implies the sorted-order invariant held throughout.
 
-use crate::ids::ElemId;
+use crate::ids::{ElemId, IdGen};
 use crate::ops::Op;
 use crate::traits::ListLabeling;
 
@@ -63,6 +63,7 @@ impl Oracle {
 /// layout every `check_every` operations (and at the end).
 pub fn run_against_oracle<L: ListLabeling>(l: &mut L, ops: &[Op], check_every: usize) -> u64 {
     let mut oracle = Oracle::new();
+    let mut ids = IdGen::new();
     let mut total = 0u64;
     for (i, &op) in ops.iter().enumerate() {
         assert!(
@@ -70,7 +71,7 @@ pub fn run_against_oracle<L: ListLabeling>(l: &mut L, ops: &[Op], check_every: u
             "op {op:?} invalid at len {} (step {i})",
             oracle.len()
         );
-        let rep = l.apply(op);
+        let rep = l.apply(op, &mut ids);
         total += rep.cost();
         match op {
             Op::Insert(r) => {
@@ -122,7 +123,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn oracle_catches_length_divergence() {
         let mut pma = ClassicBuilder.build(10, 16);
-        pma.insert(0);
+        pma.insert(0, ElemId(0));
         let oracle = Oracle::new(); // empty
         oracle.check(&pma);
     }

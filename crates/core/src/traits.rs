@@ -12,7 +12,7 @@
 //! (F gets `(1+ε)n` slots; R gets all `(1+3ε)n` slots with capacity
 //! `(1+2ε)n`).
 
-use crate::ids::ElemId;
+use crate::ids::{ElemId, IdGen};
 use crate::metrics::MetricsHandle;
 use crate::ops::Op;
 use crate::report::{BulkReport, OpReport};
@@ -35,71 +35,79 @@ pub trait ListLabeling {
         self.len() == 0
     }
 
-    /// Insert a new element at 0-based `rank` (`rank ∈ 0..=len`).
+    /// Insert the new element `id` at 0-based `rank` (`rank ∈ 0..=len`),
+    /// reporting into a caller-provided buffer: `out` is cleared and
+    /// refilled, keeping its move-buffer allocation, so in steady state a
+    /// point insert touches the heap not at all.
+    ///
+    /// The caller allocates ids: `id` must differ from every element the
+    /// structure stores or still tracks (the embedding keeps deleted
+    /// elements as ghosts until a rebuild drops them).
     ///
     /// Panics if `rank > len` or the structure is full.
-    fn insert(&mut self, rank: usize) -> OpReport;
+    fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport);
 
-    /// Delete the element of 0-based `rank` (`rank ∈ 0..len`).
+    /// Delete the element of 0-based `rank` (`rank ∈ 0..len`), reporting
+    /// into `out` (see [`insert_into`](Self::insert_into)).
     ///
     /// Panics if `rank >= len`.
-    fn delete(&mut self, rank: usize) -> OpReport;
+    fn delete_into(&mut self, rank: usize, out: &mut OpReport);
 
-    /// [`insert`](Self::insert) reporting into a caller-provided buffer:
-    /// `out` is cleared and refilled, keeping its move-buffer allocation.
-    /// The default delegates to `insert` (correct, but allocates);
-    /// structures with a native zero-allocation path override it to drain
-    /// the slot array's move log straight into `out` — in steady state a
-    /// point insert then touches the heap not at all.
-    fn insert_into(&mut self, rank: usize, out: &mut OpReport) {
-        *out = self.insert(rank);
-    }
-
-    /// [`delete`](Self::delete) into a caller-provided buffer (see
-    /// [`insert_into`](Self::insert_into)).
-    fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
-        *out = self.delete(rank);
-    }
-
-    /// [`splice`](Self::splice) into a caller-provided buffer (see
-    /// [`insert_into`](Self::insert_into)).
-    fn splice_into(&mut self, rank: usize, count: usize, out: &mut BulkReport) {
-        *out = self.splice(rank, count);
-    }
-
-    /// Insert `count` new elements at consecutive final ranks
-    /// `rank .. rank + count` — the batch-ingest primitive. Returns one
-    /// [`BulkReport`] covering the whole batch, with the new identities in
-    /// rank order.
+    /// Insert the new elements `ids` at consecutive final ranks
+    /// `rank .. rank + ids.len()`, in that order — the batch-ingest
+    /// primitive — reporting the whole batch into `out` (cleared first).
     ///
-    /// The default decomposes into `count` single insertions (always
-    /// correct, never cheaper). Algorithms with a native bulk path override
-    /// it: the PMA skeleton ([`PmaBase`](crate::pma::PmaBase)) interleaves
-    /// the run into one window rebalance via
+    /// The default decomposes into single insertions (always correct,
+    /// never cheaper). Algorithms with a native bulk path override it: the
+    /// PMA skeleton ([`PmaBase`](crate::pma::PmaBase)) interleaves the run
+    /// into one window rebalance via
     /// [`merge_sorted`](crate::slot_array::merge_sorted), costing one
-    /// evenly-spread sweep instead of `count` independent rebalance
+    /// evenly-spread sweep instead of `ids.len()` independent rebalance
     /// cascades.
     ///
-    /// Panics if `rank > len` or `len + count > capacity`.
-    fn splice(&mut self, rank: usize, count: usize) -> BulkReport {
+    /// Panics if `rank > len` or `len + ids.len() > capacity`.
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         assert!(
-            self.len() + count <= self.capacity(),
-            "splice of {count} overflows capacity {} (len {})",
+            self.len() + ids.len() <= self.capacity(),
+            "splice of {} overflows capacity {} (len {})",
+            ids.len(),
             self.capacity(),
             self.len()
         );
-        let mut bulk = BulkReport::default();
-        for i in 0..count {
-            bulk.absorb_op(self.insert(rank + i));
+        out.clear();
+        let mut rep = OpReport::default();
+        for (i, &id) in ids.iter().enumerate() {
+            self.insert_into(rank + i, id, &mut rep);
+            out.absorb_op(&rep);
         }
-        bulk
     }
 
-    /// Apply one operation.
-    fn apply(&mut self, op: Op) -> OpReport {
+    /// [`insert_into`](Self::insert_into) into a fresh report (allocates).
+    fn insert(&mut self, rank: usize, id: ElemId) -> OpReport {
+        let mut out = OpReport::default();
+        self.insert_into(rank, id, &mut out);
+        out
+    }
+
+    /// [`delete_into`](Self::delete_into) into a fresh report (allocates).
+    fn delete(&mut self, rank: usize) -> OpReport {
+        let mut out = OpReport::default();
+        self.delete_into(rank, &mut out);
+        out
+    }
+
+    /// [`splice_into`](Self::splice_into) into a fresh report (allocates).
+    fn splice(&mut self, rank: usize, ids: &[ElemId]) -> BulkReport {
+        let mut out = BulkReport::default();
+        self.splice_into(rank, ids, &mut out);
+        out
+    }
+
+    /// Apply one operation, drawing an insertion's id from `ids`.
+    fn apply(&mut self, op: Op, ids: &mut IdGen) -> OpReport {
         match op {
-            Op::Insert(r) => self.insert(r),
+            Op::Insert(r) => self.insert(r, ids.fresh()),
             Op::Delete(r) => self.delete(r),
         }
     }
@@ -218,19 +226,17 @@ pub fn log2f(n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::IdGen;
 
     /// A minimal trait implementation used to exercise the defaults: an
     /// unsorted-capable but order-maintaining shift array (O(n) moves).
     struct Shifty {
         slots: SlotArray,
-        ids: IdGen,
         cap: usize,
     }
 
     impl Shifty {
         fn new(cap: usize, m: usize) -> Self {
-            Self { slots: SlotArray::new(m), ids: IdGen::new(), cap }
+            Self { slots: SlotArray::new(m), cap }
         }
     }
 
@@ -244,7 +250,7 @@ mod tests {
         fn len(&self) -> usize {
             self.slots.len()
         }
-        fn insert(&mut self, rank: usize) -> OpReport {
+        fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport) {
             assert!(rank <= self.len());
             assert!(self.len() < self.cap);
             // keep elements packed in a prefix: shift suffix right by one
@@ -252,26 +258,21 @@ mod tests {
             for r in (rank..len).rev() {
                 self.slots.move_elem(r, r + 1);
             }
-            let id = self.ids.fresh();
             self.slots.place(rank, id);
-            OpReport {
-                moves: self.slots.drain_log(),
-                placed: Some((id, rank as u32)),
-                removed: None,
-            }
+            out.clear();
+            self.slots.drain_log_into(&mut out.moves);
+            out.placed = Some((id, rank as u32));
         }
-        fn delete(&mut self, rank: usize) -> OpReport {
+        fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
             assert!(rank < self.len());
             let id = self.slots.remove(rank);
             let len = self.len();
             for r in rank..len {
                 self.slots.move_elem(r + 1, r);
             }
-            OpReport {
-                moves: self.slots.drain_log(),
-                placed: None,
-                removed: Some((id, rank as u32)),
-            }
+            out.clear();
+            self.slots.drain_log_into(&mut out.moves);
+            out.removed = Some((id, rank as u32));
         }
         fn slots(&self) -> &SlotArray {
             &self.slots
@@ -283,31 +284,34 @@ mod tests {
 
     #[test]
     fn trait_defaults_work() {
-        let mut s = Shifty::new(4, 8);
+        let mut s = Shifty::new(6, 8);
+        let mut ids = IdGen::new();
         assert!(s.is_empty());
-        let r = s.insert(0);
+        let r = s.insert(0, ids.fresh());
         assert_eq!(r.cost(), 1);
-        s.insert(0); // new smallest
-        s.insert(2); // new largest
+        s.apply(Op::Insert(0), &mut ids); // new smallest
+        s.insert(2, ids.fresh()); // new largest
         assert_eq!(s.len(), 3);
         assert_eq!(s.label_of_rank(0), 0);
         let first = s.elem_at_rank(0);
-        let r = s.apply(Op::Delete(0));
+        let r = s.apply(Op::Delete(0), &mut ids);
         assert_eq!(r.removed.map(|(e, _)| e), Some(first));
         assert_eq!(s.len(), 2);
+        // The default splice lands the batch in rank order, as insertions.
+        let batch = ids.fresh_n(3);
+        let bulk = s.splice(1, &batch);
+        assert_eq!(bulk.cost(), 3 + 3, "three placements plus three shifts of the tail");
+        assert_eq!((1..4).map(|r| s.elem_at_rank(r)).collect::<Vec<_>>(), batch);
     }
 
     #[test]
     fn shift_costs_are_linear() {
-        let mut s = Shifty::new(8, 16);
-        for _ in 0..8 {
-            s.insert(0);
-        }
         // inserting at rank 0 repeatedly shifts the whole prefix
         let mut t = Shifty::new(8, 16);
+        let mut ids = IdGen::new();
         let mut costs = Vec::new();
         for _ in 0..8 {
-            costs.push(t.insert(0).cost());
+            costs.push(t.insert(0, ids.fresh()).cost());
         }
         assert_eq!(costs, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -315,8 +319,9 @@ mod tests {
     #[test]
     fn iter_range_walks_ranks() {
         let mut s = Shifty::new(8, 16);
+        let mut ids = IdGen::new();
         for i in 0..6 {
-            s.insert(i);
+            s.insert(i, ids.fresh());
         }
         let items: Vec<(usize, usize, ElemId)> = s.iter_range(1, 4).collect();
         assert_eq!(items.len(), 3);

@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 
 use lll_core::density::{even_targets_into, SegTree, Thresholds};
-use lll_core::ids::{ElemId, IdGen};
+use lll_core::ids::ElemId;
 use lll_core::report::{BulkReport, OpReport};
 use lll_core::slot_array::{merge_sorted, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
@@ -103,7 +103,6 @@ pub struct DeamortizedPma {
     slots: SlotArray,
     tree: SegTree,
     thresholds: Thresholds,
-    ids: IdGen,
     capacity: usize,
     cfg: DeamortizedConfig,
     jobs: Vec<Job>,
@@ -131,7 +130,6 @@ impl DeamortizedPma {
             slots: SlotArray::new(num_slots),
             tree: SegTree::new(num_slots),
             thresholds: Thresholds::for_capacity(capacity, num_slots),
-            ids: IdGen::new(),
             capacity,
             cfg,
             jobs: Vec::new(),
@@ -182,11 +180,9 @@ impl DeamortizedPma {
 
     // ----- tracked movement -------------------------------------------------
 
-    fn place_tracked(&mut self, pos: usize) -> ElemId {
-        let id = self.ids.fresh();
+    fn place_tracked(&mut self, pos: usize, id: ElemId) {
         self.slots.place(pos, id);
         self.elem_pos.insert(id, pos);
-        id
     }
 
     fn move_tracked(&mut self, from: usize, to: usize) {
@@ -621,29 +617,17 @@ impl ListLabeling for DeamortizedPma {
         self.slots.len()
     }
 
-    fn insert(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.insert_into(rank, &mut out);
-        out
-    }
-
-    fn insert_into(&mut self, rank: usize, out: &mut OpReport) {
+    fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport) {
         out.clear();
         let len = self.len();
         assert!(rank <= len, "insert rank {rank} > len {len}");
         assert!(len < self.capacity, "at capacity");
         self.run_jobs();
         let pos = self.make_room(rank);
-        let id = self.place_tracked(pos);
+        self.place_tracked(pos, id);
         self.patrol_upper(pos);
         self.slots.drain_log_into(&mut out.moves);
         out.placed = Some((id, pos as u32));
-    }
-
-    fn delete(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.delete_into(rank, &mut out);
-        out
     }
 
     fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
@@ -669,17 +653,17 @@ impl ListLabeling for DeamortizedPma {
     /// The per-operation worst-case bound applies to single operations; a
     /// batch of `count` is one operation costing at most one sweep of its
     /// window (≤ window population + `count` moves).
-    fn splice(&mut self, rank: usize, count: usize) -> BulkReport {
-        let len = self.len();
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+        let (len, count) = (self.len(), ids.len());
         assert!(rank <= len, "splice rank {rank} > len {len}");
         assert!(len + count <= self.capacity, "splice of {count} overflows capacity");
+        out.clear();
         if count == 0 {
-            return BulkReport::default();
+            return;
         }
         if count == 1 {
-            let mut bulk = BulkReport::default();
-            bulk.absorb_op(self.insert(rank));
-            return bulk;
+            out.absorb_op(&self.insert(rank, ids[0]));
+            return;
         }
         let height = self.tree.height();
         let (a, b) = if len == 0 {
@@ -705,13 +689,11 @@ impl ListLabeling for DeamortizedPma {
         self.invalidate_jobs_within(a, b);
         self.stats.inline_rebalances += 1;
         let at = rank - self.slots.rank_at(a);
-        let ids: Vec<ElemId> = (0..count).map(|_| self.ids.fresh()).collect();
-        merge_sorted(&mut self.slots, a, b, at, &ids);
-        let moves = self.slots.drain_log();
-        for mv in &moves {
+        merge_sorted(&mut self.slots, a, b, at, ids);
+        self.slots.drain_log_into(&mut out.moves);
+        for mv in &out.moves {
             self.elem_pos.insert(mv.elem, mv.to as usize);
         }
-        BulkReport { moves, placed: ids }
     }
 
     fn slots(&self) -> &SlotArray {
@@ -760,6 +742,7 @@ impl LabelingBuilder for DeamortizedBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lll_core::ids::IdGen;
     use lll_core::ops::Op;
     use lll_core::testkit::run_against_oracle;
     use rand::{Rng, SeedableRng};
@@ -814,8 +797,8 @@ mod tests {
         let mut z = builder.build(n, n * 14 / 10);
         let budget = builder.worst_case_hint(n) * 3.0; // generous constant
         let mut max = 0u64;
-        for _ in 0..n {
-            max = max.max(z.insert(0).cost());
+        for i in 0..n as u64 {
+            max = max.max(z.insert(0, ElemId(i)).cost());
         }
         assert!((max as f64) < budget, "worst op {max} exceeded deamortized budget {budget}");
         assert_eq!(z.stats().forced_syncs, 0, "safety valve should not fire");
@@ -829,9 +812,9 @@ mod tests {
         let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
         let mut c = ClassicBuilder.build(n, n * 14 / 10);
         let (mut max_z, mut max_c) = (0u64, 0u64);
-        for _ in 0..n {
-            max_z = max_z.max(z.insert(0).cost());
-            max_c = max_c.max(c.insert(0).cost());
+        for i in 0..n as u64 {
+            max_z = max_z.max(z.insert(0, ElemId(i)).cost());
+            max_c = max_c.max(c.insert(0, ElemId(i)).cost());
         }
         assert!(
             max_z < max_c / 2,
@@ -843,13 +826,14 @@ mod tests {
     fn jobs_eventually_drain() {
         let n = 2048;
         let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut ids = IdGen::new();
         for _ in 0..n / 2 {
-            z.insert(0);
+            z.insert(0, ids.fresh());
         }
         // A quiet period of deletes/inserts lets the queue drain.
         for _ in 0..n / 4 {
             z.delete(0);
-            z.insert(0);
+            z.insert(0, ids.fresh());
         }
         assert!(z.active_jobs() <= 4, "jobs piled up: {}", z.active_jobs());
     }
@@ -859,7 +843,7 @@ mod tests {
         let n = 1000;
         let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
         for i in 0..n {
-            z.insert(i / 2);
+            z.insert(i / 2, ElemId(i as u64));
         }
         assert_eq!(z.len(), n);
         for _ in 0..n {

@@ -149,12 +149,11 @@ impl Checkpoint {
 pub struct Embed<F: ListLabeling, R: ListLabeling> {
     capacity: usize,
     tags: TagArray,
-    /// The simulated copy of F (processes every operation immediately).
+    /// The simulated copy of F (processes every operation immediately,
+    /// under the same element ids as the physical array).
     sim: F,
     /// The R-shell (its elements are the non-white slots of the array).
     shell: R,
-    /// sim's element ids → embedding element ids (sim ids are dense).
-    sim2emb: Vec<ElemId>,
     /// The physical F-layout, in F-coordinates, including ghosts.
     cur_f: Vec<Option<ElemId>>,
     /// Occupancy index over `cur_f`.
@@ -178,7 +177,9 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     er_budget: f64,
     /// Rebuild moves per slow-path op (Θ(E_R)).
     rebuild_budget: u64,
-    ids: IdGen,
+    /// Ids of the R-shell's elements (slots, not stored elements; the
+    /// caller's ids go to the simulation and the physical array).
+    shell_ids: IdGen,
     stats: EmbedStats,
     /// Operations since the pending rebuild started (Lemma 6 metric).
     rebuild_span: u64,
@@ -213,7 +214,6 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             tags: TagArray::new(m),
             sim,
             shell,
-            sim2emb: Vec::with_capacity(capacity),
             cur_f: vec![None; f_count],
             fen_curf: Fenwick::new(f_count),
             elem_loc: HashMap::new(),
@@ -224,7 +224,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             checkpoint: None,
             er_budget: er_budget.max(1.0),
             rebuild_budget: ((er_budget * rebuild_mult).ceil() as u64).max(1),
-            ids: IdGen::new(),
+            shell_ids: IdGen::new(),
             stats: EmbedStats::default(),
             rebuild_span: 0,
             shell_trace: None,
@@ -238,7 +238,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         // native bulk path) and is mirrored in stream order: the k-th
         // placement is the slot of rank k, and later in-batch moves carry
         // a placed slot's tag along with it.
-        let bulk = this.shell.splice(0, r_cap);
+        let slot_ids = this.shell_ids.fresh_n(r_cap);
+        let bulk = this.shell.splice(0, &slot_ids);
         this.stats.init_cost += bulk.cost();
         let mut placed_idx = 0usize;
         for mv in &bulk.moves {
@@ -590,7 +591,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             t.push((true, slot_rank));
         }
         let mut rep_i = std::mem::take(&mut self.shell_scratch);
-        self.shell.insert_into(slot_rank, &mut rep_i);
+        let slot_id = self.shell_ids.fresh();
+        self.shell.insert_into(slot_rank, slot_id, &mut rep_i);
         let p_new = self.mirror_shell(&rep_i, Some(SlotTag::Buf)).expect("shell insert must place");
         self.shell_scratch = rep_i;
         debug_assert_eq!(self.tags.tag(p_new), SlotTag::Buf);
@@ -604,11 +606,6 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
 
     // ----- checkpoints and rebuilds (Figures 3–4) ----------------------------
 
-    /// The embedding's element at the simulation's F-coordinate `fidx`.
-    fn sim_emb_at(&self, fidx: usize) -> Option<ElemId> {
-        self.sim.slots().get(fidx).map(|sid| self.sim2emb[sid.0 as usize])
-    }
-
     /// If no rebuild is pending but the physical layout diverged from the
     /// simulation, freeze a new checkpoint (Figure 3's interval
     /// decomposition, computed from the dirty set).
@@ -619,7 +616,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         let dirty = std::mem::take(&mut self.dirty);
         let mut q: Vec<usize> = Vec::with_capacity(dirty.len());
         for d in dirty {
-            if self.cur_f[d] != self.sim_emb_at(d) {
+            if self.cur_f[d] != self.sim.slots().get(d) {
                 q.push(d);
             }
         }
@@ -654,7 +651,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             if pos > f_hi {
                 break;
             }
-            let e = self.sim_emb_at(pos).expect("occupied sim slot");
+            let e = self.sim.slots().get(pos).expect("occupied sim slot");
             targets.push((pos, e));
             k += 1;
         }
@@ -873,13 +870,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         self.tags.contents.len()
     }
 
-    fn insert(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.insert_into(rank, &mut out);
-        out
-    }
-
-    fn insert_into(&mut self, rank: usize, out: &mut OpReport) {
+    fn insert_into(&mut self, rank: usize, emb_id: ElemId, out: &mut OpReport) {
         out.clear();
         let len = self.len();
         assert!(rank <= len, "insert rank {rank} > len {len}");
@@ -888,12 +879,9 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.rebuild_span += 1;
         }
         let mut sim_rep = std::mem::take(&mut self.sim_scratch);
-        self.sim.insert_into(rank, &mut sim_rep);
+        self.sim.insert_into(rank, emb_id, &mut sim_rep);
         let c_e = sim_rep.cost();
-        let (sim_id, sim_fidx) = sim_rep.placed.expect("sim insert must place");
-        debug_assert_eq!(sim_id.0 as usize, self.sim2emb.len(), "sim ids must be dense");
-        let emb_id = self.ids.fresh();
-        self.sim2emb.push(emb_id);
+        let (_, sim_fidx) = sim_rep.placed.expect("sim insert must place");
         let placed_pos;
         if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
             // Fast path: emulate F directly, interleaving the placement at
@@ -905,7 +893,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             let mut placed = false;
             for mv in &sim_rep.moves {
                 if mv.from == mv.to {
-                    if mv.elem == sim_id {
+                    if mv.elem == emb_id {
                         let fidx = mv.from as usize;
                         let pos = self.tags.f_pos(fidx);
                         self.tags.place_content(pos, emb_id);
@@ -960,49 +948,39 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
     /// buffered elements there is no deadweight, so the physical cost
     /// equals the simulation's: the batch inherits `F`'s O(1)-per-element
     /// bulk bound instead of paying `count` full operations.
-    fn splice(&mut self, rank: usize, count: usize) -> BulkReport {
-        let len = self.len();
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+        let (len, count) = (self.len(), ids.len());
         assert!(rank <= len, "splice rank {rank} > len {len}");
         assert!(len + count <= self.capacity, "splice of {count} overflows capacity");
+        out.clear();
         if count == 0 {
-            return BulkReport::default();
+            return;
         }
         if count == 1 {
-            let mut bulk = BulkReport::default();
-            bulk.absorb_op(self.insert(rank));
-            return bulk;
+            out.absorb_op(&self.insert(rank, ids[0]));
+            return;
         }
         // Catch-up moves are part of the batch: they are drained into the
         // same report below.
         self.force_catch_up();
         debug_assert_eq!(self.buffered(), 0);
         debug_assert!(self.ghosts.is_empty());
-        let sim_bulk = self.sim.splice(rank, count);
+        let sim_bulk = self.sim.splice(rank, ids);
         self.stats.fast_ops += count as u64;
         for mv in &sim_bulk.moves {
             if mv.from == mv.to {
-                // Placement of a new simulation element (sim ids are dense).
-                debug_assert_eq!(mv.elem.0 as usize, self.sim2emb.len());
+                // Placement of a new element.
                 let fidx = mv.from as usize;
-                let emb_id = self.ids.fresh();
-                self.sim2emb.push(emb_id);
                 let pos = self.tags.f_pos(fidx);
-                self.tags.place_content(pos, emb_id);
-                self.cur_f[fidx] = Some(emb_id);
+                self.tags.place_content(pos, mv.elem);
+                self.cur_f[fidx] = Some(mv.elem);
                 self.fen_curf.add(fidx, 1);
-                self.elem_loc.insert(emb_id, Loc::F(fidx));
+                self.elem_loc.insert(mv.elem, Loc::F(fidx));
             } else {
                 self.emulator_relocate(mv.from as usize, mv.to as usize);
             }
         }
-        let placed = sim_bulk.placed.iter().map(|sid| self.sim2emb[sid.0 as usize]).collect();
-        BulkReport { moves: self.tags.contents.drain_log(), placed }
-    }
-
-    fn delete(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.delete_into(rank, &mut out);
-        out
+        self.tags.contents.drain_log_into(&mut out.moves);
     }
 
     fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
@@ -1017,11 +995,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         let mut sim_rep = std::mem::take(&mut self.sim_scratch);
         self.sim.delete_into(rank, &mut sim_rep);
         let c_e = sim_rep.cost();
-        debug_assert_eq!(
-            sim_rep.removed.map(|(sid, _)| self.sim2emb[sid.0 as usize]),
-            Some(e),
-            "sim deleted a different element"
-        );
+        debug_assert_eq!(sim_rep.removed_elem(), Some(e), "sim deleted a different element");
         let loc = self.elem_loc.remove(&e).expect("deleting unknown element");
         if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
             // Fast path.

@@ -65,10 +65,11 @@ pub fn corollary11_builder(seed: u64) -> Corollary11Builder {
 /// the compounded (1+3ε) factors of the two embeddings).
 ///
 /// ```
+/// use lll_core::ids::ElemId;
 /// use lll_core::traits::ListLabeling;
 /// let mut list = lll_embedding::corollary11(256, 42);
-/// for _ in 0..128 {
-///     list.insert(0); // hammer-insert: the adaptive layer's specialty
+/// for i in 0..128 {
+///     list.insert(0, ElemId(i)); // hammer-insert: the adaptive layer's specialty
 /// }
 /// assert_eq!(list.len(), 128);
 /// assert!(list.stats().max_deadweight <= 4); // Lemma 5

@@ -5,6 +5,7 @@
 use crate::embed::{EmbedBuilder, EmbedConfig};
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
+use lll_core::ids::IdGen;
 use lll_core::ops::Op;
 use lll_core::testkit::Oracle;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -43,9 +44,10 @@ proptest! {
         let ops = decode_ops(&raw, cap);
         let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
         let mut e = b.build_default(cap);
+        let mut ids = IdGen::new();
         let mut oracle = Oracle::new();
         for (i, &op) in ops.iter().enumerate() {
-            let rep = e.apply(op);
+            let rep = e.apply(op, &mut ids);
             match op {
                 Op::Insert(r) => oracle.insert(r, rep.placed.unwrap().0),
                 Op::Delete(r) => oracle.delete(r, rep.removed.unwrap().0),
@@ -70,9 +72,10 @@ proptest! {
             cfg: EmbedConfig { epsilon: 1.0 / 4.0, ..Default::default() },
         };
         let mut e = b.build_default(cap);
+        let mut ids = IdGen::new();
         let mut oracle = Oracle::new();
         for &op in &ops {
-            let rep = e.apply(op);
+            let rep = e.apply(op, &mut ids);
             match op {
                 Op::Insert(r) => oracle.insert(r, rep.placed.unwrap().0),
                 Op::Delete(r) => oracle.delete(r, rep.removed.unwrap().0),
@@ -90,9 +93,10 @@ proptest! {
         let ops = decode_ops(&raw, cap);
         let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
         let mut e = b.build_default(cap);
+        let mut ids = IdGen::new();
         let (f0, b0) = (e.tag_array().f_count(), e.tag_array().buf_count());
         for &op in &ops {
-            e.apply(op);
+            e.apply(op, &mut ids);
             prop_assert_eq!(e.tag_array().f_count(), f0);
             prop_assert_eq!(e.tag_array().buf_count(), b0);
         }
@@ -112,9 +116,10 @@ proptest! {
         };
         let b = EmbedBuilder { f: AdaptiveBuilder::default(), r: ClassicBuilder, cfg };
         let mut e = b.build_default(cap);
+        let mut ids = IdGen::new();
         let mut oracle = Oracle::new();
         for &op in &ops {
-            let rep = e.apply(op);
+            let rep = e.apply(op, &mut ids);
             match op {
                 Op::Insert(r) => oracle.insert(r, rep.placed.unwrap().0),
                 Op::Delete(r) => oracle.delete(r, rep.removed.unwrap().0),

@@ -7,6 +7,7 @@ use crate::layered::{corollary11, corollary12};
 use crate::views;
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
+use lll_core::ids::IdGen;
 use lll_core::ops::Op;
 use lll_core::testkit::{run_against_oracle, Oracle};
 use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -69,10 +70,11 @@ fn embed_oracle_churn_step_checked() {
     // Small but brutally checked: full layout comparison after every op.
     let n = 60;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     let ops = mixed_ops(n, 800, 13, 0.6);
     let mut oracle = Oracle::new();
     for &op in &ops {
-        let rep = e.apply(op);
+        let rep = e.apply(op, &mut ids);
         match op {
             Op::Insert(r) => oracle.insert(r, rep.placed.unwrap().0),
             Op::Delete(r) => oracle.delete(r, rep.removed.unwrap().0),
@@ -86,8 +88,9 @@ fn embed_oracle_churn_step_checked() {
 fn embed_uses_both_paths() {
     let n = 1 << 11;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     for _ in 0..n {
-        e.insert(0); // hammering forces occasional expensive sim ops
+        e.insert(0, ids.fresh()); // hammering forces occasional expensive sim ops
     }
     let s = e.stats();
     assert!(s.fast_ops > 0, "no fast-path ops");
@@ -99,9 +102,10 @@ fn embed_uses_both_paths() {
 fn lemma5_deadweight_at_most_4() {
     let n = 1 << 12;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     let ops = mixed_ops(n, 2 * n, 17, 0.7);
     for &op in &ops {
-        e.apply(op);
+        e.apply(op, &mut ids);
     }
     let s = e.stats();
     assert!(
@@ -116,8 +120,9 @@ fn lemma5_deadweight_at_most_4() {
 fn lemma7_buffer_occupancy_small() {
     let n = 1 << 12;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     for _ in 0..n {
-        e.insert(0);
+        e.insert(0, ids.fresh());
     }
     let s = e.stats();
     assert!(s.forced_catchups == 0, "halting condition fired");
@@ -128,13 +133,14 @@ fn lemma7_buffer_occupancy_small() {
 fn slot_counts_conserved() {
     let n = 500;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     let (f0, b0) = {
         let tags = e.tag_array();
         (tags.f_count(), tags.buf_count())
     };
     let ops = mixed_ops(n, 2000, 23, 0.6);
     for &op in &ops {
-        e.apply(op);
+        e.apply(op, &mut ids);
     }
     let tags = e.tag_array();
     assert_eq!(tags.f_count(), f0, "F-slot count changed");
@@ -146,8 +152,9 @@ fn slot_counts_conserved() {
 fn figure1_views_are_consistent() {
     let n = 64;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     for i in 0..n / 2 {
-        e.insert(i / 3);
+        e.insert(i / 3, ids.fresh());
     }
     let full = views::embedding_view(&e);
     let emu = views::emulator_view(&e);
@@ -219,9 +226,10 @@ fn corollary12_oracle() {
 fn labels_monotone_in_rank() {
     let n = 300;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     let ops = mixed_ops(n, 1000, 41, 0.7);
     for &op in &ops {
-        e.apply(op);
+        e.apply(op, &mut ids);
     }
     let labels: Vec<usize> = (0..e.len()).map(|r| e.label_of_rank(r)).collect();
     assert!(labels.windows(2).all(|w| w[0] < w[1]));
@@ -231,8 +239,9 @@ fn labels_monotone_in_rank() {
 fn delete_to_empty_and_refill() {
     let n = 128;
     let mut e = simple_builder().build_default(n);
+    let mut ids = IdGen::new();
     for i in 0..n {
-        e.insert(i / 2);
+        e.insert(i / 2, ids.fresh());
     }
     assert_eq!(e.len(), n);
     for _ in 0..n {
@@ -240,7 +249,7 @@ fn delete_to_empty_and_refill() {
     }
     assert_eq!(e.len(), 0);
     for i in 0..n / 2 {
-        e.insert(i);
+        e.insert(i, ids.fresh());
     }
     assert_eq!(e.len(), n / 2);
     e.check_invariants();
@@ -263,9 +272,10 @@ fn lemma4_shell_input_independent_of_shell_randomness() {
             cfg: EmbedConfig::default(),
         };
         let mut e = b.build_default(n);
+        let mut ids = IdGen::new();
         e.enable_shell_trace();
         for &op in &ops {
-            e.apply(op);
+            e.apply(op, &mut ids);
         }
         e.shell_trace().to_vec()
     };
@@ -289,9 +299,10 @@ fn lemma4_shell_input_depends_on_f_randomness() {
             cfg: EmbedConfig::default(),
         };
         let mut e = b.build_default(n);
+        let mut ids = IdGen::new();
         e.enable_shell_trace();
         for &op in &ops {
-            e.apply(op);
+            e.apply(op, &mut ids);
         }
         e.shell_trace().to_vec()
     };

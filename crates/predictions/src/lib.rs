@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 
 use lll_core::density::{even_targets, SegTree, Thresholds};
-use lll_core::ids::IdGen;
+use lll_core::ids::ElemId;
 use lll_core::report::OpReport;
 use lll_core::slot_array::{spread_moves, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
@@ -93,7 +93,6 @@ pub struct PredictedPma<P: RankPredictor> {
     slots: SlotArray,
     tree: SegTree,
     thresholds: Thresholds,
-    ids: IdGen,
     capacity: usize,
     predictor: P,
     /// Rebalance windows are capped at this many slots (≈ 4·η·m/n).
@@ -116,7 +115,6 @@ impl<P: RankPredictor> PredictedPma<P> {
             slots: SlotArray::new(num_slots),
             tree,
             thresholds: Thresholds::for_capacity(capacity, num_slots),
-            ids: IdGen::new(),
             capacity,
             predictor,
             cap_window,
@@ -216,7 +214,7 @@ impl<P: RankPredictor> PredictedPma<P> {
 
     /// Place a fresh element as close to `want` as the gap allows,
     /// shifting minimally when the gap is saturated.
-    fn place_at(&mut self, rank: usize, want: usize) -> usize {
+    fn place_at(&mut self, rank: usize, want: usize, id: ElemId) -> usize {
         let (pred, succ) = self.neighbors(rank);
         let m = self.slots.num_slots();
         let (lo, hi) = match (pred, succ) {
@@ -226,7 +224,6 @@ impl<P: RankPredictor> PredictedPma<P> {
             (Some(p), Some(q)) => (p + 1, q),
         };
         if lo < hi && !self.slots.is_occupied(want.clamp(lo, hi - 1)) {
-            let id = self.ids.fresh();
             let pos = want.clamp(lo, hi - 1);
             self.slots.place(pos, id);
             return pos;
@@ -266,7 +263,6 @@ impl<P: RankPredictor> PredictedPma<P> {
             }
             q
         };
-        let id = self.ids.fresh();
         self.slots.place(pos, id);
         pos
     }
@@ -285,13 +281,7 @@ impl<P: RankPredictor> ListLabeling for PredictedPma<P> {
         self.slots.len()
     }
 
-    fn insert(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.insert_into(rank, &mut out);
-        out
-    }
-
-    fn insert_into(&mut self, rank: usize, out: &mut OpReport) {
+    fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport) {
         out.clear();
         let len = self.len();
         assert!(rank <= len, "insert rank {rank} > len {len}");
@@ -303,15 +293,9 @@ impl<P: RankPredictor> ListLabeling for PredictedPma<P> {
             // positions may have moved; the desired slot is recomputed below
         }
         let want = self.desired_slot(prediction, rank);
-        let pos = self.place_at(rank, want);
-        out.placed = self.slots.get(pos).map(|e| (e, pos as u32));
+        let pos = self.place_at(rank, want, id);
+        out.placed = Some((id, pos as u32));
         self.slots.drain_log_into(&mut out.moves);
-    }
-
-    fn delete(&mut self, rank: usize) -> OpReport {
-        let mut out = OpReport::default();
-        self.delete_into(rank, &mut out);
-        out
     }
 
     fn delete_into(&mut self, rank: usize, out: &mut OpReport) {
@@ -390,6 +374,7 @@ impl<P: RankPredictor> LabelingBuilder for PredictedBuilder<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lll_core::ids::IdGen;
     use lll_core::ops::Op;
     use lll_core::testkit::run_against_oracle;
     use rand::{Rng, SeedableRng};
@@ -456,9 +441,10 @@ mod tests {
         let mut c = ClassicBuilder.build(n, n * 14 / 10);
         let mut cost_s = 0u64;
         let mut cost_c = 0u64;
+        let (mut ids_s, mut ids_c) = (IdGen::new(), IdGen::new());
         for &op in &ops {
-            cost_s += s.apply(op).cost();
-            cost_c += c.apply(op).cost();
+            cost_s += s.apply(op, &mut ids_s).cost();
+            cost_c += c.apply(op, &mut ids_c).cost();
         }
         let (a, b2) = (cost_s as f64 / n as f64, cost_c as f64 / n as f64);
         assert!(a < 0.4 * b2, "predicted ({a:.2}/op) should be far below classical ({b2:.2}/op)");
@@ -480,7 +466,8 @@ mod tests {
             }
             let b = PredictedBuilder { eta, predictor: VecPredictor::new(preds) };
             let mut s = b.build(n, n * 14 / 10);
-            let total: u64 = ops.iter().map(|&op| s.apply(op).cost()).sum();
+            let mut ids = IdGen::new();
+            let total: u64 = ops.iter().map(|&op| s.apply(op, &mut ids).cost()).sum();
             total as f64 / n as f64
         };
         let low = run(1, 1);
@@ -495,8 +482,9 @@ mod tests {
         let (ops, preds) = descending(n);
         let b = PredictedBuilder { eta: 1, predictor: VecPredictor::new(preds) };
         let mut s = b.build(n, n * 14 / 10);
+        let mut ids = IdGen::new();
         for &op in &ops {
-            s.apply(op);
+            s.apply(op, &mut ids);
         }
         assert_eq!(s.stats().grown_rebalances, 0, "perfect predictions should stay local");
     }
@@ -506,7 +494,7 @@ mod tests {
         let n = 500;
         let mut s = PredictedBuilder::default().build(n, n * 14 / 10);
         for i in 0..n {
-            s.insert(i / 2);
+            s.insert(i / 2, ElemId(i as u64));
         }
         assert_eq!(s.len(), n);
     }

@@ -191,6 +191,7 @@ impl LabelingBuilder for RandomizedBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lll_core::ids::{ElemId, IdGen};
     use lll_core::ops::Op;
     use lll_core::testkit::run_against_oracle;
     use lll_core::traits::ListLabeling;
@@ -221,7 +222,8 @@ mod tests {
         let ops: Vec<Op> = (0..n).map(|i| Op::Insert(i / 3)).collect();
         let run = |seed| {
             let mut pma = RandomizedBuilder::with_seed(seed).build(n, n * 13 / 10);
-            let cost: u64 = ops.iter().map(|&op| pma.apply(op).cost()).sum();
+            let mut ids = IdGen::new();
+            let cost: u64 = ops.iter().map(|&op| pma.apply(op, &mut ids).cost()).sum();
             let layout: Vec<_> = pma.slots().iter_occupied().collect();
             (cost, layout)
         };
@@ -238,7 +240,7 @@ mod tests {
         let build_layout = |seed| {
             let mut pma = RandomizedBuilder::with_seed(seed).build(n, n * 13 / 10);
             for i in 0..n / 2 {
-                pma.insert(i);
+                pma.insert(i, ElemId(i as u64));
             }
             pma.slots().layout()
         };
@@ -249,8 +251,8 @@ mod tests {
     fn fills_to_capacity() {
         let n = 600;
         let mut pma = RandomizedBuilder::with_seed(3).build(n, n * 13 / 10);
-        for _ in 0..n {
-            pma.insert(0);
+        for i in 0..n {
+            pma.insert(0, ElemId(i as u64));
         }
         assert_eq!(pma.len(), n);
     }
@@ -263,7 +265,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let mut total = 0u64;
         for len in 0..n {
-            total += pma.insert(rng.gen_range(0..=len)).cost();
+            total += pma.insert(rng.gen_range(0..=len), ElemId(len as u64)).cost();
         }
         let amortized = total as f64 / n as f64;
         assert!(amortized < 80.0, "randomized amortized {amortized} too high");
@@ -276,8 +278,8 @@ mod tests {
         let mut pma = RandomizedBuilder::with_seed(9).build(n, n * 13 / 10);
         let mut max = 0u64;
         let mut total = 0u64;
-        for _ in 0..n {
-            let c = pma.insert(0).cost();
+        for i in 0..n {
+            let c = pma.insert(0, ElemId(i as u64)).cost();
             max = max.max(c);
             total += c;
         }

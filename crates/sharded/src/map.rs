@@ -563,12 +563,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         // size if the run is enormous.
         let per_shard =
             (policy.max_shard_len / 2).max(entries.len().div_ceil(policy.max_shards)).max(1);
-        let mut chunks = Vec::with_capacity(entries.len() / per_shard + 1);
-        while entries.len() > per_shard {
-            let rest = entries.split_off(per_shard);
-            chunks.push(std::mem::replace(&mut entries, rest));
-        }
-        chunks.push(entries);
+        let chunks = exact_chunks(entries, per_shard);
         let mut bounds = Vec::with_capacity(chunks.len().saturating_sub(1));
         let mut shards = Vec::with_capacity(chunks.len());
         for (i, chunk) in chunks.into_iter().enumerate() {
@@ -1409,6 +1404,21 @@ impl<K: Ord + Clone + fmt::Debug, V> fmt::Debug for ShardedMap<K, V> {
     }
 }
 
+/// Cut `entries` into runs of `per_shard` (the last may be shorter; an
+/// empty input gives one empty run), each allocated at its own length, so
+/// no run keeps the capacity of the entries after it.
+fn exact_chunks<T>(entries: Vec<T>, per_shard: usize) -> Vec<Vec<T>> {
+    let mut rest = entries.into_iter();
+    let mut chunks = Vec::with_capacity(rest.len().div_ceil(per_shard).max(1));
+    loop {
+        let chunk: Vec<T> = rest.by_ref().take(per_shard).collect();
+        if chunk.is_empty() && !chunks.is_empty() {
+            return chunks;
+        }
+        chunks.push(chunk);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::ShardedBuilder;
@@ -1771,5 +1781,17 @@ mod tests {
         let stats = map.stats();
         assert_eq!(stats.read_lock_fallbacks, 0);
         assert!(stats.read_optimistic_hits >= 250);
+    }
+
+    #[test]
+    fn bulk_load_chunks_hold_only_their_own_entries() {
+        // Each shard's run is allocated at its own length: none keeps the
+        // capacity of the entries behind it, which would hold the whole
+        // preload several times over while the shards are built.
+        let chunks = super::exact_chunks((0..10_000u32).collect(), 2048);
+        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [2048, 2048, 2048, 2048, 1808]);
+        assert!(chunks.iter().all(|c| c.capacity() == c.len()), "a run kept spare capacity");
+        assert_eq!(chunks.concat(), (0..10_000).collect::<Vec<_>>());
+        assert_eq!(super::exact_chunks(Vec::<u32>::new(), 8), [Vec::<u32>::new()]);
     }
 }

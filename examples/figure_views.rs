@@ -13,6 +13,7 @@
 
 use layered_list_labeling::adaptive::AdaptiveBuilder;
 use layered_list_labeling::classic::ClassicBuilder;
+use layered_list_labeling::core::ids::ElemId;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
 use layered_list_labeling::embedding::views::{embedding_view, figure1};
 use layered_list_labeling::embedding::EmbedBuilder;
@@ -27,7 +28,7 @@ fn main() {
     // Fill half the capacity at the front (hammer) — cheap ops take the
     // fast path; expensive simulated ops buffer in the R-shell.
     for i in 0..n / 2 {
-        e.insert(0);
+        e.insert(0, ElemId(i as u64));
         if [1, 4, 8, n / 2 - 1].contains(&i) {
             println!("after {} head-inserts:", i + 1);
             println!("{}", figure1(&e));

@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --release --example latency_trace`
 
+use layered_list_labeling::core::ids::IdGen;
 use layered_list_labeling::core::ops::Op;
 use layered_list_labeling::core::traits::ListLabeling;
 use layered_list_labeling::prelude::{Backend, ListBuilder};
@@ -38,7 +39,8 @@ fn sparkline(costs: &[u64], width: usize) -> String {
 
 fn run(backend: Backend, n: usize, ops: &[Op]) -> Vec<u64> {
     let mut s: Box<dyn ListLabeling> = ListBuilder::new().backend(backend).seed(7).build_fixed(n);
-    ops.iter().map(|&op| s.apply(op).cost()).collect()
+    let mut ids = IdGen::new();
+    ops.iter().map(|&op| s.apply(op, &mut ids).cost()).collect()
 }
 
 fn main() {

@@ -18,6 +18,7 @@
 //!
 //! Run with: `cargo run --release --example learned_index`
 
+use layered_list_labeling::core::ids::IdGen;
 use layered_list_labeling::core::traits::ListLabeling;
 use layered_list_labeling::embedding::corollary12;
 use layered_list_labeling::prelude::*;
@@ -29,13 +30,14 @@ fn main() {
     println!("{:>8}  {:>10}  {:>8}  {:>9}", "η", "amortized", "worst op", "slow ops");
     println!("{}", "-".repeat(42));
 
+    let mut ids = IdGen::new();
     for eta in [0usize, 4, 16, 64, 256, 1024] {
         let pw = with_predictions(descending_inserts(n), eta, 0xDB);
         let mut index = corollary12(n, eta.max(1), pw.predictions.clone(), 0xA1);
         let mut total = 0u64;
         let mut worst = 0u64;
         for &op in &pw.workload.ops {
-            let c = index.apply(op).cost();
+            let c = index.apply(op, &mut ids).cost();
             total += c;
             worst = worst.max(c);
         }

@@ -45,8 +45,8 @@ fn main() {
     // every single operation bounded.
     let mut total = 0u64;
     let mut worst = 0u64;
-    for _ in 0..n {
-        let cost = list.insert(0).cost();
+    for i in 0..n {
+        let cost = list.insert(0, ElemId(i as u64)).cost();
         total += cost;
         worst = worst.max(cost);
     }

@@ -36,18 +36,20 @@
 //!
 //! ## The paper-level API
 //!
-//! The theory-shaped interface (fixed capacity `n`, `insert(rank)`, move
-//! logs) remains fully available for experiments and cost accounting:
+//! The theory-shaped interface (fixed capacity `n`, `insert(rank, id)`,
+//! move logs) remains fully available for experiments and cost accounting:
 //!
 //! ```
+//! use layered_list_labeling::core::ids::IdGen;
 //! use layered_list_labeling::core::traits::ListLabeling;
 //! use layered_list_labeling::embedding::corollary11;
 //!
 //! let n = 1024;
 //! let mut layered = corollary11(n, 42);
+//! let mut ids = IdGen::new();
 //! // Hammer-insert workload: repeatedly insert at the same rank.
 //! for _ in 0..n / 2 {
-//!     layered.insert(0);
+//!     layered.insert(0, ids.fresh());
 //! }
 //! assert_eq!(layered.len(), n / 2);
 //! // Elements stay sorted in one physical array:

@@ -6,8 +6,12 @@
 //! * [`OrderedList`] is checked against a reference `Vec` under rank-based
 //!   churn (reusing the workspace's workload generators), across growth and
 //!   shrink rebuilds, with its label table audited after every phase.
+//! * Fixed-size delete/reinsert churn recycles element-id indices; the map
+//!   stays exact on every backend, including while the embedding still
+//!   tracks deleted elements as ghosts.
 
 use layered_list_labeling::core::ops::Op;
+use layered_list_labeling::embedding::corollary11_builder;
 use layered_list_labeling::prelude::*;
 use layered_list_labeling::workloads::{uniform_churn, uniform_random_inserts};
 use proptest::prelude::*;
@@ -102,6 +106,71 @@ proptest! {
     fn label_map_matches_btreemap_corollary12(cmds in cmd_seq(400)) {
         check_map_against_btreemap(Backend::Corollary12, &cmds);
     }
+}
+
+/// Fixed-size churn against `BTreeMap`, checked op by op: delete a live key,
+/// then insert an absent one, `steps` times at `n` entries. Every
+/// insertion must reuse the index the deletion just freed, under a new
+/// generation, so the id space stays below twice the peak population.
+/// Returns how many insertions reused an index while `pending(map)` held.
+fn churn_against_btreemap<L: RawList>(
+    mut map: LabelMap<u32, u32, L>,
+    name: &str,
+    steps: u32,
+    pending: impl Fn(&LabelMap<u32, u32, L>) -> bool,
+) -> usize {
+    use rand::{Rng, SeedableRng};
+    let n = 600u32;
+    let mut model = BTreeMap::new();
+    for k in 0..n {
+        assert_eq!(map.insert(2 * k, k), model.insert(2 * k, k));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6057);
+    let (mut reused_while_pending, mut max_index) = (0, 0);
+    for step in 0..steps {
+        let victim = *model.keys().nth(rng.gen_range(0..model.len())).expect("non-empty");
+        assert_eq!(map.remove(&victim), model.remove(&victim), "[{name}] remove({victim})");
+        assert_eq!(map.get(&victim), None, "[{name}] get({victim}) after remove");
+        let fresh = loop {
+            let k = rng.gen_range(0..4 * n);
+            if !model.contains_key(&k) {
+                break k;
+            }
+        };
+        let ghosts_live = pending(&map);
+        assert_eq!(map.insert(fresh, step), model.insert(fresh, step), "[{name}] insert({fresh})");
+        assert_eq!(map.get(&fresh), model.get(&fresh), "[{name}] get({fresh})");
+        let h = map.backend().handle_at_rank(map.lower_bound(&fresh));
+        assert!(h.generation() > 0, "[{name}] insertion took a never-used index: {h:?}");
+        max_index = max_index.max(h.index());
+        reused_while_pending += usize::from(ghosts_live);
+        if step % 97 == 0 {
+            let lo = rng.gen_range(0..4 * n);
+            let got: Vec<(u32, u32)> = map.range(lo..lo + 64).map(|(k, v)| (*k, *v)).collect();
+            let want: Vec<(u32, u32)> = model.range(lo..lo + 64).map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(got, want, "[{name}] range({lo}..) at step {step}");
+        }
+    }
+    assert!(max_index < 2 * n as usize, "[{name}] index {max_index} outgrew the population {n}");
+    assert!(map.iter().map(|(k, v)| (*k, *v)).eq(model.into_iter()), "[{name}] final contents");
+    reused_while_pending
+}
+
+#[test]
+fn fixed_size_churn_reuses_indices_on_every_backend() {
+    for backend in Backend::ALL {
+        let map = ListBuilder::new().backend(backend).seed(0xC4).label_map();
+        churn_against_btreemap(map, backend.name(), 3000, |_| false);
+    }
+    // The layered backend once more, statically dispatched so the test can
+    // see the embedding: indices must come back while a rebuild is pending,
+    // that is while deleted elements may still be ghosts in its layout.
+    let backend = ListBuilder::new().build_growable(corollary11_builder(0xC4));
+    let map = LabelMap::with_backend(backend);
+    let reused = churn_against_btreemap(map, "corollary11 static", 3000, |m| {
+        m.backend().inner().rebuild_pending()
+    });
+    assert!(reused > 0, "no index was reused while an embedding rebuild was pending");
 }
 
 /// Drive an [`OrderedList`] with rank-based ops against a reference `Vec`,

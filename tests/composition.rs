@@ -4,6 +4,7 @@
 
 use layered_list_labeling::adaptive::AdaptiveBuilder;
 use layered_list_labeling::classic::ClassicBuilder;
+use layered_list_labeling::core::ids::{ElemId, IdGen};
 use layered_list_labeling::core::testkit::run_against_oracle;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
 use layered_list_labeling::deamortized::DeamortizedBuilder;
@@ -57,10 +58,11 @@ fn corollary11_worst_case_tracks_z_not_y() {
     let mut z = DeamortizedBuilder::default().build_default(n);
     let mut l = corollary11(n, 3);
     let (mut max_y, mut max_z, mut max_l) = (0u64, 0u64, 0u64);
+    let mut ids = IdGen::new();
     for &op in &w.ops {
-        max_y = max_y.max(y.apply(op).cost());
-        max_z = max_z.max(z.apply(op).cost());
-        max_l = max_l.max(l.apply(op).cost());
+        max_y = max_y.max(y.apply(op, &mut ids).cost());
+        max_z = max_z.max(z.apply(op, &mut ids).cost());
+        max_l = max_l.max(l.apply(op, &mut ids).cost());
     }
     assert!(max_l < max_y / 2, "layered max {max_l} should be far below Y's spike {max_y}");
     assert!(
@@ -76,9 +78,10 @@ fn corollary11_amortized_tracks_x_on_hammer() {
     let mut x = AdaptiveBuilder::default().build_default(n);
     let mut l = corollary11(n, 5);
     let (mut tot_x, mut tot_l) = (0u64, 0u64);
+    let mut ids = IdGen::new();
     for &op in &w.ops {
-        tot_x += x.apply(op).cost();
-        tot_l += l.apply(op).cost();
+        tot_x += x.apply(op, &mut ids).cost();
+        tot_l += l.apply(op, &mut ids).cost();
     }
     let (ax, al) = (tot_x as f64 / n as f64, tot_l as f64 / n as f64);
     assert!(
@@ -103,7 +106,7 @@ fn embedding_capacity_is_exact() {
     let n = 512;
     let mut e = corollary11(n, 23);
     for i in 0..n {
-        e.insert(i / 2);
+        e.insert(i / 2, ElemId(i as u64));
     }
     assert_eq!(e.len(), n);
     for _ in 0..n {

@@ -4,6 +4,7 @@
 
 use layered_list_labeling::adaptive::AdaptiveBuilder;
 use layered_list_labeling::classic::{ClassicBuilder, ShiftArrayBuilder};
+use layered_list_labeling::core::ids::IdGen;
 use layered_list_labeling::core::ops::Op;
 use layered_list_labeling::core::testkit::run_against_oracle;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
@@ -93,8 +94,9 @@ fn all_structures_agree_with_each_other() {
         // Map each element to the index of the op that inserted it.
         let mut s = b.build_default(w.peak);
         let mut birth = std::collections::HashMap::new();
+        let mut ids = IdGen::new();
         for (i, &op) in w.ops.iter().enumerate() {
-            let rep = s.apply(op);
+            let rep = s.apply(op, &mut ids);
             if let Some((id, _)) = rep.placed {
                 birth.insert(id, i);
             }

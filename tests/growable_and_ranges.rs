@@ -4,6 +4,7 @@
 use layered_list_labeling::adaptive::AdaptiveBuilder;
 use layered_list_labeling::classic::ClassicBuilder;
 use layered_list_labeling::core::growable::{check_growable, Growable};
+use layered_list_labeling::core::ids::IdGen;
 use layered_list_labeling::core::ops::Op;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
 use layered_list_labeling::deamortized::DeamortizedBuilder;
@@ -81,8 +82,9 @@ fn iter_range_matches_rank_queries_everywhere() {
         Box::new(DeamortizedBuilder::default().build_default(w.peak)),
     ];
     for mut s in structures {
+        let mut ids = IdGen::new();
         for &op in &w.ops {
-            s.apply(op);
+            s.apply(op, &mut ids);
         }
         let items: Vec<_> = s.iter_range(100, 200).collect();
         assert_eq!(items.len(), 100);
@@ -103,8 +105,9 @@ fn iter_range_on_embedding() {
     let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
     let mut e = b.build_default(400);
     let w = uniform_churn(300, 400, 11);
+    let mut ids = IdGen::new();
     for &op in &w.ops {
-        e.apply(op);
+        e.apply(op, &mut ids);
     }
     let n = e.len();
     let mid: Vec<_> = e.iter_range(n / 4, 3 * n / 4).collect();

@@ -282,15 +282,22 @@ fn snapshot_error_variants_are_typed() {
         Err(SnapshotError::Corrupt(_))
     ));
 
-    // Duplicate handles likewise.
-    let mut forged = Vec::new();
-    Header::new(ContainerKind::OrderedList, cfg, 2).write_to(&mut forged).unwrap();
-    (7u64, 1u8).encode(&mut forged).unwrap();
-    (7u64, 2u8).encode(&mut forged).unwrap();
-    assert!(matches!(
-        OrderedList::<u8>::read_snapshot(&mut forged.as_slice()),
-        Err(SnapshotError::Corrupt(_))
-    ));
+    // Duplicate handles likewise, and so are distinct handles that share
+    // an index part (no two live elements hold one slab index) or carry
+    // the reserved index u32::MAX.
+    for pair in [[7u64, 7], [7, 1 << 32 | 7], [3, u64::from(u32::MAX)]] {
+        let mut forged = Vec::new();
+        Header::new(ContainerKind::OrderedList, cfg, 2).write_to(&mut forged).unwrap();
+        (pair[0], 1u8).encode(&mut forged).unwrap();
+        (pair[1], 2u8).encode(&mut forged).unwrap();
+        assert!(
+            matches!(
+                OrderedList::<u8>::read_snapshot(&mut forged.as_slice()),
+                Err(SnapshotError::Corrupt(_))
+            ),
+            "handles {pair:?} must be refused"
+        );
+    }
 }
 
 /// Restore is the O(n) bulk sweep: exactly **one element move per entry**,

@@ -5,6 +5,7 @@
 use layered_list_labeling::adaptive::AdaptiveBuilder;
 use layered_list_labeling::api::{Backend, ListBuilder};
 use layered_list_labeling::classic::ClassicBuilder;
+use layered_list_labeling::core::ids::IdGen;
 use layered_list_labeling::core::ops::Op;
 use layered_list_labeling::core::testkit::run_against_oracle;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
@@ -74,8 +75,9 @@ proptest! {
     fn labels_always_strictly_increase(ops in op_seq(300, 100)) {
         let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
         let mut s = b.build_default(100);
+        let mut ids = IdGen::new();
         for op in ops {
-            s.apply(op);
+            s.apply(op, &mut ids);
             // spot-check monotonicity after every op on a stride
             if s.len() >= 2 {
                 let a = s.label_of_rank(0);
@@ -95,8 +97,9 @@ proptest! {
         // and the slot array's lifetime total equals the sum of reports.
         let mut s = ClassicBuilder.build_default(80);
         let mut total = 0u64;
+        let mut ids = IdGen::new();
         for op in ops {
-            total += s.apply(op).cost();
+            total += s.apply(op, &mut ids).cost();
         }
         prop_assert_eq!(total, s.slots().lifetime_moves());
     }
@@ -111,10 +114,11 @@ proptest! {
         //  * iter_occupied_in(a, b) ≡ the full iteration filtered to [a, b)
         //  * the occupancy bitmap ≡ the Fenwick index, point for point
         //  * occupied_in / free- and occupied-neighbor queries ≡ Fenwick
+        let mut ids = IdGen::new();
         for backend in Backend::ALL {
             let mut s = ListBuilder::new().seed(11).backend(backend).build_fixed(100);
             for &op in &ops {
-                s.apply(op);
+                s.apply(op, &mut ids);
             }
             let slots = s.slots();
             let m = slots.num_slots();
