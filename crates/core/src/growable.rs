@@ -9,20 +9,22 @@
 //! references to elements without tracking migrations.
 //!
 //! A handle *is* the element's [`ElemId`]: `Growable` allocates every id it
-//! hands to the inner structure and passes the survivors' ids into the
-//! rebuilt one. The id's index part is reused after a deletion, under the
-//! next generation, so indices stay below the peak population and callers
-//! can keep per-element data in a `Vec` indexed by
-//! [`ElemId::index`] (as `lll-api`'s `LabelMap` does). The generation keeps
-//! a reused index from repeating a whole id that the inner structure may
-//! still track (the embedding's ghosts) or that a caller may still hold.
+//! hands to the inner structure, from an [`IdAllocator`], and passes the
+//! survivors' ids into the rebuilt one. The id's index part is reused after
+//! a deletion, under the next generation, so indices stay below the peak
+//! population and callers can keep per-element data in a `Vec` indexed by
+//! [`ElemId::index`] (as `lll-api`'s `LabelMap` does, and as the inner
+//! structures do with an [`IdTable`](crate::ids::IdTable)). The generation
+//! keeps a reused index from repeating a whole id that the inner structure
+//! may still track (the embedding's ghosts) or that a caller may still
+//! hold.
 //!
 //! Rebuild costs amortize: a rebuild of size `n` happens only after Ω(n)
 //! operations, adding amortized O(polylog n) per operation on top of the
 //! inner structure's own bound (the appends performed during the rebuild
 //! are the inner structure's cheapest workload).
 
-use crate::ids::ElemId;
+use crate::ids::{ElemId, IdAllocator};
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::ops::Op;
 use crate::report::{BulkReport, OpReport};
@@ -51,11 +53,9 @@ pub struct GrowableStats {
 pub struct Growable<B: LabelingBuilder> {
     builder: B,
     inner: B::Structure,
-    /// Ids of deleted elements, most recent last: the next insertion takes
-    /// the last one's index under the next generation.
-    free_ids: Vec<ElemId>,
-    /// One past the largest index issued so far.
-    next_index: u32,
+    /// Issues every element id; a deletion releases its id, and the next
+    /// insertion takes that index under the next generation.
+    ids: IdAllocator,
     min_capacity: usize,
     stats: GrowableStats,
     /// Moves performed by ordinary operations (not rebuilds).
@@ -92,8 +92,7 @@ impl<B: LabelingBuilder> Growable<B> {
         Self {
             builder,
             inner,
-            free_ids: Vec::new(),
-            next_index: 0,
+            ids: IdAllocator::new(),
             min_capacity: cap,
             stats: GrowableStats::default(),
             op_moves: 0,
@@ -148,27 +147,6 @@ impl<B: LabelingBuilder> Growable<B> {
         &self.inner
     }
 
-    /// A fresh id: the most recently freed index under its next
-    /// generation, else the next unissued index. An index whose generation
-    /// is spent is retired instead (see [`release_id`](Self::release_id)),
-    /// so no id is ever issued twice.
-    fn fresh_id(&mut self) -> ElemId {
-        if let Some(old) = self.free_ids.pop() {
-            return ElemId::new(old.index() as u32, old.generation() + 1);
-        }
-        let index = self.next_index;
-        assert!(index < u32::MAX, "element id space exhausted");
-        self.next_index += 1;
-        ElemId::new(index, 0)
-    }
-
-    /// Make a deleted element's index reusable.
-    fn release_id(&mut self, id: ElemId) {
-        if id.generation() < u32::MAX {
-            self.free_ids.push(id);
-        }
-    }
-
     /// The rank of the element whose label (slot position) is `label`.
     pub fn rank_at_label(&self, label: usize) -> usize {
         self.metrics.note_rank_resolution();
@@ -212,7 +190,7 @@ impl<B: LabelingBuilder> Growable<B> {
     fn rebuild_merged(&mut self, new_capacity: usize, rank: usize, count: usize) -> Vec<Handle> {
         let mut order: Vec<ElemId> = Vec::with_capacity(self.len() + count);
         order.extend(self.inner.slots().iter_occupied().map(|(_, e)| e));
-        let fresh: Vec<ElemId> = (0..count).map(|_| self.fresh_id()).collect();
+        let fresh = self.ids.fresh_n(count);
         order.splice(rank..rank, fresh.iter().copied());
         self.rebuild_with_order(new_capacity, &order);
         fresh
@@ -271,7 +249,7 @@ impl<B: LabelingBuilder> Growable<B> {
             self.stats.grows += 1;
             self.rebuild(self.capacity() * 2);
         }
-        let id = self.fresh_id();
+        let id = self.ids.fresh();
         self.inner.insert_into(rank, id, out);
         self.op_moves += out.cost();
         self.metrics.note_op_moves(out.cost());
@@ -306,7 +284,7 @@ impl<B: LabelingBuilder> Growable<B> {
         self.op_moves += out.cost();
         self.metrics.note_op_moves(out.cost());
         let (gone, _) = out.removed.expect("delete removes");
-        self.release_id(gone);
+        self.ids.release(gone);
         if self.capacity() > self.min_capacity && self.len() * 4 <= self.capacity() {
             self.stats.shrinks += 1;
             let target = (self.capacity() / 2).max(self.min_capacity);
@@ -347,7 +325,7 @@ impl<B: LabelingBuilder> Growable<B> {
             let handles = self.rebuild_merged(cap, rank, count);
             return (handles, BulkReport::default());
         }
-        let ids: Vec<ElemId> = (0..count).map(|_| self.fresh_id()).collect();
+        let ids = self.ids.fresh_n(count);
         let mut bulk = BulkReport::default();
         self.inner.splice_into(rank, &ids, &mut bulk);
         self.op_moves += bulk.cost();
@@ -403,8 +381,7 @@ impl<B: LabelingBuilder> Growable<B> {
             cap *= 2;
         }
         self.rebuild_with_order(cap, handles);
-        self.free_ids.clear();
-        self.next_index = self.next_index.max(max_index as u32 + 1);
+        self.ids.skip_through(max_index as u32);
     }
 
     /// Apply an [`Op`].

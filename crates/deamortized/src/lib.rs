@@ -37,11 +37,10 @@
 #![forbid(unsafe_code)]
 
 use lll_core::density::{even_targets_into, SegTree, Thresholds};
-use lll_core::ids::ElemId;
+use lll_core::ids::{ElemId, IdTable};
 use lll_core::report::{BulkReport, OpReport};
 use lll_core::slot_array::{merge_sorted, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
-use std::collections::HashMap;
 
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +105,10 @@ pub struct DeamortizedPma {
     capacity: usize,
     cfg: DeamortizedConfig,
     jobs: Vec<Job>,
-    elem_pos: HashMap<ElemId, usize>,
+    /// Each stored element's slot, by id: the generation check is what
+    /// lets a queued plan entry whose element was deleted (and its index
+    /// reissued) be skipped.
+    elem_pos: IdTable<u32>,
     stats: DeamortizedStats,
     work_quota: usize,
     shift_cap: usize,
@@ -125,6 +127,7 @@ impl DeamortizedPma {
     /// New empty structure for `capacity` elements on `num_slots` slots.
     pub fn new(capacity: usize, num_slots: usize, cfg: DeamortizedConfig) -> Self {
         assert!(num_slots as f64 >= capacity as f64 * 1.05, "deamortized PMA needs ≥1.05x slack");
+        assert!(num_slots <= u32::MAX as usize, "slot positions must fit in u32");
         let lg = log2f(num_slots);
         Self {
             slots: SlotArray::new(num_slots),
@@ -133,7 +136,7 @@ impl DeamortizedPma {
             capacity,
             cfg,
             jobs: Vec::new(),
-            elem_pos: HashMap::new(),
+            elem_pos: IdTable::new(capacity),
             stats: DeamortizedStats::default(),
             work_quota: ((cfg.work_mult * lg * lg).ceil() as usize).max(4),
             shift_cap: ((cfg.shift_cap_mult * lg).ceil() as usize).max(4),
@@ -182,17 +185,17 @@ impl DeamortizedPma {
 
     fn place_tracked(&mut self, pos: usize, id: ElemId) {
         self.slots.place(pos, id);
-        self.elem_pos.insert(id, pos);
+        self.elem_pos.insert(id, pos as u32);
     }
 
     fn move_tracked(&mut self, from: usize, to: usize) {
         let e = self.slots.move_elem(from, to);
-        self.elem_pos.insert(e, to);
+        self.elem_pos.insert(e, to as u32);
     }
 
     fn remove_tracked(&mut self, pos: usize) -> ElemId {
         let e = self.slots.remove(pos);
-        self.elem_pos.remove(&e);
+        self.elem_pos.remove(e);
         e
     }
 
@@ -291,9 +294,10 @@ impl DeamortizedPma {
         while job.cursor < job.queue.len() && done < budget {
             let (elem, target) = job.queue[job.cursor];
             job.cursor += 1;
-            let Some(&cur) = self.elem_pos.get(&elem) else {
+            let Some(&cur) = self.elem_pos.get(elem) else {
                 continue; // deleted since the plan froze
             };
+            let cur = cur as usize;
             if cur == target {
                 continue;
             }
@@ -692,7 +696,7 @@ impl ListLabeling for DeamortizedPma {
         merge_sorted(&mut self.slots, a, b, at, ids);
         self.slots.drain_log_into(&mut out.moves);
         for mv in &out.moves {
-            self.elem_pos.insert(mv.elem, mv.to as usize);
+            self.elem_pos.insert(mv.elem, mv.to);
         }
     }
 
@@ -742,7 +746,7 @@ impl LabelingBuilder for DeamortizedBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lll_core::ids::IdGen;
+    use lll_core::ids::{IdAllocator, IdGen};
     use lll_core::ops::Op;
     use lll_core::testkit::run_against_oracle;
     use rand::{Rng, SeedableRng};
@@ -836,6 +840,53 @@ mod tests {
             z.insert(0, ids.fresh());
         }
         assert!(z.active_jobs() <= 4, "jobs piled up: {}", z.active_jobs());
+    }
+
+    #[test]
+    fn stale_plan_entry_skips_a_reissued_index() {
+        // Delete the element of a queued plan entry and give its index to a
+        // new element under the next generation before the job drains: the
+        // entry is stale and must be skipped, never applied to the newcomer.
+        let n = 2048;
+        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut ids = IdAllocator::new();
+        // Hammer the head until some plan has more entries queued than two
+        // operations' work quota can drain.
+        while z.jobs.iter().all(|j| j.remaining() <= 3 * z.work_quota) {
+            z.insert(0, ids.fresh());
+        }
+        let entries: Vec<(ElemId, usize)> =
+            z.jobs.iter().flat_map(|j| j.queue[j.cursor..].iter().copied()).collect();
+        let mut checked = 0;
+        for (old, target) in entries {
+            let mut z = z.clone();
+            let mut ids = ids.clone();
+            let Some(&pos) = z.elem_pos.get(old) else { continue };
+            let rank = z.slots.rank_at(pos as usize);
+            z.delete(rank);
+            ids.release(old);
+            let new = ids.fresh();
+            assert_eq!((new.index(), new.generation()), (old.index(), old.generation() + 1));
+            z.insert(rank, new);
+            // Keep only cases where the stale entry is still queued and
+            // applying it to the newcomer would move it.
+            let Some(j) = z.jobs.iter().position(|j| j.queue[j.cursor..].contains(&(old, target)))
+            else {
+                continue;
+            };
+            let cur = z.elem_pos.get(new).map(|&p| p as usize).expect("newcomer is tracked");
+            let step = if target > cur { cur + 1 } else { cur.wrapping_sub(1) };
+            if cur == target || step >= z.num_slots() || z.slots.is_occupied(step) {
+                continue;
+            }
+            let mut job = z.jobs.remove(j);
+            z.drain_job(&mut job, usize::MAX);
+            let log = z.slots.drain_log();
+            assert!(log.iter().all(|mv| mv.elem != new), "stale entry moved {new:?}");
+            assert_eq!(z.elem_pos.get(new), Some(&(cur as u32)));
+            checked += 1;
+        }
+        assert!(checked > 0, "no stale entry survived to be checked");
     }
 
     #[test]

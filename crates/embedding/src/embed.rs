@@ -14,14 +14,45 @@
 //! `Embed<F, R>` itself implements [`ListLabeling`], so Theorem 3's double
 //! embedding is literally `Embed<X, Embed<Y, Z>>` — see
 //! [`crate::layered`].
+//!
+//! ## Per-element tables
+//!
+//! The insert, delete, relocate and checkpoint paths index what they keep
+//! per element; none hashes a live element's id:
+//!
+//! * `elem_loc`, an [`IdTable`] at the id's [`index`](ElemId::index): each
+//!   live element's [`Loc`] and, while it is buffered, its deadweight count
+//!   (16 bytes per id, generation included);
+//! * `cur_f`, the physical F-layout (ghosts included), by F-coordinate;
+//! * `dirty`, the F-coordinates the simulation touched, a `Vec` sorted and
+//!   deduplicated when the next checkpoint freezes; that checkpoint's
+//!   targets come from one walk of the simulation's occupancy bitmap.
+//!
+//! `ghosts` stays a `HashMap`. A ghost is a deleted element whose slot the
+//! pending rebuild has not cleared yet, and its index may already be
+//! reissued to a live element under the next generation, so it cannot
+//! share that element's table entry. It is consulted only for ids that are
+//! not live — a few per deletion, never per move of a live element — and
+//! records the rebuild count at its deletion, which tells the pending
+//! checkpoint whether it still holds the ghost as a target.
+//!
+//! Which ids each level sees, in `X ⊳ (Y ⊳ Z)`: the outer embedding and
+//! its simulated `X` see the caller's ids (from `Growable`, dense below the
+//! peak population). The inner `Y ⊳ Z` sees the outer R-shell's slot ids,
+//! and `Z` the inner shell's: each embedding numbers its shell's slots
+//! with its own [`IdAllocator`] and hands the index of the dummy slot a
+//! slow-path insert deletes to the buffer slot it inserts, so those ids
+//! stay below the shell's capacity. Only caller ids can be sparse (the
+//! survivors of a shrink, or a restored snapshot's handles); the table
+//! keeps indices at or above the embedding's capacity in a side map.
 
 use crate::tag_array::{SlotTag, TagArray};
 use lll_core::fenwick::Fenwick;
-use lll_core::ids::{ElemId, IdGen};
+use lll_core::ids::{ElemId, IdAllocator, IdTable};
 use lll_core::report::{BulkReport, OpReport};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Where a live element physically lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,6 +61,47 @@ pub enum Loc {
     F(usize),
     /// Buffered in the R-shell, at this physical position.
     Buffer(usize),
+}
+
+/// A live element's [`Loc`] and, while it is buffered, the deadweight
+/// moves it has suffered: 12 bytes, 16 with the generation that
+/// [`Embed`]'s id table keeps beside it.
+#[derive(Clone, Copy, Debug)]
+struct Placed {
+    /// F-coordinate, or physical position when `buffered`.
+    pos: u32,
+    deadweight: u32,
+    buffered: bool,
+}
+
+impl Placed {
+    fn f(fidx: usize) -> Self {
+        Self { pos: fidx as u32, deadweight: 0, buffered: false }
+    }
+
+    fn buffer(pos: usize) -> Self {
+        Self { pos: pos as u32, deadweight: 0, buffered: true }
+    }
+
+    fn loc(self) -> Loc {
+        if self.buffered {
+            Loc::Buffer(self.pos as usize)
+        } else {
+            Loc::F(self.pos as usize)
+        }
+    }
+}
+
+/// A deleted element still present in the physical F-layout.
+#[derive(Clone, Copy, Debug)]
+struct Ghost {
+    /// Its F-coordinate.
+    fidx: usize,
+    /// `stats.rebuilds_started` when it was deleted. It equals the count
+    /// while a checkpoint is pending exactly when the element was deleted
+    /// after that checkpoint froze, i.e. when the checkpoint still holds
+    /// it as a target.
+    deleted_during: u64,
 }
 
 /// Tuning parameters of the embedding.
@@ -104,7 +176,6 @@ struct IntervalJob {
     f_hi: usize,
     /// Target layout within the interval: `(f_index, element)` ascending.
     targets: Vec<(usize, ElemId)>,
-    target_set: HashSet<ElemId>,
     /// 0 = left-align (pack), 1 = rightward placement (descending),
     /// 2 = deferred leftward incorporations (ascending).
     phase: u8,
@@ -158,28 +229,31 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     cur_f: Vec<Option<ElemId>>,
     /// Occupancy index over `cur_f`.
     fen_curf: Fenwick,
-    /// Live elements → location.
-    elem_loc: HashMap<ElemId, Loc>,
-    /// Deleted elements still present in `cur_f` (ghosts) → F-coordinate.
-    ghosts: HashMap<ElemId, usize>,
-    /// Deadweight counters for currently buffered elements.
-    deadweight: HashMap<ElemId, u32>,
+    /// Live elements → location and deadweight, indexed by id.
+    elem_loc: IdTable<Placed>,
+    /// Deleted elements still present in `cur_f` (ghosts). Looked up only
+    /// for ids that are not live, so hashing here costs nothing per move.
+    ghosts: HashMap<ElemId, Ghost>,
     /// The element of the in-flight insertion, between its simulation
     /// insert and its physical placement. A checkpoint created in that
     /// window (e.g. by a forced catch-up inside `buffer_insert`) must not
     /// treat it as deleted.
     pending_insert: Option<ElemId>,
-    /// F-coordinates touched by the simulation since the last completed
-    /// rebuild — the diff candidates for the next checkpoint.
-    dirty: BTreeSet<usize>,
+    /// F-coordinates touched by the simulation since the last checkpoint
+    /// froze — the diff candidates for the next one. Unordered and with
+    /// repeats; sorted and deduplicated when the next checkpoint freezes.
+    dirty: Vec<usize>,
     checkpoint: Option<Checkpoint>,
     /// The fast/slow threshold E_R.
     er_budget: f64,
     /// Rebuild moves per slow-path op (Θ(E_R)).
     rebuild_budget: u64,
     /// Ids of the R-shell's elements (slots, not stored elements; the
-    /// caller's ids go to the simulation and the physical array).
-    shell_ids: IdGen,
+    /// caller's ids go to the simulation and the physical array). Each
+    /// slow-path insert releases the dummy slot it deletes and reissues its
+    /// index to the buffer slot it inserts, so the shell sees indices below
+    /// its capacity.
+    shell_ids: IdAllocator,
     stats: EmbedStats,
     /// Operations since the pending rebuild started (Lemma 6 metric).
     rebuild_span: u64,
@@ -209,6 +283,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         assert!(m > r_cap, "shell needs free slots");
         assert!(sim.is_empty() && shell.is_empty(), "sim and shell must start empty");
         let buf_count = r_cap - f_count;
+        assert!(m <= u32::MAX as usize, "slot positions must fit in u32");
         let mut this = Self {
             capacity,
             tags: TagArray::new(m),
@@ -216,15 +291,14 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             shell,
             cur_f: vec![None; f_count],
             fen_curf: Fenwick::new(f_count),
-            elem_loc: HashMap::new(),
+            elem_loc: IdTable::new(capacity),
             ghosts: HashMap::new(),
-            deadweight: HashMap::new(),
             pending_insert: None,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             checkpoint: None,
             er_budget: er_budget.max(1.0),
             rebuild_budget: ((er_budget * rebuild_mult).ceil() as u64).max(1),
-            shell_ids: IdGen::new(),
+            shell_ids: IdAllocator::new(),
             stats: EmbedStats::default(),
             rebuild_span: 0,
             shell_trace: None,
@@ -312,9 +386,18 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Record one deadweight displacement of buffered element `e`, now at
     /// position `pos`.
     fn note_deadweight(&mut self, e: ElemId, pos: usize) {
-        self.elem_loc.insert(e, Loc::Buffer(pos));
-        *self.deadweight.entry(e).or_insert(0) += 1;
+        let placed = self.elem_loc.get_mut(e).expect("deadweight of a live element");
+        debug_assert!(placed.buffered, "deadweight of an unbuffered element");
+        placed.pos = pos as u32;
+        placed.deadweight += 1;
         self.stats.deadweight_moves += 1;
+    }
+
+    /// A buffered element moved to physical position `pos`.
+    fn note_buffer_pos(&mut self, e: ElemId, pos: usize) {
+        let placed = self.elem_loc.get_mut(e).expect("buffered element is live");
+        debug_assert!(placed.buffered);
+        placed.pos = pos as u32;
     }
 
     /// Move the real element at `start` rightward so it becomes the content
@@ -435,10 +518,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         let e = self.cur_f[from_fidx].take().expect("relocate from empty F-slot");
         self.fen_curf.add(from_fidx, -1);
         debug_assert!(self.cur_f[to_fidx].is_none(), "relocate into occupied F-slot");
-        if let Some(g) = self.ghosts.get_mut(&e) {
-            debug_assert_eq!(*g, from_fidx);
-            *g = to_fidx;
-        } else {
+        if self.elem_loc.contains(e) {
             let src = self.tags.f_pos(from_fidx);
             let dst = self.tags.f_pos(to_fidx);
             if src < dst {
@@ -446,7 +526,11 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             } else {
                 self.emulator_move_left(src, to_fidx);
             }
-            self.elem_loc.insert(e, Loc::F(to_fidx));
+            self.elem_loc.insert(e, Placed::f(to_fidx));
+        } else {
+            let ghost = self.ghosts.get_mut(&e).expect("dead F-slot occupant is a ghost");
+            debug_assert_eq!(ghost.fidx, from_fidx);
+            ghost.fidx = to_fidx;
         }
         self.cur_f[to_fidx] = Some(e);
         self.fen_curf.add(to_fidx, 1);
@@ -466,14 +550,14 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Record the simulation's touched F-coordinates for the next diff.
     fn note_dirty(&mut self, rep: &OpReport) {
         for mv in &rep.moves {
-            self.dirty.insert(mv.from as usize);
-            self.dirty.insert(mv.to as usize);
+            self.dirty.extend([mv.from as usize, mv.to as usize]);
         }
-        if let Some((_, p)) = rep.placed {
-            self.dirty.insert(p as usize);
-        }
-        if let Some((_, p)) = rep.removed {
-            self.dirty.insert(p as usize);
+        self.dirty.extend(rep.placed.iter().chain(&rep.removed).map(|&(_, p)| p as usize));
+        // A rebuild span is short (Lemma 6), but keep repeats bounded by
+        // the F-slot count however long it runs.
+        if self.dirty.len() > 2 * self.cur_f.len() {
+            self.dirty.sort_unstable();
+            self.dirty.dedup();
         }
     }
 
@@ -503,7 +587,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             if let Some(e) = self.tags.move_slot(mv.from as usize, mv.to as usize) {
                 self.stats.r_shell_moves += 1;
                 if self.tags.tag(mv.to as usize) == SlotTag::Buf {
-                    self.elem_loc.insert(e, Loc::Buffer(mv.to as usize));
+                    self.note_buffer_pos(e, mv.to as usize);
                 }
             }
             if placed_pos == Some(mv.from as usize) {
@@ -548,7 +632,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             if let Some(e) = self.tags.move_slot(from, to) {
                 self.stats.r_shell_moves += 1;
                 if self.tags.tag(to) == SlotTag::Buf {
-                    self.elem_loc.insert(e, Loc::Buffer(to));
+                    self.note_buffer_pos(e, to);
                 }
             }
         }
@@ -580,6 +664,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         let mut rep_d = std::mem::take(&mut self.shell_scratch);
         self.shell.delete_into(dummy_rank, &mut rep_d);
         self.mirror_shell_delete(&rep_d, dummy);
+        self.shell_ids.release(rep_d.removed_elem().expect("shell delete removes a slot"));
         self.shell_scratch = rep_d;
         // (ii) insert a fresh buffer slot at x's slot rank via R.
         let slot_rank = if rank == 0 {
@@ -598,8 +683,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         debug_assert_eq!(self.tags.tag(p_new), SlotTag::Buf);
         // (iii) put x into the new buffer slot.
         self.tags.place_content(p_new, emb_id);
-        self.elem_loc.insert(emb_id, Loc::Buffer(p_new));
-        self.deadweight.insert(emb_id, 0);
+        self.elem_loc.insert(emb_id, Placed::buffer(p_new));
         self.stats.max_buffered = self.stats.max_buffered.max(self.buffered());
         p_new
     }
@@ -613,14 +697,14 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         if self.checkpoint.is_some() || self.dirty.is_empty() {
             return;
         }
-        let dirty = std::mem::take(&mut self.dirty);
-        let mut q: Vec<usize> = Vec::with_capacity(dirty.len());
-        for d in dirty {
-            if self.cur_f[d] != self.sim.slots().get(d) {
-                q.push(d);
-            }
-        }
+        // The positions where the layouts differ, ascending. The buffer
+        // goes back empty, keeping its allocation.
+        let mut q = std::mem::take(&mut self.dirty);
+        q.sort_unstable();
+        q.dedup();
+        q.retain(|&d| self.cur_f[d] != self.sim.slots().get(d));
         if q.is_empty() {
+            self.dirty = q;
             return;
         }
         // Group dirty positions into maximal intervals separated by fixed
@@ -637,29 +721,26 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             hi = d;
         }
         jobs.push(self.make_job(lo, hi));
+        q.clear();
+        self.dirty = q;
         self.checkpoint = Some(Checkpoint { jobs, job_idx: 0 });
         self.stats.rebuilds_started += 1;
         self.rebuild_span = 0;
     }
 
-    /// Freeze the target layout of one interval.
+    /// Freeze the target layout of one interval: one walk over the
+    /// simulation's occupancy bitmap (not `iter_occupied_in`, which would
+    /// count the walk as the simulation's own scan work).
     fn make_job(&self, f_lo: usize, f_hi: usize) -> IntervalJob {
-        let occ = self.sim.slots().occ();
-        let mut targets = Vec::new();
-        let mut k = occ.prefix(f_lo);
-        while let Some(pos) = occ.select(k) {
-            if pos > f_hi {
-                break;
-            }
-            let e = self.sim.slots().get(pos).expect("occupied sim slot");
-            targets.push((pos, e));
-            k += 1;
-        }
-        let target_set = targets.iter().map(|&(_, e)| e).collect();
+        let slots = self.sim.slots();
+        let targets = slots
+            .bitmap()
+            .ones_in(f_lo, f_hi + 1)
+            .map(|pos| (pos, slots.get(pos).expect("occupied sim slot")))
+            .collect();
         IntervalJob {
             f_hi,
             targets,
-            target_set,
             phase: 0,
             scan: f_lo,
             pack_next: f_lo,
@@ -688,13 +769,18 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 let i = job.scan;
                 job.scan += 1;
                 if let Some(e) = self.cur_f[i] {
-                    let dead = !self.elem_loc.contains_key(&e);
-                    if dead && !job.target_set.contains(&e) {
-                        // Drop a ghost that the checkpoint no longer holds.
-                        self.cur_f[i] = None;
-                        self.fen_curf.add(i, -1);
-                        self.ghosts.remove(&e);
-                        continue;
+                    if !self.elem_loc.contains(e) {
+                        // A ghost. The checkpoint holds it (as a target of
+                        // this interval) iff it was deleted after the
+                        // checkpoint froze; otherwise drop it.
+                        let held = self.ghosts[&e].deleted_during == self.stats.rebuilds_started;
+                        debug_assert_eq!(held, job.targets.iter().any(|&(_, t)| t == e));
+                        if !held {
+                            self.cur_f[i] = None;
+                            self.fen_curf.add(i, -1);
+                            self.ghosts.remove(&e);
+                            continue;
+                        }
                     }
                     let dest = job.pack_next;
                     job.pack_next += 1;
@@ -714,7 +800,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 // crossed deadweight into the path of the next leftward
                 // incorporation (re-crossing). They run in ascending order
                 // in phase 2 instead.
-                if let Some(Loc::Buffer(pos)) = self.elem_loc.get(&e).copied() {
+                if let Some(Loc::Buffer(pos)) = self.elem_loc.get(e).map(|p| p.loc()) {
                     if pos > self.tags.f_pos(t_fidx) {
                         job.deferred.push((t_fidx, e));
                         continue;
@@ -750,27 +836,27 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Phase-1 placement of one checkpoint target (rightward placement /
     /// incorporation of Figure 4).
     fn place_target(&mut self, t_fidx: usize, e: ElemId) {
-        match self.elem_loc.get(&e).copied() {
-            Some(Loc::F(fidx)) => {
-                self.emulator_relocate(fidx, t_fidx);
+        match self.elem_loc.get(e).copied() {
+            Some(Placed { pos: fidx, buffered: false, .. }) => {
+                self.emulator_relocate(fidx as usize, t_fidx);
             }
-            Some(Loc::Buffer(pos)) => {
+            Some(Placed { pos, deadweight, buffered: true }) => {
                 // Incorporation: the buffer slot stays a buffer slot (it
-                // becomes a dummy); the element enters A_F.
+                // becomes a dummy); the element enters A_F. (Its own move
+                // displaces other buffered elements, never itself.)
+                let pos = pos as usize;
                 let p_dst = self.tags.f_pos(t_fidx);
                 if pos < p_dst {
                     self.emulator_move_right(pos, t_fidx);
                 } else {
                     self.emulator_move_left(pos, t_fidx);
                 }
-                self.elem_loc.insert(e, Loc::F(t_fidx));
+                self.elem_loc.insert(e, Placed::f(t_fidx));
                 debug_assert!(self.cur_f[t_fidx].is_none());
                 self.cur_f[t_fidx] = Some(e);
                 self.fen_curf.add(t_fidx, 1);
                 self.stats.incorporations += 1;
-                if let Some(d) = self.deadweight.remove(&e) {
-                    self.stats.record_deadweight(d);
-                }
+                self.stats.record_deadweight(deadweight);
             }
             None => {
                 if self.pending_insert == Some(e) {
@@ -778,21 +864,20 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     // but has no physical slot yet. Leave its target to the
                     // next checkpoint (re-mark it dirty so that checkpoint
                     // is created).
-                    self.dirty.insert(t_fidx);
+                    self.dirty.push(t_fidx);
                     return;
                 }
                 // Deleted element that the frozen checkpoint still contains.
-                if let Some(&g) = self.ghosts.get(&e) {
-                    self.emulator_relocate(g, t_fidx);
+                if let Some(g) = self.ghosts.get(&e) {
+                    self.emulator_relocate(g.fidx, t_fidx);
                 } else {
-                    // Deleted while buffered: materialize as a ghost.
+                    // Deleted while buffered (its deadweight was recorded
+                    // then): materialize as a ghost.
                     debug_assert!(self.cur_f[t_fidx].is_none());
                     self.cur_f[t_fidx] = Some(e);
                     self.fen_curf.add(t_fidx, 1);
-                    self.ghosts.insert(e, t_fidx);
-                    if let Some(d) = self.deadweight.remove(&e) {
-                        self.stats.record_deadweight(d);
-                    }
+                    let deleted_during = self.stats.rebuilds_started;
+                    self.ghosts.insert(e, Ghost { fidx: t_fidx, deleted_during });
                 }
             }
         }
@@ -834,17 +919,18 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             match self.cur_f[fidx] {
                 Some(e) if self.ghosts.contains_key(&e) => {
                     assert_eq!(phys, None, "ghost slot {fidx} has physical content");
+                    assert!(!self.elem_loc.contains(e), "ghost {e:?} is also live");
                 }
                 Some(e) => {
                     assert_eq!(phys, Some(e), "F-slot {fidx} content mismatch");
-                    assert_eq!(self.elem_loc.get(&e), Some(&Loc::F(fidx)));
+                    assert_eq!(self.elem_loc.get(e).map(|p| p.loc()), Some(Loc::F(fidx)));
                 }
                 None => assert_eq!(phys, None, "free F-slot {fidx} has content"),
             }
         }
         // Buffered elements agree with elem_loc.
-        for (&e, &loc) in &self.elem_loc {
-            if let Loc::Buffer(pos) = loc {
+        for (e, placed) in self.elem_loc.iter() {
+            if let Loc::Buffer(pos) = placed.loc() {
                 assert_eq!(self.tags.contents.get(pos), Some(e));
                 assert_eq!(self.tags.tag(pos), SlotTag::Buf);
             }
@@ -899,7 +985,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                         self.tags.place_content(pos, emb_id);
                         self.cur_f[fidx] = Some(emb_id);
                         self.fen_curf.add(fidx, 1);
-                        self.elem_loc.insert(emb_id, Loc::F(fidx));
+                        self.elem_loc.insert(emb_id, Placed::f(fidx));
                         placed = true;
                     }
                     continue;
@@ -913,11 +999,11 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                 self.tags.place_content(pos, emb_id);
                 self.cur_f[fidx] = Some(emb_id);
                 self.fen_curf.add(fidx, 1);
-                self.elem_loc.insert(emb_id, Loc::F(fidx));
+                self.elem_loc.insert(emb_id, Placed::f(fidx));
             }
-            let fidx_now = match self.elem_loc[&emb_id] {
-                Loc::F(f) => f,
-                Loc::Buffer(_) => unreachable!("fast path cannot buffer"),
+            let fidx_now = match self.elem_loc.get(emb_id).map(|p| p.loc()) {
+                Some(Loc::F(f)) => f,
+                _ => unreachable!("fast path cannot buffer"),
             };
             placed_pos = self.tags.f_pos(fidx_now);
         } else {
@@ -930,7 +1016,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.buffer_insert(rank, emb_id);
             self.pending_insert = None;
             self.rebuild_work();
-            placed_pos = match self.elem_loc[&emb_id] {
+            placed_pos = match self.elem_loc.get(emb_id).expect("inserted element").loc() {
                 Loc::F(f) => self.tags.f_pos(f),
                 Loc::Buffer(p) => p,
             };
@@ -975,7 +1061,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                 self.tags.place_content(pos, mv.elem);
                 self.cur_f[fidx] = Some(mv.elem);
                 self.fen_curf.add(fidx, 1);
-                self.elem_loc.insert(mv.elem, Loc::F(fidx));
+                self.elem_loc.insert(mv.elem, Placed::f(fidx));
             } else {
                 self.emulator_relocate(mv.from as usize, mv.to as usize);
             }
@@ -996,11 +1082,11 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         self.sim.delete_into(rank, &mut sim_rep);
         let c_e = sim_rep.cost();
         debug_assert_eq!(sim_rep.removed_elem(), Some(e), "sim deleted a different element");
-        let loc = self.elem_loc.remove(&e).expect("deleting unknown element");
+        let placed = self.elem_loc.remove(e).expect("deleting unknown element");
         if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
             // Fast path.
             self.stats.fast_ops += 1;
-            let Loc::F(fidx) = loc else { unreachable!("buffered element on fast path") };
+            let Loc::F(fidx) = placed.loc() else { unreachable!("buffered element on fast path") };
             self.tags.remove_content(pos);
             self.cur_f[fidx] = None;
             self.fen_curf.add(fidx, -1);
@@ -1010,15 +1096,12 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.stats.slow_ops += 1;
             self.note_dirty(&sim_rep);
             self.tags.remove_content(pos);
-            match loc {
+            match placed.loc() {
                 Loc::F(fidx) => {
-                    self.ghosts.insert(e, fidx);
+                    let deleted_during = self.stats.rebuilds_started;
+                    self.ghosts.insert(e, Ghost { fidx, deleted_during });
                 }
-                Loc::Buffer(_) => {
-                    if let Some(d) = self.deadweight.remove(&e) {
-                        self.stats.record_deadweight(d);
-                    }
-                }
+                Loc::Buffer(_) => self.stats.record_deadweight(placed.deadweight),
             }
             self.rebuild_work();
         }

@@ -2,15 +2,18 @@
 //! the paper's lemma-level invariants, Figure-1 view consistency, and
 //! composition (nesting) mechanics.
 
-use crate::embed::{EmbedBuilder, EmbedConfig};
+use crate::embed::{EmbedBuilder, EmbedConfig, EmbedStats};
 use crate::layered::{corollary11, corollary12};
 use crate::views;
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
-use lll_core::ids::IdGen;
+use lll_core::growable::Growable;
+use lll_core::ids::{IdAllocator, IdGen};
 use lll_core::ops::Op;
+use lll_core::report::OpReport;
 use lll_core::testkit::{run_against_oracle, Oracle};
 use lll_core::traits::{LabelingBuilder, ListLabeling};
+use lll_deamortized::{DeamortizedBuilder, DeamortizedStats};
 use rand::{Rng, SeedableRng};
 
 type SimpleEmbed = EmbedBuilder<AdaptiveBuilder, ClassicBuilder>;
@@ -312,4 +315,148 @@ fn lemma4_shell_input_depends_on_f_randomness() {
     // but the sequences must at least be well-formed and deterministic.
     assert_eq!(t1, run(1), "same rand(F) must reproduce the same shell input");
     assert_eq!(t2, run(2));
+}
+
+/// Ascending runs of 1,000 inserts at consecutive ranks from a uniform
+/// anchor, each followed by uniform deletes that leave room for the next
+/// run under `cap`.
+fn clustered_runs(cap: usize, runs: usize, seed: u64) -> Vec<Op> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (mut ops, mut len) = (Vec::new(), 0usize);
+    for _ in 0..runs {
+        let anchor = rng.gen_range(0..=len);
+        ops.extend((anchor..anchor + 1000).map(Op::Insert));
+        len += 1000;
+        let deletes = rng.gen_range(200usize..600).max((len + 1000).saturating_sub(cap));
+        for _ in 0..deletes {
+            ops.push(Op::Delete(rng.gen_range(0..len)));
+            len -= 1;
+        }
+    }
+    ops
+}
+
+/// FNV-1a over the `(from, to)` positions of every move in `rep`.
+fn fold_moves(hash: &mut u64, rep: &OpReport) {
+    for mv in &rep.moves {
+        *hash =
+            (*hash ^ (u64::from(mv.from) << 32 | u64::from(mv.to))).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn clustered_runs_pin_every_decision() {
+    // Exact figures of the side tables' first implementation (hash maps,
+    // a `BTreeSet` dirty set, a fresh shell id per buffered insert). The
+    // algorithms must not depend on how per-element data is stored, so a
+    // storage change that alters any decision fails here.
+    let ops = clustered_runs(4096, 20, 0x91);
+    let mut e = corollary11(4096, 0x5EED);
+    let mut ids = IdAllocator::new();
+    let (mut moves, mut fingerprint) = (0u64, FNV_OFFSET);
+    for &op in &ops {
+        let rep = match op {
+            Op::Insert(r) => e.insert(r, ids.fresh()),
+            Op::Delete(r) => {
+                let rep = e.delete(r);
+                ids.release(rep.removed_elem().expect("delete removes"));
+                rep
+            }
+        };
+        moves += rep.cost();
+        fold_moves(&mut fingerprint, &rep);
+    }
+    assert_eq!((moves, fingerprint), (1_345_726, 0x24fe_caac_8147_80b3));
+    let outer = EmbedStats {
+        fast_ops: 25210,
+        slow_ops: 11694,
+        rebuilds_started: 3005,
+        rebuilds_completed: 3005,
+        max_buffered: 101,
+        max_rebuild_span: 88,
+        deadweight_hist: [1390, 4213, 3681, 2191, 0, 0, 0, 0, 0],
+        max_deadweight: 3,
+        r_shell_moves: 214_062,
+        deadweight_moves: 18148,
+        incorporations: 11472,
+        forced_catchups: 0,
+        init_cost: 6828,
+    };
+    let inner = EmbedStats {
+        fast_ops: 29440,
+        slow_ops: 338,
+        rebuilds_started: 266,
+        rebuilds_completed: 266,
+        max_buffered: 3,
+        max_rebuild_span: 4,
+        deadweight_hist: [42, 191, 3, 6, 0, 0, 0, 0, 0],
+        max_deadweight: 3,
+        r_shell_moves: 267,
+        deadweight_moves: 215,
+        incorporations: 242,
+        forced_catchups: 0,
+        init_cost: 9674,
+    };
+    let z = DeamortizedStats {
+        jobs_created: 2,
+        jobs_completed: 2,
+        inline_rebalances: 1,
+        forced_syncs: 0,
+        clamped_moves: 0,
+    };
+    assert_eq!(format!("{:?}", e.stats()), format!("{outer:?}"));
+    assert_eq!(format!("{:?}", e.shell().stats()), format!("{inner:?}"));
+    assert_eq!(format!("{:?}", e.shell().shell().stats()), format!("{z:?}"));
+
+    let mut g = Growable::new(DeamortizedBuilder::default(), 16);
+    let (mut rep, mut fingerprint) = (OpReport::default(), FNV_OFFSET);
+    for &op in &ops {
+        match op {
+            Op::Insert(r) => g.insert_reported_into(r, &mut rep),
+            Op::Delete(r) => g.delete_reported_into(r, &mut rep),
+        };
+        fold_moves(&mut fingerprint, &rep);
+    }
+    assert_eq!((g.total_moves(), fingerprint), (1_208_756, 0x0215_3ac4_a40e_d904));
+    let grown = g.stats();
+    assert_eq!((grown.grows, grown.shrinks, grown.rebuild_moves), (8, 0, 4080));
+    let z = DeamortizedStats {
+        jobs_created: 8068,
+        jobs_completed: 8068,
+        inline_rebalances: 30,
+        forced_syncs: 0,
+        clamped_moves: 126_958,
+    };
+    assert_eq!(format!("{:?}", g.inner().stats()), format!("{z:?}"));
+}
+
+#[test]
+fn shell_slot_ids_stay_below_shell_capacity() {
+    // Every slow-path insert deletes a dummy buffer slot from the R-shell
+    // and inserts a new one; the new slot takes the deleted one's index, so
+    // the ids the inner levels see stay dense however long the list lives.
+    let n = 128;
+    let mut e = corollary11(n, 3);
+    let mut ids = IdAllocator::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    while e.stats().slow_ops < 100_000 {
+        // Fill by hammering one random rank, then delete uniformly back
+        // down to half full.
+        let at = rng.gen_range(0..=e.len());
+        while e.len() < n {
+            e.insert(at, ids.fresh());
+        }
+        while e.len() > n / 2 {
+            let rep = e.delete(rng.gen_range(0..e.len()));
+            ids.release(rep.removed_elem().expect("delete removes"));
+        }
+    }
+    let shell_cap = e.shell().capacity();
+    let live: Vec<_> = e.shell().slots().iter_occupied().map(|(_, id)| id).collect();
+    assert_eq!(live.len(), shell_cap, "the shell holds every F-slot and buffer slot");
+    let worst = live.iter().map(|id| id.index()).max().expect("shell slots");
+    assert!(worst < shell_cap, "shell slot index {worst} ≥ shell capacity {shell_cap}");
+    e.check_invariants();
 }

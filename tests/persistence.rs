@@ -300,6 +300,84 @@ fn snapshot_error_variants_are_typed() {
     }
 }
 
+/// Peak virtual size of this process in bytes (`VmPeak`; Linux only).
+fn vm_peak_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmPeak:"))?;
+    Some(kb.trim().trim_end_matches("kB").trim().parse::<u64>().ok()? * 1024)
+}
+
+/// A restored handle may carry any index below the reserved one, however
+/// few elements the list holds, so no backend may size a table by it: on
+/// every backend a snapshot whose one handle has index `u32::MAX - 1`
+/// restores (or reports a typed error) without mapping memory in
+/// proportion to the index.
+#[test]
+fn restoring_a_far_handle_index_is_bounded_on_every_backend() {
+    let far = ElemId::new(u32::MAX - 1, 3);
+    let before = vm_peak_bytes();
+    for backend in Backend::ALL {
+        let cfg = ListBuilder::new().backend(backend).config();
+        let mut forged = Vec::new();
+        Header::new(ContainerKind::OrderedList, cfg, 1).write_to(&mut forged).unwrap();
+        (far.0, 42u64).encode(&mut forged).unwrap();
+        // Any `SnapshotError` is an acceptable outcome; a panic or an
+        // abort is not.
+        if let Ok(back) = OrderedList::<u64>::read_snapshot(&mut forged.as_slice()) {
+            back.check_labels();
+            assert_eq!(back.get(far), Some(&42), "[{backend}] the far handle lost its value");
+            assert_eq!(back.iter().map(|(h, _)| h).collect::<Vec<_>>(), [far]);
+        }
+    }
+    if let (Some(before), Some(after)) = (before, vm_peak_bytes()) {
+        // A table of even one byte per index would need 4 GiB.
+        let grown = after.saturating_sub(before);
+        assert!(grown < 2 << 30, "restoring one handle mapped {} MiB", grown >> 20);
+    }
+}
+
+/// A snapshot written after a list shrank holds large handle indices over
+/// few elements. It is valid: it restores, and every pre-snapshot handle
+/// resolves to its value, in order. Run on the two backends whose restore
+/// hands the handles to an id-indexed table (the deamortized PMA's, and
+/// the layered embedding's outer level, which Corollary 12 shares).
+#[test]
+fn sparse_snapshot_after_a_shrink_restores_every_handle() {
+    for backend in [Backend::Deamortized, Backend::Corollary11] {
+        let mut ol: OrderedList<u64> =
+            ListBuilder::new().backend(backend).seed(0x5A).ordered_list();
+        let handles = ol.extend_back(0..50_000);
+        for (i, &h) in handles.iter().enumerate() {
+            if i % 500 != 0 {
+                assert_eq!(ol.remove(h), Some(i as u64));
+            }
+        }
+        assert_eq!(ol.len(), 100);
+        let mut buf = Vec::new();
+        ol.write_snapshot(&mut buf).unwrap();
+        let back: OrderedList<u64> = OrderedList::read_snapshot(&mut buf.as_slice()).unwrap();
+        back.check_labels();
+        let kept: Vec<(Handle, u64)> =
+            handles.iter().enumerate().step_by(500).map(|(i, &h)| (h, i as u64)).collect();
+        assert_eq!(back.iter().map(|(h, v)| (h, *v)).collect::<Vec<_>>(), kept, "[{backend}]");
+        for &(h, v) in &kept {
+            assert_eq!(back.get(h), Some(&v), "[{backend}] handle {h:?} lost its value");
+        }
+        // The restored list keeps working on its far-indexed elements.
+        let mut back = back;
+        for &(h, v) in kept.iter().step_by(2) {
+            assert_eq!(back.remove(h), Some(v), "[{backend}]");
+        }
+        let fresh: Vec<Handle> = (0..50).map(|i| back.push_front(100_000 + i)).collect();
+        back.check_labels();
+        assert_eq!(back.len(), 100);
+        for &(h, v) in kept.iter().skip(1).step_by(2) {
+            assert_eq!(back.get(h), Some(&v), "[{backend}] handle {h:?} lost its value");
+        }
+        assert!(fresh.iter().all(|&h| !kept.iter().any(|&(k, _)| k == h)));
+    }
+}
+
 /// Restore is the O(n) bulk sweep: exactly **one element move per entry**,
 /// no per-op replay — the debug-scale pin of the acceptance criterion
 /// (`bench/benches/snapshot.rs` measures the same property at 1M keys in
