@@ -1,8 +1,9 @@
 //! Cursors: positional iteration that walks the slot array's occupancy
 //! structure directly.
 //!
-//! Rank-addressed navigation re-resolves rank → label on every step — an
-//! O(log n) Fenwick descent per element, paid `n` times for a full scan.
+//! Rank-addressed navigation re-resolves rank → label on every step — a
+//! bitmap select (an O(log m) descent over block counts, then one block's
+//! words) per element, paid `n` times for a full scan.
 //! A cursor instead remembers *where it is* (the label of its current
 //! element) and steps to the physical neighbor with one occupancy query
 //! ([`next_label_after`](crate::RawList::next_label_after) /

@@ -1,7 +1,7 @@
 //! `core_ops` — machine-readable physical-layer benchmark.
 //!
 //! Measures, per backend: point-insert throughput (random ranks, filling a
-//! fixed-capacity structure), rank→label `get` throughput, range-scan
+//! fixed-capacity structure), rank→label `select` throughput, range-scan
 //! throughput, moves per insert (the paper's cost model), and bytes per
 //! slot of the physical representation. Results are printed as JSON and —
 //! in full mode — written to `BENCH_core_ops.json` at the repo root, which
@@ -37,7 +37,7 @@ struct Row {
     n: usize,
     insert_ops_per_sec: f64,
     moves_per_op: f64,
-    get_ops_per_sec: f64,
+    select_ops_per_sec: f64,
     range_elems_per_sec: f64,
     bytes_per_slot: f64,
     num_slots: usize,
@@ -59,15 +59,15 @@ fn bench_backend(backend: Backend, n: usize, seed: u64) -> Row {
     let insert_secs = t.elapsed().as_secs_f64();
     let moves_per_op = s.slots().lifetime_moves() as f64 / n as f64;
 
-    // Rank → label queries (the O(log m) navigation workload).
-    let gets = (n / 2).max(1 << 12);
+    // Rank → label queries: one occupancy-bitmap select each.
+    let selects = (n / 2).max(1 << 12);
     let t = Instant::now();
     let mut acc = 0usize;
-    for _ in 0..gets {
+    for _ in 0..selects {
         acc = acc.wrapping_add(s.label_of_rank(rng.gen_range(0..n)));
     }
     std::hint::black_box(acc);
-    let get_secs = t.elapsed().as_secs_f64();
+    let select_secs = t.elapsed().as_secs_f64();
 
     // Full range scan (physically contiguous sweep), several passes.
     let passes = 4;
@@ -84,7 +84,7 @@ fn bench_backend(backend: Backend, n: usize, seed: u64) -> Row {
         n,
         insert_ops_per_sec: n as f64 / insert_secs,
         moves_per_op,
-        get_ops_per_sec: gets as f64 / get_secs,
+        select_ops_per_sec: selects as f64 / select_secs,
         range_elems_per_sec: seen as f64 / range_secs,
         bytes_per_slot: s.slots().memory_bytes() as f64 / s.slots().num_slots() as f64,
         num_slots: s.slots().num_slots(),
@@ -166,13 +166,13 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"n\": {}, \"insert_ops_per_sec\": {:.0}, \
-             \"moves_per_op\": {:.3}, \"get_ops_per_sec\": {:.0}, \
+             \"moves_per_op\": {:.3}, \"select_ops_per_sec\": {:.0}, \
              \"range_elems_per_sec\": {:.0}, \"bytes_per_slot\": {:.3}, \"num_slots\": {}}}",
             r.name,
             r.n,
             r.insert_ops_per_sec,
             r.moves_per_op,
-            r.get_ops_per_sec,
+            r.select_ops_per_sec,
             r.range_elems_per_sec,
             r.bytes_per_slot,
             r.num_slots

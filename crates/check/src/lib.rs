@@ -30,12 +30,11 @@
 //!   annotated field (it would bypass the runtime tracker).
 //! * **unsafe-discipline** — every crate root must carry
 //!   `#![forbid(unsafe_code)]`; `unsafe` may appear only in the
-//!   [`UNSAFE_ALLOWED`] whitelist (the counting-allocator harness, the
-//!   RCU cell, and the future SIMD module), and every whitelisted site
-//!   needs a `// SAFETY:` comment on or just above the line. Crate roots
-//!   in [`UNSAFE_DENY_ROOTS`] host a whitelisted module and so carry
-//!   `#![deny(unsafe_code)]` instead — `forbid` cannot be re-allowed from
-//!   an inner module, `deny` can.
+//!   [`UNSAFE_ALLOWED`] whitelist (the counting-allocator harness and the
+//!   RCU cell), and every whitelisted site needs a `// SAFETY:` comment
+//!   on or just above the line. Crate roots in [`UNSAFE_DENY_ROOTS`] host
+//!   a whitelisted module and so carry `#![deny(unsafe_code)]` instead —
+//!   `forbid` cannot be re-allowed from an inner module, `deny` can.
 //! * **no-alloc** — functions annotated with a `no-alloc` directive may
 //!   not call allocating constructors (`Vec::new`, `with_capacity`,
 //!   `collect`, `to_vec`, `format!`, `Box::new`, …).
@@ -82,10 +81,6 @@ pub const UNSAFE_ALLOWED: &[&str] = &[
     // The RCU cell publishing the shard directory: Arc::into_raw/from_raw
     // behind striped borrow counters. The crate's only unsafe module.
     "crates/sharded/src/rcu.rs",
-    // Reserved for the planned core::arch popcount/SIMD sweeps (see
-    // ROADMAP "Subsume the Fenwick"): that crate opts out of the forbid
-    // but buys in to per-site SAFETY comments.
-    "crates/simd/",
 ];
 
 /// Crate roots that host a whitelisted `unsafe` module. `forbid` is a

@@ -1,38 +1,48 @@
-//! Word-level occupancy bitmap: one bit per slot, 64 slots per `u64`.
+//! The occupancy index: one bit per slot, plus one set-bit count per
+//! 512-bit block.
 //!
-//! The physical ground truth of a [`SlotArray`](crate::slot_array::SlotArray):
-//! window questions ("who occupies `[a, b)`?", "where is the next free
-//! slot?") are answered by walking only the window's words with
-//! `count_ones`/`trailing_zeros`, instead of O(log m) Fenwick walks or —
-//! worse — O(m) scans of the whole contents array. The Fenwick tree stays
-//! on top of this bitmap for *global* rank/select; everything word-local
-//! lives here.
+//! A [`Bitmap`] is the only occupancy index in the workspace. Window
+//! questions ("who occupies `[a, b)`?", "how many?") walk only the
+//! window's words with `count_ones`/`trailing_zeros`. Global questions
+//! ("how many set bits precede `pos`?", "where is the k-th set or clear
+//! bit?") start from the block counts, which sit in a Fenwick array over
+//! the m/512 blocks, and finish with popcounts over at most one block's
+//! eight words — rank and select in the style of Vigna ("Broadword
+//! Implementation of Rank/Select Queries", WEA 2008) and Zhou, Andersen
+//! and Kaminsky ("Space-Efficient, High-Performance Rank & Select
+//! Structures", SEA 2013), with scalar `count_ones` only.
+//!
+//! A block is one 64-byte cache line of words, so a rank or select reads
+//! the O(log(m/512)) count entries plus one line, and the counts cost
+//! 4 bytes per 512 bits (1/128 byte per position) on top of the bit itself.
+//! Flipping a bit updates O(log(m/512)) counts; moving a bit within its
+//! block updates none.
 
-/// A fixed-length bitmap over slot positions.
+/// Positions per counted block: eight words, one cache line.
+const BLOCK_BITS: usize = 512;
+/// Words per counted block.
+const BLOCK_WORDS: usize = BLOCK_BITS / 64;
+
+/// A fixed-length bitmap with rank and select.
 #[derive(Clone, Debug)]
 pub struct Bitmap {
     words: Vec<u64>,
+    /// Fenwick array (1-based) over per-block set-bit counts: `counts[i]`
+    /// sums the blocks `i - lowbit(i) .. i`.
+    counts: Vec<u32>,
+    ones: usize,
     len: usize,
-}
-
-/// Outcome of a capped scan (see [`Bitmap::next_zero_capped`]): scans give
-/// up after a bounded number of words so callers can fall back to an
-/// O(log² m) index walk instead of degrading to O(m/64).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CappedScan {
-    /// The wanted bit is at this position.
-    Found(usize),
-    /// No such bit exists in the scanned direction.
-    Exhausted,
-    /// The word budget ran out; resume (inclusive) from this position with
-    /// a different strategy.
-    GaveUp(usize),
 }
 
 impl Bitmap {
     /// An all-zero bitmap over `len` positions.
     pub fn new(len: usize) -> Self {
-        Self { words: vec![0; len.div_ceil(64)], len }
+        Self {
+            words: vec![0; len.div_ceil(64)],
+            counts: vec![0; len.div_ceil(BLOCK_BITS) + 1],
+            ones: 0,
+            len,
+        }
     }
 
     /// Number of positions covered.
@@ -47,6 +57,12 @@ impl Bitmap {
         self.len == 0
     }
 
+    /// Number of set bits.
+    #[inline]
+    pub fn count_ones(&self) -> usize {
+        self.ones
+    }
+
     /// The bit at `pos`.
     #[inline]
     pub fn get(&self, pos: usize) -> bool {
@@ -54,29 +70,104 @@ impl Bitmap {
         self.words[pos >> 6] >> (pos & 63) & 1 == 1
     }
 
-    /// Set the bit at `pos`.
+    /// Set the clear bit at `pos`.
+    // lll-check: no-alloc
     #[inline]
     pub fn set(&mut self, pos: usize) {
-        debug_assert!(pos < self.len);
+        debug_assert!(pos < self.len && !self.get(pos), "set: bit {pos} already set");
         self.words[pos >> 6] |= 1 << (pos & 63);
+        self.add_to_block(pos / BLOCK_BITS, 1);
+        self.ones += 1;
     }
 
-    /// Clear the bit at `pos`.
+    /// Clear the set bit at `pos`.
+    // lll-check: no-alloc
     #[inline]
     pub fn clear(&mut self, pos: usize) {
-        debug_assert!(pos < self.len);
+        debug_assert!(pos < self.len && self.get(pos), "clear: bit {pos} already clear");
         self.words[pos >> 6] &= !(1 << (pos & 63));
+        self.add_to_block(pos / BLOCK_BITS, -1);
+        self.ones -= 1;
     }
 
-    /// The backing words (test/diagnostic introspection).
+    /// Move the set bit at `from` to the clear position `to`. Within one
+    /// block no count changes.
+    // lll-check: no-alloc
     #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    pub fn move_bit(&mut self, from: usize, to: usize) {
+        debug_assert!(from < self.len && self.get(from), "move_bit: bit {from} is clear");
+        debug_assert!(to < self.len && !self.get(to), "move_bit: bit {to} is set");
+        self.words[from >> 6] &= !(1 << (from & 63));
+        self.words[to >> 6] |= 1 << (to & 63);
+        let (a, b) = (from / BLOCK_BITS, to / BLOCK_BITS);
+        if a != b {
+            self.add_to_block(a, -1);
+            self.add_to_block(b, 1);
+        }
     }
 
-    /// Heap bytes held by the backing words.
+    /// Number of set bits at positions strictly before `pos` (all of them
+    /// if `pos >= len`).
+    // lll-check: no-alloc
+    #[inline]
+    pub fn rank(&self, pos: usize) -> usize {
+        let pos = pos.min(self.len);
+        let (block, w) = (pos / BLOCK_BITS, pos >> 6);
+        let mut r = self.ones_before_block(block);
+        for word in &self.words[block * BLOCK_WORDS..w] {
+            r += word.count_ones() as usize;
+        }
+        if pos & 63 != 0 {
+            r += (self.words[w] & ((1 << (pos & 63)) - 1)).count_ones() as usize;
+        }
+        r
+    }
+
+    /// Position of the `k`-th (0-based) set bit; `None` if `k >= count_ones()`.
+    // lll-check: no-alloc
+    #[inline]
+    pub fn select(&self, k: usize) -> Option<usize> {
+        if k >= self.ones {
+            return None;
+        }
+        let (block, mut r) = self.find_block(k, false);
+        let mut w = block * BLOCK_WORDS;
+        loop {
+            let c = self.words[w].count_ones() as usize;
+            if r < c {
+                return Some((w << 6) + select_in_word(self.words[w], r));
+            }
+            r -= c;
+            w += 1;
+        }
+    }
+
+    /// Position of the `k`-th (0-based) clear bit; `None` if there are no
+    /// more than `k` clear bits.
+    // lll-check: no-alloc
+    #[inline]
+    pub fn select_zero(&self, k: usize) -> Option<usize> {
+        if k >= self.len - self.ones {
+            return None;
+        }
+        let (block, mut r) = self.find_block(k, true);
+        let mut w = block * BLOCK_WORDS;
+        // The padding bits past `len` read as clear here, but they follow
+        // every real clear bit, and the k-th is a real one.
+        loop {
+            let c = self.words[w].count_zeros() as usize;
+            if r < c {
+                return Some((w << 6) + select_in_word(!self.words[w], r));
+            }
+            r -= c;
+            w += 1;
+        }
+    }
+
+    /// Heap bytes held by the words and the block counts.
     pub fn memory_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
+            + self.counts.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Number of words a scan of `[a, b)` touches.
@@ -167,63 +258,123 @@ impl Bitmap {
         }
     }
 
-    /// The first **clear** bit at or after `pos`, giving up after
-    /// `cap_words` words. Returns how many words were examined alongside
-    /// the outcome.
-    pub fn next_zero_capped(&self, pos: usize, cap_words: usize) -> (CappedScan, usize) {
+    /// The first clear bit at or after `pos`, if any: the word holding
+    /// `pos`, else a select over clear bits.
+    pub fn next_zero(&self, pos: usize) -> Option<usize> {
         if pos >= self.len {
-            return (CappedScan::Exhausted, 0);
+            return None;
         }
-        let mut w = pos >> 6;
-        let mut word = !self.words[w] & (!0 << (pos & 63));
-        let mut scanned = 1usize;
-        loop {
-            if word != 0 {
-                let p = (w << 6) + word.trailing_zeros() as usize;
-                return if p < self.len {
-                    (CappedScan::Found(p), scanned)
-                } else {
-                    (CappedScan::Exhausted, scanned)
-                };
-            }
-            w += 1;
-            if w >= self.words.len() {
-                return (CappedScan::Exhausted, scanned);
-            }
-            if scanned >= cap_words {
-                return (CappedScan::GaveUp(w << 6), scanned);
-            }
-            word = !self.words[w];
-            scanned += 1;
+        let w = pos >> 6;
+        let word = !self.words[w] & (!0 << (pos & 63));
+        if word != 0 {
+            let p = (w << 6) + word.trailing_zeros() as usize;
+            return (p < self.len).then_some(p);
+        }
+        let next = (w + 1) << 6;
+        if next >= self.len {
+            return None;
+        }
+        self.select_zero(next - self.rank(next))
+    }
+
+    /// The last clear bit at or before `pos`, if any (same strategy as
+    /// [`next_zero`](Self::next_zero)).
+    pub fn prev_zero(&self, pos: usize) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let pos = pos.min(self.len - 1);
+        let w = pos >> 6;
+        let word = !self.words[w] & (!0 >> (63 - (pos & 63)));
+        if word != 0 {
+            return Some((w << 6) + 63 - word.leading_zeros() as usize);
+        }
+        let start = w << 6;
+        (start - self.rank(start)).checked_sub(1).and_then(|k| self.select_zero(k))
+    }
+
+    /// Verify the block counts and the total against the words, and that
+    /// no bit past `len` is set. One O(m) sweep; tests and diagnostics.
+    pub fn check_consistent(&self) {
+        let mut total = 0;
+        for (block, words) in self.words.chunks(BLOCK_WORDS).enumerate() {
+            let count: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+            let indexed = self.ones_before_block(block + 1) - self.ones_before_block(block);
+            assert_eq!(indexed, count, "count mismatch in block {block}");
+            total += count;
+        }
+        assert_eq!(total, self.ones, "total mismatch");
+        if self.len & 63 != 0 {
+            assert_eq!(self.words[self.len >> 6] >> (self.len & 63), 0, "bit set past len");
         }
     }
 
-    /// The last **clear** bit at or before `pos`, giving up after
-    /// `cap_words` words. Returns how many words were examined alongside
-    /// the outcome.
-    pub fn prev_zero_capped(&self, pos: usize, cap_words: usize) -> (CappedScan, usize) {
-        if self.len == 0 {
-            return (CappedScan::Exhausted, 0);
-        }
-        let pos = pos.min(self.len - 1);
-        let mut w = pos >> 6;
-        let mut word = !self.words[w] & (!0 >> (63 - (pos & 63)));
-        let mut scanned = 1usize;
-        loop {
-            if word != 0 {
-                return (CappedScan::Found((w << 6) + 63 - word.leading_zeros() as usize), scanned);
-            }
-            if w == 0 {
-                return (CappedScan::Exhausted, scanned);
-            }
-            if scanned >= cap_words {
-                return (CappedScan::GaveUp((w << 6) - 1), scanned);
-            }
-            w -= 1;
-            word = !self.words[w];
-            scanned += 1;
+    /// Add `delta` to the count of `block`.
+    #[inline]
+    fn add_to_block(&mut self, block: usize, delta: i32) {
+        let mut i = block + 1;
+        while i < self.counts.len() {
+            self.counts[i] = self.counts[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
         }
     }
+
+    /// Set bits in the blocks before `block`.
+    #[inline]
+    fn ones_before_block(&self, block: usize) -> usize {
+        let (mut i, mut sum) = (block, 0);
+        while i > 0 {
+            sum += self.counts[i] as usize;
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// Fenwick descent: the block holding the `k`-th (0-based) set bit —
+    /// or clear bit, if `zeros` — and that bit's rank within the block.
+    #[inline]
+    fn find_block(&self, mut k: usize, zeros: bool) -> (usize, usize) {
+        let mut block = 0;
+        let mut step = self.counts.len().next_power_of_two() / 2;
+        while step > 0 {
+            let next = block + step;
+            if next < self.counts.len() {
+                let ones = self.counts[next] as usize;
+                let n = if zeros {
+                    (next * BLOCK_BITS).min(self.len) - block * BLOCK_BITS - ones
+                } else {
+                    ones
+                };
+                if n <= k {
+                    k -= n;
+                    block = next;
+                }
+            }
+            step >>= 1;
+        }
+        (block, k)
+    }
+}
+
+/// Offset of the `r`-th (0-based) set bit of `word`, which has more than
+/// `r`: halve the window by popcount down to one byte, then drop the set
+/// bits below the target.
+#[inline]
+fn select_in_word(word: u64, r: usize) -> usize {
+    debug_assert!(r < word.count_ones() as usize);
+    let (mut word, mut r, mut base) = (word, r as u32, 0);
+    for half in [32u32, 16, 8] {
+        let low = (word & ((1 << half) - 1)).count_ones();
+        if r >= low {
+            r -= low;
+            word >>= half;
+            base += half as usize;
+        }
+    }
+    for _ in 0..r {
+        word &= word - 1;
+    }
+    base + word.trailing_zeros() as usize
 }
 
 /// Iterator over set-bit positions in a window (see [`Bitmap::ones_in`]).
@@ -290,6 +441,7 @@ mod tests {
         assert!(b.get(129) && b.get(0) && b.get(64));
         b.clear(64);
         assert!(!b.get(64));
+        assert_eq!(b.count_ones(), 2);
     }
 
     #[test]
@@ -327,25 +479,23 @@ mod tests {
     }
 
     #[test]
-    fn capped_zero_scans() {
-        // 200 bits, all ones except 130 and 199.
-        let mut b = Bitmap::new(200);
-        for i in 0..200 {
+    fn zero_neighbors_skip_full_runs() {
+        // 1,400 bits, all set except 130 and 1,399: the searches must cross
+        // full words and blocks through the index.
+        let mut b = Bitmap::new(1400);
+        for i in (0..1400).filter(|&i| i != 130 && i != 1399) {
             b.set(i);
         }
-        b.clear(130);
-        b.clear(199);
-        assert_eq!(b.next_zero_capped(0, 64).0, CappedScan::Found(130));
-        // Budget of one word from position 0: gives up at the next word.
-        assert_eq!(b.next_zero_capped(0, 1).0, CappedScan::GaveUp(64));
-        assert_eq!(b.next_zero_capped(131, 64).0, CappedScan::Found(199));
-        assert_eq!(b.prev_zero_capped(199, 64).0, CappedScan::Found(199));
-        assert_eq!(b.prev_zero_capped(198, 64).0, CappedScan::Found(130));
-        assert_eq!(b.prev_zero_capped(129, 1).0, CappedScan::GaveUp(127));
-        assert_eq!(b.prev_zero_capped(129, 64).0, CappedScan::Exhausted);
+        assert_eq!(b.next_zero(0), Some(130));
+        assert_eq!(b.next_zero(131), Some(1399));
+        assert_eq!(b.prev_zero(1399), Some(1399));
+        assert_eq!(b.prev_zero(1398), Some(130));
+        assert_eq!(b.prev_zero(129), None);
+        b.set(1399);
+        assert_eq!(b.next_zero(131), None);
         let full = from_positions(&[0, 1, 2], 3);
-        assert_eq!(full.next_zero_capped(0, 8).0, CappedScan::Exhausted);
-        assert_eq!(full.prev_zero_capped(2, 8).0, CappedScan::Exhausted);
+        assert_eq!(full.next_zero(0), None);
+        assert_eq!(full.prev_zero(2), None);
     }
 
     #[test]
@@ -356,9 +506,49 @@ mod tests {
         for i in 0..70 {
             b.set(i);
         }
-        assert_eq!(b.next_zero_capped(0, 8).0, CappedScan::Exhausted);
+        assert_eq!(b.next_zero(0), None);
+        assert_eq!(b.select_zero(0), None);
         assert_eq!(b.next_one(69), Some(69));
         assert_eq!(b.count_in(0, 70), 70);
+        b.check_consistent();
+    }
+
+    #[test]
+    fn churn_within_and_across_blocks_stays_consistent() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let n = 1400;
+        let mut b = Bitmap::new(n);
+        let mut model = vec![false; n];
+        for step in 0..4000 {
+            let p = rng.gen_range(0..n);
+            if step % 3 == 0 && model[p] {
+                // A short hop usually stays in its block; a long one leaves it.
+                let reach = if step % 2 == 0 { 8 } else { n };
+                let q = (p + rng.gen_range(1..reach)) % n;
+                if !model[q] {
+                    b.move_bit(p, q);
+                    model.swap(p, q);
+                }
+            } else if model[p] {
+                b.clear(p);
+                model[p] = false;
+            } else {
+                b.set(p);
+                model[p] = true;
+            }
+            b.check_consistent();
+            let k = rng.gen_range(0..n);
+            assert_eq!(b.rank(k), model[..k].iter().filter(|&&x| x).count());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already set")]
+    fn setting_a_set_bit_panics_in_debug() {
+        let mut b = from_positions(&[5], 10);
+        b.set(5);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   element motion goes through it, so costs are *derived from the move
 //!   log*, never self-reported, and sortedness can be asserted after every
 //!   atomic move.
-//! * [`Fenwick`](fenwick::Fenwick) — binary indexed trees with select, used
-//!   for rank ↔ position navigation.
+//! * [`Bitmap`](bitmap::Bitmap) — the one occupancy index: a bit per slot
+//!   plus a set-bit count per 512-bit block, answering window scans, rank,
+//!   select and free-slot searches.
 //! * [`SegTree`](density::SegTree) / [`Thresholds`](density::Thresholds) —
 //!   the calibrator-tree geometry and density thresholds that every
 //!   packed-memory-array (PMA) variant shares.
@@ -34,7 +35,6 @@
 pub mod bitmap;
 pub mod cost;
 pub mod density;
-pub mod fenwick;
 pub mod growable;
 pub mod ids;
 pub mod metrics;
@@ -52,7 +52,6 @@ pub mod prelude {
     //! Convenient glob import: `use lll_core::prelude::*;`
     pub use crate::cost::CostStats;
     pub use crate::density::{SegTree, Thresholds};
-    pub use crate::fenwick::Fenwick;
     pub use crate::growable::{Growable, Handle};
     pub use crate::ids::ElemId;
     pub use crate::metrics::{ListMetrics, MetricsHandle};

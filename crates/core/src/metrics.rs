@@ -15,8 +15,11 @@
 //!
 //! Every recording path is an inlined early-return when the handle was
 //! built disabled, and a few relaxed atomic RMWs when enabled — no locks,
-//! no allocation. The workspace zero-alloc harness pins steady-state churn
-//! at 0 allocations/round *with metrics enabled*.
+//! no allocation. None runs per element move: `moves` takes each drained
+//! move log's length once per drain, while the slot array's plain
+//! `lifetime_moves` counts the moves themselves. The workspace zero-alloc
+//! harness pins steady-state churn at 0 allocations/round *with metrics
+//! enabled*.
 
 use std::sync::Arc;
 
@@ -35,7 +38,7 @@ const TRACE_CAPACITY: usize = 128;
 #[derive(Debug)]
 pub struct ListMetrics {
     enabled: bool,
-    /// Element moves (the paper's cost unit), as observed by the slot array.
+    /// Element moves (the paper's cost unit), added once per move-log drain.
     pub moves: Counter,
     /// Batch splice calls.
     pub splices: Counter,
@@ -117,16 +120,6 @@ impl ListMetrics {
         }
     }
 
-    /// One element move.
-    // lll-check: no-alloc
-    #[inline]
-    pub fn note_move(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.moves.inc();
-    }
-
     /// `words` occupancy-bitmap words scanned.
     // lll-check: no-alloc
     #[inline]
@@ -137,13 +130,15 @@ impl ListMetrics {
         self.scan_words.add(words);
     }
 
-    /// A move-log drain; `reused` = the caller buffer had capacity.
+    /// A move-log drain of `moves` moves; `reused` = the caller buffer had
+    /// capacity.
     // lll-check: no-alloc
     #[inline]
-    pub fn note_log_drain(&self, reused: bool) {
+    pub fn note_log_drain(&self, moves: u64, reused: bool) {
         if !self.enabled {
             return;
         }
+        self.moves.add(moves);
         self.log_sink_drains.inc();
         if reused {
             self.log_sink_reuses.inc();
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let m = ListMetrics::new(false);
-        m.note_move();
+        m.note_log_drain(4, true);
         m.note_scan(10);
         m.note_rebalance(64, 12);
         m.note_op_moves(3);
@@ -237,11 +232,9 @@ mod tests {
     #[test]
     fn enabled_handle_records_counters_histograms_and_trace() {
         let m = ListMetrics::new(true);
-        m.note_move();
-        m.note_move();
         m.note_scan(7);
-        m.note_log_drain(true);
-        m.note_log_drain(false);
+        m.note_log_drain(2, true);
+        m.note_log_drain(0, false);
         m.note_rank_resolution();
         m.note_splice(100);
         m.note_op_moves(5);
@@ -268,9 +261,9 @@ mod tests {
     #[test]
     fn snapshot_detaches() {
         let m = ListMetrics::new(true);
-        m.note_move();
+        m.note_log_drain(1, true);
         let snap = m.snapshot();
-        m.note_move();
+        m.note_log_drain(1, true);
         assert_eq!(snap.moves.get(), 1);
         assert_eq!(m.moves.get(), 2);
     }

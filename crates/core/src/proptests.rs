@@ -1,9 +1,10 @@
-//! Property-based tests for the core substrate: Fenwick trees against a
-//! naive model, slot-array move discipline, density-tree geometry, and the
-//! PMA skeleton under arbitrary valid operation sequences.
+//! Property-based tests for the core substrate: the rank/select bitmap
+//! against a naive model, slot-array move discipline, density-tree
+//! geometry, and the PMA skeleton under arbitrary valid operation
+//! sequences.
 
+use crate::bitmap::Bitmap;
 use crate::density::{even_targets, SegTree};
-use crate::fenwick::Fenwick;
 use crate::ops::Op;
 use crate::pma::ClassicBuilder;
 use crate::testkit::run_against_oracle;
@@ -13,44 +14,41 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Fenwick prefix/select/neighbor queries agree with a bit-vector model.
+    /// Rank, select and neighbor queries agree with a bit-vector model
+    /// over 1–1,400 bits (up to three 512-bit blocks, the last one
+    /// partial), drawn as runs so that searches cross full words and blocks.
     #[test]
-    fn fenwick_matches_model(bits in proptest::collection::vec(any::<bool>(), 1..200)) {
+    fn bitmap_rank_select_match_model(
+        runs in proptest::collection::vec((any::<bool>(), 1usize..200), 1..30),
+    ) {
+        let mut bits: Vec<bool> =
+            runs.iter().flat_map(|&(bit, len)| std::iter::repeat_n(bit, len)).collect();
+        bits.truncate(1400);
         let n = bits.len();
-        let f = Fenwick::from_bits(n, bits.iter().copied());
-        // prefix counts
-        let mut count = 0u64;
-        for (i, &bit) in bits.iter().enumerate() {
-            prop_assert_eq!(f.prefix(i), count);
-            if bit {
-                count += 1;
-            }
+        let mut b = Bitmap::new(n);
+        for i in (0..n).filter(|&i| bits[i]) {
+            b.set(i);
         }
-        prop_assert_eq!(f.total(), count);
-        // select is the inverse of prefix on marked positions
-        let marked: Vec<usize> = (0..n).filter(|&i| bits[i]).collect();
-        for (k, &p) in marked.iter().enumerate() {
-            prop_assert_eq!(f.select(k as u64), Some(p));
+        b.check_consistent();
+        let ones: Vec<usize> = (0..n).filter(|&i| bits[i]).collect();
+        let zeros: Vec<usize> = (0..n).filter(|&i| !bits[i]).collect();
+        prop_assert_eq!(b.count_ones(), ones.len());
+        for pos in 0..=n {
+            prop_assert_eq!(b.rank(pos), ones.partition_point(|&p| p < pos));
         }
-        prop_assert_eq!(f.select(marked.len() as u64), None);
-        // neighbor queries agree with linear scans
+        for (k, &p) in ones.iter().enumerate() {
+            prop_assert_eq!(b.select(k), Some(p));
+        }
+        prop_assert_eq!(b.select(ones.len()), None);
+        for (k, &p) in zeros.iter().enumerate() {
+            prop_assert_eq!(b.select_zero(k), Some(p));
+        }
+        prop_assert_eq!(b.select_zero(zeros.len()), None);
         for probe in 0..n {
-            prop_assert_eq!(
-                f.next_marked_at_or_after(probe),
-                (probe..n).find(|&i| bits[i])
-            );
-            prop_assert_eq!(
-                f.prev_marked_at_or_before(probe),
-                (0..=probe).rev().find(|&i| bits[i])
-            );
-            prop_assert_eq!(
-                f.next_unmarked_at_or_after(probe),
-                (probe..n).find(|&i| !bits[i])
-            );
-            prop_assert_eq!(
-                f.prev_unmarked_at_or_before(probe),
-                (0..=probe).rev().find(|&i| !bits[i])
-            );
+            prop_assert_eq!(b.next_one(probe), (probe..n).find(|&i| bits[i]));
+            prop_assert_eq!(b.prev_one(probe), (0..=probe).rev().find(|&i| bits[i]));
+            prop_assert_eq!(b.next_zero(probe), (probe..n).find(|&i| !bits[i]));
+            prop_assert_eq!(b.prev_zero(probe), (0..=probe).rev().find(|&i| !bits[i]));
         }
     }
 

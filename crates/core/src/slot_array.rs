@@ -13,33 +13,25 @@
 //!    the standard "rightmost-first when spreading right" discipline keep
 //!    the array sorted after *every* atomic move — a property the paper's
 //!    embedding relies on when it mirrors moves between layers.
-//! 3. **Navigation** — a word-level occupancy [`Bitmap`] (the ground truth,
-//!    one bit per slot) answers window-local questions in O(window/64)
-//!    words, and an occupancy Fenwick tree layered on top answers *global*
-//!    rank ↔ position queries in O(log m).
+//! 3. **Navigation** — one occupancy [`Bitmap`] (one bit per slot plus a
+//!    set-bit count per 512-slot block) answers window-local questions in
+//!    O(window/64) words, and rank ↔ position and free-slot queries in
+//!    O(log(m/512)) count reads plus one block's words.
 //!
 //! The contents array is sentinel-packed (`ElemId::NONE` marks a free
 //! slot): 8 bytes per slot plus one bitmap bit, where a `Vec<Option<ElemId>>`
 //! would spend 16 — half the memory, double the cache density on the scans
 //! that dominate rebalances.
 
-use crate::bitmap::{Bitmap, CappedScan};
-use crate::fenwick::Fenwick;
+use crate::bitmap::Bitmap;
 use crate::ids::ElemId;
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::report::MoveRec;
 use std::sync::Arc;
 
 /// Windows at most this wide answer [`SlotArray::occupied_in`] by bitmap
-/// popcount (≤ 32 words touched); wider windows use the Fenwick range,
-/// whose O(log m) walk wins on large spans.
+/// popcount (≤ 32 words touched); wider windows subtract two ranks.
 const POPCOUNT_WINDOW_MAX: usize = 2048;
-
-/// Free-slot scans examine at most this many bitmap words before falling
-/// back to the Fenwick complement search, bounding the worst case at
-/// O(cap + log² m) while keeping the (overwhelmingly common) word-local
-/// case at O(1).
-const FREE_SCAN_CAP_WORDS: usize = 32;
 
 /// An array of slots holding at most one element each, with an occupancy
 /// index and an append-only move log.
@@ -47,21 +39,19 @@ const FREE_SCAN_CAP_WORDS: usize = 32;
 pub struct SlotArray {
     /// Sentinel-packed contents: `ElemId::NONE` marks a free slot.
     contents: Vec<ElemId>,
-    /// Occupancy ground truth, one bit per slot.
+    /// Occupancy index, one bit per slot.
     bits: Bitmap,
-    /// Global rank/select index over the bitmap.
-    occ: Fenwick,
     log: Vec<MoveRec>,
     /// Total moves ever logged (survives log draining). Kept plain (not
     /// behind the metrics handle) because it is the cost-model contract —
     /// it always counts, even with metrics disabled.
     lifetime_moves: u64,
-    /// Shared observability sink: moves, scan words (the instrumentation
-    /// that pins rebalance work to O(window), not O(m) — counters are
-    /// atomic/relaxed only so `&self` iterators can record), and log-sink
-    /// drain/reuse counts. Installed by the owning structure via
-    /// [`set_metrics`](Self::set_metrics) so every layer of a composed
-    /// structure reports into one instance.
+    /// Shared observability sink: moves (added once per drained log), scan
+    /// words (the instrumentation that pins rebalance work to O(window),
+    /// not O(m) — counters are atomic/relaxed only so `&self` iterators can
+    /// record), and log-sink drain/reuse counts. Installed by the owning
+    /// structure via [`set_metrics`](Self::set_metrics) so every layer of a
+    /// composed structure reports into one instance.
     metrics: MetricsHandle,
 }
 
@@ -70,7 +60,6 @@ impl Clone for SlotArray {
         Self {
             contents: self.contents.clone(),
             bits: self.bits.clone(),
-            occ: self.occ.clone(),
             log: self.log.clone(),
             lifetime_moves: self.lifetime_moves,
             // Detach: the clone keeps the current readings but records
@@ -86,7 +75,6 @@ impl SlotArray {
         Self {
             contents: vec![ElemId::NONE; m],
             bits: Bitmap::new(m),
-            occ: Fenwick::new(m),
             log: Vec::new(),
             lifetime_moves: 0,
             metrics: ListMetrics::handle(true),
@@ -115,7 +103,7 @@ impl SlotArray {
     /// Number of stored elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.occ.total() as usize
+        self.bits.count_ones()
     }
 
     /// True if no elements are stored.
@@ -137,15 +125,7 @@ impl SlotArray {
         self.contents[pos] != ElemId::NONE
     }
 
-    /// Occupancy Fenwick tree (read-only): the global rank/select index.
-    /// The word-level [`bitmap`](Self::bitmap) is the ground truth it
-    /// mirrors.
-    #[inline]
-    pub fn occ(&self) -> &Fenwick {
-        &self.occ
-    }
-
-    /// The word-level occupancy bitmap (read-only ground truth).
+    /// The occupancy index (read-only).
     #[inline]
     pub fn bitmap(&self) -> &Bitmap {
         &self.bits
@@ -163,14 +143,14 @@ impl SlotArray {
     }
 
     /// Number of occupied slots in `[a, b)`: bitmap popcount for word-local
-    /// windows, Fenwick range for wide ones.
+    /// windows, a difference of two ranks for wide ones.
     #[inline]
     pub fn occupied_in(&self, a: usize, b: usize) -> usize {
         if b.saturating_sub(a) <= POPCOUNT_WINDOW_MAX {
             self.note_scan(Bitmap::words_spanned(a, b.min(self.num_slots())));
             self.bits.count_in(a, b)
         } else {
-            self.occ.range(a, b) as usize
+            self.bits.rank(b) - self.bits.rank(a)
         }
     }
 
@@ -179,7 +159,7 @@ impl SlotArray {
     /// Panics if `rank >= len`.
     #[inline]
     pub fn select(&self, rank: usize) -> usize {
-        self.occ.select(rank as u64).unwrap_or_else(|| {
+        self.bits.select(rank).unwrap_or_else(|| {
             panic!(
                 "select: rank {rank} out of range ({} occupied of {} slots)",
                 self.len(),
@@ -194,34 +174,21 @@ impl SlotArray {
     /// precede position `pos`.
     #[inline]
     pub fn rank_at(&self, pos: usize) -> usize {
-        self.occ.prefix(pos) as usize
+        self.bits.rank(pos)
     }
 
-    /// First free slot at or after `pos`: a word-level bitmap scan, falling
-    /// back to the Fenwick complement search if no free slot appears within
-    /// the scan cap.
+    /// First free slot at or after `pos`: the word holding `pos`, else a
+    /// select over free slots.
     #[inline]
     pub fn next_free(&self, pos: usize) -> Option<usize> {
-        let (scan, words) = self.bits.next_zero_capped(pos, FREE_SCAN_CAP_WORDS);
-        self.note_scan(words);
-        match scan {
-            CappedScan::Found(p) => Some(p),
-            CappedScan::Exhausted => None,
-            CappedScan::GaveUp(resume) => self.occ.next_unmarked_at_or_after(resume),
-        }
+        self.bits.next_zero(pos)
     }
 
     /// Last free slot at or before `pos` (same strategy as
     /// [`next_free`](Self::next_free)).
     #[inline]
     pub fn prev_free(&self, pos: usize) -> Option<usize> {
-        let (scan, words) = self.bits.prev_zero_capped(pos, FREE_SCAN_CAP_WORDS);
-        self.note_scan(words);
-        match scan {
-            CappedScan::Found(p) => Some(p),
-            CappedScan::Exhausted => None,
-            CappedScan::GaveUp(resume) => self.occ.prev_unmarked_at_or_before(resume),
-        }
+        self.bits.prev_zero(pos)
     }
 
     /// First occupied slot at or after `pos` — a word-level bitmap walk
@@ -251,10 +218,8 @@ impl SlotArray {
         );
         self.contents[pos] = elem;
         self.bits.set(pos);
-        self.occ.add(pos, 1);
         self.log.push(MoveRec { elem, from: pos as u32, to: pos as u32 });
         self.lifetime_moves += 1;
-        self.metrics.note_move();
     }
 
     /// Remove and return the element at `pos`. Cost 0 (removal is not a
@@ -270,7 +235,6 @@ impl SlotArray {
         }
         self.contents[pos] = ElemId::NONE;
         self.bits.clear(pos);
-        self.occ.add(pos, -1);
         elem
     }
 
@@ -308,13 +272,9 @@ impl SlotArray {
         );
         self.contents[from] = ElemId::NONE;
         self.contents[to] = elem;
-        self.bits.clear(from);
-        self.bits.set(to);
-        self.occ.add(from, -1);
-        self.occ.add(to, 1);
+        self.bits.move_bit(from, to);
         self.log.push(MoveRec { elem, from: from as u32, to: to as u32 });
         self.lifetime_moves += 1;
-        self.metrics.note_move();
         elem
     }
 
@@ -323,10 +283,11 @@ impl SlotArray {
     /// reuse — the zero-allocation move-log sink. In steady state (once
     /// `dst` has grown to the workload's high-water mark) no heap traffic
     /// occurs; [`log_sink_reuses`](Self::log_sink_reuses) counts exactly
-    /// those allocation-free drains.
+    /// those allocation-free drains. The drained moves are added to the
+    /// metrics' `moves` counter here, once per drain.
     pub fn drain_log_into(&mut self, dst: &mut Vec<MoveRec>) {
         dst.clear();
-        self.metrics.note_log_drain(dst.capacity() >= self.log.len());
+        self.metrics.note_log_drain(self.log.len() as u64, dst.capacity() >= self.log.len());
         dst.extend_from_slice(&self.log);
         self.log.clear();
     }
@@ -387,27 +348,20 @@ impl SlotArray {
         self.contents.iter().map(|&e| (e != ElemId::NONE).then_some(e)).collect()
     }
 
-    /// Heap bytes held by the physical representation (contents + bitmap +
-    /// Fenwick), for memory accounting in benches.
+    /// Heap bytes held by the physical representation (contents + bitmap),
+    /// for memory accounting in benches.
     pub fn memory_bytes(&self) -> usize {
-        self.contents.capacity() * std::mem::size_of::<ElemId>()
-            + self.bits.memory_bytes()
-            + self.occ.memory_bytes()
+        self.contents.capacity() * std::mem::size_of::<ElemId>() + self.bits.memory_bytes()
     }
 
-    /// Verify internal consistency: contents, bitmap and Fenwick tree must
-    /// agree at every position. One O(m) sweep (the Fenwick's point values
-    /// are recovered in O(m) total); test/diagnostic use only.
+    /// Verify internal consistency: contents and bitmap must agree at every
+    /// position, and the bitmap's block counts with its words. One O(m)
+    /// sweep; test/diagnostic use only.
     pub fn check_consistent(&self) {
-        let vals = self.occ.point_values();
-        let mut count = 0u64;
         for (i, &c) in self.contents.iter().enumerate() {
-            let occupied = c != ElemId::NONE;
-            assert_eq!(occupied, self.bits.get(i), "bitmap mismatch at {i}");
-            assert_eq!(occupied as u32, vals[i], "fenwick mismatch at {i}");
-            count += occupied as u64;
+            assert_eq!(c != ElemId::NONE, self.bits.get(i), "bitmap mismatch at {i}");
         }
-        assert_eq!(count, self.occ.total(), "total mismatch");
+        self.bits.check_consistent();
     }
 }
 
@@ -624,9 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn free_scan_fallback_beyond_cap() {
-        // One long fully-occupied run forces the Fenwick fallback.
-        let m = FREE_SCAN_CAP_WORDS * 64 * 2;
+    fn free_search_crosses_a_long_full_run() {
+        // One long fully-occupied run: the search leaves the first word and
+        // finds the free slot through the block counts.
+        let m = 4096;
         let mut s = SlotArray::new(m);
         let mut g = IdGen::new();
         let free = m - 3;
@@ -721,10 +676,10 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_and_fenwick_agree_under_churn() {
+    fn bitmap_queries_agree_with_a_linear_scan_under_churn() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let m = 300;
+        let m = 1300;
         let mut s = SlotArray::new(m);
         let mut g = IdGen::new();
         for _ in 0..3000 {
@@ -736,11 +691,13 @@ mod tests {
             }
             let q = rng.gen_range(0..m);
             let r = rng.gen_range(0..=m);
-            assert_eq!(s.bits.count_in(q.min(r), r), s.occ.range(q.min(r), r) as usize);
-            assert_eq!(s.next_occupied_at_or_after(q), s.occ.next_marked_at_or_after(q));
-            assert_eq!(s.prev_occupied_at_or_before(q), s.occ.prev_marked_at_or_before(q));
-            assert_eq!(s.next_free(q), s.occ.next_unmarked_at_or_after(q));
-            assert_eq!(s.prev_free(q), s.occ.prev_unmarked_at_or_before(q));
+            let occupied = |i: &usize| s.is_occupied(*i);
+            assert_eq!(s.occupied_in(q.min(r), r), (q.min(r)..r).filter(occupied).count());
+            assert_eq!(s.rank_at(q), (0..q).filter(occupied).count());
+            assert_eq!(s.next_occupied_at_or_after(q), (q..m).find(occupied));
+            assert_eq!(s.prev_occupied_at_or_before(q), (0..=q).rev().find(occupied));
+            assert_eq!(s.next_free(q), (q..m).find(|i| !occupied(i)));
+            assert_eq!(s.prev_free(q), (0..=q).rev().find(|i| !occupied(i)));
         }
         s.check_consistent();
     }
@@ -750,8 +707,8 @@ mod tests {
         let m = 1 << 12;
         let s = SlotArray::new(m);
         let per_slot = s.memory_bytes() as f64 / m as f64;
-        // 8 (contents) + 1/8 (bitmap) + 4 (fenwick u32) and small slack.
-        assert!(per_slot < 12.5, "per-slot memory {per_slot} too high");
-        assert!(per_slot >= 12.125, "per-slot memory {per_slot} suspiciously low");
+        // 8 (contents) + 1/8 (bitmap) + 4 bytes per 512-slot block count.
+        assert!(per_slot < 8.25, "per-slot memory {per_slot} too high");
+        assert!(per_slot >= 8.125, "per-slot memory {per_slot} suspiciously low");
     }
 }

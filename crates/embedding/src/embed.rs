@@ -47,7 +47,7 @@
 //! keeps indices at or above the embedding's capacity in a side map.
 
 use crate::tag_array::{SlotTag, TagArray};
-use lll_core::fenwick::Fenwick;
+use lll_core::bitmap::Bitmap;
 use lll_core::ids::{ElemId, IdAllocator, IdTable};
 use lll_core::report::{BulkReport, OpReport};
 use lll_core::slot_array::SlotArray;
@@ -227,8 +227,8 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     shell: R,
     /// The physical F-layout, in F-coordinates, including ghosts.
     cur_f: Vec<Option<ElemId>>,
-    /// Occupancy index over `cur_f`.
-    fen_curf: Fenwick,
+    /// Occupancy of `cur_f`, with rank.
+    cur_f_occ: Bitmap,
     /// Live elements → location and deadweight, indexed by id.
     elem_loc: IdTable<Placed>,
     /// Deleted elements still present in `cur_f` (ghosts). Looked up only
@@ -290,7 +290,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             sim,
             shell,
             cur_f: vec![None; f_count],
-            fen_curf: Fenwick::new(f_count),
+            cur_f_occ: Bitmap::new(f_count),
             elem_loc: IdTable::new(capacity),
             ghosts: HashMap::new(),
             pending_insert: None,
@@ -516,7 +516,6 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             return;
         }
         let e = self.cur_f[from_fidx].take().expect("relocate from empty F-slot");
-        self.fen_curf.add(from_fidx, -1);
         debug_assert!(self.cur_f[to_fidx].is_none(), "relocate into occupied F-slot");
         if self.elem_loc.contains(e) {
             let src = self.tags.f_pos(from_fidx);
@@ -533,7 +532,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             ghost.fidx = to_fidx;
         }
         self.cur_f[to_fidx] = Some(e);
-        self.fen_curf.add(to_fidx, 1);
+        self.cur_f_occ.move_bit(from_fidx, to_fidx);
     }
 
     /// Mirror the simulated copy's moves onto the physical array (fast path
@@ -713,7 +712,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         let mut lo = q[0];
         let mut hi = q[0];
         for &d in &q[1..] {
-            let blocked = self.fen_curf.range(hi + 1, d) > 0;
+            let blocked = self.cur_f_occ.rank(d) > self.cur_f_occ.rank(hi + 1);
             if blocked {
                 jobs.push(self.make_job(lo, hi));
                 lo = d;
@@ -777,7 +776,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                         debug_assert_eq!(held, job.targets.iter().any(|&(_, t)| t == e));
                         if !held {
                             self.cur_f[i] = None;
-                            self.fen_curf.add(i, -1);
+                            self.cur_f_occ.clear(i);
                             self.ghosts.remove(&e);
                             continue;
                         }
@@ -854,7 +853,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 self.elem_loc.insert(e, Placed::f(t_fidx));
                 debug_assert!(self.cur_f[t_fidx].is_none());
                 self.cur_f[t_fidx] = Some(e);
-                self.fen_curf.add(t_fidx, 1);
+                self.cur_f_occ.set(t_fidx);
                 self.stats.incorporations += 1;
                 self.stats.record_deadweight(deadweight);
             }
@@ -875,7 +874,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     // then): materialize as a ghost.
                     debug_assert!(self.cur_f[t_fidx].is_none());
                     self.cur_f[t_fidx] = Some(e);
-                    self.fen_curf.add(t_fidx, 1);
+                    self.cur_f_occ.set(t_fidx);
                     let deleted_during = self.stats.rebuilds_started;
                     self.ghosts.insert(e, Ghost { fidx: t_fidx, deleted_during });
                 }
@@ -984,7 +983,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                         let pos = self.tags.f_pos(fidx);
                         self.tags.place_content(pos, emb_id);
                         self.cur_f[fidx] = Some(emb_id);
-                        self.fen_curf.add(fidx, 1);
+                        self.cur_f_occ.set(fidx);
                         self.elem_loc.insert(emb_id, Placed::f(fidx));
                         placed = true;
                     }
@@ -998,7 +997,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                 let pos = self.tags.f_pos(fidx);
                 self.tags.place_content(pos, emb_id);
                 self.cur_f[fidx] = Some(emb_id);
-                self.fen_curf.add(fidx, 1);
+                self.cur_f_occ.set(fidx);
                 self.elem_loc.insert(emb_id, Placed::f(fidx));
             }
             let fidx_now = match self.elem_loc.get(emb_id).map(|p| p.loc()) {
@@ -1060,7 +1059,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                 let pos = self.tags.f_pos(fidx);
                 self.tags.place_content(pos, mv.elem);
                 self.cur_f[fidx] = Some(mv.elem);
-                self.fen_curf.add(fidx, 1);
+                self.cur_f_occ.set(fidx);
                 self.elem_loc.insert(mv.elem, Placed::f(fidx));
             } else {
                 self.emulator_relocate(mv.from as usize, mv.to as usize);
@@ -1089,7 +1088,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             let Loc::F(fidx) = placed.loc() else { unreachable!("buffered element on fast path") };
             self.tags.remove_content(pos);
             self.cur_f[fidx] = None;
-            self.fen_curf.add(fidx, -1);
+            self.cur_f_occ.clear(fidx);
             self.mirror_sim_moves(&sim_rep);
         } else {
             // Slow path: remove physically, leave a ghost if it was in A_F.

@@ -12,10 +12,11 @@
 //!
 //! [`TagArray`] maintains the tags, the real-element contents (a
 //! [`SlotArray`], so every physical move is order-checked and cost-logged),
-//! and four Fenwick indexes for O(log m) navigation between the three
-//! coordinate systems (positions, F-indices, R-slot-ranks).
+//! and four rank/select [`Bitmap`]s for navigation between the three
+//! coordinate systems (positions, F-indices, R-slot-ranks): a rank or
+//! select reads O(log(m/512)) block counts and one 512-bit block.
 
-use lll_core::fenwick::Fenwick;
+use lll_core::bitmap::Bitmap;
 use lll_core::ids::ElemId;
 use lll_core::slot_array::SlotArray;
 
@@ -36,14 +37,14 @@ pub struct TagArray {
     tags: Vec<SlotTag>,
     /// Real-element contents; all physical motion flows through this.
     pub contents: SlotArray,
-    /// Marked ⟺ tag ≠ White.
-    fen_nonwhite: Fenwick,
-    /// Marked ⟺ tag == F.
-    fen_f: Fenwick,
-    /// Marked ⟺ tag == Buf and the slot holds a real element.
-    fen_bufreal: Fenwick,
-    /// Marked ⟺ tag == Buf and the slot is a dummy.
-    fen_bufdummy: Fenwick,
+    /// Set ⟺ tag ≠ White.
+    nonwhite: Bitmap,
+    /// Set ⟺ tag == F.
+    f: Bitmap,
+    /// Set ⟺ tag == Buf and the slot holds a real element.
+    buf_real: Bitmap,
+    /// Set ⟺ tag == Buf and the slot is a dummy.
+    buf_dummy: Bitmap,
 }
 
 impl TagArray {
@@ -52,10 +53,10 @@ impl TagArray {
         Self {
             tags: vec![SlotTag::White; m],
             contents: SlotArray::new(m),
-            fen_nonwhite: Fenwick::new(m),
-            fen_f: Fenwick::new(m),
-            fen_bufreal: Fenwick::new(m),
-            fen_bufdummy: Fenwick::new(m),
+            nonwhite: Bitmap::new(m),
+            f: Bitmap::new(m),
+            buf_real: Bitmap::new(m),
+            buf_dummy: Bitmap::new(m),
         }
     }
 
@@ -72,22 +73,22 @@ impl TagArray {
 
     /// Count of F-slots.
     pub fn f_count(&self) -> usize {
-        self.fen_f.total() as usize
+        self.f.count_ones()
     }
 
     /// Count of buffer slots (dummy + real).
     pub fn buf_count(&self) -> usize {
-        (self.fen_bufreal.total() + self.fen_bufdummy.total()) as usize
+        self.buf_real.count_ones() + self.buf_dummy.count_ones()
     }
 
     /// Count of buffer slots holding real elements.
     pub fn buffered_real_count(&self) -> usize {
-        self.fen_bufreal.total() as usize
+        self.buf_real.count_ones()
     }
 
     /// Count of dummy buffer slots.
     pub fn buf_dummy_count(&self) -> usize {
-        self.fen_bufdummy.total() as usize
+        self.buf_dummy.count_ones()
     }
 
     // ----- coordinate translations -----------------------------------------
@@ -95,33 +96,27 @@ impl TagArray {
     /// Physical position of F-coordinate `fidx`.
     #[inline]
     pub fn f_pos(&self, fidx: usize) -> usize {
-        self.fen_f.select(fidx as u64).expect("F-index out of range")
+        self.f.select(fidx).expect("F-index out of range")
     }
 
     /// F-coordinate of the F-slot at `pos` (which must be an F-slot).
     #[inline]
     pub fn f_index_of(&self, pos: usize) -> usize {
         debug_assert_eq!(self.tags[pos], SlotTag::F);
-        self.fen_f.prefix(pos) as usize
-    }
-
-    /// Number of F-slots at positions strictly before `pos`.
-    #[inline]
-    pub fn f_tags_before(&self, pos: usize) -> usize {
-        self.fen_f.prefix(pos) as usize
+        self.f.rank(pos)
     }
 
     /// R-slot-rank of the non-white slot at `pos` (number of non-white
     /// slots strictly before it).
     #[inline]
     pub fn slot_rank(&self, pos: usize) -> usize {
-        self.fen_nonwhite.prefix(pos) as usize
+        self.nonwhite.rank(pos)
     }
 
     /// Position of the slot with R-slot-rank `rank`.
     #[inline]
     pub fn slot_pos(&self, rank: usize) -> usize {
-        self.fen_nonwhite.select(rank as u64).expect("slot rank out of range")
+        self.nonwhite.select(rank).expect("slot rank out of range")
     }
 
     /// First buffered real element strictly inside `(a, b)`, if any.
@@ -129,8 +124,7 @@ impl TagArray {
         if a + 1 >= b {
             return None;
         }
-        let before = self.fen_bufreal.prefix(a + 1);
-        let pos = self.fen_bufreal.select(before)?;
+        let pos = self.buf_real.select(self.buf_real.rank(a + 1))?;
         (pos < b).then_some(pos)
     }
 
@@ -139,11 +133,7 @@ impl TagArray {
         if a + 1 >= b {
             return None;
         }
-        let upto = self.fen_bufreal.prefix(b);
-        if upto == 0 {
-            return None;
-        }
-        let pos = self.fen_bufreal.select(upto - 1)?;
+        let pos = self.buf_real.select(self.buf_real.rank(b).checked_sub(1)?)?;
         (pos > a).then_some(pos)
     }
 
@@ -152,31 +142,31 @@ impl TagArray {
         if a + 1 >= b {
             return 0;
         }
-        self.fen_bufreal.range(a + 1, b) as usize
+        self.buf_real.rank(b) - self.buf_real.rank(a + 1)
     }
 
     /// Number of dummy buffer slots at positions strictly before `pos`.
     #[inline]
     pub fn dummies_before(&self, pos: usize) -> usize {
-        self.fen_bufdummy.prefix(pos) as usize
+        self.buf_dummy.rank(pos)
     }
 
     /// Position of the `k`-th (0-based) dummy buffer slot.
     #[inline]
     pub fn dummy_pos(&self, k: usize) -> Option<usize> {
-        self.fen_bufdummy.select(k as u64)
+        self.buf_dummy.select(k)
     }
 
     /// Number of buffered real elements at positions strictly before `pos`.
     #[inline]
     pub fn buffered_reals_before(&self, pos: usize) -> usize {
-        self.fen_bufreal.prefix(pos) as usize
+        self.buf_real.rank(pos)
     }
 
     /// Position of the `k`-th (0-based) buffered real element.
     #[inline]
     pub fn buffered_real_pos(&self, k: usize) -> Option<usize> {
-        self.fen_bufreal.select(k as u64)
+        self.buf_real.select(k)
     }
 
     /// The dummy buffer slot nearest to `pos` **in slot-rank (truncated
@@ -188,13 +178,9 @@ impl TagArray {
     /// leak R's randomness back into the operation sequence fed to R,
     /// violating Lemma 4 (the embedding's tests verify this operationally).
     pub fn nearest_dummy(&self, pos: usize) -> Option<usize> {
-        let total = self.fen_bufdummy.total();
-        if total == 0 {
-            return None;
-        }
-        let k = self.fen_bufdummy.prefix(pos);
-        let right = if k < total { self.fen_bufdummy.select(k) } else { None };
-        let left = if k > 0 { self.fen_bufdummy.select(k - 1) } else { None };
+        let k = self.buf_dummy.rank(pos);
+        let right = self.buf_dummy.select(k);
+        let left = k.checked_sub(1).and_then(|k| self.buf_dummy.select(k));
         match (left, right) {
             (Some(l), Some(r)) => {
                 let sr = self.slot_rank(pos);
@@ -203,22 +189,6 @@ impl TagArray {
                 Some(if dl <= dr { l } else { r })
             }
             (l, r) => l.or(r),
-        }
-    }
-
-    /// Next non-white position strictly after `pos`.
-    #[inline]
-    pub fn next_nonwhite(&self, pos: usize) -> Option<usize> {
-        self.fen_nonwhite.next_marked_at_or_after(pos + 1)
-    }
-
-    /// Previous non-white position strictly before `pos`.
-    #[inline]
-    pub fn prev_nonwhite(&self, pos: usize) -> Option<usize> {
-        if pos == 0 {
-            None
-        } else {
-            self.fen_nonwhite.prev_marked_at_or_before(pos - 1)
         }
     }
 
@@ -236,15 +206,15 @@ impl TagArray {
         match old {
             SlotTag::White => {}
             SlotTag::F => {
-                self.fen_f.add(pos, -1);
-                self.fen_nonwhite.add(pos, -1);
+                self.f.clear(pos);
+                self.nonwhite.clear(pos);
             }
             SlotTag::Buf => {
-                self.fen_nonwhite.add(pos, -1);
+                self.nonwhite.clear(pos);
                 if occupied {
-                    self.fen_bufreal.add(pos, -1);
+                    self.buf_real.clear(pos);
                 } else {
-                    self.fen_bufdummy.add(pos, -1);
+                    self.buf_dummy.clear(pos);
                 }
             }
         }
@@ -253,15 +223,15 @@ impl TagArray {
                 debug_assert!(!occupied, "cannot whiten an occupied slot");
             }
             SlotTag::F => {
-                self.fen_f.add(pos, 1);
-                self.fen_nonwhite.add(pos, 1);
+                self.f.set(pos);
+                self.nonwhite.set(pos);
             }
             SlotTag::Buf => {
-                self.fen_nonwhite.add(pos, 1);
+                self.nonwhite.set(pos);
                 if occupied {
-                    self.fen_bufreal.add(pos, 1);
+                    self.buf_real.set(pos);
                 } else {
-                    self.fen_bufdummy.add(pos, 1);
+                    self.buf_dummy.set(pos);
                 }
             }
         }
@@ -286,8 +256,8 @@ impl TagArray {
         // The content has left `from`; reconcile the buffered-real index
         // before retagging (retag reads current occupancy).
         if tag == SlotTag::Buf && elem.is_some() {
-            self.fen_bufreal.add(from, -1);
-            self.fen_bufdummy.add(from, 1);
+            self.buf_real.clear(from);
+            self.buf_dummy.set(from);
         }
         self.retag(from, SlotTag::White);
         self.retag(to, tag);
@@ -295,19 +265,19 @@ impl TagArray {
     }
 
     /// Move real content between two non-white slots (emulator motion).
-    /// Fenwick indexes for buffered-real/dummy tracking are updated from
-    /// the tags at both endpoints.
+    /// The buffered-real and dummy bitmaps are updated from the tags at
+    /// both endpoints.
     pub fn move_content(&mut self, from: usize, to: usize) -> ElemId {
         debug_assert_ne!(self.tags[from], SlotTag::White);
         debug_assert_ne!(self.tags[to], SlotTag::White);
         if self.tags[from] == SlotTag::Buf {
-            self.fen_bufreal.add(from, -1);
-            self.fen_bufdummy.add(from, 1);
+            self.buf_real.clear(from);
+            self.buf_dummy.set(from);
         }
         let e = self.contents.move_elem(from, to);
         if self.tags[to] == SlotTag::Buf {
-            self.fen_bufreal.add(to, 1);
-            self.fen_bufdummy.add(to, -1);
+            self.buf_real.set(to);
+            self.buf_dummy.clear(to);
         }
         e
     }
@@ -317,8 +287,8 @@ impl TagArray {
         debug_assert_ne!(self.tags[pos], SlotTag::White);
         self.contents.place(pos, elem);
         if self.tags[pos] == SlotTag::Buf {
-            self.fen_bufreal.add(pos, 1);
-            self.fen_bufdummy.add(pos, -1);
+            self.buf_real.set(pos);
+            self.buf_dummy.clear(pos);
         }
     }
 
@@ -326,8 +296,8 @@ impl TagArray {
     pub fn remove_content(&mut self, pos: usize) -> ElemId {
         let e = self.contents.remove(pos);
         if self.tags[pos] == SlotTag::Buf {
-            self.fen_bufreal.add(pos, -1);
-            self.fen_bufdummy.add(pos, 1);
+            self.buf_real.clear(pos);
+            self.buf_dummy.set(pos);
         }
         e
     }
@@ -336,18 +306,21 @@ impl TagArray {
     /// and contents.
     pub fn check_consistent(&self) {
         self.contents.check_consistent();
+        for bits in [&self.nonwhite, &self.f, &self.buf_real, &self.buf_dummy] {
+            bits.check_consistent();
+        }
         for pos in 0..self.tags.len() {
             let t = self.tags[pos];
             let occ = self.contents.is_occupied(pos);
-            assert_eq!(self.fen_nonwhite.range(pos, pos + 1) == 1, t != SlotTag::White);
-            assert_eq!(self.fen_f.range(pos, pos + 1) == 1, t == SlotTag::F);
+            assert_eq!(self.nonwhite.get(pos), t != SlotTag::White);
+            assert_eq!(self.f.get(pos), t == SlotTag::F);
             assert_eq!(
-                self.fen_bufreal.range(pos, pos + 1) == 1,
+                self.buf_real.get(pos),
                 t == SlotTag::Buf && occ,
                 "bufreal mismatch at {pos}"
             );
             assert_eq!(
-                self.fen_bufdummy.range(pos, pos + 1) == 1,
+                self.buf_dummy.get(pos),
                 t == SlotTag::Buf && !occ,
                 "bufdummy mismatch at {pos}"
             );
@@ -383,9 +356,6 @@ mod tests {
         assert_eq!(t.f_index_of(5), 2);
         assert_eq!(t.slot_rank(3), 2);
         assert_eq!(t.slot_pos(4), 7);
-        assert_eq!(t.next_nonwhite(3), Some(5));
-        assert_eq!(t.prev_nonwhite(3), Some(2));
-        assert_eq!(t.prev_nonwhite(0), None);
     }
 
     #[test]

@@ -250,6 +250,55 @@ fn ordered_list_rebuilds_actually_happened() {
     ol.check_labels();
 }
 
+/// `metrics().moves` counts every element move: pinned per backend after a
+/// fixed-seed grow/shrink/churn stream, on a fixed-capacity structure and on
+/// an `OrderedList` that rebuilds as it grows and shrinks. On the backends
+/// with one slot array it also equals that array's own move count after
+/// every operation, so no move waits in an undrained log. (The layered
+/// backends' counts also take the moves of their simulated and R-shell
+/// levels, which share the handle.)
+#[test]
+fn metrics_moves_count_every_move_on_every_backend() {
+    use layered_list_labeling::core::ids::IdGen;
+    // (backend, fixed-capacity moves, OrderedList moves)
+    const PINNED: [(Backend, u64, u64); 6] = [
+        (Backend::Classic, 43_689, 22_229),
+        (Backend::Deamortized, 49_160, 23_459),
+        (Backend::Randomized, 53_961, 22_697),
+        (Backend::Adaptive, 96_311, 21_519),
+        (Backend::Corollary11, 227_519, 54_177),
+        (Backend::Corollary12, 34_636, 191_014),
+    ];
+    let ops = grow_shrink_ops(1500, 0x3E7);
+    for (backend, fixed_moves, list_moves) in PINNED {
+        let name = backend.name();
+        let one_array = !matches!(backend, Backend::Corollary11 | Backend::Corollary12);
+        let mut fixed = ListBuilder::new().seed(0x3E7).backend(backend).build_fixed(1500);
+        let mut ids = IdGen::new();
+        for (i, &op) in ops.iter().enumerate() {
+            fixed.apply(op, &mut ids);
+            if one_array {
+                let slots = fixed.slots();
+                assert_eq!(slots.metrics().moves.get(), slots.lifetime_moves(), "[{name}] op {i}");
+            }
+        }
+        assert_eq!(fixed.slots().metrics().moves.get(), fixed_moves, "[{name}] fixed");
+
+        let mut list: OrderedList<u32> =
+            ListBuilder::new().seed(0x3E7).backend(backend).initial_capacity(16).ordered_list();
+        let mut handles = Vec::new();
+        for &op in &ops {
+            match op {
+                Op::Insert(r) => handles.insert(r, list.insert_at(r, 0)),
+                Op::Delete(r) => {
+                    list.remove(handles.remove(r));
+                }
+            }
+        }
+        assert_eq!(list.metrics().moves.get(), list_moves, "[{name}] ordered list");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 

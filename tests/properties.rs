@@ -105,15 +105,16 @@ proptest! {
     }
 
     #[test]
-    fn windowed_iteration_and_bitmap_agree_with_fenwick_on_all_backends(
+    fn windowed_iteration_and_bitmap_agree_with_linear_scan_on_all_backends(
         ops in op_seq(300, 100),
         windows in proptest::collection::vec((any::<u16>(), any::<u16>()), 8),
     ) {
         // The physical-layer contracts behind window-bounded rebalances,
         // checked under randomized churn on every selectable backend:
         //  * iter_occupied_in(a, b) ≡ the full iteration filtered to [a, b)
-        //  * the occupancy bitmap ≡ the Fenwick index, point for point
-        //  * occupied_in / free- and occupied-neighbor queries ≡ Fenwick
+        //  * the occupancy bitmap ≡ the contents, point for point
+        //  * occupied_in / free- and occupied-neighbor queries ≡ a linear
+        //    scan of is_occupied
         let mut ids = IdGen::new();
         for backend in Backend::ALL {
             let mut s = ListBuilder::new().seed(11).backend(backend).build_fixed(100);
@@ -122,12 +123,13 @@ proptest! {
             }
             let slots = s.slots();
             let m = slots.num_slots();
-            // Bitmap ≡ Fenwick, point for point (one O(m) sweep).
-            let vals = slots.occ().point_values();
-            for (i, &v) in vals.iter().enumerate() {
-                prop_assert_eq!(slots.bitmap().get(i), v == 1, "backend {}", backend.name());
-                prop_assert_eq!(slots.is_occupied(i), v == 1, "backend {}", backend.name());
+            let occupied: Vec<bool> = (0..m).map(|i| slots.is_occupied(i)).collect();
+            // Bitmap ≡ contents, point for point, and its block counts ≡ its
+            // words (one O(m) sweep each).
+            for (i, &occ) in occupied.iter().enumerate() {
+                prop_assert_eq!(slots.bitmap().get(i), occ, "backend {}", backend.name());
             }
+            slots.check_consistent();
             let full: Vec<_> = slots.iter_occupied().collect();
             prop_assert_eq!(full.len(), s.len(), "backend {}", backend.name());
             for &(wa, wb) in &windows {
@@ -138,31 +140,30 @@ proptest! {
                     full.iter().copied().filter(|&(p, _)| a <= p && p < b).collect();
                 prop_assert_eq!(&got, &want, "backend {} window [{}, {})", backend.name(), a, b);
                 prop_assert_eq!(
-                    slots.occupied_in(a, b), slots.occ().range(a, b) as usize,
+                    slots.occupied_in(a, b), occupied[a..b].iter().filter(|&&o| o).count(),
                     "backend {}", backend.name()
                 );
                 if a < m {
                     prop_assert_eq!(
-                        slots.next_free(a), slots.occ().next_unmarked_at_or_after(a),
+                        slots.next_free(a), (a..m).find(|&i| !occupied[i]),
                         "backend {}", backend.name()
                     );
                     prop_assert_eq!(
-                        slots.prev_free(a), slots.occ().prev_unmarked_at_or_before(a),
+                        slots.prev_free(a), (0..=a).rev().find(|&i| !occupied[i]),
                         "backend {}", backend.name()
                     );
                     prop_assert_eq!(
-                        slots.next_occupied_at_or_after(a),
-                        slots.occ().next_marked_at_or_after(a),
+                        slots.next_occupied_at_or_after(a), (a..m).find(|&i| occupied[i]),
                         "backend {}", backend.name()
                     );
                     prop_assert_eq!(
                         slots.prev_occupied_at_or_before(a),
-                        slots.occ().prev_marked_at_or_before(a),
+                        (0..=a).rev().find(|&i| occupied[i]),
                         "backend {}", backend.name()
                     );
                 }
             }
-            // Rank/select round trip through both indexes.
+            // Rank/select round trip through the index.
             for r in 0..s.len() {
                 let pos = slots.select(r);
                 prop_assert!(slots.bitmap().get(pos), "backend {}", backend.name());
