@@ -22,9 +22,7 @@ use lll_core::rng::derive_seed;
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_deamortized::DeamortizedBuilder;
-use lll_embedding::layered::{corollary11_builder, inner_yz_builder, layered_configs};
-use lll_embedding::EmbedBuilder;
-use lll_predictions::{PredictedBuilder, ScaledRankPredictor};
+use lll_embedding::layered::corollary11_builder;
 use lll_randomized::RandomizedBuilder;
 
 /// The rank-addressed operations the API layer needs from a dynamically
@@ -59,9 +57,9 @@ pub trait RawList {
     fn delete(&mut self, rank: usize) -> Handle;
 
     /// Insert at `rank`, draining the operation's move log into `out`
-    /// (cleared and refilled, keeping its allocation — the zero-allocation
-    /// label-table maintenance path). The log excludes any growth rebuild,
-    /// which is signalled by the epoch instead.
+    /// (cleared, then its move buffer traded for the log's — the
+    /// zero-allocation label-table maintenance path). The log excludes any
+    /// growth rebuild, which is signalled by the epoch instead.
     fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle;
 
     /// Delete at `rank`, draining the move log into `out` (same epoch
@@ -241,26 +239,30 @@ pub enum Backend {
     Randomized,
     /// Bender–Hu adaptive PMA (the `X` layer): O(log n) on hammer inserts.
     Adaptive,
-    /// The paper's Corollary 11: adaptive ⊳ (randomized ⊳ deamortized) —
-    /// combines all three layers' strengths. The recommended default.
+    /// The paper's Corollary 11: adaptive ⊳ (randomized ⊳ deamortized),
+    /// whose move bounds combine all three layers' (Theorem 3).
+    ///
+    /// The default because it is the paper's reproduction, not because it
+    /// is fastest: end to end it trails each of its own layers. On
+    /// ladderbench (`ShardedMap`, n = 2^18, `--seconds 5`, seeds 1701 and
+    /// 1702, 2-vCPU x86-64 VM) a clustered-ingest insert costs 104–110×
+    /// a `BTreeMap` insert, against 10–15× on adaptive, randomized or
+    /// deamortized alone, and a uniform-mix insert 3.6–3.9× against
+    /// 1.9–2.2×. It takes 0.40–0.48 s to set up against 0.05–0.09 s, and
+    /// 279 resident bytes per entry against 40. Pick a single layer when
+    /// time or memory matters more than the combined move bounds.
     Corollary11,
-    /// The paper's Corollary 12: learning-augmented ⊳ (randomized ⊳
-    /// deamortized), here with the no-information scaled-rank predictor
-    /// (callers with real predictions use
-    /// [`lll_embedding::corollary12_builder`] via static dispatch).
-    Corollary12,
 }
 
 impl Backend {
     /// Every selectable backend, for exhaustive sweeps in tests and
     /// experiments.
-    pub const ALL: [Backend; 6] = [
+    pub const ALL: [Backend; 5] = [
         Backend::Classic,
         Backend::Deamortized,
         Backend::Randomized,
         Backend::Adaptive,
         Backend::Corollary11,
-        Backend::Corollary12,
     ];
 
     /// A short stable name (for tables, logs, plots, and the snapshot
@@ -273,7 +275,6 @@ impl Backend {
             Backend::Randomized => "randomized",
             Backend::Adaptive => "adaptive",
             Backend::Corollary11 => "corollary11",
-            Backend::Corollary12 => "corollary12",
         }
     }
 }
@@ -334,8 +335,6 @@ pub struct ListConfig {
     pub seed: u64,
     /// The pre-growth capacity floor (a hint, not persisted state).
     pub initial_capacity: usize,
-    /// The Corollary 12 prediction-error budget (ignored elsewhere).
-    pub eta: usize,
 }
 
 /// Configuration entry point for every container in this crate.
@@ -355,26 +354,21 @@ pub struct ListBuilder {
     backend: Backend,
     seed: u64,
     initial_capacity: usize,
-    eta: usize,
     metrics: bool,
 }
 
 impl Default for ListBuilder {
     fn default() -> Self {
-        Self {
-            backend: Backend::Corollary11,
-            seed: 0x11,
-            initial_capacity: 64,
-            eta: 64,
-            metrics: true,
-        }
+        Self { backend: Backend::Corollary11, seed: 0x11, initial_capacity: 64, metrics: true }
     }
 }
 
 impl ListBuilder {
-    /// A builder with the recommended defaults: the Corollary 11 layered
-    /// structure, a fixed seed, and a small initial capacity (the structure
-    /// grows on demand — `n` is never chosen up front).
+    /// A builder with the defaults: the Corollary 11 layered structure (the
+    /// paper's reproduction, slower and larger than any one of its layers
+    /// — see [`Backend::Corollary11`] for the measured trade), a fixed
+    /// seed, and a small initial capacity (the structure grows on demand —
+    /// `n` is never chosen up front).
     pub fn new() -> Self {
         Self::default()
     }
@@ -386,7 +380,6 @@ impl ListBuilder {
             backend: cfg.backend,
             seed: cfg.seed,
             initial_capacity: cfg.initial_capacity.max(1),
-            eta: cfg.eta.max(1),
             metrics: true,
         }
     }
@@ -398,7 +391,6 @@ impl ListBuilder {
             backend: self.backend,
             seed: self.seed,
             initial_capacity: self.initial_capacity,
-            eta: self.eta,
         }
     }
 
@@ -421,13 +413,6 @@ impl ListBuilder {
         self
     }
 
-    /// For [`Backend::Corollary12`]: the prediction-error budget η the
-    /// structure is tuned for. Ignored by the other backends.
-    pub fn eta(mut self, eta: usize) -> Self {
-        self.eta = eta.max(1);
-        self
-    }
-
     /// Enable or disable metrics recording (default: enabled). With
     /// `false` the built backend's [`ListMetrics`] handle is a no-op on
     /// every recording path — the knob overhead benchmarks use to pin the
@@ -436,20 +421,6 @@ impl ListBuilder {
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
-    }
-
-    fn corollary12_scaled(
-        &self,
-    ) -> EmbedBuilder<
-        PredictedBuilder<ScaledRankPredictor>,
-        EmbedBuilder<RandomizedBuilder, DeamortizedBuilder>,
-    > {
-        let (outer_cfg, _) = layered_configs();
-        EmbedBuilder {
-            f: PredictedBuilder { eta: self.eta, predictor: ScaledRankPredictor },
-            r: inner_yz_builder(derive_seed(self.seed, 0xC12)),
-            cfg: outer_cfg,
-        }
     }
 
     /// Build the configured backend as a dynamically sized, type-erased
@@ -477,9 +448,6 @@ impl ListBuilder {
             Backend::Corollary11 => {
                 Box::new(Growable::with_metrics(corollary11_builder(self.seed), cap, m()))
             }
-            Backend::Corollary12 => {
-                Box::new(Growable::with_metrics(self.corollary12_scaled(), cap, m()))
-            }
         };
         ErasedList { inner, config: self.config() }
     }
@@ -499,7 +467,6 @@ impl ListBuilder {
             Backend::Corollary11 => {
                 Box::new(corollary11_builder(self.seed).build_default(capacity))
             }
-            Backend::Corollary12 => Box::new(self.corollary12_scaled().build_default(capacity)),
         };
         built.set_metrics(ListMetrics::handle(self.metrics));
         built
@@ -689,7 +656,7 @@ mod tests {
 
     #[test]
     fn erased_list_remembers_its_config() {
-        let b = ListBuilder::new().backend(Backend::Randomized).seed(99).eta(7);
+        let b = ListBuilder::new().backend(Backend::Randomized).seed(99);
         let list = b.build();
         assert_eq!(list.config(), b.config());
         assert_eq!(list.config().backend, Backend::Randomized);

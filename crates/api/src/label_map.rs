@@ -556,7 +556,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
 
 impl<K: Ord + Codec, V: Codec> LabelMap<K, V> {
     /// Write a durable snapshot of the map: the versioned header (backend,
-    /// seed, η, entry count) followed by every `(key, value)` pair in
+    /// seed, entry count) followed by every `(key, value)` pair in
     /// ascending key order — one label-to-label sweep of the slot array,
     /// no intermediate buffers. Labels themselves are **not** persisted:
     /// they are ephemeral artifacts of the rebalancing scheme, and only
@@ -587,7 +587,7 @@ impl<K: Ord + Codec, V: Codec> LabelMap<K, V> {
 
     /// Restore a map from a snapshot written by
     /// [`write_snapshot`](Self::write_snapshot): rebuild the recorded
-    /// backend (same algorithm, seed, and η), then land the decoded sorted
+    /// backend (same algorithm and seed), then land the decoded sorted
     /// run through the O(n) bulk-load sweep — exactly one move per element,
     /// no per-op replay, regardless of the backend's per-operation movement
     /// bound.

@@ -78,8 +78,7 @@ fn assert_thread_safe() {
     assert_send_sync::<Growable<lll_deamortized::DeamortizedBuilder>>();
     assert_send_sync::<Growable<lll_randomized::RandomizedBuilder>>();
     assert_send_sync::<Growable<lll_adaptive::AdaptiveBuilder>>();
-    // …the Corollary 11 layered composition (Corollary 12's is covered by
-    // the coercion in `ListBuilder::build`, its builder type is private)…
+    // …the Corollary 11 layered composition…
     fn assert_growable_builder<B: lll_core::traits::LabelingBuilder>(_: &B)
     where
         Growable<B>: Send + Sync,

@@ -22,7 +22,7 @@
 //! container u8      (1 = LabelMap, 2 = OrderedList, 3 = ShardedMap)
 //! backend  String   (Backend::name(), round-tripped via FromStr)
 //! seed     u64
-//! eta      u64
+//! reserved u64      (always 64; ignored on read)
 //! count    u64      (total entries)
 //! payload  …        (container-specific; see docs/persistence.md)
 //! ```
@@ -66,6 +66,11 @@ pub const MAGIC: [u8; 8] = *b"LLLSNAP\0";
 
 /// The current (and only) snapshot format version this reader decodes.
 pub const FORMAT_VERSION: u32 = 1;
+
+/// The header word after the seed. It once held a prediction-error budget
+/// that any backend could carry, so readers skip it unvalidated; writers
+/// keep stamping the old default so version-1 bytes do not change.
+const RESERVED_WORD: u64 = 64;
 
 // The length-guard helpers were born here and are re-exported under their
 // original names; they now live in [`crate::codec`] so the server's wire
@@ -367,9 +372,6 @@ pub struct Header {
     pub backend: Backend,
     /// The backend's random-tape seed.
     pub seed: u64,
-    /// The Corollary 12 prediction-error budget (meaningless for the other
-    /// backends, persisted so restore reproduces the exact configuration).
-    pub eta: u64,
     /// Total entries in the payload.
     pub count: u64,
 }
@@ -378,7 +380,7 @@ impl Header {
     /// Assemble a header from a container kind, a backend [`ListConfig`],
     /// and an entry count.
     pub fn new(container: ContainerKind, cfg: ListConfig, count: u64) -> Self {
-        Self { container, backend: cfg.backend, seed: cfg.seed, eta: cfg.eta as u64, count }
+        Self { container, backend: cfg.backend, seed: cfg.seed, count }
     }
 
     /// The [`ListConfig`] this header describes (initial capacity is a
@@ -388,7 +390,6 @@ impl Header {
             backend: self.backend,
             seed: self.seed,
             initial_capacity: crate::ListBuilder::new().config().initial_capacity,
-            eta: usize::try_from(self.eta).unwrap_or(usize::MAX),
         }
     }
 
@@ -399,13 +400,14 @@ impl Header {
         self.container.tag().encode(w)?;
         self.backend.name().to_string().encode(w)?;
         self.seed.encode(w)?;
-        self.eta.encode(w)?;
+        RESERVED_WORD.encode(w)?;
         self.count.encode(w)?;
         Ok(())
     }
 
     /// Read and validate a header: magic, version, container tag, backend
-    /// name (via [`Backend::from_str`](std::str::FromStr)).
+    /// name (via [`Backend::from_str`](std::str::FromStr)). The reserved
+    /// word is read and ignored, whatever it holds.
     pub fn read_from<R: Read + ?Sized>(r: &mut R) -> Result<Self, SnapshotError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -421,13 +423,10 @@ impl Header {
             String::decode(r)?.parse().map_err(|e: crate::backend::ParseBackendError| {
                 SnapshotError::UnknownBackend(e.unknown)
             })?;
-        Ok(Self {
-            container,
-            backend,
-            seed: u64::decode(r)?,
-            eta: u64::decode(r)?,
-            count: u64::decode(r)?,
-        })
+        let seed = u64::decode(r)?;
+        let _reserved = u64::decode(r)?;
+        let count = u64::decode(r)?;
+        Ok(Self { container, backend, seed, count })
     }
 
     /// [`read_from`](Self::read_from), then require the given container
@@ -528,6 +527,13 @@ mod tests {
         assert_eq!(header.config().backend, Backend::Adaptive);
         assert_eq!(header.config().seed, 0xFEED);
 
+        // The reserved word after the seed ("adaptive" ends at 29) is
+        // written as 64 and ignored on read, whatever it holds.
+        assert_eq!(buf[37..45], 64u64.to_le_bytes());
+        let mut reserved = buf.clone();
+        reserved[37..45].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(Header::read_from(&mut reserved.as_slice()).unwrap(), header);
+
         // Wrong container: typed error naming both sides.
         match Header::read_expecting(&mut buf.as_slice(), ContainerKind::OrderedList) {
             Err(SnapshotError::WrongContainer { expected, found }) => {
@@ -558,12 +564,19 @@ mod tests {
             Err(SnapshotError::UnknownContainer(0xAB))
         ));
 
-        // Unknown backend name (flip a letter inside the framed string).
+        // Unknown backend names: a letter flipped inside the framed string,
+        // and the retired "corollary12" (one byte away from "corollary11").
         let mut name = buf.clone();
         name[21] = b'x';
-        match Header::read_from(&mut name.as_slice()) {
-            Err(SnapshotError::UnknownBackend(s)) => assert!(!s.is_empty()),
-            other => panic!("expected UnknownBackend, got {other:?}"),
+        let cfg = crate::ListBuilder::new().backend(Backend::Corollary11).config();
+        let mut retired = Vec::new();
+        Header::new(ContainerKind::LabelMap, cfg, 123).write_to(&mut retired).unwrap();
+        retired[21 + "corollary1".len()] = b'2';
+        for (bytes, want) in [(name, "xdaptive"), (retired, "corollary12")] {
+            match Header::read_from(&mut bytes.as_slice()) {
+                Err(SnapshotError::UnknownBackend(s)) => assert_eq!(s, want),
+                other => panic!("expected UnknownBackend({want:?}), got {other:?}"),
+            }
         }
 
         // Every strict prefix is Truncated (or BadMagic for the sub-magic

@@ -146,10 +146,10 @@ fn main() {
             1 << 14
         } else {
             match backend {
-                // The layered embeddings run every op through three
+                // The layered embedding runs every op through three
                 // structures; a smaller n keeps the full run under a
                 // minute without losing the asymptotic regime.
-                Backend::Corollary11 | Backend::Corollary12 => 1 << 17,
+                Backend::Corollary11 => 1 << 17,
                 _ => 1 << 20,
             }
         };

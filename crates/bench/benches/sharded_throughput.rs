@@ -118,7 +118,7 @@ fn main() {
          rebalance domains alone, with >= 4 the per-shard lock independence stacks on top"
     );
     // Acceptance workload: the classic PMA has the lightest per-insert
-    // constant of the six backends, making the coarse-locked baseline as
+    // constant of the five backends, making the coarse-locked baseline as
     // fast as it can be — the hardest case for the sharded map to beat.
     bench_backend(
         Backend::Classic,

@@ -492,5 +492,18 @@ mod tests {
         let first: f64 = rows.first().unwrap()[1].parse().unwrap();
         let last: f64 = rows[rows.len() - 2][1].parse().unwrap();
         assert!(last >= first * 0.8, "eta sweep shape broken: {first} -> {last}");
+        // The whole quick table is deterministic per seed: pin every cell.
+        let pinned = [
+            ["0", "1.00", "1.00", "1"],
+            ["4", "1.03", "1.02", "12"],
+            ["16", "2.29", "1.31", "76"],
+            ["64", "5.50", "4.87", "172"],
+            ["256", "16.7", "18.9", "184"],
+            ["(classic ref)", "38.8", "-", "-"],
+        ];
+        assert_eq!(rows.len(), pinned.len());
+        for (row, want) in rows.iter().zip(pinned) {
+            assert_eq!(row, &want, "E6 row changed");
+        }
     }
 }

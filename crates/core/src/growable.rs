@@ -236,7 +236,7 @@ impl<B: LabelingBuilder> Growable<B> {
     }
 
     /// Insert at `rank`, draining the operation's move log into `out`
-    /// (cleared and refilled, keeping its allocation).
+    /// (cleared, then its move buffer traded for the log's).
     ///
     /// The report covers the insertion itself, not any growth rebuild that
     /// preceded it: a rebuild rewrites *every* label, which the report

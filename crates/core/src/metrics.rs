@@ -1,11 +1,11 @@
 //! Per-instance structural metrics for list-labeling structures.
 //!
 //! [`ListMetrics`] unifies what used to be ad-hoc counters scattered across
-//! `SlotArray` (`scan_words`, `log_sink_drains`) and `Growable`
-//! (`rank_resolutions`) into one shared handle, and extends them with the
-//! distributional views the paper's analysis is actually about: histograms
-//! of rebalance window widths, moves per rebalance, and moves per
-//! operation, plus a bounded [`TraceRing`] of recent structural events.
+//! `SlotArray` (`scan_words`) and `Growable` (`rank_resolutions`) into one
+//! shared handle, and extends them with the distributional views the
+//! paper's analysis is actually about: histograms of rebalance window
+//! widths, moves per rebalance, and moves per operation, plus a bounded
+//! [`TraceRing`] of recent structural events.
 //!
 //! A [`MetricsHandle`] (`Arc<ListMetrics>`) is installed into a structure
 //! and all of its inner layers, so a `Growable` and the `SlotArray` inside
@@ -52,10 +52,6 @@ pub struct ListMetrics {
     pub rank_resolutions: Counter,
     /// Capacity-changing rebuilds (each invalidates outstanding labels).
     pub epoch_bumps: Counter,
-    /// Move-log drains into a caller buffer.
-    pub log_sink_drains: Counter,
-    /// Drains that reused the caller buffer's capacity (no allocation).
-    pub log_sink_reuses: Counter,
     /// Rebalance window widths, in slots.
     pub rebalance_window: Histogram,
     /// Element moves per rebalance.
@@ -79,8 +75,6 @@ impl ListMetrics {
             scan_words: Counter::new(),
             rank_resolutions: Counter::new(),
             epoch_bumps: Counter::new(),
-            log_sink_drains: Counter::new(),
-            log_sink_reuses: Counter::new(),
             rebalance_window: Histogram::moves(),
             rebalance_moves: Histogram::moves(),
             moves_per_op: Histogram::moves(),
@@ -111,8 +105,6 @@ impl ListMetrics {
             scan_words: self.scan_words.clone(),
             rank_resolutions: self.rank_resolutions.clone(),
             epoch_bumps: self.epoch_bumps.clone(),
-            log_sink_drains: self.log_sink_drains.clone(),
-            log_sink_reuses: self.log_sink_reuses.clone(),
             rebalance_window: self.rebalance_window.clone(),
             rebalance_moves: self.rebalance_moves.clone(),
             moves_per_op: self.moves_per_op.clone(),
@@ -130,19 +122,14 @@ impl ListMetrics {
         self.scan_words.add(words);
     }
 
-    /// A move-log drain of `moves` moves; `reused` = the caller buffer had
-    /// capacity.
+    /// A move-log drain of `moves` moves.
     // lll-check: no-alloc
     #[inline]
-    pub fn note_log_drain(&self, moves: u64, reused: bool) {
+    pub fn note_log_drain(&self, moves: u64) {
         if !self.enabled {
             return;
         }
         self.moves.add(moves);
-        self.log_sink_drains.inc();
-        if reused {
-            self.log_sink_reuses.inc();
-        }
     }
 
     /// One label → rank resolution.
@@ -216,7 +203,7 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let m = ListMetrics::new(false);
-        m.note_log_drain(4, true);
+        m.note_log_drain(4);
         m.note_scan(10);
         m.note_rebalance(64, 12);
         m.note_op_moves(3);
@@ -233,8 +220,8 @@ mod tests {
     fn enabled_handle_records_counters_histograms_and_trace() {
         let m = ListMetrics::new(true);
         m.note_scan(7);
-        m.note_log_drain(2, true);
-        m.note_log_drain(0, false);
+        m.note_log_drain(2);
+        m.note_log_drain(0);
         m.note_rank_resolution();
         m.note_splice(100);
         m.note_op_moves(5);
@@ -242,7 +229,6 @@ mod tests {
         m.note_epoch_bump(true, 256, 90);
         assert_eq!(m.moves.get(), 2);
         assert_eq!(m.scan_words.get(), 7);
-        assert_eq!((m.log_sink_drains.get(), m.log_sink_reuses.get()), (2, 1));
         assert_eq!(m.rank_resolutions.get(), 1);
         assert_eq!((m.splices.get(), m.spliced_elems.get()), (1, 100));
         assert_eq!(m.moves_per_op.count(), 1);
@@ -261,9 +247,9 @@ mod tests {
     #[test]
     fn snapshot_detaches() {
         let m = ListMetrics::new(true);
-        m.note_log_drain(1, true);
+        m.note_log_drain(1);
         let snap = m.snapshot();
-        m.note_log_drain(1, true);
+        m.note_log_drain(1);
         assert_eq!(snap.moves.get(), 1);
         assert_eq!(m.moves.get(), 2);
     }

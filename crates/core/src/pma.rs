@@ -673,23 +673,31 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_inserts_reuse_the_move_log_sink() {
-        // The zero-allocation pin: once the shared report buffer has grown
-        // to a workload's high-water mark, re-running the same workload
-        // must reuse it on every single drain (no `Vec` handed out per op).
+    fn steady_state_ops_trade_move_log_buffers() {
+        // The zero-allocation pin: each operation drains its log once, and
+        // a drain swaps the log's buffer with the report's. A delete/insert
+        // cycle at the tail keeps the layout, so the report must alternate
+        // between the same two buffers at unchanged capacities: an even
+        // number of drains repeats a buffer, a reallocation changes one.
         let n = 2048;
-        let run = |rep: &mut OpReport| {
-            let mut pma = ClassicBuilder.build(n, n * 13 / 10);
-            for i in 0..n {
-                pma.insert_into(i / 2, ElemId(i as u64), rep);
-            }
-            (pma.slots().log_sink_drains(), pma.slots().log_sink_reuses())
-        };
+        let mut pma = ClassicBuilder.build(n, n * 13 / 10);
         let mut rep = OpReport::default();
-        run(&mut rep); // grows `rep` to the workload's high-water mark
-        let (drains, reuses) = run(&mut rep);
-        assert_eq!(drains, n as u64, "one drain per insert");
-        assert_eq!(reuses, drains, "steady state must reuse the sink buffer on every op");
+        for i in 0..n / 2 {
+            pma.insert_into(i / 2, ElemId(i as u64), &mut rep);
+        }
+        let mut cycle = || {
+            let last = pma.len() - 1;
+            pma.delete_into(last, &mut rep);
+            let after_delete = (rep.moves.as_ptr(), rep.moves.capacity());
+            let (id, _) = rep.removed.expect("delete reports its element");
+            pma.insert_into(last, id, &mut rep);
+            [after_delete, (rep.moves.as_ptr(), rep.moves.capacity())]
+        };
+        let bufs = cycle();
+        assert_ne!(bufs[0].0, bufs[1].0, "one drain per operation");
+        for i in 0..500 {
+            assert_eq!(cycle(), bufs, "cycle {i}: a buffer changed");
+        }
     }
 
     #[test]

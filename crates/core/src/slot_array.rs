@@ -46,12 +46,12 @@ pub struct SlotArray {
     /// behind the metrics handle) because it is the cost-model contract —
     /// it always counts, even with metrics disabled.
     lifetime_moves: u64,
-    /// Shared observability sink: moves (added once per drained log), scan
-    /// words (the instrumentation that pins rebalance work to O(window),
-    /// not O(m) — counters are atomic/relaxed only so `&self` iterators can
-    /// record), and log-sink drain/reuse counts. Installed by the owning
-    /// structure via [`set_metrics`](Self::set_metrics) so every layer of a
-    /// composed structure reports into one instance.
+    /// Shared observability sink: moves (added once per drained log) and
+    /// scan words (the instrumentation that pins rebalance work to
+    /// O(window), not O(m) — counters are atomic/relaxed only so `&self`
+    /// iterators can record). Installed by the owning structure via
+    /// [`set_metrics`](Self::set_metrics) so every layer of a composed
+    /// structure reports into one instance.
     metrics: MetricsHandle,
 }
 
@@ -278,42 +278,25 @@ impl SlotArray {
         elem
     }
 
-    /// Drain all moves logged since the last drain into `dst` (cleared
-    /// first), keeping both the internal log's and `dst`'s allocations for
-    /// reuse — the zero-allocation move-log sink. In steady state (once
-    /// `dst` has grown to the workload's high-water mark) no heap traffic
-    /// occurs; [`log_sink_reuses`](Self::log_sink_reuses) counts exactly
-    /// those allocation-free drains. The drained moves are added to the
-    /// metrics' `moves` counter here, once per drain.
+    /// Drain all moves logged since the last drain into `dst`: `dst` is
+    /// cleared and then trades buffers with the log, so a drain never
+    /// allocates or copies. In steady state the log and the caller's buffer
+    /// swap places on every drain and both stop growing; the buffer of a
+    /// bulk log leaves with its drain instead of staying pinned here. The
+    /// drained moves are added to the metrics' `moves` counter, once per
+    /// drain.
     pub fn drain_log_into(&mut self, dst: &mut Vec<MoveRec>) {
         dst.clear();
-        self.metrics.note_log_drain(self.log.len() as u64, dst.capacity() >= self.log.len());
-        dst.extend_from_slice(&self.log);
-        self.log.clear();
+        std::mem::swap(&mut self.log, dst);
+        self.metrics.note_log_drain(dst.len() as u64);
     }
 
-    /// Drain all moves logged since the last drain into a fresh `Vec`.
-    ///
-    /// Allocating convenience over [`drain_log_into`](Self::drain_log_into);
-    /// hot paths thread a reusable buffer instead.
+    /// Drain all moves logged since the last drain into a fresh `Vec`,
+    /// which takes the log's buffer with it.
     pub fn drain_log(&mut self) -> Vec<MoveRec> {
-        let mut v = Vec::with_capacity(self.log.len());
+        let mut v = Vec::new();
         self.drain_log_into(&mut v);
         v
-    }
-
-    /// Drains served by the move-log sink so far.
-    #[inline]
-    pub fn log_sink_drains(&self) -> u64 {
-        self.metrics.log_sink_drains.get()
-    }
-
-    /// Drains that reused the destination buffer without reallocating —
-    /// equal to [`log_sink_drains`](Self::log_sink_drains) in steady state
-    /// (the property the allocation-free tests pin).
-    #[inline]
-    pub fn log_sink_reuses(&self) -> u64 {
-        self.metrics.log_sink_reuses.get()
     }
 
     /// Moves logged since the last drain, without draining.
@@ -503,23 +486,36 @@ mod tests {
     }
 
     #[test]
-    fn drain_log_into_reuses_the_buffer() {
+    fn drain_log_into_trades_buffers_with_the_caller() {
         let (mut s, _) = filled(&[0], 64);
         let mut buf = Vec::new();
         s.drain_log_into(&mut buf);
-        assert_eq!(buf.len(), 1);
-        let cap = buf.capacity();
-        let drains0 = s.log_sink_drains();
-        let reuses0 = s.log_sink_reuses();
-        // Steady state: every subsequent drain must reuse `buf` in place.
+        s.move_elem(0, 1);
+        s.drain_log_into(&mut buf);
+        // Warm: both buffers hold an allocation. From here every drain
+        // swaps them, so the caller sees the two alternate, each with its
+        // capacity unchanged.
+        let bufs = [(buf.as_ptr(), buf.capacity()), (s.log.as_ptr(), s.log.capacity())];
+        assert_ne!(bufs[0].0, bufs[1].0);
         for i in 0..100 {
-            s.move_elem(i % 2, (i + 1) % 2);
+            s.move_elem((i + 1) % 2, i % 2);
             s.drain_log_into(&mut buf);
             assert_eq!(buf.len(), 1);
-            assert_eq!(buf.capacity(), cap, "sink buffer reallocated");
+            assert_eq!((buf.as_ptr(), buf.capacity()), bufs[(i + 1) % 2], "drain {i}");
+            assert_eq!((s.log.as_ptr(), s.log.capacity()), bufs[i % 2], "drain {i}");
         }
-        assert_eq!(s.log_sink_drains() - drains0, 100);
-        assert_eq!(s.log_sink_reuses() - reuses0, 100, "every drain must be allocation-free");
+    }
+
+    #[test]
+    fn a_bulk_log_leaves_with_its_drain() {
+        let mut s = SlotArray::new(8192);
+        for i in 0..4096 {
+            s.place(2 * i, ElemId(i as u64));
+        }
+        let mut dst = Vec::new();
+        s.drain_log_into(&mut dst);
+        assert_eq!(dst.len(), 4096);
+        assert_eq!(s.log.capacity(), 0, "the slot array kept the bulk log's buffer");
     }
 
     #[test]

@@ -36,9 +36,10 @@ pub trait ListLabeling {
     }
 
     /// Insert the new element `id` at 0-based `rank` (`rank ∈ 0..=len`),
-    /// reporting into a caller-provided buffer: `out` is cleared and
-    /// refilled, keeping its move-buffer allocation, so in steady state a
-    /// point insert touches the heap not at all.
+    /// reporting into a caller-provided buffer: `out` is cleared and its
+    /// move buffer traded for the slot array's log
+    /// ([`SlotArray::drain_log_into`]), so in steady state a point insert
+    /// touches the heap not at all.
     ///
     /// The caller allocates ids: `id` must differ from every element the
     /// structure stores or still tracks (the embedding keeps deleted

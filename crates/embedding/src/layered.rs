@@ -13,7 +13,7 @@ use lll_adaptive::{AdaptiveBuilder, AdaptivePma};
 use lll_core::rng::derive_seed;
 use lll_core::traits::LabelingBuilder;
 use lll_deamortized::{DeamortizedBuilder, DeamortizedPma};
-use lll_predictions::{PredictedBuilder, PredictedPma, RankPredictor, VecPredictor};
+use lll_predictions::{PredictedBuilder, PredictedPma, VecPredictor};
 use lll_randomized::{RandomizedBuilder, RandomizedPma};
 
 /// The inner embedding `Y ⊳ Z`: randomized expected-cost structure embedded
@@ -101,21 +101,4 @@ pub fn corollary12(
     seed: u64,
 ) -> Corollary12<VecPredictor> {
     corollary12_builder(eta, predictions, seed).build_default(n)
-}
-
-/// A generic two-layer embedding over any predictor (for custom predictors
-/// beyond the oracle-based [`VecPredictor`]).
-pub fn corollary12_with<P: RankPredictor>(
-    n: usize,
-    eta: usize,
-    predictor: P,
-    seed: u64,
-) -> Corollary12<P> {
-    let (outer_cfg, _) = layered_configs();
-    let b = EmbedBuilder {
-        f: PredictedBuilder { eta, predictor },
-        r: inner_yz_builder(seed),
-        cfg: outer_cfg,
-    };
-    b.build_default(n)
 }

@@ -31,8 +31,8 @@ pub mod views;
 
 pub use embed::{Embed, EmbedBuilder, EmbedConfig, EmbedStats, Loc};
 pub use layered::{
-    corollary11, corollary11_builder, corollary12, corollary12_builder, corollary12_with,
-    Corollary11, Corollary12, InnerYZ,
+    corollary11, corollary11_builder, corollary12, corollary12_builder, Corollary11, Corollary12,
+    InnerYZ,
 };
 pub use tag_array::{SlotTag, TagArray};
 

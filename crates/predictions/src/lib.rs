@@ -18,10 +18,10 @@
 //! fallback that restores the classical behavior when predictions lie).
 //!
 //! The [`RankPredictor`] trait abstracts the prediction source; workloads
-//! provide [`VecPredictor`] (an oracle with injected bounded error), and
-//! [`ScaledRankPredictor`] gives the no-information default (current rank
-//! scaled to capacity), under which the structure behaves like a classical
-//! PMA.
+//! provide [`VecPredictor`] (an oracle with injected bounded error). The
+//! O(log² η) bound needs a real prediction for every insert: there is no
+//! no-information default, and without good predictions a classical PMA is
+//! the cheaper structure.
 
 #![forbid(unsafe_code)]
 
@@ -39,23 +39,10 @@ pub trait RankPredictor: Clone {
     fn predict(&mut self, rank: usize, len: usize, capacity: usize) -> usize;
 }
 
-/// No-information default: scales the current rank to the full capacity
-/// (an element at the median now is predicted to end at the median).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScaledRankPredictor;
-
-impl RankPredictor for ScaledRankPredictor {
-    fn predict(&mut self, rank: usize, len: usize, capacity: usize) -> usize {
-        if len == 0 {
-            return capacity / 2;
-        }
-        ((rank as u128 * capacity as u128) / (len as u128 + 1)) as usize
-    }
-}
-
 /// An oracle predictor: a pre-computed prediction per insertion, consumed
-/// in arrival order. Workload generators produce these with a controlled
-/// maximum error η (experiment E6).
+/// in arrival order (past the end it predicts the current rank). Workload
+/// generators produce these with a controlled maximum error η (experiment
+/// E6).
 #[derive(Clone, Debug, Default)]
 pub struct VecPredictor {
     preds: Vec<usize>,
@@ -352,12 +339,6 @@ pub struct PredictedBuilder<P: RankPredictor> {
     pub predictor: P,
 }
 
-impl Default for PredictedBuilder<ScaledRankPredictor> {
-    fn default() -> Self {
-        Self { eta: 64, predictor: ScaledRankPredictor }
-    }
-}
-
 impl<P: RankPredictor> LabelingBuilder for PredictedBuilder<P> {
     type Structure = PredictedPma<P>;
 
@@ -413,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_with_scaled_default() {
+    fn oracle_without_predictions() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let n = 500;
         let mut ops = Vec::new();
@@ -427,7 +408,8 @@ mod tests {
                 len -= 1;
             }
         }
-        let mut s = PredictedBuilder::default().build(n, n * 14 / 10);
+        let mut s =
+            PredictedBuilder { eta: 64, predictor: VecPredictor::default() }.build(n, n * 14 / 10);
         run_against_oracle(&mut s, &ops, 97);
     }
 
@@ -492,7 +474,8 @@ mod tests {
     #[test]
     fn fills_to_capacity() {
         let n = 500;
-        let mut s = PredictedBuilder::default().build(n, n * 14 / 10);
+        let mut s =
+            PredictedBuilder { eta: 64, predictor: VecPredictor::default() }.build(n, n * 14 / 10);
         for i in 0..n {
             s.insert(i / 2, ElemId(i as u64));
         }

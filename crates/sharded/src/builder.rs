@@ -41,9 +41,10 @@ impl Default for ShardedBuilder {
 }
 
 impl ShardedBuilder {
-    /// A builder with the recommended defaults: the Corollary 11 layered
-    /// backend per shard, shards kept between 256 and 4096 entries, at most
-    /// 1024 shards.
+    /// A builder with the defaults: the Corollary 11 layered backend per
+    /// shard (the paper's reproduction, slower and larger than any one of
+    /// its layers — see [`Backend::Corollary11`] for the measured trade),
+    /// shards kept between 256 and 4096 entries, at most 1024 shards.
     pub fn new() -> Self {
         Self::default()
     }

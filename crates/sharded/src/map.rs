@@ -1221,7 +1221,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     }
 
     /// Write a durable snapshot of the map: the versioned header (backend,
-    /// seed, η, total entry count), the shard policy, the split-key
+    /// seed, total entry count), the shard policy, the split-key
     /// directory, and each shard's sorted run in key order. Runs under the
     /// maintenance mutex with **every shard read-locked at once** — one
     /// atomic, internally consistent picture; concurrent readers keep

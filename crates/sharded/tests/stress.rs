@@ -53,7 +53,7 @@ fn differential_stress(backend: Backend) {
     let ops_per_thread: u64 = match backend {
         // The layered compositions carry real constant factors in debug
         // builds; fewer ops still cross the split and merge thresholds.
-        Backend::Corollary11 | Backend::Corollary12 => 1200,
+        Backend::Corollary11 => 1200,
         _ => 2500,
     };
     let keyspace: u64 = ops_per_thread / 6;
@@ -171,11 +171,6 @@ fn stress_adaptive() {
 #[test]
 fn stress_corollary11() {
     differential_stress(Backend::Corollary11);
-}
-
-#[test]
-fn stress_corollary12() {
-    differential_stress(Backend::Corollary12);
 }
 
 /// Value a stable key carries for its whole life: a fixed transform of

@@ -12,16 +12,15 @@
 //! at rank 0) with predictors of increasing error and watch the cost climb
 //! from near-free (perfect model) toward the classical regime (useless
 //! model), with the worst op bounded throughout. Oracle predictions are
-//! per-arrival, so this sweep uses the paper-level fixed-capacity API; the
-//! production path — `Backend::Corollary12` behind a [`LabelMap`] — runs
-//! the same layered structure with the no-information predictor.
+//! per-arrival, so this sweep uses the paper-level fixed-capacity API.
+//! The runtime-selectable `Backend`s take no predictions: without a model
+//! there is nothing for Corollary 12 to exploit.
 //!
 //! Run with: `cargo run --release --example learned_index`
 
 use layered_list_labeling::core::ids::IdGen;
 use layered_list_labeling::core::traits::ListLabeling;
 use layered_list_labeling::embedding::corollary12;
-use layered_list_labeling::prelude::*;
 use layered_list_labeling::workloads::{descending_inserts, with_predictions};
 
 fn main() {
@@ -58,19 +57,4 @@ fn main() {
 
     println!("\nbetter predictions -> cheaper ingest; the worst case stays capped");
     println!("(Corollary 12: O(log² η) good case + O(log^1.5 n) expected + O(log² n) worst case)");
-
-    // The production path: the same layered structure, dynamic capacity,
-    // keyed access — no predictions needed (the scaled-rank default).
-    let mut learned: LabelMap<u64, u64> =
-        ListBuilder::new().backend(Backend::Corollary12).eta(64).seed(0xA1).label_map();
-    for k in (0..n as u64).rev() {
-        learned.insert(k, k * 7);
-    }
-    assert_eq!(learned.len(), n);
-    assert_eq!(learned.get(&99), Some(&693));
-    println!(
-        "\nproduction path (LabelMap over Backend::Corollary12, reversed ingest): \
-         {:.2} moves/insert ✓",
-        learned.total_moves() as f64 / n as f64
-    );
 }

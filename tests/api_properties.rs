@@ -101,11 +101,6 @@ proptest! {
     fn label_map_matches_btreemap_corollary11(cmds in cmd_seq(400)) {
         check_map_against_btreemap(Backend::Corollary11, &cmds);
     }
-
-    #[test]
-    fn label_map_matches_btreemap_corollary12(cmds in cmd_seq(400)) {
-        check_map_against_btreemap(Backend::Corollary12, &cmds);
-    }
 }
 
 /// Fixed-size churn against `BTreeMap`, checked op by op: delete a live key,
@@ -261,18 +256,17 @@ fn ordered_list_rebuilds_actually_happened() {
 fn metrics_moves_count_every_move_on_every_backend() {
     use layered_list_labeling::core::ids::IdGen;
     // (backend, fixed-capacity moves, OrderedList moves)
-    const PINNED: [(Backend, u64, u64); 6] = [
+    const PINNED: [(Backend, u64, u64); 5] = [
         (Backend::Classic, 43_689, 22_229),
         (Backend::Deamortized, 49_160, 23_459),
         (Backend::Randomized, 53_961, 22_697),
         (Backend::Adaptive, 96_311, 21_519),
         (Backend::Corollary11, 227_519, 54_177),
-        (Backend::Corollary12, 34_636, 191_014),
     ];
     let ops = grow_shrink_ops(1500, 0x3E7);
     for (backend, fixed_moves, list_moves) in PINNED {
         let name = backend.name();
-        let one_array = !matches!(backend, Backend::Corollary11 | Backend::Corollary12);
+        let one_array = backend != Backend::Corollary11;
         let mut fixed = ListBuilder::new().seed(0x3E7).backend(backend).build_fixed(1500);
         let mut ids = IdGen::new();
         for (i, &op) in ops.iter().enumerate() {

@@ -10,7 +10,7 @@ use layered_list_labeling::core::testkit::run_against_oracle;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
 use layered_list_labeling::deamortized::DeamortizedBuilder;
 use layered_list_labeling::embedding::{corollary11_builder, EmbedBuilder};
-use layered_list_labeling::predictions::PredictedBuilder;
+use layered_list_labeling::predictions::{PredictedBuilder, VecPredictor};
 use layered_list_labeling::randomized::RandomizedBuilder;
 use layered_list_labeling::workloads as wl;
 
@@ -58,7 +58,8 @@ fn deamortized_agrees_on_all_workloads() {
 #[test]
 fn predicted_agrees_on_all_workloads() {
     for w in suites() {
-        check_workload(&PredictedBuilder::default(), &w.ops, w.peak);
+        let b = PredictedBuilder { eta: 64, predictor: VecPredictor::default() };
+        check_workload(&b, &w.ops, w.peak);
     }
 }
 

@@ -2,7 +2,7 @@
 //! (`lll_api::persist`, the container `write_snapshot`/`read_snapshot`
 //! pairs, and `ShardedMap`'s directory-preserving snapshots).
 //!
-//! * Round-trip properties run on **all six backends**: restore must
+//! * Round-trip properties run on **every backend**: restore must
 //!   reproduce keys, values, iteration order, and — for [`OrderedList`] —
 //!   the validity of every pre-snapshot handle.
 //! * Negative tests feed truncated, bit-flipped, wrong-version, and
