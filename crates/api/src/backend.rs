@@ -245,11 +245,11 @@ pub enum Backend {
     /// The default because it is the paper's reproduction, not because it
     /// is fastest: end to end it trails each of its own layers. On
     /// ladderbench (`ShardedMap`, n = 2^18, `--seconds 5`, seeds 1701 and
-    /// 1702, 2-vCPU x86-64 VM) a clustered-ingest insert costs 104–110×
+    /// 1702, 2-vCPU x86-64 VM) a clustered-ingest insert costs 47–50×
     /// a `BTreeMap` insert, against 10–15× on adaptive, randomized or
-    /// deamortized alone, and a uniform-mix insert 3.6–3.9× against
-    /// 1.9–2.2×. It takes 0.40–0.48 s to set up against 0.05–0.09 s, and
-    /// 279 resident bytes per entry against 40. Pick a single layer when
+    /// deamortized alone, and a uniform-mix insert 3.6× against
+    /// 1.9–2.2×. It takes 0.21–0.34 s to set up against 0.05–0.09 s, and
+    /// 253 resident bytes per entry against 40. Pick a single layer when
     /// time or memory matters more than the combined move bounds.
     Corollary11,
 }

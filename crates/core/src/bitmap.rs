@@ -10,7 +10,10 @@
 //! eight words — rank and select in the style of Vigna ("Broadword
 //! Implementation of Rank/Select Queries", WEA 2008) and Zhou, Andersen
 //! and Kaminsky ("Space-Efficient, High-Performance Rank & Select
-//! Structures", SEA 2013), with scalar `count_ones` only.
+//! Structures", SEA 2013), with scalar `count_ones` only. A caller that
+//! already knows the rank of a nearby position asks
+//! [`select_near`](Bitmap::select_near) instead: it walks from there and
+//! touches the block counts only when the answer is far away.
 //!
 //! A block is one 64-byte cache line of words, so a rank or select reads
 //! the O(log(m/512)) count entries plus one line, and the counts cost
@@ -22,6 +25,9 @@
 const BLOCK_BITS: usize = 512;
 /// Words per counted block.
 const BLOCK_WORDS: usize = BLOCK_BITS / 64;
+/// Steps (one set bit or one empty word each) a finger select takes
+/// before it starts counting whole words.
+const SHORT_HOPS: usize = 8;
 
 /// A fixed-length bitmap with rank and select.
 #[derive(Clone, Debug)]
@@ -140,6 +146,88 @@ impl Bitmap {
             r -= c;
             w += 1;
         }
+    }
+
+    /// [`select`](Self::select) from a finger: `hint` is a position (at
+    /// most `len`) and `hint_rank` its [`rank`](Self::rank). A short hop
+    /// steps set bits with `trailing_zeros`/`leading_zeros` (no popcount),
+    /// a longer one popcounts at most one block of words from the hint's
+    /// word, and anything farther falls back to `select`. The answer is
+    /// `select(k)`'s; only the work depends on the distance.
+    // lll-check: no-alloc
+    #[inline]
+    pub fn select_near(&self, k: usize, hint: usize, hint_rank: usize) -> Option<usize> {
+        debug_assert!(hint <= self.len && hint_rank == self.rank(hint), "stale finger");
+        if k >= self.ones {
+            return None;
+        }
+        let near = if k >= hint_rank {
+            self.select_after(k - hint_rank, hint)
+        } else {
+            self.select_before(hint_rank - 1 - k, hint)
+        };
+        near.or_else(|| self.select(k))
+    }
+
+    /// The `r`-th (0-based) set bit at or after `from`, if it lies within
+    /// [`SHORT_HOPS`] steps plus one block of words; `None` if farther.
+    #[inline]
+    fn select_after(&self, mut r: usize, from: usize) -> Option<usize> {
+        let mut w = from >> 6;
+        let mut word = *self.words.get(w)? & (!0 << (from & 63));
+        for _ in 0..SHORT_HOPS {
+            if word == 0 {
+                w += 1;
+                word = *self.words.get(w)?;
+            } else if r == 0 {
+                return Some((w << 6) + word.trailing_zeros() as usize);
+            } else {
+                word &= word - 1;
+                r -= 1;
+            }
+        }
+        for _ in 0..BLOCK_WORDS {
+            let c = word.count_ones() as usize;
+            if r < c {
+                return Some((w << 6) + select_in_word(word, r));
+            }
+            r -= c;
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        None
+    }
+
+    /// The `r`-th (0-based) set bit counting down from the last one before
+    /// `before`, within the same reach as [`select_after`](Self::select_after).
+    #[inline]
+    fn select_before(&self, mut r: usize, before: usize) -> Option<usize> {
+        let mut w = before >> 6;
+        let mut word =
+            if before & 63 == 0 { 0 } else { self.words[w] & ((1 << (before & 63)) - 1) };
+        for _ in 0..SHORT_HOPS {
+            if word == 0 {
+                w = w.checked_sub(1)?;
+                word = self.words[w];
+            } else {
+                let top = 63 - word.leading_zeros() as usize;
+                if r == 0 {
+                    return Some((w << 6) + top);
+                }
+                word ^= 1 << top;
+                r -= 1;
+            }
+        }
+        for _ in 0..BLOCK_WORDS {
+            let c = word.count_ones() as usize;
+            if r < c {
+                return Some((w << 6) + select_in_word(word, c - 1 - r));
+            }
+            r -= c;
+            w = w.checked_sub(1)?;
+            word = self.words[w];
+        }
+        None
     }
 
     /// Position of the `k`-th (0-based) clear bit; `None` if there are no
@@ -540,6 +628,53 @@ mod tests {
             b.check_consistent();
             let k = rng.gen_range(0..n);
             assert_eq!(b.rank(k), model[..k].iter().filter(|&&x| x).count());
+        }
+    }
+
+    #[test]
+    fn select_near_matches_select() {
+        // Lengths straddle word and 512-bit block edges; each bitmap is
+        // churned between probes, and every probe's hint is exact.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let lens = (0..=70).chain(127..=129).chain(511..=513).chain(1023..=1025).chain([4999]);
+        for len in lens {
+            for density in [0, 3, 25, 50, 75, 97, 100] {
+                let mut b = Bitmap::new(len);
+                for p in 0..len {
+                    if rng.gen_range(0..100) < density {
+                        b.set(p);
+                    }
+                }
+                for _ in 0..8 {
+                    for _ in 0..len.min(6) {
+                        let (p, q) = (rng.gen_range(0..len), rng.gen_range(0..len));
+                        match (b.get(p), b.get(q)) {
+                            (true, false) => b.move_bit(p, q),
+                            (true, true) => b.clear(p),
+                            (false, _) => b.set(p),
+                        }
+                    }
+                    for _ in 0..24 {
+                        let hint = rng.gen_range(0..=len);
+                        let hint_rank = b.rank(hint);
+                        // Near the hint on either side, anywhere, or past
+                        // the last set bit.
+                        let k = match rng.gen_range(0..4) {
+                            0 => hint_rank.saturating_sub(rng.gen_range(1..40usize)),
+                            1 => hint_rank + rng.gen_range(0..40usize),
+                            2 => rng.gen_range(0..=b.count_ones()),
+                            _ => b.count_ones() + rng.gen_range(0..3usize),
+                        };
+                        assert_eq!(
+                            b.select_near(k, hint, hint_rank),
+                            b.select(k),
+                            "len {len}, density {density}%, k {k}, hint {hint}"
+                        );
+                    }
+                }
+                b.check_consistent();
+            }
         }
     }
 

@@ -23,10 +23,14 @@
 //! * `elem_loc`, an [`IdTable`] at the id's [`index`](ElemId::index): each
 //!   live element's [`Loc`] and, while it is buffered, its deadweight count
 //!   (16 bytes per id, generation included);
-//! * `cur_f`, the physical F-layout (ghosts included), by F-coordinate;
-//! * `dirty`, the F-coordinates the simulation touched, a `Vec` sorted and
-//!   deduplicated when the next checkpoint freezes; that checkpoint's
-//!   targets come from one walk of the simulation's occupancy bitmap.
+//! * `cur_f`, the physical F-layout (ghosts included), by F-coordinate,
+//!   sentinel-packed like a [`SlotArray`]'s contents (`ElemId::NONE` marks
+//!   a free coordinate, 8 bytes each);
+//! * `dirty`, a bitmap over F-coordinates marking those the simulation
+//!   touched. The next checkpoint's freeze visits the marked coordinates
+//!   in order, each a finger select from the last, clearing as it goes;
+//!   that checkpoint's targets come from one walk of the simulation's
+//!   occupancy bitmap.
 //!
 //! `ghosts` stays a `HashMap`. A ghost is a deleted element whose slot the
 //! pending rebuild has not cleared yet, and its index may already be
@@ -45,8 +49,20 @@
 //! stay below the shell's capacity. Only caller ids can be sparse (the
 //! survivors of a shrink, or a restored snapshot's handles); the table
 //! keeps indices at or above the embedding's capacity in a side map.
+//!
+//! ## Coordinate translations
+//!
+//! Every mirrored move and every placement turns F-coordinates into
+//! positions. Two fingers ([`FCursor`]s) remember the last source and the
+//! last destination, so the consecutive lookups of one simulated rebalance
+//! or one rebuild phase, a few F-slots apart, are short walks from the
+//! previous answer instead of selects from the index root; a retag that
+//! changes the F-layout (rare: it takes a move that crosses a buffered
+//! element, or a mirrored shell move) sends the next lookup to the root.
+//! Each move's a₁ runs from a third finger, a [`RealGap`]: the sweep's
+//! spans mostly fall between the same two buffered reals.
 
-use crate::tag_array::{SlotTag, TagArray};
+use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::{ElemId, IdAllocator, IdTable};
 use lll_core::report::{BulkReport, OpReport};
@@ -225,8 +241,9 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     sim: F,
     /// The R-shell (its elements are the non-white slots of the array).
     shell: R,
-    /// The physical F-layout, in F-coordinates, including ghosts.
-    cur_f: Vec<Option<ElemId>>,
+    /// The physical F-layout, in F-coordinates, including ghosts;
+    /// `ElemId::NONE` marks a free coordinate.
+    cur_f: Vec<ElemId>,
     /// Occupancy of `cur_f`, with rank.
     cur_f_occ: Bitmap,
     /// Live elements → location and deadweight, indexed by id.
@@ -240,9 +257,15 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     /// treat it as deleted.
     pending_insert: Option<ElemId>,
     /// F-coordinates touched by the simulation since the last checkpoint
-    /// froze — the diff candidates for the next one. Unordered and with
-    /// repeats; sorted and deduplicated when the next checkpoint freezes.
-    dirty: Vec<usize>,
+    /// froze — the diff candidates for the next one.
+    dirty: Bitmap,
+    /// Fingers for the source and the destination F-coordinates of
+    /// emulator moves and placements.
+    src_finger: FCursor,
+    dst_finger: FCursor,
+    /// The last gap between buffered reals that an emulator move's a₁
+    /// found.
+    real_gap: RealGap,
     checkpoint: Option<Checkpoint>,
     /// The fast/slow threshold E_R.
     er_budget: f64,
@@ -289,12 +312,15 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             tags: TagArray::new(m),
             sim,
             shell,
-            cur_f: vec![None; f_count],
+            cur_f: vec![ElemId::NONE; f_count],
             cur_f_occ: Bitmap::new(f_count),
             elem_loc: IdTable::new(capacity),
             ghosts: HashMap::new(),
             pending_insert: None,
-            dirty: Vec::new(),
+            dirty: Bitmap::new(f_count),
+            src_finger: FCursor::default(),
+            dst_finger: FCursor::default(),
+            real_gap: RealGap::default(),
             checkpoint: None,
             er_budget: er_budget.max(1.0),
             rebuild_budget: ((er_budget * rebuild_mult).ceil() as u64).max(1),
@@ -400,16 +426,25 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         placed.pos = pos as u32;
     }
 
+    /// Move the real element at `start` so it becomes the content of
+    /// F-slot `dst_fidx`, which sits at position `p_dst`.
+    fn emulator_move(&mut self, start: usize, p_dst: usize, dst_fidx: usize) {
+        if start < p_dst {
+            self.emulator_move_right(start, p_dst, dst_fidx);
+        } else {
+            self.emulator_move_left(start, p_dst, dst_fidx);
+        }
+    }
+
     /// Move the real element at `start` rightward so it becomes the content
-    /// of F-slot `dst_fidx` — the coalesced Figure-2 mechanics. Every
-    /// buffered real element strictly inside the span moves exactly once
-    /// (its deadweight move) into the span's tail `(q, p_dst]`; x lands at
-    /// the pivot slot `q`; O(a₁) retags keep every F-index outside the span
-    /// (and x's landing index) exact. Total cost `1 + a₁`.
-    fn emulator_move_right(&mut self, start: usize, dst_fidx: usize) {
-        let p_dst = self.tags.f_pos(dst_fidx);
+    /// of F-slot `dst_fidx` at `p_dst` — the coalesced Figure-2 mechanics.
+    /// Every buffered real element strictly inside the span moves exactly
+    /// once (its deadweight move) into the span's tail `(q, p_dst]`; x
+    /// lands at the pivot slot `q`; O(a₁) retags keep every F-index outside
+    /// the span (and x's landing index) exact. Total cost `1 + a₁`.
+    fn emulator_move_right(&mut self, start: usize, p_dst: usize, dst_fidx: usize) {
         debug_assert!(start < p_dst, "not a rightward move");
-        let a1 = self.tags.buffered_reals_in(start, p_dst);
+        let a1 = self.tags.buffered_reals_in(start, p_dst, &mut self.real_gap);
         if a1 == 0 {
             self.tags.move_content(start, p_dst);
             return;
@@ -459,10 +494,9 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Mirror image of [`Self::emulator_move_right`]: reals compact into the
     /// span's head `[p_dst, q)`, x lands at the pivot `q`, and the F-count
     /// is restored on dummies strictly inside `(q, start)`.
-    fn emulator_move_left(&mut self, start: usize, dst_fidx: usize) {
-        let p_dst = self.tags.f_pos(dst_fidx);
+    fn emulator_move_left(&mut self, start: usize, p_dst: usize, dst_fidx: usize) {
         debug_assert!(p_dst < start, "not a leftward move");
-        let a1 = self.tags.buffered_reals_in(p_dst, start);
+        let a1 = self.tags.buffered_reals_in(p_dst, start, &mut self.real_gap);
         if a1 == 0 {
             self.tags.move_content(start, p_dst);
             return;
@@ -515,24 +549,44 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         if from_fidx == to_fidx {
             return;
         }
-        let e = self.cur_f[from_fidx].take().expect("relocate from empty F-slot");
-        debug_assert!(self.cur_f[to_fidx].is_none(), "relocate into occupied F-slot");
+        let e = std::mem::replace(&mut self.cur_f[from_fidx], ElemId::NONE);
+        assert_ne!(e, ElemId::NONE, "relocate from empty F-slot");
+        debug_assert_eq!(self.cur_f[to_fidx], ElemId::NONE, "relocate into occupied F-slot");
         if self.elem_loc.contains(e) {
-            let src = self.tags.f_pos(from_fidx);
-            let dst = self.tags.f_pos(to_fidx);
-            if src < dst {
-                self.emulator_move_right(src, to_fidx);
-            } else {
-                self.emulator_move_left(src, to_fidx);
-            }
+            let src = self.tags.f_pos_via(from_fidx, &mut self.src_finger);
+            let dst = self.tags.f_pos_via(to_fidx, &mut self.dst_finger);
+            self.emulator_move(src, dst, to_fidx);
             self.elem_loc.insert(e, Placed::f(to_fidx));
         } else {
             let ghost = self.ghosts.get_mut(&e).expect("dead F-slot occupant is a ghost");
             debug_assert_eq!(ghost.fidx, from_fidx);
             ghost.fidx = to_fidx;
         }
-        self.cur_f[to_fidx] = Some(e);
+        self.cur_f[to_fidx] = e;
         self.cur_f_occ.move_bit(from_fidx, to_fidx);
+    }
+
+    /// The `cur_f` occupant of `fidx`, live or ghost.
+    #[inline]
+    fn cur_f_at(&self, fidx: usize) -> Option<ElemId> {
+        let e = self.cur_f[fidx];
+        (e != ElemId::NONE).then_some(e)
+    }
+
+    /// Put `e` (live, or a ghost) into the free F-coordinate `fidx`.
+    fn fill_f(&mut self, fidx: usize, e: ElemId) {
+        debug_assert_eq!(self.cur_f[fidx], ElemId::NONE, "F-slot {fidx} already taken");
+        self.cur_f[fidx] = e;
+        self.cur_f_occ.set(fidx);
+    }
+
+    /// Place the new element `e` physically at the free F-coordinate `fidx`
+    /// (fast-path and bulk placements).
+    fn place_f(&mut self, fidx: usize, e: ElemId) {
+        let pos = self.tags.f_pos_via(fidx, &mut self.dst_finger);
+        self.tags.place_content(pos, e);
+        self.fill_f(fidx, e);
+        self.elem_loc.insert(e, Placed::f(fidx));
     }
 
     /// Mirror the simulated copy's moves onto the physical array (fast path
@@ -549,14 +603,19 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Record the simulation's touched F-coordinates for the next diff.
     fn note_dirty(&mut self, rep: &OpReport) {
         for mv in &rep.moves {
-            self.dirty.extend([mv.from as usize, mv.to as usize]);
+            self.mark_dirty(mv.from as usize);
+            self.mark_dirty(mv.to as usize);
         }
-        self.dirty.extend(rep.placed.iter().chain(&rep.removed).map(|&(_, p)| p as usize));
-        // A rebuild span is short (Lemma 6), but keep repeats bounded by
-        // the F-slot count however long it runs.
-        if self.dirty.len() > 2 * self.cur_f.len() {
-            self.dirty.sort_unstable();
-            self.dirty.dedup();
+        for &(_, p) in rep.placed.iter().chain(&rep.removed) {
+            self.mark_dirty(p as usize);
+        }
+    }
+
+    /// Mark one F-coordinate for the next diff.
+    #[inline]
+    fn mark_dirty(&mut self, fidx: usize) {
+        if !self.dirty.get(fidx) {
+            self.dirty.set(fidx);
         }
     }
 
@@ -693,35 +752,35 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// simulation, freeze a new checkpoint (Figure 3's interval
     /// decomposition, computed from the dirty set).
     fn ensure_checkpoint(&mut self) {
-        if self.checkpoint.is_some() || self.dirty.is_empty() {
+        if self.checkpoint.is_some() || self.dirty.count_ones() == 0 {
             return;
         }
-        // The positions where the layouts differ, ascending. The buffer
-        // goes back empty, keeping its allocation.
-        let mut q = std::mem::take(&mut self.dirty);
-        q.sort_unstable();
-        q.dedup();
-        q.retain(|&d| self.cur_f[d] != self.sim.slots().get(d));
-        if q.is_empty() {
-            self.dirty = q;
-            return;
-        }
-        // Group dirty positions into maximal intervals separated by fixed
-        // (blocking) elements.
+        // Walk the marked coordinates in ascending order, clearing each,
+        // and group those where the layouts differ into maximal intervals
+        // separated by fixed (blocking) elements: an occupied coordinate in
+        // the gap between an interval's last difference and the next one.
+        // Every mark below `next` is cleared, so the next one is the first
+        // set bit, found from `next` (rank 0) by a finger select.
         let mut jobs: Vec<IntervalJob> = Vec::new();
-        let mut lo = q[0];
-        let mut hi = q[0];
-        for &d in &q[1..] {
-            let blocked = self.cur_f_occ.rank(d) > self.cur_f_occ.rank(hi + 1);
-            if blocked {
-                jobs.push(self.make_job(lo, hi));
-                lo = d;
+        let mut open: Option<(usize, usize)> = None;
+        let mut next = 0;
+        while let Some(d) = self.dirty.select_near(0, next, 0) {
+            self.dirty.clear(d);
+            next = d + 1;
+            if self.cur_f_at(d) == self.sim.slots().get(d) {
+                continue;
             }
-            hi = d;
+            open = Some(match open {
+                Some((lo, hi)) if self.cur_f_occ.ones_in(hi + 1, d).next().is_none() => (lo, d),
+                Some((lo, hi)) => {
+                    jobs.push(self.make_job(lo, hi));
+                    (d, d)
+                }
+                None => (d, d),
+            });
         }
+        let Some((lo, hi)) = open else { return };
         jobs.push(self.make_job(lo, hi));
-        q.clear();
-        self.dirty = q;
         self.checkpoint = Some(Checkpoint { jobs, job_idx: 0 });
         self.stats.rebuilds_started += 1;
         self.rebuild_span = 0;
@@ -767,7 +826,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 }
                 let i = job.scan;
                 job.scan += 1;
-                if let Some(e) = self.cur_f[i] {
+                if let Some(e) = self.cur_f_at(i) {
                     if !self.elem_loc.contains(e) {
                         // A ghost. The checkpoint holds it (as a target of
                         // this interval) iff it was deleted after the
@@ -775,7 +834,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                         let held = self.ghosts[&e].deleted_during == self.stats.rebuilds_started;
                         debug_assert_eq!(held, job.targets.iter().any(|&(_, t)| t == e));
                         if !held {
-                            self.cur_f[i] = None;
+                            self.cur_f[i] = ElemId::NONE;
                             self.cur_f_occ.clear(i);
                             self.ghosts.remove(&e);
                             continue;
@@ -783,7 +842,6 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     }
                     let dest = job.pack_next;
                     job.pack_next += 1;
-                    let _ = job;
                     self.emulator_relocate(i, dest);
                 }
             } else if job.phase == 1 {
@@ -800,12 +858,11 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 // incorporation (re-crossing). They run in ascending order
                 // in phase 2 instead.
                 if let Some(Loc::Buffer(pos)) = self.elem_loc.get(e).map(|p| p.loc()) {
-                    if pos > self.tags.f_pos(t_fidx) {
+                    if pos > self.tags.f_pos_via(t_fidx, &mut self.dst_finger) {
                         job.deferred.push((t_fidx, e));
                         continue;
                     }
                 }
-                let _ = job;
                 self.place_target(t_fidx, e);
             } else {
                 if job.placed2 >= job.deferred.len() {
@@ -817,7 +874,6 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 let idx = job.deferred.len() - 1 - job.placed2;
                 let (t_fidx, e) = job.deferred[idx];
                 job.placed2 += 1;
-                let _ = job;
                 self.place_target(t_fidx, e);
             }
         }
@@ -843,17 +899,10 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 // Incorporation: the buffer slot stays a buffer slot (it
                 // becomes a dummy); the element enters A_F. (Its own move
                 // displaces other buffered elements, never itself.)
-                let pos = pos as usize;
-                let p_dst = self.tags.f_pos(t_fidx);
-                if pos < p_dst {
-                    self.emulator_move_right(pos, t_fidx);
-                } else {
-                    self.emulator_move_left(pos, t_fidx);
-                }
+                let p_dst = self.tags.f_pos_via(t_fidx, &mut self.dst_finger);
+                self.emulator_move(pos as usize, p_dst, t_fidx);
                 self.elem_loc.insert(e, Placed::f(t_fidx));
-                debug_assert!(self.cur_f[t_fidx].is_none());
-                self.cur_f[t_fidx] = Some(e);
-                self.cur_f_occ.set(t_fidx);
+                self.fill_f(t_fidx, e);
                 self.stats.incorporations += 1;
                 self.stats.record_deadweight(deadweight);
             }
@@ -863,7 +912,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     // but has no physical slot yet. Leave its target to the
                     // next checkpoint (re-mark it dirty so that checkpoint
                     // is created).
-                    self.dirty.push(t_fidx);
+                    self.mark_dirty(t_fidx);
                     return;
                 }
                 // Deleted element that the frozen checkpoint still contains.
@@ -872,9 +921,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 } else {
                     // Deleted while buffered (its deadweight was recorded
                     // then): materialize as a ghost.
-                    debug_assert!(self.cur_f[t_fidx].is_none());
-                    self.cur_f[t_fidx] = Some(e);
-                    self.cur_f_occ.set(t_fidx);
+                    self.fill_f(t_fidx, e);
                     let deleted_during = self.stats.rebuilds_started;
                     self.ghosts.insert(e, Ghost { fidx: t_fidx, deleted_during });
                 }
@@ -915,7 +962,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         for fidx in 0..self.cur_f.len() {
             let pos = self.tags.f_pos(fidx);
             let phys = self.tags.contents.get(pos);
-            match self.cur_f[fidx] {
+            match self.cur_f_at(fidx) {
                 Some(e) if self.ghosts.contains_key(&e) => {
                     assert_eq!(phys, None, "ghost slot {fidx} has physical content");
                     assert!(!self.elem_loc.contains(e), "ghost {e:?} is also live");
@@ -935,7 +982,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             }
         }
         // No pending rebuild ⟹ fully caught up (Lemma 10's precondition).
-        if self.checkpoint.is_none() && self.dirty.is_empty() {
+        if self.checkpoint.is_none() && self.dirty.count_ones() == 0 {
             assert_eq!(self.buffered(), 0, "caught up but elements still buffered");
             assert!(self.ghosts.is_empty(), "caught up but ghosts remain");
         }
@@ -979,12 +1026,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             for mv in &sim_rep.moves {
                 if mv.from == mv.to {
                     if mv.elem == emb_id {
-                        let fidx = mv.from as usize;
-                        let pos = self.tags.f_pos(fidx);
-                        self.tags.place_content(pos, emb_id);
-                        self.cur_f[fidx] = Some(emb_id);
-                        self.cur_f_occ.set(fidx);
-                        self.elem_loc.insert(emb_id, Placed::f(fidx));
+                        self.place_f(mv.from as usize, emb_id);
                         placed = true;
                     }
                     continue;
@@ -993,18 +1035,13 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             }
             if !placed {
                 // Fallback for simulations that do not log placements.
-                let fidx = sim_fidx as usize;
-                let pos = self.tags.f_pos(fidx);
-                self.tags.place_content(pos, emb_id);
-                self.cur_f[fidx] = Some(emb_id);
-                self.cur_f_occ.set(fidx);
-                self.elem_loc.insert(emb_id, Placed::f(fidx));
+                self.place_f(sim_fidx as usize, emb_id);
             }
             let fidx_now = match self.elem_loc.get(emb_id).map(|p| p.loc()) {
                 Some(Loc::F(f)) => f,
                 _ => unreachable!("fast path cannot buffer"),
             };
-            placed_pos = self.tags.f_pos(fidx_now);
+            placed_pos = self.tags.f_pos_via(fidx_now, &mut self.dst_finger);
         } else {
             // Slow path: buffer in the R-shell, then do rebuild work. The
             // rebuild may incorporate the fresh element immediately, so the
@@ -1016,7 +1053,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.pending_insert = None;
             self.rebuild_work();
             placed_pos = match self.elem_loc.get(emb_id).expect("inserted element").loc() {
-                Loc::F(f) => self.tags.f_pos(f),
+                Loc::F(f) => self.tags.f_pos_via(f, &mut self.dst_finger),
                 Loc::Buffer(p) => p,
             };
         }
@@ -1055,12 +1092,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         for mv in &sim_bulk.moves {
             if mv.from == mv.to {
                 // Placement of a new element.
-                let fidx = mv.from as usize;
-                let pos = self.tags.f_pos(fidx);
-                self.tags.place_content(pos, mv.elem);
-                self.cur_f[fidx] = Some(mv.elem);
-                self.cur_f_occ.set(fidx);
-                self.elem_loc.insert(mv.elem, Placed::f(fidx));
+                self.place_f(mv.from as usize, mv.elem);
             } else {
                 self.emulator_relocate(mv.from as usize, mv.to as usize);
             }
@@ -1087,7 +1119,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.stats.fast_ops += 1;
             let Loc::F(fidx) = placed.loc() else { unreachable!("buffered element on fast path") };
             self.tags.remove_content(pos);
-            self.cur_f[fidx] = None;
+            self.cur_f[fidx] = ElemId::NONE;
             self.cur_f_occ.clear(fidx);
             self.mirror_sim_moves(&sim_rep);
         } else {

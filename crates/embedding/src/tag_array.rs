@@ -15,6 +15,20 @@
 //! and four rank/select [`Bitmap`]s for navigation between the three
 //! coordinate systems (positions, F-indices, R-slot-ranks): a rank or
 //! select reads O(log(m/512)) block counts and one 512-bit block.
+//!
+//! The hot translation, F-coordinate → position, also runs from a finger.
+//! An [`FCursor`] remembers the last F-slot it resolved, and
+//! [`TagArray::f_pos_via`] walks from there with
+//! [`Bitmap::select_near`]: the next coordinate of a sweep is a few
+//! F-slots away, so the lookup is a short hop over set bits that touches
+//! no block count. `retag` bumps an epoch whenever an F-bit changes, and
+//! a cursor from an older epoch is not trusted, so every answer equals
+//! [`TagArray::f_pos`]'s. The count of buffered reals inside a span (the
+//! paper's a₁) runs from a finger too: a [`RealGap`] remembers the last
+//! window found between two buffered reals, and while no buffered real
+//! appears, any span inside that window counts zero without reading the
+//! index. Buffered reals are few, so a sweep's spans mostly fall in one
+//! gap; finding a new gap costs one rank and a finger select each way.
 
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::ElemId;
@@ -45,6 +59,34 @@ pub struct TagArray {
     buf_real: Bitmap,
     /// Set ⟺ tag == Buf and the slot is a dummy.
     buf_dummy: Bitmap,
+    /// Bumped whenever an F-bit changes; an [`FCursor`] from an older
+    /// epoch is stale.
+    f_epoch: u64,
+    /// Bumped whenever a buffered real appears at a position (a
+    /// `buf_real` bit is set); a [`RealGap`] from an older epoch is stale.
+    real_epoch: u64,
+}
+
+/// A finger into the F-coordinates: a position and its F-rank (the last
+/// F-slot that [`TagArray::f_pos_via`] resolved through it), valid while
+/// no F-bit changes. The default cursor is position 0, F-rank 0.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FCursor {
+    pos: usize,
+    fidx: usize,
+    /// `TagArray::f_epoch` when the finger was set.
+    epoch: u64,
+}
+
+/// A window of positions `[lo, hi)` known to hold no buffered real
+/// element, valid while no buffered real appears anywhere (see
+/// [`TagArray::buffered_reals_in`]). The default window is empty.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RealGap {
+    lo: usize,
+    hi: usize,
+    /// `TagArray::real_epoch` when the window was found.
+    epoch: u64,
 }
 
 impl TagArray {
@@ -57,6 +99,8 @@ impl TagArray {
             f: Bitmap::new(m),
             buf_real: Bitmap::new(m),
             buf_dummy: Bitmap::new(m),
+            f_epoch: 0,
+            real_epoch: 0,
         }
     }
 
@@ -99,6 +143,22 @@ impl TagArray {
         self.f.select(fidx).expect("F-index out of range")
     }
 
+    /// [`f_pos`](Self::f_pos) from the finger `cur`, which then points at
+    /// the answer: a short walk from the finger's F-slot while no F-bit
+    /// has changed since it was set, else a select from the root.
+    // lll-check: no-alloc
+    #[inline]
+    pub fn f_pos_via(&self, fidx: usize, cur: &mut FCursor) -> usize {
+        let pos = if cur.epoch == self.f_epoch {
+            self.f.select_near(fidx, cur.pos, cur.fidx)
+        } else {
+            self.f.select(fidx)
+        };
+        let pos = pos.expect("F-index out of range");
+        *cur = FCursor { pos, fidx, epoch: self.f_epoch };
+        pos
+    }
+
     /// F-coordinate of the F-slot at `pos` (which must be an F-slot).
     #[inline]
     pub fn f_index_of(&self, pos: usize) -> usize {
@@ -119,30 +179,27 @@ impl TagArray {
         self.nonwhite.select(rank).expect("slot rank out of range")
     }
 
-    /// First buffered real element strictly inside `(a, b)`, if any.
-    pub fn first_buffered_real_in(&self, a: usize, b: usize) -> Option<usize> {
-        if a + 1 >= b {
-            return None;
-        }
-        let pos = self.buf_real.select(self.buf_real.rank(a + 1))?;
-        (pos < b).then_some(pos)
-    }
-
-    /// Last buffered real element strictly inside `(a, b)`, if any.
-    pub fn last_buffered_real_in(&self, a: usize, b: usize) -> Option<usize> {
-        if a + 1 >= b {
-            return None;
-        }
-        let pos = self.buf_real.select(self.buf_real.rank(b).checked_sub(1)?)?;
-        (pos > a).then_some(pos)
-    }
-
-    /// Count of buffered real elements strictly inside `(a, b)`.
-    pub fn buffered_reals_in(&self, a: usize, b: usize) -> usize {
-        if a + 1 >= b {
+    /// Count of buffered real elements strictly inside `(a, b)`: zero,
+    /// without reading the index, while nothing is buffered or while `gap`
+    /// still covers the span. Otherwise one rank and a finger select each
+    /// way find the gap between buffered reals around `a + 1`, and `gap`
+    /// keeps it; a span that holds buffered reals costs one more rank.
+    #[inline]
+    pub fn buffered_reals_in(&self, a: usize, b: usize, gap: &mut RealGap) -> usize {
+        if self.buf_real.count_ones() == 0 || a + 1 >= b {
             return 0;
         }
-        self.buf_real.rank(b) - self.buf_real.rank(a + 1)
+        if gap.epoch == self.real_epoch && gap.lo <= a + 1 && b <= gap.hi {
+            return 0;
+        }
+        let r = self.buf_real.rank(a + 1);
+        let hi = self.buf_real.select_near(r, a + 1, r).unwrap_or(self.num_slots());
+        if hi < b {
+            return self.buf_real.rank(b) - r;
+        }
+        let lo = r.checked_sub(1).and_then(|k| self.buf_real.select_near(k, a + 1, r));
+        *gap = RealGap { lo: lo.map_or(0, |p| p + 1), hi, epoch: self.real_epoch };
+        0
     }
 
     /// Number of dummy buffer slots at positions strictly before `pos`.
@@ -203,6 +260,12 @@ impl TagArray {
             return;
         }
         let occupied = self.contents.is_occupied(pos);
+        if old == SlotTag::F || new == SlotTag::F {
+            self.f_epoch += 1;
+        }
+        if occupied && new == SlotTag::Buf {
+            self.real_epoch += 1;
+        }
         match old {
             SlotTag::White => {}
             SlotTag::F => {
@@ -256,8 +319,7 @@ impl TagArray {
         // The content has left `from`; reconcile the buffered-real index
         // before retagging (retag reads current occupancy).
         if tag == SlotTag::Buf && elem.is_some() {
-            self.buf_real.clear(from);
-            self.buf_dummy.set(from);
+            self.buf_emptied(from);
         }
         self.retag(from, SlotTag::White);
         self.retag(to, tag);
@@ -271,13 +333,11 @@ impl TagArray {
         debug_assert_ne!(self.tags[from], SlotTag::White);
         debug_assert_ne!(self.tags[to], SlotTag::White);
         if self.tags[from] == SlotTag::Buf {
-            self.buf_real.clear(from);
-            self.buf_dummy.set(from);
+            self.buf_emptied(from);
         }
         let e = self.contents.move_elem(from, to);
         if self.tags[to] == SlotTag::Buf {
-            self.buf_real.set(to);
-            self.buf_dummy.clear(to);
+            self.buf_filled(to);
         }
         e
     }
@@ -287,8 +347,7 @@ impl TagArray {
         debug_assert_ne!(self.tags[pos], SlotTag::White);
         self.contents.place(pos, elem);
         if self.tags[pos] == SlotTag::Buf {
-            self.buf_real.set(pos);
-            self.buf_dummy.clear(pos);
+            self.buf_filled(pos);
         }
     }
 
@@ -296,10 +355,23 @@ impl TagArray {
     pub fn remove_content(&mut self, pos: usize) -> ElemId {
         let e = self.contents.remove(pos);
         if self.tags[pos] == SlotTag::Buf {
-            self.buf_real.clear(pos);
-            self.buf_dummy.set(pos);
+            self.buf_emptied(pos);
         }
         e
+    }
+
+    /// The buffer slot at `pos` received an element: a dummy no more.
+    fn buf_filled(&mut self, pos: usize) {
+        self.buf_dummy.clear(pos);
+        self.buf_real.set(pos);
+        self.real_epoch += 1;
+    }
+
+    /// The element left the buffer slot at `pos`: a dummy again. (A gap
+    /// between buffered reals stays one when a real leaves.)
+    fn buf_emptied(&mut self, pos: usize) {
+        self.buf_real.clear(pos);
+        self.buf_dummy.set(pos);
     }
 
     /// Full consistency audit (tests only): every index agrees with tags
@@ -359,6 +431,88 @@ mod tests {
     }
 
     #[test]
+    fn f_cursor_is_not_trusted_across_an_f_change() {
+        use SlotTag::*;
+        // 40 F-slots with gaps, across a word edge.
+        let pattern: Vec<(usize, SlotTag)> =
+            (0..40).map(|i| (i * 3 + i % 2, if i % 5 == 4 { Buf } else { F })).collect();
+        let mut t = tagged(&pattern, 130);
+        let answers_match = |t: &TagArray, cur: FCursor| {
+            for fidx in 0..t.f_count() {
+                let mut probe = cur;
+                assert_eq!(t.f_pos_via(fidx, &mut probe), t.f_pos(fidx), "fidx {fidx}");
+            }
+        };
+        let mut cur = FCursor::default();
+        answers_match(&t, cur);
+        t.f_pos_via(12, &mut cur);
+        answers_match(&t, cur);
+        // Whiten an F-slot left of the finger, then F-tag a white one.
+        let before = t.f_pos(3);
+        t.retag(before, White);
+        answers_match(&t, cur);
+        t.f_pos_via(12, &mut cur);
+        t.retag(before, F);
+        answers_match(&t, cur);
+        // Move an F-slot (a mirrored shell move) across the finger.
+        t.f_pos_via(20, &mut cur);
+        let from = t.f_pos(5);
+        let to = (from + 1..130).find(|&p| t.tag(p) == White && p > t.f_pos(25)).unwrap();
+        t.move_slot(from, to);
+        answers_match(&t, cur);
+        // A buffer slot's move changes no F-rank: the finger stays exact.
+        t.f_pos_via(20, &mut cur);
+        let buf = (0..130).find(|&p| t.tag(p) == Buf).unwrap();
+        let white = (0..130).find(|&p| t.tag(p) == White).unwrap();
+        t.move_slot(buf, white);
+        answers_match(&t, cur);
+        t.check_consistent();
+    }
+
+    #[test]
+    fn real_gap_is_not_trusted_after_a_buffer_change() {
+        use SlotTag::*;
+        let naive = |t: &TagArray, a: usize, b: usize| {
+            (a + 1..b).filter(|&p| t.tag(p) == Buf && t.contents.is_occupied(p)).count()
+        };
+        // Each step puts a buffered real into (5, 120) another way.
+        let steps: [fn(&mut TagArray, &mut IdGen); 4] = [
+            |t, ids| t.place_content(50, ids.fresh()),
+            |t, ids| {
+                t.place_content(31, ids.fresh());
+                t.move_content(31, 70);
+            },
+            |t, _| {
+                t.move_slot(140, 107);
+            },
+            |t, ids| {
+                t.place_content(64, ids.fresh());
+                t.retag(64, Buf);
+            },
+        ];
+        for step in steps {
+            // Buffer slots at multiples of 10, white slots at 2 mod 3,
+            // F-slots elsewhere; one buffered real, right of the window.
+            let pattern: Vec<(usize, SlotTag)> = (0..150)
+                .filter_map(|p| match (p % 10, p % 3) {
+                    (0, _) => Some((p, Buf)),
+                    (_, 2) => None,
+                    _ => Some((p, F)),
+                })
+                .collect();
+            let mut t = tagged(&pattern, 160);
+            let mut ids = IdGen::new();
+            t.place_content(140, ids.fresh());
+            let mut gap = RealGap::default();
+            assert_eq!(t.buffered_reals_in(5, 120, &mut gap), 0);
+            step(&mut t, &mut ids);
+            assert_eq!(naive(&t, 5, 120), 1);
+            assert_eq!(t.buffered_reals_in(5, 120, &mut gap), 1);
+            t.check_consistent();
+        }
+    }
+
+    #[test]
     fn buffered_real_tracking() {
         use SlotTag::*;
         let mut t = tagged(&[(0, F), (2, Buf), (4, Buf), (6, F)], 8);
@@ -368,13 +522,13 @@ mod tests {
         t.place_content(2, e);
         assert_eq!(t.buffered_real_count(), 1);
         assert_eq!(t.buf_dummy_count(), 1);
-        assert_eq!(t.first_buffered_real_in(0, 6), Some(2));
-        assert_eq!(t.last_buffered_real_in(0, 6), Some(2));
-        assert_eq!(t.buffered_reals_in(0, 6), 1);
-        assert_eq!(t.buffered_reals_in(2, 6), 0); // strictly inside
-                                                  // move content to the other buffer slot
-        t.move_content(2, 4);
-        assert_eq!(t.first_buffered_real_in(0, 6), Some(4));
+        let reals_in = |t: &TagArray, a, b| t.buffered_reals_in(a, b, &mut RealGap::default());
+        assert_eq!(reals_in(&t, 0, 6), 1);
+        assert_eq!(reals_in(&t, 2, 6), 0); // strictly inside
+        assert_eq!(reals_in(&t, 1, 2), 0); // empty span
+        t.move_content(2, 4); // to the other buffer slot
+        assert_eq!(reals_in(&t, 3, 6), 1);
+        assert_eq!(reals_in(&t, 0, 4), 0);
         t.check_consistent();
         // remove makes it a dummy again
         t.remove_content(4);
