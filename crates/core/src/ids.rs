@@ -156,11 +156,13 @@ impl IdGen {
 /// index now belongs to a newer generation answers `None` for the old id.
 ///
 /// Indices below `dense_limit` (which the owner sets to its own capacity)
-/// live in a `Vec` grown on demand to the largest one inserted. Larger
-/// indices go to a `HashMap`, so the table never allocates in proportion
-/// to an index. Ids from an [`IdAllocator`] stay below the peak number of
-/// live ids; only ids that outlived a shrink, or came in from a restored
-/// snapshot, can land there.
+/// live in a `Vec` grown on demand to the largest one inserted. Its
+/// capacity doubles as it grows but never passes `dense_limit`, so a full
+/// table holds exactly `dense_limit` entries, not the next power of two.
+/// Larger indices go to a `HashMap`, so the table never allocates in
+/// proportion to an index. Ids from an [`IdAllocator`] stay below the peak
+/// number of live ids; only ids that outlived a shrink, or came in from a
+/// restored snapshot, can land there.
 #[derive(Clone, Debug)]
 pub struct IdTable<T> {
     /// `dense[i]`: the generation and value of the held id of index `i`.
@@ -218,6 +220,10 @@ impl<T> IdTable<T> {
             return;
         }
         if i >= self.dense.len() {
+            if i >= self.dense.capacity() {
+                let want = (2 * self.dense.capacity()).clamp(i + 1, self.dense_limit);
+                self.dense.reserve_exact(want - self.dense.len());
+            }
             self.dense.resize_with(i + 1, || None);
         }
         let slot = &mut self.dense[i];
@@ -325,6 +331,24 @@ mod tests {
         assert!(t.dense.len() <= 8);
         assert_eq!(t.remove(far), Some(1));
         assert_eq!(t.iter().count(), 1);
+    }
+
+    #[test]
+    fn table_growth_stops_at_the_dense_limit() {
+        let limit = 4838;
+        let mut t: IdTable<u32> = IdTable::new(limit);
+        for i in 0..limit {
+            t.insert(ElemId::new(i as u32, 0), i as u32);
+        }
+        // Doubling alone would end at 8,192 entries.
+        assert_eq!(t.dense.capacity(), limit);
+        assert_eq!(t.get(ElemId::new(4837, 0)), Some(&4837));
+        // The limit itself and beyond go to the side map.
+        t.insert(ElemId::new(limit as u32, 0), 1);
+        t.insert(ElemId::new(9000, 0), 2);
+        assert_eq!(t.dense.capacity(), limit);
+        assert_eq!(t.sparse.len(), 2);
+        assert_eq!(t.get(ElemId::new(limit as u32, 0)), Some(&1));
     }
 
     #[test]

@@ -41,6 +41,7 @@ use lll_core::ids::{ElemId, IdTable};
 use lll_core::report::{BulkReport, OpReport};
 use lll_core::slot_array::{merge_sorted, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
+use std::num::NonZeroU32;
 
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -105,10 +106,11 @@ pub struct DeamortizedPma {
     capacity: usize,
     cfg: DeamortizedConfig,
     jobs: Vec<Job>,
-    /// Each stored element's slot, by id: the generation check is what
-    /// lets a queued plan entry whose element was deleted (and its index
-    /// reissued) be skipped.
-    elem_pos: IdTable<u32>,
+    /// Each stored element's slot plus one, by id: the generation check is
+    /// what lets a queued plan entry whose element was deleted (and its
+    /// index reissued) be skipped. The offset gives the entry a niche, so
+    /// it takes 8 bytes with its generation instead of 12.
+    elem_pos: IdTable<NonZeroU32>,
     stats: DeamortizedStats,
     work_quota: usize,
     shift_cap: usize,
@@ -183,14 +185,27 @@ impl DeamortizedPma {
 
     // ----- tracked movement -------------------------------------------------
 
+    /// The slot of the stored element `e`, if it is stored.
+    #[inline]
+    fn pos_of(&self, e: ElemId) -> Option<usize> {
+        self.elem_pos.get(e).map(|p| p.get() as usize - 1)
+    }
+
+    /// Record that `e` now sits at slot `pos`.
+    #[inline]
+    fn track(&mut self, e: ElemId, pos: usize) {
+        // `pos < num_slots <= u32::MAX`, so `pos + 1` fits and is nonzero.
+        self.elem_pos.insert(e, NonZeroU32::new(pos as u32 + 1).expect("slot + 1 is nonzero"));
+    }
+
     fn place_tracked(&mut self, pos: usize, id: ElemId) {
         self.slots.place(pos, id);
-        self.elem_pos.insert(id, pos as u32);
+        self.track(id, pos);
     }
 
     fn move_tracked(&mut self, from: usize, to: usize) {
         let e = self.slots.move_elem(from, to);
-        self.elem_pos.insert(e, to as u32);
+        self.track(e, to);
     }
 
     fn remove_tracked(&mut self, pos: usize) -> ElemId {
@@ -294,10 +309,9 @@ impl DeamortizedPma {
         while job.cursor < job.queue.len() && done < budget {
             let (elem, target) = job.queue[job.cursor];
             job.cursor += 1;
-            let Some(&cur) = self.elem_pos.get(elem) else {
+            let Some(cur) = self.pos_of(elem) else {
                 continue; // deleted since the plan froze
             };
-            let cur = cur as usize;
             if cur == target {
                 continue;
             }
@@ -696,7 +710,7 @@ impl ListLabeling for DeamortizedPma {
         merge_sorted(&mut self.slots, a, b, at, ids);
         self.slots.drain_log_into(&mut out.moves);
         for mv in &out.moves {
-            self.elem_pos.insert(mv.elem, mv.to);
+            self.track(mv.elem, mv.to as usize);
         }
     }
 
@@ -861,8 +875,8 @@ mod tests {
         for (old, target) in entries {
             let mut z = z.clone();
             let mut ids = ids.clone();
-            let Some(&pos) = z.elem_pos.get(old) else { continue };
-            let rank = z.slots.rank_at(pos as usize);
+            let Some(pos) = z.pos_of(old) else { continue };
+            let rank = z.slots.rank_at(pos);
             z.delete(rank);
             ids.release(old);
             let new = ids.fresh();
@@ -874,7 +888,7 @@ mod tests {
             else {
                 continue;
             };
-            let cur = z.elem_pos.get(new).map(|&p| p as usize).expect("newcomer is tracked");
+            let cur = z.pos_of(new).expect("newcomer is tracked");
             let step = if target > cur { cur + 1 } else { cur.wrapping_sub(1) };
             if cur == target || step >= z.num_slots() || z.slots.is_occupied(step) {
                 continue;
@@ -883,7 +897,7 @@ mod tests {
             z.drain_job(&mut job, usize::MAX);
             let log = z.slots.drain_log();
             assert!(log.iter().all(|mv| mv.elem != new), "stale entry moved {new:?}");
-            assert_eq!(z.elem_pos.get(new), Some(&(cur as u32)));
+            assert_eq!(z.pos_of(new), Some(cur));
             checked += 1;
         }
         assert!(checked > 0, "no stale entry survived to be checked");

@@ -22,23 +22,30 @@
 //!
 //! * `elem_loc`, an [`IdTable`] at the id's [`index`](ElemId::index): each
 //!   live element's [`Loc`] and, while it is buffered, its deadweight count
-//!   (16 bytes per id, generation included);
-//! * `cur_f`, the physical F-layout (ghosts included), by F-coordinate,
-//!   sentinel-packed like a [`SlotArray`]'s contents (`ElemId::NONE` marks
-//!   a free coordinate, 8 bytes each);
+//!   (12 bytes per id, generation included);
+//! * `cur_f_occ`, a bitmap over F-coordinates marking those the physical
+//!   F-layout occupies, ghosts included. Who occupies one is not stored
+//!   again: a live occupant is the tagged array's content at that F-slot,
+//!   read through the finger the relocation walks anyway, and an occupied
+//!   coordinate whose F-slot is empty holds a ghost;
 //! * `dirty`, a bitmap over F-coordinates marking those the simulation
 //!   touched. The next checkpoint's freeze visits the marked coordinates
-//!   in order, each a finger select from the last, clearing as it goes;
-//!   that checkpoint's targets come from one walk of the simulation's
-//!   occupancy bitmap.
+//!   in order, each a finger select from the last, clearing as it goes.
+//!   It decides "unchanged" from `elem_loc` (the simulation's occupant is
+//!   live, not buffered, and at the same coordinate) or, for a coordinate
+//!   the simulation leaves free, from `cur_f_occ`, so it resolves no
+//!   position. That checkpoint's targets come from one walk of the
+//!   simulation's occupancy bitmap.
 //!
-//! `ghosts` stays a `HashMap`. A ghost is a deleted element whose slot the
-//! pending rebuild has not cleared yet, and its index may already be
-//! reissued to a live element under the next generation, so it cannot
-//! share that element's table entry. It is consulted only for ids that are
-//! not live — a few per deletion, never per move of a live element — and
-//! records the rebuild count at its deletion, which tells the pending
-//! checkpoint whether it still holds the ghost as a target.
+//! Ghosts stay in two small `HashMap`s, `ghosts` by id and `ghost_at` by
+//! F-coordinate. A ghost is a deleted element whose slot the pending
+//! rebuild has not cleared yet, and its index may already be reissued to a
+//! live element under the next generation, so it cannot share that
+//! element's table entry. The maps are consulted only for ids that are not
+//! live and for occupied F-slots with no content — a few per deletion,
+//! never per move of a live element — and a ghost records the rebuild
+//! count at its deletion, which tells the pending checkpoint whether it
+//! still holds the ghost as a target.
 //!
 //! Which ids each level sees, in `X ⊳ (Y ⊳ Z)`: the outer embedding and
 //! its simulated `X` see the caller's ids (from `Growable`, dense below the
@@ -80,13 +87,14 @@ pub enum Loc {
 }
 
 /// A live element's [`Loc`] and, while it is buffered, the deadweight
-/// moves it has suffered: 12 bytes, 16 with the generation that
+/// moves it has suffered: 8 bytes, 12 with the generation that
 /// [`Embed`]'s id table keeps beside it.
 #[derive(Clone, Copy, Debug)]
 struct Placed {
     /// F-coordinate, or physical position when `buffered`.
     pos: u32,
-    deadweight: u32,
+    /// Saturating; Lemma 5 bounds it by 4.
+    deadweight: u16,
     buffered: bool,
 }
 
@@ -241,16 +249,19 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     sim: F,
     /// The R-shell (its elements are the non-white slots of the array).
     shell: R,
-    /// The physical F-layout, in F-coordinates, including ghosts;
-    /// `ElemId::NONE` marks a free coordinate.
-    cur_f: Vec<ElemId>,
-    /// Occupancy of `cur_f`, with rank.
+    /// Occupancy of the physical F-layout, by F-coordinate, ghosts
+    /// included. A live occupant is the content of its F-slot; an occupied
+    /// coordinate whose F-slot is empty holds a ghost.
     cur_f_occ: Bitmap,
     /// Live elements → location and deadweight, indexed by id.
     elem_loc: IdTable<Placed>,
-    /// Deleted elements still present in `cur_f` (ghosts). Looked up only
-    /// for ids that are not live, so hashing here costs nothing per move.
+    /// Deleted elements still present in the physical F-layout (ghosts).
+    /// Looked up only for ids that are not live, so hashing here costs
+    /// nothing per move.
     ghosts: HashMap<ElemId, Ghost>,
+    /// `ghosts` inverted: the ghost at each F-coordinate that holds one.
+    /// Looked up only for occupied F-slots with no content.
+    ghost_at: HashMap<usize, ElemId>,
     /// The element of the in-flight insertion, between its simulation
     /// insert and its physical placement. A checkpoint created in that
     /// window (e.g. by a forced catch-up inside `buffer_insert`) must not
@@ -312,10 +323,10 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             tags: TagArray::new(m),
             sim,
             shell,
-            cur_f: vec![ElemId::NONE; f_count],
             cur_f_occ: Bitmap::new(f_count),
             elem_loc: IdTable::new(capacity),
             ghosts: HashMap::new(),
+            ghost_at: HashMap::new(),
             pending_insert: None,
             dirty: Bitmap::new(f_count),
             src_finger: FCursor::default(),
@@ -415,7 +426,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         let placed = self.elem_loc.get_mut(e).expect("deadweight of a live element");
         debug_assert!(placed.buffered, "deadweight of an unbuffered element");
         placed.pos = pos as u32;
-        placed.deadweight += 1;
+        placed.deadweight = placed.deadweight.saturating_add(1);
         self.stats.deadweight_moves += 1;
     }
 
@@ -449,7 +460,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             self.tags.move_content(start, p_dst);
             return;
         }
-        let f_total = self.cur_f.len();
+        let f_total = self.cur_f_occ.len();
         // The pivot q: exactly a1 non-white slots lie in (q, p_dst].
         let q = self.tags.slot_pos(self.tags.slot_rank(p_dst) - a1);
         debug_assert!(q > start, "span too small for its blocking reals");
@@ -501,7 +512,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             self.tags.move_content(start, p_dst);
             return;
         }
-        let f_total = self.cur_f.len();
+        let f_total = self.cur_f_occ.len();
         // The pivot q: exactly a1 non-white slots lie in [p_dst, q).
         let q = self.tags.slot_pos(self.tags.slot_rank(p_dst) + a1);
         debug_assert!(q < start);
@@ -543,41 +554,40 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         debug_assert_eq!(self.tags.f_index_of(q), dst_fidx, "landing index off");
     }
 
-    /// Relocate the `cur_f` occupant of `from_fidx` to the empty F-slot
-    /// `to_fidx`: physically for live elements, bookkeeping-only for ghosts.
+    /// Relocate the occupant of F-coordinate `from_fidx` to the empty
+    /// F-slot `to_fidx`: physically for live elements, bookkeeping-only
+    /// for ghosts.
     fn emulator_relocate(&mut self, from_fidx: usize, to_fidx: usize) {
         if from_fidx == to_fidx {
             return;
         }
-        let e = std::mem::replace(&mut self.cur_f[from_fidx], ElemId::NONE);
-        assert_ne!(e, ElemId::NONE, "relocate from empty F-slot");
-        debug_assert_eq!(self.cur_f[to_fidx], ElemId::NONE, "relocate into occupied F-slot");
-        if self.elem_loc.contains(e) {
-            let src = self.tags.f_pos_via(from_fidx, &mut self.src_finger);
+        let src = self.tags.f_pos_via(from_fidx, &mut self.src_finger);
+        self.relocate_from(src, from_fidx, to_fidx);
+    }
+
+    /// [`emulator_relocate`](Self::emulator_relocate), for a caller that
+    /// already holds the position `src` of F-coordinate `from_fidx`. The
+    /// slot's content is the live occupant; an empty slot holds a ghost.
+    fn relocate_from(&mut self, src: usize, from_fidx: usize, to_fidx: usize) {
+        debug_assert!(self.cur_f_occ.get(from_fidx), "relocate from empty F-slot");
+        if let Some(e) = self.tags.contents.get(src) {
             let dst = self.tags.f_pos_via(to_fidx, &mut self.dst_finger);
             self.emulator_move(src, dst, to_fidx);
             self.elem_loc.insert(e, Placed::f(to_fidx));
         } else {
-            let ghost = self.ghosts.get_mut(&e).expect("dead F-slot occupant is a ghost");
-            debug_assert_eq!(ghost.fidx, from_fidx);
-            ghost.fidx = to_fidx;
+            let e = self.ghost_at.remove(&from_fidx).expect("dead F-slot occupant is a ghost");
+            self.ghosts.get_mut(&e).expect("ghost of its coordinate").fidx = to_fidx;
+            self.ghost_at.insert(to_fidx, e);
         }
-        self.cur_f[to_fidx] = e;
         self.cur_f_occ.move_bit(from_fidx, to_fidx);
     }
 
-    /// The `cur_f` occupant of `fidx`, live or ghost.
-    #[inline]
-    fn cur_f_at(&self, fidx: usize) -> Option<ElemId> {
-        let e = self.cur_f[fidx];
-        (e != ElemId::NONE).then_some(e)
-    }
-
-    /// Put `e` (live, or a ghost) into the free F-coordinate `fidx`.
-    fn fill_f(&mut self, fidx: usize, e: ElemId) {
-        debug_assert_eq!(self.cur_f[fidx], ElemId::NONE, "F-slot {fidx} already taken");
-        self.cur_f[fidx] = e;
-        self.cur_f_occ.set(fidx);
+    /// Keep the deleted element `e` as a ghost at the occupied
+    /// F-coordinate `fidx`.
+    fn add_ghost(&mut self, e: ElemId, fidx: usize) {
+        let deleted_during = self.stats.rebuilds_started;
+        self.ghosts.insert(e, Ghost { fidx, deleted_during });
+        self.ghost_at.insert(fidx, e);
     }
 
     /// Place the new element `e` physically at the free F-coordinate `fidx`
@@ -585,7 +595,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     fn place_f(&mut self, fidx: usize, e: ElemId) {
         let pos = self.tags.f_pos_via(fidx, &mut self.dst_finger);
         self.tags.place_content(pos, e);
-        self.fill_f(fidx, e);
+        self.cur_f_occ.set(fidx);
         self.elem_loc.insert(e, Placed::f(fidx));
     }
 
@@ -767,7 +777,15 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         while let Some(d) = self.dirty.select_near(0, next, 0) {
             self.dirty.clear(d);
             next = d + 1;
-            if self.cur_f_at(d) == self.sim.slots().get(d) {
+            // Unchanged iff the physical layout holds the simulation's
+            // occupant at `d`, or nothing where the simulation holds none.
+            let unchanged = match self.sim.slots().get(d) {
+                Some(e) => {
+                    matches!(self.elem_loc.get(e), Some(p) if !p.buffered && p.pos as usize == d)
+                }
+                None => !self.cur_f_occ.get(d),
+            };
+            if unchanged {
                 continue;
             }
             open = Some(match open {
@@ -826,23 +844,28 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 }
                 let i = job.scan;
                 job.scan += 1;
-                if let Some(e) = self.cur_f_at(i) {
-                    if !self.elem_loc.contains(e) {
-                        // A ghost. The checkpoint holds it (as a target of
-                        // this interval) iff it was deleted after the
-                        // checkpoint froze; otherwise drop it.
-                        let held = self.ghosts[&e].deleted_during == self.stats.rebuilds_started;
-                        debug_assert_eq!(held, job.targets.iter().any(|&(_, t)| t == e));
-                        if !held {
-                            self.cur_f[i] = ElemId::NONE;
-                            self.cur_f_occ.clear(i);
-                            self.ghosts.remove(&e);
-                            continue;
-                        }
+                if !self.cur_f_occ.get(i) {
+                    continue;
+                }
+                let src = self.tags.f_pos_via(i, &mut self.src_finger);
+                if !self.tags.contents.is_occupied(src) {
+                    // A ghost. The checkpoint holds it (as a target of
+                    // this interval) iff it was deleted after the
+                    // checkpoint froze; otherwise drop it.
+                    let e = self.ghost_at[&i];
+                    let held = self.ghosts[&e].deleted_during == self.stats.rebuilds_started;
+                    debug_assert_eq!(held, job.targets.iter().any(|&(_, t)| t == e));
+                    if !held {
+                        self.cur_f_occ.clear(i);
+                        self.ghost_at.remove(&i);
+                        self.ghosts.remove(&e);
+                        continue;
                     }
-                    let dest = job.pack_next;
-                    job.pack_next += 1;
-                    self.emulator_relocate(i, dest);
+                }
+                let dest = job.pack_next;
+                job.pack_next += 1;
+                if dest != i {
+                    self.relocate_from(src, i, dest);
                 }
             } else if job.phase == 1 {
                 if job.placed >= job.targets.len() {
@@ -902,9 +925,9 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 let p_dst = self.tags.f_pos_via(t_fidx, &mut self.dst_finger);
                 self.emulator_move(pos as usize, p_dst, t_fidx);
                 self.elem_loc.insert(e, Placed::f(t_fidx));
-                self.fill_f(t_fidx, e);
+                self.cur_f_occ.set(t_fidx);
                 self.stats.incorporations += 1;
-                self.stats.record_deadweight(deadweight);
+                self.stats.record_deadweight(deadweight.into());
             }
             None => {
                 if self.pending_insert == Some(e) {
@@ -921,9 +944,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 } else {
                     // Deleted while buffered (its deadweight was recorded
                     // then): materialize as a ghost.
-                    self.fill_f(t_fidx, e);
-                    let deleted_during = self.stats.rebuilds_started;
-                    self.ghosts.insert(e, Ghost { fidx: t_fidx, deleted_during });
+                    self.cur_f_occ.set(t_fidx);
+                    self.add_ghost(e, t_fidx);
                 }
             }
         }
@@ -958,20 +980,22 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Test/diagnostic invariant audit (O(m); not used on hot paths).
     pub fn check_invariants(&self) {
         self.tags.check_consistent();
-        // Physical F contents agree with cur_f minus ghosts.
-        for fidx in 0..self.cur_f.len() {
+        // Physical F contents agree with the occupancy and the ghosts.
+        assert_eq!(self.ghosts.len(), self.ghost_at.len(), "ghost maps disagree");
+        for fidx in 0..self.cur_f_occ.len() {
             let pos = self.tags.f_pos(fidx);
             let phys = self.tags.contents.get(pos);
-            match self.cur_f_at(fidx) {
-                Some(e) if self.ghosts.contains_key(&e) => {
-                    assert_eq!(phys, None, "ghost slot {fidx} has physical content");
-                    assert!(!self.elem_loc.contains(e), "ghost {e:?} is also live");
-                }
-                Some(e) => {
-                    assert_eq!(phys, Some(e), "F-slot {fidx} content mismatch");
-                    assert_eq!(self.elem_loc.get(e).map(|p| p.loc()), Some(Loc::F(fidx)));
-                }
-                None => assert_eq!(phys, None, "free F-slot {fidx} has content"),
+            let ghost = self.ghost_at.get(&fidx).copied();
+            if let Some(e) = ghost {
+                assert!(self.cur_f_occ.get(fidx), "ghost {e:?} at free F-slot {fidx}");
+                assert_eq!(self.ghosts.get(&e).map(|g| g.fidx), Some(fidx), "ghost maps disagree");
+                assert_eq!(phys, None, "ghost slot {fidx} has physical content");
+                assert!(!self.elem_loc.contains(e), "ghost {e:?} is also live");
+            } else if let Some(e) = phys {
+                assert!(self.cur_f_occ.get(fidx), "free F-slot {fidx} has content");
+                assert_eq!(self.elem_loc.get(e).map(|p| p.loc()), Some(Loc::F(fidx)));
+            } else {
+                assert!(!self.cur_f_occ.get(fidx), "occupied F-slot {fidx} has no occupant");
             }
         }
         // Buffered elements agree with elem_loc.
@@ -1119,7 +1143,6 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.stats.fast_ops += 1;
             let Loc::F(fidx) = placed.loc() else { unreachable!("buffered element on fast path") };
             self.tags.remove_content(pos);
-            self.cur_f[fidx] = ElemId::NONE;
             self.cur_f_occ.clear(fidx);
             self.mirror_sim_moves(&sim_rep);
         } else {
@@ -1128,11 +1151,8 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.note_dirty(&sim_rep);
             self.tags.remove_content(pos);
             match placed.loc() {
-                Loc::F(fidx) => {
-                    let deleted_during = self.stats.rebuilds_started;
-                    self.ghosts.insert(e, Ghost { fidx, deleted_during });
-                }
-                Loc::Buffer(_) => self.stats.record_deadweight(placed.deadweight),
+                Loc::F(fidx) => self.add_ghost(e, fidx),
+                Loc::Buffer(_) => self.stats.record_deadweight(placed.deadweight.into()),
             }
             self.rebuild_work();
         }

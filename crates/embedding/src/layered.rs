@@ -61,13 +61,19 @@ pub fn corollary11_builder(seed: u64) -> Corollary11Builder {
 }
 
 /// Corollary 11's structure for `n` elements, with all random tapes derived
-/// from `seed`. Uses the builder's default slot budget (≈ 2.4·n slots —
-/// the compounded (1+3ε) factors of the two embeddings).
+/// from `seed`. Uses the builder's default slot budget, `⌈3.1445·n⌉ + 2`
+/// slots (6,442 at n = 2,048), as the two builders' `min_slack` set it.
+/// The inner `Y ⊳ Z` asks for 1.8747 slots per element it holds (the
+/// deamortized `Z`'s 1.3 slots per shell element, 1.4267 shell elements
+/// per element, plus 0.02), and the outer shell hands it 1.6667·n
+/// elements (its F-slots and buffer slots); 1.8747 · 1.6667 + 0.02 is the
+/// outer factor.
 ///
 /// ```
 /// use lll_core::ids::ElemId;
 /// use lll_core::traits::ListLabeling;
-/// let mut list = lll_embedding::corollary11(256, 42);
+/// let mut list = lll_embedding::corollary11(2048, 42);
+/// assert_eq!(list.num_slots(), 6442);
 /// for i in 0..128 {
 ///     list.insert(0, ElemId(i)); // hammer-insert: the adaptive layer's specialty
 /// }

@@ -10,11 +10,14 @@
 //!   real element or a *buffer dummy*. Also always occupied in R's view.
 //! * **R-empty slots** (white) — the only slots R considers free.
 //!
-//! [`TagArray`] maintains the tags, the real-element contents (a
-//! [`SlotArray`], so every physical move is order-checked and cost-logged),
-//! and four rank/select [`Bitmap`]s for navigation between the three
-//! coordinate systems (positions, F-indices, R-slot-ranks): a rank or
-//! select reads O(log(m/512)) block counts and one 512-bit block.
+//! [`TagArray`] maintains the real-element contents (a [`SlotArray`], so
+//! every physical move is order-checked and cost-logged) and four
+//! rank/select [`Bitmap`]s for navigation between the three coordinate
+//! systems (positions, F-indices, R-slot-ranks): a rank or select reads
+//! O(log(m/512)) block counts and one 512-bit block. The bitmaps are the
+//! tags: a slot is an F-slot when its `f` bit is set, a buffer slot when
+//! only its `nonwhite` bit is, and white otherwise, so no per-slot tag is
+//! stored beside them.
 //!
 //! The hot translation, F-coordinate → position, also runs from a finger.
 //! An [`FCursor`] remembers the last F-slot it resolved, and
@@ -48,7 +51,6 @@ pub enum SlotTag {
 /// The tagged physical array of the embedding.
 #[derive(Clone, Debug)]
 pub struct TagArray {
-    tags: Vec<SlotTag>,
     /// Real-element contents; all physical motion flows through this.
     pub contents: SlotArray,
     /// Set ⟺ tag ≠ White.
@@ -93,7 +95,6 @@ impl TagArray {
     /// All-white array of `m` slots.
     pub fn new(m: usize) -> Self {
         Self {
-            tags: vec![SlotTag::White; m],
             contents: SlotArray::new(m),
             nonwhite: Bitmap::new(m),
             f: Bitmap::new(m),
@@ -106,13 +107,19 @@ impl TagArray {
 
     /// Number of slots.
     pub fn num_slots(&self) -> usize {
-        self.tags.len()
+        self.contents.num_slots()
     }
 
-    /// The tag at `pos`.
+    /// The tag at `pos`, read from the `f` and `nonwhite` bitmaps.
     #[inline]
     pub fn tag(&self, pos: usize) -> SlotTag {
-        self.tags[pos]
+        if self.f.get(pos) {
+            SlotTag::F
+        } else if self.nonwhite.get(pos) {
+            SlotTag::Buf
+        } else {
+            SlotTag::White
+        }
     }
 
     /// Count of F-slots.
@@ -162,7 +169,7 @@ impl TagArray {
     /// F-coordinate of the F-slot at `pos` (which must be an F-slot).
     #[inline]
     pub fn f_index_of(&self, pos: usize) -> usize {
-        debug_assert_eq!(self.tags[pos], SlotTag::F);
+        debug_assert_eq!(self.tag(pos), SlotTag::F);
         self.f.rank(pos)
     }
 
@@ -255,7 +262,7 @@ impl TagArray {
     /// any) is untouched; callers must keep content/tag compatible (real
     /// content on White is illegal).
     pub fn retag(&mut self, pos: usize, new: SlotTag) {
-        let old = self.tags[pos];
+        let old = self.tag(pos);
         if old == new {
             return;
         }
@@ -298,7 +305,6 @@ impl TagArray {
                 }
             }
         }
-        self.tags[pos] = new;
     }
 
     /// Move a whole slot (tag + content) from `from` to the white slot `to`
@@ -306,9 +312,9 @@ impl TagArray {
     /// element if the slot was occupied (cost 1) or `None` (dummy/free slot,
     /// cost 0).
     pub fn move_slot(&mut self, from: usize, to: usize) -> Option<ElemId> {
-        debug_assert_ne!(self.tags[from], SlotTag::White, "moving a white slot");
-        debug_assert_eq!(self.tags[to], SlotTag::White, "target of slot move not white");
-        let tag = self.tags[from];
+        let tag = self.tag(from);
+        debug_assert_ne!(tag, SlotTag::White, "moving a white slot");
+        debug_assert_eq!(self.tag(to), SlotTag::White, "target of slot move not white");
         let elem = if self.contents.is_occupied(from) {
             // The content move is order-safe: R only moves its elements
             // across its own free (white) slots, which hold no content.
@@ -330,13 +336,13 @@ impl TagArray {
     /// The buffered-real and dummy bitmaps are updated from the tags at
     /// both endpoints.
     pub fn move_content(&mut self, from: usize, to: usize) -> ElemId {
-        debug_assert_ne!(self.tags[from], SlotTag::White);
-        debug_assert_ne!(self.tags[to], SlotTag::White);
-        if self.tags[from] == SlotTag::Buf {
+        debug_assert_ne!(self.tag(from), SlotTag::White);
+        debug_assert_ne!(self.tag(to), SlotTag::White);
+        if self.tag(from) == SlotTag::Buf {
             self.buf_emptied(from);
         }
         let e = self.contents.move_elem(from, to);
-        if self.tags[to] == SlotTag::Buf {
+        if self.tag(to) == SlotTag::Buf {
             self.buf_filled(to);
         }
         e
@@ -344,9 +350,9 @@ impl TagArray {
 
     /// Place a new element (cost 1) into an empty non-white slot.
     pub fn place_content(&mut self, pos: usize, elem: ElemId) {
-        debug_assert_ne!(self.tags[pos], SlotTag::White);
+        debug_assert_ne!(self.tag(pos), SlotTag::White);
         self.contents.place(pos, elem);
-        if self.tags[pos] == SlotTag::Buf {
+        if self.tag(pos) == SlotTag::Buf {
             self.buf_filled(pos);
         }
     }
@@ -354,7 +360,7 @@ impl TagArray {
     /// Remove the element at `pos` (cost 0).
     pub fn remove_content(&mut self, pos: usize) -> ElemId {
         let e = self.contents.remove(pos);
-        if self.tags[pos] == SlotTag::Buf {
+        if self.tag(pos) == SlotTag::Buf {
             self.buf_emptied(pos);
         }
         e
@@ -374,18 +380,17 @@ impl TagArray {
         self.buf_dummy.set(pos);
     }
 
-    /// Full consistency audit (tests only): every index agrees with tags
-    /// and contents.
+    /// Full consistency audit (tests only): the four bitmaps agree with
+    /// one another and with the contents.
     pub fn check_consistent(&self) {
         self.contents.check_consistent();
         for bits in [&self.nonwhite, &self.f, &self.buf_real, &self.buf_dummy] {
             bits.check_consistent();
         }
-        for pos in 0..self.tags.len() {
-            let t = self.tags[pos];
+        for pos in 0..self.num_slots() {
+            let t = self.tag(pos);
             let occ = self.contents.is_occupied(pos);
-            assert_eq!(self.nonwhite.get(pos), t != SlotTag::White);
-            assert_eq!(self.f.get(pos), t == SlotTag::F);
+            assert!(!self.f.get(pos) || self.nonwhite.get(pos), "F-slot {pos} is white");
             assert_eq!(
                 self.buf_real.get(pos),
                 t == SlotTag::Buf && occ,

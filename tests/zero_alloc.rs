@@ -3,7 +3,9 @@
 //! allocate" on [`LabelMap`] and [`OrderedList`], for both the classic and
 //! the deamortized backend — plus, since the lock-free reader PR, the
 //! property "an optimistic `ShardedMap` read allocates nothing, ever"
-//! (no convergence allowance: zero from round one).
+//! (no convergence allowance: zero from round one). The same allocator
+//! keeps a live-bytes gauge, which pins each backend's heap footprint
+//! after a bulk load (see `footprint_stays_pinned`).
 //!
 //! Methodology: structures allocate while *growing* (slot-array doubling,
 //! hash-table growth, rebalance scratch buffers reaching their high-water
@@ -19,6 +21,7 @@
 //! pollute the process-global counter.
 
 use lll_api::{Backend, ListBuilder};
+use lll_core::ids::IdGen;
 use lll_sharded::ShardedBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,6 +29,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Allocations observed process-wide (frees are not counted: the property
 /// under test is "no *new* memory on the steady-state path").
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes allocated and not yet freed, process-wide: requested sizes, so a
+/// `Vec`'s unused capacity counts and the allocator's own overhead does
+/// not.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
@@ -37,14 +45,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's layout, forwarded verbatim.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     // SAFETY: same contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's layout, forwarded verbatim.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
+        ptr
     }
 
     // SAFETY: same contract as `System::realloc` — a grow or shrink is new
@@ -52,11 +68,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: pointer, layout, and size forwarded verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new_ptr.is_null() {
+            LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        }
+        new_ptr
     }
 
-    // SAFETY: same contract as `System::dealloc`; frees are not counted.
+    // SAFETY: same contract as `System::dealloc`; frees are not counted as
+    // allocations, only taken off the live gauge.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: pointer and layout forwarded verbatim.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -178,6 +201,46 @@ fn sharded_read_churn() {
     assert_eq!(stats.read_lock_fallbacks, 0, "a single-threaded reader never falls back");
 }
 
+/// Live heap bytes per entry that `build_fixed(n)` plus one splice of `n`
+/// fresh ids leaves held (the move log is dropped, the id list is not
+/// counted).
+fn bulk_loaded_bytes_per_entry(backend: Backend, n: usize) -> f64 {
+    let ids = IdGen::new().fresh_n(n);
+    let builder = ListBuilder::new().backend(backend).seed(11);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut list = builder.build_fixed(n);
+    drop(list.splice(0, &ids));
+    let held = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    assert_eq!(list.len(), n);
+    drop(list);
+    held as f64 / n as f64
+}
+
+/// Each backend's heap after a bulk load of n entries, at n = 2,048 and
+/// n = 3,000, stays under a pinned ceiling in bytes per entry. The
+/// figures are exact for a build, slack included; each ceiling sits just
+/// above the larger of its two, so memory a change stores twice, or
+/// reserves past a table's owner, fails here.
+fn footprint_stays_pinned() {
+    let ceilings = [
+        (Backend::Classic, 13.5),
+        (Backend::Deamortized, 22.0),
+        (Backend::Randomized, 13.5),
+        (Backend::Adaptive, 14.0),
+        (Backend::Corollary11, 165.5),
+    ];
+    assert_eq!(ceilings.map(|(b, _)| b), Backend::ALL, "one ceiling per backend");
+    for (backend, ceiling) in ceilings {
+        for n in [2048, 3000] {
+            let bytes = bulk_loaded_bytes_per_entry(backend, n);
+            assert!(
+                bytes <= ceiling,
+                "{backend} at n = {n} holds {bytes:.1} B/entry after a bulk load (ceiling {ceiling})"
+            );
+        }
+    }
+}
+
 #[test]
 fn steady_state_operations_reach_zero_allocations() {
     for backend in [Backend::Classic, Backend::Deamortized] {
@@ -185,4 +248,5 @@ fn steady_state_operations_reach_zero_allocations() {
         ordered_list_churn(backend);
     }
     sharded_read_churn();
+    footprint_stays_pinned();
 }
