@@ -127,9 +127,9 @@ fn run_batch_vs_per_op(n: usize) -> BatchResult {
     let landed = client.batch_insert(batch).expect("batch_insert");
     let batch_secs = t.elapsed().as_secs_f64();
     assert_eq!(landed as usize, n, "batch must land every unique key");
-    let stats = client.stats().expect("stats");
-    assert!(stats.shards > 1, "a {n}-key batch must shard the map");
-    assert_eq!(stats.len as usize, n);
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.shard_lens.len() > 1, "a {n}-key batch must shard the map");
+    assert_eq!(metrics.shard_lens.iter().sum::<u64>() as usize, n);
     server.shutdown();
 
     let mut server = start_server();

@@ -1,11 +1,11 @@
 //! Experiment driver: regenerates every table/figure-level claim of the
-//! paper (see EXPERIMENTS.md).
+//! paper (see the index in the `lll_bench::experiments` module docs).
 //!
 //! Usage:
 //!   experiments [--quick] [--csv DIR] [--seed N] [e4 e5 ...]
 //!
 //! With no experiment ids, runs the whole suite. `--quick` shrinks sizes
-//! (CI smoke run); full mode is what EXPERIMENTS.md records. Run in
+//! (CI smoke run); full mode runs the sizes the index states. Run in
 //! release mode: `cargo run -p lll-bench --release --bin experiments`.
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,44 @@
-//! One function per experiment (see EXPERIMENTS.md for the index).
+//! One function per experiment, and the experiment index.
 //!
 //! Each function returns one or more [`Table`]s; the `experiments` binary
 //! prints them and optionally writes CSV. `quick` mode shrinks sizes so the
-//! whole suite runs in seconds (used by integration tests); full mode is
-//! what EXPERIMENTS.md records.
+//! whole suite runs in seconds (used by integration tests); full mode runs
+//! n = 2^14 and sweeps n = 2^11 … 2^15. Costs are element moves, the
+//! paper's cost measure.
+//!
+//! # Index
+//!
+//! One entry per id of [`all_experiments`], in its order; the ids are
+//! what the binary accepts on its command line.
+//!
+//! * `e4` ([`e4_theorem2`]) — Theorem 2: the embedding `F ⊳ R` (adaptive
+//!   into classic) costs what F costs on F's good inputs, what R costs in
+//!   general, and stays bounded in the worst case.
+//! * `e4b` ([`e4b_light_amortization`]) — the light amortization Theorem
+//!   2's proof needs from R: the cost of any w consecutive ops stays
+//!   within a constant of w·C + n.
+//! * `e5` ([`e5_corollary11`]) — Theorem 3 / Corollary 11: `X ⊳ (Y ⊳ Z)`
+//!   tracks the adaptive X on hammer inserts and the randomized Y on
+//!   random inserts, under the deamortized Z's per-op cap everywhere.
+//! * `e6` ([`e6_corollary12`]) — Corollary 12: with a rank predictor of
+//!   error η, amortized cost grows like log² η, and the layered structure
+//!   keeps the randomized and deamortized fallbacks.
+//! * `e7` ([`e7_lemma5`]) — Figure 2 / Lemma 5: every element's deadweight
+//!   is at most 4, and the embedding's cost splits into emulator, shell
+//!   and placement moves.
+//! * `e8` ([`e8_lemma6`]) — Lemma 6: each rebuild spans o(n) operations.
+//! * `e9` ([`e9_lemma7`]) — Lemma 7: buffer occupancy stays o(n), so the
+//!   halting condition never fires.
+//! * `e10` ([`e10_baselines`]) — the single-layer baselines the paper
+//!   composes: classic list labeling fits cost ≈ (log n)² per insert on
+//!   head inserts, and the shift array is linear in n.
+//! * `e11` ([`e11_tails`]) — worst-case guarantees: the randomized
+//!   structure has a heavy per-op tail, the deamortized one is capped, and
+//!   the layered structure inherits the cap.
+//! * `e12` ([`e12_ablation`]) — no single claim: an ablation of the
+//!   embedding's tuning knobs (ε, rebuild multiplier, E_R multiplier)
+//!   against cost, buffering and worst case, which Theorem 2's bounds
+//!   treat as constants.
 
 use crate::harness::{run_workload, RunResult};
 use crate::table::{fmt_f, Table};
@@ -425,7 +460,7 @@ pub fn e4b_light_amortization(cfg: &ExpConfig) -> Vec<Table> {
     vec![t]
 }
 
-/// All experiments in EXPERIMENTS.md order.
+/// All experiments, in the order of the [index](self#index).
 pub fn all_experiments(cfg: &ExpConfig) -> Vec<(&'static str, Vec<Table>)> {
     vec![
         ("e4", e4_theorem2(cfg)),

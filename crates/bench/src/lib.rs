@@ -1,7 +1,7 @@
 //! # lll-bench — the experiment harness
 //!
-//! Regenerates every quantitative claim of the paper (see EXPERIMENTS.md
-//! for the experiment ↔ paper-claim index). The [`experiments`] module
+//! Regenerates every quantitative claim of the paper (the [`experiments`]
+//! module docs hold the experiment ↔ paper-claim index). That module
 //! contains one function per experiment; the `experiments` binary runs them
 //! and prints paper-style tables (optionally writing CSV next to the
 //! binary's working directory under `results/`).

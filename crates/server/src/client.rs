@@ -3,7 +3,7 @@
 //! and thread-per-connection workloads.
 
 use crate::frame::WireError;
-use crate::proto::{HealthReply, MetricsReply, Request, Response, StatsReply, TraceReply};
+use crate::proto::{HealthReply, MetricsReply, Request, Response, TraceReply};
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -112,16 +112,8 @@ impl Client {
         }
     }
 
-    /// Per-shard statistics.
-    pub fn stats(&mut self) -> Result<StatsReply, WireError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(Self::unexpected(&other, "Stats")),
-        }
-    }
-
-    /// Full observability dump: per-verb latency quantiles, per-shard
-    /// gauges, and the Prometheus text exposition.
+    /// Full observability dump: per-verb latency quantiles, the map's
+    /// counters and per-shard gauges, and the Prometheus text exposition.
     pub fn metrics(&mut self) -> Result<MetricsReply, WireError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics(m) => Ok(m),

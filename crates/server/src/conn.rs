@@ -11,8 +11,7 @@
 
 use crate::frame::{read_frame, WireError};
 use crate::proto::{
-    HealthReply, MetricsReply, Request, Response, StatsReply, TraceEventWire, TraceReply,
-    VerbLatency, VERBS,
+    HealthReply, MetricsReply, Request, Response, TraceEventWire, TraceReply, VerbLatency, VERBS,
 };
 use crate::server::{KvMap, Shared};
 use lll_obs::{push_meta, push_sample, TraceKind};
@@ -103,29 +102,6 @@ fn handle(request: Request, shared: &Shared) -> (Response, bool) {
             }),
             false,
         ),
-        Request::Stats => {
-            let s = map.stats();
-            (
-                Response::Stats(StatsReply {
-                    // Version 2: the optimistic-read-path counters joined
-                    // the reply (version 1 was the unversioned pre-read-
-                    // counter layout; the field itself is new with 2).
-                    version: 2,
-                    shards: s.shards as u64,
-                    len: s.len as u64,
-                    splits: s.splits,
-                    merges: s.merges,
-                    batches: s.batches,
-                    batched_entries: s.batched_entries,
-                    total_moves: s.total_moves,
-                    read_optimistic_hits: s.read_optimistic_hits,
-                    read_retries: s.read_retries,
-                    read_lock_fallbacks: s.read_lock_fallbacks,
-                    shard_lens: s.shard_lens.iter().map(|&l| l as u64).collect(),
-                }),
-                false,
-            )
-        }
         Request::Get(key) => (Response::Value(map.get(&key)), false),
         Request::Insert(key, value) => {
             // Durable mode: log-then-apply; the ack below is only written
@@ -223,8 +199,8 @@ fn handle(request: Request, shared: &Shared) -> (Response, bool) {
 }
 
 /// Assemble the `Metrics` reply: per-verb latency quantiles from the
-/// server's histograms, per-shard gauges from the map, and one Prometheus
-/// text exposition covering both.
+/// server's histograms, the map's counters and per-shard gauges, and one
+/// Prometheus text exposition covering both.
 fn metrics_reply(shared: &Shared) -> MetricsReply {
     let stats = shared.map.stats();
     let verbs = VERBS
@@ -256,6 +232,12 @@ fn metrics_reply(shared: &Shared) -> MetricsReply {
     push_sample(&mut text, "lll_shard_splits_total", &[], stats.splits);
     push_meta(&mut text, "lll_shard_merges_total", "counter", "Shard merges since construction");
     push_sample(&mut text, "lll_shard_merges_total", &[], stats.merges);
+    push_meta(&mut text, "lll_batches_total", "counter", "Bulk batches landed since construction");
+    push_sample(&mut text, "lll_batches_total", &[], stats.batches);
+    push_meta(&mut text, "lll_batched_entries_total", "counter", "Entries landed through batches");
+    push_sample(&mut text, "lll_batched_entries_total", &[], stats.batched_entries);
+    push_meta(&mut text, "lll_moves_total", "counter", "Element moves across shard backends");
+    push_sample(&mut text, "lll_moves_total", &[], stats.total_moves);
     let (wal_appends, wal_fsyncs, wal_rotations, wal_truncated_segments, wal_durable_lsn) =
         match &shared.durable {
             Some(d) => {
@@ -271,18 +253,15 @@ fn metrics_reply(shared: &Shared) -> MetricsReply {
             None => (0, 0, 0, 0, 0),
         };
     MetricsReply {
-        // Version 3: the WAL counters joined the reply (version 2 added
-        // the optimistic-read-path counters; both field sets also ride
-        // the registry exposition via shared instruments).
-        version: 3,
         verbs,
         shard_lens: stats.shard_lens.iter().map(|&l| l as u64).collect(),
         shard_reads: stats.shard_reads,
         shard_writes: stats.shard_writes,
         splits: stats.splits,
         merges: stats.merges,
-        lock_wait_nanos: stats.lock_wait_nanos,
-        lock_hold_nanos: stats.lock_hold_nanos,
+        batches: stats.batches,
+        batched_entries: stats.batched_entries,
+        total_moves: stats.total_moves,
         read_optimistic_hits: stats.read_optimistic_hits,
         read_retries: stats.read_retries,
         read_lock_fallbacks: stats.read_lock_fallbacks,

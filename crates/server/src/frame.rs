@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic    [u8; 4]  = b"LLW\0"
-//! version  u16      = 1
+//! version  u16      = 2
 //! opcode   u8       (request or response kind; see `proto`)
 //! body_len u32      (bytes that follow)
 //! body     [u8; body_len]
@@ -39,7 +39,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LLW\0";
 
 /// The wire protocol version this build speaks (and the only one its
 /// decoder accepts — version negotiation is fail-fast, as in snapshots).
-pub const WIRE_VERSION: u16 = 1;
+/// It versions every body layout too: a change to any message's fields
+/// bumps it.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard ceiling on a frame body. Large enough for a 100k-entry batch of
 /// modest keys/values; small enough that a corrupt or hostile `body_len`

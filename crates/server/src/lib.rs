@@ -21,10 +21,12 @@
 //!   ([`ShardedMap::extend_from_unsorted`](lll_sharded::ShardedMap::extend_from_unsorted):
 //!   sort, last-write-wins dedup, cut at the split keys, one bulk sweep
 //!   per shard) instead of per-op inserts.
-//! * **Ops surface** — `health`, `stats` (per-shard counts, split/merge/
-//!   batch counters), `snapshot` (streams a PR-5 `ShardedMap` snapshot to
-//!   disk under the maintenance barrier), and graceful `drain` (stop
-//!   accepting, finish in-flight requests, optional final snapshot).
+//! * **Ops surface** — `health`, `metrics` (per-verb latency quantiles,
+//!   per-shard counts, split/merge/batch counters, total element moves,
+//!   read-path and WAL counters, plus the Prometheus text), `trace`,
+//!   `snapshot` (streams a PR-5 `ShardedMap` snapshot to disk under the
+//!   maintenance barrier), and graceful `drain` (stop accepting, finish
+//!   in-flight requests, optional final snapshot).
 //! * **[`Client`]** — a blocking client in the same crate, sharing the
 //!   frame codec; one round trip per call.
 //!
@@ -57,8 +59,7 @@ mod server;
 pub use client::Client;
 pub use frame::{WireError, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
 pub use proto::{
-    HealthReply, MetricsReply, Request, Response, StatsReply, TraceEventWire, TraceReply,
-    VerbLatency, VERBS,
+    HealthReply, MetricsReply, Request, Response, TraceEventWire, TraceReply, VerbLatency, VERBS,
 };
 pub use server::{DurableKvMap, KvMap, Server, ServerConfig, ServerHandle};
 

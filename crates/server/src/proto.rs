@@ -3,7 +3,8 @@
 //!
 //! Requests carry opcodes `0x01..=0x0C`; responses carry `0x81..=0x8A`
 //! (high bit set), so a stream position can never be misread as the other
-//! direction. Bodies are [`Codec`]-encoded; a
+//! direction. Request 0x02 and response 0x87 are unassigned: they carried
+//! a `stats` verb that `metrics` replaced. Bodies are [`Codec`]-encoded; a
 //! frame whose body leaves trailing bytes after its message decodes is
 //! [`WireError::Corrupt`] — every byte is accounted for.
 //!
@@ -27,8 +28,6 @@ use std::io::{Read, Write};
 pub enum Request {
     /// Liveness + load probe; never touches shard locks exclusively.
     Health,
-    /// Per-shard statistics (entry counts, splits/merges, batching).
-    Stats,
     /// The value stored under a key.
     Get(Vec<u8>),
     /// Store `key → value`; replies with the previous value, if any.
@@ -63,19 +62,19 @@ pub enum Request {
         /// Server-side path for a final snapshot before draining.
         final_snapshot: Option<String>,
     },
-    /// Full observability dump: per-verb latency quantiles, per-shard
-    /// gauges, and the Prometheus text exposition.
+    /// Full observability dump: per-verb latency quantiles, the map's
+    /// counters and per-shard gauges, and the Prometheus text exposition.
     Metrics,
     /// Drain the map's structural-event trace ring (splits, merges,
     /// snapshots, drains).
     Trace,
 }
 
-/// Verb names in opcode order (`VERBS[opcode - 1]`) — the label vocabulary
-/// of the per-verb latency histograms and [`MetricsReply::verbs`].
-pub const VERBS: [&str; 12] = [
+/// Verb names in opcode order (`VERBS[request.verb_index()]`) — the label
+/// vocabulary of the per-verb latency histograms and
+/// [`MetricsReply::verbs`].
+pub const VERBS: [&str; 11] = [
     "health",
-    "stats",
     "get",
     "insert",
     "remove",
@@ -113,8 +112,6 @@ pub enum Response {
     },
     /// `Health` reply.
     Health(HealthReply),
-    /// `Stats` reply.
-    Stats(StatsReply),
     /// The verb failed server-side; the connection stays usable unless
     /// the failure was a protocol violation.
     Error(String),
@@ -137,15 +134,41 @@ pub struct HealthReply {
     pub len: u64,
 }
 
-/// Per-shard statistics (the `Stats` verb) — `ShardedStats` on the wire.
+/// One verb's request-latency summary inside a [`MetricsReply`]:
+/// quantiles read from the server's log2-bucketed histogram (each is the
+/// bucket's inclusive upper bound, capped at the exact observed max).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Schema version of this reply; bumped if fields change meaning.
-    pub version: u64,
-    /// Number of shards.
-    pub shards: u64,
-    /// Total entries.
-    pub len: u64,
+pub struct VerbLatency {
+    /// The verb name (see [`VERBS`]).
+    pub verb: String,
+    /// Requests of this verb served.
+    pub count: u64,
+    /// Median request latency, nanoseconds.
+    pub p50_ns: u64,
+    /// 95th-percentile request latency, nanoseconds.
+    pub p95_ns: u64,
+    /// 99th-percentile request latency, nanoseconds.
+    pub p99_ns: u64,
+    /// Largest request latency observed, nanoseconds (exact).
+    pub max_ns: u64,
+}
+
+/// The `Metrics` verb's reply: a structured dump plus the same data as a
+/// Prometheus text exposition, so both programmatic consumers and
+/// scrapers are served by one verb. Its layout is versioned by the frame
+/// header's [`WIRE_VERSION`](crate::WIRE_VERSION).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MetricsReply {
+    /// Per-verb latency summaries, in [`VERBS`] order.
+    pub verbs: Vec<VerbLatency>,
+    /// Per-shard entry counts, in key order: the shard count is its
+    /// length, the map length its sum.
+    pub shard_lens: Vec<u64>,
+    /// Per-shard point reads served, in key order (monotone across
+    /// resharding — merges fold the retired shard into the survivor).
+    pub shard_reads: Vec<u64>,
+    /// Per-shard point writes served, in key order (same monotonicity).
+    pub shard_writes: Vec<u64>,
     /// Shard splits since construction.
     pub splits: u64,
     /// Shard merges since construction.
@@ -166,73 +189,17 @@ pub struct StatsReply {
     /// Reads that exhausted the retry budget and took a blocking shard
     /// read lock.
     pub read_lock_fallbacks: u64,
-    /// Per-shard entry counts, in key order.
-    pub shard_lens: Vec<u64>,
-}
-
-/// One verb's request-latency summary inside a [`MetricsReply`]:
-/// quantiles read from the server's log2-bucketed histogram (each is the
-/// bucket's inclusive upper bound, capped at the exact observed max).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VerbLatency {
-    /// The verb name (see [`VERBS`]).
-    pub verb: String,
-    /// Requests of this verb served.
-    pub count: u64,
-    /// Median request latency, nanoseconds.
-    pub p50_ns: u64,
-    /// 95th-percentile request latency, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th-percentile request latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Largest request latency observed, nanoseconds (exact).
-    pub max_ns: u64,
-}
-
-/// The `Metrics` verb's reply: a versioned structured dump plus the same
-/// data as a Prometheus text exposition, so both programmatic consumers
-/// and scrapers are served by one verb.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsReply {
-    /// Schema version of this reply; bumped if fields change meaning.
-    pub version: u64,
-    /// Per-verb latency summaries, in [`VERBS`] order.
-    pub verbs: Vec<VerbLatency>,
-    /// Per-shard entry counts, in key order.
-    pub shard_lens: Vec<u64>,
-    /// Per-shard point reads served, in key order (monotone across
-    /// resharding — merges fold the retired shard into the survivor).
-    pub shard_reads: Vec<u64>,
-    /// Per-shard point writes served, in key order (same monotonicity).
-    pub shard_writes: Vec<u64>,
-    /// Shard splits since construction.
-    pub splits: u64,
-    /// Shard merges since construction.
-    pub merges: u64,
-    /// Nanoseconds point ops spent waiting on shard locks (timed in
-    /// debug-built servers only; zero in release).
-    pub lock_wait_nanos: u64,
-    /// Nanoseconds point ops held shard locks (debug-built servers only).
-    pub lock_hold_nanos: u64,
-    /// Point reads answered on the lock-free optimistic path (since
-    /// version 2).
-    pub read_optimistic_hits: u64,
-    /// Optimistic read retry attempts (since version 2).
-    pub read_retries: u64,
-    /// Reads that fell back to a blocking shard lock (since version 2).
-    pub read_lock_fallbacks: u64,
-    /// WAL records appended (since version 3; zero when the server is
-    /// not in durable mode).
+    /// WAL records appended (zero when the server is not in durable
+    /// mode).
     pub wal_appends: u64,
-    /// WAL `fdatasync` calls (since version 3; zero when not durable).
+    /// WAL `fdatasync` calls (zero when not durable).
     pub wal_fsyncs: u64,
-    /// WAL segment rotations (since version 3; zero when not durable).
+    /// WAL segment rotations (zero when not durable).
     pub wal_rotations: u64,
-    /// WAL segments deleted by checkpoint truncation (since version 3;
-    /// zero when not durable).
-    pub wal_truncated_segments: u64,
-    /// Highest fsync-durable LSN (since version 3; zero when not
+    /// WAL segments deleted by checkpoint truncation (zero when not
     /// durable).
+    pub wal_truncated_segments: u64,
+    /// Highest fsync-durable LSN (zero when not durable).
     pub wal_durable_lsn: u64,
     /// Prometheus text exposition of everything above.
     pub text: String,
@@ -280,40 +247,6 @@ impl Codec for HealthReply {
     }
 }
 
-impl Codec for StatsReply {
-    fn encode<W: Write + ?Sized>(&self, w: &mut W) -> Result<(), lll_api::SnapshotError> {
-        self.version.encode(w)?;
-        self.shards.encode(w)?;
-        self.len.encode(w)?;
-        self.splits.encode(w)?;
-        self.merges.encode(w)?;
-        self.batches.encode(w)?;
-        self.batched_entries.encode(w)?;
-        self.total_moves.encode(w)?;
-        self.read_optimistic_hits.encode(w)?;
-        self.read_retries.encode(w)?;
-        self.read_lock_fallbacks.encode(w)?;
-        self.shard_lens.encode(w)
-    }
-
-    fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, lll_api::SnapshotError> {
-        Ok(Self {
-            version: u64::decode(r)?,
-            shards: u64::decode(r)?,
-            len: u64::decode(r)?,
-            splits: u64::decode(r)?,
-            merges: u64::decode(r)?,
-            batches: u64::decode(r)?,
-            batched_entries: u64::decode(r)?,
-            total_moves: u64::decode(r)?,
-            read_optimistic_hits: u64::decode(r)?,
-            read_retries: u64::decode(r)?,
-            read_lock_fallbacks: u64::decode(r)?,
-            shard_lens: Vec::<u64>::decode(r)?,
-        })
-    }
-}
-
 impl Codec for VerbLatency {
     fn encode<W: Write + ?Sized>(&self, w: &mut W) -> Result<(), lll_api::SnapshotError> {
         self.verb.encode(w)?;
@@ -338,15 +271,15 @@ impl Codec for VerbLatency {
 
 impl Codec for MetricsReply {
     fn encode<W: Write + ?Sized>(&self, w: &mut W) -> Result<(), lll_api::SnapshotError> {
-        self.version.encode(w)?;
         self.verbs.encode(w)?;
         self.shard_lens.encode(w)?;
         self.shard_reads.encode(w)?;
         self.shard_writes.encode(w)?;
         self.splits.encode(w)?;
         self.merges.encode(w)?;
-        self.lock_wait_nanos.encode(w)?;
-        self.lock_hold_nanos.encode(w)?;
+        self.batches.encode(w)?;
+        self.batched_entries.encode(w)?;
+        self.total_moves.encode(w)?;
         self.read_optimistic_hits.encode(w)?;
         self.read_retries.encode(w)?;
         self.read_lock_fallbacks.encode(w)?;
@@ -360,15 +293,15 @@ impl Codec for MetricsReply {
 
     fn decode<R: Read + ?Sized>(r: &mut R) -> Result<Self, lll_api::SnapshotError> {
         Ok(Self {
-            version: u64::decode(r)?,
             verbs: Vec::<VerbLatency>::decode(r)?,
             shard_lens: Vec::<u64>::decode(r)?,
             shard_reads: Vec::<u64>::decode(r)?,
             shard_writes: Vec::<u64>::decode(r)?,
             splits: u64::decode(r)?,
             merges: u64::decode(r)?,
-            lock_wait_nanos: u64::decode(r)?,
-            lock_hold_nanos: u64::decode(r)?,
+            batches: u64::decode(r)?,
+            batched_entries: u64::decode(r)?,
+            total_moves: u64::decode(r)?,
             read_optimistic_hits: u64::decode(r)?,
             read_retries: u64::decode(r)?,
             read_lock_fallbacks: u64::decode(r)?,
@@ -427,7 +360,6 @@ impl Request {
     pub fn opcode(&self) -> u8 {
         match self {
             Request::Health => 0x01,
-            Request::Stats => 0x02,
             Request::Get(_) => 0x03,
             Request::Insert(_, _) => 0x04,
             Request::Remove(_) => 0x05,
@@ -442,16 +374,28 @@ impl Request {
     }
 
     /// This request's index into [`VERBS`] (and into the server's
-    /// per-verb latency histograms): opcodes are contiguous from `0x01`.
+    /// per-verb latency histograms).
     pub fn verb_index(&self) -> usize {
-        usize::from(self.opcode()) - 1
+        match self {
+            Request::Health => 0,
+            Request::Get(_) => 1,
+            Request::Insert(_, _) => 2,
+            Request::Remove(_) => 3,
+            Request::Contains(_) => 4,
+            Request::Range { .. } => 5,
+            Request::BatchInsert(_) => 6,
+            Request::Snapshot { .. } => 7,
+            Request::Drain { .. } => 8,
+            Request::Metrics => 9,
+            Request::Trace => 10,
+        }
     }
 
     /// Encode and write this request as one frame (caller flushes).
     pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> Result<(), WireError> {
         let mut body = Vec::new();
         match self {
-            Request::Health | Request::Stats | Request::Metrics | Request::Trace => {}
+            Request::Health | Request::Metrics | Request::Trace => {}
             Request::Get(k) | Request::Remove(k) | Request::Contains(k) => {
                 encode_bytes(&mut body, k)?;
             }
@@ -482,7 +426,6 @@ impl Request {
         let r = &mut frame.body.as_slice();
         let req = match frame.opcode {
             0x01 => Request::Health,
-            0x02 => Request::Stats,
             0x03 => Request::Get(decode_bytes(r)?),
             0x04 => Request::Insert(decode_bytes(r)?, decode_bytes(r)?),
             0x05 => Request::Remove(decode_bytes(r)?),
@@ -527,7 +470,6 @@ impl Response {
             Response::Entries { .. } => 0x84,
             Response::Batched { .. } => 0x85,
             Response::Health(_) => 0x86,
-            Response::Stats(_) => 0x87,
             Response::Error(_) => 0x88,
             Response::Metrics(_) => 0x89,
             Response::Trace(_) => 0x8A,
@@ -554,7 +496,6 @@ impl Response {
                 landed.encode(&mut body)?;
             }
             Response::Health(h) => h.encode(&mut body)?,
-            Response::Stats(s) => s.encode(&mut body)?,
             Response::Error(msg) => msg.encode(&mut body)?,
             Response::Metrics(m) => m.encode(&mut body)?,
             Response::Trace(t) => t.encode(&mut body)?,
@@ -580,7 +521,6 @@ impl Response {
             }
             0x85 => Response::Batched { received: u64::decode(r)?, landed: u64::decode(r)? },
             0x86 => Response::Health(HealthReply::decode(r)?),
-            0x87 => Response::Stats(StatsReply::decode(r)?),
             0x88 => Response::Error(String::decode(r)?),
             0x89 => Response::Metrics(MetricsReply::decode(r)?),
             0x8A => Response::Trace(TraceReply::decode(r)?),

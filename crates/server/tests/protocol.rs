@@ -8,7 +8,6 @@ use lll_server::{Request, Response, WireError};
 fn all_requests() -> Vec<Request> {
     vec![
         Request::Health,
-        Request::Stats,
         Request::Get(b"key".to_vec()),
         Request::Insert(b"key".to_vec(), b"value".to_vec()),
         Request::Remove(Vec::new()),
@@ -40,23 +39,8 @@ fn all_responses() -> Vec<Response> {
             served_requests: 99,
             len: 1000,
         }),
-        Response::Stats(lll_server::StatsReply {
-            version: 2,
-            shards: 4,
-            len: 100,
-            splits: 3,
-            merges: 1,
-            batches: 2,
-            batched_entries: 64,
-            total_moves: 4096,
-            read_optimistic_hits: 500,
-            read_retries: 17,
-            read_lock_fallbacks: 2,
-            shard_lens: vec![25, 25, 25, 25],
-        }),
         Response::Error("bad day".to_string()),
         Response::Metrics(lll_server::MetricsReply {
-            version: 3,
             verbs: vec![lll_server::VerbLatency {
                 verb: "get".to_string(),
                 count: 42,
@@ -70,8 +54,9 @@ fn all_responses() -> Vec<Response> {
             shard_writes: vec![30, 31],
             splits: 1,
             merges: 0,
-            lock_wait_nanos: 777,
-            lock_hold_nanos: 999,
+            batches: 2,
+            batched_entries: 64,
+            total_moves: 4096,
             read_optimistic_hits: 12000,
             read_retries: 64,
             read_lock_fallbacks: 3,
@@ -169,8 +154,27 @@ fn bit_flips_never_panic_and_header_flips_are_typed() {
         Err(WireError::UnsupportedVersion { found: 99 })
     ));
     let mut bad = buf.clone();
+    bad[4] = 1; // a version-1 peer: its reply layouts differ, so refused
+    assert!(matches!(
+        Request::read_from(&mut bad.as_slice()),
+        Err(WireError::UnsupportedVersion { found: 1 })
+    ));
+    let mut bad = buf.clone();
     bad[6] = 0x7F; // opcode
     assert!(matches!(Request::read_from(&mut bad.as_slice()), Err(WireError::UnknownOpcode(0x7F))));
+    // The opcodes of the retired `stats` verb stay unassigned.
+    let mut retired = Vec::new();
+    write_frame(&mut retired, 0x02, &[]).unwrap();
+    assert!(matches!(
+        Request::read_from(&mut retired.as_slice()),
+        Err(WireError::UnknownOpcode(0x02))
+    ));
+    let mut retired = Vec::new();
+    write_frame(&mut retired, 0x87, &[]).unwrap();
+    assert!(matches!(
+        Response::read_from(&mut retired.as_slice()),
+        Err(WireError::UnknownOpcode(0x87))
+    ));
 }
 
 #[test]
@@ -245,9 +249,9 @@ fn raw_frames_roundtrip_and_magic_is_pinned() {
     let frame = Frame { opcode: 0x03, body: b"abc".to_vec() };
     let mut buf = Vec::new();
     write_frame(&mut buf, frame.opcode, &frame.body).unwrap();
-    // Byte-pinned header: magic, version 1 LE, opcode, length 3 LE.
+    // Byte-pinned header: magic, version 2 LE, opcode, length 3 LE.
     assert_eq!(&buf[..4], &WIRE_MAGIC);
-    assert_eq!(&buf[4..6], &[1, 0]);
+    assert_eq!(&buf[4..6], &[2, 0]);
     assert_eq!(buf[6], 0x03);
     assert_eq!(&buf[7..11], &[3, 0, 0, 0]);
     assert_eq!(read_frame(&mut buf.as_slice()).unwrap(), frame);

@@ -60,17 +60,15 @@ fn all_verbs_roundtrip_over_a_real_socket() {
     assert_eq!(health.len, 300);
     assert!(health.active_conns >= 1);
     assert!(health.served_requests > 10);
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.version, 2, "stats reply must be versioned");
-    assert_eq!(stats.len, 300);
-    assert!(stats.shards > 1, "300 keys over max 64 must shard");
-    assert_eq!(stats.shard_lens.iter().sum::<u64>(), 300);
-    assert_eq!(stats.shard_lens.len() as u64, stats.shards);
-    assert!(stats.batches >= 1, "batch_insert must ride the bulk path");
-    assert_eq!(stats.batched_entries, 300);
-    assert!(stats.splits > 0);
-    assert!(stats.read_optimistic_hits > 0, "point reads ride the lock-free path");
-    assert_eq!(stats.read_lock_fallbacks, 0, "a sequential client never contends");
+    let m = c.metrics().unwrap();
+    assert!(m.shard_lens.len() > 1, "300 keys over max 64 must shard");
+    assert_eq!(m.shard_lens.iter().sum::<u64>(), 300);
+    assert!(m.batches >= 1, "batch_insert must ride the bulk path");
+    assert_eq!(m.batched_entries, 300);
+    assert!(m.total_moves >= 300, "every landed entry moved at least once");
+    assert!(m.splits > 0);
+    assert!(m.read_optimistic_hits > 0, "point reads ride the lock-free path");
+    assert_eq!(m.read_lock_fallbacks, 0, "a sequential client never contends");
 
     server.shutdown();
 }
@@ -348,7 +346,6 @@ fn metrics_verb_reports_latencies_shards_and_trace() {
     c.remove(&kv(0).0).unwrap();
 
     let m = c.metrics().unwrap();
-    assert_eq!(m.version, 3);
 
     // Per-verb accounting matches exactly what this (sole) client sent,
     // in VERBS order.
@@ -397,16 +394,16 @@ fn metrics_verb_reports_latencies_shards_and_trace() {
     assert_eq!(m.read_lock_fallbacks, 0, "no read should have taken the blocking lock");
 
     // The same data is scrapable as a Prometheus text exposition — the
-    // map's adopted read-path instruments included.
+    // map's adopted read-path instruments included. Assembling the reply
+    // reads every shard without counting, so text and fields agree.
     assert!(m.text.contains("# TYPE lll_server_request_latency_ns histogram"), "{}", m.text);
     assert!(m.text.contains("lll_server_request_latency_ns_count{verb=\"insert\"} 300"));
     assert!(m.text.contains("lll_shard_len{shard=\"0\"}"));
     assert!(m.text.contains("lll_shard_splits_total"));
-    // (The hits value is not pinned: assembling the reply itself lands one
-    // optimistic hit per shard, so the exposition runs ahead of the wire
-    // field captured a few reads earlier.)
     assert!(m.text.contains("# TYPE lll_read_optimistic_hits_total counter"), "{}", m.text);
+    assert!(m.text.contains("lll_read_optimistic_hits_total 160\n"), "{}", m.text);
     assert!(m.text.contains("lll_read_lock_fallbacks_total 0"), "{}", m.text);
+    assert!(m.text.contains(&format!("lll_moves_total {}\n", m.total_moves)), "{}", m.text);
 
     // The trace verb drains the map's structural history: the splits the
     // workload forced are there, in order.
@@ -453,7 +450,6 @@ fn durable_mode_survives_restart_and_checkpoints_over_the_wire() {
 
         // The wire metrics carry the WAL counters.
         let m = c.metrics().unwrap();
-        assert_eq!(m.version, 3);
         assert!(m.wal_appends >= 4, "batch + 2 inserts + remove: {}", m.wal_appends);
         assert!(m.wal_fsyncs > 0);
         assert!(m.wal_durable_lsn >= m.wal_appends);
@@ -479,4 +475,64 @@ fn durable_mode_survives_restart_and_checkpoints_over_the_wire() {
         server.shutdown();
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn metric_catalog_matches_a_live_durable_server() {
+    use lll_wal::{DurableOptions, FsyncPolicy, WalOptions};
+
+    let dir = std::env::temp_dir().join(format!("lll_srv_catalog_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DurableOptions {
+        wal: WalOptions { fsync: FsyncPolicy::Always, segment_bytes: 4 << 10 },
+        keep_checkpoints: 2,
+    };
+    let builder = ShardedBuilder::new().max_shard_len(64).min_shard_len(8).seed(77);
+    let (mut server, _) = Server::start_durable(&dir, opts, &builder, ServerConfig::default())
+        .expect("open durable server");
+    let mut c = Client::connect(server.local_addr()).unwrap();
+
+    // Every verb once; drain last, since it ends the session.
+    c.health().unwrap();
+    c.insert(b"k", b"v").unwrap();
+    c.get(b"k").unwrap();
+    c.contains(b"k").unwrap();
+    c.range(None, None, 10).unwrap();
+    c.batch_insert((0..100).map(kv).collect()).unwrap();
+    c.remove(b"k").unwrap();
+    c.snapshot("").unwrap();
+    c.trace().unwrap();
+    let m = c.metrics().unwrap();
+    c.drain(None).unwrap();
+    server.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The families the exposition declares, as (name, kind).
+    let mut declared: Vec<(&str, &str)> =
+        m.text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' ')).collect();
+    for (name, _) in &declared {
+        assert!(lll_obs::is_snake_case(name), "{name} is not snake_case");
+    }
+    declared.sort_unstable();
+    for pair in declared.windows(2) {
+        assert_ne!(pair[0].0, pair[1].0, "family declared twice");
+    }
+
+    // The catalog table of docs/observability.md: "| `name` | kind | ...".
+    let doc = include_str!("../../../docs/observability.md");
+    let section = doc
+        .split("## Metric name catalog")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("catalog section");
+    let mut catalog: Vec<(&str, &str)> = section
+        .lines()
+        .filter_map(|l| {
+            let mut cells = l.split('|').map(str::trim).skip(1);
+            let name = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((name, cells.next()?))
+        })
+        .collect();
+    catalog.sort_unstable();
+    assert_eq!(declared, catalog, "docs/observability.md's catalog drifted from the server");
 }

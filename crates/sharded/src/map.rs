@@ -47,7 +47,6 @@ use std::io::{Read, Write};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
-use std::time::Instant;
 
 /// Events the per-map [`TraceRing`] holds before the oldest is overwritten.
 const TRACE_CAPACITY: usize = 256;
@@ -67,14 +66,6 @@ const WRITE_BIT: u64 = 1;
 /// long rebuild doesn't starve readers into a spin.
 const READ_RETRY_BUDGET: u32 = 32;
 
-/// A timestamp for shard-lock wait/hold accounting, taken only in debug
-/// builds: `Instant::now` is a syscall on some platforms, too expensive to
-/// pay twice per point op in release, where the counters simply read zero.
-#[inline]
-fn lock_clock() -> Option<Instant> {
-    cfg!(debug_assertions).then(Instant::now)
-}
-
 /// Per-shard operation counters. The counters are atomic, so concurrent
 /// readers and writers bump them without coordination; merges fold the
 /// retired shard's counts into the survivor so totals stay monotone.
@@ -84,12 +75,6 @@ struct ShardObs {
     reads: Counter,
     /// Point writes served (`insert` / `remove` / `get_mut_with`).
     writes: Counter,
-    /// Nanoseconds spent waiting to acquire the shard lock (debug builds
-    /// only — see [`lock_clock`]).
-    lock_wait_nanos: Counter,
-    /// Nanoseconds the shard lock was held by point ops (debug builds
-    /// only).
-    lock_hold_nanos: Counter,
 }
 
 impl ShardObs {
@@ -98,24 +83,6 @@ impl ShardObs {
     fn absorb(&self, other: &ShardObs) {
         self.reads.add(other.reads.get());
         self.writes.add(other.writes.get());
-        self.lock_wait_nanos.add(other.lock_wait_nanos.get());
-        self.lock_hold_nanos.add(other.lock_hold_nanos.get());
-    }
-
-    /// Charge a point op's lock timing: `t0` = before acquire, `t1` =
-    /// after acquire (both `None` in release builds), `hold` = how long
-    /// the guard was held.
-    fn note_lock_spans(&self, t0: Option<Instant>, t1: Option<Instant>) -> Option<Instant> {
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            self.lock_wait_nanos.add(t1.duration_since(t0).as_nanos() as u64);
-        }
-        t1
-    }
-
-    fn note_hold_since(&self, t1: Option<Instant>) {
-        if let Some(t1) = t1 {
-            self.lock_hold_nanos.add(t1.elapsed().as_nanos() as u64);
-        }
     }
 }
 
@@ -185,9 +152,7 @@ impl<K: Ord, V> Shard<K, V> {
     /// Acquire the shard for writing, stamping the write bit. `None` if
     /// the shard is retired — the caller must reload the directory.
     fn write(&self) -> Option<ShardWriteGuard<'_, K, V>> {
-        let t0 = lock_clock();
         let guard = wlock(&self.map, Level::Shard);
-        let hold_from = self.obs.note_lock_spans(t0, lock_clock());
         let start = self.epoch.load(Ordering::Acquire);
         if start == RETIRED {
             return None;
@@ -195,7 +160,7 @@ impl<K: Ord, V> Shard<K, V> {
         debug_assert_eq!(start & WRITE_BIT, 0, "write bit set without the exclusive lock");
         self.epoch.store(start | WRITE_BIT, Ordering::Release);
         let rebuild0 = guard.rebuild_epoch();
-        Some(ShardWriteGuard { start, rebuild0, retired: false, hold_from, shard: self, guard })
+        Some(ShardWriteGuard { start, rebuild0, retired: false, shard: self, guard })
     }
 
     /// Read the shard through `f` (run at most once, under a read guard).
@@ -205,13 +170,16 @@ impl<K: Ord, V> Shard<K, V> {
     /// so the only transition that can have raced in is retirement, which
     /// the revalidation catches. After [`READ_RETRY_BUDGET`] busy
     /// attempts, fall back to one blocking `rlock`.
+    ///
+    /// `robs` counts the landing; `None` reads uncounted, so a stats pass
+    /// does not show up in the read counters it reports.
     fn read<R>(
         &self,
-        robs: &ReadPathMetrics,
+        robs: Option<&ReadPathMetrics>,
         mut f: impl FnMut(&LabelMap<K, V>) -> R,
     ) -> ReadAttempt<R> {
         let book_retries = |attempts: u32| {
-            if attempts > 0 {
+            if let Some(robs) = robs.filter(|_| attempts > 0) {
                 robs.retries.add(attempts as u64);
                 robs.retry_histogram.record(attempts as u64);
             }
@@ -241,7 +209,9 @@ impl<K: Ord, V> Shard<K, V> {
                     }
                     debug_assert_eq!(now & WRITE_BIT, 0, "write bit set under a read guard");
                     let out = f(&guard);
-                    robs.optimistic_hits.inc();
+                    if let Some(robs) = robs {
+                        robs.optimistic_hits.inc();
+                    }
                     book_retries(attempts);
                     return ReadAttempt::Hit(out);
                 }
@@ -256,18 +226,18 @@ impl<K: Ord, V> Shard<K, V> {
                 std::hint::spin_loop();
             }
         }
-        // Budget exhausted: one blocking acquisition, with the wait/hold
-        // accounting the write path pays.
-        robs.retries.add(attempts as u64);
-        robs.retry_histogram.record(attempts as u64);
-        robs.lock_fallbacks.inc();
-        let t0 = lock_clock();
+        // Budget exhausted: one blocking acquisition.
+        book_retries(attempts);
+        if let Some(robs) = robs {
+            robs.lock_fallbacks.inc();
+        }
         let guard = rlock(&self.map, Level::Shard);
-        let t1 = self.obs.note_lock_spans(t0, lock_clock());
         let now = self.epoch.load(Ordering::Acquire);
-        let out = if now == RETIRED { ReadAttempt::Retired } else { ReadAttempt::Hit(f(&guard)) };
-        self.obs.note_hold_since(t1);
-        out
+        if now == RETIRED {
+            ReadAttempt::Retired
+        } else {
+            ReadAttempt::Hit(f(&guard))
+        }
     }
 }
 
@@ -285,7 +255,6 @@ struct ShardWriteGuard<'a, K: Ord, V> {
     /// Set by [`retire`](Self::retire): stamp [`RETIRED`] instead of the
     /// next epoch.
     retired: bool,
-    hold_from: Option<Instant>,
     shard: &'a Shard<K, V>,
     // Declared last: `Drop::drop` stamps the epoch, then this field's own
     // drop releases the lock.
@@ -324,7 +293,6 @@ impl<K: Ord, V> Drop for ShardWriteGuard<'_, K, V> {
             self.start.wrapping_add(2).wrapping_add(rebuilds.wrapping_mul(2))
         };
         self.shard.epoch.store(next, Ordering::Release);
-        self.shard.obs.note_hold_since(self.hold_from);
     }
 }
 
@@ -445,12 +413,6 @@ pub struct ShardedStats {
     /// `get_mut_with`), in key order; monotone like
     /// [`shard_reads`](Self::shard_reads).
     pub shard_writes: Vec<u64>,
-    /// Total nanoseconds point ops spent waiting to acquire shard locks.
-    /// Timed in debug builds only (zero in release — the clock reads
-    /// would dominate the ops being measured).
-    pub lock_wait_nanos: u64,
-    /// Total nanoseconds point ops held shard locks (debug builds only).
-    pub lock_hold_nanos: u64,
     /// Shard acquisitions served by the optimistic (epoch-validated,
     /// non-blocking) read path.
     pub read_optimistic_hits: u64,
@@ -460,9 +422,6 @@ pub struct ShardedStats {
     /// Reads that exhausted the retry budget and took a blocking shard
     /// lock.
     pub read_lock_fallbacks: u64,
-    /// 99th-percentile retry count among contended reads (0 when no read
-    /// has retried yet).
-    pub read_retry_p99: u64,
 }
 
 impl ShardedStats {
@@ -600,7 +559,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             let dir = rcu_load(&self.dir);
             let mut total = 0;
             for shard in &dir.shards {
-                match shard.read(&self.read_obs, |m| m.len()) {
+                match shard.read(Some(&self.read_obs), |m| m.len()) {
                     ReadAttempt::Hit(n) => total += n,
                     ReadAttempt::Retired => continue 'retry,
                 }
@@ -706,7 +665,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 let dir = rcu_load(&self.dir);
                 let idx = dir.locate(key);
                 let shard = &dir.shards[idx];
-                let attempt = shard.read(&self.read_obs, |m| {
+                let attempt = shard.read(Some(&self.read_obs), |m| {
                     // Counted under the read guard: a merge can absorb this
                     // shard's ShardObs into the survivor the instant the
                     // guard drops, and an increment after that loses the
@@ -767,7 +726,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 let dir = rcu_load(&self.dir);
                 let idx = dir.locate(key);
                 let shard = &dir.shards[idx];
-                let attempt = shard.read(&self.read_obs, |m| {
+                let attempt = shard.read(Some(&self.read_obs), |m| {
                     // Under the guard, as in `get_with`: survives a racing
                     // merge's ShardObs absorption.
                     shard.obs.reads.inc();
@@ -794,7 +753,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             restarts += 1;
             let dir = rcu_load(&self.dir);
             for shard in &dir.shards {
-                let attempt = shard.read(&self.read_obs, |m| {
+                let attempt = shard.read(Some(&self.read_obs), |m| {
                     m.first_key_value().map(|(k, v)| (k.clone(), v.clone()))
                 });
                 match attempt {
@@ -820,7 +779,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             restarts += 1;
             let dir = rcu_load(&self.dir);
             for shard in dir.shards.iter().rev() {
-                let attempt = shard.read(&self.read_obs, |m| {
+                let attempt = shard.read(Some(&self.read_obs), |m| {
                     m.last_key_value().map(|(k, v)| (k.clone(), v.clone()))
                 });
                 match attempt {
@@ -866,7 +825,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             };
             let mut out = Vec::new();
             for shard in &dir.shards[lo..=hi] {
-                let attempt = shard.read(&self.read_obs, |m| {
+                let attempt = shard.read(Some(&self.read_obs), |m| {
                     out.extend(
                         m.range((range.start_bound(), range.end_bound()))
                             .map(|(k, v)| (k.clone(), v.clone())),
@@ -996,7 +955,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             };
             let mut out = Vec::new();
             for shard in &dir.shards[lo..=hi] {
-                let attempt = shard.read(&self.read_obs, |m| {
+                let attempt = shard.read(Some(&self.read_obs), |m| {
                     for (k, v) in m.range((range.start_bound(), range.end_bound())) {
                         if out.len() == limit {
                             return true;
@@ -1015,7 +974,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Aggregate statistics — one optimistic pass over the shards.
+    /// Aggregate statistics — one optimistic pass over the shards. The
+    /// pass itself is not counted: reading the read counters leaves them
+    /// unchanged.
     pub fn stats(&self) -> ShardedStats {
         let mut restarts = 0u32;
         'retry: loop {
@@ -1036,16 +997,13 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 shard_capacities: Vec::with_capacity(dir.shards.len()),
                 shard_reads: Vec::with_capacity(dir.shards.len()),
                 shard_writes: Vec::with_capacity(dir.shards.len()),
-                lock_wait_nanos: 0,
-                lock_hold_nanos: 0,
                 read_optimistic_hits: self.read_obs.optimistic_hits.get(),
                 read_retries: self.read_obs.retries.get(),
                 read_lock_fallbacks: self.read_obs.lock_fallbacks.get(),
-                read_retry_p99: self.read_obs.retry_histogram.p99(),
             };
             for shard in &dir.shards {
-                let attempt = shard
-                    .read(&self.read_obs, |m| (m.len(), m.total_moves(), m.backend().capacity()));
+                let attempt =
+                    shard.read(None, |m| (m.len(), m.total_moves(), m.backend().capacity()));
                 let (len, moves, capacity) = match attempt {
                     ReadAttempt::Hit(x) => x,
                     ReadAttempt::Retired => continue 'retry,
@@ -1056,8 +1014,6 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 stats.shard_capacities.push(capacity);
                 stats.shard_reads.push(shard.obs.reads.get());
                 stats.shard_writes.push(shard.obs.writes.get());
-                stats.lock_wait_nanos += shard.obs.lock_wait_nanos.get();
-                stats.lock_hold_nanos += shard.obs.lock_hold_nanos.get();
             }
             return stats;
         }
@@ -1390,7 +1346,7 @@ impl<K: Ord + Clone + fmt::Debug, V> fmt::Debug for ShardedMap<K, V> {
             let dir = rcu_load(&self.dir);
             let mut lens = Vec::with_capacity(dir.shards.len());
             for shard in &dir.shards {
-                match shard.read(&self.read_obs, |m| m.len()) {
+                match shard.read(Some(&self.read_obs), |m| m.len()) {
                     ReadAttempt::Hit(n) => lens.push(n),
                     ReadAttempt::Retired => continue 'retry,
                 }
@@ -1687,13 +1643,6 @@ mod tests {
         assert_eq!(grown.shard_writes.len(), grown.shards);
         assert_eq!(grown.shard_reads.iter().sum::<u64>(), 200, "100 gets + 100 contains");
         assert_eq!(grown.shard_writes.iter().sum::<u64>(), 201, "200 inserts + 1 get_mut");
-        // Debug builds time lock waits/holds; point ops must have charged
-        // a nonzero hold span somewhere.
-        if cfg!(debug_assertions) {
-            assert!(grown.lock_hold_nanos > 0, "debug builds time lock holds");
-        } else {
-            assert_eq!(grown.lock_hold_nanos, 0, "release builds skip the clock");
-        }
         // Skew accessors bracket the mean.
         assert!(grown.min_shard_len() as f64 <= grown.mean_shard_len());
         assert!(grown.mean_shard_len() <= grown.max_shard_len() as f64);
@@ -1749,19 +1698,17 @@ mod tests {
             assert!(map.contains_key(&k));
         }
         let stats = map.stats();
-        assert!(
-            stats.read_optimistic_hits >= before.read_optimistic_hits + 200,
-            "200 point reads must all hit optimistically: {} -> {}",
-            before.read_optimistic_hits,
-            stats.read_optimistic_hits
+        assert_eq!(
+            stats.read_optimistic_hits,
+            before.read_optimistic_hits + 200,
+            "200 point reads must all hit optimistically, and stats() counts nothing"
         );
         assert_eq!(stats.read_lock_fallbacks, 0, "uncontended reads never fall back");
         assert_eq!(stats.read_retries, 0, "uncontended reads never retry");
-        assert_eq!(stats.read_retry_p99, 0, "empty histogram reports 0");
-        // The shared handles a server would adopt read the same counters
-        // (the stats() pass itself lands a hit per shard, so >=).
+        // The shared handles a server would adopt read the same counters.
         let handles = map.read_path_metrics();
-        assert!(handles.optimistic_hits.get() >= stats.read_optimistic_hits);
+        assert_eq!(handles.retry_histogram.p99(), 0, "empty histogram reports 0");
+        assert_eq!(handles.optimistic_hits.get(), stats.read_optimistic_hits);
         assert_eq!(handles.lock_fallbacks.get(), 0);
     }
 

@@ -6,7 +6,8 @@
 //! drawn), and every sequence is validated by construction (ranks are
 //! always legal for the running length).
 //!
-//! Workload catalogue (mapping to experiments in EXPERIMENTS.md):
+//! Workload catalogue (mapping to the experiment ids indexed in the
+//! `lll_bench::experiments` module docs):
 //!
 //! * [`uniform_random_inserts`] / [`uniform_churn`] — the oblivious random
 //!   workloads under which the randomized structure `Y` shines (E4, E5,

@@ -41,16 +41,21 @@ fn main() {
         println!("                     {}", String::from_utf8_lossy(k));
     }
 
-    // Ops surface: health and per-shard statistics.
+    // Ops surface: health and the metrics dump's map counters.
     let health = client.health().unwrap();
     println!(
         "health            -> draining={} active_conns={} served={} len={}",
         health.draining, health.active_conns, health.served_requests, health.len
     );
-    let stats = client.stats().unwrap();
+    let m = client.metrics().unwrap();
+    let len: u64 = m.shard_lens.iter().sum();
     println!(
-        "stats             -> {} shards, {} entries, {} splits, {} batches ({} entries batched)",
-        stats.shards, stats.len, stats.splits, stats.batches, stats.batched_entries
+        "metrics           -> {} shards, {len} keys, {} splits, {} batches ({} batched), {} moves",
+        m.shard_lens.len(),
+        m.splits,
+        m.batches,
+        m.batched_entries,
+        m.total_moves
     );
 
     // Graceful drain with a final snapshot: stop accepting, finish
@@ -69,7 +74,7 @@ fn main() {
         "restored          -> {} entries in {} shards (matches: {})",
         restored.len(),
         restored.shard_count(),
-        restored.len() as u64 == stats.len
+        restored.len() as u64 == len
     );
     std::fs::remove_file(&snap).ok();
 }

@@ -49,7 +49,7 @@ fn main() {
     let m = client.metrics().expect("metrics verb");
     let t = client.trace().expect("trace verb");
 
-    println!("== per-verb latency (ns), reply version {} ==", m.version);
+    println!("== per-verb latency (ns) ==");
     println!(
         "{:<14} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "verb", "count", "p50", "p95", "p99", "max"
@@ -62,10 +62,11 @@ fn main() {
     }
 
     println!(
-        "\n== shard occupancy ({} shards, {} splits, {} merges) ==",
+        "\n== shard occupancy ({} shards, {} splits, {} merges, {} element moves) ==",
         m.shard_lens.len(),
         m.splits,
-        m.merges
+        m.merges,
+        m.total_moves
     );
     let max_len = m.shard_lens.iter().copied().max().unwrap_or(0).max(1);
     for (i, ((len, reads), writes)) in
@@ -73,13 +74,6 @@ fn main() {
     {
         let bar = "#".repeat((len * 40 / max_len) as usize);
         println!("shard {i:>3}: {len:>5} entries  {reads:>6} reads {writes:>6} writes  |{bar}");
-    }
-    if m.lock_hold_nanos > 0 {
-        println!(
-            "lock time (debug builds): {} us waited, {} us held",
-            m.lock_wait_nanos / 1_000,
-            m.lock_hold_nanos / 1_000
-        );
     }
 
     println!("\n== recent structural events (trace ring, oldest first) ==");

@@ -8,7 +8,11 @@ use lll_bench::experiments::{all_experiments, ExpConfig};
 fn all_experiments_run_quick() {
     let cfg = ExpConfig { quick: true, seed: 0xBEEF };
     let results = all_experiments(&cfg);
-    assert_eq!(results.len(), 10, "experiment suite changed size — update EXPERIMENTS.md");
+    assert_eq!(
+        results.len(),
+        10,
+        "experiment suite changed size — update the index in lll_bench::experiments"
+    );
     for (id, tables) in results {
         assert!(!tables.is_empty(), "{id} produced no tables");
         for t in tables {
