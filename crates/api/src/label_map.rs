@@ -121,14 +121,6 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.list.grow_stats()
     }
 
-    /// The backend's rebuild epoch (see [`RawList::epoch`]): bumped by
-    /// every growth/shrink rebuild. `lll-sharded` folds its advance into
-    /// each shard's concurrency epoch, so optimistic readers observe
-    /// rebuilds as churn.
-    pub fn rebuild_epoch(&self) -> u64 {
-        self.list.epoch()
-    }
-
     /// The backend's observability handle: counters, move/rebalance
     /// histograms, and the structural trace ring (see
     /// [`lll_core::metrics::ListMetrics`]).

@@ -1,34 +1,32 @@
 //! `sharded_read` — machine-readable read-scaling benchmark for the
-//! lock-free reader path.
+//! `ShardedMap` read path.
 //!
 //! Measures `ShardedMap::get` throughput for 1/2/4/8 reader threads,
 //! each configuration twice: quiescent (no writer) and with one
 //! *churning* writer running insert/remove waves that force shard
 //! splits, merges, and directory growth under the readers. Reports
-//! sustained reads/s, the per-configuration scaling factor versus the
-//! single reader, and the optimistic hit ratio (hits / (hits +
-//! fallbacks)) from the map's own read-path counters.
+//! sustained reads/s and the per-configuration scaling factor versus the
+//! single reader.
 //!
 //! A third phase pins the single-reader overhead story: one reader on
-//! `ShardedMap` (RCU load + epoch-validated probe) versus one reader on
-//! a plain `Mutex<LabelMap>` (uncontended lock, the cheapest possible
-//! baseline on one thread) over the same warm keyset. The acceptance
-//! target is that the optimistic machinery costs < 5% versus what a
-//! single-threaded map would pay — on the lock-free path there is no
-//! atomic RMW, only loads.
+//! `ShardedMap` versus one reader on a plain `Mutex<LabelMap>`
+//! (uncontended lock, the cheapest possible baseline on one thread) over
+//! the same warm keyset. The target is that the sharded read costs < 5%
+//! more than what a single-threaded map would pay. A sharded read is an
+//! RCU directory load (a borrow-counter increment and decrement), the
+//! owning shard's shared lock, a retired-flag check and one per-shard
+//! read counter; the baseline is one mutex acquisition.
 //!
 //! Results are printed as JSON and — in full mode — written to
 //! `BENCH_sharded_read.json` at the repo root, committed so subsequent
 //! PRs can diff read-path performance.
 //!
-//! Acceptance (lock-free reader ISSUE): 8 readers with a churning
-//! writer should sustain ≥ 4× the 1-reader ops/s — a *parallelism*
-//! claim that requires ≥ 8 hardware threads to observe. On fewer cores
-//! the run prints the measured factor with an INFO caveat instead of
-//! failing: time-sliced readers cannot scale, and pretending otherwise
-//! would just pin a lie into the JSON. The hit-ratio bar (> 90%
-//! optimistic under churn) is core-count-independent and is asserted in
-//! full mode on any machine.
+//! Scaling target: 8 readers with a churning writer should sustain ≥ 4×
+//! the 1-reader ops/s — a *parallelism* claim that requires ≥ 8 hardware
+//! threads to observe, and is asserted in full mode only there. On fewer
+//! cores the run prints the measured factor with an INFO caveat instead
+//! of failing: time-sliced readers cannot scale, and pretending otherwise
+//! would just pin a lie into the JSON.
 //!
 //! Modes:
 //!
@@ -65,7 +63,6 @@ fn build_map(keyspace: u64) -> Arc<ShardedMap<u64, u64>> {
 struct ReadResult {
     readers: u64,
     ops_per_sec: f64,
-    hit_ratio: f64,
     writer_waves: u64,
 }
 
@@ -75,7 +72,6 @@ struct ReadResult {
 /// every reader finishes.
 fn run_readers(keyspace: u64, readers: u64, reads_per: u64, churn: bool) -> ReadResult {
     let map = build_map(keyspace);
-    let before = map.stats();
     let stop = AtomicBool::new(false);
     let mut writer_waves = 0u64;
     let start = Instant::now();
@@ -121,18 +117,10 @@ fn run_readers(keyspace: u64, readers: u64, reads_per: u64, churn: bool) -> Read
         }
     });
     let secs = start.elapsed().as_secs_f64();
-    let stats = map.stats();
-    let hits = stats.read_optimistic_hits - before.read_optimistic_hits;
-    let falls = stats.read_lock_fallbacks - before.read_lock_fallbacks;
-    ReadResult {
-        readers,
-        ops_per_sec: (readers * reads_per) as f64 / secs,
-        hit_ratio: hits as f64 / (hits + falls).max(1) as f64,
-        writer_waves,
-    }
+    ReadResult { readers, ops_per_sec: (readers * reads_per) as f64 / secs, writer_waves }
 }
 
-/// Single-reader overhead: reads/s on the sharded optimistic path versus
+/// Single-reader overhead: reads/s on the sharded read path versus
 /// an uncontended `Mutex<LabelMap>` over the same warm keys.
 fn run_overhead(keyspace: u64, reads: u64) -> (f64, f64) {
     let map = build_map(keyspace);
@@ -195,18 +183,8 @@ fn main() {
          (bar: >= 4x with >= 8 cores); single-reader overhead vs uncontended \
          Mutex<LabelMap>: {overhead_pct:+.1}%"
     );
-    if !smoke {
-        for r in &churned {
-            assert!(
-                r.hit_ratio > 0.9,
-                "{} readers under churn: only {:.1}% optimistic",
-                r.readers,
-                r.hit_ratio * 100.0
-            );
-        }
-        if cores >= 8 {
-            assert!(scale8 >= 4.0, "8-reader scaling {scale8:.2}x under the 4x bar");
-        }
+    if !smoke && cores >= 8 {
+        assert!(scale8 >= 4.0, "8-reader scaling {scale8:.2}x under the 4x bar");
     }
 
     let fmt_runs = |runs: &[ReadResult]| {
@@ -214,11 +192,10 @@ fn main() {
             .map(|r| {
                 format!(
                     "{{\"readers\": {}, \"ops_per_sec\": {:.0}, \"scale_vs_1\": {:.2}, \
-                     \"optimistic_hit_ratio\": {:.4}, \"writer_waves\": {}}}",
+                     \"writer_waves\": {}}}",
                     r.readers,
                     r.ops_per_sec,
                     r.ops_per_sec / runs[0].ops_per_sec,
-                    r.hit_ratio,
                     r.writer_waves
                 )
             })
@@ -231,9 +208,8 @@ fn main() {
     let _ = writeln!(json, "  \"cores\": {cores},");
     json.push_str(
         "  \"acceptance\": \"8 readers + churning writer >= 4x 1-reader ops/s (needs >= 8 \
-         cores; on fewer the scaling factors are time-sliced and reported as-is); > 90% \
-         optimistic hit ratio under churn; single-reader overhead vs uncontended \
-         Mutex<LabelMap> < 5%\",\n",
+         cores; on fewer the scaling factors are time-sliced and reported as-is); \
+         single-reader overhead vs uncontended Mutex<LabelMap> < 5%\",\n",
     );
     let _ = writeln!(json, "  \"keyspace\": {keyspace}, \"reads_per_thread\": {reads_per},");
     let _ = writeln!(json, "  \"quiescent\": [\n    {}\n  ],", fmt_runs(&quiescent));

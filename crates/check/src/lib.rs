@@ -19,15 +19,16 @@
 //! * **lock-order** — fields annotated with a `lock-order:` comment
 //!   (levels `maintenance`, `directory` (legacy), `shard`, and `rcu`)
 //!   declare the locking protocol; acquisition sites — `rlock(..)` /
-//!   `try_rlock(..)` / `wlock(..)` calls carrying a `Level::` argument,
-//!   `mlock(..)` (always maintenance), and `rcu_load(..)` (an RCU borrow)
+//!   `wlock(..)` calls carrying a `Level::` argument, `mlock(..)` (always
+//!   maintenance), and `rcu_load(..)` (an RCU borrow)
 //!   — are scanned lexically with guard lifetimes simulated by brace
 //!   depth. Findings: a second shard lock without the maintenance lock
 //!   held, the maintenance lock under a shard guard or a live RCU borrow,
 //!   `rcu_publish(..)` while this thread still holds a shard guard or RCU
 //!   borrow (the grace wait would deadlock), the legacy directory-level
-//!   inversions, and any raw `.read()` / `.write()` / `.lock()` on an
-//!   annotated field (it would bypass the runtime tracker).
+//!   inversions, and any raw `.read()` / `.write()` / `.lock()` or
+//!   `.try_read()` / `.try_write()` / `.try_lock()` on an annotated field
+//!   (it would bypass the runtime tracker).
 //! * **unsafe-discipline** — every crate root must carry
 //!   `#![forbid(unsafe_code)]`; `unsafe` may appear only in the
 //!   [`UNSAFE_ALLOWED`] whitelist (the counting-allocator harness and the
@@ -607,7 +608,7 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
         // `dir.read()`) — a call further down a chain rooted at an
         // annotated field (`dir.shards[i].write()`, where `write` is a
         // tracked helper on the element) is a different receiver.
-        if ["read", "write", "lock"].iter().any(|m| {
+        if ["read", "write", "lock", "try_read", "try_write", "try_lock"].iter().any(|m| {
             line.match_indices(&format!(".{m}()")).any(|(at, _)| {
                 let recv = line[..at].trim_end();
                 fields.iter().any(|(f, _)| {
@@ -621,8 +622,9 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 sf,
                 i,
                 RULE_LOCK_ORDER,
-                "raw .read()/.write()/.lock() on an annotated lock field bypasses the order \
-                 tracker; acquire through the rlock()/wlock()/mlock() wrappers"
+                "raw .read()/.write()/.lock() (or a try_ variant) on an annotated lock field \
+                 bypasses the order tracker; acquire through the rlock()/wlock()/mlock() \
+                 wrappers"
                     .to_string(),
                 diags,
             );
@@ -657,8 +659,8 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
                         sf,
                         i,
                         RULE_LOCK_ORDER,
-                        "publishes a new directory while a shard guard is live (a fallback \
-                         reader pinning the old directory could deadlock the grace wait)"
+                        "publishes a new directory while a shard guard is live (a reader \
+                         pinning the old directory could deadlock the grace wait)"
                             .to_string(),
                         diags,
                     );
@@ -672,7 +674,7 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 // line — but only consult the next line when this one
                 // can't classify, so a *different* acquisition below
                 // never bleeds in.
-                "rlock" | "wlock" | "try_rlock" => {
+                "rlock" | "wlock" => {
                     let level = classify(&line[s..])
                         .or_else(|| sf.code.get(i + 1).and_then(|nxt| classify(nxt)));
                     let Some(level) = level else {

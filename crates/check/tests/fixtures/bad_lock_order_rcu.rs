@@ -33,10 +33,10 @@ impl Map {
         drop((d, m));
     }
 
-    pub fn bad_second_probe(&self, d: &Directory) {
-        let a = try_rlock(&d.shards[0], Level::Shard);
+    pub fn bad_second_shard(&self, d: &Directory) {
+        let a = rlock(&d.shards[0], Level::Shard);
         // finding: second shard acquisition without the maintenance lock
-        let b = try_rlock(&d.shards[1], Level::Shard);
+        let b = rlock(&d.shards[1], Level::Shard);
         drop((a, b));
     }
 
@@ -51,6 +51,8 @@ impl Map {
     pub fn bad_raw_maintenance(&self) {
         // finding: raw .lock() on an annotated field bypasses the tracker
         let _g = self.maint.lock();
+        // finding: so does a raw non-blocking probe
+        let _t = self.maint.try_lock();
     }
 
     pub fn fine_maintenance_stacks_shards(&self, d: &Directory, next: Arc<Directory>) {
@@ -64,10 +66,10 @@ impl Map {
         drop(m);
     }
 
-    pub fn fine_read_path(&self, d: &Directory) -> bool {
+    pub fn fine_read_path(&self, d: &Directory) -> usize {
         let dir = rcu_load(&self.dir);
-        let probe = try_rlock(&d.shards[0], Level::Shard);
+        let shard = rlock(&d.shards[0], Level::Shard);
         drop(dir);
-        probe.is_some()
+        shard.len()
     }
 }

@@ -44,8 +44,7 @@ pub struct GrowableStats {
     pub rebuild_moves: u64,
     /// The rebuild epoch at the time of the snapshot (see
     /// [`Growable::epoch`]): `grows + shrinks` counts rebuilds, the epoch
-    /// stamps *which* rebuild generation the stats describe — the same
-    /// stamp concurrency layers validate optimistic reads against.
+    /// stamps *which* rebuild generation the stats describe.
     pub epoch: u64,
 }
 

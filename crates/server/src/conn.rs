@@ -262,9 +262,6 @@ fn metrics_reply(shared: &Shared) -> MetricsReply {
         batches: stats.batches,
         batched_entries: stats.batched_entries,
         total_moves: stats.total_moves,
-        read_optimistic_hits: stats.read_optimistic_hits,
-        read_retries: stats.read_retries,
-        read_lock_fallbacks: stats.read_lock_fallbacks,
         wal_appends,
         wal_fsyncs,
         wal_rotations,

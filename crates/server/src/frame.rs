@@ -41,7 +41,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LLW\0";
 /// decoder accepts — version negotiation is fail-fast, as in snapshots).
 /// It versions every body layout too: a change to any message's fields
 /// bumps it.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Hard ceiling on a frame body. Large enough for a 100k-entry batch of
 /// modest keys/values; small enough that a corrupt or hostile `body_len`

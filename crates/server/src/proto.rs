@@ -180,15 +180,6 @@ pub struct MetricsReply {
     /// Total element moves across shard backends (the paper's cost
     /// measure), monotone over the map's lifetime.
     pub total_moves: u64,
-    /// Point reads answered on the lock-free optimistic path (epoch
-    /// validated, no blocking shard-lock acquisition).
-    pub read_optimistic_hits: u64,
-    /// Optimistic read attempts that had to retry (writer active or probe
-    /// contended) before hitting or falling back.
-    pub read_retries: u64,
-    /// Reads that exhausted the retry budget and took a blocking shard
-    /// read lock.
-    pub read_lock_fallbacks: u64,
     /// WAL records appended (zero when the server is not in durable
     /// mode).
     pub wal_appends: u64,
@@ -280,9 +271,6 @@ impl Codec for MetricsReply {
         self.batches.encode(w)?;
         self.batched_entries.encode(w)?;
         self.total_moves.encode(w)?;
-        self.read_optimistic_hits.encode(w)?;
-        self.read_retries.encode(w)?;
-        self.read_lock_fallbacks.encode(w)?;
         self.wal_appends.encode(w)?;
         self.wal_fsyncs.encode(w)?;
         self.wal_rotations.encode(w)?;
@@ -302,9 +290,6 @@ impl Codec for MetricsReply {
             batches: u64::decode(r)?,
             batched_entries: u64::decode(r)?,
             total_moves: u64::decode(r)?,
-            read_optimistic_hits: u64::decode(r)?,
-            read_retries: u64::decode(r)?,
-            read_lock_fallbacks: u64::decode(r)?,
             wal_appends: u64::decode(r)?,
             wal_fsyncs: u64::decode(r)?,
             wal_rotations: u64::decode(r)?,

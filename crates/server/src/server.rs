@@ -76,9 +76,9 @@ impl Default for ServerConfig {
 }
 
 /// The server's observability surface: one request-latency histogram per
-/// verb (registered under a shared Prometheus family name), the served
-/// map's optimistic-read-path instruments adopted into the same registry
-/// (so one exposition covers server and map), and a handle on the map's
+/// verb (registered under a shared Prometheus family name), a durable
+/// server's WAL instruments adopted into the same registry (so one
+/// exposition covers server and log), and a handle on the map's
 /// structural-event trace ring. Registration happens once at startup;
 /// recording is lock-free from every worker.
 pub(crate) struct ServerObs {
@@ -103,33 +103,9 @@ impl ServerObs {
                 )
             })
             .collect();
-        // Adopt the map's live read-path instruments: the map keeps
-        // recording into the same atomics it always did, and the registry
-        // exposes them without a second counting site.
-        let rp = map.read_path_metrics();
-        registry.register_counter_shared(
-            "lll_read_optimistic_hits_total",
-            "Point reads answered on the lock-free optimistic path",
-            rp.optimistic_hits,
-        );
-        registry.register_counter_shared(
-            "lll_read_retries_total",
-            "Optimistic read retry attempts before a hit or fallback",
-            rp.retries,
-        );
-        registry.register_counter_shared(
-            "lll_read_lock_fallbacks_total",
-            "Reads that exhausted the retry budget and took the shard lock",
-            rp.lock_fallbacks,
-        );
-        registry.register_histogram_shared(
-            "lll_read_retry_attempts",
-            "Retry attempts per contended optimistic read",
-            rp.retry_histogram,
-        );
-        // A durable server also adopts the WAL's live instruments — same
-        // pattern: the log records into its own atomics, the registry
-        // exposes the identical cells.
+        // A durable server adopts the WAL's live instruments: the log
+        // records into its own atomics, and the registry exposes the
+        // identical cells without a second counting site.
         if let Some(durable) = durable {
             let wm = durable.wal().metrics().clone();
             registry.register_counter_shared(

@@ -57,9 +57,6 @@ fn all_responses() -> Vec<Response> {
             batches: 2,
             batched_entries: 64,
             total_moves: 4096,
-            read_optimistic_hits: 12000,
-            read_retries: 64,
-            read_lock_fallbacks: 3,
             wal_appends: 4242,
             wal_fsyncs: 99,
             wal_rotations: 7,
@@ -160,6 +157,12 @@ fn bit_flips_never_panic_and_header_flips_are_typed() {
         Err(WireError::UnsupportedVersion { found: 1 })
     ));
     let mut bad = buf.clone();
+    bad[4] = 2; // a version-2 peer still sends the three read-path fields
+    assert!(matches!(
+        Request::read_from(&mut bad.as_slice()),
+        Err(WireError::UnsupportedVersion { found: 2 })
+    ));
+    let mut bad = buf.clone();
     bad[6] = 0x7F; // opcode
     assert!(matches!(Request::read_from(&mut bad.as_slice()), Err(WireError::UnknownOpcode(0x7F))));
     // The opcodes of the retired `stats` verb stay unassigned.
@@ -249,9 +252,9 @@ fn raw_frames_roundtrip_and_magic_is_pinned() {
     let frame = Frame { opcode: 0x03, body: b"abc".to_vec() };
     let mut buf = Vec::new();
     write_frame(&mut buf, frame.opcode, &frame.body).unwrap();
-    // Byte-pinned header: magic, version 2 LE, opcode, length 3 LE.
+    // Byte-pinned header: magic, version 3 LE, opcode, length 3 LE.
     assert_eq!(&buf[..4], &WIRE_MAGIC);
-    assert_eq!(&buf[4..6], &[2, 0]);
+    assert_eq!(&buf[4..6], &[3, 0]);
     assert_eq!(buf[6], 0x03);
     assert_eq!(&buf[7..11], &[3, 0, 0, 0]);
     assert_eq!(read_frame(&mut buf.as_slice()).unwrap(), frame);

@@ -8,23 +8,20 @@
 //! (each its own `Growable` doubling domain), with an RCU-published
 //! directory of split keys deciding which shard owns which key.
 //!
-//! * **Reads are lock-free against the directory and optimistic against
-//!   shards**: `get` / `contains_key` / `range` pin the current directory
-//!   snapshot with two atomic ops (no lock, no allocation), then validate
-//!   the owning shard's epoch and `try_read` it — falling back to a
-//!   blocking shard lock only after a bounded retry budget. A writer on
-//!   one shard never stalls readers of any other shard, and steady-state
-//!   readers of *its* shard retry briefly instead of queueing.
+//! * **Reads are lock-free against the directory**: `get` /
+//!   `contains_key` / `range` pin the current directory snapshot without a
+//!   lock or an allocation, then take the owning shard's shared lock. A
+//!   writer on one shard never stalls readers of any other shard; readers
+//!   of *its* shard wait for it.
 //! * **Point writes** (`insert` / `get_mut_with` / `remove`) take exactly
-//!   **one** shard lock — writers on different shards never contend — and
-//!   stamp the shard's epoch (odd = write in progress) around the
-//!   critical section.
+//!   **one** shard lock, exclusively — writers on different shards never
+//!   contend.
 //! * **Splits and merges** run under the maintenance mutex: they
 //!   restructure into *fresh* shards, publish a successor directory via
-//!   RCU, and retire the replaced shards (epoch = `u64::MAX`), bouncing
-//!   in-flight readers of the old snapshot to a reload. Both are bulk
-//!   moves over the `splice` path added in PR 2, so re-sharding costs
-//!   O(shard), not O(n · polylog n).
+//!   RCU, and mark the replaced shards retired — a flag every reader and
+//!   writer checks under the shard lock — bouncing in-flight users of the
+//!   old snapshot to a reload. Both are bulk moves over the `splice` path,
+//!   so re-sharding costs O(shard), not O(n · polylog n).
 //! * **Snapshots** ([`ShardedMap::write_snapshot`] /
 //!   [`ShardedMap::read_snapshot`]) persist the split-key directory and
 //!   each shard's sorted run under the maintenance mutex with every shard
@@ -50,7 +47,6 @@
 //! });
 //! assert_eq!(map.len(), 2000);
 //! assert!(map.stats().shards > 1, "growth should have split the key space");
-//! assert!(map.stats().read_optimistic_hits > 0, "len() rode the optimistic path");
 //! ```
 //!
 //! Lock order is strict — maintenance mutex before shard locks, at most
@@ -74,7 +70,7 @@ mod rcu;
 
 pub use builder::ShardedBuilder;
 pub use lock_order::maintenance_acquisitions;
-pub use map::{ReadPathMetrics, ShardPolicy, ShardedMap, ShardedStats};
+pub use map::{ShardPolicy, ShardedMap, ShardedStats};
 
 // Compile-time thread-safety audit, mirroring `lll-api`'s: the whole point
 // of this crate is to be shared across threads.
@@ -85,5 +81,4 @@ fn assert_thread_safe() {
     assert_send_sync::<ShardedMap<String, Vec<u8>>>();
     assert_send_sync::<ShardedStats>();
     assert_send_sync::<ShardedBuilder>();
-    assert_send_sync::<ReadPathMetrics>();
 }

@@ -20,8 +20,8 @@
 //!    lock. They nest freely under anything, but publication
 //!    ([`rcu_publish`]) requires the maintenance mutex and *no* live shard
 //!    or RCU guard on the publishing thread: a shard guard could deadlock
-//!    a fallback reader that pinned the old directory, and an own RCU
-//!    guard would deadlock the grace wait against itself.
+//!    a reader that pinned the old directory and waits on that shard, and
+//!    an own RCU guard would deadlock the grace wait against itself.
 //!
 //! The check runs *before* blocking, so an ordering bug surfaces as an
 //! immediate panic with a message instead of a silent deadlock. In release
@@ -35,7 +35,7 @@ use crate::rcu::{RcuCell, RcuGuard};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The lock levels of the protocol, outermost first.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,8 +161,8 @@ mod tracker {
             );
             assert!(
                 shard == 0,
-                "rcu_publish while {shard} shard guard(s) are live: a fallback reader pinning \
-                 the old directory could block on them and deadlock the grace wait"
+                "rcu_publish while {shard} shard guard(s) are live: a reader pinning the old \
+                 directory could block on them and deadlock the grace wait"
             );
             assert!(
                 rcu == 0,
@@ -228,22 +228,6 @@ impl<G: DerefMut> DerefMut for Tracked<G> {
 pub(crate) fn rlock<T>(lock: &RwLock<T>, level: Level) -> Tracked<RwLockReadGuard<'_, T>> {
     let order = tracker::Token::acquire(level);
     Tracked { guard: lock.read().unwrap_or_else(|e| e.into_inner()), _order: order }
-}
-
-/// Non-blocking [`rlock`]: `None` if a writer holds the lock right now.
-/// This is the optimistic read path's probe — the tracker check still runs
-/// (an inversion is a bug whether or not the lock happened to be free).
-pub(crate) fn try_rlock<T>(
-    lock: &RwLock<T>,
-    level: Level,
-) -> Option<Tracked<RwLockReadGuard<'_, T>>> {
-    let order = tracker::Token::acquire(level);
-    let guard = match lock.try_read() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        Err(TryLockError::WouldBlock) => return None,
-    };
-    Some(Tracked { guard, _order: order })
 }
 
 /// Exclusive-lock counterpart of [`rlock`].
@@ -317,12 +301,6 @@ mod tests {
             assert_eq!(*d, 1 + *a);
         }
         {
-            // The optimistic probe is a shard acquisition like any other.
-            let _d = rcu_load(&cell);
-            let probe = try_rlock(&shard_a, Level::Shard);
-            assert!(probe.is_some(), "uncontended probe must succeed");
-        }
-        {
             // Scans: one shard at a time, sequentially, under one borrow.
             let _d = rcu_load(&cell);
             for s in [&shard_a, &shard_b] {
@@ -342,19 +320,6 @@ mod tests {
         }
         assert_eq!(*rcu_load(&cell), 2);
         assert!(maintenance_acquisitions() >= 1, "mlock bumps the always-on count");
-    }
-
-    #[test]
-    fn try_rlock_reports_writer_contention() {
-        let shard = RwLock::new(0u32);
-        let w = wlock(&shard, Level::Shard);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert!(try_rlock(&shard, Level::Shard).is_none(), "writer held: must not block");
-            });
-        });
-        drop(w);
-        assert!(try_rlock(&shard, Level::Shard).is_some());
     }
 
     #[test]

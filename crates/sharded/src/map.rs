@@ -3,68 +3,47 @@
 //!
 //! # Locking protocol
 //!
-//! The read path is lock-free against the directory and optimistic against
-//! shards; writers serialize structure under one mutex. Three levels:
+//! The read path is lock-free against the directory and takes one shared
+//! shard lock; writers serialize structure under one mutex. Three levels:
 //!
 //! * The **directory** is an immutable [`Directory`] snapshot published
-//!   through an [`RcuCell`]: readers pin it with [`rcu_load`] (two atomic
-//!   ops, no lock, no allocation) and never block. Structural maintenance
-//!   clones the directory, swaps in the successor with [`rcu_publish`],
-//!   and retires the old snapshot after its grace period.
+//!   through an [`RcuCell`]: readers pin it with [`rcu_load`] (no lock, no
+//!   allocation) and never block on it. Structural maintenance clones the
+//!   directory, swaps in the successor with [`rcu_publish`], and retires
+//!   the old snapshot after its grace period.
 //! * The **maintenance mutex** (`ShardedMap::maint`) is the outermost
 //!   lock level: splits, merges, batches, and snapshots serialize under
 //!   it, so at most one thread restructures (and publishes) at a time.
-//! * Each **shard** ([`Shard`]) pairs a `RwLock<LabelMap>` with an atomic
-//!   **epoch**: even = quiescent, odd = write in progress, `u64::MAX` =
-//!   retired (the shard was replaced by a published successor). Writers
-//!   stamp the write bit under the exclusive lock and advance the epoch by
-//!   two per write (plus two per backend growth rebuild, tying the stamp
-//!   to `Growable::epoch`). Readers attempt an **optimistic read**: check
-//!   the epoch, `try_read` the lock, revalidate under the guard — and only
-//!   after a bounded retry budget fall back to a blocking shard lock.
+//! * Each **shard** ([`Shard`]) pairs a `RwLock<LabelMap>` with a
+//!   **retired** flag. Readers take the shared lock, writers the exclusive
+//!   one, and both check the flag under it. A split or merge sets the flag
+//!   under the exclusive lock once the shard's keys live elsewhere.
 //!
 //! Point operations hold at most one shard lock; only a maintenance
 //! holder stacks several (merges lock a neighboring pair, snapshots
 //! read-lock every shard for one atomic picture). Publication happens
-//! with **no** shard lock held, after the retiring shard's epoch is
-//! stamped `RETIRED` — a reader of the old snapshot therefore either sees
-//! the shard's pre-retirement content (consistent) or the `RETIRED` stamp,
-//! which sends it back to reload the directory. The `lock_order` module
-//! enforces the order dynamically in debug builds; lll-check's
-//! `lock-order` rule enforces it statically.
+//! with **no** shard lock held, after the retiring shard's flag is set —
+//! a reader of the old snapshot therefore either sees the shard's
+//! pre-retirement content (consistent) or the flag, which sends it back
+//! to reload the directory. The `lock_order` module enforces the order
+//! dynamically in debug builds; lll-check's `lock-order` rule enforces it
+//! statically.
 
-use crate::lock_order::{
-    mlock, rcu_load, rcu_publish, rcu_snapshot, rlock, try_rlock, wlock, Level, Tracked,
-};
+use crate::lock_order::{mlock, rcu_load, rcu_publish, rcu_snapshot, rlock, wlock, Level, Tracked};
 use crate::rcu::RcuCell;
 use lll_api::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_api::{LabelMap, ListBuilder, RawList};
 use lll_core::rng::derive_seed;
-use lll_obs::{Counter, Histogram, TraceKind, TraceRing};
+use lll_obs::{Counter, TraceKind, TraceRing};
 use std::borrow::Borrow;
 use std::fmt;
 use std::io::{Read, Write};
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::{Bound, RangeBounds};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 
 /// Events the per-map [`TraceRing`] holds before the oldest is overwritten.
 const TRACE_CAPACITY: usize = 256;
-
-/// Epoch stamp of a shard that a split or merge has replaced: readers that
-/// see it throw away their directory snapshot and reload — the published
-/// successor routes them to the shard that owns their keys now.
-const RETIRED: u64 = u64::MAX;
-
-/// Low epoch bit: set while a writer holds the shard's exclusive lock, so
-/// optimistic readers spin on the (cheap) atomic instead of hammering the
-/// lock word.
-const WRITE_BIT: u64 = 1;
-
-/// Optimistic attempts per shard before a read falls back to the blocking
-/// shard lock. Large enough to ride out a point write, small enough that a
-/// long rebuild doesn't starve readers into a spin.
-const READ_RETRY_BUDGET: u32 = 32;
 
 /// Per-shard operation counters. The counters are atomic, so concurrent
 /// readers and writers bump them without coordination; merges fold the
@@ -86,213 +65,52 @@ impl ShardObs {
     }
 }
 
-/// Counters and the retry histogram of the optimistic read path, shared by
-/// every shard of one map. The `Arc`s let a server adopt the same
-/// instruments into its metrics [`Registry`](lll_obs::Registry), so the
-/// wire exposition and [`ShardedStats`] always agree.
-#[derive(Clone)]
-pub struct ReadPathMetrics {
-    /// Reads served by the optimistic path: epoch precheck + `try_read` +
-    /// revalidation, no blocking. Multi-shard scans count one hit per
-    /// shard acquired optimistically.
-    pub optimistic_hits: Arc<Counter>,
-    /// Total optimistic attempts that found the shard busy (write bit set
-    /// or `try_read` lost) and spun — the numerator of retry pressure.
-    pub retries: Arc<Counter>,
-    /// Reads that exhausted the retry budget (`READ_RETRY_BUDGET`, 32
-    /// attempts) and fell back to the blocking shard lock.
-    pub lock_fallbacks: Arc<Counter>,
-    /// Distribution of retry counts per contended read (log2 buckets over
-    /// `1..64`): `p99()` of this is the tail a reader spins under churn.
-    pub retry_histogram: Arc<Histogram>,
-}
+/// An exclusive shard guard.
+type ShardWrite<'a, K, V> = Tracked<RwLockWriteGuard<'a, LabelMap<K, V>>>;
 
-impl ReadPathMetrics {
-    fn new() -> Self {
-        Self {
-            optimistic_hits: Arc::new(Counter::default()),
-            retries: Arc::new(Counter::default()),
-            lock_fallbacks: Arc::new(Counter::default()),
-            retry_histogram: Arc::new(Histogram::new(1, 64)),
-        }
-    }
-}
-
-/// One rebalance domain: a `LabelMap` behind its lock, the atomic epoch
-/// that optimistic readers validate against, and the shard's op counters.
-/// Shards are shared (`Arc`) between successive directory snapshots — a
-/// split or merge replaces only the entries it restructures.
+/// One rebalance domain: a `LabelMap` behind its lock, the shard's op
+/// counters, and the flag that marks it replaced. Shards are shared
+/// (`Arc`) between successive directory snapshots — a split or merge
+/// replaces only the entries it restructures.
 struct Shard<K: Ord, V> {
-    /// Even = quiescent, [`WRITE_BIT`] set = writer active, [`RETIRED`] =
-    /// permanently replaced. Advances by 2 per write plus 2 per backend
-    /// rebuild epoch (so a growth rebuild is visible as churn).
-    epoch: AtomicU64,
     obs: ShardObs,
+    /// Set once, under the exclusive lock, by the split or merge that
+    /// replaced this shard. Read under the lock, so `Relaxed` suffices:
+    /// the lock orders it against every access to the map.
+    retired: AtomicBool,
     // lock-order: shard
     map: RwLock<LabelMap<K, V>>,
 }
 
-/// A read's outcome against one shard.
-enum ReadAttempt<R> {
-    /// The shard was live; `f` ran exactly once under a read guard.
-    Hit(R),
-    /// The shard is [`RETIRED`]: reload the directory and re-route.
-    Retired,
-}
-
 impl<K: Ord, V> Shard<K, V> {
     fn new(map: LabelMap<K, V>) -> Self {
-        // Seed the epoch from the backend's rebuild epoch (shifted past
-        // the write bit) so the stamp is tied to `Growable::epoch` from
-        // birth, not just from the first write.
-        let epoch = AtomicU64::new(map.rebuild_epoch() << 1);
-        Self { epoch, obs: ShardObs::default(), map: RwLock::new(map) }
+        Self { obs: ShardObs::default(), retired: AtomicBool::new(false), map: RwLock::new(map) }
     }
 
-    /// Acquire the shard for writing, stamping the write bit. `None` if
-    /// the shard is retired — the caller must reload the directory.
-    fn write(&self) -> Option<ShardWriteGuard<'_, K, V>> {
-        let guard = wlock(&self.map, Level::Shard);
-        let start = self.epoch.load(Ordering::Acquire);
-        if start == RETIRED {
+    /// Run `f` under the shared lock. `None` if the shard is retired —
+    /// the caller must reload the directory.
+    fn read<R>(&self, f: impl FnOnce(&LabelMap<K, V>) -> R) -> Option<R> {
+        let guard = rlock(&self.map, Level::Shard);
+        if self.retired.load(Ordering::Relaxed) {
             return None;
         }
-        debug_assert_eq!(start & WRITE_BIT, 0, "write bit set without the exclusive lock");
-        self.epoch.store(start | WRITE_BIT, Ordering::Release);
-        let rebuild0 = guard.rebuild_epoch();
-        Some(ShardWriteGuard { start, rebuild0, retired: false, shard: self, guard })
+        Some(f(&guard))
     }
 
-    /// Read the shard through `f` (run at most once, under a read guard).
-    ///
-    /// The optimistic path: load the epoch; if quiescent, `try_read` the
-    /// lock and revalidate under the guard — the guard excludes writers,
-    /// so the only transition that can have raced in is retirement, which
-    /// the revalidation catches. After [`READ_RETRY_BUDGET`] busy
-    /// attempts, fall back to one blocking `rlock`.
-    ///
-    /// `robs` counts the landing; `None` reads uncounted, so a stats pass
-    /// does not show up in the read counters it reports.
-    fn read<R>(
-        &self,
-        robs: Option<&ReadPathMetrics>,
-        mut f: impl FnMut(&LabelMap<K, V>) -> R,
-    ) -> ReadAttempt<R> {
-        let book_retries = |attempts: u32| {
-            if let Some(robs) = robs.filter(|_| attempts > 0) {
-                robs.retries.add(attempts as u64);
-                robs.retry_histogram.record(attempts as u64);
-            }
-        };
-        let mut attempts: u32 = 0;
-        loop {
-            let before = self.epoch.load(Ordering::Acquire);
-            if before == RETIRED {
-                book_retries(attempts);
-                return ReadAttempt::Retired;
-            }
-            if before & WRITE_BIT == 0 {
-                if let Some(guard) = try_rlock(&self.map, Level::Shard) {
-                    // Revalidate while the guard excludes writers: a whole
-                    // write (or retirement) may have landed between the
-                    // precheck and the lock, but a *torn* state cannot —
-                    // this lock upgrade is what keeps the fast path safe
-                    // Rust rather than a racy seqlock.
-                    let now = self.epoch.load(Ordering::Acquire);
-                    // RETIRED has the write bit set, so rule it out before
-                    // asserting quiescence — a split/merge retiring the
-                    // shard between the precheck and the lock is the legal
-                    // race this branch exists for.
-                    if now == RETIRED {
-                        book_retries(attempts);
-                        return ReadAttempt::Retired;
-                    }
-                    debug_assert_eq!(now & WRITE_BIT, 0, "write bit set under a read guard");
-                    let out = f(&guard);
-                    if let Some(robs) = robs {
-                        robs.optimistic_hits.inc();
-                    }
-                    book_retries(attempts);
-                    return ReadAttempt::Hit(out);
-                }
-            }
-            attempts += 1;
-            if attempts >= READ_RETRY_BUDGET {
-                break;
-            }
-            if attempts.is_multiple_of(8) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // Budget exhausted: one blocking acquisition.
-        book_retries(attempts);
-        if let Some(robs) = robs {
-            robs.lock_fallbacks.inc();
-        }
-        let guard = rlock(&self.map, Level::Shard);
-        let now = self.epoch.load(Ordering::Acquire);
-        if now == RETIRED {
-            ReadAttempt::Retired
-        } else {
-            ReadAttempt::Hit(f(&guard))
-        }
+    /// Take the exclusive lock. `None` if the shard is retired — the
+    /// caller must reload the directory.
+    fn write(&self) -> Option<ShardWrite<'_, K, V>> {
+        let guard = wlock(&self.map, Level::Shard);
+        (!self.retired.load(Ordering::Relaxed)).then_some(guard)
     }
-}
 
-/// An exclusive shard guard that owns the epoch protocol: the write bit is
-/// set for its lifetime, and dropping it stamps the successor epoch
-/// (advanced by the write plus any backend rebuilds observed under the
-/// guard) *before* the lock is released, so a reader acquiring the lock
-/// next always sees the settled stamp.
-struct ShardWriteGuard<'a, K: Ord, V> {
-    /// The (even) epoch when the guard was taken.
-    start: u64,
-    /// The backend's rebuild epoch at acquisition — the delta to its value
-    /// at drop folds growth rebuilds into the shard epoch.
-    rebuild0: u64,
-    /// Set by [`retire`](Self::retire): stamp [`RETIRED`] instead of the
-    /// next epoch.
-    retired: bool,
-    shard: &'a Shard<K, V>,
-    // Declared last: `Drop::drop` stamps the epoch, then this field's own
-    // drop releases the lock.
-    guard: Tracked<RwLockWriteGuard<'a, LabelMap<K, V>>>,
-}
-
-impl<K: Ord, V> ShardWriteGuard<'_, K, V> {
-    /// Mark the shard permanently replaced: the drop stamps [`RETIRED`],
-    /// bouncing every reader of an old directory snapshot back to a
-    /// reload. Call only after the published successor covers the keys.
-    fn retire(mut self) {
-        self.retired = true;
-    }
-}
-
-impl<K: Ord, V> Deref for ShardWriteGuard<'_, K, V> {
-    type Target = LabelMap<K, V>;
-
-    fn deref(&self) -> &LabelMap<K, V> {
-        &self.guard
-    }
-}
-
-impl<K: Ord, V> DerefMut for ShardWriteGuard<'_, K, V> {
-    fn deref_mut(&mut self) -> &mut LabelMap<K, V> {
-        &mut self.guard
-    }
-}
-
-impl<K: Ord, V> Drop for ShardWriteGuard<'_, K, V> {
-    fn drop(&mut self) {
-        let next = if self.retired {
-            RETIRED
-        } else {
-            let rebuilds = self.guard.rebuild_epoch().wrapping_sub(self.rebuild0);
-            self.start.wrapping_add(2).wrapping_add(rebuilds.wrapping_mul(2))
-        };
-        self.shard.epoch.store(next, Ordering::Release);
+    /// Mark the shard replaced, then release `guard`, its exclusive lock:
+    /// every later reader and writer of an old directory snapshot sees the
+    /// flag and reloads. Call only once the successor directory that covers
+    /// the shard's keys is built, and publish it after this returns.
+    fn retire(&self, guard: ShardWrite<'_, K, V>) {
+        self.retired.store(true, Ordering::Relaxed);
+        drop(guard);
     }
 }
 
@@ -342,8 +160,7 @@ impl<K: Ord, V> Directory<K, V> {
 
 /// A thread-safe sorted map that partitions its key space across
 /// independent [`LabelMap`] shards — each one its own rebalance domain —
-/// behind an RCU-published directory and per-shard `RwLock`s with an
-/// optimistic, epoch-validated read path.
+/// behind an RCU-published directory and per-shard `RwLock`s.
 ///
 /// Construct one with [`ShardedBuilder`](crate::ShardedBuilder). All
 /// methods take `&self`; share the map across threads with `Arc` (or
@@ -373,9 +190,6 @@ pub struct ShardedMap<K: Ord + Clone, V> {
     /// Recent structural events (splits, merges, snapshots) — shared so a
     /// server can drain the ring without holding a reference to the map.
     trace: Arc<TraceRing>,
-    /// Optimistic-read instrumentation, shared across all shards (see
-    /// [`read_path_metrics`](Self::read_path_metrics)).
-    read_obs: ReadPathMetrics,
 }
 
 /// A point-in-time aggregate snapshot of a [`ShardedMap`] (see
@@ -413,15 +227,6 @@ pub struct ShardedStats {
     /// `get_mut_with`), in key order; monotone like
     /// [`shard_reads`](Self::shard_reads).
     pub shard_writes: Vec<u64>,
-    /// Shard acquisitions served by the optimistic (epoch-validated,
-    /// non-blocking) read path.
-    pub read_optimistic_hits: u64,
-    /// Optimistic attempts that found the shard busy and spun before
-    /// succeeding or falling back.
-    pub read_retries: u64,
-    /// Reads that exhausted the retry budget and took a blocking shard
-    /// lock.
-    pub read_lock_fallbacks: u64,
 }
 
 impl ShardedStats {
@@ -471,7 +276,6 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             batched_entries: AtomicU64::new(0),
             retired_moves: AtomicU64::new(0),
             trace: Arc::new(TraceRing::new(TRACE_CAPACITY)),
-            read_obs: ReadPathMetrics::new(),
         }
     }
 
@@ -547,25 +351,24 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         self.policy
     }
 
-    /// Total entries — optimistic per-shard reads, O(#shards). The count
+    /// Run `attempt` against the current directory until it returns
+    /// `Some`. `None` means it met a shard that a split or merge retired:
+    /// the reload routes the keys to the shard that owns them now.
+    fn route<R>(&self, mut attempt: impl FnMut(&Directory<K, V>) -> Option<R>) -> R {
+        loop {
+            let dir = rcu_load(&self.dir);
+            if let Some(out) = attempt(&dir) {
+                return out;
+            }
+            drop(dir);
+            std::thread::yield_now();
+        }
+    }
+
+    /// Total entries — one shared lock per shard, O(#shards). The count
     /// is a consistent snapshot only if no writer is concurrent.
     pub fn len(&self) -> usize {
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
-            let mut total = 0;
-            for shard in &dir.shards {
-                match shard.read(Some(&self.read_obs), |m| m.len()) {
-                    ReadAttempt::Hit(n) => total += n,
-                    ReadAttempt::Retired => continue 'retry,
-                }
-            }
-            return total;
-        }
+        self.route(|dir| dir.shards.iter().map(|s| s.read(LabelMap::len)).sum())
     }
 
     /// True if no entries are stored (same snapshot caveat as
@@ -584,30 +387,24 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// is only pinned, never locked); if the shard overflowed the policy
     /// band, splits it afterwards under the maintenance mutex.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
+        // Only the attempt that lands the entry takes it, and that attempt
+        // ends the loop.
         let mut kv = Some((key, value));
-        let (prev, overflow) = loop {
-            let (key, value) = kv.take().expect("refilled on every retry");
-            {
-                let dir = rcu_load(&self.dir);
-                let idx = dir.locate(&key);
-                let shard = &dir.shards[idx];
-                if let Some(mut g) = shard.write() {
-                    shard.obs.writes.inc();
-                    let prev = g.insert(key, value);
-                    // Only trigger maintenance when a split is actually
-                    // feasible: at the shard-count ceiling an oversized
-                    // shard simply keeps growing (documented degradation),
-                    // and a no-op maintenance pass would serialize every
-                    // writer on the mutex.
-                    let overflow = g.len() > self.policy.max_shard_len
-                        && dir.shards.len() < self.policy.max_shards;
-                    break (prev, overflow);
-                }
-                // The shard was retired under us: reload the directory.
-                kv = Some((key, value));
-            }
-            std::thread::yield_now();
-        };
+        let (prev, overflow) = self.route(|dir| {
+            let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
+            let shard = &dir.shards[dir.locate(key)];
+            let mut g = shard.write()?;
+            shard.obs.writes.inc();
+            let (key, value) = kv.take().expect("a landed entry ends the loop");
+            let prev = g.insert(key, value);
+            // Only trigger maintenance when a split is actually feasible:
+            // at the shard-count ceiling an oversized shard simply keeps
+            // growing (documented degradation), and a no-op maintenance
+            // pass would serialize every writer on the mutex.
+            let overflow =
+                g.len() > self.policy.max_shard_len && dir.shards.len() < self.policy.max_shards;
+            Some((prev, overflow))
+        });
         if overflow {
             self.maintain();
         }
@@ -622,26 +419,19 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let (prev, underflow) = loop {
-            {
-                let dir = rcu_load(&self.dir);
-                let idx = dir.locate(key);
-                let shard = &dir.shards[idx];
-                if let Some(mut g) = shard.write() {
-                    shard.obs.writes.inc();
-                    let prev = g.remove(key);
-                    // Trigger only on the exact threshold crossing: a
-                    // shard stuck underfull because no neighbor merge fits
-                    // must not pay a maintenance round trip on every
-                    // subsequent remove. Once a neighbor later shrinks,
-                    // *its* own crossing re-runs maintenance, which scans
-                    // globally and finds the pair.
-                    let crossed = prev.is_some() && g.len() + 1 == self.policy.min_shard_len;
-                    break (prev, crossed && dir.shards.len() > 1);
-                };
-            }
-            std::thread::yield_now();
-        };
+        let (prev, underflow) = self.route(|dir| {
+            let shard = &dir.shards[dir.locate(key)];
+            let mut g = shard.write()?;
+            shard.obs.writes.inc();
+            let prev = g.remove(key);
+            // Trigger only on the exact threshold crossing: a shard stuck
+            // underfull because no neighbor merge fits must not pay a
+            // maintenance round trip on every subsequent remove. Once a
+            // neighbor later shrinks, *its* own crossing re-runs
+            // maintenance, which scans globally and finds the pair.
+            let crossed = prev.is_some() && g.len() + 1 == self.policy.min_shard_len;
+            Some((prev, crossed && dir.shards.len() > 1))
+        });
         if underflow {
             self.maintain();
         }
@@ -649,36 +439,28 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     }
 
     /// Read `key`'s value through a borrow: `map.get_with(&k, |v|
-    /// v.summarize())`. Returns `None` if the key is absent. Rides the
-    /// optimistic read path — no directory lock, and in the common case no
-    /// blocking shard lock either.
+    /// v.summarize())`. Returns `None` if the key is absent. Takes no
+    /// directory lock, only the owning shard's shared lock.
     pub fn get_with<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        // `Shard::read` wants FnMut but runs it at most once per call;
-        // the take() lets the FnOnce ride through retries untouched.
+        // `route` runs the attempt again after meeting a retired shard,
+        // but `f` runs only in the attempt that reads; the take() lets the
+        // FnOnce ride along.
         let mut f = Some(f);
-        loop {
-            {
-                let dir = rcu_load(&self.dir);
-                let idx = dir.locate(key);
-                let shard = &dir.shards[idx];
-                let attempt = shard.read(Some(&self.read_obs), |m| {
-                    // Counted under the read guard: a merge can absorb this
-                    // shard's ShardObs into the survivor the instant the
-                    // guard drops, and an increment after that loses the
-                    // read from the monotone-across-resharding totals.
-                    shard.obs.reads.inc();
-                    m.get(key).map(|v| (f.take().expect("read closure ran twice"))(v))
-                });
-                if let ReadAttempt::Hit(out) = attempt {
-                    return out;
-                }
-            }
-            std::thread::yield_now();
-        }
+        self.route(|dir| {
+            let shard = &dir.shards[dir.locate(key)];
+            shard.read(|m| {
+                // Counted under the read guard: a merge can absorb this
+                // shard's ShardObs into the survivor the instant the guard
+                // drops, and an increment after that loses the read from
+                // the monotone-across-resharding totals.
+                shard.obs.reads.inc();
+                m.get(key).map(|v| (f.take().expect("read closure ran twice"))(v))
+            })
+        })
     }
 
     /// The value of `key`, cloned out of the shard (the lock cannot outlive
@@ -701,43 +483,29 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         Q: Ord + ?Sized,
     {
         let mut f = Some(f);
-        loop {
-            {
-                let dir = rcu_load(&self.dir);
-                let idx = dir.locate(key);
-                let shard = &dir.shards[idx];
-                if let Some(mut g) = shard.write() {
-                    shard.obs.writes.inc();
-                    return g.get_mut(key).map(|v| (f.take().expect("mut closure ran twice"))(v));
-                };
-            }
-            std::thread::yield_now();
-        }
+        self.route(|dir| {
+            let shard = &dir.shards[dir.locate(key)];
+            let mut g = shard.write()?;
+            shard.obs.writes.inc();
+            Some(g.get_mut(key).map(|v| (f.take().expect("mut closure ran twice"))(v)))
+        })
     }
 
-    /// True if `key` is present. Optimistic like [`get_with`](Self::get_with).
+    /// True if `key` is present. Locks like [`get_with`](Self::get_with).
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        loop {
-            {
-                let dir = rcu_load(&self.dir);
-                let idx = dir.locate(key);
-                let shard = &dir.shards[idx];
-                let attempt = shard.read(Some(&self.read_obs), |m| {
-                    // Under the guard, as in `get_with`: survives a racing
-                    // merge's ShardObs absorption.
-                    shard.obs.reads.inc();
-                    m.contains_key(key)
-                });
-                if let ReadAttempt::Hit(found) = attempt {
-                    return found;
-                }
-            }
-            std::thread::yield_now();
-        }
+        self.route(|dir| {
+            let shard = &dir.shards[dir.locate(key)];
+            shard.read(|m| {
+                // Under the guard, as in `get_with`: survives a racing
+                // merge's ShardObs absorption.
+                shard.obs.reads.inc();
+                m.contains_key(key)
+            })
+        })
     }
 
     /// The smallest entry, cloned.
@@ -745,25 +513,16 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     where
         V: Clone,
     {
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
+        self.route(|dir| {
             for shard in &dir.shards {
-                let attempt = shard.read(Some(&self.read_obs), |m| {
-                    m.first_key_value().map(|(k, v)| (k.clone(), v.clone()))
-                });
-                match attempt {
-                    ReadAttempt::Hit(Some(kv)) => return Some(kv),
-                    ReadAttempt::Hit(None) => {}
-                    ReadAttempt::Retired => continue 'retry,
+                let kv =
+                    shard.read(|m| m.first_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
+                if kv.is_some() {
+                    return Some(kv);
                 }
             }
-            return None;
-        }
+            Some(None)
+        })
     }
 
     /// The largest entry, cloned.
@@ -771,33 +530,20 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     where
         V: Clone,
     {
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
+        self.route(|dir| {
             for shard in dir.shards.iter().rev() {
-                let attempt = shard.read(Some(&self.read_obs), |m| {
-                    m.last_key_value().map(|(k, v)| (k.clone(), v.clone()))
-                });
-                match attempt {
-                    ReadAttempt::Hit(Some(kv)) => return Some(kv),
-                    ReadAttempt::Hit(None) => {}
-                    ReadAttempt::Retired => continue 'retry,
+                let kv = shard.read(|m| m.last_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
+                if kv.is_some() {
+                    return Some(kv);
                 }
             }
-            return None;
-        }
+            Some(None)
+        })
     }
 
-    /// Collect the entries with keys in `range`, ascending — per-shard
-    /// contiguous sweeps stitched in key order. Shards are read **one at
-    /// a time** on the optimistic path (each shard's slice is internally
-    /// consistent; the stitched whole is not a single atomic snapshot
-    /// under concurrent writers). A mid-scan split or merge restarts the
-    /// whole scan against the fresh directory.
+    /// Collect the entries with keys in `range`, ascending:
+    /// [`range_limited`](Self::range_limited) without a cap (same
+    /// shard-at-a-time consistency).
     pub fn range<Q, R>(&self, range: R) -> Vec<(K, V)>
     where
         K: Borrow<Q>,
@@ -805,38 +551,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         R: RangeBounds<Q>,
         V: Clone,
     {
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
-            if dir.shards.is_empty() {
-                return Vec::new();
-            }
-            let lo = match range.start_bound() {
-                Bound::Included(k) | Bound::Excluded(k) => dir.locate(k),
-                Bound::Unbounded => 0,
-            };
-            let hi = match range.end_bound() {
-                Bound::Included(k) | Bound::Excluded(k) => dir.locate(k),
-                Bound::Unbounded => dir.shards.len() - 1,
-            };
-            let mut out = Vec::new();
-            for shard in &dir.shards[lo..=hi] {
-                let attempt = shard.read(Some(&self.read_obs), |m| {
-                    out.extend(
-                        m.range((range.start_bound(), range.end_bound()))
-                            .map(|(k, v)| (k.clone(), v.clone())),
-                    );
-                });
-                if let ReadAttempt::Retired = attempt {
-                    continue 'retry;
-                }
-            }
-            return out;
-        }
+        self.range_limited(range, usize::MAX).0
     }
 
     /// All entries ascending by key — [`range`](Self::range) over
@@ -928,6 +643,11 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// cloning as soon as the cap is reached. The second component is true
     /// if at least one more entry existed past the cap (the scan was
     /// truncated) — the pagination signal a server returns to clients.
+    ///
+    /// Shards are read **one at a time** under their shared locks (each
+    /// shard's slice is internally consistent; the stitched whole is not a
+    /// single atomic snapshot under concurrent writers). A mid-scan split
+    /// or merge restarts the whole scan against the fresh directory.
     pub fn range_limited<Q, R>(&self, range: R, limit: usize) -> (Vec<(K, V)>, bool)
     where
         K: Borrow<Q>,
@@ -935,15 +655,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         R: RangeBounds<Q>,
         V: Clone,
     {
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
+        self.route(|dir| {
             if dir.shards.is_empty() {
-                return (Vec::new(), false);
+                return Some((Vec::new(), false));
             }
             let lo = match range.start_bound() {
                 Bound::Included(k) | Bound::Excluded(k) => dir.locate(k),
@@ -955,7 +669,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             };
             let mut out = Vec::new();
             for shard in &dir.shards[lo..=hi] {
-                let attempt = shard.read(Some(&self.read_obs), |m| {
+                let truncated = shard.read(|m| {
                     for (k, v) in m.range((range.start_bound(), range.end_bound())) {
                         if out.len() == limit {
                             return true;
@@ -963,28 +677,20 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                         out.push((k.clone(), v.clone()));
                     }
                     false
-                });
-                match attempt {
-                    ReadAttempt::Hit(true) => return (out, true),
-                    ReadAttempt::Hit(false) => {}
-                    ReadAttempt::Retired => continue 'retry,
+                })?;
+                if truncated {
+                    return Some((out, true));
                 }
             }
-            return (out, false);
-        }
+            Some((out, false))
+        })
     }
 
-    /// Aggregate statistics — one optimistic pass over the shards. The
-    /// pass itself is not counted: reading the read counters leaves them
-    /// unchanged.
+    /// Aggregate statistics — one pass over the shards under their shared
+    /// locks. The pass itself is not counted: reading the read counters
+    /// leaves them unchanged.
     pub fn stats(&self) -> ShardedStats {
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
+        self.route(|dir| {
             let mut stats = ShardedStats {
                 shards: dir.shards.len(),
                 len: 0,
@@ -997,17 +703,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 shard_capacities: Vec::with_capacity(dir.shards.len()),
                 shard_reads: Vec::with_capacity(dir.shards.len()),
                 shard_writes: Vec::with_capacity(dir.shards.len()),
-                read_optimistic_hits: self.read_obs.optimistic_hits.get(),
-                read_retries: self.read_obs.retries.get(),
-                read_lock_fallbacks: self.read_obs.lock_fallbacks.get(),
             };
             for shard in &dir.shards {
-                let attempt =
-                    shard.read(None, |m| (m.len(), m.total_moves(), m.backend().capacity()));
-                let (len, moves, capacity) = match attempt {
-                    ReadAttempt::Hit(x) => x,
-                    ReadAttempt::Retired => continue 'retry,
-                };
+                let (len, moves, capacity) =
+                    shard.read(|m| (m.len(), m.total_moves(), m.backend().capacity()))?;
                 stats.len += len;
                 stats.total_moves += moves;
                 stats.shard_lens.push(len);
@@ -1015,15 +714,8 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 stats.shard_reads.push(shard.obs.reads.get());
                 stats.shard_writes.push(shard.obs.writes.get());
             }
-            return stats;
-        }
-    }
-
-    /// The optimistic read path's shared instruments — `Arc` handles a
-    /// server adopts into its metrics registry so the Prometheus
-    /// exposition and [`stats`](Self::stats) read the same counters.
-    pub fn read_path_metrics(&self) -> ReadPathMetrics {
-        self.read_obs.clone()
+            Some(stats)
+        })
     }
 
     /// The map's structural-event trace ring (splits, merges, snapshots):
@@ -1101,9 +793,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// carries them, and retire the drained shard. Returns false if a
     /// concurrent writer shrank the shard back inside the band first.
     ///
-    /// Ordering is load-bearing: the old shard's `RETIRED` stamp lands
-    /// (and its lock releases) *before* the publication, so a reader of
-    /// the old directory can never observe the drained shard as live.
+    /// Ordering is load-bearing: the old shard's retired flag is set (and
+    /// its lock releases) *before* the publication, so a reader of the old
+    /// directory can never observe the drained shard as live.
     fn split_shard(&self, dir: &Directory<K, V>, i: usize) -> bool {
         let old = &dir.shards[i];
         let Some(mut g) = old.write() else { return false };
@@ -1132,7 +824,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         shards.insert(i + 1, Arc::new(Shard::new(hi_map)));
         let shard_count = shards.len() as u64;
         let next = Arc::new(Directory { bounds, shards });
-        g.retire();
+        old.retire(g);
         rcu_publish(&self.dir, next);
         self.trace.record(TraceKind::Split, i as u64, shard_count, entries);
         true
@@ -1146,9 +838,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     ///
     /// A reader of the old directory that targets the left shard sees
     /// either the pre-merge or post-merge content — both consistent for
-    /// its span. One that targets the right shard finds it `RETIRED` (the
-    /// stamp lands before either lock releases) and reloads; scans restart
-    /// wholesale on `RETIRED`, so no entry is seen twice.
+    /// its span. One that targets the right shard finds it retired (the
+    /// flag is set before either lock releases) and reloads; scans restart
+    /// wholesale on a retired shard, so no entry is seen twice.
     fn merge_into_left(&self, dir: &Directory<K, V>, left: usize) -> bool {
         let l = &dir.shards[left];
         let r = &dir.shards[left + 1];
@@ -1169,7 +861,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         shards.remove(left + 1);
         let shard_count = shards.len() as u64;
         let next = Arc::new(Directory { bounds, shards });
-        rg.retire();
+        r.retire(rg);
         drop(lg);
         rcu_publish(&self.dir, next);
         self.trace.record(TraceKind::Merge, left as u64, shard_count, merged);
@@ -1314,13 +1006,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             "split keys must be strictly ascending"
         );
         for (i, s) in dir.shards.iter().enumerate() {
-            let shard = rlock(&s.map, Level::Shard);
-            assert_ne!(
-                s.epoch.load(Ordering::Acquire),
-                RETIRED,
-                "shard {i} of the live directory is retired"
-            );
-            let keys: Vec<K> = shard.keys().cloned().collect();
+            let keys: Vec<K> = s
+                .read(|m| m.keys().cloned().collect())
+                .unwrap_or_else(|| panic!("shard {i} of the live directory is retired"));
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "shard {i} keys unsorted");
             if let (Some(first), Some(lo)) =
                 (keys.first(), i.checked_sub(1).map(|j| &dir.bounds[j]))
@@ -1336,27 +1024,17 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
 
 impl<K: Ord + Clone + fmt::Debug, V> fmt::Debug for ShardedMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Walks shards optimistically, like `len`.
-        let mut restarts = 0u32;
-        'retry: loop {
-            if restarts > 0 {
-                std::thread::yield_now();
-            }
-            restarts += 1;
-            let dir = rcu_load(&self.dir);
-            let mut lens = Vec::with_capacity(dir.shards.len());
-            for shard in &dir.shards {
-                match shard.read(Some(&self.read_obs), |m| m.len()) {
-                    ReadAttempt::Hit(n) => lens.push(n),
-                    ReadAttempt::Retired => continue 'retry,
-                }
-            }
-            return f
-                .debug_struct("ShardedMap")
-                .field("shards", &lens)
-                .field("bounds", &dir.bounds)
-                .finish();
-        }
+        // Walks the shards like `len`.
+        self.route(|dir| {
+            let lens: Vec<usize> =
+                dir.shards.iter().map(|s| s.read(LabelMap::len)).collect::<Option<_>>()?;
+            Some(
+                f.debug_struct("ShardedMap")
+                    .field("shards", &lens)
+                    .field("bounds", &dir.bounds)
+                    .finish(),
+            )
+        })
     }
 }
 
@@ -1687,47 +1365,20 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_reads_stay_on_the_optimistic_path() {
+    fn a_split_retires_the_old_shard_for_readers_and_writers() {
         let map = tiny().build::<u32, u32>();
-        for k in 0..100 {
+        // Pin the directory a reader would hold across the split.
+        let old = crate::lock_order::rcu_snapshot(&map.dir);
+        for k in 0..=32 {
             map.insert(k, k);
         }
-        let before = map.stats();
-        for k in 0..100 {
-            assert_eq!(map.get(&k), Some(k));
-            assert!(map.contains_key(&k));
+        assert_eq!(map.stats().splits, 1, "33 entries over a max of 32 split once");
+        let shard = &old.shards[0];
+        assert!(shard.read(|m| m.len()).is_none(), "a reader of the old directory must reload");
+        assert!(shard.write().is_none(), "a writer of the old directory must reload");
+        for k in 0..=32 {
+            assert_eq!(map.get(&k), Some(k), "key {k} after the split");
         }
-        let stats = map.stats();
-        assert_eq!(
-            stats.read_optimistic_hits,
-            before.read_optimistic_hits + 200,
-            "200 point reads must all hit optimistically, and stats() counts nothing"
-        );
-        assert_eq!(stats.read_lock_fallbacks, 0, "uncontended reads never fall back");
-        assert_eq!(stats.read_retries, 0, "uncontended reads never retry");
-        // The shared handles a server would adopt read the same counters.
-        let handles = map.read_path_metrics();
-        assert_eq!(handles.retry_histogram.p99(), 0, "empty histogram reports 0");
-        assert_eq!(handles.optimistic_hits.get(), stats.read_optimistic_hits);
-        assert_eq!(handles.lock_fallbacks.get(), 0);
-    }
-
-    #[test]
-    fn writes_advance_shard_epochs_and_reads_still_hit() {
-        let map = ShardedBuilder::new().seed(3).build::<u32, u32>();
-        for round in 0..5u32 {
-            for k in 0..50 {
-                map.insert(k, k + round);
-            }
-            for k in 0..50 {
-                assert_eq!(map.get(&k), Some(k + round), "round {round}");
-            }
-        }
-        // Single-threaded: every read raced no writer, so all were
-        // optimistic despite constant epoch churn between them.
-        let stats = map.stats();
-        assert_eq!(stats.read_lock_fallbacks, 0);
-        assert!(stats.read_optimistic_hits >= 250);
     }
 
     #[test]

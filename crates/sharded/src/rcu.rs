@@ -8,7 +8,7 @@
 //!   cache-line-padded borrow counters (each thread hashes to a fixed
 //!   slot), then load the pointer. The guard derefs to `&T` and decrements
 //!   its slot on drop. Two atomic ops per load, no lock, no allocation —
-//!   this is the hot half of the optimistic read path.
+//!   the directory half of every `ShardedMap` operation.
 //! * **Writers** ([`replace`](RcuCell::replace)) swap the pointer to a new
 //!   `Arc<T>`, then wait out the *grace period*: each slot must be
 //!   observed at zero at least once after the swap. Both the reader's

@@ -75,8 +75,7 @@ impl Default for WalOptions {
 
 /// The log's shared instruments. Counters and histograms are
 /// `Arc`-shared so a server (or any registry owner) can adopt the *same*
-/// cells into its Prometheus exposition — the pattern
-/// `ShardedMap::read_path_metrics` set.
+/// cells into its Prometheus exposition.
 #[derive(Clone)]
 pub struct WalMetrics {
     /// Records appended (staged), across all policies.
