@@ -2,10 +2,14 @@
 //!
 //! Measures, per backend: point-insert throughput (random ranks, filling a
 //! fixed-capacity structure), rank→label `select` throughput, range-scan
-//! throughput, moves per insert (the paper's cost model), and bytes per
-//! slot of the physical representation. Results are printed as JSON and —
-//! in full mode — written to `BENCH_core_ops.json` at the repo root, which
-//! is committed so subsequent PRs have a perf baseline to diff against.
+//! throughput, moves per insert (the paper's cost model), bytes per slot
+//! of the physical representation, and two build times: an empty
+//! fixed-capacity build (`build_us_n4096`), and the insert that grows a
+//! list bulk-loaded full at 2,048 to 4,096 (`grow_us_n2048`: a fresh
+//! build, the survivors' bulk splice and the insert), each the median over
+//! 101 seeds. Results are printed as JSON and — in full mode — written to
+//! `BENCH_core_ops.json` at the repo root, which is committed so
+//! subsequent PRs have a perf baseline to diff against.
 //!
 //! Modes:
 //!
@@ -13,8 +17,8 @@
 //!   — n = 2^20 for the PMA-skeleton backends, 2^17 for the layered
 //!   embeddings; writes the JSON file.
 //! * smoke (CI): `cargo bench -p lll-bench --bench core_ops -- --smoke`
-//!   — n = 2^14 everywhere, JSON to stdout only (a liveness check, not a
-//!   measurement).
+//!   — n = 2^14 everywhere, builds at 256 and growth from 128, JSON to
+//!   stdout only (a liveness check, not a measurement).
 //! * overhead gate (CI):
 //!   `cargo bench -p lll-bench --bench core_ops -- --overhead-gate`
 //!   — runs *only* the metrics-overhead check: best-of-3 classic insert
@@ -27,10 +31,13 @@
 //! 97_457 inserts/s at 5.06 moves/op — the O(m)-scan-per-rebalance regime
 //! this bench exists to keep buried.
 
-use lll_api::{Backend, ListBuilder};
+use lll_api::{Backend, ListBuilder, RawList};
 use rand::Rng;
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Timed builds per backend and row, one seed each.
+const BUILD_REPS: u64 = 101;
 
 struct Row {
     name: &'static str,
@@ -41,9 +48,50 @@ struct Row {
     range_elems_per_sec: f64,
     bytes_per_slot: f64,
     num_slots: usize,
+    build_us: f64,
+    grow_us: f64,
 }
 
-fn bench_backend(backend: Backend, n: usize, seed: u64) -> Row {
+/// Median of `BUILD_REPS` timings in microseconds; `timed(seed)` returns
+/// the seconds it measured.
+fn median_us(mut timed: impl FnMut(u64) -> f64) -> f64 {
+    let mut us: Vec<f64> = (0..BUILD_REPS).map(|seed| timed(seed) * 1e6).collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
+}
+
+/// Median time of an empty fixed-capacity build of `n` elements.
+fn build_us(backend: Backend, n: usize) -> f64 {
+    median_us(|seed| {
+        let builder = ListBuilder::new().seed(seed).backend(backend);
+        let t = Instant::now();
+        let built = builder.build_fixed(n);
+        let secs = t.elapsed().as_secs_f64();
+        drop(std::hint::black_box(built));
+        secs
+    })
+}
+
+/// Median time of the insert that grows a list bulk-loaded full at `n` to
+/// `2n`: it builds a fresh structure, splices the `n` survivors into it,
+/// drops the old one and inserts.
+fn grow_us(backend: Backend, n: usize) -> f64 {
+    median_us(|seed| {
+        let mut list = ListBuilder::new().seed(seed).backend(backend).build();
+        list.splice_reported(0, n);
+        assert_eq!(list.capacity(), n, "the bulk load lands full");
+        let t = Instant::now();
+        list.insert(n / 2);
+        let secs = t.elapsed().as_secs_f64();
+        assert_eq!(list.capacity(), 2 * n, "the insert grows the list");
+        secs
+    })
+}
+
+fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Row {
+    let build_us = build_us(backend, build_n);
+    let grow_us = grow_us(backend, build_n / 2);
+
     let mut s = ListBuilder::new().seed(seed).backend(backend).build_fixed(n);
     let mut rng = lll_core::rng::rng_from_seed(seed ^ 0xC0DE);
 
@@ -88,6 +136,8 @@ fn bench_backend(backend: Backend, n: usize, seed: u64) -> Row {
         range_elems_per_sec: seen as f64 / range_secs,
         bytes_per_slot: s.slots().memory_bytes() as f64 / s.slots().num_slots() as f64,
         num_slots: s.slots().num_slots(),
+        build_us,
+        grow_us,
     }
 }
 
@@ -140,6 +190,7 @@ fn main() {
         return;
     }
     let smoke = std::env::args().any(|a| a == "--smoke");
+    let build_n = if smoke { 256 } else { 4096 };
     let mut rows = Vec::new();
     for backend in Backend::ALL {
         let n = if smoke {
@@ -154,7 +205,7 @@ fn main() {
             }
         };
         eprintln!("core_ops: {} n={n} ...", backend.name());
-        rows.push(bench_backend(backend, n, 7));
+        rows.push(bench_backend(backend, n, build_n, 7));
     }
 
     let mut json = String::new();
@@ -167,7 +218,8 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"n\": {}, \"insert_ops_per_sec\": {:.0}, \
              \"moves_per_op\": {:.3}, \"select_ops_per_sec\": {:.0}, \
-             \"range_elems_per_sec\": {:.0}, \"bytes_per_slot\": {:.3}, \"num_slots\": {}}}",
+             \"range_elems_per_sec\": {:.0}, \"bytes_per_slot\": {:.3}, \"num_slots\": {}, \
+             \"build_us_n{build_n}\": {:.1}, \"grow_us_n{}\": {:.1}}}",
             r.name,
             r.n,
             r.insert_ops_per_sec,
@@ -175,7 +227,10 @@ fn main() {
             r.select_ops_per_sec,
             r.range_elems_per_sec,
             r.bytes_per_slot,
-            r.num_slots
+            r.num_slots,
+            r.build_us,
+            build_n / 2,
+            r.grow_us
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

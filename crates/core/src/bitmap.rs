@@ -19,7 +19,9 @@
 //! the O(log(m/512)) count entries plus one line, and the counts cost
 //! 4 bytes per 512 bits (1/128 byte per position) on top of the bit itself.
 //! Flipping a bit updates O(log(m/512)) counts; moving a bit within its
-//! block updates none.
+//! block updates none, and an ascending run of new bits
+//! ([`set_ascending`](Bitmap::set_ascending)) updates each block's counts
+//! once.
 
 /// Positions per counted block: eight words, one cache line.
 const BLOCK_BITS: usize = 512;
@@ -30,7 +32,7 @@ const BLOCK_WORDS: usize = BLOCK_BITS / 64;
 const SHORT_HOPS: usize = 8;
 
 /// A fixed-length bitmap with rank and select.
-#[derive(Clone, Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     /// Fenwick array (1-based) over per-block set-bit counts: `counts[i]`
@@ -38,6 +40,26 @@ pub struct Bitmap {
     counts: Vec<u32>,
     ones: usize,
     len: usize,
+}
+
+impl Clone for Bitmap {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.clone(),
+            counts: self.counts.clone(),
+            ones: self.ones,
+            len: self.len,
+        }
+    }
+
+    /// Copy `source` word by word into this bitmap's buffers, which are
+    /// reused when the lengths match.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.counts.clone_from(&source.counts);
+        self.ones = source.ones;
+        self.len = source.len;
+    }
 }
 
 impl Bitmap {
@@ -94,6 +116,34 @@ impl Bitmap {
         self.words[pos >> 6] &= !(1 << (pos & 63));
         self.add_to_block(pos / BLOCK_BITS, -1);
         self.ones -= 1;
+    }
+
+    /// Set the clear bits at `positions`, which ascend: each 512-bit
+    /// block's count is updated once for its whole run of new bits, not
+    /// once per bit. (Positions out of order still give the right counts,
+    /// at one update per run.)
+    // lll-check: no-alloc
+    pub fn set_ascending(&mut self, positions: impl IntoIterator<Item = usize>) {
+        let (mut block, mut run) = (0, 0);
+        for pos in positions {
+            debug_assert!(pos < self.len && !self.get(pos), "set: bit {pos} already set");
+            if pos / BLOCK_BITS != block {
+                self.add_run(block, run);
+                (block, run) = (pos / BLOCK_BITS, 0);
+            }
+            self.words[pos >> 6] |= 1 << (pos & 63);
+            run += 1;
+        }
+        self.add_run(block, run);
+    }
+
+    /// Count `run` new set bits in `block`.
+    #[inline]
+    fn add_run(&mut self, block: usize, run: i32) {
+        if run > 0 {
+            self.add_to_block(block, run);
+            self.ones += run as usize;
+        }
     }
 
     /// Move the set bit at `from` to the clear position `to`. Within one
@@ -676,6 +726,45 @@ mod tests {
                 b.check_consistent();
             }
         }
+    }
+
+    #[test]
+    fn set_ascending_equals_one_set_per_bit() {
+        // Runs that fill, skip and straddle 512-bit blocks, onto bitmaps
+        // that already hold bits; block counts and totals must match.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for len in [1, 63, 64, 511, 512, 513, 1400, 5000] {
+            for density in [0, 10, 50, 100] {
+                let mut one_by_one = Bitmap::new(len);
+                for p in 0..len {
+                    if rng.gen_range(0..100) < 20 {
+                        one_by_one.set(p);
+                    }
+                }
+                let mut batched = one_by_one.clone();
+                let run: Vec<usize> = (0..len)
+                    .filter(|&p| !one_by_one.get(p) && rng.gen_range(0..100) < density)
+                    .collect();
+                for &p in &run {
+                    one_by_one.set(p);
+                }
+                batched.set_ascending(run.iter().copied());
+                batched.check_consistent();
+                assert_eq!(batched, one_by_one, "len {len}, density {density}%");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffers() {
+        let src = from_positions(&[0, 70, 600, 1399], 1400);
+        let mut dst = from_positions(&[5], 1400);
+        let words = dst.words.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.words.as_ptr(), words, "clone_from reallocated");
+        dst.check_consistent();
     }
 
     #[test]

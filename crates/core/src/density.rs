@@ -172,12 +172,60 @@ impl Thresholds {
 /// path, where callers hand in a reusable scratch buffer.
 ///
 /// Targets are strictly increasing and the spacing of any two consecutive
-/// targets differs by at most one slot — the canonical PMA layout.
+/// targets differs by at most one slot — the canonical PMA layout (see
+/// [`EvenTargets`]).
 pub fn even_targets_into(a: usize, b: usize, k: usize, out: &mut Vec<usize>) {
-    let w = b - a;
-    assert!(k <= w, "cannot place {k} elements in window of {w}");
-    out.extend((0..k).map(|i| a + (i * w) / k.max(1)));
+    out.extend(EvenTargets::new(a, b, k, 0));
 }
+
+/// The evenly spread targets for `k` elements in `[a, b)`, from the
+/// `first`-th on: the `i`-th is `a + (i·w)/k` for width `w`. Only the
+/// first target takes a division; each next one steps the quotient `w/k`
+/// and carries the remainder `w%k`.
+#[derive(Clone, Debug)]
+pub struct EvenTargets {
+    pos: usize,
+    rem: usize,
+    step: usize,
+    carry: usize,
+    k: usize,
+    left: usize,
+}
+
+impl EvenTargets {
+    /// Targets `first..k` of `k` elements evenly spread over `[a, b)`.
+    pub fn new(a: usize, b: usize, k: usize, first: usize) -> Self {
+        let w = b - a;
+        assert!(k <= w, "cannot place {k} elements in window of {w}");
+        assert!(first <= k, "target {first} of {k}");
+        let d = k.max(1);
+        let i = first * w;
+        Self { pos: a + i / d, rem: i % d, step: w / d, carry: w % d, k: d, left: k - first }
+    }
+}
+
+impl Iterator for EvenTargets {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        self.left = self.left.checked_sub(1)?;
+        let target = self.pos;
+        self.pos += self.step;
+        self.rem += self.carry;
+        if self.rem >= self.k {
+            self.rem -= self.k;
+            self.pos += 1;
+        }
+        Some(target)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for EvenTargets {}
 
 /// Compute evenly spread target positions for `k` elements in `[a, b)`.
 /// Allocating convenience wrapper around [`even_targets_into`].
@@ -258,5 +306,32 @@ mod tests {
         assert_eq!(t, vec![0, 1, 2, 3]);
         // empty
         assert!(even_targets(3, 9, 0).is_empty());
+    }
+
+    #[test]
+    fn even_targets_match_the_closed_form() {
+        // `(a, w)`: widths straddle a word (64) and a bitmap block (512);
+        // the small ones try every k, the wide ones a spread of k.
+        let cases = (1..=70)
+            .chain(510..=514)
+            .map(|w| (0, w))
+            .chain([(7, 63), (1000, 64), (3, 513)])
+            .chain([(0, 4095), (0, 4096), (0, 9674), (12_345, 9674), (0, 100_003)]);
+        for (a, w) in cases {
+            let ks: Vec<usize> = if w <= 514 {
+                (0..=w).collect()
+            } else {
+                vec![0, 1, 2, 3, 7, w / 3, w / 2, w - 1, w]
+            };
+            for k in ks {
+                let want: Vec<usize> = (0..k).map(|i| a + (i * w) / k).collect();
+                assert_eq!(even_targets(a, a + w, k), want, "a {a}, w {w}, k {k}");
+                // A walk that starts mid-way agrees with the tail.
+                for first in [k / 3, k / 2, k.saturating_sub(1), k] {
+                    let tail: Vec<usize> = EvenTargets::new(a, a + w, k, first).collect();
+                    assert_eq!(tail, want[first..], "a {a}, w {w}, k {k}, from {first}");
+                }
+            }
+        }
     }
 }

@@ -234,6 +234,20 @@ impl<T> IdTable<T> {
         *slot = Some((id.generation(), value));
     }
 
+    /// Reserve, in one allocation, the dense capacity that inserting `ids`
+    /// in this order would reach by doubling, so a bulk insert neither
+    /// reallocates nor leaves the doubling's smaller buffers behind. The
+    /// capacity reached is the same either way.
+    pub fn reserve_for(&mut self, ids: impl IntoIterator<Item = ElemId>) {
+        let mut cap = self.dense.capacity();
+        for i in ids.into_iter().map(ElemId::index) {
+            if i < self.dense_limit && i >= cap {
+                cap = (2 * cap).clamp(i + 1, self.dense_limit);
+            }
+        }
+        self.dense.reserve_exact(cap - self.dense.len());
+    }
+
     /// Remove `id`, returning its value if the table held it.
     #[inline]
     pub fn remove(&mut self, id: ElemId) -> Option<T> {
@@ -331,6 +345,46 @@ mod tests {
         assert!(t.dense.len() <= 8);
         assert_eq!(t.remove(far), Some(1));
         assert_eq!(t.iter().count(), 1);
+    }
+
+    #[test]
+    fn reserve_for_reaches_the_doubling_capacity_at_once() {
+        // Ascending, shuffled and sparse index orders, onto empty and
+        // partly grown tables, with and without a limit in reach.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for (limit, held, n) in [(6828, 0, 6828), (4096, 0, 2049), (4096, 300, 2048), (100, 0, 150)]
+        {
+            let mut order: Vec<ElemId> = (held..held + n).map(|i| ElemId::new(i, 0)).collect();
+            for shuffled in [false, true] {
+                if shuffled {
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                }
+                let (mut doubled, mut reserved) = (IdTable::new(limit), IdTable::new(limit));
+                for t in [&mut doubled, &mut reserved] {
+                    for i in 0..held.min(20) {
+                        t.insert(ElemId::new(i, 0), i);
+                    }
+                }
+                reserved.reserve_for(order.iter().copied());
+                let buffer = reserved.dense.as_ptr();
+                for &id in &order {
+                    doubled.insert(id, id.index() as u32);
+                    reserved.insert(id, id.index() as u32);
+                }
+                let what = format!("limit {limit}, {held} held, {n} new, shuffled {shuffled}");
+                assert_eq!(reserved.dense.capacity(), doubled.dense.capacity(), "{what}");
+                assert_eq!(reserved.dense.as_ptr(), buffer, "{what}: reallocated after reserving");
+                let sorted = |t: &IdTable<u32>| {
+                    let mut v: Vec<(ElemId, u32)> = t.iter().map(|(id, &x)| (id, x)).collect();
+                    v.sort_unstable();
+                    v
+                };
+                assert_eq!(sorted(&reserved), sorted(&doubled), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -411,12 +411,12 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
             })
         };
         let at = rank - self.slots.rank_at(a);
-        let placed = merge_sorted(&mut self.slots, a, b, at, ids);
-        for &(_, pos) in &placed {
-            self.policy.on_insert(&self.tree, pos as usize);
-        }
+        merge_sorted(&mut self.slots, a, b, at, ids);
         self.slots.drain_log_into(&mut out.moves);
-        let moved = (out.moves.len() - placed.len()) as u64;
+        for mv in out.moves.iter().filter(|mv| mv.from == mv.to) {
+            self.policy.on_insert(&self.tree, mv.to as usize);
+        }
+        let moved = (out.moves.len() - count) as u64;
         self.rebalances += 1;
         self.rebalance_moves += moved;
         self.slots.metrics().note_splice(count as u64);

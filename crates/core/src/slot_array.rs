@@ -24,6 +24,7 @@
 //! that dominate rebalances.
 
 use crate::bitmap::Bitmap;
+use crate::density::EvenTargets;
 use crate::ids::ElemId;
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::report::MoveRec;
@@ -222,6 +223,31 @@ impl SlotArray {
         self.lifetime_moves += 1;
     }
 
+    /// Place a run of brand-new elements, given as `(position, elem)` at
+    /// ascending positions: the same occupancy check and the same log
+    /// record (cost 1 each) as one [`place`](Self::place) per element, but
+    /// the occupancy index updates each 512-slot block's count once for
+    /// the whole run ([`Bitmap::set_ascending`]).
+    pub fn place_run(&mut self, run: impl IntoIterator<Item = (usize, ElemId)>) {
+        let Self { contents, bits, log, lifetime_moves, .. } = self;
+        let (occupied, m) = (bits.count_ones(), contents.len());
+        let run = run.into_iter();
+        log.reserve(run.size_hint().0);
+        bits.set_ascending(run.map(|(pos, elem)| {
+            debug_assert_ne!(elem, ElemId::NONE, "placing the sentinel");
+            assert!(
+                contents[pos] == ElemId::NONE,
+                "place into occupied slot {pos} ({:?}; {occupied} occupied of {m} slots \
+                 before the run)",
+                contents[pos]
+            );
+            contents[pos] = elem;
+            log.push(MoveRec { elem, from: pos as u32, to: pos as u32 });
+            *lifetime_moves += 1;
+            pos
+        }));
+    }
+
     /// Remove and return the element at `pos`. Cost 0 (removal is not a
     /// move in the paper's cost model).
     pub fn remove(&mut self, pos: usize) -> ElemId {
@@ -406,40 +432,30 @@ pub fn spread_moves(slots: &mut SlotArray, pairs: &[(usize, usize)]) {
 /// are re-spread together to the canonical even layout, old elements first
 /// via the [`spread_moves`] discipline (their targets are free or vacated,
 /// never crossing an occupied slot) and new elements placed afterwards into
-/// the reserved — by then free — gaps. One pass, at most one move per old
-/// element plus one placement per new element.
+/// the reserved — by then free — gaps, as one [`SlotArray::place_run`].
+/// One pass, at most one move per old element plus one placement per new
+/// element.
 ///
-/// Returns `(elem, position)` for each new element in rank order. Panics if
-/// the combined population exceeds the window.
-pub fn merge_sorted(
-    slots: &mut SlotArray,
-    a: usize,
-    b: usize,
-    at: usize,
-    new_ids: &[ElemId],
-) -> Vec<(ElemId, u32)> {
-    let k = slots.occupied_in(a, b);
-    let total = k + new_ids.len();
+/// The new elements' placements are the run's log records with
+/// `from == to`, in rank order. Panics if the combined population exceeds
+/// the window.
+pub fn merge_sorted(slots: &mut SlotArray, a: usize, b: usize, at: usize, new_ids: &[ElemId]) {
+    let (k, n) = (slots.occupied_in(a, b), new_ids.len());
+    let total = k + n;
     assert!(total <= b - a, "merge_sorted: {total} elements into {} slots", b - a);
     assert!(at <= k, "merge_sorted: local rank {at} > window population {k}");
-    let targets = crate::density::even_targets(a, b, total);
-    // Old occupants keep their order; targets at `at..at + new` are reserved
+    // Old occupants keep their order; targets at `at..at + n` are reserved
     // for the incoming run.
+    let mut targets = EvenTargets::new(a, b, total, 0);
     let mut pairs = Vec::with_capacity(k);
     for (i, (pos, _)) in slots.iter_occupied_in(a, b).enumerate() {
-        let t = if i < at { targets[i] } else { targets[i + new_ids.len()] };
-        pairs.push((pos, t));
+        if i == at {
+            targets = EvenTargets::new(a, b, total, at + n);
+        }
+        pairs.push((pos, targets.next().expect("one target per occupant")));
     }
     spread_moves(slots, &pairs);
-    new_ids
-        .iter()
-        .enumerate()
-        .map(|(j, &id)| {
-            let pos = targets[at + j];
-            slots.place(pos, id);
-            (id, pos as u32)
-        })
-        .collect()
+    slots.place_run(EvenTargets::new(a, b, total, at).zip(new_ids.iter().copied()));
 }
 
 #[cfg(test)]
@@ -516,6 +532,32 @@ mod tests {
         s.drain_log_into(&mut dst);
         assert_eq!(dst.len(), 4096);
         assert_eq!(s.log.capacity(), 0, "the slot array kept the bulk log's buffer");
+    }
+
+    #[test]
+    fn place_run_equals_one_place_per_element() {
+        // A run across 512-slot blocks into an array that already holds
+        // elements: same contents, index, log and cost as single places.
+        let (mut single, _) = filled(&[3, 701, 1501], 2048);
+        let (mut run, _) = filled(&[3, 701, 1501], 2048);
+        let placed: Vec<(usize, ElemId)> =
+            (0..2048).step_by(5).filter(|p| p % 3 != 0).map(|p| (p, ElemId(p as u64))).collect();
+        for &(pos, e) in &placed {
+            single.place(pos, e);
+        }
+        run.place_run(placed.iter().copied());
+        run.check_consistent();
+        assert_eq!(run.layout(), single.layout());
+        assert_eq!(run.bitmap(), single.bitmap());
+        assert_eq!(run.lifetime_moves(), single.lifetime_moves());
+        assert_eq!(run.drain_log(), single.drain_log());
+    }
+
+    #[test]
+    #[should_panic(expected = "occupied")]
+    fn place_run_into_occupied_panics() {
+        let (mut s, _) = filled(&[4], 8);
+        s.place_run([(2, ElemId(10)), (4, ElemId(11))]);
     }
 
     #[test]
@@ -616,8 +658,11 @@ mod tests {
         // final order must be old0, new0, new1, new2, old1, old2.
         let (mut s, old) = filled(&[1, 4, 9], 12);
         let fresh: Vec<ElemId> = (100..103).map(ElemId).collect();
-        let placed = merge_sorted(&mut s, 0, 12, 1, &fresh);
-        assert_eq!(placed.len(), 3);
+        s.drain_log();
+        merge_sorted(&mut s, 0, 12, 1, &fresh);
+        let placed: Vec<u32> =
+            s.drain_log().iter().filter(|m| m.from == m.to).map(|m| m.to).collect();
+        assert_eq!(placed, vec![2, 4, 6]);
         s.check_consistent();
         assert_eq!(s.len(), 6);
         let order: Vec<ElemId> = s.iter_occupied().map(|(_, e)| e).collect();

@@ -7,7 +7,7 @@
 //! a deamortized PMA pays a bounded amount on *every* operation.
 //!
 //! This implementation follows the staggered-incremental-rebalance approach
-//! (DESIGN.md §5.3):
+//! (see "Substitutions" in `lll_bench::experiments`):
 //!
 //! * **Soft/hard thresholds.** Each calibrator-tree level has the classical
 //!   interpolated *hard* threshold plus a tighter *soft* threshold. Soft
@@ -29,10 +29,10 @@
 //!   timing. Experiments E10/E11 measure the realized worst case and the
 //!   forced-sync count (zero on all evaluated workloads at realistic sizes).
 //!
-//! **Substitution note** (DESIGN.md §5.3): Willard's original construction
-//! is substantially more intricate; what Theorem 3 consumes from `Z` — a
-//! hard cap on every single operation's cost — is preserved and *measured*
-//! rather than proven.
+//! **Substitution note** (see "Substitutions" in `lll_bench::experiments`):
+//! Willard's original construction is substantially more intricate; what
+//! Theorem 3 consumes from `Z` — a hard cap on every single operation's
+//! cost — is preserved and *measured* rather than proven.
 
 #![forbid(unsafe_code)]
 
@@ -709,6 +709,7 @@ impl ListLabeling for DeamortizedPma {
         let at = rank - self.slots.rank_at(a);
         merge_sorted(&mut self.slots, a, b, at, ids);
         self.slots.drain_log_into(&mut out.moves);
+        self.elem_pos.reserve_for(ids.iter().copied());
         for mv in &out.moves {
             self.track(mv.elem, mv.to as usize);
         }

@@ -72,7 +72,7 @@
 use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::{ElemId, IdAllocator, IdTable};
-use lll_core::report::{BulkReport, OpReport};
+use lll_core::report::{BulkReport, MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use std::collections::HashMap;
@@ -308,7 +308,14 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Assemble an embedding from an (empty) simulated F and an (empty)
     /// R-shell. `sim.num_slots()` is the F-emulator size `(1+ε)n`;
     /// `shell.capacity() - sim.num_slots()` buffer slots are created.
-    /// Performs the Θ(n) R-shell initialization the paper describes.
+    ///
+    /// Performs the Θ(n) R-shell initialization the paper describes: every
+    /// F-slot and buffer slot enters the shell through one bulk splice,
+    /// whose cost is recorded as `init_cost`. The tags are then read off
+    /// the shell's final layout, not replayed from its move log: the
+    /// shell's occupied slots are the non-white ones, and buffer slots are
+    /// interleaved evenly among them by slot rank
+    /// ([`TagArray::tag_shell_layout`]).
     pub fn new(capacity: usize, sim: F, shell: R, er_budget: f64, rebuild_mult: f64) -> Self {
         let f_count = sim.num_slots();
         let r_cap = shell.capacity();
@@ -342,29 +349,13 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             sim_scratch: OpReport::default(),
             shell_scratch: OpReport::default(),
         };
-        // Initialize the R-shell with all F-slots and buffer slots, evenly
-        // interleaved by slot rank: the i-th slot is a buffer slot when the
-        // scaled counter crosses an integer. The whole population enters
-        // through one bulk splice (one evenly-spread sweep when R has a
-        // native bulk path) and is mirrored in stream order: the k-th
-        // placement is the slot of rank k, and later in-batch moves carry
-        // a placed slot's tag along with it.
+        // The whole shell population enters through one bulk splice (one
+        // evenly-spread sweep when R has a native bulk path).
         let slot_ids = this.shell_ids.fresh_n(r_cap);
         let bulk = this.shell.splice(0, &slot_ids);
         this.stats.init_cost += bulk.cost();
-        let mut placed_idx = 0usize;
-        for mv in &bulk.moves {
-            if mv.from == mv.to {
-                let i = placed_idx;
-                placed_idx += 1;
-                let is_buffer = ((i + 1) * buf_count) / r_cap != (i * buf_count) / r_cap;
-                let tag = if is_buffer { SlotTag::Buf } else { SlotTag::F };
-                this.tags.retag(mv.from as usize, tag);
-            } else {
-                this.tags.move_slot(mv.from as usize, mv.to as usize);
-            }
-        }
-        debug_assert_eq!(placed_idx, r_cap, "init placements out of order");
+        debug_assert_eq!(this.shell.len(), r_cap);
+        this.tags.tag_shell_layout(this.shell.slots().bitmap(), buf_count);
         debug_assert_eq!(this.tags.f_count(), f_count);
         debug_assert_eq!(this.tags.buf_count(), buf_count);
         this
@@ -597,6 +588,82 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         self.tags.place_content(pos, e);
         self.cur_f_occ.set(fidx);
         self.elem_loc.insert(e, Placed::f(fidx));
+    }
+
+    /// The body of [`splice_into`](ListLabeling::splice_into). `one_walk`
+    /// permits the one-walk placement into an empty embedding; the tests
+    /// turn it off to compare against the per-move mirror.
+    fn splice_with(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport, one_walk: bool) {
+        let (len, count) = (self.len(), ids.len());
+        assert!(rank <= len, "splice rank {rank} > len {len}");
+        assert!(len + count <= self.capacity, "splice of {count} overflows capacity");
+        out.clear();
+        if count == 0 {
+            return;
+        }
+        if count == 1 {
+            out.absorb_op(&self.insert(rank, ids[0]));
+            return;
+        }
+        // Catch-up moves are part of the batch: they are drained into the
+        // same report below.
+        self.force_catch_up();
+        debug_assert_eq!(self.buffered(), 0);
+        debug_assert!(self.ghosts.is_empty());
+        let sim_bulk = self.sim.splice(rank, ids);
+        self.stats.fast_ops += count as u64;
+        let placed_in_order = |moves: &[MoveRec]| {
+            moves.iter().all(|mv| mv.from == mv.to) && moves.windows(2).all(|w| w[0].to < w[1].to)
+        };
+        if one_walk && len == 0 && placed_in_order(&sim_bulk.moves) {
+            self.place_sim_layout(&sim_bulk.moves);
+        } else {
+            for mv in &sim_bulk.moves {
+                if mv.from == mv.to {
+                    // Placement of a new element.
+                    self.place_f(mv.from as usize, mv.elem);
+                } else {
+                    self.emulator_relocate(mv.from as usize, mv.to as usize);
+                }
+            }
+        }
+        self.tags.contents.drain_log_into(&mut out.moves);
+    }
+
+    /// Place the simulation's whole F-layout into the empty physical array
+    /// in one walk. `placements` is the log of a simulated splice into an
+    /// empty simulation that only placed elements, at ascending
+    /// F-coordinates, so it is that layout. Each placement is paired with
+    /// its F-slot and entered into the contents and `elem_loc`, and
+    /// `cur_f_occ` becomes a copy of the simulation's occupancy bitmap. The
+    /// log records the same placements, in the same order, as mirroring
+    /// them one by one does.
+    fn place_sim_layout(&mut self, placements: &[MoveRec]) {
+        debug_assert_eq!(self.cur_f_occ.count_ones(), 0, "placing into an occupied F-layout");
+        self.cur_f_occ.clone_from(self.sim.slots().bitmap());
+        self.elem_loc.reserve_for(placements.iter().map(|mv| mv.elem));
+        let elem_loc = &mut self.elem_loc;
+        self.tags.place_f_run(placements.iter().map(|mv| {
+            elem_loc.insert(mv.elem, Placed::f(mv.to as usize));
+            (mv.to as usize, mv.elem)
+        }));
+    }
+
+    /// [`splice_into`](ListLabeling::splice_into) through the per-move
+    /// mirror only: the reference for the one-walk placement.
+    #[cfg(test)]
+    pub(crate) fn splice_per_move(&mut self, rank: usize, ids: &[ElemId]) -> BulkReport {
+        let mut out = BulkReport::default();
+        self.splice_with(rank, ids, &mut out, false);
+        out
+    }
+
+    /// The physical F-occupancy, and every live element's location and
+    /// deadweight in id order.
+    #[cfg(test)]
+    pub(crate) fn placements(&self) -> (&Bitmap, Vec<(ElemId, Loc, u16)>) {
+        let locs = self.elem_loc.iter().map(|(e, p)| (e, p.loc(), p.deadweight)).collect();
+        (&self.cur_f_occ, locs)
     }
 
     /// Mirror the simulated copy's moves onto the physical array (fast path
@@ -1089,39 +1156,19 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
     /// Native bulk insert: complete any pending rebuild so the physical
     /// array mirrors the simulation exactly (the fast-path precondition),
     /// run the simulation's own [`splice`](ListLabeling::splice) — one
-    /// evenly-spread sweep when `F` is a PMA skeleton — and mirror its
-    /// move log 1:1, exactly as the fast path does per operation. With no
-    /// buffered elements there is no deadweight, so the physical cost
+    /// evenly-spread sweep when `F` is a PMA skeleton — and mirror it. With
+    /// no buffered elements there is no deadweight, so the physical cost
     /// equals the simulation's: the batch inherits `F`'s O(1)-per-element
     /// bulk bound instead of paying `count` full operations.
+    ///
+    /// Into an empty embedding whose simulation only placed elements, at
+    /// ascending F-coordinates (every build, growth rebuild, split half and
+    /// restore), the simulation's final F-layout is placed in one walk over
+    /// the F-slots ([`TagArray::place_f_run`]). Otherwise its move log is
+    /// mirrored 1:1, exactly as the fast path does per operation. Both give
+    /// the same layout, tables and move log.
     fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
-        let (len, count) = (self.len(), ids.len());
-        assert!(rank <= len, "splice rank {rank} > len {len}");
-        assert!(len + count <= self.capacity, "splice of {count} overflows capacity");
-        out.clear();
-        if count == 0 {
-            return;
-        }
-        if count == 1 {
-            out.absorb_op(&self.insert(rank, ids[0]));
-            return;
-        }
-        // Catch-up moves are part of the batch: they are drained into the
-        // same report below.
-        self.force_catch_up();
-        debug_assert_eq!(self.buffered(), 0);
-        debug_assert!(self.ghosts.is_empty());
-        let sim_bulk = self.sim.splice(rank, ids);
-        self.stats.fast_ops += count as u64;
-        for mv in &sim_bulk.moves {
-            if mv.from == mv.to {
-                // Placement of a new element.
-                self.place_f(mv.from as usize, mv.elem);
-            } else {
-                self.emulator_relocate(mv.from as usize, mv.to as usize);
-            }
-        }
-        self.tags.contents.drain_log_into(&mut out.moves);
+        self.splice_with(rank, ids, out, true);
     }
 
     fn delete_into(&mut self, rank: usize, out: &mut OpReport) {

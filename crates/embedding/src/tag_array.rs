@@ -19,6 +19,14 @@
 //! only its `nonwhite` bit is, and white otherwise, so no per-slot tag is
 //! stored beside them.
 //!
+//! The initial tags come from the R-shell's final layout after its
+//! initial bulk splice, not from a replay of that splice's moves
+//! ([`TagArray::tag_shell_layout`]): the non-white bitmap is a copy of the
+//! shell's occupancy bitmap, and one walk over it picks the buffer slots
+//! with a stepped counter, evenly by slot rank. A bulk splice into an
+//! empty embedding places its elements the same way, in one walk over the
+//! F-slots ([`TagArray::place_f_run`]).
+//!
 //! The hot translation, F-coordinate → position, also runs from a finger.
 //! An [`FCursor`] remembers the last F-slot it resolved, and
 //! [`TagArray::f_pos_via`] walks from there with
@@ -258,6 +266,54 @@ impl TagArray {
 
     // ----- mutations ---------------------------------------------------------
 
+    /// Tag an all-white, empty array from the R-shell's final layout after
+    /// its initial bulk splice: the shell's occupied slots are the
+    /// non-white ones, and the `i`-th of them (by position, i.e. by slot
+    /// rank) is a buffer slot when a counter stepped by `buf_count` wraps
+    /// past their number, else an F-slot. This spreads the buffer slots
+    /// evenly: the `i`-th slot is a buffer slot exactly when
+    /// `⌊(i+1)·buf_count/r⌋ ≠ ⌊i·buf_count/r⌋` for `r` shell slots. Every
+    /// buffer slot starts as a dummy.
+    ///
+    /// The non-white and F bitmaps start as copies of the shell's; one walk
+    /// over its set bits then moves each buffer slot from `f` to
+    /// `buf_dummy`.
+    pub fn tag_shell_layout(&mut self, shell: &Bitmap, buf_count: usize) {
+        debug_assert_eq!(self.nonwhite.count_ones(), 0, "tagging a tagged array");
+        debug_assert!(self.contents.is_empty(), "tagging an occupied array");
+        let slots = shell.count_ones();
+        self.nonwhite.clone_from(shell);
+        self.f.clone_from(shell);
+        let (f, mut acc) = (&mut self.f, 0);
+        self.buf_dummy.set_ascending(shell.ones_in(0, shell.len()).filter(|&pos| {
+            acc += buf_count;
+            let wraps = acc >= slots;
+            if wraps {
+                acc -= slots;
+                f.clear(pos);
+            }
+            wraps
+        }));
+        self.f_epoch += 1;
+    }
+
+    /// Place a run of new elements into empty F-slots, given as
+    /// `(F-coordinate, elem)` at ascending coordinates, in one walk over
+    /// the F-slots: each coordinate's position is found by stepping from
+    /// the previous one's, and the contents take the whole run as one
+    /// [`SlotArray::place_run`]. Same checks, log records and cost as one
+    /// placement per element.
+    pub fn place_f_run(&mut self, run: impl IntoIterator<Item = (usize, ElemId)>) {
+        let mut f_slots = self.f.ones_in(0, self.f.len());
+        let mut next_fidx = 0;
+        self.contents.place_run(run.into_iter().map(|(fidx, e)| {
+            debug_assert!(fidx >= next_fidx, "F-coordinates out of order");
+            let pos = f_slots.nth(fidx - next_fidx).expect("F-coordinate out of range");
+            next_fidx = fidx + 1;
+            (pos, e)
+        }));
+    }
+
     /// Change the tag at `pos`, updating all indexes. The slot's content (if
     /// any) is untouched; callers must keep content/tag compatible (real
     /// content on White is illegal).
@@ -405,6 +461,12 @@ impl TagArray {
                 assert!(!occ, "white slot {pos} holds content");
             }
         }
+    }
+
+    /// The four tag bitmaps: non-white, F, buffered real, dummy.
+    #[cfg(test)]
+    pub(crate) fn bitmaps(&self) -> [&Bitmap; 4] {
+        [&self.nonwhite, &self.f, &self.buf_real, &self.buf_dummy]
     }
 }
 

@@ -2,8 +2,9 @@
 //! the paper's lemma-level invariants, Figure-1 view consistency, and
 //! composition (nesting) mechanics.
 
-use crate::embed::{EmbedBuilder, EmbedConfig, EmbedStats};
-use crate::layered::{corollary11, corollary12};
+use crate::embed::{Embed, EmbedBuilder, EmbedConfig, EmbedStats};
+use crate::layered::{corollary11, corollary12, inner_yz_builder};
+use crate::tag_array::{SlotTag, TagArray};
 use crate::views;
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
@@ -459,4 +460,97 @@ fn shell_slot_ids_stay_below_shell_capacity() {
     let worst = live.iter().map(|id| id.index()).max().expect("shell slots");
     assert!(worst < shell_cap, "shell slot index {worst} ≥ shell capacity {shell_cap}");
     e.check_invariants();
+}
+
+/// The per-move tagging the one-pass build replaced, kept as its
+/// reference: run `shell`'s initial bulk splice of every F-slot and buffer
+/// slot, then replay its move log onto an all-white array with `retag`
+/// and `move_slot`, the k-th placement being the slot of rank k.
+fn replayed_init_tags(mut shell: impl ListLabeling, f_count: usize) -> TagArray {
+    let r_cap = shell.capacity();
+    let buf_count = r_cap - f_count;
+    let bulk = shell.splice(0, &IdAllocator::new().fresh_n(r_cap));
+    let mut tags = TagArray::new(shell.num_slots());
+    let mut placed = 0;
+    for mv in &bulk.moves {
+        if mv.from == mv.to {
+            let i = placed;
+            placed += 1;
+            let is_buffer = ((i + 1) * buf_count) / r_cap != (i * buf_count) / r_cap;
+            tags.retag(mv.from as usize, if is_buffer { SlotTag::Buf } else { SlotTag::F });
+        } else {
+            tags.move_slot(mv.from as usize, mv.to as usize);
+        }
+    }
+    assert_eq!(placed, r_cap);
+    tags
+}
+
+/// Splice `count` ids into two empty twins, `walked` through the one-walk
+/// placement and `mirrored` through the per-move mirror, then drive both
+/// with the same 2,000 random operations. Every report, and the layout and
+/// tables after the splice, must agree.
+fn assert_twins_agree<F: ListLabeling, R: ListLabeling>(
+    mut walked: Embed<F, R>,
+    mut mirrored: Embed<F, R>,
+    count: usize,
+    seed: u64,
+) {
+    let n = walked.capacity();
+    let mut ids = IdAllocator::new();
+    let batch = ids.fresh_n(count);
+    let (a, b) = (walked.splice(0, &batch), mirrored.splice_per_move(0, &batch));
+    assert_eq!(a.moves, b.moves, "n {n}, seed {seed}: splice reports differ");
+    assert_eq!(walked.slots().layout(), mirrored.slots().layout(), "n {n}, seed {seed}");
+    assert_eq!(walked.placements(), mirrored.placements(), "n {n}, seed {seed}");
+    walked.check_invariants();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1FF);
+    for step in 0..2000 {
+        let len = walked.len();
+        let (a, b) = if len == 0 || (len < n && rng.gen_bool(0.5)) {
+            let (rank, id) = (rng.gen_range(0..=len), ids.fresh());
+            (walked.insert(rank, id), mirrored.insert(rank, id))
+        } else {
+            let rank = rng.gen_range(0..len);
+            let reps = (walked.delete(rank), mirrored.delete(rank));
+            ids.release(reps.0.removed_elem().expect("delete removes"));
+            reps
+        };
+        assert_eq!(
+            (a.moves, a.placed, a.removed),
+            (b.moves, b.placed, b.removed),
+            "n {n}, seed {seed}: op {step} reports differ"
+        );
+    }
+    assert_eq!(format!("{:?}", walked.stats()), format!("{:?}", mirrored.stats()));
+    walked.check_invariants();
+}
+
+#[test]
+fn one_pass_build_equals_the_per_move_reference() {
+    for n in [16, 17, 100, 1000, 2048, 4096] {
+        for seed in 0..4 {
+            // Corollary 11: each level's tags are those the replay of its
+            // shell's init splice builds.
+            let e = corollary11(n, seed);
+            let (outer, inner) = (e.tag_array(), e.shell().tag_array());
+            let (shell_cap, m) = (e.shell().capacity(), e.num_slots());
+            let z = DeamortizedBuilder::default().build(e.shell().shell().capacity(), m);
+            let yz = || inner_yz_builder(seed).build(shell_cap, m);
+            let want_inner = replayed_init_tags(z, e.shell().sim().num_slots());
+            let want_outer = replayed_init_tags(yz(), e.sim().num_slots());
+            assert_eq!(inner.bitmaps(), want_inner.bitmaps(), "inner tags, n {n}, seed {seed}");
+            assert_eq!(outer.bitmaps(), want_outer.bitmaps(), "outer tags, n {n}, seed {seed}");
+            assert_twins_agree(e, corollary11(n, seed), n / 2, seed);
+            // The outer shell's init splice fills the inner level.
+            assert_twins_agree(yz(), yz(), shell_cap, seed);
+
+            // A one-level embedding: Y ⊳ Z on its own.
+            let e = inner_yz_builder(seed).build_default(n);
+            let z = DeamortizedBuilder::default().build(e.shell().capacity(), e.num_slots());
+            let want = replayed_init_tags(z, e.sim().num_slots());
+            assert_eq!(e.tag_array().bitmaps(), want.bitmaps(), "one level, n {n}, seed {seed}");
+            assert_twins_agree(e, inner_yz_builder(seed).build_default(n), n / 2, seed);
+        }
+    }
 }

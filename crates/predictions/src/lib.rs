@@ -9,13 +9,14 @@
 //! **O(log² η)** — beating the classical O(log² n) whenever predictions are
 //! good, degrading gracefully to the classical bound as η → n.
 //!
-//! The mechanism (DESIGN.md §5.5): an element predicted to end at final
-//! rank `p` is placed near slot `p·m/n` — its slot in the *final* layout —
-//! subject to staying between its current rank neighbors. Good predictions
-//! therefore keep the occupied density uniform **with respect to final
-//! order**, so density violations are confined to η-sized neighborhoods:
-//! rebalance windows are capped at `Θ(η·m/n)` slots (with a growing-window
-//! fallback that restores the classical behavior when predictions lie).
+//! The mechanism (see "Substitutions" in `lll_bench::experiments`): an
+//! element predicted to end at final rank `p` is placed near slot `p·m/n`
+//! — its slot in the *final* layout — subject to staying between its
+//! current rank neighbors. Good predictions therefore keep the occupied
+//! density uniform **with respect to final order**, so density violations
+//! are confined to η-sized neighborhoods: rebalance windows are capped at
+//! `Θ(η·m/n)` slots (with a growing-window fallback that restores the
+//! classical behavior when predictions lie).
 //!
 //! The [`RankPredictor`] trait abstracts the prediction source; workloads
 //! provide [`VecPredictor`] (an oracle with injected bounded error). The

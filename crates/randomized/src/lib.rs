@@ -6,10 +6,10 @@
 //! O(log^{3/2} n) — at the price of *"almost pessimal tail bounds (the cost
 //! is k with probability ~1/k)"* (paper §1) and no worst-case guarantee.
 //!
-//! **Substitution note (see DESIGN.md §5.4).** We implement a faithful
-//! *profile equivalent* rather than the full FOCS'22 machinery: a
-//! history-independence-styled PMA (after Bender et al., PODS 2016 \[4\])
-//! with two randomized mechanisms:
+//! **Substitution note** (see "Substitutions" in `lll_bench::experiments`).
+//! We implement a faithful *profile equivalent* rather than the full
+//! FOCS'22 machinery: a history-independence-styled PMA (after Bender et
+//! al., PODS 2016 \[4\]) with two randomized mechanisms:
 //!
 //! 1. **Randomized per-node density thresholds.** Each calibrator-tree node
 //!    draws a uniform jitter subtracted from its upper threshold, redrawn
