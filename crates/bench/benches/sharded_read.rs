@@ -12,8 +12,8 @@
 //! `ShardedMap` versus one reader on a plain `Mutex<LabelMap>`
 //! (uncontended lock, the cheapest possible baseline on one thread) over
 //! the same warm keyset. The target is that the sharded read costs < 5%
-//! more than what a single-threaded map would pay. A sharded read is an
-//! RCU directory load (a borrow-counter increment and decrement), the
+//! more than what a single-threaded map would pay. A sharded read is a
+//! shared lock on the thread's directory stripe and an `Arc` clone, the
 //! owning shard's shared lock, a retired-flag check and one per-shard
 //! read counter; the baseline is one mutex acquisition.
 //!

@@ -1,7 +1,7 @@
 //! # lll-check — hand-rolled workspace invariant linter
 //!
 //! The workspace's load-bearing invariants — panic-free decoders, the
-//! directory→shard lock order, the zero-alloc steady-state insert path,
+//! maintenance→shard lock order, the zero-alloc steady-state insert path,
 //! and the no-`unsafe` baseline — exist as comments and reviewer
 //! discipline. This crate turns them into a mechanical gate: a token-level
 //! static-analysis pass (the offline workspace has no `syn`; the rules
@@ -17,25 +17,21 @@
 //!   `#[cfg(test)]` modules are exempt; individual lines escape with a
 //!   justified `allow(...)` directive.
 //! * **lock-order** — fields annotated with a `lock-order:` comment
-//!   (levels `maintenance`, `directory` (legacy), `shard`, and `rcu`)
-//!   declare the locking protocol; acquisition sites — `rlock(..)` /
-//!   `wlock(..)` calls carrying a `Level::` argument, `mlock(..)` (always
-//!   maintenance), and `rcu_load(..)` (an RCU borrow)
-//!   — are scanned lexically with guard lifetimes simulated by brace
-//!   depth. Findings: a second shard lock without the maintenance lock
-//!   held, the maintenance lock under a shard guard or a live RCU borrow,
-//!   `rcu_publish(..)` while this thread still holds a shard guard or RCU
-//!   borrow (the grace wait would deadlock), the legacy directory-level
-//!   inversions, and any raw `.read()` / `.write()` / `.lock()` or
-//!   `.try_read()` / `.try_write()` / `.try_lock()` on an annotated field
-//!   (it would bypass the runtime tracker).
+//!   (levels `maintenance` and `shard`) declare the locking protocol;
+//!   acquisition sites — `rlock(..)` / `wlock(..)` calls carrying a
+//!   `Level::` argument, and `mlock(..)` (always maintenance) — are
+//!   scanned lexically with guard lifetimes simulated by brace depth.
+//!   Findings: a second shard lock without the maintenance lock held, the
+//!   maintenance lock under a shard guard, maintenance re-entry, a
+//!   directory `publish(..)` while a shard guard is live, and any raw
+//!   `.read()` / `.write()` / `.lock()` or `.try_read()` / `.try_write()`
+//!   / `.try_lock()` on an annotated field (it would bypass the runtime
+//!   tracker).
 //! * **unsafe-discipline** — every crate root must carry
 //!   `#![forbid(unsafe_code)]`; `unsafe` may appear only in the
-//!   [`UNSAFE_ALLOWED`] whitelist (the counting-allocator harness and the
-//!   RCU cell), and every whitelisted site needs a `// SAFETY:` comment
-//!   on or just above the line. Crate roots in [`UNSAFE_DENY_ROOTS`] host
-//!   a whitelisted module and so carry `#![deny(unsafe_code)]` instead —
-//!   `forbid` cannot be re-allowed from an inner module, `deny` can.
+//!   [`UNSAFE_ALLOWED`] whitelist (the counting-allocator harness), and
+//!   every whitelisted site needs a `// SAFETY:` comment on or just above
+//!   the line.
 //! * **no-alloc** — functions annotated with a `no-alloc` directive may
 //!   not call allocating constructors (`Vec::new`, `with_capacity`,
 //!   `collect`, `to_vec`, `format!`, `Box::new`, …).
@@ -60,7 +56,7 @@ use std::path::Path;
 
 /// Rule name: panic-free decode modules.
 pub const RULE_PANIC_FREE: &str = "panic-free-decode";
-/// Rule name: directory→shard lock order.
+/// Rule name: maintenance→shard lock order.
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// Rule name: `#![forbid(unsafe_code)]` + `// SAFETY:` discipline.
 pub const RULE_UNSAFE: &str = "unsafe-discipline";
@@ -79,17 +75,7 @@ pub const UNSAFE_ALLOWED: &[&str] = &[
     // The counting #[global_allocator] harness: GlobalAlloc is an unsafe
     // trait by definition; the impl forwards verbatim to System.
     "tests/zero_alloc.rs",
-    // The RCU cell publishing the shard directory: Arc::into_raw/from_raw
-    // behind striped borrow counters. The crate's only unsafe module.
-    "crates/sharded/src/rcu.rs",
 ];
-
-/// Crate roots that host a whitelisted `unsafe` module. `forbid` is a
-/// one-way door — an inner `#![allow(unsafe_code)]` cannot reopen it — so
-/// these roots carry `#![deny(unsafe_code)]` instead: every *other* module
-/// stays unsafe-free at compile time, and only the whitelisted module opts
-/// back in (where this lint still demands per-site `// SAFETY:` comments).
-pub const UNSAFE_DENY_ROOTS: &[&str] = &["crates/sharded/src/lib.rs"];
 
 /// One finding: file, 1-based line, rule, and what was seen.
 #[derive(Clone, Debug)]
@@ -529,17 +515,14 @@ fn is_index_bracket(line: &str, j: usize) -> bool {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum LockLevel {
     Maintenance,
-    Directory,
     Shard,
-    Rcu,
 }
 
 /// Rule 2: the locking protocol around the sharded map. Active only in
 /// files that annotate at least one lock field with a `lock-order:`
-/// comment. Levels: `maintenance` (outermost mutex), `shard` (one
-/// rebalance domain's `RwLock`), `rcu` (the published directory — borrows
-/// via `rcu_load` nest freely but pin the grace period), and the legacy
-/// `directory` level kept for pre-RCU layouts.
+/// comment. Levels: `maintenance` (outermost mutex) and `shard` (one
+/// rebalance domain's `RwLock`). The directory's stripe locks are leaves,
+/// taken only inside its `load` and `publish`, and carry no level.
 pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     // Collect annotated field names: the annotation line's own code if it
     // has any, else the next non-blank code line, holds the field.
@@ -562,17 +545,12 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 msg: "lock-order annotation is not attached to a field".to_string(),
             }),
             ("maintenance", Some(n)) => fields.push((n, LockLevel::Maintenance)),
-            ("directory", Some(n)) => fields.push((n, LockLevel::Directory)),
             ("shard", Some(n)) => fields.push((n, LockLevel::Shard)),
-            ("rcu", Some(n)) => fields.push((n, LockLevel::Rcu)),
             (other, Some(_)) => diags.push(Diagnostic {
                 file: sf.path.clone(),
                 line: i + 1,
                 rule: RULE_GRAMMAR,
-                msg: format!(
-                    "unknown lock-order level `{other}` (expected \
-                     maintenance|directory|shard|rcu)"
-                ),
+                msg: format!("unknown lock-order level `{other}` (expected maintenance|shard)"),
             }),
         }
     }
@@ -581,19 +559,16 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     }
 
     let classify = |text: &str| -> Option<LockLevel> {
-        for (token, level) in [
-            ("Level::Shard", LockLevel::Shard),
-            ("Level::Directory", LockLevel::Directory),
-            ("Level::Maintenance", LockLevel::Maintenance),
-        ] {
+        for (token, level) in
+            [("Level::Shard", LockLevel::Shard), ("Level::Maintenance", LockLevel::Maintenance)]
+        {
             if text.contains(token) {
                 return Some(level);
             }
         }
-        // Field-name fallback, most-nested level first, so a call naming
-        // both a shard field and its container (`dir.shards[0]`) reads as
-        // the shard acquisition it is.
-        [LockLevel::Shard, LockLevel::Rcu, LockLevel::Directory, LockLevel::Maintenance]
+        // Field-name fallback: a call naming an annotated field takes that
+        // field's level (shard first, the more nested one).
+        [LockLevel::Shard, LockLevel::Maintenance]
             .into_iter()
             .find(|&want| fields.iter().any(|(f, l)| *l == want && has_ident(text, f)))
     };
@@ -639,28 +614,17 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
             if next_nonspace(line, e) != Some('(') {
                 continue;
             }
-            if tok == "rcu_publish" {
-                // Publication preconditions the runtime tracker enforces
-                // (maintenance-held is cross-function, so only the two
-                // same-scope deadlocks are checked lexically).
-                if live(&guards, LockLevel::Rcu) {
-                    emit(
-                        sf,
-                        i,
-                        RULE_LOCK_ORDER,
-                        "publishes a new directory while an RCU guard is live on this thread \
-                         (the grace wait would deadlock against its own borrow)"
-                            .to_string(),
-                        diags,
-                    );
-                }
+            if tok == "publish" {
+                // A publication precondition the runtime tracker enforces
+                // (maintenance-held is cross-function, so only the
+                // same-scope shard guard is checked lexically).
                 if live(&guards, LockLevel::Shard) {
                     emit(
                         sf,
                         i,
                         RULE_LOCK_ORDER,
-                        "publishes a new directory while a shard guard is live (a reader \
-                         pinning the old directory could deadlock the grace wait)"
+                        "publishes a new directory while a shard guard is live (retire the \
+                         shard and release its lock before publishing)"
                             .to_string(),
                         diags,
                     );
@@ -669,7 +633,6 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
             }
             let level = match tok {
                 "mlock" => Some(LockLevel::Maintenance),
-                "rcu_load" => Some(LockLevel::Rcu),
                 // The level argument may have been wrapped to the next
                 // line — but only consult the next line when this one
                 // can't classify, so a *different* acquisition below
@@ -697,8 +660,6 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
             let Some(level) = level else { continue };
             let maint_live = live(&guards, LockLevel::Maintenance);
             let shard_live = live(&guards, LockLevel::Shard);
-            let dir_live = live(&guards, LockLevel::Directory);
-            let rcu_live = live(&guards, LockLevel::Rcu);
             match level {
                 LockLevel::Shard if shard_live && !maint_live => emit(
                     sf,
@@ -709,36 +670,12 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
                         .to_string(),
                     diags,
                 ),
-                LockLevel::Directory if shard_live => emit(
-                    sf,
-                    i,
-                    RULE_LOCK_ORDER,
-                    "takes the directory lock under a shard lock (order is directory → shard)"
-                        .to_string(),
-                    diags,
-                ),
-                LockLevel::Directory if dir_live => emit(
-                    sf,
-                    i,
-                    RULE_LOCK_ORDER,
-                    "re-enters the directory lock (RwLock is not re-entrant)".to_string(),
-                    diags,
-                ),
                 LockLevel::Maintenance if shard_live => emit(
                     sf,
                     i,
                     RULE_LOCK_ORDER,
                     "takes the maintenance lock under a shard guard (order is maintenance → \
                      shard)"
-                        .to_string(),
-                    diags,
-                ),
-                LockLevel::Maintenance if rcu_live => emit(
-                    sf,
-                    i,
-                    RULE_LOCK_ORDER,
-                    "takes the maintenance lock while an RCU guard pins the directory (a \
-                     publisher's grace wait would deadlock)"
                         .to_string(),
                     diags,
                 ),
@@ -787,32 +724,21 @@ pub struct FileConfig {
     pub crate_root: bool,
     /// May this file contain `unsafe` at all (see [`UNSAFE_ALLOWED`])?
     pub unsafe_allowed: bool,
-    /// Is this root allowed to use `#![deny(unsafe_code)]` instead of
-    /// `forbid` because the crate hosts a whitelisted `unsafe` module
-    /// (see [`UNSAFE_DENY_ROOTS`])?
-    pub deny_root: bool,
 }
 
-/// Rule 3: unsafe discipline — forbid at every crate root (deny at the
-/// [`UNSAFE_DENY_ROOTS`]), whitelist + `// SAFETY:` comments elsewhere.
+/// Rule 3: unsafe discipline — forbid at every crate root, whitelist +
+/// `// SAFETY:` comments elsewhere.
 pub fn check_unsafe(sf: &SourceFile, cfg: &FileConfig, diags: &mut Vec<Diagnostic>) {
-    if cfg.crate_root && !cfg.unsafe_allowed {
-        let has = |attr: &str| sf.code.iter().any(|l| l.replace(' ', "").contains(attr));
-        let ok = if cfg.deny_root {
-            has("#![deny(unsafe_code)]") || has("#![forbid(unsafe_code)]")
-        } else {
-            has("#![forbid(unsafe_code)]")
-        };
-        if !ok {
-            let want =
-                if cfg.deny_root { "#![deny(unsafe_code)]" } else { "#![forbid(unsafe_code)]" };
-            diags.push(Diagnostic {
-                file: sf.path.clone(),
-                line: 1,
-                rule: RULE_UNSAFE,
-                msg: format!("crate root is missing {want}"),
-            });
-        }
+    if cfg.crate_root
+        && !cfg.unsafe_allowed
+        && !sf.code.iter().any(|l| l.replace(' ', "").contains("#![forbid(unsafe_code)]"))
+    {
+        diags.push(Diagnostic {
+            file: sf.path.clone(),
+            line: 1,
+            rule: RULE_UNSAFE,
+            msg: "crate root is missing #![forbid(unsafe_code)]".to_string(),
+        });
     }
     for (i, line) in sf.code.iter().enumerate() {
         if !has_ident(line, "unsafe") {
@@ -1118,8 +1044,7 @@ pub fn config_for(rel: &str, sf: &SourceFile) -> FileConfig {
         || rel.ends_with("/src/main.rs")
         || rel.contains("/src/bin/")
         || sf.has_directive("assume(crate-root)");
-    let deny_root = UNSAFE_DENY_ROOTS.contains(&rel);
-    FileConfig { crate_root, unsafe_allowed, deny_root }
+    FileConfig { crate_root, unsafe_allowed }
 }
 
 /// Run every rule over one file's text.

@@ -5,22 +5,24 @@
 //! that rebalance cost low *per structure*, so the natural way to scale
 //! writers is to partition the key space into **independent rebalance
 //! domains**: [`ShardedMap`] splits the keys across many `LabelMap` shards
-//! (each its own `Growable` doubling domain), with an RCU-published
-//! directory of split keys deciding which shard owns which key.
+//! (each its own `Growable` doubling domain), with a directory of split
+//! keys deciding which shard owns which key.
 //!
-//! * **Reads are lock-free against the directory**: `get` /
-//!   `contains_key` / `range` pin the current directory snapshot without a
-//!   lock or an allocation, then take the owning shard's shared lock. A
-//!   writer on one shard never stalls readers of any other shard; readers
-//!   of *its* shard wait for it.
+//! * **Reads** (`get` / `contains_key` / `range`) clone the current
+//!   directory snapshot's `Arc` under a shared lock on one of eight
+//!   stripes — no allocation, and readers on different stripes share no
+//!   cache line — drop that lock, then take the owning shard's shared
+//!   lock. A writer on one shard never stalls readers of any other shard;
+//!   readers of *its* shard wait for it, and a reader waits for a
+//!   directory publish only while it swaps the reader's stripe.
 //! * **Point writes** (`insert` / `get_mut_with` / `remove`) take exactly
 //!   **one** shard lock, exclusively — writers on different shards never
 //!   contend.
 //! * **Splits and merges** run under the maintenance mutex: they
-//!   restructure into *fresh* shards, publish a successor directory via
-//!   RCU, and mark the replaced shards retired — a flag every reader and
-//!   writer checks under the shard lock — bouncing in-flight users of the
-//!   old snapshot to a reload. Both are bulk moves over the `splice` path,
+//!   restructure into *fresh* shards, mark the replaced shards retired — a
+//!   flag every reader and writer checks under the shard lock — and then
+//!   publish a successor directory, bouncing in-flight users of the old
+//!   snapshot to a reload. Both are bulk moves over the `splice` path,
 //!   so re-sharding costs O(shard), not O(n · polylog n).
 //! * **Snapshots** ([`ShardedMap::write_snapshot`] /
 //!   [`ShardedMap::read_snapshot`]) persist the split-key directory and
@@ -52,21 +54,18 @@
 //! Lock order is strict — maintenance mutex before shard locks, at most
 //! one shard lock outside maintenance — and directory publication happens
 //! only under the maintenance mutex with no shard lock held. The
-//! `lock_order` module enforces the order at runtime in debug builds;
-//! lll-check's `lock-order` rule enforces it statically. See
+//! directory's stripe locks are leaves: each is held for one `Arc` clone
+//! or swap, never around another lock. The `lock_order` module enforces
+//! the order at runtime in debug builds; lll-check's `lock-order` rule
+//! enforces it statically. See
 //! `docs/sharding.md` in the repository root for the full runbook (policy
 //! knobs, concurrency model, split/merge invariants).
-//!
-//! The only `unsafe` in the crate is the RCU cell in `rcu.rs` (whitelisted
-//! by lll-check's `unsafe-discipline` rule, every block carrying a
-//! `// SAFETY:` argument); everything else is `#![deny(unsafe_code)]`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod builder;
 mod lock_order;
 mod map;
-mod rcu;
 
 pub use builder::ShardedBuilder;
 pub use lock_order::maintenance_acquisitions;

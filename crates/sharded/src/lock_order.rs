@@ -1,5 +1,5 @@
-//! Runtime enforcement of the locking protocol around the RCU'd
-//! directory.
+//! Runtime enforcement of the locking protocol, and the cell that
+//! publishes the directory.
 //!
 //! The crate's invariant has three parts, enforced twice — statically by
 //! `lll-check` (every acquisition site names its [`Level`], and the linter
@@ -9,19 +9,21 @@
 //!
 //! 1. The **maintenance mutex** (`ShardedMap::maint`) is the outermost
 //!    level: splits, merges, batches, and snapshots serialize under it.
-//!    It is acquired only with no shard guard and no RCU guard live — a
-//!    thread that pinned a directory borrow and then blocked on
-//!    maintenance would deadlock the publisher's grace wait.
+//!    It is acquired only with no shard guard live.
 //! 2. Each **shard lock** (`RwLock<LabelMap>`) guards one rebalance
 //!    domain. Point operations hold at most one; only a maintenance
 //!    holder may stack several (merges lock a neighboring pair, snapshots
 //!    read-lock every shard for one atomic picture).
-//! 3. **RCU guards** ([`rcu_load`]) pin a directory snapshot without any
-//!    lock. They nest freely under anything, but publication
-//!    ([`rcu_publish`]) requires the maintenance mutex and *no* live shard
-//!    or RCU guard on the publishing thread: a shard guard could deadlock
-//!    a reader that pinned the old directory and waits on that shard, and
-//!    an own RCU guard would deadlock the grace wait against itself.
+//! 3. The **directory** lives in a [`Striped`] cell: [`STRIPES`] copies,
+//!    each behind its own `RwLock`. [`load`](Striped::load) holds its
+//!    stripe's shared lock only to clone an `Arc`, and
+//!    [`publish`](Striped::publish) holds each exclusive lock only to swap
+//!    one, so a stripe lock is a leaf: no other lock is ever taken under
+//!    it, and the tracker does not count it. Publication requires the
+//!    maintenance mutex and *no* live shard guard: a split or merge
+//!    retires the old shard and releases its lock first, so a reader of
+//!    the old directory meets either the shard's old content or its
+//!    retired flag.
 //!
 //! The check runs *before* blocking, so an ordering bug surfaces as an
 //! immediate panic with a message instead of a silent deadlock. In release
@@ -29,11 +31,11 @@
 //! the guard and the token is a zero-sized no-op — except for one
 //! always-on per-thread count of maintenance acquisitions
 //! ([`maintenance_acquisitions`]), which the release-mode stress suite
-//! uses to prove reader threads never touch the directory lock.
+//! uses to prove reader threads never take the maintenance mutex.
 
-use crate::rcu::{RcuCell, RcuGuard};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -51,7 +53,7 @@ thread_local! {
     /// Always-on (release builds included): how many times this thread has
     /// acquired the maintenance mutex. Cheap — maintenance is rare by
     /// design — and it lets release-mode stress tests assert that reader
-    /// threads never took the directory's only lock.
+    /// threads never took it.
     static MAINT_ACQUIRED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -68,8 +70,8 @@ mod tracker {
     use std::cell::Cell;
 
     thread_local! {
-        /// (maintenance, shard, rcu) guard counts live on this thread.
-        static HELD: Cell<(u32, u32, u32)> = const { Cell::new((0, 0, 0)) };
+        /// (maintenance, shard) guard counts live on this thread.
+        static HELD: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
     }
 
     /// RAII witness of one lock guard. Acquired *before* blocking on the
@@ -83,7 +85,7 @@ mod tracker {
     impl Token {
         pub(crate) fn acquire(level: Level) -> Self {
             HELD.with(|h| {
-                let (maint, shard, rcu) = h.get();
+                let (maint, shard) = h.get();
                 match level {
                     Level::Maintenance => {
                         assert!(
@@ -92,16 +94,11 @@ mod tracker {
                              guard(s) are live (order is maintenance → shard)"
                         );
                         assert!(
-                            rcu == 0,
-                            "lock-order inversion: maintenance lock requested while {rcu} RCU \
-                             guard(s) pin the directory (a publisher's grace wait would deadlock)"
-                        );
-                        assert!(
                             maint == 0,
                             "lock-order inversion: maintenance lock re-entered on one thread \
                              (Mutex is not re-entrant)"
                         );
-                        h.set((maint + 1, shard, rcu));
+                        h.set((maint + 1, shard));
                     }
                     Level::Shard => {
                         assert!(
@@ -109,7 +106,7 @@ mod tracker {
                             "lock-order inversion: a second shard lock requested without the \
                              maintenance lock (point ops hold at most one shard)"
                         );
-                        h.set((maint, shard + 1, rcu));
+                        h.set((maint, shard + 1));
                     }
                 }
             });
@@ -120,33 +117,11 @@ mod tracker {
     impl Drop for Token {
         fn drop(&mut self) {
             HELD.with(|h| {
-                let (maint, shard, rcu) = h.get();
+                let (maint, shard) = h.get();
                 match self.level {
-                    Level::Maintenance => h.set((maint - 1, shard, rcu)),
-                    Level::Shard => h.set((maint, shard - 1, rcu)),
+                    Level::Maintenance => h.set((maint - 1, shard)),
+                    Level::Shard => h.set((maint, shard - 1)),
                 }
-            });
-        }
-    }
-
-    /// RAII witness of one RCU directory borrow.
-    pub(crate) struct RcuToken;
-
-    impl RcuToken {
-        pub(crate) fn acquire() -> Self {
-            HELD.with(|h| {
-                let (maint, shard, rcu) = h.get();
-                h.set((maint, shard, rcu + 1));
-            });
-            RcuToken
-        }
-    }
-
-    impl Drop for RcuToken {
-        fn drop(&mut self) {
-            HELD.with(|h| {
-                let (maint, shard, rcu) = h.get();
-                h.set((maint, shard, rcu - 1));
             });
         }
     }
@@ -154,20 +129,15 @@ mod tracker {
     /// Publication preconditions (see the module docs, rule 3).
     pub(crate) fn assert_publish_safe() {
         HELD.with(|h| {
-            let (maint, shard, rcu) = h.get();
+            let (maint, shard) = h.get();
             assert!(
                 maint > 0,
-                "rcu_publish without the maintenance lock: publication must be serialized"
+                "publish without the maintenance lock: publication must be serialized"
             );
             assert!(
                 shard == 0,
-                "rcu_publish while {shard} shard guard(s) are live: a reader pinning the old \
-                 directory could block on them and deadlock the grace wait"
-            );
-            assert!(
-                rcu == 0,
-                "rcu_publish while {rcu} RCU guard(s) are live on the publishing thread: the \
-                 grace wait would deadlock against itself"
+                "publish while {shard} shard guard(s) are live: retire the shard and release \
+                 its lock before publishing"
             );
         });
     }
@@ -182,15 +152,6 @@ mod tracker {
         #[inline(always)]
         pub(crate) fn acquire(_level: super::Level) -> Self {
             Token
-        }
-    }
-
-    pub(crate) struct RcuToken;
-
-    impl RcuToken {
-        #[inline(always)]
-        pub(crate) fn acquire() -> Self {
-            RcuToken
         }
     }
 
@@ -245,64 +206,102 @@ pub(crate) fn mlock<T>(lock: &Mutex<T>) -> Tracked<MutexGuard<'_, T>> {
     Tracked { guard: lock.lock().unwrap_or_else(|e| e.into_inner()), _order: order }
 }
 
-/// An RCU directory borrow paired with its tracker token. Derefs to the
-/// published value.
-pub(crate) struct TrackedRcu<'a, T> {
-    // Field order is load-bearing, as in `Tracked`: the borrow ends before
-    // the token decrements the count.
-    guard: RcuGuard<'a, T>,
-    _order: tracker::RcuToken,
-}
+/// Stripes of a [`Striped`] cell. Readers spread over them, so readers on
+/// different stripes write no shared cache line.
+const STRIPES: usize = 8;
 
-impl<T> Deref for TrackedRcu<'_, T> {
+/// One stripe: its own lock over its own copy of the value, aligned so
+/// that no two stripes share a cache line.
+#[repr(align(128))]
+struct Stripe<T>(RwLock<Arc<Padded<T>>>);
+
+/// A stripe's copy of the value. Readers clone the `Arc` around it, so its
+/// reference counts are the only memory a reader writes; the alignment
+/// keeps them off every other stripe's cache lines (copies allocated one
+/// after another would otherwise land in neighboring heap chunks).
+#[repr(align(128))]
+pub(crate) struct Padded<T>(T);
+
+impl<T> Deref for Padded<T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        &self.guard
+        &self.0
     }
 }
 
-/// Pin and borrow the currently published directory — the reader-side
-/// entry point. Lock-free: never blocks, never allocates.
-// lll-check: no-alloc
-pub(crate) fn rcu_load<T>(cell: &RcuCell<T>) -> TrackedRcu<'_, T> {
-    let order = tracker::RcuToken::acquire();
-    TrackedRcu { guard: cell.load(), _order: order }
+/// Which stripe this thread reads: threads are dealt round-robin across
+/// the stripes at first use.
+fn reader_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
 }
 
-/// Clone out the currently published directory `Arc` (for maintenance
-/// walks that must not pin a grace period across shard-lock waits).
-pub(crate) fn rcu_snapshot<T>(cell: &RcuCell<T>) -> Arc<T> {
-    cell.snapshot()
+/// A published value read through striped locks (the big-reader-lock
+/// idea): each stripe holds its own `Arc` of its own copy, so readers on
+/// different stripes share neither a lock word nor a reference count.
+/// `Arc` frees a replaced copy when its last reader drops it.
+pub(crate) struct Striped<T> {
+    stripes: [Stripe<T>; STRIPES],
 }
 
-/// Publish a new directory and retire the old one after its grace period.
-/// Debug builds enforce the publication preconditions (maintenance held,
-/// no shard or RCU guard live on this thread) *before* the swap.
-pub(crate) fn rcu_publish<T>(cell: &RcuCell<T>, new: Arc<T>) {
-    tracker::assert_publish_safe();
-    cell.replace(new);
+impl<T: Clone> Striped<T> {
+    /// A cell publishing `value`.
+    pub(crate) fn new(value: T) -> Self {
+        Self {
+            stripes: std::array::from_fn(|_| Stripe(RwLock::new(Arc::new(Padded(value.clone()))))),
+        }
+    }
+
+    /// The published value: this thread's stripe's shared lock, held for
+    /// one `Arc` clone. Waits only while a publish swaps this stripe.
+    // lll-check: no-alloc
+    pub(crate) fn load(&self) -> Arc<Padded<T>> {
+        self.stripe(reader_stripe())
+    }
+
+    fn stripe(&self, i: usize) -> Arc<Padded<T>> {
+        Arc::clone(&self.stripes[i].0.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Publish `value`: a fresh copy into each stripe in turn. Debug
+    /// builds first check the preconditions (maintenance held, no shard
+    /// guard live on this thread).
+    pub(crate) fn publish(&self, value: T) {
+        tracker::assert_publish_safe();
+        for stripe in &self.stripes {
+            let copy = Arc::new(Padded(value.clone()));
+            // The old copy drops after the lock is released.
+            let _old =
+                std::mem::replace(&mut *stripe.0.write().unwrap_or_else(|e| e.into_inner()), copy);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     #[test]
     fn legal_orders_are_silent() {
         let maint = Mutex::new(());
         let shard_a = RwLock::new(0u32);
         let shard_b = RwLock::new(0u32);
-        let cell = RcuCell::new(Arc::new(1u32));
+        let cell = Striped::new(1u32);
         {
-            // The read path: RCU borrow, then one shard.
-            let d = rcu_load(&cell);
+            // The read path: directory load, then one shard.
+            let d = cell.load();
             let a = rlock(&shard_a, Level::Shard);
-            assert_eq!(*d, 1 + *a);
+            assert_eq!(**d, 1 + *a);
         }
         {
-            // Scans: one shard at a time, sequentially, under one borrow.
-            let _d = rcu_load(&cell);
+            // Scans: one shard at a time, sequentially, under one load.
+            let _d = cell.load();
             for s in [&shard_a, &shard_b] {
                 let g = rlock(s, Level::Shard);
                 assert_eq!(*g, 0);
@@ -310,16 +309,66 @@ mod tests {
         }
         {
             // Maintenance stacks shard guards (merge locks a pair) and
-            // publishes with all of them released.
+            // publishes with all of them released — with a loaded
+            // directory still in hand, as every split and merge has.
             let _m = mlock(&maint);
+            let _d = cell.load();
             {
                 let _a = wlock(&shard_a, Level::Shard);
                 let _b = wlock(&shard_b, Level::Shard);
             }
-            rcu_publish(&cell, Arc::new(2));
+            cell.publish(2);
         }
-        assert_eq!(*rcu_load(&cell), 2);
+        assert_eq!(**cell.load(), 2);
         assert!(maintenance_acquisitions() >= 1, "mlock bumps the always-on count");
+    }
+
+    #[test]
+    fn a_publish_reaches_every_stripe() {
+        let maint = Mutex::new(());
+        let cell = Striped::new(1u64);
+        let pinned = cell.load();
+        {
+            let _m = mlock(&maint);
+            cell.publish(2);
+        }
+        for i in 0..STRIPES {
+            assert_eq!(**cell.stripe(i), 2, "stripe {i} missed the publish");
+        }
+        assert_eq!(**pinned, 1, "a loaded value outlives its replacement");
+    }
+
+    #[test]
+    fn loads_never_tear_across_publishes() {
+        // Invariant: the published pair is always (a, a + 1), and no
+        // stripe ever goes back to an older pair.
+        let cell = Striped::new((0u64, 1u64));
+        let stop = AtomicBool::new(false);
+        let readers = [0, STRIPES / 2, STRIPES - 1];
+        let start = Barrier::new(readers.len() + 1);
+        std::thread::scope(|s| {
+            for stripe in readers {
+                let (cell, stop, start) = (&cell, &stop, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut last = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        let (a, b) = **cell.stripe(stripe);
+                        assert_eq!(b, a + 1, "torn read on stripe {stripe}");
+                        assert!(a >= last, "stripe {stripe} went back from {last} to {a}");
+                        last = a;
+                    }
+                });
+            }
+            let maint = Mutex::new(());
+            let _m = mlock(&maint);
+            start.wait();
+            for a in 1..=2000u64 {
+                cell.publish((a, a + 1));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(**cell.load(), (2000, 2001));
     }
 
     #[test]
@@ -361,20 +410,6 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        should_panic(expected = "maintenance lock requested while 1 RCU guard")
-    )]
-    fn maintenance_under_rcu_guard_panics_in_debug() {
-        let maint = Mutex::new(());
-        let cell = RcuCell::new(Arc::new(0u32));
-        let _d = rcu_load(&cell);
-        if cfg!(debug_assertions) {
-            let _m = mlock(&maint);
-        }
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
         should_panic(expected = "lock-order inversion: a second shard lock")
     )]
     fn two_shards_without_maintenance_panic_in_debug() {
@@ -387,25 +422,24 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "rcu_publish without the maintenance"))]
+    #[cfg_attr(debug_assertions, should_panic(expected = "publish without the maintenance"))]
     fn publish_without_maintenance_panics_in_debug() {
-        let cell = RcuCell::new(Arc::new(0u32));
+        let cell = Striped::new(0u32);
         if cfg!(debug_assertions) {
-            rcu_publish(&cell, Arc::new(1));
+            cell.publish(1);
         }
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "rcu_publish while 1 RCU guard"))]
-    fn publish_with_live_rcu_guard_panics_in_debug() {
+    #[cfg_attr(debug_assertions, should_panic(expected = "publish while 1 shard guard"))]
+    fn publish_with_a_live_shard_guard_panics_in_debug() {
         let maint = Mutex::new(());
-        let cell = RcuCell::new(Arc::new(0u32));
+        let shard = RwLock::new(0u32);
+        let cell = Striped::new(0u32);
         let _m = mlock(&maint);
-        // Gated even at the call: in release the grace wait would truly
-        // deadlock against this thread's own live guard.
+        let _s = wlock(&shard, Level::Shard);
         if cfg!(debug_assertions) {
-            let _d = rcu_load(&cell);
-            rcu_publish(&cell, Arc::new(1));
+            cell.publish(1);
         }
     }
 }

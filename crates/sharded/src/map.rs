@@ -3,14 +3,17 @@
 //!
 //! # Locking protocol
 //!
-//! The read path is lock-free against the directory and takes one shared
-//! shard lock; writers serialize structure under one mutex. Three levels:
+//! A read takes its stripe's shared directory lock for one `Arc` clone,
+//! then one shared shard lock; writers serialize structure under one
+//! mutex. Three levels:
 //!
 //! * The **directory** is an immutable [`Directory`] snapshot published
-//!   through an [`RcuCell`]: readers pin it with [`rcu_load`] (no lock, no
-//!   allocation) and never block on it. Structural maintenance clones the
-//!   directory, swaps in the successor with [`rcu_publish`], and retires
-//!   the old snapshot after its grace period.
+//!   through a [`Striped`] cell: a reader [`load`](Striped::load)s it (its
+//!   stripe's shared lock, held for one `Arc` clone, no allocation) and
+//!   drops the lock before it touches a shard. Structural maintenance
+//!   clones the directory and [`publish`](Striped::publish)es the
+//!   successor, a copy into each stripe in turn; `Arc` frees the old
+//!   snapshot once its last reader is done.
 //! * The **maintenance mutex** (`ShardedMap::maint`) is the outermost
 //!   lock level: splits, merges, batches, and snapshots serialize under
 //!   it, so at most one thread restructures (and publishes) at a time.
@@ -29,8 +32,7 @@
 //! dynamically in debug builds; lll-check's `lock-order` rule enforces it
 //! statically.
 
-use crate::lock_order::{mlock, rcu_load, rcu_publish, rcu_snapshot, rlock, wlock, Level, Tracked};
-use crate::rcu::RcuCell;
+use crate::lock_order::{mlock, rlock, wlock, Level, Striped, Tracked};
 use lll_api::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_api::{LabelMap, ListBuilder, RawList};
 use lll_core::rng::derive_seed;
@@ -146,6 +148,12 @@ struct Directory<K: Ord, V> {
     shards: Vec<Arc<Shard<K, V>>>,
 }
 
+impl<K: Ord + Clone, V> Clone for Directory<K, V> {
+    fn clone(&self) -> Self {
+        Self { bounds: self.bounds.clone(), shards: self.shards.clone() }
+    }
+}
+
 impl<K: Ord, V> Directory<K, V> {
     /// The index of the shard owning `key` — a binary search of the split
     /// keys, no shard locks taken.
@@ -160,15 +168,14 @@ impl<K: Ord, V> Directory<K, V> {
 
 /// A thread-safe sorted map that partitions its key space across
 /// independent [`LabelMap`] shards — each one its own rebalance domain —
-/// behind an RCU-published directory and per-shard `RwLock`s.
+/// behind a stripe-published directory and per-shard `RwLock`s.
 ///
 /// Construct one with [`ShardedBuilder`](crate::ShardedBuilder). All
 /// methods take `&self`; share the map across threads with `Arc` (or
 /// scoped threads). See the [crate docs](crate) for the locking protocol
 /// and `docs/sharding.md` for the operational runbook.
 pub struct ShardedMap<K: Ord + Clone, V> {
-    // lock-order: rcu
-    dir: RcuCell<Directory<K, V>>,
+    dir: Striped<Directory<K, V>>,
     /// Serializes splits, merges, batches, snapshots — and thereby every
     /// directory publication. Point operations never touch it.
     // lock-order: maintenance
@@ -264,7 +271,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// a constructor installs the real directory.
     fn shell(builder: ListBuilder, seed: u64, policy: ShardPolicy) -> Self {
         Self {
-            dir: RcuCell::new(Arc::new(Directory { bounds: Vec::new(), shards: Vec::new() })),
+            dir: Striped::new(Directory { bounds: Vec::new(), shards: Vec::new() }),
             maint: Mutex::new(()),
             builder,
             seed,
@@ -283,7 +290,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// maintenance-serialized path structural changes use.
     fn install(&self, dir: Directory<K, V>) {
         let _m = mlock(&self.maint);
-        rcu_publish(&self.dir, Arc::new(dir));
+        self.dir.publish(dir);
     }
 
     /// Build an empty map: one shard, no split keys. Splitting is
@@ -356,7 +363,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// the reload routes the keys to the shard that owns them now.
     fn route<R>(&self, mut attempt: impl FnMut(&Directory<K, V>) -> Option<R>) -> R {
         loop {
-            let dir = rcu_load(&self.dir);
+            let dir = self.dir.load();
             if let Some(out) = attempt(&dir) {
                 return out;
             }
@@ -379,13 +386,13 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
 
     /// Current number of shards.
     pub fn shard_count(&self) -> usize {
-        rcu_load(&self.dir).shards.len()
+        self.dir.load().shards.len()
     }
 
     /// Insert `key → value`, returning the previous value if the key was
-    /// present. Locks the owning shard exclusively (the directory itself
-    /// is only pinned, never locked); if the shard overflowed the policy
-    /// band, splits it afterwards under the maintenance mutex.
+    /// present. Locks the owning shard exclusively (the directory only for
+    /// its load); if the shard overflowed the policy band, splits it
+    /// afterwards under the maintenance mutex.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         // Only the attempt that lands the entry takes it, and that attempt
         // ends the loop.
@@ -439,8 +446,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     }
 
     /// Read `key`'s value through a borrow: `map.get_with(&k, |v|
-    /// v.summarize())`. Returns `None` if the key is absent. Takes no
-    /// directory lock, only the owning shard's shared lock.
+    /// v.summarize())`. Returns `None` if the key is absent. Takes the
+    /// directory's stripe lock only for its load, then the owning shard's
+    /// shared lock.
     pub fn get_with<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
     where
         K: Borrow<Q>,
@@ -569,7 +577,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// proceed shard by shard.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         let _m = mlock(&self.maint);
-        let dir = rcu_snapshot(&self.dir);
+        let dir = self.dir.load();
         for shard in &dir.shards {
             let g = rlock(&shard.map, Level::Shard);
             for (k, v) in g.iter() {
@@ -592,7 +600,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         let m = mlock(&self.maint);
         let mut overflow = false;
         {
-            let dir = rcu_snapshot(&self.dir);
+            let dir = self.dir.load();
             // Peel per-shard chunks off the tail: bounds walked in reverse
             // so each split_off detaches exactly the last shard's share.
             let mut chunks = Vec::with_capacity(dir.shards.len());
@@ -747,7 +755,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// is inside the band.
     fn maintain_locked(&self, _m: &Tracked<MutexGuard<'_, ()>>) {
         loop {
-            let dir = rcu_snapshot(&self.dir);
+            let dir = self.dir.load();
             let n = dir.shards.len();
             let lens: Vec<usize> =
                 dir.shards.iter().map(|s| rlock(&s.map, Level::Shard).len()).collect();
@@ -823,9 +831,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         shards[i] = lo_shard;
         shards.insert(i + 1, Arc::new(Shard::new(hi_map)));
         let shard_count = shards.len() as u64;
-        let next = Arc::new(Directory { bounds, shards });
+        let next = Directory { bounds, shards };
         old.retire(g);
-        rcu_publish(&self.dir, next);
+        self.dir.publish(next);
         self.trace.record(TraceKind::Split, i as u64, shard_count, entries);
         true
     }
@@ -860,10 +868,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         bounds.remove(left);
         shards.remove(left + 1);
         let shard_count = shards.len() as u64;
-        let next = Arc::new(Directory { bounds, shards });
+        let next = Directory { bounds, shards };
         r.retire(rg);
         drop(lg);
-        rcu_publish(&self.dir, next);
+        self.dir.publish(next);
         self.trace.record(TraceKind::Merge, left as u64, shard_count, merged);
         true
     }
@@ -883,7 +891,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         V: Codec,
     {
         let _m = mlock(&self.maint);
-        let dir = rcu_snapshot(&self.dir);
+        let dir = self.dir.load();
         // Stacking every shard's read lock is legal under the maintenance
         // mutex (the tracker's rule 2) and deadlock-free: maintenance is
         // the only path that takes more than one shard lock, and we are it.
@@ -999,7 +1007,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// stable. O(n); test/diagnostic use only.
     pub fn check_invariants(&self) {
         let _m = mlock(&self.maint);
-        let dir = rcu_snapshot(&self.dir);
+        let dir = self.dir.load();
         assert_eq!(dir.shards.len(), dir.bounds.len() + 1, "directory shape");
         assert!(
             dir.bounds.windows(2).all(|w| w[0] < w[1]),
@@ -1367,8 +1375,8 @@ mod tests {
     #[test]
     fn a_split_retires_the_old_shard_for_readers_and_writers() {
         let map = tiny().build::<u32, u32>();
-        // Pin the directory a reader would hold across the split.
-        let old = crate::lock_order::rcu_snapshot(&map.dir);
+        // Load the directory a reader would hold across the split.
+        let old = map.dir.load();
         for k in 0..=32 {
             map.insert(k, k);
         }

@@ -10,11 +10,12 @@
 //! * `scans_stay_sorted_under_concurrent_writers`: readers stitch range
 //!   scans while writers churn; every stitched scan must be sorted and
 //!   duplicate-free even though it is not an atomic snapshot.
-//! * `readers_stay_lock_free_under_churning_writer`: the read path's
-//!   acceptance test — reader threads validate stable keys exactly and
-//!   churned keys for torn values while one writer forces splits, merges,
-//!   and directory growth; no reader may have touched the maintenance lock
-//!   (checked through the always-on per-thread acquisition counter).
+//! * `readers_never_take_maintenance_under_churning_writer`: the read
+//!   path's acceptance test — reader threads validate stable keys exactly
+//!   and churned keys for torn values while one writer forces splits,
+//!   merges, and directory publishes; no reader may have touched the
+//!   maintenance lock (checked through the always-on per-thread
+//!   acquisition counter).
 //! * `range_stitching_matches_reference`: a single-threaded property test —
 //!   cross-shard `range`/`to_vec` stitching equals a `BTreeMap` reference
 //!   under churn that forces splits and merges.
@@ -189,21 +190,23 @@ fn churn_value(k: u64) -> u64 {
 /// The read-path acceptance test. Keyspace split: even keys
 /// are *stable* (inserted once, never touched again — readers assert
 /// their exact values), odd keys are *churned* by a single writer whose
-/// insert/remove waves force shard splits, merges, and directory growth
-/// under the readers' feet. Readers run pure point reads and assert:
+/// insert/remove waves force shard splits, merges, and directory
+/// publishes under the readers' feet. Each read loads the directory from
+/// its stripe (a shared lock held for one `Arc` clone) and may meet a
+/// retired shard and reload. Readers run pure point reads and assert:
 ///
 /// * stable keys always present with the exact expected value,
 /// * churned keys either absent or carrying exactly `churn_value(k)` —
 ///   the torn-read detector,
-/// * the reader thread never acquired the maintenance (directory) lock:
+/// * the reader thread never acquired the maintenance mutex:
 ///   [`maintenance_acquisitions`] is per-thread and always-on, so a
-///   zero delta proves the hot read path stayed off the directory lock
-///   even while the writer was growing the directory.
+///   zero delta proves the hot read path stayed off it even while the
+///   writer was splitting, merging and publishing.
 ///
 /// Debug builds scale the op counts down (the layered write path carries
 /// real debug-mode constants); release runs the full volume.
 #[test]
-fn readers_stay_lock_free_under_churning_writer() {
+fn readers_never_take_maintenance_under_churning_writer() {
     let readers: u64 = 4;
     let (reads_per_thread, writer_waves): (u64, u64) =
         if cfg!(debug_assertions) { (30_000, 6) } else { (150_000, 20) };

@@ -10,7 +10,8 @@
 //! free while the fsync is in flight, which is what lets the flusher
 //! group many committers' records under one `fdatasync` (the whole point
 //! of group commit). Reads never touch the commit lock — they go straight
-//! to the sharded map's lock-free read path.
+//! to the sharded map's read path (a directory load, then one shared
+//! shard lock).
 //!
 //! # Checkpoints and recovery
 //!

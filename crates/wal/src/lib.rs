@@ -8,8 +8,8 @@
 //!   monotone LSNs, group commit (one flusher amortizes `fdatasync`
 //!   across concurrent committers — [`wal`]), torn-tail-tolerant
 //!   recovery, and an offline [`audit`](fn@audit)/repair surface.
-//! * [`DurableMap`] — log-then-apply over the lock-free-reader
-//!   `ShardedMap` ([`durable`]): every mutation is appended (and, under
+//! * [`DurableMap`] — log-then-apply over `ShardedMap` ([`durable`]);
+//!   reads go straight to the map. Every mutation is appended (and, under
 //!   [`FsyncPolicy::Always`], fsynced) before it is applied and acked;
 //!   [`DurableMap::checkpoint`] writes a snapshot on the `persist`
 //!   format and truncates the log behind it; reopening recovers the

@@ -160,8 +160,9 @@ fn ordered_list_churn(backend: Backend) {
 /// The read path's allocation budget is zero: once the map is built and
 /// one warm-up read has paid any lazy thread-local setup, a
 /// `get`/`get_with`/`contains_key` round over present and absent keys
-/// must not allocate at all — the path is an RCU directory load (linted
-/// as allocation-free), one shared shard lock, a flag check and one
+/// must not allocate at all — the path is a directory load (a shared
+/// lock on the thread's stripe and an `Arc` clone, linted as
+/// allocation-free), one shared shard lock, a flag check and one
 /// counter. Unlike the churn rounds above there is no convergence
 /// allowance: reads allocate zero from round one.
 fn sharded_read_churn() {
