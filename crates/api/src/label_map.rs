@@ -121,8 +121,8 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.list.grow_stats()
     }
 
-    /// The backend's observability handle: counters, move/rebalance
-    /// histograms, and the structural trace ring (see
+    /// The backend's observability handle: counters and the moves-per-op
+    /// and rebalance-window histograms (see
     /// [`lll_core::metrics::ListMetrics`]).
     pub fn metrics(&self) -> lll_core::metrics::MetricsHandle {
         self.list.metrics_handle()

@@ -32,25 +32,12 @@
 //! this bench exists to keep buried.
 
 use lll_api::{Backend, ListBuilder, RawList};
+use lll_bench::report::Json;
 use rand::Rng;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Timed builds per backend and row, one seed each.
 const BUILD_REPS: u64 = 101;
-
-struct Row {
-    name: &'static str,
-    n: usize,
-    insert_ops_per_sec: f64,
-    moves_per_op: f64,
-    select_ops_per_sec: f64,
-    range_elems_per_sec: f64,
-    bytes_per_slot: f64,
-    num_slots: usize,
-    build_us: f64,
-    grow_us: f64,
-}
 
 /// Median of `BUILD_REPS` timings in microseconds; `timed(seed)` returns
 /// the seconds it measured.
@@ -88,7 +75,8 @@ fn grow_us(backend: Backend, n: usize) -> f64 {
     })
 }
 
-fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Row {
+/// One backend's row of the report.
+fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Json {
     let build_us = build_us(backend, build_n);
     let grow_us = grow_us(backend, build_n / 2);
 
@@ -127,18 +115,17 @@ fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Row {
     std::hint::black_box(seen);
     let range_secs = t.elapsed().as_secs_f64();
 
-    Row {
-        name: backend.name(),
-        n,
-        insert_ops_per_sec: n as f64 / insert_secs,
-        moves_per_op,
-        select_ops_per_sec: selects as f64 / select_secs,
-        range_elems_per_sec: seen as f64 / range_secs,
-        bytes_per_slot: s.slots().memory_bytes() as f64 / s.slots().num_slots() as f64,
-        num_slots: s.slots().num_slots(),
-        build_us,
-        grow_us,
-    }
+    Json::new()
+        .str("name", backend.name())
+        .int("n", n as u64)
+        .num("insert_ops_per_sec", n as f64 / insert_secs, 0)
+        .num("moves_per_op", moves_per_op, 3)
+        .num("select_ops_per_sec", selects as f64 / select_secs, 0)
+        .num("range_elems_per_sec", seen as f64 / range_secs, 0)
+        .num("bytes_per_slot", s.slots().memory_bytes() as f64 / s.slots().num_slots() as f64, 3)
+        .int("num_slots", s.slots().num_slots() as u64)
+        .num(&format!("build_us_n{build_n}"), build_us, 1)
+        .num(&format!("grow_us_n{}", build_n / 2), grow_us, 1)
 }
 
 /// Wall-clock seconds for `n` random-rank classic inserts with metrics
@@ -208,38 +195,8 @@ fn main() {
         rows.push(bench_backend(backend, n, build_n, 7));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"core_ops\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    json.push_str("  \"reference_pre_bitmap_classic_insert_ops_per_sec_n1m\": 97457,\n");
-    json.push_str("  \"backends\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"n\": {}, \"insert_ops_per_sec\": {:.0}, \
-             \"moves_per_op\": {:.3}, \"select_ops_per_sec\": {:.0}, \
-             \"range_elems_per_sec\": {:.0}, \"bytes_per_slot\": {:.3}, \"num_slots\": {}, \
-             \"build_us_n{build_n}\": {:.1}, \"grow_us_n{}\": {:.1}}}",
-            r.name,
-            r.n,
-            r.insert_ops_per_sec,
-            r.moves_per_op,
-            r.select_ops_per_sec,
-            r.range_elems_per_sec,
-            r.bytes_per_slot,
-            r.num_slots,
-            r.build_us,
-            build_n / 2,
-            r.grow_us
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    println!("{json}");
-    if !smoke {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core_ops.json");
-        std::fs::write(path, &json).expect("write BENCH_core_ops.json");
-        eprintln!("core_ops: wrote {path}");
-    }
+    Json::report("core_ops", smoke)
+        .int("reference_pre_bitmap_classic_insert_ops_per_sec_n1m", 97457)
+        .rows("backends", rows)
+        .emit("BENCH_core_ops.json", smoke);
 }

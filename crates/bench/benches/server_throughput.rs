@@ -26,9 +26,9 @@
 //!   batch, JSON to stdout only, no wall-clock assertion (shared
 //!   runners).
 
+use lll_bench::report::Json;
 use lll_server::{Client, Server, ServerConfig};
 use lll_sharded::ShardedBuilder;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -51,17 +51,9 @@ fn start_server() -> lll_server::ServerHandle {
     Server::start(map, ServerConfig::default()).expect("bind ephemeral port")
 }
 
-struct MixedResult {
-    conns: usize,
-    ops_per_conn: usize,
-    ops_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-}
-
 /// Mixed workload: 50% get / 40% insert / 10% range(limit 32), per-op
-/// latency sampled on every request.
-fn run_mixed(conns: usize, ops_per_conn: usize) -> MixedResult {
+/// latency sampled on every request. Returns the report's `mixed` object.
+fn run_mixed(conns: usize, ops_per_conn: usize) -> Json {
     let mut server = start_server();
     let addr = server.local_addr();
     let start = Instant::now();
@@ -97,13 +89,12 @@ fn run_mixed(conns: usize, ops_per_conn: usize) -> MixedResult {
     server.shutdown();
     all_lat.sort_unstable();
     let pct = |p: f64| all_lat[((all_lat.len() - 1) as f64 * p) as usize] as f64 / 1_000.0;
-    MixedResult {
-        conns,
-        ops_per_conn,
-        ops_per_sec: (conns * ops_per_conn) as f64 / secs,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-    }
+    Json::new()
+        .int("connections", conns as u64)
+        .int("ops_per_conn", ops_per_conn as u64)
+        .num("ops_per_sec", (conns * ops_per_conn) as f64 / secs, 0)
+        .num("p50_us", pct(0.50), 1)
+        .num("p99_us", pct(0.99), 1)
 }
 
 struct BatchResult {
@@ -168,31 +159,18 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"server_throughput\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    json.push_str(
-        "  \"acceptance\": \"sustained mixed ops/s + p99 over N connections; \
-         100k-key batch_insert >= 5x per-op inserts\",\n",
-    );
-    let _ = writeln!(
-        json,
-        "  \"mixed\": {{\"connections\": {}, \"ops_per_conn\": {}, \"ops_per_sec\": {:.0}, \
-         \"p50_us\": {:.1}, \"p99_us\": {:.1}}},",
-        mixed.conns, mixed.ops_per_conn, mixed.ops_per_sec, mixed.p50_us, mixed.p99_us
-    );
-    let _ = writeln!(
-        json,
-        "  \"batch\": {{\"n\": {}, \"batch_keys_per_sec\": {:.0}, \
-         \"per_op_keys_per_sec\": {:.0}, \"batch_speedup\": {:.1}}}",
-        batch.n, batch.batch_ops_per_sec, batch.per_op_ops_per_sec, batch.speedup
-    );
-    json.push_str("}\n");
-
-    println!("{json}");
-    if !smoke {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-        std::fs::write(path, &json).expect("write BENCH_server.json");
-        eprintln!("server_throughput: wrote {path}");
-    }
+    let batch_row = Json::new()
+        .int("n", batch.n as u64)
+        .num("batch_keys_per_sec", batch.batch_ops_per_sec, 0)
+        .num("per_op_keys_per_sec", batch.per_op_ops_per_sec, 0)
+        .num("batch_speedup", batch.speedup, 1);
+    Json::report("server_throughput", smoke)
+        .str(
+            "acceptance",
+            "sustained mixed ops/s + p99 over N connections; \
+             100k-key batch_insert >= 5x per-op inserts",
+        )
+        .object("mixed", mixed)
+        .object("batch", batch_row)
+        .emit("BENCH_server.json", smoke);
 }

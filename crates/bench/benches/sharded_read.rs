@@ -36,8 +36,8 @@
 //!   JSON to stdout only, no ratio assertions (shared runners).
 
 use lll_api::{Backend, LabelMap, ListBuilder};
+use lll_bench::report::Json;
 use lll_sharded::{ShardedBuilder, ShardedMap};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -187,45 +187,34 @@ fn main() {
         assert!(scale8 >= 4.0, "8-reader scaling {scale8:.2}x under the 4x bar");
     }
 
-    let fmt_runs = |runs: &[ReadResult]| {
+    let run_rows = |runs: &[ReadResult]| -> Vec<Json> {
+        let base = runs[0].ops_per_sec;
         runs.iter()
             .map(|r| {
-                format!(
-                    "{{\"readers\": {}, \"ops_per_sec\": {:.0}, \"scale_vs_1\": {:.2}, \
-                     \"writer_waves\": {}}}",
-                    r.readers,
-                    r.ops_per_sec,
-                    r.ops_per_sec / runs[0].ops_per_sec,
-                    r.writer_waves
-                )
+                Json::new()
+                    .int("readers", r.readers)
+                    .num("ops_per_sec", r.ops_per_sec, 0)
+                    .num("scale_vs_1", r.ops_per_sec / base, 2)
+                    .int("writer_waves", r.writer_waves)
             })
-            .collect::<Vec<_>>()
-            .join(",\n    ")
+            .collect()
     };
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"sharded_read\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    json.push_str(
-        "  \"acceptance\": \"8 readers + churning writer >= 4x 1-reader ops/s (needs >= 8 \
-         cores; on fewer the scaling factors are time-sliced and reported as-is); \
-         single-reader overhead vs uncontended Mutex<LabelMap> < 5%\",\n",
-    );
-    let _ = writeln!(json, "  \"keyspace\": {keyspace}, \"reads_per_thread\": {reads_per},");
-    let _ = writeln!(json, "  \"quiescent\": [\n    {}\n  ],", fmt_runs(&quiescent));
-    let _ = writeln!(json, "  \"with_churning_writer\": [\n    {}\n  ],", fmt_runs(&churned));
-    let _ = writeln!(
-        json,
-        "  \"single_reader\": {{\"sharded_reads_per_sec\": {:.0}, \
-         \"mutex_labelmap_reads_per_sec\": {:.0}, \"overhead_vs_mutex_pct\": {:.1}}}",
-        sharded_1r, locked_1r, overhead_pct
-    );
-    json.push_str("}\n");
-
-    println!("{json}");
-    if !smoke {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded_read.json");
-        std::fs::write(path, &json).expect("write BENCH_sharded_read.json");
-        eprintln!("sharded_read: wrote {path}");
-    }
+    let single_reader = Json::new()
+        .num("sharded_reads_per_sec", sharded_1r, 0)
+        .num("mutex_labelmap_reads_per_sec", locked_1r, 0)
+        .num("overhead_vs_mutex_pct", overhead_pct, 1);
+    Json::report("sharded_read", smoke)
+        .int("cores", cores as u64)
+        .str(
+            "acceptance",
+            "8 readers + churning writer >= 4x 1-reader ops/s (needs >= 8 cores; on fewer the \
+             scaling factors are time-sliced and reported as-is); single-reader overhead vs \
+             uncontended Mutex<LabelMap> < 5%",
+        )
+        .int("keyspace", keyspace)
+        .int("reads_per_thread", reads_per)
+        .rows("quiescent", run_rows(&quiescent))
+        .rows("with_churning_writer", run_rows(&churned))
+        .object("single_reader", single_reader)
+        .emit("BENCH_sharded_read.json", smoke);
 }

@@ -24,21 +24,11 @@
 //!   small n on shared runners).
 
 use lll_api::{Backend, LabelMap, ListBuilder};
-use std::fmt::Write as _;
+use lll_bench::report::Json;
 use std::time::Instant;
 
-struct Row {
-    name: &'static str,
-    n: usize,
-    snapshot_bytes: usize,
-    write_keys_per_sec: f64,
-    restore_keys_per_sec: f64,
-    replay_keys_per_sec: f64,
-    restore_speedup: f64,
-    restore_moves_per_key: f64,
-}
-
-fn bench_backend(backend: Backend, n: usize, enforce_speedup: bool) -> Row {
+/// One backend's row of the report.
+fn bench_backend(backend: Backend, n: usize, enforce_speedup: bool) -> Json {
     let mut map: LabelMap<u64, u64> = ListBuilder::new().backend(backend).seed(11).label_map();
     map.extend_sorted((0..n as u64).map(|k| (k * 2, k)).collect());
 
@@ -85,16 +75,15 @@ fn bench_backend(backend: Backend, n: usize, enforce_speedup: bool) -> Row {
             backend.name()
         );
     }
-    Row {
-        name: backend.name(),
-        n,
-        snapshot_bytes: buf.len(),
-        write_keys_per_sec: n as f64 / write_secs,
-        restore_keys_per_sec: n as f64 / restore_secs,
-        replay_keys_per_sec: n as f64 / replay_secs,
-        restore_speedup: speedup,
-        restore_moves_per_key: moves_per_key,
-    }
+    Json::new()
+        .str("name", backend.name())
+        .int("n", n as u64)
+        .int("snapshot_bytes", buf.len() as u64)
+        .num("write_keys_per_sec", n as f64 / write_secs, 0)
+        .num("restore_keys_per_sec", n as f64 / restore_secs, 0)
+        .num("replay_keys_per_sec", n as f64 / replay_secs, 0)
+        .num("restore_speedup", speedup, 1)
+        .num("restore_moves_per_key", moves_per_key, 3)
 }
 
 fn main() {
@@ -115,35 +104,8 @@ fn main() {
         rows.push(bench_backend(backend, n, !smoke && n >= 1 << 20));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"snapshot\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    json.push_str("  \"acceptance\": \"1M-key restore: exactly 1 move/key, >= 10x replay\",\n");
-    json.push_str("  \"backends\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"n\": {}, \"snapshot_bytes\": {}, \
-             \"write_keys_per_sec\": {:.0}, \"restore_keys_per_sec\": {:.0}, \
-             \"replay_keys_per_sec\": {:.0}, \"restore_speedup\": {:.1}, \
-             \"restore_moves_per_key\": {:.3}}}",
-            r.name,
-            r.n,
-            r.snapshot_bytes,
-            r.write_keys_per_sec,
-            r.restore_keys_per_sec,
-            r.replay_keys_per_sec,
-            r.restore_speedup,
-            r.restore_moves_per_key
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    println!("{json}");
-    if !smoke {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-        std::fs::write(path, &json).expect("write BENCH_snapshot.json");
-        eprintln!("snapshot: wrote {path}");
-    }
+    Json::report("snapshot", smoke)
+        .str("acceptance", "1M-key restore: exactly 1 move/key, >= 10x replay")
+        .rows("backends", rows)
+        .emit("BENCH_snapshot.json", smoke);
 }

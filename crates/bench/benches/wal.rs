@@ -31,9 +31,9 @@
 //! exercises the real filesystem (fsync on tmpfs is free and would
 //! flatter every row equally).
 
+use lll_bench::report::Json;
 use lll_sharded::ShardedBuilder;
 use lll_wal::{DurableMap, DurableOptions, FsyncPolicy, Wal, WalOptions};
-use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -120,16 +120,10 @@ fn bench_policy(name: &'static str, policy: FsyncPolicy, records: u64, threads: 
     }
 }
 
-struct RecoveryRow {
-    name: &'static str,
-    entries: u64,
-    replayed: u64,
-    entries_per_sec: f64,
-}
-
 /// Build a `DurableMap` corpus, then time recovery twice: pure log
-/// replay, and checkpoint restore with an empty log suffix.
-fn bench_recovery(entries: u64) -> (RecoveryRow, RecoveryRow) {
+/// replay, and checkpoint restore with an empty log suffix. Returns the
+/// two report rows.
+fn bench_recovery(entries: u64) -> [Json; 2] {
     let opts = || DurableOptions {
         wal: WalOptions { fsync: FsyncPolicy::Never, segment_bytes: 64 << 20 },
         ..DurableOptions::default()
@@ -172,20 +166,11 @@ fn bench_recovery(entries: u64) -> (RecoveryRow, RecoveryRow) {
     assert_eq!(map.map().len() as u64, entries);
     drop(map);
 
-    (
-        RecoveryRow {
-            name: "log_replay",
-            entries,
-            replayed: entries,
-            entries_per_sec: entries as f64 / replay_secs,
-        },
-        RecoveryRow {
-            name: "checkpoint_restore",
-            entries,
-            replayed: 0,
-            entries_per_sec: entries as f64 / restore_secs,
-        },
-    )
+    let row = |name: &str, replayed: u64, secs: f64| {
+        let row = Json::new().str("name", name).int("entries", entries);
+        row.int("replayed", replayed).num("entries_per_sec", entries as f64 / secs, 0)
+    };
+    [row("log_replay", entries, replay_secs), row("checkpoint_restore", 0, restore_secs)]
 }
 
 fn main() {
@@ -212,40 +197,21 @@ fn main() {
     }
 
     eprintln!("wal: recovery entries={replay_entries} ...");
-    let (replay, restore) = bench_recovery(replay_entries);
-    let recovery_rows = [&replay, &restore];
+    let recovery = bench_recovery(replay_entries);
 
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"wal\",\n");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    json.push_str("  \"acceptance\": \"group-committed Always >= 5x fsync-per-record\",\n");
-    let _ = writeln!(json, "  \"group_commit_speedup\": {speedup:.1},");
-    json.push_str("  \"append\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"records\": {}, \"threads\": {}, \
-             \"records_per_sec\": {:.0}, \"fsyncs\": {}, \"records_per_fsync\": {:.1}}}",
-            r.name, r.records, r.threads, r.records_per_sec, r.fsyncs, r.records_per_fsync
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"recovery\": [\n");
-    for (i, r) in recovery_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"entries\": {}, \"replayed\": {}, \
-             \"entries_per_sec\": {:.0}}}",
-            r.name, r.entries, r.replayed, r.entries_per_sec
-        );
-        json.push_str(if i + 1 < recovery_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    println!("{json}");
-    if !smoke {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wal.json");
-        std::fs::write(path, &json).expect("write BENCH_wal.json");
-        eprintln!("wal: wrote {path}");
-    }
+    let append = rows.iter().map(|r| {
+        Json::new()
+            .str("name", r.name)
+            .int("records", r.records)
+            .int("threads", r.threads as u64)
+            .num("records_per_sec", r.records_per_sec, 0)
+            .int("fsyncs", r.fsyncs)
+            .num("records_per_fsync", r.records_per_fsync, 1)
+    });
+    Json::report("wal", smoke)
+        .str("acceptance", "group-committed Always >= 5x fsync-per-record")
+        .num("group_commit_speedup", speedup, 1)
+        .rows("append", append)
+        .rows("recovery", recovery)
+        .emit("BENCH_wal.json", smoke);
 }

@@ -8,13 +8,14 @@
 //!
 //! Cost model note: all "cost" columns are **element moves** (the paper's
 //! cost measure), derived from the structures' move logs. Wall-clock
-//! throughput is measured separately by the Criterion benches in
-//! `benches/`.
+//! throughput is measured separately by the benches in `benches/`, which
+//! write their `BENCH_*.json` reports through [`report::Json`].
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod harness;
+pub mod report;
 pub mod table;
 
 pub use harness::{run_workload, RunResult};

@@ -35,13 +35,6 @@
 //! * **no-alloc** — functions annotated with a `no-alloc` directive may
 //!   not call allocating constructors (`Vec::new`, `with_capacity`,
 //!   `collect`, `to_vec`, `format!`, `Box::new`, …).
-//! * **obs-registered** — `lll-obs` registry call sites
-//!   (`.register_counter(..)` and friends) must pass a snake_case string
-//!   literal as the metric name, and a name may be registered at only one
-//!   call site (labeled histogram families excepted) — in one file and
-//!   across the workspace. Metric names are operational interface;
-//!   `Registry` also panics on collisions at runtime, but the lint
-//!   catches them before anything runs.
 //!
 //! The full annotation grammar and the rationale for each rule live in
 //! `docs/static-analysis.md`. The linter is itself pinned by committed
@@ -62,9 +55,6 @@ pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_UNSAFE: &str = "unsafe-discipline";
 /// Rule name: allocation-free hot paths.
 pub const RULE_NO_ALLOC: &str = "no-alloc";
-/// Rule name: metric-registration hygiene (snake_case literal names,
-/// no duplicate registrations).
-pub const RULE_OBS: &str = "obs-registered";
 /// Rule name: the linter's own annotation grammar (unknown directives,
 /// unjustified allows).
 pub const RULE_GRAMMAR: &str = "annotation-grammar";
@@ -866,146 +856,11 @@ pub fn check_no_alloc(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Methods whose first string-literal argument is a metric name.
-const OBS_REGISTER_METHODS: &[&str] = &[
-    "register_counter",
-    "register_counter_shared",
-    "register_gauge",
-    "register_histogram",
-    "register_histogram_shared",
-    "register_histogram_labeled",
-];
-
-/// One metric-registration call site, for the cross-file uniqueness pass.
-#[derive(Clone, Debug)]
-pub struct ObsSite {
-    /// Workspace-relative path of the registering file.
-    pub file: String,
-    /// 1-based line of the call.
-    pub line: usize,
-    /// The registered metric name.
-    pub name: String,
-    /// True for `register_histogram_labeled` — one *family* name may be
-    /// registered from several labeled call sites.
-    pub labeled: bool,
-}
-
-/// The metric-name grammar `lll_obs::Registry` enforces at runtime:
-/// `[a-z][a-z0-9_]*`.
-fn obs_snake_case(name: &str) -> bool {
-    let mut chars = name.chars();
-    matches!(chars.next(), Some('a'..='z'))
-        && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-}
-
-/// The first `"..."` literal on `raw` at or after byte `from` (no escape
-/// handling — metric names never need it).
-fn first_literal(raw: &str, from: usize) -> Option<String> {
-    let open = from + raw.get(from..)?.find('"')?;
-    let rest = &raw[open + 1..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Rule 5: metric-registration hygiene. Call sites of the registry's
-/// `register_*` methods must name their metric with a snake_case
-/// string literal, and no name may be registered twice in one file
-/// (labeled families excepted). Needs the raw line text because the
-/// lexer blanks string-literal contents out of the code view. Returns
-/// the call sites for [`check_workspace`]'s cross-file uniqueness pass.
-pub fn check_obs_registered(
-    sf: &SourceFile,
-    raw: &[&str],
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<ObsSite> {
-    let in_tests = test_mod_lines(sf);
-    let mut sites: Vec<ObsSite> = Vec::new();
-    for (i, line) in sf.code.iter().enumerate() {
-        if in_tests[i] {
-            continue;
-        }
-        for &(s, e) in &idents(line) {
-            let tok = &line[s..e];
-            if !OBS_REGISTER_METHODS.contains(&tok) {
-                continue;
-            }
-            // Call sites only: method syntax. Definitions (`fn register_*`)
-            // and prose never carry a leading dot.
-            if prev_nonspace(line, s) != Some('.') || next_nonspace(line, e) != Some('(') {
-                continue;
-            }
-            // The name is the first string literal at the call — on the
-            // call line, or (call wrapped by rustfmt) on the next line.
-            let name = raw
-                .get(i)
-                .and_then(|r| first_literal(r, r.find(tok).unwrap_or(0)))
-                .or_else(|| raw.get(i + 1).and_then(|r| first_literal(r, 0)));
-            let Some(name) = name else {
-                emit(
-                    sf,
-                    i,
-                    RULE_OBS,
-                    format!("`{tok}` call without a string-literal metric name"),
-                    diags,
-                );
-                continue;
-            };
-            if !obs_snake_case(&name) {
-                emit(
-                    sf,
-                    i,
-                    RULE_OBS,
-                    format!("metric name {name:?} is not snake_case ([a-z][a-z0-9_]*)"),
-                    diags,
-                );
-            }
-            let labeled = tok == "register_histogram_labeled";
-            if let Some(prev) = sites.iter().find(|p| p.name == name && !(p.labeled && labeled)) {
-                emit(
-                    sf,
-                    i,
-                    RULE_OBS,
-                    format!(
-                        "metric name {name:?} already registered at line {} (names are \
-                         operational interface; Registry panics on collision)",
-                        prev.line
-                    ),
-                    diags,
-                );
-            }
-            sites.push(ObsSite { file: sf.path.clone(), line: i + 1, name, labeled });
-        }
-    }
-    sites
-}
-
-/// Cross-file half of the obs-registered rule: the same metric name
-/// registered from two files is a finding (labeled families excepted) —
-/// two registries could merge into one exposition endpoint.
-pub fn check_obs_unique(sites: &[ObsSite], diags: &mut Vec<Diagnostic>) {
-    for (i, site) in sites.iter().enumerate() {
-        if let Some(prev) = sites[..i]
-            .iter()
-            .find(|p| p.name == site.name && p.file != site.file && !(p.labeled && site.labeled))
-        {
-            diags.push(Diagnostic {
-                file: site.file.clone(),
-                line: site.line,
-                rule: RULE_OBS,
-                msg: format!(
-                    "metric name {:?} already registered in {} (line {})",
-                    site.name, prev.file, prev.line
-                ),
-            });
-        }
-    }
-}
-
 /// Validate the annotation grammar itself: unknown directives and allows
 /// naming unknown rules are findings, so a typo cannot silently disable a
 /// gate.
 pub fn check_grammar(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    const RULES: &[&str] =
-        &[RULE_PANIC_FREE, RULE_LOCK_ORDER, RULE_UNSAFE, RULE_NO_ALLOC, RULE_OBS];
+    const RULES: &[&str] = &[RULE_PANIC_FREE, RULE_LOCK_ORDER, RULE_UNSAFE, RULE_NO_ALLOC];
     for (i, comment) in sf.comments.iter().enumerate() {
         let Some(d) = check_directive(comment) else { continue };
         if let Some((rule, _)) = parse_allow(d) {
@@ -1049,24 +904,15 @@ pub fn config_for(rel: &str, sf: &SourceFile) -> FileConfig {
 
 /// Run every rule over one file's text.
 pub fn check_file(rel: &str, text: &str) -> Vec<Diagnostic> {
-    check_file_with_sites(rel, text).0
-}
-
-/// [`check_file`] plus the metric-registration sites it saw, so
-/// [`check_workspace`] can run the cross-file uniqueness pass without
-/// re-parsing every file.
-pub fn check_file_with_sites(rel: &str, text: &str) -> (Vec<Diagnostic>, Vec<ObsSite>) {
     let sf = SourceFile::parse(rel, text);
     let cfg = config_for(rel, &sf);
-    let raw: Vec<&str> = text.lines().collect();
     let mut diags = Vec::new();
     check_grammar(&sf, &mut diags);
     check_panic_free(&sf, &mut diags);
     check_lock_order(&sf, &mut diags);
     check_unsafe(&sf, &cfg, &mut diags);
     check_no_alloc(&sf, &mut diags);
-    let sites = check_obs_registered(&sf, &raw, &mut diags);
-    (diags, sites)
+    diags
 }
 
 /// A whole-workspace run: how many files were scanned and every finding.
@@ -1084,14 +930,10 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
     collect_rs(root, root, &mut files)?;
     files.sort();
     let mut diagnostics = Vec::new();
-    let mut sites = Vec::new();
     for rel in &files {
         let text = fs::read_to_string(root.join(rel))?;
-        let (diags, file_sites) = check_file_with_sites(rel, &text);
-        diagnostics.extend(diags);
-        sites.extend(file_sites);
+        diagnostics.extend(check_file(rel, &text));
     }
-    check_obs_unique(&sites, &mut diagnostics);
     Ok(Report { files: files.len(), diagnostics })
 }
 

@@ -5,8 +5,8 @@
 //! regresses *or* the workspace picks up a violation.
 
 use lll_check::{
-    check_file, Diagnostic, RULE_GRAMMAR, RULE_LOCK_ORDER, RULE_NO_ALLOC, RULE_OBS,
-    RULE_PANIC_FREE, RULE_UNSAFE,
+    check_file, Diagnostic, RULE_GRAMMAR, RULE_LOCK_ORDER, RULE_NO_ALLOC, RULE_PANIC_FREE,
+    RULE_UNSAFE,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -76,32 +76,6 @@ fn flags_no_alloc_violations() {
 }
 
 #[test]
-fn flags_obs_registered_violations() {
-    let diags = run("bad_obs_names.rs");
-    // camelCase name, duplicate registration, non-literal name; the
-    // twice-registered *labeled* family is legitimate and must not fire
-    assert_eq!(count(&diags, RULE_OBS), 3, "{diags:#?}");
-    assert_eq!(diags.len(), 3, "{diags:#?}");
-}
-
-#[test]
-fn obs_duplicates_across_files_are_cross_checked() {
-    let one = "fn a(reg: &Registry) {\n    reg.register_counter(\"lll_shared_total\", \"x\");\n}\n";
-    let two = "fn b(reg: &Registry) {\n    reg.register_counter(\"lll_shared_total\", \"y\");\n}\n";
-    let mut sites = Vec::new();
-    let mut diags = Vec::new();
-    for (path, text) in [("one.rs", one), ("two.rs", two)] {
-        let (d, s) = lll_check::check_file_with_sites(path, text);
-        assert!(d.is_empty(), "each file is clean in isolation: {d:#?}");
-        sites.extend(s);
-    }
-    lll_check::check_obs_unique(&sites, &mut diags);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, RULE_OBS);
-    assert!(diags[0].msg.contains("one.rs"), "{}", diags[0].msg);
-}
-
-#[test]
 fn flags_grammar_violations() {
     let diags = run("bad_allow_missing_justification.rs");
     // naked allow + allow naming an unknown rule
@@ -125,7 +99,6 @@ fn cli_exits_nonzero_on_every_bad_fixture() {
         "bad_unsafe.rs",
         "bad_unsafe_whitelisted.rs",
         "bad_no_alloc.rs",
-        "bad_obs_names.rs",
         "bad_allow_missing_justification.rs",
     ];
     for name in bad {

@@ -69,7 +69,7 @@ pub struct Growable<B: LabelingBuilder> {
     /// Shared observability sink: counters (including label→rank
     /// resolutions — instrumentation for callers that promise label-native
     /// navigation, the `lll-api` cursors, and want to prove they keep it),
-    /// move/rebalance histograms, and the structural trace ring. Installed
+    /// and the moves-per-op and rebalance-window histograms. Installed
     /// into the inner structure (and re-installed across rebuilds) so every
     /// layer reports into this one instance.
     metrics: MetricsHandle,
@@ -201,7 +201,6 @@ impl<B: LabelingBuilder> Growable<B> {
     /// rebuilds and the snapshot-restore path go through here, so their
     /// semantics cannot drift apart.
     fn rebuild_with_order(&mut self, new_capacity: usize, order: &[ElemId]) {
-        let grew = new_capacity > self.capacity();
         let mut fresh = self.builder.build_default(new_capacity);
         // Install the shared handle before the bulk splice so the rebuild's
         // own moves are observed too.
@@ -211,7 +210,7 @@ impl<B: LabelingBuilder> Growable<B> {
         self.stats.rebuild_moves += bulk.cost();
         self.inner = fresh;
         self.epoch += 1;
-        self.metrics.note_epoch_bump(grew, new_capacity as u64, bulk.cost());
+        self.metrics.note_epoch_bump();
     }
 
     /// Insert a new element at `rank`, growing if necessary. The move log

@@ -163,7 +163,7 @@ impl<P: RebalancePolicy> PmaBase<P> {
         self.targets_scratch = targets;
         self.rebalances += 1;
         self.rebalance_moves += moved as u64;
-        self.slots.metrics().note_rebalance((b - a) as u64, moved as u64);
+        self.slots.metrics().note_rebalance((b - a) as u64);
         self.policy.on_rebalance(level, (a, b));
     }
 
@@ -419,8 +419,7 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
         let moved = (out.moves.len() - count) as u64;
         self.rebalances += 1;
         self.rebalance_moves += moved;
-        self.slots.metrics().note_splice(count as u64);
-        self.slots.metrics().note_rebalance((b - a) as u64, moved);
+        self.slots.metrics().note_rebalance((b - a) as u64);
         self.policy.on_rebalance(level, (a, b));
     }
 

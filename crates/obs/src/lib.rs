@@ -7,16 +7,16 @@
 //! **histograms**, not averages. Everything here is built for that hot
 //! path:
 //!
-//! * [`Counter`] / [`Gauge`] — single `AtomicU64`s, relaxed ordering.
+//! * [`Counter`] — a single `AtomicU64`, relaxed ordering.
 //! * [`Histogram`] — log2-bucketed over a `[lo, hi]` power-of-two range
 //!   with one under-range and one overflow bucket; recording is a handful
 //!   of relaxed atomic RMWs into a pre-allocated array (zero-alloc, no
 //!   locks), readout gives p50/p95/p99/max.
-//! * [`Registry`] — name-validated (snake_case, unique) metric
-//!   registration plus a Prometheus-style text exposition
-//!   (`# HELP`/`# TYPE` lines) for scraping.
+//! * [`push_meta`] / [`push_sample`] / [`push_histogram`] — append
+//!   Prometheus-style text (`# HELP`/`# TYPE` lines, samples, histogram
+//!   series) to an exposition its owner assembles from live instruments.
 //! * [`TraceRing`] — a bounded lock-free ring of recent structural events
-//!   (rebalances, splits/merges, snapshots, drains): writers never block
+//!   (splits/merges, snapshots, drains, checkpoints): writers never block
 //!   or allocate, readers drain a best-effort snapshot.
 //!
 //! Recording paths never allocate and never take a lock; they are safe to
@@ -25,8 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -62,36 +61,6 @@ impl Counter {
 impl Clone for Counter {
     /// A detached snapshot: the clone starts at the source's current value
     /// and counts independently from there.
-    fn clone(&self) -> Self {
-        Self(AtomicU64::new(self.get()))
-    }
-}
-
-/// A value that goes up and down (lengths, occupancies, queue depths).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Overwrite the value.
-    // lll-check: no-alloc
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Clone for Gauge {
     fn clone(&self) -> Self {
         Self(AtomicU64::new(self.get()))
     }
@@ -255,184 +224,6 @@ impl Clone for Histogram {
     }
 }
 
-/// What a registered metric is, for the `# TYPE` exposition line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MetricKind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-enum MetricRef {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-struct Entry {
-    name: String,
-    /// Optional `(key, value)` label distinguishing series of one name.
-    label: Option<(String, String)>,
-    help: String,
-    metric: MetricRef,
-}
-
-impl Entry {
-    fn kind(&self) -> MetricKind {
-        match self.metric {
-            MetricRef::Counter(_) => MetricKind::Counter,
-            MetricRef::Gauge(_) => MetricKind::Gauge,
-            MetricRef::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-}
-
-/// True for `[a-z][a-z0-9_]*` — the metric-name grammar the workspace
-/// linter (`lll-check`, rule `obs-registered`) also enforces at call
-/// sites.
-pub fn is_snake_case(name: &str) -> bool {
-    let mut chars = name.chars();
-    matches!(chars.next(), Some('a'..='z'))
-        && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-}
-
-/// A set of named metrics with validated names and a Prometheus-style
-/// text exposition.
-///
-/// Registration happens at startup (it allocates and validates); the
-/// returned `Arc`s are then recorded into lock-free from any thread.
-/// Registering a non-snake_case name or a duplicate `(name, label)` pair
-/// panics — metric names are part of the operational interface and a
-/// collision is a programming error, caught by tests and by `lll-check`.
-#[derive(Default)]
-pub struct Registry {
-    entries: Vec<Entry>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register(&mut self, name: &str, label: Option<(&str, &str)>, help: &str, m: MetricRef) {
-        assert!(is_snake_case(name), "metric name {name:?} is not snake_case");
-        if let Some((k, _)) = label {
-            assert!(is_snake_case(k), "label key {k:?} is not snake_case");
-        }
-        let dup = self.entries.iter().any(|e| {
-            e.name == name && e.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str())) == label
-        });
-        assert!(!dup, "duplicate metric registration: {name:?} {label:?}");
-        self.entries.push(Entry {
-            name: name.to_string(),
-            label: label.map(|(k, v)| (k.to_string(), v.to_string())),
-            help: help.to_string(),
-            metric: m,
-        });
-    }
-
-    /// Register a counter.
-    pub fn register_counter(&mut self, name: &str, help: &str) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register(name, None, help, MetricRef::Counter(Arc::clone(&c)));
-        c
-    }
-
-    /// Register (adopt) a counter that already exists elsewhere — e.g. a
-    /// data structure's internal instrument — so the exposition and the
-    /// structure read the same atomic. Same validation as
-    /// [`register_counter`](Self::register_counter).
-    pub fn register_counter_shared(
-        &mut self,
-        name: &str,
-        help: &str,
-        c: Arc<Counter>,
-    ) -> Arc<Counter> {
-        self.register(name, None, help, MetricRef::Counter(Arc::clone(&c)));
-        c
-    }
-
-    /// Register a gauge.
-    pub fn register_gauge(&mut self, name: &str, help: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, None, help, MetricRef::Gauge(Arc::clone(&g)));
-        g
-    }
-
-    /// Register a histogram spanning `[lo, hi]` (powers of two).
-    pub fn register_histogram(
-        &mut self,
-        name: &str,
-        help: &str,
-        lo: u64,
-        hi: u64,
-    ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new(lo, hi));
-        self.register(name, None, help, MetricRef::Histogram(Arc::clone(&h)));
-        h
-    }
-
-    /// Register (adopt) an externally owned histogram, the
-    /// [`register_counter_shared`](Self::register_counter_shared)
-    /// counterpart.
-    pub fn register_histogram_shared(
-        &mut self,
-        name: &str,
-        help: &str,
-        h: Arc<Histogram>,
-    ) -> Arc<Histogram> {
-        self.register(name, None, help, MetricRef::Histogram(Arc::clone(&h)));
-        h
-    }
-
-    /// Register one labeled series of a histogram family — e.g. one
-    /// request-latency histogram per verb under a shared name.
-    pub fn register_histogram_labeled(
-        &mut self,
-        name: &str,
-        label: (&str, &str),
-        help: &str,
-        lo: u64,
-        hi: u64,
-    ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new(lo, hi));
-        self.register(name, Some(label), help, MetricRef::Histogram(Arc::clone(&h)));
-        h
-    }
-
-    /// Render every registered metric in the Prometheus text format:
-    /// `# HELP` / `# TYPE` once per metric name, then one sample line per
-    /// series (histograms expose cumulative `_bucket{le=...}` lines plus
-    /// `_sum` and `_count`).
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_name: Option<&str> = None;
-        for e in &self.entries {
-            if last_name != Some(e.name.as_str()) {
-                let kind = match e.kind() {
-                    MetricKind::Counter => "counter",
-                    MetricKind::Gauge => "gauge",
-                    MetricKind::Histogram => "histogram",
-                };
-                push_meta(&mut out, &e.name, kind, &e.help);
-                last_name = Some(e.name.as_str());
-            }
-            let label = e.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str()));
-            match &e.metric {
-                MetricRef::Counter(c) => {
-                    push_sample(&mut out, &e.name, &label.into_iter().collect::<Vec<_>>(), c.get())
-                }
-                MetricRef::Gauge(g) => {
-                    push_sample(&mut out, &e.name, &label.into_iter().collect::<Vec<_>>(), g.get())
-                }
-                MetricRef::Histogram(h) => push_histogram(&mut out, &e.name, label, h),
-            }
-        }
-        out
-    }
-}
-
 /// Append `# HELP` and `# TYPE` lines for a metric name.
 pub fn push_meta(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str("# HELP ");
@@ -473,7 +264,9 @@ fn push_labels(out: &mut String, labels: &[(&str, &str)]) {
 }
 
 /// Append the full Prometheus exposition of one histogram series:
-/// cumulative `_bucket{le=...}` lines, `_sum`, and `_count`.
+/// cumulative `_bucket{le=...}` lines, `_sum`, and `_count`. The buckets
+/// and `_count` come from one read of the bucket counts, so `_count`
+/// equals the `+Inf` bucket even while other threads record.
 pub fn push_histogram(out: &mut String, name: &str, label: Option<(&str, &str)>, h: &Histogram) {
     let bucket_name = format!("{name}_bucket");
     let mut cum = 0u64;
@@ -488,21 +281,13 @@ pub fn push_histogram(out: &mut String, name: &str, label: Option<(&str, &str)>,
     }
     let base: Vec<(&str, &str)> = label.into_iter().collect();
     push_sample(out, &format!("{name}_sum"), &base, h.sum());
-    push_sample(out, &format!("{name}_count"), &base, h.count());
+    push_sample(out, &format!("{name}_count"), &base, cum);
 }
 
 /// The structural event vocabulary a [`TraceRing`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// A PMA window rebalance: `a` = window width (slots), `b` = element
-    /// moves performed, `c` = the structure's epoch-bump count.
-    Rebalance = 1,
-    /// A capacity-growing rebuild: `a` = new capacity, `b` = rebuild
-    /// moves, `c` = epoch-bump count.
-    Grow = 2,
-    /// A capacity-shrinking rebuild: same payload as [`Grow`](Self::Grow).
-    Shrink = 3,
     /// A shard split: `a` = shard index, `b` = resulting shard count,
     /// `c` = entries in the split shard.
     Split = 4,
@@ -522,9 +307,6 @@ impl TraceKind {
     /// Decode a kind recorded as a `u64`.
     pub fn from_u64(v: u64) -> Option<Self> {
         Some(match v {
-            1 => Self::Rebalance,
-            2 => Self::Grow,
-            3 => Self::Shrink,
             4 => Self::Split,
             5 => Self::Merge,
             6 => Self::Snapshot,
@@ -537,9 +319,6 @@ impl TraceKind {
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
-            Self::Rebalance => "rebalance",
-            Self::Grow => "grow",
-            Self::Shrink => "shrink",
             Self::Split => "split",
             Self::Merge => "merge",
             Self::Snapshot => "snapshot",
@@ -568,9 +347,8 @@ pub struct TraceEvent {
 
 #[derive(Debug, Default)]
 struct TraceSlot {
-    /// `0` = never written; otherwise the slot holds event `seq - 1`.
-    /// Stored **after** the payload (release) so a reader seeing a stable
-    /// nonzero value observes a complete event.
+    /// `0` = never written or mid-write; otherwise the slot holds event
+    /// `seq - 1`. A sequence lock: see [`TraceRing::record`].
     seq: AtomicU64,
     kind: AtomicU64,
     a: AtomicU64,
@@ -582,11 +360,11 @@ struct TraceSlot {
 ///
 /// Writers claim a global sequence number with one `fetch_add` and
 /// overwrite the slot `seq % capacity` — recording never blocks, never
-/// allocates, and costs a handful of relaxed stores, so it is safe on the
-/// zero-alloc rebalance hot path. Readers take a best-effort
-/// [`snapshot`](Self::snapshot): an event being overwritten concurrently
-/// is detected (its slot's sequence word changes across the payload read)
-/// and skipped, never torn.
+/// allocates, and costs a handful of relaxed stores and one fence, so it
+/// is safe on paths that must not block or allocate. Readers take a
+/// best-effort [`snapshot`](Self::snapshot): an event being overwritten
+/// concurrently is detected (its slot's sequence word changes across the
+/// payload read) and skipped, never torn.
 #[derive(Debug)]
 pub struct TraceRing {
     cursor: AtomicU64,
@@ -613,13 +391,18 @@ impl TraceRing {
     }
 
     /// Record one event.
+    ///
+    /// The slot's `seq` word is a sequence lock in the fence form of
+    /// Boehm, "Can Seqlocks Get Along with Programming Language Memory
+    /// Models?" (MSPC 2012): invalidate, release fence, payload, publish.
+    /// The fence keeps every payload store after the invalidation, so a
+    /// reader that sees any new payload word also sees `seq` change.
     // lll-check: no-alloc
     pub fn record(&self, kind: TraceKind, a: u64, b: u64, c: u64) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
-        // Invalidate first so a concurrent reader never pairs the new
-        // payload with the old sequence number (or vice versa).
-        slot.seq.store(0, Ordering::Release);
+        slot.seq.store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
@@ -642,7 +425,10 @@ impl TraceRing {
                 slot.b.load(Ordering::Relaxed),
                 slot.c.load(Ordering::Relaxed),
             );
-            if slot.seq.load(Ordering::Acquire) != published {
+            // Pairs with the release fence in `record`, and keeps the
+            // payload loads above before the re-read of `seq`.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != published {
                 continue; // overwritten while reading
             }
             let Some(kind) = TraceKind::from_u64(kind) else { continue };
@@ -658,7 +444,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(9);
@@ -666,11 +452,6 @@ mod tests {
         let detached = c.clone();
         c.inc();
         assert_eq!((c.get(), detached.get()), (11, 10));
-        let g = Gauge::new();
-        g.set(7);
-        assert_eq!(g.get(), 7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
     }
 
     #[test]
@@ -757,27 +538,23 @@ mod tests {
     }
 
     #[test]
-    fn registry_renders_prometheus_text() {
-        let mut reg = Registry::new();
-        let c = reg.register_counter("lll_test_events_total", "events observed");
-        let g = reg.register_gauge("lll_test_depth", "current depth");
-        let h = reg.register_histogram_labeled(
-            "lll_test_latency_ns",
-            ("verb", "get"),
-            "latency in nanoseconds",
-            1 << 10,
-            1 << 30,
-        );
-        c.add(3);
-        g.set(5);
+    fn push_helpers_render_prometheus_text() {
+        let h = Histogram::latency_ns();
         h.record(2048);
-        let text = reg.render_prometheus();
-        assert!(text.contains("# HELP lll_test_events_total events observed"), "{text}");
-        assert!(text.contains("# TYPE lll_test_events_total counter"), "{text}");
-        assert!(text.contains("lll_test_events_total 3"), "{text}");
-        assert!(text.contains("# TYPE lll_test_depth gauge"), "{text}");
-        assert!(text.contains("lll_test_depth 5"), "{text}");
-        assert!(text.contains("# TYPE lll_test_latency_ns histogram"), "{text}");
+        let mut text = String::new();
+        push_meta(&mut text, "lll_test_events_total", "counter", "events observed");
+        push_sample(&mut text, "lll_test_events_total", &[], 3);
+        push_meta(&mut text, "lll_test_depth", "gauge", "current depth");
+        push_sample(&mut text, "lll_test_depth", &[("shard", "0")], 5);
+        push_meta(&mut text, "lll_test_latency_ns", "histogram", "latency in nanoseconds");
+        push_histogram(&mut text, "lll_test_latency_ns", Some(("verb", "get")), &h);
+        assert!(text.contains("# HELP lll_test_events_total events observed\n"), "{text}");
+        assert!(text.contains("# TYPE lll_test_events_total counter\n"), "{text}");
+        assert!(text.contains("\nlll_test_events_total 3\n"), "{text}");
+        assert!(text.contains("# TYPE lll_test_depth gauge\n"), "{text}");
+        assert!(text.contains("\nlll_test_depth{shard=\"0\"} 5\n"), "{text}");
+        assert!(text.contains("# TYPE lll_test_latency_ns histogram\n"), "{text}");
+        assert!(text.contains("lll_test_latency_ns_bucket{verb=\"get\",le=\"1024\"} 0"), "{text}");
         assert!(text.contains("lll_test_latency_ns_bucket{verb=\"get\",le=\"2048\"} 1"), "{text}");
         assert!(text.contains("lll_test_latency_ns_bucket{verb=\"get\",le=\"+Inf\"} 1"), "{text}");
         assert!(text.contains("lll_test_latency_ns_sum{verb=\"get\"} 2048"), "{text}");
@@ -785,92 +562,77 @@ mod tests {
     }
 
     #[test]
-    fn registry_emits_family_meta_once_across_labeled_series() {
-        let mut reg = Registry::new();
-        for verb in ["get", "insert"] {
-            reg.register_histogram_labeled("lll_lat_ns", ("verb", verb), "latency", 1, 1 << 10);
+    fn histogram_render_count_equals_inf_bucket_while_recording() {
+        // The text format requires `_count` to equal the `+Inf` bucket.
+        // Render while two threads record, so the histogram moves between
+        // the reads one render makes.
+        let h = std::sync::Arc::new(Histogram::latency_ns());
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = std::sync::Arc::new(std::sync::Barrier::new(3));
+        let recorders: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (h, stop, start) = (h.clone(), stop.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record(1 << (10 + i % 20));
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+        let value = |text: &str, prefix: &str| -> u64 {
+            let line = text.lines().find(|l| l.starts_with(prefix)).expect("sample line");
+            line.rsplit(' ').next().and_then(|v| v.parse().ok()).expect("sample value")
+        };
+        let mut mismatches = 0;
+        start.wait();
+        for _ in 0..20_000 {
+            let mut text = String::new();
+            push_histogram(&mut text, "lll_race_ns", None, &h);
+            if value(&text, "lll_race_ns_bucket{le=\"+Inf\"}") != value(&text, "lll_race_ns_count")
+            {
+                mismatches += 1;
+            }
         }
-        let text = reg.render_prometheus();
-        assert_eq!(text.matches("# TYPE lll_lat_ns histogram").count(), 1, "{text}");
-        assert!(text.contains("verb=\"get\""), "{text}");
-        assert!(text.contains("verb=\"insert\""), "{text}");
-    }
-
-    #[test]
-    fn registry_adopts_shared_instruments() {
-        // A structure owns its counters; the registry adopts the same Arcs
-        // so the exposition and the structure can never disagree.
-        let owned_c = Arc::new(Counter::new());
-        let owned_h = Arc::new(Histogram::new(1, 64));
-        owned_c.add(7);
-        owned_h.record(3);
-        let mut reg = Registry::new();
-        let c = reg.register_counter_shared("lll_shared_hits_total", "hits", Arc::clone(&owned_c));
-        reg.register_histogram_shared("lll_shared_retries", "retries", Arc::clone(&owned_h));
-        assert!(Arc::ptr_eq(&c, &owned_c), "adoption must not clone the metric");
-        owned_c.inc();
-        let text = reg.render_prometheus();
-        assert!(text.contains("lll_shared_hits_total 8"), "{text}");
-        assert!(text.contains("lll_shared_retries_count 1"), "{text}");
-        assert!(text.contains("# TYPE lll_shared_retries histogram"), "{text}");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate")]
-    fn registry_rejects_duplicate_shared_adoption() {
-        let mut reg = Registry::new();
-        reg.register_counter("lll_adopted_total", "first");
-        reg.register_counter_shared("lll_adopted_total", "second", Arc::new(Counter::new()));
-    }
-
-    #[test]
-    #[should_panic(expected = "snake_case")]
-    fn registry_rejects_non_snake_case_names() {
-        Registry::new().register_counter("llLTestEvents", "bad name");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate")]
-    fn registry_rejects_duplicate_names() {
-        let mut reg = Registry::new();
-        reg.register_counter("lll_twice", "first");
-        reg.register_counter("lll_twice", "second");
-    }
-
-    #[test]
-    fn snake_case_grammar() {
-        assert!(is_snake_case("lll_server_request_latency_ns"));
-        assert!(is_snake_case("a1_b2"));
-        assert!(!is_snake_case(""));
-        assert!(!is_snake_case("CamelCase"));
-        assert!(!is_snake_case("_leading"));
-        assert!(!is_snake_case("9leading"));
-        assert!(!is_snake_case("has-dash"));
+        stop.store(true, Ordering::Relaxed);
+        for r in recorders {
+            r.join().expect("recorder thread");
+        }
+        assert_eq!(mismatches, 0, "renders whose _count differed from the +Inf bucket");
     }
 
     #[test]
     fn trace_ring_records_and_snapshots_in_order() {
         let ring = TraceRing::new(8);
         assert_eq!(ring.capacity(), 8);
-        ring.record(TraceKind::Rebalance, 64, 12, 0);
-        ring.record(TraceKind::Grow, 128, 100, 1);
         ring.record(TraceKind::Split, 0, 2, 500);
+        ring.record(TraceKind::Merge, 0, 1, 40);
+        ring.record(TraceKind::Drain, 9, 1, 0);
         let events = ring.snapshot();
         assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[0],
-            TraceEvent { seq: 0, kind: TraceKind::Rebalance, a: 64, b: 12, c: 0 }
-        );
-        assert_eq!(events[1].kind, TraceKind::Grow);
-        assert_eq!(events[2].kind.name(), "split");
+        assert_eq!(events[0], TraceEvent { seq: 0, kind: TraceKind::Split, a: 0, b: 2, c: 500 });
+        assert_eq!(events[1].kind, TraceKind::Merge);
+        assert_eq!(events[2].kind.name(), "drain");
         assert_eq!(ring.recorded(), 3);
+        // The `trace` verb carries kinds as these numbers.
+        for (v, kind) in [
+            (4, TraceKind::Split),
+            (5, TraceKind::Merge),
+            (6, TraceKind::Snapshot),
+            (7, TraceKind::Drain),
+            (8, TraceKind::Checkpoint),
+        ] {
+            assert_eq!((kind as u64, TraceKind::from_u64(v)), (v, Some(kind)));
+        }
     }
 
     #[test]
     fn trace_ring_keeps_only_the_most_recent_events() {
         let ring = TraceRing::new(8);
         for i in 0..20u64 {
-            ring.record(TraceKind::Rebalance, i, 0, 0);
+            ring.record(TraceKind::Snapshot, i, 0, 0);
         }
         let events = ring.snapshot();
         assert_eq!(events.len(), 8, "ring retains exactly its capacity");

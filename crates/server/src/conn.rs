@@ -14,7 +14,7 @@ use crate::proto::{
     HealthReply, MetricsReply, Request, Response, TraceEventWire, TraceReply, VerbLatency, VERBS,
 };
 use crate::server::{KvMap, Shared};
-use lll_obs::{push_meta, push_sample, TraceKind};
+use lll_obs::{push_histogram, push_meta, push_sample, TraceKind};
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind, Write as _};
 use std::net::TcpStream;
@@ -198,62 +198,29 @@ fn handle(request: Request, shared: &Shared) -> (Response, bool) {
     }
 }
 
-/// Assemble the `Metrics` reply: per-verb latency quantiles from the
-/// server's histograms, the map's counters and per-shard gauges, and one
-/// Prometheus text exposition covering both.
+/// Assemble the `Metrics` reply: per-verb latency quantiles, the map's
+/// counters and per-shard gauges, a durable server's WAL counters, and
+/// the Prometheus text exposition of all of them. This is the only
+/// producer of that text. Each counter is read once, into its reply
+/// field, and the text renders that field. `docs/observability.md`
+/// catalogs every family rendered here.
 fn metrics_reply(shared: &Shared) -> MetricsReply {
     let stats = shared.map.stats();
-    let verbs = VERBS
-        .iter()
-        .zip(&shared.obs.verbs)
-        .map(|(name, h)| VerbLatency {
-            verb: (*name).to_string(),
-            count: h.count(),
-            p50_ns: h.p50(),
-            p95_ns: h.p95(),
-            p99_ns: h.p99(),
-            max_ns: h.max(),
-        })
-        .collect();
-    let mut text = shared.obs.render_prometheus();
-    push_meta(&mut text, "lll_shard_len", "gauge", "Entries per shard, in key order");
-    for (i, len) in stats.shard_lens.iter().enumerate() {
-        push_sample(&mut text, "lll_shard_len", &[("shard", &i.to_string())], *len as u64);
-    }
-    push_meta(&mut text, "lll_shard_reads_total", "counter", "Point reads served per shard");
-    for (i, reads) in stats.shard_reads.iter().enumerate() {
-        push_sample(&mut text, "lll_shard_reads_total", &[("shard", &i.to_string())], *reads);
-    }
-    push_meta(&mut text, "lll_shard_writes_total", "counter", "Point writes served per shard");
-    for (i, writes) in stats.shard_writes.iter().enumerate() {
-        push_sample(&mut text, "lll_shard_writes_total", &[("shard", &i.to_string())], *writes);
-    }
-    push_meta(&mut text, "lll_shard_splits_total", "counter", "Shard splits since construction");
-    push_sample(&mut text, "lll_shard_splits_total", &[], stats.splits);
-    push_meta(&mut text, "lll_shard_merges_total", "counter", "Shard merges since construction");
-    push_sample(&mut text, "lll_shard_merges_total", &[], stats.merges);
-    push_meta(&mut text, "lll_batches_total", "counter", "Bulk batches landed since construction");
-    push_sample(&mut text, "lll_batches_total", &[], stats.batches);
-    push_meta(&mut text, "lll_batched_entries_total", "counter", "Entries landed through batches");
-    push_sample(&mut text, "lll_batched_entries_total", &[], stats.batched_entries);
-    push_meta(&mut text, "lll_moves_total", "counter", "Element moves across shard backends");
-    push_sample(&mut text, "lll_moves_total", &[], stats.total_moves);
-    let (wal_appends, wal_fsyncs, wal_rotations, wal_truncated_segments, wal_durable_lsn) =
-        match &shared.durable {
-            Some(d) => {
-                let wm = d.wal().metrics();
-                (
-                    wm.appends.get(),
-                    wm.fsyncs.get(),
-                    wm.rotations.get(),
-                    wm.truncated_segments.get(),
-                    d.wal().durable_lsn(),
-                )
-            }
-            None => (0, 0, 0, 0, 0),
-        };
-    MetricsReply {
-        verbs,
+    let wal = shared.durable.as_ref().map(|d| d.wal());
+    let wm = wal.map(|w| w.metrics());
+    let mut m = MetricsReply {
+        verbs: VERBS
+            .iter()
+            .zip(&shared.obs.verbs)
+            .map(|(name, h)| VerbLatency {
+                verb: (*name).to_string(),
+                count: h.count(),
+                p50_ns: h.p50(),
+                p95_ns: h.p95(),
+                p99_ns: h.p99(),
+                max_ns: h.max(),
+            })
+            .collect(),
         shard_lens: stats.shard_lens.iter().map(|&l| l as u64).collect(),
         shard_reads: stats.shard_reads,
         shard_writes: stats.shard_writes,
@@ -262,13 +229,66 @@ fn metrics_reply(shared: &Shared) -> MetricsReply {
         batches: stats.batches,
         batched_entries: stats.batched_entries,
         total_moves: stats.total_moves,
-        wal_appends,
-        wal_fsyncs,
-        wal_rotations,
-        wal_truncated_segments,
-        wal_durable_lsn,
-        text,
+        wal_appends: wm.map_or(0, |w| w.appends.get()),
+        wal_fsyncs: wm.map_or(0, |w| w.fsyncs.get()),
+        wal_rotations: wm.map_or(0, |w| w.rotations.get()),
+        wal_truncated_segments: wm.map_or(0, |w| w.truncated_segments.get()),
+        wal_durable_lsn: wal.map_or(0, |w| w.durable_lsn()),
+        text: String::new(),
+    };
+    let t = &mut m.text;
+    let latency = "lll_server_request_latency_ns";
+    push_meta(t, latency, "histogram", "Wall-clock request handling latency per verb, nanoseconds");
+    for (verb, h) in VERBS.iter().zip(&shared.obs.verbs) {
+        push_histogram(t, latency, Some(("verb", verb)), h);
     }
+    if let Some(w) = wm {
+        let appends = "lll_wal_appends_total";
+        push_meta(t, appends, "counter", "WAL records appended (staged for group commit)");
+        push_sample(t, appends, &[], m.wal_appends);
+        let fsyncs = "lll_wal_fsyncs_total";
+        push_meta(t, fsyncs, "counter", "fdatasync calls issued by the WAL flusher");
+        push_sample(t, fsyncs, &[], m.wal_fsyncs);
+        push_meta(t, "lll_wal_rotations_total", "counter", "WAL segment rotations");
+        push_sample(t, "lll_wal_rotations_total", &[], m.wal_rotations);
+        let truncated = "lll_wal_truncated_segments_total";
+        push_meta(t, truncated, "counter", "WAL segments deleted by checkpoint truncation");
+        push_sample(t, truncated, &[], m.wal_truncated_segments);
+        let group = "lll_wal_group_size";
+        push_meta(
+            t,
+            group,
+            "histogram",
+            "Records made durable per fsync (group-commit batch size)",
+        );
+        push_histogram(t, group, None, &w.group_size);
+        let fsync_ns = "lll_wal_fsync_latency_ns";
+        push_meta(t, fsync_ns, "histogram", "WAL fdatasync latency, nanoseconds");
+        push_histogram(t, fsync_ns, None, &w.fsync_latency_ns);
+    }
+    push_meta(t, "lll_shard_len", "gauge", "Entries per shard, in key order");
+    for (i, len) in m.shard_lens.iter().enumerate() {
+        push_sample(t, "lll_shard_len", &[("shard", &i.to_string())], *len);
+    }
+    push_meta(t, "lll_shard_reads_total", "counter", "Point reads served per shard");
+    for (i, reads) in m.shard_reads.iter().enumerate() {
+        push_sample(t, "lll_shard_reads_total", &[("shard", &i.to_string())], *reads);
+    }
+    push_meta(t, "lll_shard_writes_total", "counter", "Point writes served per shard");
+    for (i, writes) in m.shard_writes.iter().enumerate() {
+        push_sample(t, "lll_shard_writes_total", &[("shard", &i.to_string())], *writes);
+    }
+    push_meta(t, "lll_shard_splits_total", "counter", "Shard splits since construction");
+    push_sample(t, "lll_shard_splits_total", &[], m.splits);
+    push_meta(t, "lll_shard_merges_total", "counter", "Shard merges since construction");
+    push_sample(t, "lll_shard_merges_total", &[], m.merges);
+    push_meta(t, "lll_batches_total", "counter", "Bulk batches landed since construction");
+    push_sample(t, "lll_batches_total", &[], m.batches);
+    push_meta(t, "lll_batched_entries_total", "counter", "Entries landed through batches");
+    push_sample(t, "lll_batched_entries_total", &[], m.batched_entries);
+    push_meta(t, "lll_moves_total", "counter", "Element moves across shard backends");
+    push_sample(t, "lll_moves_total", &[], m.total_moves);
+    m
 }
 
 /// Stream a snapshot to `path` under the maintenance barrier (see

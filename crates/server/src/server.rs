@@ -26,7 +26,7 @@
 
 use crate::conn;
 use crate::proto::VERBS;
-use lll_obs::{Histogram, Registry, TraceRing};
+use lll_obs::{Histogram, TraceRing};
 use lll_sharded::{ShardedBuilder, ShardedMap};
 use lll_wal::{DurableMap, DurableOptions, DurableRecovery, WalError};
 use std::collections::VecDeque;
@@ -75,77 +75,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// The server's observability surface: one request-latency histogram per
-/// verb (registered under a shared Prometheus family name), a durable
-/// server's WAL instruments adopted into the same registry (so one
-/// exposition covers server and log), and a handle on the map's
-/// structural-event trace ring. Registration happens once at startup;
-/// recording is lock-free from every worker.
+/// The server's own instruments: one request-latency histogram per verb,
+/// and a handle on the map's structural-event trace ring. Recording is
+/// lock-free from every worker; `conn::metrics_reply` renders them.
 pub(crate) struct ServerObs {
-    registry: Registry,
     /// `verbs[Request::verb_index()]` is that verb's latency histogram.
-    pub(crate) verbs: Vec<Arc<Histogram>>,
+    pub(crate) verbs: [Histogram; VERBS.len()],
     pub(crate) trace: Arc<TraceRing>,
-}
-
-impl ServerObs {
-    fn new(map: &KvMap, durable: Option<&DurableKvMap>) -> Self {
-        let mut registry = Registry::new();
-        let verbs = VERBS
-            .iter()
-            .map(|verb| {
-                registry.register_histogram_labeled(
-                    "lll_server_request_latency_ns",
-                    ("verb", verb),
-                    "Wall-clock request handling latency per verb, nanoseconds",
-                    1 << 10,
-                    1 << 30,
-                )
-            })
-            .collect();
-        // A durable server adopts the WAL's live instruments: the log
-        // records into its own atomics, and the registry exposes the
-        // identical cells without a second counting site.
-        if let Some(durable) = durable {
-            let wm = durable.wal().metrics().clone();
-            registry.register_counter_shared(
-                "lll_wal_appends_total",
-                "WAL records appended (staged for group commit)",
-                wm.appends,
-            );
-            registry.register_counter_shared(
-                "lll_wal_fsyncs_total",
-                "fdatasync calls issued by the WAL flusher",
-                wm.fsyncs,
-            );
-            registry.register_counter_shared(
-                "lll_wal_rotations_total",
-                "WAL segment rotations",
-                wm.rotations,
-            );
-            registry.register_counter_shared(
-                "lll_wal_truncated_segments_total",
-                "WAL segments deleted by checkpoint truncation",
-                wm.truncated_segments,
-            );
-            registry.register_histogram_shared(
-                "lll_wal_group_size",
-                "Records made durable per fsync (group-commit batch size)",
-                wm.group_size,
-            );
-            registry.register_histogram_shared(
-                "lll_wal_fsync_latency_ns",
-                "WAL fdatasync latency, nanoseconds",
-                wm.fsync_latency_ns,
-            );
-        }
-        Self { registry, verbs, trace: map.trace() }
-    }
-
-    /// The Prometheus text exposition of every registered server metric.
-    pub(crate) fn render_prometheus(&self) -> String {
-        self.registry.render_prometheus()
-    }
 }
 
 /// State shared by the accept loop, the workers, and the handle.
@@ -233,7 +169,7 @@ impl Server {
         let listener = TcpListener::bind(resolve(&cfg.addr)?)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
-        let obs = ServerObs::new(&map, durable.as_deref());
+        let obs = ServerObs { verbs: VERBS.map(|_| Histogram::latency_ns()), trace: map.trace() };
         let shared = Arc::new(Shared {
             map,
             durable,

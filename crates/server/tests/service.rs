@@ -4,7 +4,7 @@
 //! drain under load (no dropped in-flight responses), and hostile-bytes
 //! resilience.
 
-use lll_server::{Client, KvMap, Request, Server, ServerConfig, WireError};
+use lll_server::{Client, KvMap, MetricsReply, Request, Server, ServerConfig, WireError};
 use lll_sharded::{ShardedBuilder, ShardedMap};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -468,6 +468,42 @@ fn durable_mode_survives_restart_and_checkpoints_over_the_wire() {
 fn metric_catalog_matches_a_live_durable_server() {
     use lll_wal::{DurableOptions, FsyncPolicy, WalOptions};
 
+    // Every verb once; drain last, since it ends the session. A durable
+    // server's `snapshot("")` is a checkpoint; a plain one needs a path.
+    fn session(mut server: lll_server::ServerHandle, snapshot: &str) -> MetricsReply {
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        c.health().unwrap();
+        c.insert(b"k", b"v").unwrap();
+        c.get(b"k").unwrap();
+        c.contains(b"k").unwrap();
+        c.range(None, None, 10).unwrap();
+        c.batch_insert((0..100).map(kv).collect()).unwrap();
+        c.remove(b"k").unwrap();
+        c.snapshot(snapshot).unwrap();
+        c.trace().unwrap();
+        let m = c.metrics().unwrap();
+        c.drain(None).unwrap();
+        server.join();
+        m
+    }
+
+    // The families an exposition declares, as sorted (name, kind) pairs.
+    fn declared(text: &str) -> Vec<(&str, &str)> {
+        let mut declared: Vec<(&str, &str)> =
+            text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' ')).collect();
+        for (name, _) in &declared {
+            let mut chars = name.chars();
+            let snake = matches!(chars.next(), Some('a'..='z'))
+                && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            assert!(snake, "{name} is not snake_case");
+        }
+        declared.sort_unstable();
+        for pair in declared.windows(2) {
+            assert_ne!(pair[0].0, pair[1].0, "family declared twice");
+        }
+        declared
+    }
+
     let dir = std::env::temp_dir().join(format!("lll_srv_catalog_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = DurableOptions {
@@ -475,35 +511,11 @@ fn metric_catalog_matches_a_live_durable_server() {
         keep_checkpoints: 2,
     };
     let builder = ShardedBuilder::new().max_shard_len(64).min_shard_len(8).seed(77);
-    let (mut server, _) = Server::start_durable(&dir, opts, &builder, ServerConfig::default())
+    let (server, _) = Server::start_durable(&dir, opts, &builder, ServerConfig::default())
         .expect("open durable server");
-    let mut c = Client::connect(server.local_addr()).unwrap();
-
-    // Every verb once; drain last, since it ends the session.
-    c.health().unwrap();
-    c.insert(b"k", b"v").unwrap();
-    c.get(b"k").unwrap();
-    c.contains(b"k").unwrap();
-    c.range(None, None, 10).unwrap();
-    c.batch_insert((0..100).map(kv).collect()).unwrap();
-    c.remove(b"k").unwrap();
-    c.snapshot("").unwrap();
-    c.trace().unwrap();
-    let m = c.metrics().unwrap();
-    c.drain(None).unwrap();
-    server.join();
+    let durable = session(server, "");
+    let plain = session(start(small_shards()), dir.join("plain.snap").to_str().unwrap());
     std::fs::remove_dir_all(&dir).unwrap();
-
-    // The families the exposition declares, as (name, kind).
-    let mut declared: Vec<(&str, &str)> =
-        m.text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' ')).collect();
-    for (name, _) in &declared {
-        assert!(lll_obs::is_snake_case(name), "{name} is not snake_case");
-    }
-    declared.sort_unstable();
-    for pair in declared.windows(2) {
-        assert_ne!(pair[0].0, pair[1].0, "family declared twice");
-    }
 
     // The catalog table of docs/observability.md: "| `name` | kind | ...".
     let doc = include_str!("../../../docs/observability.md");
@@ -521,5 +533,10 @@ fn metric_catalog_matches_a_live_durable_server() {
         })
         .collect();
     catalog.sort_unstable();
-    assert_eq!(declared, catalog, "docs/observability.md's catalog drifted from the server");
+    assert_eq!(declared(&durable.text), catalog, "docs/observability.md's catalog drifted");
+    // A plain server has no log: the catalog minus its six WAL rows.
+    let mut plain_catalog = catalog.clone();
+    plain_catalog.retain(|(name, _)| !name.starts_with("lll_wal_"));
+    assert_eq!(catalog.len() - plain_catalog.len(), 6);
+    assert_eq!(declared(&plain.text), plain_catalog, "plain server vs catalog minus WAL rows");
 }

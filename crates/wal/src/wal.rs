@@ -74,8 +74,9 @@ impl Default for WalOptions {
 }
 
 /// The log's shared instruments. Counters and histograms are
-/// `Arc`-shared so a server (or any registry owner) can adopt the *same*
-/// cells into its Prometheus exposition.
+/// `Arc`-shared, so a clone reads the same live cells as the log: a
+/// caller can keep one and watch the counts move. A durable server's
+/// `metrics` verb reads them into its exposition.
 #[derive(Clone)]
 pub struct WalMetrics {
     /// Records appended (staged), across all policies.
