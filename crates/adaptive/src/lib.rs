@@ -28,32 +28,21 @@ use lll_core::pma::{PmaBase, RebalancePolicy};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{log2f, LabelingBuilder};
 
-/// Tuning knobs for the APMA predictor and rebalancer.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveConfig {
-    /// Halve all predictor counters after this many insertions (keeps the
-    /// predictor focused on the *recent* workload; amortized O(1)/op).
-    pub decay_every: u32,
-    /// Weight of one recorded insertion relative to the baseline weight 1.
-    /// Larger values chase the workload harder.
-    pub hotness_weight: f64,
-    /// Fraction of a segment's slots that must stay occupied-capable: a
-    /// segment never receives so many gaps that it cannot hold its current
-    /// elements.
-    pub min_fill: f64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self { decay_every: 4096, hotness_weight: 8.0, min_fill: 0.1 }
-    }
-}
+/// Halve all predictor counters after this many insertions (keeps the
+/// predictor focused on the *recent* workload; amortized O(1)/op).
+const DECAY_EVERY: u32 = 4096;
+/// Weight of one recorded insertion relative to the baseline weight 1.
+/// Larger values chase the workload harder.
+const HOTNESS_WEIGHT: f64 = 8.0;
+/// Fraction of a segment's slots that must stay occupied-capable: a
+/// segment never receives so many gaps that it cannot hold its current
+/// elements.
+const MIN_FILL: f64 = 0.1;
 
 /// The APMA rebalance policy: classical thresholds, uneven target layouts.
 #[derive(Clone, Debug)]
 pub struct AdaptivePolicy {
     thresholds: Thresholds,
-    cfg: AdaptiveConfig,
     /// Per-segment recent-insert counters (the predictor).
     counts: Vec<f64>,
     inserts_since_decay: u32,
@@ -61,10 +50,9 @@ pub struct AdaptivePolicy {
 
 impl AdaptivePolicy {
     /// Policy for a structure of `capacity` elements on `num_slots` slots.
-    pub fn new(capacity: usize, num_slots: usize, cfg: AdaptiveConfig) -> Self {
+    pub fn new(capacity: usize, num_slots: usize) -> Self {
         Self {
             thresholds: Thresholds::for_capacity(capacity, num_slots),
-            cfg,
             counts: Vec::new(),
             inserts_since_decay: 0,
         }
@@ -106,13 +94,12 @@ impl AdaptivePolicy {
         debug_assert_eq!(total_width, b - a);
         let gaps_total = total_width - k;
 
-        // Gap shares ∝ 1 + hotness_weight · predictor count.
-        let weights: Vec<f64> =
-            (s0..=s1).map(|s| 1.0 + self.cfg.hotness_weight * self.counts[s]).collect();
+        // Gap shares ∝ 1 + HOTNESS_WEIGHT · predictor count.
+        let weights: Vec<f64> = (s0..=s1).map(|s| 1.0 + HOTNESS_WEIGHT * self.counts[s]).collect();
         let wsum: f64 = weights.iter().sum();
 
         // Provisional per-segment gap allocation (largest-remainder method),
-        // clamped so each segment keeps at least min_fill·width occupancy
+        // clamped so each segment keeps at least MIN_FILL·width occupancy
         // *capacity* and no segment gets more gaps than its width.
         let mut gaps: Vec<usize> = Vec::with_capacity(segs);
         let mut rema: Vec<(f64, usize)> = Vec::with_capacity(segs);
@@ -120,8 +107,7 @@ impl AdaptivePolicy {
         for (i, w) in weights.iter().enumerate() {
             let ideal = gaps_total as f64 * w / wsum;
             let fl = ideal.floor() as usize;
-            let max_gap =
-                widths[i].saturating_sub(((widths[i] as f64) * self.cfg.min_fill).ceil() as usize);
+            let max_gap = widths[i].saturating_sub(((widths[i] as f64) * MIN_FILL).ceil() as usize);
             let g = fl.min(max_gap);
             gaps.push(g);
             assigned += g;
@@ -209,7 +195,7 @@ impl RebalancePolicy for AdaptivePolicy {
         let seg = tree.seg_of(pos);
         self.counts[seg] += 1.0;
         self.inserts_since_decay += 1;
-        if self.inserts_since_decay >= self.cfg.decay_every {
+        if self.inserts_since_decay >= DECAY_EVERY {
             for c in &mut self.counts {
                 *c *= 0.5;
             }
@@ -227,16 +213,13 @@ pub type AdaptivePma = PmaBase<AdaptivePolicy>;
 
 /// Builder for [`AdaptivePma`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AdaptiveBuilder {
-    /// Tuning knobs (default: [`AdaptiveConfig::default`]).
-    pub cfg: AdaptiveConfig,
-}
+pub struct AdaptiveBuilder;
 
 impl LabelingBuilder for AdaptiveBuilder {
     type Structure = AdaptivePma;
 
     fn build(&self, capacity: usize, num_slots: usize) -> Self::Structure {
-        PmaBase::new(capacity, num_slots, AdaptivePolicy::new(capacity, num_slots, self.cfg))
+        PmaBase::new(capacity, num_slots, AdaptivePolicy::new(capacity, num_slots))
     }
 
     fn expected_cost_hint(&self, capacity: usize) -> f64 {
@@ -269,7 +252,7 @@ mod tests {
                 len -= 1;
             }
         }
-        let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
+        let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         run_against_oracle(&mut apma, &ops, 173);
     }
 
@@ -277,7 +260,7 @@ mod tests {
     fn oracle_hammer_workload() {
         let n = 600;
         let ops: Vec<Op> = (0..n).map(|_| Op::Insert(0)).collect();
-        let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
+        let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         run_against_oracle(&mut apma, &ops, 101);
     }
 
@@ -290,7 +273,7 @@ mod tests {
         let m = n * 13 / 10;
         let hammer_rank = 0usize;
 
-        let mut apma = AdaptiveBuilder::default().build(n, m);
+        let mut apma = AdaptiveBuilder.build(n, m);
         let mut classic = ClassicBuilder.build(n, m);
         let mut cost_a = 0u64;
         let mut cost_c = 0u64;
@@ -308,7 +291,7 @@ mod tests {
     #[test]
     fn predictor_tracks_hot_segment() {
         let n = 2048;
-        let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
+        let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         for i in 0..n / 2 {
             apma.insert(0, ElemId(i as u64));
         }
@@ -325,7 +308,7 @@ mod tests {
         // (strictly increasing targets, all in window) — checked by the
         // debug assertions inside PmaBase; here we just exercise it hard.
         let n = 4096;
-        let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
+        let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         for i in 0..n / 2 {
             apma.insert(i / 7, ElemId(i as u64));
         }
@@ -337,7 +320,7 @@ mod tests {
     #[test]
     fn random_workload_cost_stays_polylog() {
         let n = 1 << 12;
-        let mut apma = AdaptiveBuilder::default().build(n, n * 13 / 10);
+        let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let mut total = 0u64;
         for len in 0..n {

@@ -159,9 +159,9 @@ pub trait RawList {
     /// Grow/shrink statistics.
     fn grow_stats(&self) -> GrowableStats;
 
-    /// The shared observability handle every layer of this backend reports
-    /// into: counters, move/rebalance histograms, and the structural trace
-    /// ring (see [`lll_core::metrics::ListMetrics`]).
+    /// The observability handle this backend's physical slot array reports
+    /// into: counters and the moves-per-op and rebalance-window histograms
+    /// (see [`lll_core::metrics::ListMetrics`]).
     fn metrics_handle(&self) -> MetricsHandle;
 }
 
@@ -244,14 +244,14 @@ pub enum Backend {
     ///
     /// The default because it is the paper's reproduction, not because it
     /// is fastest: end to end it trails each of its own layers. On
-    /// ladderbench (`ShardedMap`, n = 2^18, `--seconds 5`, seeds 1701 and
-    /// 1702, 2-vCPU x86-64 VM) a clustered-ingest insert costs 47–50×
-    /// a `BTreeMap` insert, against 10–15× on adaptive, randomized or
-    /// deamortized alone, and a uniform-mix insert 3.6× against
-    /// 1.9–2.2×. It takes 0.21–0.34 s to set up against 0.05–0.09 s, and
-    /// holds 175 resident bytes per entry against 40 (seed 1701,
-    /// `--seconds 10`). Pick a single layer when time or memory matters
-    /// more than the combined move bounds.
+    /// ladderbench (`ShardedMap`, n = 2^18, `--seconds 10`, 2-vCPU x86-64
+    /// VM; medians over ten seeds) a clustered-ingest insert costs 41× a
+    /// `BTreeMap` insert and a uniform-mix insert 3.0×, against 9.7–13.5×
+    /// and 1.9–2.1× on adaptive, randomized or deamortized alone (medians
+    /// over three seeds). It takes 0.18–0.20 s to set up against
+    /// 0.05–0.08 s, and holds 172 resident bytes per entry against 40.
+    /// Pick a single layer when time or memory matters more than the
+    /// combined move bounds.
     Corollary11,
 }
 
@@ -435,17 +435,13 @@ impl ListBuilder {
         // regression in any algorithm crate fails right here.
         let inner: Box<dyn RawList + Send + Sync> = match self.backend {
             Backend::Classic => Box::new(Growable::with_metrics(ClassicBuilder, cap, m())),
-            Backend::Deamortized => {
-                Box::new(Growable::with_metrics(DeamortizedBuilder::default(), cap, m()))
-            }
+            Backend::Deamortized => Box::new(Growable::with_metrics(DeamortizedBuilder, cap, m())),
             Backend::Randomized => Box::new(Growable::with_metrics(
                 RandomizedBuilder::with_seed(derive_seed(self.seed, 0x59)),
                 cap,
                 m(),
             )),
-            Backend::Adaptive => {
-                Box::new(Growable::with_metrics(AdaptiveBuilder::default(), cap, m()))
-            }
+            Backend::Adaptive => Box::new(Growable::with_metrics(AdaptiveBuilder, cap, m())),
             Backend::Corollary11 => {
                 Box::new(Growable::with_metrics(corollary11_builder(self.seed), cap, m()))
             }
@@ -460,11 +456,11 @@ impl ListBuilder {
     pub fn build_fixed(&self, capacity: usize) -> Box<dyn ListLabeling + Send + Sync> {
         let mut built: Box<dyn ListLabeling + Send + Sync> = match self.backend {
             Backend::Classic => Box::new(ClassicBuilder.build_default(capacity)),
-            Backend::Deamortized => Box::new(DeamortizedBuilder::default().build_default(capacity)),
+            Backend::Deamortized => Box::new(DeamortizedBuilder.build_default(capacity)),
             Backend::Randomized => Box::new(
                 RandomizedBuilder::with_seed(derive_seed(self.seed, 0x59)).build_default(capacity),
             ),
-            Backend::Adaptive => Box::new(AdaptiveBuilder::default().build_default(capacity)),
+            Backend::Adaptive => Box::new(AdaptiveBuilder.build_default(capacity)),
             Backend::Corollary11 => {
                 Box::new(corollary11_builder(self.seed).build_default(capacity))
             }

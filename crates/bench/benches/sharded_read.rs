@@ -36,20 +36,13 @@
 //!   JSON to stdout only, no ratio assertions (shared runners).
 
 use lll_api::{Backend, LabelMap, ListBuilder};
+use lll_bench::mix;
 use lll_bench::report::Json;
 use lll_sharded::{ShardedBuilder, ShardedMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
-
-/// SplitMix64 — deterministic uniform keys, distinct across threads.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn build_map(keyspace: u64) -> Arc<ShardedMap<u64, u64>> {
     let map =

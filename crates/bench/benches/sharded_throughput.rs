@@ -15,19 +15,11 @@
 //! Run with `cargo bench --bench sharded_throughput` (release codegen).
 
 use lll_api::{Backend, LabelMap, ListBuilder};
+use lll_bench::mix;
 use lll_sharded::{ShardedBuilder, ShardedMap};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
-
-/// SplitMix64 — uniform pseudo-random keys, deterministic per slot, and a
-/// bijection (distinct inputs, distinct keys).
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn keys_for(tid: u64, n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| mix((tid << 32) | i)).collect()

@@ -153,11 +153,11 @@ pub fn e10_baselines(cfg: &ExpConfig) -> Vec<Table> {
     for w in wl::standard_suite(n, cfg.seed) {
         let (r, _) = run_built(&ClassicBuilder, "classic", &w);
         push_result(&mut t, &r);
-        let (r, _) = run_built(&AdaptiveBuilder::default(), "adaptive", &w);
+        let (r, _) = run_built(&AdaptiveBuilder, "adaptive", &w);
         push_result(&mut t, &r);
         let (r, _) = run_built(&RandomizedBuilder::with_seed(cfg.seed ^ 1), "randomized", &w);
         push_result(&mut t, &r);
-        let (r, _) = run_built(&DeamortizedBuilder::default(), "deamortized", &w);
+        let (r, _) = run_built(&DeamortizedBuilder, "deamortized", &w);
         push_result(&mut t, &r);
         if n <= 1 << 12 {
             let (r, _) = run_built(&ShiftArrayBuilder, "naive-shift", &w);
@@ -183,7 +183,7 @@ pub fn e10_baselines(cfg: &ExpConfig) -> Vec<Table> {
     }));
     shape.rows.push(fit_for("adaptive", &|n| {
         let w = wl::descending_inserts(n);
-        run_built(&AdaptiveBuilder::default(), "adaptive", &w).0.amortized()
+        run_built(&AdaptiveBuilder, "adaptive", &w).0.amortized()
     }));
     shape.rows.push(fit_for("randomized", &|n| {
         let w = wl::descending_inserts(n);
@@ -191,7 +191,7 @@ pub fn e10_baselines(cfg: &ExpConfig) -> Vec<Table> {
     }));
     shape.rows.push(fit_for("deamortized", &|n| {
         let w = wl::descending_inserts(n);
-        run_built(&DeamortizedBuilder::default(), "deamortized", &w).0.amortized()
+        run_built(&DeamortizedBuilder, "deamortized", &w).0.amortized()
     }));
     vec![t, shape]
 }
@@ -219,7 +219,7 @@ pub fn e11_tails(cfg: &ExpConfig) -> Vec<Table> {
     };
     let (r, _) = run_built(&RandomizedBuilder::with_seed(cfg.seed ^ 3), "randomized (Y)", &w);
     add(&r);
-    let (r, _) = run_built(&DeamortizedBuilder::default(), "deamortized (Z)", &w);
+    let (r, _) = run_built(&DeamortizedBuilder, "deamortized (Z)", &w);
     add(&r);
     let (r, _) = run_built(&ClassicBuilder, "classic", &w);
     add(&r);
@@ -237,13 +237,13 @@ pub fn e4_theorem2(cfg: &ExpConfig) -> Vec<Table> {
         format!("E4 Theorem 2 (n={n}): F=adaptive, R=classic, F>R vs parts"),
         &["workload", "structure", "amortized", "max/op", "kops/s"],
     );
-    let embed_b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+    let embed_b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
     for w in [
         wl::hammer_inserts(n, 0),
         wl::uniform_random_inserts(n, cfg.seed),
         wl::adversarial_packed(n, cfg.seed ^ 4),
     ] {
-        let (r, _) = run_built(&AdaptiveBuilder::default(), "F alone (adaptive)", &w);
+        let (r, _) = run_built(&AdaptiveBuilder, "F alone (adaptive)", &w);
         push_result(&mut t, &r);
         let (r, _) = run_built(&ClassicBuilder, "R alone (classic)", &w);
         push_result(&mut t, &r);
@@ -267,12 +267,12 @@ pub fn e5_corollary11(cfg: &ExpConfig) -> Vec<Table> {
         wl::uniform_random_inserts(n, cfg.seed),
         wl::adversarial_packed(n, cfg.seed ^ 5),
     ] {
-        let (r, _) = run_built(&AdaptiveBuilder::default(), "X alone (adaptive)", &w);
+        let (r, _) = run_built(&AdaptiveBuilder, "X alone (adaptive)", &w);
         push_result(&mut t, &r);
         let (r, _) =
             run_built(&RandomizedBuilder::with_seed(cfg.seed ^ 6), "Y alone (randomized)", &w);
         push_result(&mut t, &r);
-        let (r, _) = run_built(&DeamortizedBuilder::default(), "Z alone (deamortized)", &w);
+        let (r, _) = run_built(&DeamortizedBuilder, "Z alone (deamortized)", &w);
         push_result(&mut t, &r);
         let (r, _) = run_built(&corollary11_builder(cfg.seed), "X>(Y>Z) layered", &w);
         push_result(&mut t, &r);
@@ -361,7 +361,7 @@ pub fn e7_lemma5(cfg: &ExpConfig) -> Vec<Table> {
         wl::uniform_churn(n / 2, n, cfg.seed ^ 9),
         wl::adversarial_packed(n, cfg.seed ^ 10),
     ] {
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut s = b.build_default(w.peak);
         let r = run_workload(&mut s, &w);
         let st = s.stats();
@@ -372,7 +372,7 @@ pub fn e7_lemma5(cfg: &ExpConfig) -> Vec<Table> {
         ]);
         decomp.row(vec![
             w.name.clone(),
-            r.stats.total().to_string(),
+            r.total().to_string(),
             st.r_shell_moves.to_string(),
             st.deadweight_moves.to_string(),
             st.incorporations.to_string(),
@@ -394,7 +394,7 @@ pub fn e8_lemma6(cfg: &ExpConfig) -> Vec<Table> {
     );
     for n in cfg.sweep_ns() {
         let w = wl::hammer_inserts(n, 0);
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut s = b.build_default(w.peak);
         let _ = run_workload(&mut s, &w);
         let st = s.stats();
@@ -418,7 +418,7 @@ pub fn e9_lemma7(cfg: &ExpConfig) -> Vec<Table> {
     );
     for n in cfg.sweep_ns() {
         let w = wl::hammer_inserts(n, 0);
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut s = b.build_default(w.peak);
         let _ = run_workload(&mut s, &w);
         let st = s.stats();
@@ -447,7 +447,7 @@ pub fn e12_ablation(cfg: &ExpConfig) -> Vec<Table> {
             &[(1.0, 1.0), (1.0, 2.0), (1.0, 4.0), (0.5, 2.0), (2.0, 2.0)]
         {
             let b = EmbedBuilder {
-                f: AdaptiveBuilder::default(),
+                f: AdaptiveBuilder,
                 r: ClassicBuilder,
                 cfg: EmbedConfig { epsilon, er_mult, rebuild_mult },
             };
@@ -489,7 +489,7 @@ pub fn e4b_light_amortization(cfg: &ExpConfig) -> Vec<Table> {
     };
     let (r, _) = run_built(&ClassicBuilder, "classic", &w);
     add("classic", &r);
-    let (r, _) = run_built(&DeamortizedBuilder::default(), "deamortized", &w);
+    let (r, _) = run_built(&DeamortizedBuilder, "deamortized", &w);
     add("deamortized", &r);
     let (r, _) = run_built(&RandomizedBuilder::with_seed(cfg.seed ^ 12), "randomized", &w);
     add("randomized", &r);
@@ -533,7 +533,7 @@ mod tests {
         let cfg = quick();
         let n = cfg.main_n();
         let w = wl::hammer_inserts(n, 0);
-        let (rx, _) = run_built(&AdaptiveBuilder::default(), "x", &w);
+        let (rx, _) = run_built(&AdaptiveBuilder, "x", &w);
         let (rl, _) = run_built(&corollary11_builder(cfg.seed), "layered", &w);
         // The layered structure must stay within a constant of X on X's
         // best workload (Theorem 3's good-case guarantee). Constant chosen

@@ -1,6 +1,6 @@
 //! Workload execution and measurement.
 
-use lll_core::cost::{CostSeries, CostStats};
+use lll_core::cost::CostSeries;
 use lll_core::ids::IdGen;
 use lll_core::traits::ListLabeling;
 use lll_workloads::Workload;
@@ -13,29 +13,41 @@ pub struct RunResult {
     pub structure: String,
     /// Workload name.
     pub workload: String,
-    /// Aggregate cost statistics (element moves per operation).
-    pub stats: CostStats,
-    /// Full per-operation cost series (for tails and window checks).
+    /// Every operation's cost in element moves, in order.
     pub series: CostSeries,
     /// Wall-clock seconds for the whole run.
     pub seconds: f64,
 }
 
 impl RunResult {
+    /// Operations run.
+    pub fn ops(&self) -> usize {
+        self.series.len()
+    }
+
+    /// Total element moves.
+    pub fn total(&self) -> u64 {
+        self.series.costs().iter().map(|&c| u64::from(c)).sum()
+    }
+
     /// Amortized element moves per operation.
     pub fn amortized(&self) -> f64 {
-        self.stats.amortized()
+        if self.ops() == 0 {
+            0.0
+        } else {
+            self.total() as f64 / self.ops() as f64
+        }
     }
 
     /// Worst single-operation cost.
     pub fn max_op(&self) -> u64 {
-        self.stats.max()
+        self.series.costs().iter().max().map_or(0, |&c| c.into())
     }
 
     /// Operations per second (wall clock).
     pub fn ops_per_sec(&self) -> f64 {
         if self.seconds > 0.0 {
-            self.stats.ops() as f64 / self.seconds
+            self.ops() as f64 / self.seconds
         } else {
             f64::INFINITY
         }
@@ -63,19 +75,15 @@ pub fn run_workload<L: ListLabeling>(structure: &mut L, workload: &Workload) -> 
         structure.capacity(),
         workload.peak
     );
-    let mut stats = CostStats::new();
     let mut series = CostSeries::new();
     let mut ids = IdGen::new();
     let start = Instant::now();
     for &op in &workload.ops {
-        let cost = structure.apply(op, &mut ids).cost();
-        stats.record(cost);
-        series.push(cost);
+        series.push(structure.apply(op, &mut ids).cost());
     }
     RunResult {
         structure: structure.name().to_string(),
         workload: workload.name.clone(),
-        stats,
         series,
         seconds: start.elapsed().as_secs_f64(),
     }
@@ -93,8 +101,7 @@ mod tests {
         let w = uniform_random_inserts(200, 1);
         let mut pma = ClassicBuilder.build(w.peak, w.peak * 13 / 10);
         let r = run_workload(&mut pma, &w);
-        assert_eq!(r.stats.ops(), 200);
-        assert_eq!(r.series.len(), 200);
+        assert_eq!(r.ops(), 200);
         assert!(r.amortized() >= 1.0);
         assert!(r.max_op() >= 1);
     }

@@ -1,107 +1,8 @@
 //! Cost accounting in the paper's model (element moves per operation).
 //!
-//! [`CostStats`] aggregates per-operation costs: totals, amortized average,
-//! worst single operation, and a log₂-bucketed histogram (the histogram is
-//! how experiment E11 exhibits the heavy tail of randomized algorithms that
-//! motivates the paper's composition).
-
-/// Aggregate statistics over a sequence of operation costs.
-#[derive(Clone, Debug, Default)]
-pub struct CostStats {
-    ops: u64,
-    total: u64,
-    max: u64,
-    /// hist[b] (b ≥ 1) counts operations with cost in [2^(b-1), 2^b - 1];
-    /// hist[0] counts zero-cost operations.
-    hist: Vec<u64>,
-}
-
-impl CostStats {
-    /// Empty statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one operation of the given cost.
-    #[inline]
-    pub fn record(&mut self, cost: u64) {
-        self.ops += 1;
-        self.total += cost;
-        self.max = self.max.max(cost);
-        let bucket = if cost == 0 { 0 } else { 64 - (cost.leading_zeros() as usize) };
-        if self.hist.len() <= bucket {
-            self.hist.resize(bucket + 1, 0);
-        }
-        self.hist[bucket] += 1;
-    }
-
-    /// Number of operations recorded.
-    #[inline]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Total cost.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest single-operation cost.
-    #[inline]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Average (amortized) cost per operation.
-    pub fn amortized(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.ops as f64
-        }
-    }
-
-    /// The log₂-bucketed histogram as `(bucket_lower_bound, count)` pairs:
-    /// bucket with lower bound `2^(b-1)` counts costs in `[2^(b-1), 2^b)`.
-    pub fn histogram(&self) -> Vec<(u64, u64)> {
-        self.hist
-            .iter()
-            .enumerate()
-            .map(|(b, &c)| (if b == 0 { 0 } else { 1u64 << (b - 1) }, c))
-            .collect()
-    }
-
-    /// Fraction of operations with cost strictly greater than `threshold`.
-    pub fn tail_fraction(&self, threshold: u64) -> f64 {
-        if self.ops == 0 {
-            return 0.0;
-        }
-        // Histogram buckets are coarse; callers wanting exact tails should
-        // keep their own series. We count buckets entirely above threshold.
-        let mut above = 0u64;
-        for (b, &c) in self.hist.iter().enumerate() {
-            let lo = if b == 0 { 0 } else { 1u64 << (b - 1) };
-            if lo > threshold {
-                above += c;
-            }
-        }
-        above as f64 / self.ops as f64
-    }
-
-    /// Merge another stats object into this one.
-    pub fn merge(&mut self, other: &CostStats) {
-        self.ops += other.ops;
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        if self.hist.len() < other.hist.len() {
-            self.hist.resize(other.hist.len(), 0);
-        }
-        for (b, &c) in other.hist.iter().enumerate() {
-            self.hist[b] += c;
-        }
-    }
-}
+//! [`CostSeries`] keeps every operation's cost in order: exact tails and
+//! window sums are read off it, and so are a run's total, amortized and
+//! worst-operation costs (`lll_bench::RunResult`).
 
 /// A recorded per-operation cost series, for offline analysis
 /// (light-amortization window checks, tail plots, crossover detection).
@@ -173,45 +74,6 @@ impl CostSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_aggregate() {
-        let mut s = CostStats::new();
-        for c in [0, 1, 1, 4, 16] {
-            s.record(c);
-        }
-        assert_eq!(s.ops(), 5);
-        assert_eq!(s.total(), 22);
-        assert_eq!(s.max(), 16);
-        assert!((s.amortized() - 4.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut s = CostStats::new();
-        for c in [0, 1, 2, 3, 4, 8, 9] {
-            s.record(c);
-        }
-        let h = s.histogram();
-        // bucket 0: cost 0; lb=1: {1}; lb=2: {2,3}; lb=4: {4}; lb=8: {8,9}
-        assert_eq!(h[0], (0, 1));
-        assert_eq!(h[1], (1, 1));
-        assert_eq!(h[2], (2, 2));
-        assert_eq!(h[3], (4, 1));
-        assert_eq!(h[4], (8, 2));
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = CostStats::new();
-        a.record(2);
-        let mut b = CostStats::new();
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.ops(), 2);
-        assert_eq!(a.max(), 100);
-        assert_eq!(a.total(), 102);
-    }
 
     #[test]
     fn series_windows() {

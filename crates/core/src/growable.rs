@@ -40,12 +40,6 @@ pub struct GrowableStats {
     pub grows: u64,
     /// Rebuilds that shrank the structure.
     pub shrinks: u64,
-    /// Total element moves spent inside rebuilds.
-    pub rebuild_moves: u64,
-    /// The rebuild epoch at the time of the snapshot (see
-    /// [`Growable::epoch`]): `grows + shrinks` counts rebuilds, the epoch
-    /// stamps *which* rebuild generation the stats describe.
-    pub epoch: u64,
 }
 
 /// A dynamically sized sorted list over any list-labeling algorithm.
@@ -57,8 +51,9 @@ pub struct Growable<B: LabelingBuilder> {
     ids: IdAllocator,
     min_capacity: usize,
     stats: GrowableStats,
-    /// Moves performed by ordinary operations (not rebuilds).
-    op_moves: u64,
+    /// The physical moves of the structures that rebuilds replaced: with
+    /// the current one's, [`total_moves`](Self::total_moves).
+    retired_moves: u64,
     /// Bumped on every rebuild. All labels (slot positions) are invalidated
     /// when this changes; see [`Growable::epoch`].
     epoch: u64,
@@ -70,8 +65,8 @@ pub struct Growable<B: LabelingBuilder> {
     /// resolutions — instrumentation for callers that promise label-native
     /// navigation, the `lll-api` cursors, and want to prove they keep it),
     /// and the moves-per-op and rebalance-window histograms. Installed
-    /// into the inner structure (and re-installed across rebuilds) so every
-    /// layer reports into this one instance.
+    /// into the inner structure's physical array (and re-installed across
+    /// rebuilds), so its counts are that array's across every rebuild.
     metrics: MetricsHandle,
 }
 
@@ -94,7 +89,7 @@ impl<B: LabelingBuilder> Growable<B> {
             ids: IdAllocator::new(),
             min_capacity: cap,
             stats: GrowableStats::default(),
-            op_moves: 0,
+            retired_moves: 0,
             epoch: 0,
             scratch: OpReport::default(),
             metrics,
@@ -123,11 +118,9 @@ impl<B: LabelingBuilder> Growable<B> {
         self.inner.capacity()
     }
 
-    /// Growth statistics, stamped with the current rebuild epoch.
+    /// Growth statistics.
     pub fn stats(&self) -> GrowableStats {
-        let mut stats = self.stats;
-        stats.epoch = self.epoch;
-        stats
+        self.stats
     }
 
     /// The rebuild epoch. Labels returned before the epoch last changed are
@@ -166,12 +159,6 @@ impl<B: LabelingBuilder> Growable<B> {
         self.inner.name()
     }
 
-    /// Total element moves from ordinary operations (rebuild moves are
-    /// tracked separately in [`GrowableStats`]).
-    pub fn op_moves(&self) -> u64 {
-        self.op_moves
-    }
-
     /// Rebuild into a structure of the given capacity, preserving order and
     /// handles.
     fn rebuild(&mut self, new_capacity: usize) {
@@ -205,9 +192,8 @@ impl<B: LabelingBuilder> Growable<B> {
         // Install the shared handle before the bulk splice so the rebuild's
         // own moves are observed too.
         fresh.set_metrics(self.metrics.clone());
-        let mut bulk = BulkReport::default();
-        fresh.splice_into(0, order, &mut bulk);
-        self.stats.rebuild_moves += bulk.cost();
+        fresh.splice_into(0, order, &mut BulkReport::default());
+        self.retired_moves += self.inner.slots().lifetime_moves();
         self.inner = fresh;
         self.epoch += 1;
         self.metrics.note_epoch_bump();
@@ -249,7 +235,6 @@ impl<B: LabelingBuilder> Growable<B> {
         }
         let id = self.ids.fresh();
         self.inner.insert_into(rank, id, out);
-        self.op_moves += out.cost();
         self.metrics.note_op_moves(out.cost());
         id
     }
@@ -279,7 +264,6 @@ impl<B: LabelingBuilder> Growable<B> {
     pub fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
         assert!(rank < self.len(), "delete rank {rank} >= len {}", self.len());
         self.inner.delete_into(rank, out);
-        self.op_moves += out.cost();
         self.metrics.note_op_moves(out.cost());
         let (gone, _) = out.removed.expect("delete removes");
         self.ids.release(gone);
@@ -326,7 +310,6 @@ impl<B: LabelingBuilder> Growable<B> {
         let ids = self.ids.fresh_n(count);
         let mut bulk = BulkReport::default();
         self.inner.splice_into(rank, &ids, &mut bulk);
-        self.op_moves += bulk.cost();
         self.metrics.note_op_moves(bulk.cost());
         (ids, bulk)
     }
@@ -395,9 +378,12 @@ impl<B: LabelingBuilder> Growable<B> {
         self.inner.slots().iter_occupied().map(|(_, e)| e)
     }
 
-    /// The report-free cost model: ordinary moves + rebuild moves.
+    /// Every physical element move since construction, rebuilds included:
+    /// the [`lifetime_moves`](crate::slot_array::SlotArray::lifetime_moves)
+    /// of the structures that rebuilds replaced plus the current one's. It
+    /// counts with metrics disabled too.
     pub fn total_moves(&self) -> u64 {
-        self.op_moves + self.stats.rebuild_moves
+        self.retired_moves + self.inner.slots().lifetime_moves()
     }
 }
 

@@ -25,8 +25,8 @@
 //! * [`PmaBase`](pma::PmaBase) — a reusable PMA skeleton parameterized by a
 //!   [`RebalancePolicy`](pma::RebalancePolicy); the classical, adaptive and
 //!   randomized algorithms are policies plugged into this skeleton.
-//! * [`CostStats`](cost::CostStats) — per-operation cost accounting
-//!   (amortized, max, histogram) in the paper's cost model (element moves).
+//! * [`CostSeries`](cost::CostSeries) — per-operation cost records in the
+//!   paper's cost model (element moves).
 //! * [`testkit`] — a reference oracle used by unit, integration and property
 //!   tests across the workspace.
 
@@ -50,7 +50,6 @@ pub mod traits;
 
 pub mod prelude {
     //! Convenient glob import: `use lll_core::prelude::*;`
-    pub use crate::cost::CostStats;
     pub use crate::density::{SegTree, Thresholds};
     pub use crate::growable::{Growable, Handle};
     pub use crate::ids::ElemId;

@@ -6,11 +6,15 @@
 //! paper's analysis is actually about: histograms of rebalance window
 //! widths and of moves per operation.
 //!
-//! A [`MetricsHandle`] (`Arc<ListMetrics>`) is installed into a structure
-//! and all of its inner layers, so a `Growable` and the `SlotArray` inside
-//! whichever PMA it currently wraps report into the same instance — and
-//! the handle survives the capacity-doubling rebuilds that replace the
-//! inner structure wholesale.
+//! A [`MetricsHandle`] (`Arc<ListMetrics>`) is installed into a structure's
+//! physical `SlotArray`, so a `Growable` and the array of whichever
+//! structure it currently wraps report into the same instance — and the
+//! handle survives the capacity-doubling rebuilds that replace the inner
+//! structure wholesale. Only the physical array reports: the paper's cost
+//! is its moves (Definition 1), so an embedding's simulation and shell,
+//! whose moves are computation, report into the process-wide
+//! [`disabled`](ListMetrics::disabled) handle. Every count here, `moves`
+//! included, is therefore the physical array's.
 //!
 //! Every recording path is an inlined early-return when the handle was
 //! built disabled, and a few relaxed atomic RMWs when enabled — no locks,
@@ -20,21 +24,25 @@
 //! harness pins steady-state churn at 0 allocations/round *with metrics
 //! enabled*.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use lll_obs::{Counter, Histogram};
 
 /// Shared reference to one structure's metrics. Cheap to clone; installed
-/// into every layer of a composed structure via
+/// into a structure's physical slot array via
 /// [`ListLabeling::set_metrics`](crate::traits::ListLabeling::set_metrics).
 pub type MetricsHandle = Arc<ListMetrics>;
+
+/// The one disabled instance behind [`ListMetrics::disabled`].
+static DISABLED: LazyLock<MetricsHandle> = LazyLock::new(|| ListMetrics::handle(false));
 
 /// Unified per-instance counters and histograms for one list-labeling
 /// structure (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ListMetrics {
     enabled: bool,
-    /// Element moves (the paper's cost unit), added once per move-log drain.
+    /// Element moves of the physical array (the paper's cost unit), added
+    /// once per move-log drain.
     pub moves: Counter,
     /// Window rebalances triggered.
     pub rebalances: Counter,
@@ -69,6 +77,13 @@ impl ListMetrics {
     /// A shareable handle to a fresh instance.
     pub fn handle(enabled: bool) -> MetricsHandle {
         Arc::new(Self::new(enabled))
+    }
+
+    /// The process-wide disabled handle: slot arrays whose moves are not
+    /// the cost (an embedding's simulation and shell) report here, record
+    /// nothing and own no instance of their own.
+    pub fn disabled() -> MetricsHandle {
+        DISABLED.clone()
     }
 
     /// Whether recording is live (false = every `note_*` is a no-op).
@@ -178,6 +193,12 @@ mod tests {
         assert_eq!(m.moves_per_op.count(), 0);
         assert_eq!(m.epoch_bumps.get(), 0);
         assert!(!m.enabled());
+    }
+
+    #[test]
+    fn disabled_handle_is_one_shared_instance() {
+        let (a, b) = (ListMetrics::disabled(), ListMetrics::disabled());
+        assert!(Arc::ptr_eq(&a, &b) && !a.enabled());
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub struct PmaBase<P: RebalancePolicy> {
     capacity: usize,
     policy: P,
     rebalances: u64,
-    rebalance_moves: u64,
     /// Reusable `(from, to)` buffer for rebalance sweeps (no per-rebalance
     /// allocation).
     pairs_scratch: Vec<(usize, usize)>,
@@ -103,7 +102,6 @@ impl<P: RebalancePolicy> PmaBase<P> {
             capacity,
             policy,
             rebalances: 0,
-            rebalance_moves: 0,
             pairs_scratch: Vec::new(),
             targets_scratch: Vec::new(),
         }
@@ -129,11 +127,6 @@ impl<P: RebalancePolicy> PmaBase<P> {
         self.rebalances
     }
 
-    /// Total moves spent inside rebalances.
-    pub fn rebalance_moves(&self) -> u64 {
-        self.rebalance_moves
-    }
-
     /// Density of `[a, b)` counting `extra` hypothetical elements.
     #[inline]
     fn density_with(&self, a: usize, b: usize, extra: usize) -> f64 {
@@ -156,13 +149,10 @@ impl<P: RebalancePolicy> PmaBase<P> {
             pairs.push((pos, targets[i]));
         }
         debug_assert_eq!(targets.len(), pairs.len(), "policy returned wrong target count");
-        let before = self.slots.pending_log_len();
         spread_moves(&mut self.slots, &pairs);
-        let moved = self.slots.pending_log_len() - before;
         self.pairs_scratch = pairs;
         self.targets_scratch = targets;
         self.rebalances += 1;
-        self.rebalance_moves += moved as u64;
         self.slots.metrics().note_rebalance((b - a) as u64);
         self.policy.on_rebalance(level, (a, b));
     }
@@ -416,9 +406,7 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
         for mv in out.moves.iter().filter(|mv| mv.from == mv.to) {
             self.policy.on_insert(&self.tree, mv.to as usize);
         }
-        let moved = (out.moves.len() - count) as u64;
         self.rebalances += 1;
-        self.rebalance_moves += moved;
         self.slots.metrics().note_rebalance((b - a) as u64);
         self.policy.on_rebalance(level, (a, b));
     }
@@ -708,6 +696,5 @@ mod tests {
             pma.insert(0, ids.fresh());
         }
         assert!(pma.rebalances() > 0);
-        assert!(pma.rebalance_moves() > 0);
     }
 }

@@ -51,8 +51,8 @@ pub struct SlotArray {
     /// scan words (the instrumentation that pins rebalance work to
     /// O(window), not O(m) — counters are atomic/relaxed only so `&self`
     /// iterators can record). Installed by the owning structure via
-    /// [`set_metrics`](Self::set_metrics) so every layer of a composed
-    /// structure reports into one instance.
+    /// [`set_metrics`](Self::set_metrics) into its physical array; an
+    /// embedding's inner arrays hold [`ListMetrics::disabled`].
     metrics: MetricsHandle,
 }
 

@@ -118,12 +118,13 @@ pub trait ListLabeling {
     /// here.
     fn slots(&self) -> &SlotArray;
 
-    /// Install a shared [`MetricsHandle`]
-    /// into this structure and every layer inside it (its slot array(s),
-    /// and for composite structures — the embedding — both constituents),
-    /// so one handle observes the whole stack. The default ignores the
-    /// handle, which keeps the trait object-safe and lets minimal
-    /// implementations opt out; every PMA-skeleton backend overrides it.
+    /// Install a shared [`MetricsHandle`] into this structure's physical
+    /// slot array — the one [`slots`](Self::slots) returns, whose moves are
+    /// the paper's cost. A composite structure (the embedding) installs it
+    /// there only: its simulation and shell report into nothing, so the
+    /// handle's `moves` counts that array's moves alone. The default ignores the handle, which keeps the trait
+    /// object-safe and lets minimal implementations opt out; every
+    /// PMA-skeleton backend overrides it.
     fn set_metrics(&mut self, metrics: MetricsHandle) {
         let _ = metrics;
     }

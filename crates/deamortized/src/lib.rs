@@ -43,27 +43,17 @@ use lll_core::slot_array::{merge_sorted, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
 use std::num::NonZeroU32;
 
-/// Tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct DeamortizedConfig {
-    /// Per-operation incremental job work, as a multiple of log²(m) moves.
-    pub work_mult: f64,
-    /// Max shift distance during placement, as a multiple of log(m).
-    pub shift_cap_mult: f64,
-    /// Max window size for synchronous inline rebalances, as a multiple of
-    /// log²(m) slots.
-    pub inline_cap_mult: f64,
-    /// Absolute density margin reserved below the hard threshold at the
-    /// leaves, tapering to zero at the root: the slack a window may consume
-    /// while its background job drains. (0.0 = soft == hard.)
-    pub soft_margin: f64,
-}
-
-impl Default for DeamortizedConfig {
-    fn default() -> Self {
-        Self { work_mult: 1.0, shift_cap_mult: 4.0, inline_cap_mult: 4.0, soft_margin: 0.10 }
-    }
-}
+/// Per-operation incremental job work, as a multiple of log²(m) moves.
+const WORK_MULT: f64 = 1.0;
+/// Max shift distance during placement, as a multiple of log(m).
+const SHIFT_CAP_MULT: f64 = 4.0;
+/// Max window size for synchronous inline rebalances, as a multiple of
+/// log²(m) slots.
+const INLINE_CAP_MULT: f64 = 4.0;
+/// Absolute density margin reserved below the hard threshold at the
+/// leaves, tapering to zero at the root: the slack a window may consume
+/// while its background job drains.
+const SOFT_MARGIN: f64 = 0.10;
 
 /// One incremental rebalance job: a frozen relocation plan for a window.
 #[derive(Clone, Debug)]
@@ -104,7 +94,6 @@ pub struct DeamortizedPma {
     tree: SegTree,
     thresholds: Thresholds,
     capacity: usize,
-    cfg: DeamortizedConfig,
     jobs: Vec<Job>,
     /// Each stored element's slot plus one, by id: the generation check is
     /// what lets a queued plan entry whose element was deleted (and its
@@ -127,7 +116,7 @@ pub struct DeamortizedPma {
 
 impl DeamortizedPma {
     /// New empty structure for `capacity` elements on `num_slots` slots.
-    pub fn new(capacity: usize, num_slots: usize, cfg: DeamortizedConfig) -> Self {
+    pub fn new(capacity: usize, num_slots: usize) -> Self {
         assert!(num_slots as f64 >= capacity as f64 * 1.05, "deamortized PMA needs ≥1.05x slack");
         assert!(num_slots <= u32::MAX as usize, "slot positions must fit in u32");
         let lg = log2f(num_slots);
@@ -136,13 +125,12 @@ impl DeamortizedPma {
             tree: SegTree::new(num_slots),
             thresholds: Thresholds::for_capacity(capacity, num_slots),
             capacity,
-            cfg,
             jobs: Vec::new(),
             elem_pos: IdTable::new(capacity),
             stats: DeamortizedStats::default(),
-            work_quota: ((cfg.work_mult * lg * lg).ceil() as usize).max(4),
-            shift_cap: ((cfg.shift_cap_mult * lg).ceil() as usize).max(4),
-            inline_cap: ((cfg.inline_cap_mult * lg * lg).ceil() as usize).max(16),
+            work_quota: ((WORK_MULT * lg * lg).ceil() as usize).max(4),
+            shift_cap: ((SHIFT_CAP_MULT * lg).ceil() as usize).max(4),
+            inline_cap: ((INLINE_CAP_MULT * lg * lg).ceil() as usize).max(16),
             targets_scratch: Vec::new(),
             movers_scratch: Vec::new(),
             queue_pool: Vec::new(),
@@ -172,7 +160,7 @@ impl DeamortizedPma {
     fn soft_upper(&self, level: usize) -> f64 {
         let h = self.tree.height().max(1);
         let taper = 1.0 - level as f64 / h as f64;
-        self.hard_upper(level) - self.cfg.soft_margin * taper
+        self.hard_upper(level) - SOFT_MARGIN * taper
     }
 
     fn soft_lower(&self, level: usize) -> f64 {
@@ -730,16 +718,13 @@ impl ListLabeling for DeamortizedPma {
 
 /// Builder for [`DeamortizedPma`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DeamortizedBuilder {
-    /// Tuning knobs.
-    pub cfg: DeamortizedConfig,
-}
+pub struct DeamortizedBuilder;
 
 impl LabelingBuilder for DeamortizedBuilder {
     type Structure = DeamortizedPma;
 
     fn build(&self, capacity: usize, num_slots: usize) -> Self::Structure {
-        DeamortizedPma::new(capacity, num_slots, self.cfg)
+        DeamortizedPma::new(capacity, num_slots)
     }
 
     fn min_slack(&self) -> f64 {
@@ -754,7 +739,7 @@ impl LabelingBuilder for DeamortizedBuilder {
     fn worst_case_hint(&self, capacity: usize) -> f64 {
         let lg = log2f(capacity);
         // job quota + placement shift + inline rebalance, in move units
-        (self.cfg.work_mult + self.cfg.inline_cap_mult) * lg * lg + self.cfg.shift_cap_mult * lg
+        (WORK_MULT + INLINE_CAP_MULT) * lg * lg + SHIFT_CAP_MULT * lg
     }
 }
 
@@ -785,7 +770,7 @@ mod tests {
     #[test]
     fn oracle_random_workload() {
         let n = 500;
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         run_against_oracle(&mut z, &mixed_ops(n, 4000, 13), 137);
     }
 
@@ -793,7 +778,7 @@ mod tests {
     fn oracle_hammer_workload() {
         let n = 800;
         let ops: Vec<Op> = (0..n).map(|_| Op::Insert(0)).collect();
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         run_against_oracle(&mut z, &ops, 101);
     }
 
@@ -802,7 +787,7 @@ mod tests {
         let n = 600;
         let mut ops: Vec<Op> = (0..n / 2).map(Op::Insert).collect();
         ops.extend((0..n / 2).map(|_| Op::Insert(0)));
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         run_against_oracle(&mut z, &ops, 97);
     }
 
@@ -812,7 +797,7 @@ mod tests {
         // PMA its worst spikes (sustained head inserts), every single
         // operation stays under the configured worst-case budget.
         let n = 1 << 13;
-        let builder = DeamortizedBuilder::default();
+        let builder = DeamortizedBuilder;
         let mut z = builder.build(n, n * 14 / 10);
         let budget = builder.worst_case_hint(n) * 3.0; // generous constant
         let mut max = 0u64;
@@ -828,7 +813,7 @@ mod tests {
         use lll_classic::ClassicBuilder;
         use lll_core::traits::LabelingBuilder as _;
         let n = 1 << 13;
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         let mut c = ClassicBuilder.build(n, n * 14 / 10);
         let (mut max_z, mut max_c) = (0u64, 0u64);
         for i in 0..n as u64 {
@@ -844,7 +829,7 @@ mod tests {
     #[test]
     fn jobs_eventually_drain() {
         let n = 2048;
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         let mut ids = IdGen::new();
         for _ in 0..n / 2 {
             z.insert(0, ids.fresh());
@@ -863,7 +848,7 @@ mod tests {
         // new element under the next generation before the job drains: the
         // entry is stale and must be skipped, never applied to the newcomer.
         let n = 2048;
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         let mut ids = IdAllocator::new();
         // Hammer the head until some plan has more entries queued than two
         // operations' work quota can drain.
@@ -907,7 +892,7 @@ mod tests {
     #[test]
     fn fills_to_capacity_and_empties() {
         let n = 1000;
-        let mut z = DeamortizedBuilder::default().build(n, n * 14 / 10);
+        let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         for i in 0..n {
             z.insert(i / 2, ElemId(i as u64));
         }

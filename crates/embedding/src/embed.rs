@@ -72,6 +72,7 @@
 use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::{ElemId, IdAllocator, IdTable};
+use lll_core::metrics::{ListMetrics, MetricsHandle};
 use lll_core::report::{BulkReport, MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -349,6 +350,10 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             sim_scratch: OpReport::default(),
             shell_scratch: OpReport::default(),
         };
+        // The paper's cost is the physical array's moves; the simulation's
+        // and the shell's are computation, so they record nothing.
+        this.sim.set_metrics(ListMetrics::disabled());
+        this.shell.set_metrics(ListMetrics::disabled());
         // The whole shell population enters through one bulk splice (one
         // evenly-spread sweep when R has a native bulk path).
         let slot_ids = this.shell_ids.fresh_n(r_cap);
@@ -1212,13 +1217,9 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         &self.tags.contents
     }
 
-    fn set_metrics(&mut self, metrics: lll_core::metrics::MetricsHandle) {
-        // One handle observes the whole composition: the physical tag
-        // array plus both constituent structures (Theorem 3 nests another
-        // Embed here, so the install recurses through every layer).
-        self.tags.contents.set_metrics(metrics.clone());
-        self.sim.set_metrics(metrics.clone());
-        self.shell.set_metrics(metrics);
+    fn set_metrics(&mut self, metrics: MetricsHandle) {
+        // Only the physical tag array reports (see `Embed::new`).
+        self.tags.contents.set_metrics(metrics);
     }
 
     fn name(&self) -> &'static str {

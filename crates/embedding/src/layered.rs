@@ -49,7 +49,7 @@ pub fn inner_yz_builder(seed: u64) -> EmbedBuilder<RandomizedBuilder, Deamortize
     let (_, inner_cfg) = layered_configs();
     EmbedBuilder {
         f: RandomizedBuilder::with_seed(derive_seed(seed, 0x59)),
-        r: DeamortizedBuilder::default(),
+        r: DeamortizedBuilder,
         cfg: inner_cfg,
     }
 }
@@ -57,7 +57,7 @@ pub fn inner_yz_builder(seed: u64) -> EmbedBuilder<RandomizedBuilder, Deamortize
 /// Builder for Corollary 11's `X ⊳ (Y ⊳ Z)`.
 pub fn corollary11_builder(seed: u64) -> Corollary11Builder {
     let (outer_cfg, _) = layered_configs();
-    EmbedBuilder { f: AdaptiveBuilder::default(), r: inner_yz_builder(seed), cfg: outer_cfg }
+    EmbedBuilder { f: AdaptiveBuilder, r: inner_yz_builder(seed), cfg: outer_cfg }
 }
 
 /// Corollary 11's structure for `n` elements, with all random tapes derived

@@ -42,7 +42,7 @@ proptest! {
     fn adaptive_in_classic_holds_invariants(raw in raw_seq(300)) {
         let cap = 80;
         let ops = decode_ops(&raw, cap);
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut e = b.build_default(cap);
         let mut ids = IdGen::new();
         let mut oracle = Oracle::new();
@@ -68,7 +68,7 @@ proptest! {
         let ops = decode_ops(&raw, cap);
         let b = EmbedBuilder {
             f: RandomizedBuilder::with_seed(seed),
-            r: DeamortizedBuilder::default(),
+            r: DeamortizedBuilder,
             cfg: EmbedConfig { epsilon: 1.0 / 4.0, ..Default::default() },
         };
         let mut e = b.build_default(cap);
@@ -91,7 +91,7 @@ proptest! {
     fn slot_taxonomy_conserved(raw in raw_seq(200)) {
         let cap = 64;
         let ops = decode_ops(&raw, cap);
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut e = b.build_default(cap);
         let mut ids = IdGen::new();
         let (f0, b0) = (e.tag_array().f_count(), e.tag_array().buf_count());
@@ -114,7 +114,7 @@ proptest! {
         } else {
             EmbedConfig { er_mult: 1e6, ..Default::default() }
         };
-        let b = EmbedBuilder { f: AdaptiveBuilder::default(), r: ClassicBuilder, cfg };
+        let b = EmbedBuilder { f: AdaptiveBuilder, r: ClassicBuilder, cfg };
         let mut e = b.build_default(cap);
         let mut ids = IdGen::new();
         let mut oracle = Oracle::new();

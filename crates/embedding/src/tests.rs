@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 type SimpleEmbed = EmbedBuilder<AdaptiveBuilder, ClassicBuilder>;
 
 fn simple_builder() -> SimpleEmbed {
-    EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder)
+    EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder)
 }
 
 fn mixed_ops(n: usize, total: usize, seed: u64, p_ins: f64) -> Vec<Op> {
@@ -182,12 +182,12 @@ fn nested_embedding_works() {
     // Embed an embedding: (adaptive ⊳ classic) used as the R of an outer
     // embedding — the composition mechanics of Theorem 3.
     let inner = EmbedBuilder {
-        f: AdaptiveBuilder::default(),
+        f: AdaptiveBuilder,
         r: ClassicBuilder,
         cfg: EmbedConfig { epsilon: 1.0 / 6.0, ..Default::default() },
     };
     let outer = EmbedBuilder {
-        f: AdaptiveBuilder::default(),
+        f: AdaptiveBuilder,
         r: inner,
         cfg: EmbedConfig { epsilon: 1.0 / 3.0, ..Default::default() },
     };
@@ -271,7 +271,7 @@ fn lemma4_shell_input_independent_of_shell_randomness() {
     let ops = mixed_ops(n, 2000, 71, 0.6);
     let run = |r_seed: u64| {
         let b = EmbedBuilder {
-            f: AdaptiveBuilder::default(),
+            f: AdaptiveBuilder,
             r: RandomizedBuilder::with_seed(r_seed),
             cfg: EmbedConfig::default(),
         };
@@ -411,7 +411,7 @@ fn clustered_runs_pin_every_decision() {
     assert_eq!(format!("{:?}", e.shell().stats()), format!("{inner:?}"));
     assert_eq!(format!("{:?}", e.shell().shell().stats()), format!("{z:?}"));
 
-    let mut g = Growable::new(DeamortizedBuilder::default(), 16);
+    let mut g = Growable::new(DeamortizedBuilder, 16);
     let (mut rep, mut fingerprint) = (OpReport::default(), FNV_OFFSET);
     for &op in &ops {
         match op {
@@ -421,8 +421,9 @@ fn clustered_runs_pin_every_decision() {
         fold_moves(&mut fingerprint, &rep);
     }
     assert_eq!((g.total_moves(), fingerprint), (1_208_756, 0x0215_3ac4_a40e_d904));
-    let grown = g.stats();
-    assert_eq!((grown.grows, grown.shrinks, grown.rebuild_moves), (8, 0, 4080));
+    let (grown, m) = (g.stats(), g.metrics());
+    let rebuild_moves = m.moves.get() - m.moves_per_op.sum();
+    assert_eq!((grown.grows, grown.shrinks, rebuild_moves), (8, 0, 4080));
     let z = DeamortizedStats {
         jobs_created: 8068,
         jobs_completed: 8068,
@@ -535,7 +536,7 @@ fn one_pass_build_equals_the_per_move_reference() {
             let e = corollary11(n, seed);
             let (outer, inner) = (e.tag_array(), e.shell().tag_array());
             let (shell_cap, m) = (e.shell().capacity(), e.num_slots());
-            let z = DeamortizedBuilder::default().build(e.shell().shell().capacity(), m);
+            let z = DeamortizedBuilder.build(e.shell().shell().capacity(), m);
             let yz = || inner_yz_builder(seed).build(shell_cap, m);
             let want_inner = replayed_init_tags(z, e.shell().sim().num_slots());
             let want_outer = replayed_init_tags(yz(), e.sim().num_slots());
@@ -547,7 +548,7 @@ fn one_pass_build_equals_the_per_move_reference() {
 
             // A one-level embedding: Y ⊳ Z on its own.
             let e = inner_yz_builder(seed).build_default(n);
-            let z = DeamortizedBuilder::default().build(e.shell().capacity(), e.num_slots());
+            let z = DeamortizedBuilder.build(e.shell().capacity(), e.num_slots());
             let want = replayed_init_tags(z, e.sim().num_slots());
             assert_eq!(e.tag_array().bitmaps(), want.bitmaps(), "one level, n {n}, seed {seed}");
             assert_twins_agree(e, inner_yz_builder(seed).build_default(n), n / 2, seed);

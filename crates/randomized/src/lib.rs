@@ -31,7 +31,7 @@
 
 #![forbid(unsafe_code)]
 
-use lll_core::density::{even_targets_into, SegTree, Thresholds};
+use lll_core::density::{SegTree, Thresholds};
 use lll_core::pma::{PmaBase, RebalancePolicy};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{log2f, LabelingBuilder};
@@ -39,29 +39,16 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Tuning knobs for the randomized policy.
-#[derive(Clone, Copy, Debug)]
-pub struct RandomizedConfig {
-    /// Per-node threshold jitter, as a fraction of the per-level threshold
-    /// gap (0 = deterministic thresholds, 1 = jitter can consume the whole
-    /// gap). Values around 0.5 give good desynchronization while keeping
-    /// every node's effective threshold sound.
-    pub jitter_frac: f64,
-    /// Whether rebalanced layouts are randomly jittered within strides.
-    pub jittered_layout: bool,
-}
-
-impl Default for RandomizedConfig {
-    fn default() -> Self {
-        Self { jitter_frac: 0.5, jittered_layout: true }
-    }
-}
+/// Per-node threshold jitter, as a fraction of the per-level threshold gap
+/// (0 = deterministic thresholds, 1 = jitter can consume the whole gap).
+/// Values around 0.5 give good desynchronization while keeping every
+/// node's effective threshold sound.
+const JITTER_FRAC: f64 = 0.5;
 
 /// Randomized-threshold, jittered-layout rebalance policy.
 #[derive(Clone, Debug)]
 pub struct RandomizedPolicy {
     thresholds: Thresholds,
-    cfg: RandomizedConfig,
     rng: StdRng,
     /// Lazily drawn per-node upper-threshold jitters, keyed by window;
     /// removed (⇒ redrawn) whenever the node is rebalanced.
@@ -71,10 +58,9 @@ pub struct RandomizedPolicy {
 impl RandomizedPolicy {
     /// Policy for `capacity` elements on `num_slots` slots with the given
     /// random tape (`rand(Y)` in the paper's notation).
-    pub fn new(capacity: usize, num_slots: usize, cfg: RandomizedConfig, rng: StdRng) -> Self {
+    pub fn new(capacity: usize, num_slots: usize, rng: StdRng) -> Self {
         Self {
             thresholds: Thresholds::for_capacity(capacity, num_slots),
-            cfg,
             rng,
             jitters: HashMap::new(),
         }
@@ -97,7 +83,7 @@ impl RebalancePolicy for RandomizedPolicy {
         if level == 0 || level == height {
             return base;
         }
-        let gap = self.level_gap(height) * self.cfg.jitter_frac;
+        let gap = self.level_gap(height) * JITTER_FRAC;
         let jitter = *self
             .jitters
             .entry(window)
@@ -118,9 +104,6 @@ impl RebalancePolicy for RandomizedPolicy {
         out: &mut Vec<usize>,
     ) {
         let k = slots.occupied_in(a, b);
-        if !self.cfg.jittered_layout || k == 0 {
-            return even_targets_into(a, b, k, out);
-        }
         // Element i is placed uniformly at random within its stride
         // [⌊i·w/k⌋, ⌊(i+1)·w/k⌋): strictly increasing by construction, and
         // the layout distribution depends only on (a, b, k) — a
@@ -157,14 +140,12 @@ pub type RandomizedPma = PmaBase<RandomizedPolicy>;
 pub struct RandomizedBuilder {
     /// Seed for the structure's random tape.
     pub seed: u64,
-    /// Tuning knobs.
-    pub cfg: RandomizedConfig,
 }
 
 impl RandomizedBuilder {
-    /// Builder with the given seed and default tuning.
+    /// Builder with the given seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self { seed, cfg: RandomizedConfig::default() }
+        Self { seed }
     }
 }
 
@@ -179,7 +160,7 @@ impl LabelingBuilder for RandomizedBuilder {
 
     fn build(&self, capacity: usize, num_slots: usize) -> Self::Structure {
         let rng = lll_core::rng::rng_from_seed(self.seed);
-        PmaBase::new(capacity, num_slots, RandomizedPolicy::new(capacity, num_slots, self.cfg, rng))
+        PmaBase::new(capacity, num_slots, RandomizedPolicy::new(capacity, num_slots, rng))
     }
 
     fn expected_cost_hint(&self, capacity: usize) -> f64 {

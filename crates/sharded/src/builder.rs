@@ -24,7 +24,6 @@ pub struct ShardedBuilder {
     max_shard_len: usize,
     min_shard_len: usize,
     max_shards: usize,
-    initial_capacity: usize,
 }
 
 impl Default for ShardedBuilder {
@@ -35,7 +34,6 @@ impl Default for ShardedBuilder {
             max_shard_len: 4096,
             min_shard_len: 256,
             max_shards: 1024,
-            initial_capacity: 64,
         }
     }
 }
@@ -85,13 +83,6 @@ impl ShardedBuilder {
         self
     }
 
-    /// Initial backend capacity of each fresh shard (a preallocation hint,
-    /// as in [`ListBuilder::initial_capacity`]).
-    pub fn initial_capacity(mut self, capacity: usize) -> Self {
-        self.initial_capacity = capacity.max(1);
-        self
-    }
-
     fn policy(&self) -> ShardPolicy {
         ShardPolicy {
             max_shard_len: self.max_shard_len,
@@ -101,7 +92,7 @@ impl ShardedBuilder {
     }
 
     fn list_builder(&self) -> ListBuilder {
-        ListBuilder::new().backend(self.backend).initial_capacity(self.initial_capacity)
+        ListBuilder::new().backend(self.backend)
     }
 
     /// An empty [`ShardedMap`] (one shard; splitting is data-driven).

@@ -20,7 +20,7 @@ use layered_list_labeling::embedding::EmbedBuilder;
 
 fn main() {
     let n = 24;
-    let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+    let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
     let mut e = b.build_default(n);
 
     println!("empty embedding (Figure 1's three views):\n{}", figure1(&e));

@@ -19,7 +19,7 @@ fn triple_nesting_compiles_and_agrees() {
     // Three embeddings deep: ((adaptive ⊳ classic) used as F!) ⊳ classic —
     // the F side of an embedding can also be an embedding.
     let inner = EmbedBuilder {
-        f: AdaptiveBuilder::default(),
+        f: AdaptiveBuilder,
         r: ClassicBuilder,
         cfg: EmbedConfig { epsilon: 1.0 / 6.0, ..Default::default() },
     };
@@ -55,7 +55,7 @@ fn corollary11_worst_case_tracks_z_not_y() {
     let _ = run_max;
 
     let mut y = RandomizedBuilder::with_seed(3).build_default(n);
-    let mut z = DeamortizedBuilder::default().build_default(n);
+    let mut z = DeamortizedBuilder.build_default(n);
     let mut l = corollary11(n, 3);
     let (mut max_y, mut max_z, mut max_l) = (0u64, 0u64, 0u64);
     let mut ids = IdGen::new();
@@ -75,7 +75,7 @@ fn corollary11_worst_case_tracks_z_not_y() {
 fn corollary11_amortized_tracks_x_on_hammer() {
     let n = 1 << 12;
     let w = wl::hammer_inserts(n, 0);
-    let mut x = AdaptiveBuilder::default().build_default(n);
+    let mut x = AdaptiveBuilder.build_default(n);
     let mut l = corollary11(n, 5);
     let (mut tot_x, mut tot_l) = (0u64, 0u64);
     let mut ids = IdGen::new();

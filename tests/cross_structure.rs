@@ -37,7 +37,7 @@ fn classic_agrees_on_all_workloads() {
 #[test]
 fn adaptive_agrees_on_all_workloads() {
     for w in suites() {
-        check_workload(&AdaptiveBuilder::default(), &w.ops, w.peak);
+        check_workload(&AdaptiveBuilder, &w.ops, w.peak);
     }
 }
 
@@ -51,7 +51,7 @@ fn randomized_agrees_on_all_workloads() {
 #[test]
 fn deamortized_agrees_on_all_workloads() {
     for w in suites() {
-        check_workload(&DeamortizedBuilder::default(), &w.ops, w.peak);
+        check_workload(&DeamortizedBuilder, &w.ops, w.peak);
     }
 }
 
@@ -72,7 +72,7 @@ fn naive_shift_agrees_on_all_workloads() {
 
 #[test]
 fn single_embedding_agrees_on_all_workloads() {
-    let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+    let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
     for w in suites() {
         check_workload(&b, &w.ops, w.peak);
     }
@@ -105,12 +105,12 @@ fn all_structures_agree_with_each_other() {
         (0..s.len()).map(|r| birth[&s.elem_at_rank(r)]).collect()
     }
     let sig_classic = order_signature(&ClassicBuilder, &w);
-    assert_eq!(sig_classic, order_signature(&AdaptiveBuilder::default(), &w));
+    assert_eq!(sig_classic, order_signature(&AdaptiveBuilder, &w));
     assert_eq!(sig_classic, order_signature(&RandomizedBuilder::with_seed(9), &w));
-    assert_eq!(sig_classic, order_signature(&DeamortizedBuilder::default(), &w));
+    assert_eq!(sig_classic, order_signature(&DeamortizedBuilder, &w));
     assert_eq!(
         sig_classic,
-        order_signature(&EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder), &w)
+        order_signature(&EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder), &w)
     );
     assert_eq!(sig_classic, order_signature(&corollary11_builder(3), &w));
 }

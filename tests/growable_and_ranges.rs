@@ -36,7 +36,7 @@ fn growable_over_classic() {
 
 #[test]
 fn growable_over_adaptive() {
-    check_growable(AdaptiveBuilder::default(), &churn_ops(2500, 2));
+    check_growable(AdaptiveBuilder, &churn_ops(2500, 2));
 }
 
 #[test]
@@ -46,14 +46,14 @@ fn growable_over_randomized() {
 
 #[test]
 fn growable_over_deamortized() {
-    check_growable(DeamortizedBuilder::default(), &churn_ops(2500, 4));
+    check_growable(DeamortizedBuilder, &churn_ops(2500, 4));
 }
 
 #[test]
 fn growable_over_embedding() {
     // The embedding composes with the growth wrapper too: a dynamically
     // sized structure with the layered guarantees at each size.
-    let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+    let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
     let g = check_growable(b, &churn_ops(1200, 5));
     assert!(g.stats().grows >= 1, "should have grown past 16");
 }
@@ -78,8 +78,8 @@ fn iter_range_matches_rank_queries_everywhere() {
     let w = uniform_random_inserts(500, 9);
     let structures: Vec<Box<dyn ListLabeling>> = vec![
         Box::new(ClassicBuilder.build_default(w.peak)),
-        Box::new(AdaptiveBuilder::default().build_default(w.peak)),
-        Box::new(DeamortizedBuilder::default().build_default(w.peak)),
+        Box::new(AdaptiveBuilder.build_default(w.peak)),
+        Box::new(DeamortizedBuilder.build_default(w.peak)),
     ];
     for mut s in structures {
         let mut ids = IdGen::new();
@@ -102,7 +102,7 @@ fn iter_range_matches_rank_queries_everywhere() {
 
 #[test]
 fn iter_range_on_embedding() {
-    let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+    let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
     let mut e = b.build_default(400);
     let w = uniform_churn(300, 400, 11);
     let mut ids = IdGen::new();

@@ -46,7 +46,7 @@ proptest! {
 
     #[test]
     fn adaptive_matches_oracle(ops in op_seq(400, 120)) {
-        let mut s = AdaptiveBuilder::default().build_default(120);
+        let mut s = AdaptiveBuilder.build_default(120);
         run_against_oracle(&mut s, &ops, 61);
     }
 
@@ -58,13 +58,13 @@ proptest! {
 
     #[test]
     fn deamortized_matches_oracle(ops in op_seq(500, 120)) {
-        let mut s = DeamortizedBuilder::default().build_default(120);
+        let mut s = DeamortizedBuilder.build_default(120);
         run_against_oracle(&mut s, &ops, 61);
     }
 
     #[test]
     fn embedding_matches_oracle_and_keeps_invariants(ops in op_seq(350, 90)) {
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut s = b.build_default(90);
         run_against_oracle(&mut s, &ops, 47);
         s.check_invariants();
@@ -73,7 +73,7 @@ proptest! {
 
     #[test]
     fn labels_always_strictly_increase(ops in op_seq(300, 100)) {
-        let b = EmbedBuilder::new(AdaptiveBuilder::default(), ClassicBuilder);
+        let b = EmbedBuilder::new(AdaptiveBuilder, ClassicBuilder);
         let mut s = b.build_default(100);
         let mut ids = IdGen::new();
         for op in ops {
