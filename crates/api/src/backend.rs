@@ -415,10 +415,11 @@ impl ListBuilder {
     }
 
     /// Enable or disable metrics recording (default: enabled). With
-    /// `false` the built backend's [`ListMetrics`] handle is a no-op on
-    /// every recording path — the knob overhead benchmarks use to pin the
-    /// enabled/disabled gap. Not part of [`ListConfig`]: an operational
-    /// setting, not persisted state, so snapshot headers are unaffected.
+    /// `false` the built backend reports into the shared
+    /// [`ListMetrics::disabled`] handle, a no-op on every recording path —
+    /// the knob overhead benchmarks use to pin the enabled/disabled gap.
+    /// Not part of [`ListConfig`]: an operational setting, not persisted
+    /// state, so snapshot headers are unaffected.
     pub fn metrics(mut self, enabled: bool) -> Self {
         self.metrics = enabled;
         self
@@ -429,7 +430,7 @@ impl ListBuilder {
     /// [`LabelMap`](crate::LabelMap) sit on.
     pub fn build(&self) -> ErasedList {
         let cap = self.initial_capacity;
-        let m = || ListMetrics::handle(self.metrics);
+        let m = || self.metrics_sink();
         // Each arm's unsize coercion doubles as a compile-time proof that
         // every selectable backend is `Send + Sync` — a non-thread-safe
         // regression in any algorithm crate fails right here.
@@ -465,8 +466,17 @@ impl ListBuilder {
                 Box::new(corollary11_builder(self.seed).build_default(capacity))
             }
         };
-        built.set_metrics(ListMetrics::handle(self.metrics));
+        built.set_metrics(self.metrics_sink());
         built
+    }
+
+    /// A fresh enabled metrics instance, or the shared disabled one.
+    fn metrics_sink(&self) -> MetricsHandle {
+        if self.metrics {
+            ListMetrics::handle(true)
+        } else {
+            ListMetrics::disabled()
+        }
     }
 
     /// Statically dispatched escape hatch: wrap **any** algorithm builder
@@ -478,7 +488,7 @@ impl ListBuilder {
     /// [`OrderedList::with_backend`]: crate::OrderedList::with_backend
     /// [`LabelMap::with_backend`]: crate::LabelMap::with_backend
     pub fn build_growable<B: LabelingBuilder>(&self, builder: B) -> Growable<B> {
-        Growable::with_metrics(builder, self.initial_capacity, ListMetrics::handle(self.metrics))
+        Growable::with_metrics(builder, self.initial_capacity, self.metrics_sink())
     }
 
     /// An [`OrderedList`](crate::OrderedList) on the configured backend.

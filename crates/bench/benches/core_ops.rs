@@ -7,7 +7,10 @@
 //! fixed-capacity build (`build_us_n4096`), and the insert that grows a
 //! list bulk-loaded full at 2,048 to 4,096 (`grow_us_n2048`: a fresh
 //! build, the survivors' bulk splice and the insert), each the median over
-//! 101 seeds. Results are printed as JSON and — in full mode — written to
+//! 101 seeds. The `kernels` rows time the occupancy bitmap's rank and
+//! select kernels themselves, in ns per call, on a bitmap the size of one
+//! 4,096-capacity shard's physical array at 30%, 60% and 90% density.
+//! Results are printed as JSON and — in full mode — written to
 //! `BENCH_core_ops.json` at the repo root, which is committed so
 //! subsequent PRs have a perf baseline to diff against.
 //!
@@ -15,16 +18,20 @@
 //!
 //! * full (default): `cargo bench -p lll-bench --bench core_ops`
 //!   — n = 2^20 for the PMA-skeleton backends, 2^17 for the layered
-//!   embeddings; writes the JSON file.
+//!   embeddings, 2^16 calls per kernel timing; writes the JSON file.
 //! * smoke (CI): `cargo bench -p lll-bench --bench core_ops -- --smoke`
-//!   — n = 2^14 everywhere, builds at 256 and growth from 128, JSON to
-//!   stdout only (a liveness check, not a measurement).
+//!   — n = 2^14 everywhere, builds at 256 and growth from 128, 2^10
+//!   calls per kernel timing, JSON to stdout only (a liveness check, not
+//!   a measurement).
 //! * overhead gate (CI):
 //!   `cargo bench -p lll-bench --bench core_ops -- --overhead-gate`
-//!   — runs *only* the metrics-overhead check: best-of-3 classic insert
-//!   runs with `ListMetrics` recording on vs off, exiting non-zero if the
-//!   instrumented run is more than 5% slower. This pins the "metrics are
-//!   cheap enough to leave on" claim from `docs/observability.md`.
+//!   — runs *only* the metrics-overhead check: 41 pairs of classic insert
+//!   runs with `ListMetrics` recording on and off, exiting non-zero if the
+//!   median per-pair on/off time ratio is more than 5% above 1. On a
+//!   2-vCPU VM one pair's ratio has quartiles about 1.5% below and 5%
+//!   above 1, so a median of few pairs fails on noise alone. This pins
+//!   the "metrics are cheap enough to leave on" claim from
+//!   `docs/observability.md`.
 //!
 //! Reference point recorded before the bitmap slot-array landed (same
 //! machine class, release, classic backend, n = 2^20 random inserts):
@@ -33,6 +40,7 @@
 
 use lll_api::{Backend, ListBuilder, RawList};
 use lll_bench::report::Json;
+use lll_core::bitmap::Bitmap;
 use rand::Rng;
 use std::time::Instant;
 
@@ -128,6 +136,67 @@ fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Json 
         .num(&format!("grow_us_n{}", build_n / 2), grow_us, 1)
 }
 
+/// Slots of one 4,096-capacity Corollary 11 shard's physical array: the
+/// size of bitmap the stack's rank and select mostly run on.
+const KERNEL_SLOTS: usize = 12_900;
+/// Timed runs per kernel; a row reports their median.
+const KERNEL_RUNS: usize = 5;
+
+/// Median over [`KERNEL_RUNS`] runs of the ns per call of `kernel`, called
+/// once on each of `inputs`.
+fn ns_per_call<T: Copy>(inputs: &[T], mut kernel: impl FnMut(T) -> Option<usize>) -> f64 {
+    let mut ns: Vec<f64> = (0..KERNEL_RUNS)
+        .map(|_| {
+            let t = Instant::now();
+            let mut acc = 0usize;
+            for &input in inputs {
+                acc = acc.wrapping_add(kernel(input).expect("every query has an answer"));
+            }
+            std::hint::black_box(acc);
+            t.elapsed().as_secs_f64() * 1e9 / inputs.len() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[KERNEL_RUNS / 2]
+}
+
+/// Finger queries `(k, hint, rank of hint)`: each hint is a set bit, and
+/// each target the set bit `hop` ranks before or after it, at random.
+fn finger_queries(bits: &Bitmap, hop: usize, calls: usize, rng: &mut impl Rng) -> Vec<[usize; 3]> {
+    (0..calls)
+        .map(|_| {
+            let at = rng.gen_range(hop..bits.count_ones() - hop);
+            let k = if rng.gen::<bool>() { at + hop } else { at - hop };
+            [k, bits.select(at).expect("a set bit"), at]
+        })
+        .collect()
+}
+
+/// One `kernels` row: ns per call of `rank`, root `select`, `select_near`
+/// one and twenty set bits from its finger, and `select_zero`, on a
+/// [`KERNEL_SLOTS`]-slot bitmap with `density_pct` percent of its bits
+/// set at random.
+fn kernel_row(density_pct: u64, calls: usize) -> Json {
+    let mut rng = lll_core::rng::rng_from_seed(0xB175 ^ density_pct);
+    let mut bits = Bitmap::new(KERNEL_SLOTS);
+    bits.set_ascending((0..KERNEL_SLOTS).filter(|_| rng.gen_range(0..100u64) < density_pct));
+    let (ones, zeros) = (bits.count_ones(), KERNEL_SLOTS - bits.count_ones());
+    let positions: Vec<usize> = (0..calls).map(|_| rng.gen_range(0..=KERNEL_SLOTS)).collect();
+    let ranks: Vec<usize> = (0..calls).map(|_| rng.gen_range(0..ones)).collect();
+    let zero_ranks: Vec<usize> = (0..calls).map(|_| rng.gen_range(0..zeros)).collect();
+    let near_1 = finger_queries(&bits, 1, calls, &mut rng);
+    let near_20 = finger_queries(&bits, 20, calls, &mut rng);
+    let near = |[k, hint, hint_rank]: [usize; 3]| bits.select_near(k, hint, hint_rank);
+    Json::new()
+        .int("slots", KERNEL_SLOTS as u64)
+        .int("density_pct", density_pct)
+        .num("rank_ns", ns_per_call(&positions, |p| Some(bits.rank(p))), 1)
+        .num("select_ns", ns_per_call(&ranks, |k| bits.select(k)), 1)
+        .num("select_near_1_ns", ns_per_call(&near_1, near), 1)
+        .num("select_near_20_ns", ns_per_call(&near_20, near), 1)
+        .num("select_zero_ns", ns_per_call(&zero_ranks, |k| bits.select_zero(k)), 1)
+}
+
 /// Wall-clock seconds for `n` random-rank classic inserts with metrics
 /// recording on or off (same seeds either way, so the work is identical).
 fn classic_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
@@ -144,28 +213,38 @@ fn classic_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// The metrics-overhead gate: best-of-`REPS` instrumented vs
-/// uninstrumented classic insert runs, interleaved so thermal drift hits
-/// both sides equally. True iff the overhead is within the budget.
+/// The metrics-overhead gate: `PAIRS` pairs of instrumented and
+/// uninstrumented classic insert runs on the same inputs, alternating
+/// which side runs first so drift hits both equally. It gates on the
+/// median of the per-pair on/off time ratios, which one slow run cannot
+/// move. True iff that median overhead is within the budget.
 fn overhead_gate() -> bool {
     const N: usize = 1 << 17;
-    const REPS: usize = 3;
+    const PAIRS: u64 = 41;
     const MAX_OVERHEAD: f64 = 0.05;
-    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
-    for salt in 0..REPS as u64 {
-        off = off.min(classic_insert_secs(N, false, salt));
-        on = on.min(classic_insert_secs(N, true, salt));
-    }
-    let overhead = on / off - 1.0;
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|salt| {
+            let on_first = salt % 2 == 0;
+            let first = classic_insert_secs(N, on_first, salt);
+            let second = classic_insert_secs(N, !on_first, salt);
+            if on_first {
+                first / second
+            } else {
+                second / first
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let overhead = |q: usize| (ratios[q * (ratios.len() - 1) / 4] - 1.0) * 100.0;
     eprintln!(
-        "overhead-gate: classic n={N}: metrics-off {:.1}ms, metrics-on {:.1}ms, \
-         overhead {:+.2}% (budget {:.0}%)",
-        off * 1e3,
-        on * 1e3,
-        overhead * 100.0,
+        "overhead-gate: classic n={N}, {PAIRS} on/off pairs: overhead median {:+.2}% \
+         (quartiles {:+.2}%, {:+.2}%; budget {:.0}%)",
+        overhead(2),
+        overhead(1),
+        overhead(3),
         MAX_OVERHEAD * 100.0
     );
-    overhead <= MAX_OVERHEAD
+    overhead(2) <= MAX_OVERHEAD * 100.0
 }
 
 fn main() {
@@ -178,6 +257,7 @@ fn main() {
     }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let build_n = if smoke { 256 } else { 4096 };
+    let kernel_calls = if smoke { 1 << 10 } else { 1 << 16 };
     let mut rows = Vec::new();
     for backend in Backend::ALL {
         let n = if smoke {
@@ -198,5 +278,6 @@ fn main() {
     Json::report("core_ops", smoke)
         .int("reference_pre_bitmap_classic_insert_ops_per_sec_n1m", 97457)
         .rows("backends", rows)
+        .rows("kernels", [30, 60, 90].map(|density| kernel_row(density, kernel_calls)))
         .emit("BENCH_core_ops.json", smoke);
 }

@@ -10,8 +10,11 @@
 //! eight words — rank and select in the style of Vigna ("Broadword
 //! Implementation of Rank/Select Queries", WEA 2008) and Zhou, Andersen
 //! and Kaminsky ("Space-Efficient, High-Performance Rank & Select
-//! Structures", SEA 2013), with scalar `count_ones` only. A caller that
-//! already knows the rank of a nearby position asks
+//! Structures", SEA 2013). Inside the answer's word, select runs Vigna's
+//! branch-free `select64`. `count_ones` is one `popcnt` instruction on
+//! x86-64 builds, which the repository's `.cargo/config.toml` targets at
+//! x86-64-v2; other builds get a software popcount and the same answers.
+//! A caller that already knows the rank of a nearby position asks
 //! [`select_near`](Bitmap::select_near) instead: it walks from there and
 //! touches the block counts only when the answer is far away.
 //!
@@ -494,25 +497,52 @@ impl Bitmap {
     }
 }
 
+/// `0x01` in every byte.
+const BYTES_1: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte.
+const BYTES_MSB: u64 = 0x80 * BYTES_1;
+
+/// `SELECT_IN_BYTE[byte | r << 8]` is the offset of the `r`-th (0-based)
+/// set bit of `byte`, for `r` below its popcount; 8 elsewhere. 2 KiB.
+static SELECT_IN_BYTE: [u8; 2048] = {
+    let mut table = [8; 2048];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut r) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte | r << 8] = bit as u8;
+                r += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
 /// Offset of the `r`-th (0-based) set bit of `word`, which has more than
-/// `r`: halve the window by popcount down to one byte, then drop the set
-/// bits below the target.
+/// `r`, without a branch: Vigna's broadword `select64`. One multiplication
+/// turns the byte popcounts into running sums, one SWAR compare (on all
+/// eight bytes at once) counts the bytes before the target, and a table
+/// finishes inside the target byte.
 #[inline]
 fn select_in_word(word: u64, r: usize) -> usize {
     debug_assert!(r < word.count_ones() as usize);
-    let (mut word, mut r, mut base) = (word, r as u32, 0);
-    for half in [32u32, 16, 8] {
-        let low = (word & ((1 << half) - 1)).count_ones();
-        if r >= low {
-            r -= low;
-            word >>= half;
-            base += half as usize;
-        }
-    }
-    for _ in 0..r {
-        word &= word - 1;
-    }
-    base + word.trailing_zeros() as usize
+    let r = r as u64;
+    // Popcount of each byte, in that byte.
+    let mut sums = word - (word >> 1 & 0x5555_5555_5555_5555);
+    sums = (sums & 0x3333_3333_3333_3333) + (sums >> 2 & 0x3333_3333_3333_3333);
+    sums = (sums + (sums >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte i holds the set bits of bytes 0..=i (at most 64: no carries).
+    sums = sums.wrapping_mul(BYTES_1);
+    // Byte i's top bit is set iff sums[i] <= r, i.e. byte i lies wholly
+    // before the target; their number, times 8, is the target's offset.
+    let before = (((r * BYTES_1) | BYTES_MSB) - sums) & BYTES_MSB;
+    let shift = ((before >> 7).wrapping_mul(BYTES_1) >> 53 & !7) as u32;
+    let rank_in_byte = r - ((sums << 8) >> shift & 0xFF);
+    let byte = word >> shift & 0xFF;
+    shift as usize + SELECT_IN_BYTE[(byte | rank_in_byte << 8) as usize] as usize
 }
 
 /// Iterator over set-bit positions in a window (see [`Bitmap::ones_in`]).
@@ -560,6 +590,90 @@ impl Iterator for OnesIn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The word select that `select_in_word` replaced: halve the window
+    /// by popcount down to one byte, then drop the set bits below the
+    /// target. Kept as the reference the broadword version must match.
+    fn select_in_word_by_halves(word: u64, r: usize) -> usize {
+        let (mut word, mut r, mut base) = (word, r as u32, 0);
+        for half in [32u32, 16, 8] {
+            let low = (word & ((1 << half) - 1)).count_ones();
+            if r >= low {
+                r -= low;
+                word >>= half;
+                base += half as usize;
+            }
+        }
+        for _ in 0..r {
+            word &= word - 1;
+        }
+        base + word.trailing_zeros() as usize
+    }
+
+    /// Both word selects agree at every rank of `word`.
+    fn assert_word_select_matches(word: u64) {
+        for r in 0..word.count_ones() as usize {
+            assert_eq!(
+                select_in_word(word, r),
+                select_in_word_by_halves(word, r),
+                "word {word:#018x}, rank {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_select_reads_every_byte_at_every_rank_through_the_table() {
+        for byte in 0..256u64 {
+            for r in 0..byte.count_ones() as usize {
+                let want = select_in_word_by_halves(byte, r);
+                assert_eq!(usize::from(SELECT_IN_BYTE[byte as usize | r << 8]), want);
+            }
+            // The byte in each lane, alone and between full and
+            // alternating neighbours, so the target byte and the bytes
+            // below it vary independently.
+            for lane in 0..8 {
+                let at = byte << (8 * lane);
+                let others = !(0xFF << (8 * lane));
+                for fill in [0, !0, 0x5555_5555_5555_5555, 0x8001_8001_8001_8001] {
+                    assert_word_select_matches(at | fill & others);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_select_matches_on_edge_words() {
+        for bit in 0..64 {
+            assert_word_select_matches(1 << bit);
+            assert_word_select_matches(!0 << bit);
+            assert_word_select_matches(!0 >> bit);
+        }
+        for word in [!0, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA, 1 | 1 << 63] {
+            assert_word_select_matches(word);
+        }
+    }
+
+    #[test]
+    fn word_select_matches_on_a_million_random_words() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        for i in 0..1_000_000u32 {
+            // Densities of about 1/8, 1/4, 1/2, 3/4 and 7/8 set bits.
+            let (a, b, c) = (rng.gen::<u64>(), rng.gen::<u64>(), rng.gen::<u64>());
+            let word = [a & b & c, a & b, a, a | b, a | b | c][i as usize % 5];
+            let ones = word.count_ones() as usize;
+            if ones == 0 {
+                continue;
+            }
+            for r in [0, rng.gen_range(0..ones), ones - 1] {
+                assert_eq!(
+                    select_in_word(word, r),
+                    select_in_word_by_halves(word, r),
+                    "word {word:#018x}, rank {r}"
+                );
+            }
+        }
+    }
 
     fn from_positions(positions: &[usize], len: usize) -> Bitmap {
         let mut b = Bitmap::new(len);

@@ -77,7 +77,7 @@ impl<B: LabelingBuilder> Growable<B> {
     }
 
     /// [`new`](Self::new) with a caller-provided metrics handle — pass
-    /// `ListMetrics::handle(false)` to make every recording path a no-op
+    /// [`ListMetrics::disabled`] to make every recording path a no-op
     /// (overhead benchmarks pin the enabled/disabled gap via this knob).
     pub fn with_metrics(builder: B, initial_capacity: usize, metrics: MetricsHandle) -> Self {
         let cap = initial_capacity.max(16);

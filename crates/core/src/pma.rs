@@ -481,6 +481,7 @@ pub fn run_ops<L: ListLabeling>(l: &mut L, ops: &[Op]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ListMetrics;
     use crate::testkit::Oracle;
 
     #[test]
@@ -633,6 +634,7 @@ mod tests {
         let m = n * 13 / 10;
         let full_scan_words = m / 64; // what one O(m) enumeration would cost
         let mut pma = ClassicBuilder.build(n, m);
+        pma.set_metrics(ListMetrics::handle(true));
         let mut ids = IdGen::new();
         pma.splice(0, &ids.fresh_n(n / 2)); // bulk prefill: one (big, legitimate) sweep
         let rebalances_before = pma.rebalances();

@@ -50,9 +50,10 @@ pub struct SlotArray {
     /// Shared observability sink: moves (added once per drained log) and
     /// scan words (the instrumentation that pins rebalance work to
     /// O(window), not O(m) — counters are atomic/relaxed only so `&self`
-    /// iterators can record). Installed by the owning structure via
-    /// [`set_metrics`](Self::set_metrics) into its physical array; an
-    /// embedding's inner arrays hold [`ListMetrics::disabled`].
+    /// iterators can record). Starts on the shared
+    /// [`ListMetrics::disabled`] handle; the owning structure installs its
+    /// own via [`set_metrics`](Self::set_metrics) into its physical array,
+    /// and an embedding's inner arrays keep the disabled one.
     metrics: MetricsHandle,
 }
 
@@ -78,13 +79,14 @@ impl SlotArray {
             bits: Bitmap::new(m),
             log: Vec::new(),
             lifetime_moves: 0,
-            metrics: ListMetrics::handle(true),
+            metrics: ListMetrics::disabled(),
         }
     }
 
-    /// Install a shared metrics handle (replacing the private default), so
-    /// this array reports into the same instance as the structure wrapping
-    /// it. Existing readings on the old handle are not carried over.
+    /// Install a shared metrics handle (replacing the disabled default),
+    /// so this array reports into the same instance as the structure
+    /// wrapping it. Existing readings on the old handle are not carried
+    /// over.
     pub fn set_metrics(&mut self, metrics: MetricsHandle) {
         self.metrics = metrics;
     }
@@ -607,7 +609,8 @@ mod tests {
     fn windowed_iteration_scans_only_the_window() {
         let m = 1 << 16; // 1024 words
         let positions: Vec<usize> = (0..m).step_by(7).collect();
-        let (s, _) = filled(&positions, m);
+        let (mut s, _) = filled(&positions, m);
+        s.set_metrics(ListMetrics::handle(true));
         let before = s.scan_words();
         let count = s.iter_occupied_in(4096, 4096 + 128).count();
         let scanned = s.scan_words() - before;

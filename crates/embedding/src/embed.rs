@@ -72,7 +72,7 @@
 use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::{ElemId, IdAllocator, IdTable};
-use lll_core::metrics::{ListMetrics, MetricsHandle};
+use lll_core::metrics::MetricsHandle;
 use lll_core::report::{BulkReport, MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -351,9 +351,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             shell_scratch: OpReport::default(),
         };
         // The paper's cost is the physical array's moves; the simulation's
-        // and the shell's are computation, so they record nothing.
-        this.sim.set_metrics(ListMetrics::disabled());
-        this.shell.set_metrics(ListMetrics::disabled());
+        // and the shell's are computation, so they keep the disabled
+        // metrics handle every slot array starts on, and record nothing.
         // The whole shell population enters through one bulk splice (one
         // evenly-spread sweep when R has a native bulk path).
         let slot_ids = this.shell_ids.fresh_n(r_cap);

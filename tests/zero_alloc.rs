@@ -5,7 +5,9 @@
 //! allocates nothing, ever" (no convergence allowance: zero from round
 //! one). The same allocator
 //! keeps a live-bytes gauge, which pins each backend's heap footprint
-//! after a bulk load (see `footprint_stays_pinned`).
+//! after a bulk load (see `footprint_stays_pinned`), and its count pins
+//! the allocations of one Corollary 11 build
+//! (`corollary11_build_allocations_stay_pinned`).
 //!
 //! Methodology: structures allocate while *growing* (slot-array doubling,
 //! hash-table growth, rebalance scratch buffers reaching their high-water
@@ -232,6 +234,21 @@ fn footprint_stays_pinned() {
     }
 }
 
+/// Allocations of one Corollary 11 `build_fixed(4096)` after a first,
+/// warming build, under a ceiling at the exact count. Every growth
+/// rebuild, split half, merge and restore makes such a build, so a
+/// handle, table or buffer the build makes and throws away shows here.
+fn corollary11_build_allocations_stay_pinned() {
+    const CEILING: u64 = 50;
+    let builder = ListBuilder::new().backend(Backend::Corollary11).seed(11);
+    drop(builder.build_fixed(4096));
+    let allocs = allocs_in(|| builder.build_fixed(4096));
+    assert!(
+        allocs <= CEILING,
+        "a Corollary 11 build_fixed(4096) allocated {allocs} times (ceiling {CEILING})"
+    );
+}
+
 #[test]
 fn steady_state_operations_reach_zero_allocations() {
     for backend in [Backend::Classic, Backend::Deamortized] {
@@ -240,4 +257,5 @@ fn steady_state_operations_reach_zero_allocations() {
     }
     sharded_read_churn();
     footprint_stays_pinned();
+    corollary11_build_allocations_stay_pinned();
 }
