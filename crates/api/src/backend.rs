@@ -497,7 +497,7 @@ impl ListBuilder {
     }
 
     /// A [`LabelMap`](crate::LabelMap) on the configured backend.
-    pub fn label_map<K: Ord, V>(&self) -> crate::LabelMap<K, V> {
+    pub fn label_map<K: Ord + Clone, V>(&self) -> crate::LabelMap<K, V> {
         crate::LabelMap::with_backend(self.build())
     }
 }

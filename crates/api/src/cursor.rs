@@ -16,7 +16,7 @@
 //! * [`Cursor`] — read-only, over an [`OrderedList`]; the shared borrow
 //!   freezes the structure, so labels stay valid for the cursor's lifetime.
 //! * [`MapCursor`] — read-only, over a [`LabelMap`]; same idea, plus key
-//!   access ([`LabelMap::cursor_at`] seeks with one binary search and walks
+//!   access ([`LabelMap::cursor_at`] seeks with one keyed search and walks
 //!   label-native from there).
 //! * [`CursorMut`] — mutating, over an [`OrderedList`]:
 //!   `insert_before_here` / `insert_after_here` / `remove_here` edit at the

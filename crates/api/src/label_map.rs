@@ -6,23 +6,54 @@
 //!
 //! Keys are kept physically sorted in the backend's slot array, and each
 //! entry lives in a slab indexed by its element id
-//! ([`ElemId::index`](lll_core::ids::ElemId::index)). Point operations
-//! binary-search the slot positions themselves, as a packed-memory-array
-//! search does (Bender–Hu, TODS 2007): each probe skips the gap at its
-//! midpoint with one occupancy-bitmap query and reads the key of the slot
-//! it lands on through the slab — O(log m) probes, no rank arithmetic and
-//! no hashing. Only an insertion or removal resolves one rank, for the
-//! backend. Range scans walk label to label, which the backend lays out
-//! left-to-right in memory.
+//! ([`ElemId::index`](lll_core::ids::ElemId::index)). Beside the slot
+//! array sits a sparse **fence-key index**, a search index kept next to
+//! the packed-memory array as in De Leo and Boncz's "Packed Memory
+//! Arrays – Rewired" (ICDE 2019): for every group of 32 slots up to the
+//! last element's, a copy of the key of the first element at or after the
+//! group's first slot. An empty group carries its successor's key, so the
+//! fences ascend, and a keyed search is
+//!
+//! 1. a lower bound over the fences, a contiguous array of a few hundred
+//!    keys per shard, which finds the first group whose fence fails the
+//!    search. The standard library's `partition_point` steps without a
+//!    data-dependent branch, so an unpredictable compare costs no
+//!    misprediction;
+//! 2. a check, through the slab, of the occupied slots (at most 32) of the
+//!    group just before it, read off one occupancy-bitmap word;
+//! 3. else the first element at or after the failing group.
+//!
+//! No step resolves a rank or hashes. Only an insertion or removal
+//! resolves one rank, for the backend. Range scans walk label to label,
+//! which the backend lays out left-to-right in memory.
+//!
+//! The index follows the backend's physical move log, as `OrderedList`'s
+//! label table does. Every move's source and destination slot, and a
+//! deletion's slot, mark their groups dirty. Each dirty group is then
+//! refreshed, highest first, with one slab read and one fill that also
+//! covers the empty groups before it. A growth or shrink rebuild bumps the
+//! backend's epoch, and the fences are re-laid in one pass. Keeping copies
+//! of keys is why the map requires `K: Clone` to insert. The index costs
+//! one key per 32 slots (8 B for a `u64` key), where a per-slot key column
+//! would cost one key per slot.
 
 use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::MapCursor;
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::growable::Handle;
+use lll_core::report::{BulkReport, MoveRec, OpReport};
+use lll_core::slot_array::SlotArray;
 use std::borrow::Borrow;
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::{Bound, RangeBounds};
+
+/// Slots per fence-key group. A divisor of 64, so a group's occupancy is
+/// one aligned part of one bitmap word.
+const GROUP: usize = 32;
+const _: () = assert!(64 % GROUP == 0 && GROUP < 64);
+/// The low `GROUP` bits of a word.
+const GROUP_BITS: u64 = (1 << GROUP) - 1;
 
 /// A dynamically sized sorted map with `BTreeMap`-shaped point operations
 /// and PMA-backed range scans.
@@ -40,15 +71,132 @@ use std::ops::{Bound, RangeBounds};
 /// assert_eq!(map.remove(&1), Some("a"));
 /// assert_eq!(map.len(), 2);
 /// ```
+///
+/// Reads (lookups, bounds, ranges, iteration, cursors) work for any
+/// `K: Ord`. Building and changing a map also needs `K: Clone`: its
+/// search index keeps a copy of one key per 32 slots (see the
+/// [module docs](crate::label_map)). `ShardedMap` asks the same of its keys.
 pub struct LabelMap<K: Ord, V, L: RawList = ErasedList> {
     list: L,
     /// Entries by element-id index. The backend gives a deleted element's
     /// index to a later insertion, so the slab stays at the map's peak
     /// population.
     slab: Vec<Option<(K, V)>>,
+    /// The search index over the slot array.
+    fences: Fences<K>,
+    /// The reused move log of point insertions and deletions.
+    report: OpReport,
 }
 
-impl<K: Ord, V> LabelMap<K, V> {
+/// The fence-key index of a [`LabelMap`]: `keys[g]` is a copy of the key
+/// of the first element at or after slot `GROUP * g`, for every group `g`
+/// up to the last element's. Between operations it is exact; an operation
+/// marks the groups its moves touched and refreshes them before it
+/// returns.
+struct Fences<K> {
+    keys: Vec<K>,
+    /// Groups marked since the last refresh, one bit each, sized for the
+    /// slot array of the current epoch.
+    dirty: Vec<u64>,
+    /// The lowest and the highest marked group (`lo > hi`: none).
+    lo: usize,
+    hi: usize,
+}
+
+/// The key of the element at the occupied slot `label`.
+fn key_at<'a, K, V>(slots: &SlotArray, slab: &'a [Option<(K, V)>], label: usize) -> &'a K {
+    let h = slots.get(label).expect("label of a live element");
+    &slab[h.index()].as_ref().expect("slab entry for live element").0
+}
+
+impl<K: Clone> Fences<K> {
+    /// An index for an empty slot array of `slots` positions.
+    fn new(slots: usize) -> Self {
+        Self { keys: Vec::new(), dirty: vec![0; slots.div_ceil(GROUP).div_ceil(64)], lo: 1, hi: 0 }
+    }
+
+    /// Mark the group of slot `pos`.
+    #[inline]
+    fn mark(&mut self, pos: u32) {
+        let g = pos as usize / GROUP;
+        self.dirty[g / 64] |= 1 << (g % 64);
+        self.lo = self.lo.min(g);
+        self.hi = self.hi.max(g);
+    }
+
+    /// Mark the groups of every move's source and destination slot.
+    fn mark_moves(&mut self, moves: &[MoveRec]) {
+        for mv in moves {
+            self.mark(mv.from);
+            self.mark(mv.to);
+        }
+    }
+
+    /// Refresh every marked group, highest first, and clear the marks.
+    fn refresh<V>(&mut self, slots: &SlotArray, slab: &[Option<(K, V)>]) {
+        if self.lo > self.hi {
+            return;
+        }
+        // Groups at or above `floor` are exact already: a refresh fills
+        // the empty groups before the one it refreshes.
+        let mut floor = usize::MAX;
+        for w in (self.lo / 64..=self.hi / 64).rev() {
+            let mut word = std::mem::take(&mut self.dirty[w]);
+            while word != 0 {
+                let bit = 63 - word.leading_zeros() as usize;
+                word &= !(1 << bit);
+                let g = w * 64 + bit;
+                if g < floor {
+                    floor = self.refresh_group(g, slots, slab);
+                }
+            }
+        }
+        (self.lo, self.hi) = (1, 0);
+    }
+
+    /// Recompute the fence of group `g` and of the empty groups just
+    /// before it, with one slab read and one fill; if no element sits at
+    /// or after the group, end the fences at the last element's group.
+    /// Returns the first group the fill covered. The fill clones with
+    /// `clone_from`, so a key that owns a buffer (a `String`) reuses the
+    /// fence's.
+    fn refresh_group<V>(&mut self, g: usize, slots: &SlotArray, slab: &[Option<(K, V)>]) -> usize {
+        let start = g * GROUP;
+        let run = start
+            .checked_sub(1)
+            .and_then(|s| slots.prev_occupied_at_or_before(s))
+            .map_or(0, |p| p / GROUP + 1);
+        match slots.next_occupied_at_or_after(start) {
+            Some(p) => {
+                let key = key_at(slots, slab, p);
+                if self.keys.len() <= g {
+                    self.keys.resize(g + 1, key.clone());
+                }
+                for fence in &mut self.keys[run..=g] {
+                    fence.clone_from(key);
+                }
+            }
+            None => self.keys.truncate(run),
+        }
+        run
+    }
+
+    /// Re-lay every fence from the slot array of a new epoch, in buffers
+    /// sized for it: the operations of an epoch then allocate nothing.
+    fn relay<V>(&mut self, slots: &SlotArray, slab: &[Option<(K, V)>]) {
+        let groups = slots.num_slots().div_ceil(GROUP);
+        *self = Self::new(slots.num_slots());
+        self.keys.reserve_exact(groups);
+        let mut g = 0;
+        while let Some(p) = slots.next_occupied_at_or_after(g * GROUP) {
+            let pg = p / GROUP;
+            self.keys.resize(pg + 1, key_at(slots, slab, p).clone());
+            g = pg + 1;
+        }
+    }
+}
+
+impl<K: Ord + Clone, V> LabelMap<K, V> {
     /// An empty map on the default backend (Corollary 11, erased).
     pub fn new() -> Self {
         ListBuilder::new().label_map()
@@ -79,22 +227,13 @@ impl<K: Ord, V> LabelMap<K, V> {
     }
 }
 
-impl<K: Ord, V> Default for LabelMap<K, V> {
+impl<K: Ord + Clone, V> Default for LabelMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
-    /// Wrap an already-built backend — erased ([`ListBuilder::build`]) or
-    /// concrete ([`ListBuilder::build_growable`]) for static dispatch.
-    ///
-    /// Panics if the backend is non-empty.
-    pub fn with_backend(list: L) -> Self {
-        assert!(list.is_empty(), "LabelMap requires an empty backend");
-        Self { list, slab: Vec::new() }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.list.len()
@@ -137,21 +276,6 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.slab[h.index()].as_mut().expect("slab entry for live element")
     }
 
-    /// Store the entry of the new element `h`.
-    fn put(&mut self, h: Handle, kv: (K, V)) {
-        let i = h.index();
-        if i >= self.slab.len() {
-            self.slab.resize_with(i + 1, || None);
-        }
-        debug_assert!(self.slab[i].is_none(), "slab index {i} already holds an entry");
-        self.slab[i] = Some(kv);
-    }
-
-    /// Remove the entry of the just-deleted element `h`.
-    fn take(&mut self, h: Handle) -> (K, V) {
-        self.slab[h.index()].take().expect("slab entry for deleted element")
-    }
-
     /// The element stored at the occupied slot `label`.
     fn handle_at(&self, label: usize) -> Handle {
         self.list.slots().get(label).expect("label of a live element")
@@ -185,27 +309,40 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
 
     /// The label of the first entry whose key fails `before`, or `None` if
     /// every key passes; the keys that pass must be a prefix of the key
-    /// order. A binary search over slot positions: each probe finds the
-    /// first element at or after its midpoint with one bitmap query and
-    /// reads that element's key through the slab.
+    /// order. A search of the fence-key index (see the module docs):
+    ///
+    /// 1. a lower bound over the fences finds `g`, the first group whose
+    ///    fence fails;
+    /// 2. group `g - 1`'s fence passes, so the group holds an element, and
+    ///    the answer is its first element that fails, if any. Its occupied
+    ///    slots come off one bitmap word and their keys through the slab;
+    ///    the first of them is the fence itself, so it is skipped;
+    /// 3. else the answer is the first element at or after group `g`,
+    ///    whose key is fence `g`, or `None` past the last fence.
+    ///
+    /// About log₂(slots / 32) + 1 fence compares and at most 31 in-group
+    /// compares, with no rank resolution and no scan-word accounting.
     fn partition_label(&self, mut before: impl FnMut(&K) -> bool) -> Option<usize> {
+        let fences = &self.fences.keys;
+        let g = fences.partition_point(&mut before);
         let slots = self.list.slots();
-        let (mut lo, mut hi) = (0, slots.num_slots());
-        // Invariant: the keys at labels below `lo` pass, and `found` is the
-        // first element at or after `hi`, whose key fails.
-        let mut found = None;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match slots.next_occupied_at_or_after(mid).filter(|&p| p < hi) {
-                Some(p) if before(self.entry_at(p).0) => lo = p + 1,
-                Some(p) => {
-                    found = Some(p);
-                    hi = mid;
+        if let Some(prev) = g.checked_sub(1) {
+            let start = prev * GROUP;
+            let mut occupied = slots.bitmap().word(start / 64) >> (start % 64) & GROUP_BITS;
+            occupied &= occupied.wrapping_sub(1);
+            while occupied != 0 {
+                let p = start + occupied.trailing_zeros() as usize;
+                if !before(key_at(slots, &self.slab, p)) {
+                    return Some(p);
                 }
-                None => hi = mid,
+                occupied &= occupied - 1;
             }
         }
-        found
+        if g < fences.len() {
+            slots.next_occupied_at_or_after(g * GROUP)
+        } else {
+            None
+        }
     }
 
     /// The label of the first key ≥ `key`.
@@ -262,22 +399,6 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.rank_of_label(self.upper_bound_label(key))
     }
 
-    /// Insert `key → value`. Returns the previous value if the key was
-    /// present (like `BTreeMap`, the entry keeps its position, handle, and
-    /// originally stored key).
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let label = self.lower_bound_label(&key);
-        if let Some(l) = label {
-            let entry = self.entry_mut(self.handle_at(l));
-            if entry.0.cmp(&key).is_eq() {
-                return Some(std::mem::replace(&mut entry.1, value));
-            }
-        }
-        let h = self.list.insert(self.rank_of_label(label));
-        self.put(h, (key, value));
-        None
-    }
-
     /// The value of `key`. Accepts any borrowed form of the key type
     /// (`&str` for `String` keys, like `BTreeMap`).
     ///
@@ -316,17 +437,6 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.label_of_key(key).is_some()
     }
 
-    /// Remove `key`, returning its value.
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let label = self.label_of_key(key)?;
-        let h = self.list.delete(self.list.rank_at_label(label));
-        Some(self.take(h).1)
-    }
-
     /// The smallest entry.
     pub fn first_key_value(&self) -> Option<(&K, &V)> {
         self.list.first_label().map(|l| self.entry_at(l))
@@ -337,77 +447,12 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.list.last_label().map(|l| self.entry_at(l))
     }
 
-    /// Remove and return the smallest entry.
-    pub fn pop_first(&mut self) -> Option<(K, V)> {
-        if self.is_empty() {
-            return None;
-        }
-        let h = self.list.delete(0);
-        Some(self.take(h))
-    }
-
-    /// Remove and return the largest entry.
-    pub fn pop_last(&mut self) -> Option<(K, V)> {
-        if self.is_empty() {
-            return None;
-        }
-        let h = self.list.delete(self.len() - 1);
-        Some(self.take(h))
-    }
-
-    /// Remove every entry, keeping the backend (and its cost counters)
-    /// alive. Deletions run back-to-front — removal is free in the paper's
-    /// cost model, so this is O(n) plus at most O(n) shrink-rebuild moves.
-    pub fn clear(&mut self) {
-        while self.pop_last().is_some() {}
-    }
-
     /// Consume the map into its entries, sorted ascending by key — the
     /// shard **export** hook: the receiving side replays the run through
     /// [`from_sorted_iter`](LabelMap::from_sorted_iter) /
     /// [`extend_sorted`](LabelMap::extend_sorted) in one O(n) sweep.
     pub fn into_sorted_vec(self) -> Vec<(K, V)> {
         self.into_iter().collect()
-    }
-
-    /// Drain the entries of ranks `at..len` (the upper part of the key
-    /// space), returning them sorted ascending. The retained prefix keeps
-    /// its handles and layout. This is the shard **split** hook: the caller
-    /// lands the returned run in a fresh map via
-    /// [`extend_sorted`](LabelMap::extend_sorted), making a split O(shard)
-    /// total.
-    ///
-    /// Panics if `at > len`.
-    pub fn split_off_at_rank(&mut self, at: usize) -> Vec<(K, V)> {
-        assert!(at <= self.len(), "split_off_at_rank {at} > len {}", self.len());
-        let mut tail = Vec::with_capacity(self.len() - at);
-        while self.len() > at {
-            let h = self.list.delete(at);
-            tail.push(self.take(h));
-        }
-        tail
-    }
-
-    /// Drain every entry with key ≥ `key`, returning them sorted ascending
-    /// (the key-addressed form of
-    /// [`split_off_at_rank`](Self::split_off_at_rank), shaped like
-    /// `BTreeMap::split_off`).
-    pub fn split_off<Q>(&mut self, key: &Q) -> Vec<(K, V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let at = self.lower_bound(key);
-        self.split_off_at_rank(at)
-    }
-
-    /// Move every entry of `other` into `self`, leaving `other` empty — the
-    /// shard **merge** hook. Runs of `other`'s keys that fall between
-    /// `self`'s keys land as single backend splices (equal keys replace the
-    /// value, last write wins, as with sequential inserts).
-    pub fn append<M: RawList>(&mut self, other: &mut LabelMap<K, V, M>) {
-        let drained = other.split_off_at_rank(0);
-        self.extend_sorted(drained);
     }
 
     /// Iterate the entries with keys in `range`, in ascending key order —
@@ -476,6 +521,144 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     {
         MapCursor::new(self, self.lower_bound_label(key))
     }
+}
+
+impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
+    /// Wrap an already-built backend — erased ([`ListBuilder::build`]) or
+    /// concrete ([`ListBuilder::build_growable`]) for static dispatch.
+    ///
+    /// Panics if the backend is non-empty.
+    pub fn with_backend(list: L) -> Self {
+        assert!(list.is_empty(), "LabelMap requires an empty backend");
+        let fences = Fences::new(list.slots().num_slots());
+        Self { list, slab: Vec::new(), fences, report: OpReport::default() }
+    }
+
+    /// Store the entry of the new element `h`.
+    fn put(&mut self, h: Handle, kv: (K, V)) {
+        let i = h.index();
+        if i >= self.slab.len() {
+            self.slab.resize_with(i + 1, || None);
+        }
+        debug_assert!(self.slab[i].is_none(), "slab index {i} already holds an entry");
+        self.slab[i] = Some(kv);
+    }
+
+    /// Bring the fences up to date after a change to the backend that
+    /// began at epoch `pre_epoch`: re-lay them all if the change rebuilt
+    /// the backend, else refresh the groups that `bulk`'s moves touched, or
+    /// for a point operation (`None`) those of the reused report's moves
+    /// and removed slot.
+    fn sync_fences(&mut self, pre_epoch: u64, bulk: Option<&BulkReport>) {
+        if self.list.epoch() != pre_epoch {
+            self.fences.relay(self.list.slots(), &self.slab);
+            return;
+        }
+        match bulk {
+            Some(rep) => self.fences.mark_moves(&rep.moves),
+            None => {
+                self.fences.mark_moves(&self.report.moves);
+                if let Some((_, pos)) = self.report.removed {
+                    self.fences.mark(pos);
+                }
+            }
+        }
+        self.fences.refresh(self.list.slots(), &self.slab);
+    }
+
+    /// Delete the entry of `rank` and return it.
+    fn delete_at(&mut self, rank: usize) -> (K, V) {
+        let pre_epoch = self.list.epoch();
+        let h = self.list.delete_reported_into(rank, &mut self.report);
+        let kv = self.slab[h.index()].take().expect("slab entry for deleted element");
+        self.sync_fences(pre_epoch, None);
+        kv
+    }
+
+    /// Insert `key → value`. Returns the previous value if the key was
+    /// present (like `BTreeMap`, the entry keeps its position, handle, and
+    /// originally stored key).
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let label = self.lower_bound_label(&key);
+        if let Some(l) = label {
+            let entry = self.entry_mut(self.handle_at(l));
+            if entry.0.cmp(&key).is_eq() {
+                return Some(std::mem::replace(&mut entry.1, value));
+            }
+        }
+        let rank = self.rank_of_label(label);
+        let pre_epoch = self.list.epoch();
+        let h = self.list.insert_reported_into(rank, &mut self.report);
+        self.put(h, (key, value));
+        self.sync_fences(pre_epoch, None);
+        None
+    }
+
+    /// Remove `key`, returning its value.
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let label = self.label_of_key(key)?;
+        Some(self.delete_at(self.list.rank_at_label(label)).1)
+    }
+
+    /// Remove and return the smallest entry.
+    pub fn pop_first(&mut self) -> Option<(K, V)> {
+        (!self.is_empty()).then(|| self.delete_at(0))
+    }
+
+    /// Remove and return the largest entry.
+    pub fn pop_last(&mut self) -> Option<(K, V)> {
+        (!self.is_empty()).then(|| self.delete_at(self.len() - 1))
+    }
+
+    /// Remove every entry, keeping the backend (and its cost counters)
+    /// alive. Deletions run back-to-front — removal is free in the paper's
+    /// cost model, so this is O(n) plus at most O(n) shrink-rebuild moves.
+    pub fn clear(&mut self) {
+        while self.pop_last().is_some() {}
+    }
+
+    /// Drain the entries of ranks `at..len` (the upper part of the key
+    /// space), returning them sorted ascending. The retained prefix keeps
+    /// its handles and layout. This is the shard **split** hook: the caller
+    /// lands the returned run in a fresh map via
+    /// [`extend_sorted`](LabelMap::extend_sorted), making a split O(shard)
+    /// total.
+    ///
+    /// Panics if `at > len`.
+    pub fn split_off_at_rank(&mut self, at: usize) -> Vec<(K, V)> {
+        assert!(at <= self.len(), "split_off_at_rank {at} > len {}", self.len());
+        let mut tail = Vec::with_capacity(self.len() - at);
+        while self.len() > at {
+            tail.push(self.delete_at(at));
+        }
+        tail
+    }
+
+    /// Drain every entry with key ≥ `key`, returning them sorted ascending
+    /// (the key-addressed form of
+    /// [`split_off_at_rank`](Self::split_off_at_rank), shaped like
+    /// `BTreeMap::split_off`).
+    pub fn split_off<Q>(&mut self, key: &Q) -> Vec<(K, V)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let at = self.lower_bound(key);
+        self.split_off_at_rank(at)
+    }
+
+    /// Move every entry of `other` into `self`, leaving `other` empty — the
+    /// shard **merge** hook. Runs of `other`'s keys that fall between
+    /// `self`'s keys land as single backend splices (equal keys replace the
+    /// value, last write wins, as with sequential inserts).
+    pub fn append<M: RawList>(&mut self, other: &mut LabelMap<K, V, M>) {
+        let drained = other.split_off_at_rank(0);
+        self.extend_sorted(drained);
+    }
 
     /// Merge a batch of entries **sorted ascending by key** in bulk: runs of
     /// new keys that land in the same gap between existing keys become one
@@ -536,17 +719,19 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// at `succ` (at the end for `None`), as one backend splice.
     fn splice_pending(&mut self, succ: Option<usize>, run: &mut Vec<(K, V)>) {
         let rank = self.rank_of_label(succ);
-        let (handles, _) = self.list.splice_reported(rank, run.len());
+        let pre_epoch = self.list.epoch();
+        let (handles, rep) = self.list.splice_reported(rank, run.len());
         debug_assert_eq!(handles.len(), run.len());
         let slab_len = handles.iter().map(|h| h.index() + 1).max().unwrap_or(0);
         self.slab.reserve(slab_len.saturating_sub(self.slab.len()));
         for (h, kv) in handles.into_iter().zip(run.drain(..)) {
             self.put(h, kv);
         }
+        self.sync_fences(pre_epoch, Some(&rep));
     }
 }
 
-impl<K: Ord + Codec, V: Codec> LabelMap<K, V> {
+impl<K: Ord + Clone + Codec, V: Codec> LabelMap<K, V> {
     /// Write a durable snapshot of the map: the versioned header (backend,
     /// seed, entry count) followed by every `(key, value)` pair in
     /// ascending key order — one label-to-label sweep of the slot array,
@@ -600,7 +785,7 @@ impl<K: Ord + Codec, V: Codec> LabelMap<K, V> {
     }
 }
 
-impl<K: Ord, V, L: RawList> Extend<(K, V)> for LabelMap<K, V, L> {
+impl<K: Ord + Clone, V, L: RawList> Extend<(K, V)> for LabelMap<K, V, L> {
     /// Bulk-aware extension: the input is buffered, and if it arrives
     /// sorted ascending by key it is merged via the O(n) bulk path
     /// ([`extend_sorted`](LabelMap::extend_sorted)); unsorted input falls
@@ -617,7 +802,7 @@ impl<K: Ord, V, L: RawList> Extend<(K, V)> for LabelMap<K, V, L> {
     }
 }
 
-impl<K: Ord, V> FromIterator<(K, V)> for LabelMap<K, V> {
+impl<K: Ord + Clone, V> FromIterator<(K, V)> for LabelMap<K, V> {
     /// Collects through the bulk-load path when the input is sorted (see
     /// [`Extend::extend`]).
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
@@ -748,7 +933,193 @@ impl<K: Ord, V, L: RawList> ExactSizeIterator for Range<'_, K, V, L> {}
 mod tests {
     use super::*;
     use crate::backend::Backend;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
+
+    /// Recompute every fence from the slot array and the slab, and check
+    /// the index against them: one fence per group up to the last
+    /// element's, each equal to the key of the first element at or after
+    /// its group, and no group left marked. Returns the longest run of
+    /// empty groups under the fences.
+    fn check_fences<K: Ord + fmt::Debug, V, L: RawList>(map: &LabelMap<K, V, L>) -> usize {
+        let slots = map.list.slots();
+        let groups = map.list.last_label().map_or(0, |l| l / GROUP + 1);
+        assert_eq!(map.fences.keys.len(), groups, "one fence per group up to the last element's");
+        let (mut run, mut longest) = (0, 0);
+        for (g, fence) in map.fences.keys.iter().enumerate() {
+            let p = slots.next_occupied_at_or_after(g * GROUP).expect("an element after a fence");
+            let key = key_at(slots, &map.slab, p);
+            assert!(
+                fence.cmp(key).is_eq(),
+                "fence {g} is {fence:?}, the first key after it {key:?}"
+            );
+            run = if p / GROUP == g { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        let words = slots.num_slots().div_ceil(GROUP).div_ceil(64);
+        assert_eq!(map.fences.dirty.len(), words, "marks sized for this epoch's slot array");
+        assert!(map.fences.dirty.iter().all(|&w| w == 0), "groups left marked");
+        assert!(map.fences.lo > map.fences.hi, "a marked range left open");
+        longest
+    }
+
+    /// The map against its model at `probes`, through every read the index
+    /// serves; the ranks, which the model counts in O(n), only if `ranks`.
+    fn check_against(
+        map: &LabelMap<u32, u32>,
+        model: &BTreeMap<u32, u32>,
+        probes: &[u32],
+        ranks: bool,
+    ) {
+        assert_eq!(map.len(), model.len());
+        let key = |label: Option<usize>| label.map(|l| *map.entry_at(l).0);
+        for &k in probes {
+            assert_eq!(map.get(&k), model.get(&k), "get({k})");
+            let above = model.range((Bound::Excluded(k), Bound::Unbounded)).next();
+            assert_eq!(key(map.lower_bound_label(&k)), model.range(k..).next().map(|e| *e.0));
+            assert_eq!(key(map.upper_bound_label(&k)), above.map(|e| *e.0), "upper({k})");
+            if ranks {
+                assert_eq!(map.lower_bound(&k), model.range(..k).count(), "lower_bound({k})");
+                assert_eq!(map.upper_bound(&k), model.range(..=k).count(), "upper_bound({k})");
+            }
+        }
+    }
+
+    /// One seeded differential of every operation that moves elements,
+    /// with the fences recomputed after each. Returns the longest run of
+    /// empty groups seen during the ascending runs.
+    fn fences_follow_every_op(backend: Backend) -> usize {
+        let name = backend.name();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFE4CE);
+        let builder = ListBuilder::new().backend(backend).seed(0xFE4CE);
+        let mut map: LabelMap<u32, u32> = builder.label_map();
+        let mut model = BTreeMap::new();
+        let mut checks = 0;
+        let mut check = |map: &LabelMap<u32, u32>, model: &BTreeMap<u32, u32>, probes: &[u32]| {
+            checks += 1;
+            check_against(map, model, probes, checks % 16 == 0);
+            check_fences(map)
+        };
+
+        // Point inserts and removes.
+        for i in 0..3000 {
+            let k = rng.gen_range(0..4000);
+            if rng.gen_range(0..5) < 3 {
+                assert_eq!(map.insert(k, i), model.insert(k, i), "[{name}] insert({k})");
+            } else {
+                assert_eq!(map.remove(&k), model.remove(&k), "[{name}] remove({k})");
+            }
+            check(&map, &model, &[k, rng.gen_range(0..4100)]);
+        }
+
+        // A sorted batch into the non-empty map: first one that fits in
+        // place, then one that forces a growth rebuild. Each mixes keys
+        // already present with new ones in many gaps.
+        let grows = map.grow_stats().grows;
+        let free = map.backend().capacity() - map.len();
+        let batch: Vec<(u32, u32)> = (0..free as u32 / 2).map(|i| (1000 + 7 * i, i)).collect();
+        model.extend(batch.iter().copied());
+        map.extend_sorted(batch);
+        check(&map, &model, &[999, 1000, 1007, 2000]);
+        assert_eq!(map.grow_stats().grows, grows, "[{name}] the first batch fit in place");
+        let batch: Vec<(u32, u32)> = (0..3000).map(|i| (2 * i + 1, i)).collect();
+        model.extend(batch.iter().copied());
+        map.extend_sorted(batch);
+        check(&map, &model, &[0, 1, 2, 5999, 6000]);
+        assert!(map.grow_stats().grows > grows, "[{name}] the second batch grew the map");
+
+        // split_off and append, with one key on both sides.
+        let tail = map.split_off(&2500);
+        let mut model_tail = model.split_off(&2500);
+        assert!(tail.iter().map(|(k, v)| (k, v)).eq(model_tail.iter()), "[{name}] split_off");
+        check(&map, &model, &[2499, 2500]);
+        let mut other: LabelMap<u32, u32> = builder.clone().seed(7).label_map();
+        other.extend_sorted(tail);
+        other.insert(11, 11);
+        model_tail.insert(11, 11);
+        check_fences(&other);
+        map.append(&mut other);
+        model.append(&mut model_tail);
+        assert!(other.is_empty());
+        check_fences(&other);
+        check(&map, &model, &[11, 2499, 2500, 5000]);
+
+        // pop_first and pop_last.
+        for _ in 0..200 {
+            assert_eq!(map.pop_first(), model.pop_first(), "[{name}] pop_first");
+            check(&map, &model, &[]);
+            assert_eq!(map.pop_last(), model.pop_last(), "[{name}] pop_last");
+            check(&map, &model, &[]);
+        }
+
+        // Removes down to a tenth of the population, through shrink
+        // rebuilds.
+        let shrinks = map.grow_stats().shrinks;
+        let mut keys: Vec<u32> = model.keys().copied().collect();
+        let tenth = keys.len() / 10;
+        while keys.len() > tenth {
+            let k = keys.swap_remove(rng.gen_range(0..keys.len()));
+            assert_eq!(map.remove(&k), model.remove(&k), "[{name}] remove({k})");
+            check(&map, &model, &[k]);
+        }
+        assert!(map.grow_stats().shrinks > shrinks, "[{name}] no shrink rebuild");
+
+        // clear, and the map still serves.
+        map.clear();
+        model.clear();
+        check(&map, &model, &[0]);
+        assert_eq!(map.insert(3, 3), None);
+        model.insert(3, 3);
+        check(&map, &model, &[2, 3, 4]);
+
+        // Ascending runs of 1,000 keys from random starts, the clustered
+        // ingest pattern.
+        let mut longest = 0;
+        for run in 0..8 {
+            let base = rng.gen_range(0..1_000_000u32);
+            for i in 0..1000 {
+                let k = base + 3 * i;
+                assert_eq!(map.insert(k, run), model.insert(k, run), "[{name}] insert({k})");
+                longest = longest.max(check(&map, &model, &[k, k + 1]));
+            }
+        }
+        longest
+    }
+
+    /// Keys that own a buffer: fences reuse it through `clone_from`, and a
+    /// shorter or longer key over it must still read back exactly.
+    #[test]
+    fn fences_of_string_keys_follow_every_op() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5791);
+        for backend in [Backend::Classic, Backend::Corollary11] {
+            let mut map: LabelMap<String, u32> = ListBuilder::new().backend(backend).label_map();
+            let mut model = BTreeMap::new();
+            for i in 0..2000 {
+                let n: u32 = rng.gen_range(0..600);
+                let k = format!("{n:0width$}", width = (n % 7) as usize + 1);
+                if rng.gen_range(0..3) < 2 {
+                    assert_eq!(map.insert(k.clone(), i), model.insert(k.clone(), i));
+                } else {
+                    assert_eq!(map.remove(&k), model.remove(&k));
+                }
+                check_fences(&map);
+                assert_eq!(map.get(&k), model.get(&k), "[{backend}] get({k})");
+            }
+        }
+    }
+
+    #[test]
+    fn fences_follow_every_op_on_every_backend() {
+        for backend in Backend::ALL {
+            let longest = fences_follow_every_op(backend);
+            // Corollary 11's ascending runs leave empty stretches of more
+            // than a hundred groups (166 at this seed), each refilled from
+            // the group after it.
+            if backend == Backend::Corollary11 {
+                assert!(longest >= 64, "ascending runs left no long empty stretch ({longest})");
+            }
+        }
+    }
 
     #[test]
     fn point_ops_match_btreemap() {

@@ -15,7 +15,8 @@
 //! * [`LabelMap<K, V>`](LabelMap) — a keyed sorted map (`insert` / `get` /
 //!   `remove` / `range` / `iter`, with `BTreeMap`-style borrowed-key
 //!   lookups) that keeps keys physically sorted in one slot array, so
-//!   range scans are contiguous memory sweeps. Sorted ingest takes the
+//!   range scans are contiguous memory sweeps, and finds keys through a
+//!   fence-key index of one key per 32 slots. Sorted ingest takes the
 //!   O(n) bulk path: [`LabelMap::from_sorted_iter`] and sorted
 //!   [`extend`](Extend::extend) merge runs in evenly-spread sweeps instead
 //!   of point insertions.

@@ -31,7 +31,9 @@
 //!   2-vCPU VM one pair's ratio has quartiles about 1.5% below and 5%
 //!   above 1, so a median of few pairs fails on noise alone. This pins
 //!   the "metrics are cheap enough to leave on" claim from
-//!   `docs/observability.md`.
+//!   `docs/observability.md`. It then prints, ungated, the same median
+//!   for classic inserts through `Growable`, whose per-op moves-per-op
+//!   histogram record the fixed-capacity runs never make.
 //!
 //! Reference point recorded before the bitmap slot-array landed (same
 //! machine class, release, classic backend, n = 2^20 random inserts):
@@ -213,20 +215,38 @@ fn classic_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// The metrics-overhead gate: `PAIRS` pairs of instrumented and
-/// uninstrumented classic insert runs on the same inputs, alternating
-/// which side runs first so drift hits both equally. It gates on the
-/// median of the per-pair on/off time ratios, which one slow run cannot
-/// move. True iff that median overhead is within the budget.
-fn overhead_gate() -> bool {
-    const N: usize = 1 << 17;
-    const PAIRS: u64 = 41;
-    const MAX_OVERHEAD: f64 = 0.05;
-    let mut ratios: Vec<f64> = (0..PAIRS)
+/// Wall-clock seconds for `n` random-rank classic inserts through
+/// `Growable`, sized up front so no growth rebuild runs: the fixed-capacity
+/// work of [`classic_insert_secs`] plus `Growable`'s per-op
+/// `note_op_moves`, the moves-per-op histogram record a fixed-capacity
+/// structure never makes.
+fn growable_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
+    let mut s = ListBuilder::new()
+        .seed(7)
+        .metrics(metrics)
+        .initial_capacity(n)
+        .build_growable(lll_classic::ClassicBuilder);
+    let mut rng = lll_core::rng::rng_from_seed(0xC0DE ^ salt);
+    let mut rep = lll_core::report::OpReport::default();
+    let t = Instant::now();
+    for len in 0..n {
+        let rank = rng.gen_range(0..=len);
+        s.insert_reported_into(rank, &mut rep);
+        std::hint::black_box(rep.cost());
+    }
+    assert_eq!(s.stats().grows, 0, "the timed inserts grew the structure");
+    t.elapsed().as_secs_f64()
+}
+
+/// Quartiles of the metrics-on/off time ratio, in percent above 1, over
+/// `pairs` pairs of `run(metrics, salt)` on the same inputs, alternating
+/// which side runs first so drift hits both equally.
+fn overhead_quartiles(pairs: u64, run: impl Fn(bool, u64) -> f64) -> [f64; 3] {
+    let mut ratios: Vec<f64> = (0..pairs)
         .map(|salt| {
             let on_first = salt % 2 == 0;
-            let first = classic_insert_secs(N, on_first, salt);
-            let second = classic_insert_secs(N, !on_first, salt);
+            let first = run(on_first, salt);
+            let second = run(!on_first, salt);
             if on_first {
                 first / second
             } else {
@@ -235,16 +255,34 @@ fn overhead_gate() -> bool {
         })
         .collect();
     ratios.sort_by(f64::total_cmp);
-    let overhead = |q: usize| (ratios[q * (ratios.len() - 1) / 4] - 1.0) * 100.0;
+    [1, 2, 3].map(|q| (ratios[q * (ratios.len() - 1) / 4] - 1.0) * 100.0)
+}
+
+/// The metrics-overhead gate: `PAIRS` pairs of instrumented and
+/// uninstrumented classic insert runs on the same inputs. It gates on the
+/// median of the per-pair on/off time ratios, which one slow run cannot
+/// move. True iff that median overhead is within the budget.
+///
+/// It also prints, without gating on it, the same figure for inserts
+/// through `Growable`, which adds the per-op moves-per-op histogram
+/// record: on a 2-vCPU VM that median reads close to the budget, too
+/// close to gate on.
+fn overhead_gate() -> bool {
+    const N: usize = 1 << 17;
+    const PAIRS: u64 = 41;
+    const MAX_OVERHEAD: f64 = 0.05;
+    let [q1, median, q3] = overhead_quartiles(PAIRS, |on, salt| classic_insert_secs(N, on, salt));
     eprintln!(
-        "overhead-gate: classic n={N}, {PAIRS} on/off pairs: overhead median {:+.2}% \
-         (quartiles {:+.2}%, {:+.2}%; budget {:.0}%)",
-        overhead(2),
-        overhead(1),
-        overhead(3),
+        "overhead-gate: classic n={N}, {PAIRS} on/off pairs: overhead median {median:+.2}% \
+         (quartiles {q1:+.2}%, {q3:+.2}%; budget {:.0}%)",
         MAX_OVERHEAD * 100.0
     );
-    overhead(2) <= MAX_OVERHEAD * 100.0
+    let [g1, gmedian, g3] = overhead_quartiles(PAIRS, |on, salt| growable_insert_secs(N, on, salt));
+    eprintln!(
+        "overhead-gate: classic through Growable n={N}, {PAIRS} on/off pairs: overhead median \
+         {gmedian:+.2}% (quartiles {g1:+.2}%, {g3:+.2}%; printed, not gated)"
+    );
+    median <= MAX_OVERHEAD * 100.0
 }
 
 fn main() {

@@ -101,6 +101,13 @@ impl Bitmap {
         self.words[pos >> 6] >> (pos & 63) & 1 == 1
     }
 
+    /// The word holding positions `64w .. 64w + 64`, bit `i` for position
+    /// `64w + i`. Bits past [`len`](Self::len) are clear.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
     /// Set the clear bit at `pos`.
     // lll-check: no-alloc
     #[inline]

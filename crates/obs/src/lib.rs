@@ -74,15 +74,17 @@ impl Clone for Counter {
 /// on their bucket's inclusive upper bound, so quantile readout on
 /// synthetic edge-value fills is exact.
 ///
-/// Recording is four relaxed atomic RMWs into pre-allocated storage —
-/// no locks, no allocation — and is safe from any number of threads
-/// concurrently (no samples are lost; see the crate tests).
+/// Recording is two relaxed atomic RMWs into pre-allocated storage (the
+/// bucket and the sum) and a relaxed load of the maximum, plus a third
+/// RMW only when the value is a new maximum — no locks, no allocation —
+/// and is safe from any number of threads concurrently (no samples are
+/// lost; see the crate tests). The sample count is the sum of the
+/// buckets, read when asked for, so it needs no counter of its own.
 #[derive(Debug)]
 pub struct Histogram {
     lo_exp: u32,
     /// `k + 2` buckets: under-range, `k` doubling bands, overflow.
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -98,7 +100,6 @@ impl Histogram {
         Self {
             lo_exp: lo.trailing_zeros(),
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -122,9 +123,12 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         let idx = self.bucket_index(value);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // A locked RMW only for a new maximum: `fetch_max` settles a race
+        // with a concurrent larger value, and a smaller value never needs it.
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -153,10 +157,10 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 
-    /// Samples recorded.
-    #[inline]
+    /// Samples recorded: the sum of the bucket counts, as the exposition
+    /// reads it.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all recorded values.
@@ -217,7 +221,6 @@ impl Clone for Histogram {
                 .iter()
                 .map(|b| AtomicU64::new(b.load(Ordering::Relaxed)))
                 .collect(),
-            count: AtomicU64::new(self.count()),
             sum: AtomicU64::new(self.sum()),
             max: AtomicU64::new(self.max()),
         }

@@ -291,6 +291,56 @@ fn metrics_moves_count_every_move_on_every_backend() {
     }
 }
 
+/// `LabelMap`'s search index adds no accounting: one op sequence, run
+/// through a map and through a bare backend at the ranks the map
+/// resolves, leaves the two `ListMetrics` with equal `moves` and
+/// `scan_words` after every op. Point inserts and removes, pops and a
+/// sorted batch, through growth and shrink rebuilds.
+#[test]
+fn label_map_index_adds_no_accounting_on_every_backend() {
+    use rand::{Rng, SeedableRng};
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let builder = ListBuilder::new().backend(backend).seed(0xACC7);
+        let mut map: LabelMap<u32, u32> = builder.label_map();
+        let mut raw = builder.build();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xACC7);
+        let same = |map: &LabelMap<u32, u32>, raw: &ErasedList, step: &str| {
+            let (m, r) = (map.metrics(), raw.metrics_handle());
+            assert_eq!(m.moves.get(), r.moves.get(), "[{name}] moves after {step}");
+            assert_eq!(m.scan_words.get(), r.scan_words.get(), "[{name}] scan words after {step}");
+        };
+        // Grow to about 1,000 keys, then remove present keys, mostly,
+        // down to about 150: growth rebuilds, then shrink rebuilds.
+        for i in 0..3000u32 {
+            let k = if i < 2000 || rng.gen_range(0..10) == 0 {
+                rng.gen_range(0..3000)
+            } else {
+                *map.key_at_rank(rng.gen_range(0..map.len()))
+            };
+            let rank = map.lower_bound(&k);
+            if i < 2000 && rng.gen_range(0..10) < 7 || i >= 2000 && !map.contains_key(&k) {
+                if map.insert(k, i).is_none() {
+                    raw.insert(rank);
+                }
+            } else if map.remove(&k).is_some() {
+                raw.delete(rank);
+            }
+            same(&map, &raw, &format!("op {i}"));
+        }
+        assert!(map.grow_stats().shrinks > 0, "[{name}] no shrink rebuild");
+        map.pop_first();
+        raw.delete(0);
+        map.pop_last();
+        raw.delete(RawList::len(&raw) - 1);
+        same(&map, &raw, "the pops");
+        // Keys past every key: one gap, so the map makes one splice.
+        raw.splice_reported(map.len(), 300);
+        map.extend_sorted((0..300).map(|i| (5000 + i, i)).collect());
+        same(&map, &raw, "a sorted batch");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 

@@ -5,7 +5,9 @@
 //! allocates nothing, ever" (no convergence allowance: zero from round
 //! one). The same allocator
 //! keeps a live-bytes gauge, which pins each backend's heap footprint
-//! after a bulk load (see `footprint_stays_pinned`), and its count pins
+//! after a bulk load (see `footprint_stays_pinned`) and what a
+//! `LabelMap` holds beyond its backend (`label_map_footprint_stays_pinned`),
+//! and its count pins
 //! the allocations of one Corollary 11 build
 //! (`corollary11_build_allocations_stay_pinned`).
 //!
@@ -22,7 +24,7 @@
 //! Everything runs in ONE `#[test]` so no concurrent test thread can
 //! pollute the process-global counter.
 
-use lll_api::{Backend, ListBuilder};
+use lll_api::{Backend, ListBuilder, RawList};
 use lll_core::ids::IdGen;
 use lll_sharded::ShardedBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -234,6 +236,54 @@ fn footprint_stays_pinned() {
     }
 }
 
+/// Live heap bytes per entry that a `LabelMap<u64, u64>` bulk-loaded with
+/// `n` entries holds beyond its backend: the slab and the search index.
+/// The backend's share is what the same backend holds after one splice
+/// of `n` at rank 0, the splice the map's bulk load makes. The input
+/// batch is allocated and freed inside the measured span.
+fn label_map_own_bytes_per_entry(backend: Backend, n: u64) -> f64 {
+    let builder = ListBuilder::new().backend(backend).seed(11);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut map = builder.label_map::<u64, u64>();
+    map.extend_sorted((0..n).map(|k| (k, k)).collect());
+    let with_map = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    assert_eq!(map.len() as u64, n);
+    drop(map);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut raw = builder.build();
+    drop(raw.splice_reported(0, n as usize));
+    let backend_only = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    drop(raw);
+    with_map.wrapping_sub(backend_only) as f64 / n as f64
+}
+
+/// What a bulk-loaded `LabelMap` holds beyond its backend, at n = 2,048
+/// and n = 3,000, stays under a pinned ceiling per backend: a 24-byte
+/// slab entry per entry (`Option<(u64, u64)>`) plus the fence-key index,
+/// 8 bytes per 32 slots. Each ceiling is the larger of its two exact
+/// figures (Corollary 11's rounded up in the third decimal), so a
+/// per-slot key column, 8 more bytes per slot, fails here.
+fn label_map_footprint_stays_pinned() {
+    let ceilings = [
+        (Backend::Classic, 24.44),
+        (Backend::Deamortized, 24.456),
+        (Backend::Randomized, 24.44),
+        (Backend::Adaptive, 24.44),
+        (Backend::Corollary11, 25.094),
+    ];
+    assert_eq!(ceilings.map(|(b, _)| b), Backend::ALL, "one ceiling per backend");
+    for (backend, ceiling) in ceilings {
+        for n in [2048, 3000] {
+            let bytes = label_map_own_bytes_per_entry(backend, n);
+            assert!(
+                bytes <= ceiling,
+                "{backend} LabelMap at n = {n} holds {bytes:.3} B/entry beyond its backend \
+                 (ceiling {ceiling})"
+            );
+        }
+    }
+}
+
 /// Allocations of one Corollary 11 `build_fixed(4096)` after a first,
 /// warming build, under a ceiling at the exact count. Every growth
 /// rebuild, split half, merge and restore makes such a build, so a
@@ -257,5 +307,6 @@ fn steady_state_operations_reach_zero_allocations() {
     }
     sharded_read_churn();
     footprint_stays_pinned();
+    label_map_footprint_stays_pinned();
     corollary11_build_allocations_stay_pinned();
 }
