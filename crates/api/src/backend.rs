@@ -24,6 +24,9 @@ use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_deamortized::DeamortizedBuilder;
 use lll_embedding::layered::corollary11_builder;
 use lll_randomized::RandomizedBuilder;
+use std::sync::Arc;
+
+use crate::templates::{TemplateSize, TemplateStore, TemplatedCorollary11};
 
 /// The rank-addressed operations the API layer needs from a dynamically
 /// sized list-labeling backend. Implemented by [`Growable`] over every
@@ -150,6 +153,12 @@ pub trait RawList {
     /// builds; decode paths validate before calling).
     fn load_with_handles(&mut self, handles: &[Handle]);
 
+    /// Remove every element in one reset ([`Growable::reset`]): every id is
+    /// released, the backend is rebuilt empty at its initial capacity, and
+    /// the epoch bumps once. No element moves, and no handle issued
+    /// afterwards repeats one from before.
+    fn reset(&mut self);
+
     /// The underlying algorithm's name.
     fn backend_name(&self) -> &'static str;
 
@@ -210,6 +219,10 @@ impl<B: LabelingBuilder> RawList for Growable<B> {
         Growable::load_with_handles(self, handles)
     }
 
+    fn reset(&mut self) {
+        Growable::reset(self)
+    }
+
     fn backend_name(&self) -> &'static str {
         Growable::backend_name(self)
     }
@@ -242,16 +255,23 @@ pub enum Backend {
     /// The paper's Corollary 11: adaptive ⊳ (randomized ⊳ deamortized),
     /// whose move bounds combine all three layers' (Theorem 3).
     ///
+    /// Building one empty is the paper's Θ(n) R-shell initialization on
+    /// both levels. [`ListBuilder::build`] serves the third and later
+    /// builds of one size by cloning a template of the empty structure,
+    /// kept by the builder and shared by its clones; see
+    /// [`ListBuilder::template_sizes`].
+    ///
     /// The default because it is the paper's reproduction, not because it
     /// is fastest: end to end it trails each of its own layers. On
     /// ladderbench (`ShardedMap`, n = 2^18, `--seconds 10`, 2-vCPU x86-64
-    /// VM; medians over ten seeds) a clustered-ingest insert costs 41× a
-    /// `BTreeMap` insert and a uniform-mix insert 3.0×, against 9.7–13.5×
-    /// and 1.9–2.1× on adaptive, randomized or deamortized alone (medians
-    /// over three seeds). It takes 0.18–0.20 s to set up against
-    /// 0.05–0.08 s, and holds 172 resident bytes per entry against 40.
-    /// Pick a single layer when time or memory matters more than the
-    /// combined move bounds.
+    /// VM; medians over ten seeds) a clustered-ingest insert costs 38× a
+    /// `BTreeMap` insert and a uniform-mix insert 2.2×. Adaptive,
+    /// randomized or deamortized alone read 9.7–13.5× and 1.9–2.1×
+    /// (medians over three seeds, measured before the `LabelMap` search
+    /// index made every backend's uniform-mix operations cheaper). It takes
+    /// 0.13–0.14 s to set up against 0.05–0.08 s, and holds 174 resident
+    /// bytes per entry against 40. Pick a single layer when time or memory
+    /// matters more than the combined move bounds.
     Corollary11,
 }
 
@@ -350,17 +370,29 @@ pub struct ListConfig {
 /// assert!(list.label_of_rank(0) < list.label_of_rank(1));
 /// let _ = (first, second);
 /// ```
+///
+/// A builder and its clones share one store of Corollary 11 templates (see
+/// [`Backend::Corollary11`]): a `ShardedMap` clones its builder for every
+/// shard, so its shards' growth rebuilds, splits and merges are clones of
+/// an empty structure rather than fresh builds.
 #[derive(Clone, Debug)]
 pub struct ListBuilder {
     backend: Backend,
     seed: u64,
     initial_capacity: usize,
     metrics: bool,
+    templates: Arc<TemplateStore>,
 }
 
 impl Default for ListBuilder {
     fn default() -> Self {
-        Self { backend: Backend::Corollary11, seed: 0x11, initial_capacity: 64, metrics: true }
+        Self {
+            backend: Backend::Corollary11,
+            seed: 0x11,
+            initial_capacity: 64,
+            metrics: true,
+            templates: Arc::default(),
+        }
     }
 }
 
@@ -381,7 +413,7 @@ impl ListBuilder {
             backend: cfg.backend,
             seed: cfg.seed,
             initial_capacity: cfg.initial_capacity.max(1),
-            metrics: true,
+            ..Self::default()
         }
     }
 
@@ -443,11 +475,25 @@ impl ListBuilder {
                 m(),
             )),
             Backend::Adaptive => Box::new(Growable::with_metrics(AdaptiveBuilder, cap, m())),
-            Backend::Corollary11 => {
-                Box::new(Growable::with_metrics(corollary11_builder(self.seed), cap, m()))
-            }
+            Backend::Corollary11 => Box::new(Growable::with_metrics(
+                TemplatedCorollary11::new(self.seed, Arc::clone(&self.templates)),
+                cap,
+                m(),
+            )),
         };
         ErasedList { inner, config: self.config() }
+    }
+
+    /// Every size of Corollary 11 structure that lists built by this
+    /// builder or its clones have built, with how each build was served.
+    /// The first build of a size is computed; the second is computed and
+    /// kept as the size's template; later ones clone the template and
+    /// install their own random tape, and behave move for move like a
+    /// computed build. A size built once holds no template, so a lone
+    /// list that only grows keeps none. [`build_fixed`](Self::build_fixed)
+    /// always computes, and other backends never use the store.
+    pub fn template_sizes(&self) -> Vec<TemplateSize> {
+        self.templates.sizes()
     }
 
     /// Build the configured backend as a **fixed-capacity** structure
@@ -575,6 +621,10 @@ impl RawList for ErasedList {
 
     fn load_with_handles(&mut self, handles: &[Handle]) {
         self.inner.load_with_handles(handles)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset()
     }
 
     fn backend_name(&self) -> &'static str {

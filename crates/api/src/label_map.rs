@@ -614,11 +614,28 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         (!self.is_empty()).then(|| self.delete_at(self.len() - 1))
     }
 
-    /// Remove every entry, keeping the backend (and its cost counters)
-    /// alive. Deletions run back-to-front — removal is free in the paper's
-    /// cost model, so this is O(n) plus at most O(n) shrink-rebuild moves.
+    /// Remove every entry in one backend [`reset`](RawList::reset): no
+    /// element moves and the epoch bumps once. The backend returns to its
+    /// initial capacity and keeps its cost counters.
     pub fn clear(&mut self) {
-        while self.pop_last().is_some() {}
+        let pre_epoch = self.list.epoch();
+        self.list.reset();
+        self.slab = Vec::new();
+        self.sync_fences(pre_epoch, None);
+    }
+
+    /// Take every entry, sorted ascending, with one label walk, then
+    /// [`clear`](Self::clear) the map.
+    fn take_sorted(&mut self) -> Vec<(K, V)> {
+        let mut entries = Vec::with_capacity(self.len());
+        let mut label = self.list.first_label();
+        while let Some(l) = label {
+            let h = self.handle_at(l);
+            entries.push(self.slab[h.index()].take().expect("slab entry for live element"));
+            label = self.list.next_label_after(l);
+        }
+        self.clear();
+        entries
     }
 
     /// Drain the entries of ranks `at..len` (the upper part of the key
@@ -652,11 +669,13 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     }
 
     /// Move every entry of `other` into `self`, leaving `other` empty — the
-    /// shard **merge** hook. Runs of `other`'s keys that fall between
-    /// `self`'s keys land as single backend splices (equal keys replace the
-    /// value, last write wins, as with sequential inserts).
+    /// shard **merge** hook. `other` is emptied by one label walk and one
+    /// backend [`reset`](RawList::reset), with no element moves. Runs of
+    /// `other`'s keys that fall between `self`'s keys land as single
+    /// backend splices (equal keys replace the value, last write wins, as
+    /// with sequential inserts).
     pub fn append<M: RawList>(&mut self, other: &mut LabelMap<K, V, M>) {
-        let drained = other.split_off_at_rank(0);
+        let drained = other.take_sorted();
         self.extend_sorted(drained);
     }
 
@@ -934,7 +953,7 @@ mod tests {
     use super::*;
     use crate::backend::Backend;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashSet};
 
     /// Recompute every fence from the slot array and the slab, and check
     /// the index against them: one fence per group up to the last
@@ -1331,6 +1350,71 @@ mod tests {
         assert_eq!(map.pop_last(), None);
         map.insert(7, ());
         assert_eq!(map.len(), 1);
+    }
+
+    /// The live handles of `map`'s backend.
+    fn live_handles<L: RawList>(map: &LabelMap<u32, u32, L>) -> Vec<Handle> {
+        map.backend().slots().iter_occupied().map(|(_, h)| h).collect()
+    }
+
+    #[test]
+    fn append_and_clear_empty_by_reset_on_every_backend() {
+        for backend in Backend::ALL {
+            let builder = ListBuilder::new().backend(backend).seed(5);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xA99E);
+            // A bulk-loaded, then churned map, and a second one with
+            // overlapping keys.
+            let mut other = builder.label_map::<u32, u32>();
+            let mut other_ref = BTreeMap::new();
+            other.extend_sorted((0..2048).map(|k| (k * 3, k)).collect());
+            other_ref.extend((0..2048).map(|k| (k * 3, k)));
+            for _ in 0..500 {
+                let k = rng.gen_range(0..6144);
+                if rng.gen_bool(0.5) {
+                    assert_eq!(other.insert(k, k), other_ref.insert(k, k));
+                } else {
+                    assert_eq!(other.remove(&k), other_ref.remove(&k));
+                }
+            }
+            let mut map = builder.label_map::<u32, u32>();
+            let mut map_ref = BTreeMap::new();
+            for k in (0..3000).step_by(7) {
+                assert_eq!(map.insert(k, k + 1), map_ref.insert(k, k + 1));
+            }
+
+            let before: HashSet<Handle> = live_handles(&other).into_iter().collect();
+            let (moves, epoch) = (other.total_moves(), other.backend().epoch());
+            map.append(&mut other);
+            map_ref.append(&mut other_ref);
+            assert_eq!(other.total_moves(), moves, "{backend}: append moved other's elements");
+            assert_eq!(other.backend().epoch(), epoch + 1, "{backend}: one epoch bump");
+            assert!(other.is_empty() && other.iter().next().is_none());
+            assert!(map.iter().eq(map_ref.iter()), "{backend}: append diverged from BTreeMap");
+
+            // The emptied map is usable, and its new handles are fresh ids.
+            for k in 0..600 {
+                assert_eq!(other.insert(k, k), other_ref.insert(k, k));
+            }
+            assert!(other.iter().eq(other_ref.iter()), "{backend}: reuse after append diverged");
+            let reissued = live_handles(&other).into_iter().filter(|h| before.contains(h)).count();
+            assert_eq!(
+                reissued, 0,
+                "{backend}: a handle issued after the reset repeats an old one"
+            );
+
+            let (moves, epoch) = (map.total_moves(), map.backend().epoch());
+            map.clear();
+            map_ref.clear();
+            assert_eq!(map.total_moves(), moves, "{backend}: clear moved elements");
+            assert_eq!(map.backend().epoch(), epoch + 1, "{backend}: one epoch bump");
+            assert!(map.is_empty() && map.first_key_value().is_none());
+            for k in (0..900).rev() {
+                assert_eq!(map.insert(k, 1), map_ref.insert(k, 1));
+            }
+            assert!(map.iter().eq(map_ref.iter()), "{backend}: reuse after clear diverged");
+            check_fences(&map);
+            check_fences(&other);
+        }
     }
 
     #[test]

@@ -52,12 +52,14 @@ pub mod cursor;
 pub mod label_map;
 pub mod ordered_list;
 pub mod persist;
+mod templates;
 
 pub use backend::{Backend, ErasedList, ListBuilder, ListConfig, ParseBackendError, RawList};
 pub use cursor::{Cursor, CursorMut, MapCursor};
 pub use label_map::{LabelMap, Range};
 pub use ordered_list::OrderedList;
 pub use persist::{Codec, SnapshotError};
+pub use templates::TemplateSize;
 
 // Re-exported so API users can hold handles and read reports without
 // depending on lll-core directly.

@@ -7,7 +7,9 @@
 //! fixed-capacity build (`build_us_n4096`), and the insert that grows a
 //! list bulk-loaded full at 2,048 to 4,096 (`grow_us_n2048`: a fresh
 //! build, the survivors' bulk splice and the insert), each the median over
-//! 101 seeds. The `kernels` rows time the occupancy bitmap's rank and
+//! 101 seeds. `build_template_us_n4096` and `grow_template_us_n2048` time
+//! the same two with one `ListBuilder` shared across the seeds, so that a
+//! Corollary 11 build clones a template of the empty structure. The `kernels` rows time the occupancy bitmap's rank and
 //! select kernels themselves, in ns per call, on a bitmap the size of one
 //! 4,096-capacity shard's physical array at 30%, 60% and 90% density.
 //! Results are printed as JSON and — in full mode — written to
@@ -85,10 +87,40 @@ fn grow_us(backend: Backend, n: usize) -> f64 {
     })
 }
 
+/// [`build_us`] and [`grow_us`] with one `ListBuilder` shared across the
+/// reps, as a `ShardedMap` shares one across its shards, so from the third
+/// rep on a Corollary 11 build clones the template of its size (the single
+/// layers do not use templates). The build is a list of initial capacity
+/// `n` rather than a fixed-capacity structure: the same structure inside
+/// `Growable`.
+fn template_us(backend: Backend, n: usize) -> (f64, f64) {
+    let shared = ListBuilder::new().backend(backend);
+    let sized = shared.clone().initial_capacity(n);
+    let build = median_us(|seed| {
+        let builder = sized.clone().seed(seed);
+        let t = Instant::now();
+        let built = builder.build();
+        let secs = t.elapsed().as_secs_f64();
+        drop(std::hint::black_box(built));
+        secs
+    });
+    let grow = median_us(|seed| {
+        let mut list = shared.clone().seed(seed).build();
+        list.splice_reported(0, n / 2);
+        let t = Instant::now();
+        list.insert(n / 4);
+        let secs = t.elapsed().as_secs_f64();
+        assert_eq!(list.capacity(), n, "the insert grows the list");
+        secs
+    });
+    (build, grow)
+}
+
 /// One backend's row of the report.
 fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Json {
     let build_us = build_us(backend, build_n);
     let grow_us = grow_us(backend, build_n / 2);
+    let (build_template_us, grow_template_us) = template_us(backend, build_n);
 
     let mut s = ListBuilder::new().seed(seed).backend(backend).build_fixed(n);
     let mut rng = lll_core::rng::rng_from_seed(seed ^ 0xC0DE);
@@ -136,6 +168,8 @@ fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Json 
         .int("num_slots", s.slots().num_slots() as u64)
         .num(&format!("build_us_n{build_n}"), build_us, 1)
         .num(&format!("grow_us_n{}", build_n / 2), grow_us, 1)
+        .num(&format!("build_template_us_n{build_n}"), build_template_us, 1)
+        .num(&format!("grow_template_us_n{}", build_n / 2), grow_template_us, 1)
 }
 
 /// Slots of one 4,096-capacity Corollary 11 shard's physical array: the

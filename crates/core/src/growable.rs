@@ -365,6 +365,18 @@ impl<B: LabelingBuilder> Growable<B> {
         self.ids.skip_through(max_index as u32);
     }
 
+    /// Remove every element in one reset: release every live id, rebuild
+    /// the inner structure empty at the initial capacity, and bump the
+    /// epoch once. No element moves. A released id's index is issued again
+    /// only under its next generation, so no id issued after the reset
+    /// repeats one from before it.
+    pub fn reset(&mut self) {
+        for (_, id) in self.inner.slots().iter_occupied() {
+            self.ids.release(id);
+        }
+        self.rebuild_with_order(self.min_capacity, &[]);
+    }
+
     /// Apply an [`Op`].
     pub fn apply(&mut self, op: Op) -> Handle {
         match op {

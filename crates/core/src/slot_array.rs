@@ -65,8 +65,13 @@ impl Clone for SlotArray {
             log: self.log.clone(),
             lifetime_moves: self.lifetime_moves,
             // Detach: the clone keeps the current readings but records
-            // independently from here on.
-            metrics: Arc::new(self.metrics.snapshot()),
+            // independently from here on. A disabled handle records
+            // nothing, so the clone shares it and allocates none.
+            metrics: if self.metrics.enabled() {
+                Arc::new(self.metrics.snapshot())
+            } else {
+                Arc::clone(&self.metrics)
+            },
         }
     }
 }

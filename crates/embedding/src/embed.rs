@@ -242,6 +242,11 @@ impl Checkpoint {
 
 /// The embedding `F ⊳ R` of a fast structure `F` into a reliable structure
 /// `R` (paper §3, Theorem 2).
+///
+/// A clone is an independent copy in the same state, random tapes
+/// included; its physical array records into a detached copy of the
+/// metrics (see [`SlotArray`]'s `Clone`).
+#[derive(Clone)]
 pub struct Embed<F: ListLabeling, R: ListLabeling> {
     capacity: usize,
     tags: TagArray,
@@ -393,6 +398,17 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// The R-shell (read-only).
     pub fn shell(&self) -> &R {
         &self.shell
+    }
+
+    /// The simulated copy of F, for installing its random tape into a copy
+    /// of an empty embedding ([`crate::layered::install_y_tape`]).
+    pub(crate) fn sim_mut(&mut self) -> &mut F {
+        &mut self.sim
+    }
+
+    /// The R-shell, for the same purpose as [`sim_mut`](Self::sim_mut).
+    pub(crate) fn shell_mut(&mut self) -> &mut R {
+        &mut self.shell
     }
 
     /// The tagged array (read-only; used by the views renderer).

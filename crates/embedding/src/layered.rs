@@ -1,7 +1,7 @@
 //! Theorem 3's double embedding `X ⊳ (Y ⊳ Z)` and the paper's concrete
 //! instantiations (Corollaries 11 and 12).
 //!
-//! Because [`Embed`] is itself a [`ListLabeling`](lll_core::traits::ListLabeling) built from two
+//! Because [`Embed`] is itself a [`ListLabeling`] built from two
 //! [`LabelingBuilder`]s, the double embedding is literally a nested type:
 //! `Embed<X, Embed<Y, Z>>`. The builders below wire up the slot budgets:
 //! the outer embedding uses ε = 1/3 and the inner ε = 1/6 so that every
@@ -11,7 +11,7 @@
 use crate::embed::{Embed, EmbedBuilder, EmbedConfig};
 use lll_adaptive::{AdaptiveBuilder, AdaptivePma};
 use lll_core::rng::derive_seed;
-use lll_core::traits::LabelingBuilder;
+use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_deamortized::{DeamortizedBuilder, DeamortizedPma};
 use lll_predictions::{PredictedBuilder, PredictedPma, VecPredictor};
 use lll_randomized::{RandomizedBuilder, RandomizedPma};
@@ -43,15 +43,30 @@ pub fn layered_configs() -> (EmbedConfig, EmbedConfig) {
     (outer, inner)
 }
 
+/// The builder of `Y`, the randomized layer, whose random tape is derived
+/// from `seed` (Lemma 4 requires each layer's randomness to be
+/// independent). `Y` holds Corollary 11's only random tape.
+fn y_builder(seed: u64) -> RandomizedBuilder {
+    RandomizedBuilder::with_seed(derive_seed(seed, 0x59))
+}
+
 /// The inner `Y ⊳ Z` builder with an independent random tape derived from
-/// `seed` (Lemma 4 requires each layer's randomness to be independent).
+/// `seed`.
 pub fn inner_yz_builder(seed: u64) -> EmbedBuilder<RandomizedBuilder, DeamortizedBuilder> {
     let (_, inner_cfg) = layered_configs();
-    EmbedBuilder {
-        f: RandomizedBuilder::with_seed(derive_seed(seed, 0x59)),
-        r: DeamortizedBuilder,
-        cfg: inner_cfg,
-    }
+    EmbedBuilder { f: y_builder(seed), r: DeamortizedBuilder, cfg: inner_cfg }
+}
+
+/// Give a copy of an **empty** Corollary 11 structure the random tape that
+/// [`corollary11_builder`]`(seed)` builds with. `X` and `Z` take no seed,
+/// and the build draws nothing from `Y`'s tape, so a clone of any empty
+/// build of the same capacity and slot count, after this call, behaves
+/// move for move like a fresh build from `seed`, at the cost of copying
+/// memory instead of computing the R-shells of both levels.
+pub fn install_y_tape(empty: &mut Corollary11, seed: u64) {
+    debug_assert!(empty.is_empty(), "only an empty structure takes a new tape");
+    let y = empty.shell_mut().sim_mut();
+    y.policy_mut().replace_tape(y_builder(seed).tape());
 }
 
 /// Builder for Corollary 11's `X ⊳ (Y ⊳ Z)`.

@@ -66,6 +66,15 @@ impl RandomizedPolicy {
         }
     }
 
+    /// Replace the random tape with `rng`, before the first draw: from
+    /// then on the policy behaves exactly like one built on `rng`. A bulk
+    /// build draws nothing, so a copy of an empty structure can take the
+    /// tape of another seed this way.
+    pub fn replace_tape(&mut self, rng: StdRng) {
+        debug_assert!(self.jitters.is_empty(), "the tape was drawn from before its replacement");
+        self.rng = rng;
+    }
+
     /// The magnitude of one level's threshold gap.
     fn level_gap(&self, height: usize) -> f64 {
         if height == 0 {
@@ -147,6 +156,11 @@ impl RandomizedBuilder {
     pub fn with_seed(seed: u64) -> Self {
         Self { seed }
     }
+
+    /// The random tape a build from this builder starts on.
+    pub fn tape(&self) -> StdRng {
+        lll_core::rng::rng_from_seed(self.seed)
+    }
 }
 
 impl Default for RandomizedBuilder {
@@ -159,8 +173,7 @@ impl LabelingBuilder for RandomizedBuilder {
     type Structure = RandomizedPma;
 
     fn build(&self, capacity: usize, num_slots: usize) -> Self::Structure {
-        let rng = lll_core::rng::rng_from_seed(self.seed);
-        PmaBase::new(capacity, num_slots, RandomizedPolicy::new(capacity, num_slots, rng))
+        PmaBase::new(capacity, num_slots, RandomizedPolicy::new(capacity, num_slots, self.tape()))
     }
 
     fn expected_cost_hint(&self, capacity: usize) -> f64 {
@@ -213,6 +226,22 @@ mod tests {
         let (c6, _) = run(6);
         // different tapes almost surely cost differently
         assert_ne!(c5, c6, "different seeds should diverge (same cost is astronomically unlikely)");
+    }
+
+    #[test]
+    fn a_replaced_tape_behaves_as_if_built_on_it() {
+        let n = 800;
+        let ops: Vec<Op> = (0..n).map(|i| Op::Insert(i / 3)).collect();
+        let run = |mut pma: RandomizedPma| {
+            let mut ids = IdGen::new();
+            let costs: Vec<u64> = ops.iter().map(|&op| pma.apply(op, &mut ids).cost()).collect();
+            (costs, pma.slots().layout())
+        };
+        let mut retaped = RandomizedBuilder::with_seed(5).build(n, n * 13 / 10);
+        retaped.policy_mut().replace_tape(RandomizedBuilder::with_seed(6).tape());
+        let built_on_6 = run(RandomizedBuilder::with_seed(6).build(n, n * 13 / 10));
+        assert_eq!(run(retaped), built_on_6);
+        assert_ne!(run(RandomizedBuilder::with_seed(5).build(n, n * 13 / 10)), built_on_6);
     }
 
     #[test]

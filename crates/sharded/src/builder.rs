@@ -61,7 +61,10 @@ impl ShardedBuilder {
         self
     }
 
-    /// Split a shard once it exceeds this many entries. Clamped to ≥ 2.
+    /// The most entries a shard holds below the shard-count ceiling:
+    /// a new key for a shard this full splits the shard before it lands,
+    /// and a sorted batch that overfills a shard splits it afterwards (see
+    /// [`ShardPolicy::max_shard_len`]). Clamped to ≥ 2.
     pub fn max_shard_len(mut self, len: usize) -> Self {
         self.max_shard_len = len.max(2);
         self

@@ -120,13 +120,16 @@ impl<K: Ord, V> Shard<K, V> {
 ///
 /// Invariants enforced by [`ShardedBuilder`](crate::ShardedBuilder):
 /// `min_shard_len <= max_shard_len / 4`, so a freshly split half
-/// (`> max/2`) is never immediately merge-eligible and a freshly merged
+/// (`>= max/2`) is never immediately merge-eligible and a freshly merged
 /// shard (`<= max`) is never immediately split-eligible — maintenance
 /// always terminates.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPolicy {
-    /// Split a shard once it exceeds this many entries (and the shard
-    /// count is still below [`max_shards`](Self::max_shards)).
+    /// The most entries a shard holds while the shard count is below
+    /// [`max_shards`](Self::max_shards). A point insert of a new key into
+    /// a shard this full splits the shard first and lands in a half. A
+    /// sorted batch ([`ShardedMap::extend_sorted`]) lands first and splits
+    /// any shard it took past this length afterwards.
     pub max_shard_len: usize,
     /// Merge a shard into a neighbor once it falls below this many entries
     /// (if the combined shard stays within
@@ -391,31 +394,50 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
 
     /// Insert `key → value`, returning the previous value if the key was
     /// present. Locks the owning shard exclusively (the directory only for
-    /// its load); if the shard overflowed the policy band, splits it
-    /// afterwards under the maintenance mutex.
+    /// its load). A new key for a shard that already holds
+    /// `max_shard_len` entries splits the shard first, under the
+    /// maintenance mutex and with no shard lock held, then lands in its
+    /// half: the full shard is never grown only to be dropped by the
+    /// split. At the shard-count ceiling a full shard simply keeps growing
+    /// (documented degradation).
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         // Only the attempt that lands the entry takes it, and that attempt
         // ends the loop.
         let mut kv = Some((key, value));
-        let (prev, overflow) = self.route(|dir| {
-            let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
-            let shard = &dir.shards[dir.locate(key)];
-            let mut g = shard.write()?;
-            shard.obs.writes.inc();
-            let (key, value) = kv.take().expect("a landed entry ends the loop");
-            let prev = g.insert(key, value);
-            // Only trigger maintenance when a split is actually feasible:
-            // at the shard-count ceiling an oversized shard simply keeps
-            // growing (documented degradation), and a no-op maintenance
-            // pass would serialize every writer on the mutex.
-            let overflow =
-                g.len() > self.policy.max_shard_len && dir.shards.len() < self.policy.max_shards;
-            Some((prev, overflow))
-        });
-        if overflow {
-            self.maintain();
+        loop {
+            // `None`: the owning shard was full, and the key new to it.
+            let landed = self.route(|dir| {
+                let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
+                let shard = &dir.shards[dir.locate(key)];
+                let mut g = shard.write()?;
+                if g.len() >= self.policy.max_shard_len
+                    && dir.shards.len() < self.policy.max_shards
+                    && !g.contains_key(key)
+                {
+                    return Some(None);
+                }
+                shard.obs.writes.inc();
+                let (key, value) = kv.take().expect("a landed entry ends the loop");
+                Some(Some(g.insert(key, value)))
+            });
+            match landed {
+                Some(prev) => return prev,
+                None => self.split_full(&kv.as_ref().expect("the entry has not landed").0),
+            }
         }
-        prev
+    }
+
+    /// Split the shard that owns `key` if it is still full and the shard
+    /// ceiling allows, under the maintenance mutex: the split that makes
+    /// room for a new key.
+    fn split_full(&self, key: &K) {
+        let _m = mlock(&self.maint);
+        let dir = self.dir.load();
+        if dir.shards.len() < self.policy.max_shards
+            && self.split_shard(&dir, dir.locate(key), self.policy.max_shard_len)
+        {
+            self.splits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Remove `key`, returning its value. Locks the owning shard
@@ -675,7 +697,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 Bound::Included(k) | Bound::Excluded(k) => dir.locate(k),
                 Bound::Unbounded => dir.shards.len() - 1,
             };
-            let mut out = Vec::new();
+            // `limit` comes from clients (`lll-server`'s range verb), so it
+            // sizes the result only up to one shard's worth.
+            let mut out = Vec::with_capacity(limit.min(self.policy.max_shard_len));
             for shard in &dir.shards[lo..=hi] {
                 let truncated = shard.read(|m| {
                     for (k, v) in m.range((range.start_bound(), range.end_bound())) {
@@ -761,7 +785,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 dir.shards.iter().map(|s| rlock(&s.map, Level::Shard).len()).collect();
             if n < self.policy.max_shards {
                 if let Some(i) = (0..n).find(|&i| lens[i] > self.policy.max_shard_len) {
-                    if self.split_shard(&dir, i) {
+                    if self.split_shard(&dir, i, self.policy.max_shard_len + 1) {
                         self.splits.fetch_add(1, Ordering::Relaxed);
                     }
                     continue;
@@ -795,19 +819,20 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Split shard `i` at its median rank: drain it under its write lock
-    /// (one snapshot sweep — a pure read, no backend deletes), bulk-load
-    /// both halves into fresh shards, publish a successor directory that
-    /// carries them, and retire the drained shard. Returns false if a
-    /// concurrent writer shrank the shard back inside the band first.
+    /// Split shard `i` at its median rank if it holds at least `min_len`
+    /// entries: drain it under its write lock (one snapshot sweep — a pure
+    /// read, no backend deletes), bulk-load both halves into fresh shards,
+    /// publish a successor directory that carries them, and retire the
+    /// drained shard. Returns false if the shard is retired or a
+    /// concurrent writer shrank it below `min_len` first.
     ///
     /// Ordering is load-bearing: the old shard's retired flag is set (and
     /// its lock releases) *before* the publication, so a reader of the old
     /// directory can never observe the drained shard as live.
-    fn split_shard(&self, dir: &Directory<K, V>, i: usize) -> bool {
+    fn split_shard(&self, dir: &Directory<K, V>, i: usize, min_len: usize) -> bool {
         let old = &dir.shards[i];
         let Some(mut g) = old.write() else { return false };
-        if g.len() <= self.policy.max_shard_len {
+        if g.len() < min_len {
             return false;
         }
         let old_map = std::mem::replace(&mut *g, self.fresh_shard());
@@ -1399,5 +1424,70 @@ mod tests {
         assert!(chunks.iter().all(|c| c.capacity() == c.len()), "a run kept spare capacity");
         assert_eq!(chunks.concat(), (0..10_000).collect::<Vec<_>>());
         assert_eq!(super::exact_chunks(Vec::<u32>::new(), 8), [Vec::<u32>::new()]);
+    }
+
+    #[test]
+    fn a_full_shard_splits_before_the_insert_that_would_grow_it() {
+        use lll_api::Backend;
+        const MAX: usize = 256;
+        for backend in [Backend::Classic, Backend::Corollary11] {
+            let map = ShardedBuilder::new()
+                .backend(backend)
+                .max_shard_len(MAX)
+                .min_shard_len(16)
+                .build::<u64, u64>();
+            // Shards start at capacity 64 and double: MAX entries need 256.
+            let need = MAX;
+            let mut model = BTreeMap::new();
+            for k in 0..MAX as u64 {
+                assert_eq!(map.insert(k, k), model.insert(k, k));
+            }
+            // Overwriting a key of a full shard adds no entry: no split.
+            assert_eq!(map.insert(5, 50), model.insert(5, 50));
+            assert_eq!((map.shard_count(), map.stats().splits), (1, 0), "{backend}");
+            for k in MAX as u64..3000 {
+                assert_eq!(map.insert(k, k), model.insert(k, k), "{backend}: insert({k})");
+                let stats = map.stats();
+                assert!(stats.max_shard_len() <= MAX, "{backend}: a shard passed {MAX} at {k}");
+                assert!(
+                    stats.shard_capacities.iter().all(|&c| c <= need),
+                    "{backend}: a shard grew past capacity {need} at {k}: {:?}",
+                    stats.shard_capacities
+                );
+            }
+            map.check_invariants();
+            assert_eq!(map.to_vec(), model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+            // Every split took a shard at exactly MAX entries, not one grown
+            // past it.
+            let splits: Vec<u64> = map
+                .trace()
+                .snapshot()
+                .iter()
+                .filter(|e| e.kind == lll_obs::TraceKind::Split)
+                .map(|e| e.c)
+                .collect();
+            assert_eq!(splits.len() as u64, map.stats().splits);
+            assert!(splits.len() > 10 && splits.iter().all(|&c| c == MAX as u64), "{splits:?}");
+        }
+    }
+
+    #[test]
+    fn shards_share_one_template_store() {
+        // 64 shards of 128 entries: each shard is built empty at capacity
+        // 64, then rebuilt at 128 by its bulk load.
+        let map = ShardedBuilder::new()
+            .max_shard_len(256)
+            .build_from_sorted((0..64 * 128u64).map(|k| (k, k)).collect());
+        assert_eq!(map.shard_count(), 64);
+        let sizes = map.builder.template_sizes();
+        assert_eq!(sizes.iter().map(|s| s.capacity).collect::<Vec<_>>(), [64, 128]);
+        for size in sizes {
+            assert_eq!(size.fresh_builds, 2, "{size:?}");
+            assert_eq!(size.fresh_builds + size.cloned_builds, 64, "{size:?}");
+            assert!(size.held, "{size:?}");
+        }
+        for k in (0..64 * 128).step_by(97) {
+            assert_eq!(map.get(&k), Some(k));
+        }
     }
 }

@@ -5,11 +5,13 @@
 //! allocates nothing, ever" (no convergence allowance: zero from round
 //! one). The same allocator
 //! keeps a live-bytes gauge, which pins each backend's heap footprint
-//! after a bulk load (see `footprint_stays_pinned`) and what a
-//! `LabelMap` holds beyond its backend (`label_map_footprint_stays_pinned`),
-//! and its count pins
-//! the allocations of one Corollary 11 build
-//! (`corollary11_build_allocations_stay_pinned`).
+//! after a bulk load (see `footprint_stays_pinned`), what a `LabelMap`
+//! holds beyond its backend (`label_map_footprint_stays_pinned`) and what
+//! a lone growing Corollary 11 map holds
+//! (`lone_label_map_keeps_no_template`), and its count pins the
+//! allocations of one Corollary 11 build, computed
+//! (`corollary11_build_allocations_stay_pinned`) and served from a
+//! template (`corollary11_template_build_allocations_stay_pinned`).
 //!
 //! Methodology: structures allocate while *growing* (slot-array doubling,
 //! hash-table growth, rebalance scratch buffers reaching their high-water
@@ -240,17 +242,21 @@ fn footprint_stays_pinned() {
 /// `n` entries holds beyond its backend: the slab and the search index.
 /// The backend's share is what the same backend holds after one splice
 /// of `n` at rank 0, the splice the map's bulk load makes. The input
-/// batch is allocated and freed inside the measured span.
+/// batch is allocated and freed inside the measured span. Each span builds
+/// from its own `ListBuilder`: builders share Corollary 11 templates with
+/// their clones, and the second build of a size keeps one.
 fn label_map_own_bytes_per_entry(backend: Backend, n: u64) -> f64 {
-    let builder = ListBuilder::new().backend(backend).seed(11);
+    let builder = || ListBuilder::new().backend(backend).seed(11);
+    let map_builder = builder();
     let before = LIVE.load(Ordering::Relaxed);
-    let mut map = builder.label_map::<u64, u64>();
+    let mut map = map_builder.label_map::<u64, u64>();
     map.extend_sorted((0..n).map(|k| (k, k)).collect());
     let with_map = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
     assert_eq!(map.len() as u64, n);
     drop(map);
+    let raw_builder = builder();
     let before = LIVE.load(Ordering::Relaxed);
-    let mut raw = builder.build();
+    let mut raw = raw_builder.build();
     drop(raw.splice_reported(0, n as usize));
     let backend_only = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
     drop(raw);
@@ -299,6 +305,51 @@ fn corollary11_build_allocations_stay_pinned() {
     );
 }
 
+/// Allocations of one Corollary 11 list of initial capacity 4,096 built
+/// by a `ListBuilder` that built two before it, so the build is served by
+/// cloning the template the second one kept: pinned at the exact count.
+/// The clone makes 41 of the 45 and the list's metrics handle and box the
+/// other 4; a computed build of the structure makes 46 (`build_fixed`'s 50
+/// above, with its own handle and box).
+fn corollary11_template_build_allocations_stay_pinned() {
+    const EXACT: u64 = 45;
+    let builder = ListBuilder::new().backend(Backend::Corollary11).initial_capacity(4096);
+    for seed in [1, 2] {
+        drop(builder.clone().seed(seed).build());
+    }
+    let served = builder.clone().seed(11);
+    let allocs = allocs_in(|| served.build());
+    let [size] = builder.template_sizes()[..] else { panic!("one size built") };
+    assert_eq!((size.capacity, size.fresh_builds, size.cloned_builds), (4096, 2, 1));
+    assert_eq!(allocs, EXACT, "a Corollary 11 list built from a template allocated {allocs} times");
+}
+
+/// A lone `LabelMap` that grows from empty to 2^14 entries builds each
+/// capacity once, so its builder keeps no Corollary 11 template (one would
+/// hold about 148 B/entry), and the live bytes per entry it holds stay
+/// under a ceiling at the exact figure. That figure is the 253.218 B/entry
+/// the map held before the template store, plus the store's record of the
+/// nine sizes it saw built: one 640-byte table, 0.039 B/entry.
+fn lone_label_map_keeps_no_template() {
+    const N: u64 = 1 << 14;
+    const CEILING: f64 = 253.257;
+    let builder = ListBuilder::new().backend(Backend::Corollary11).seed(11);
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut map = builder.label_map::<u64, u64>();
+    for k in 0..N {
+        map.insert(k, k);
+    }
+    let held = LIVE.load(Ordering::Relaxed).wrapping_sub(before) as f64 / N as f64;
+    assert_eq!(map.len() as u64, N);
+    let sizes = builder.template_sizes();
+    assert_eq!(sizes.len(), 9, "{sizes:?}");
+    assert!(sizes.iter().all(|s| !s.held && s.fresh_builds == 1), "{sizes:?}");
+    assert!(
+        held <= CEILING,
+        "a lone Corollary 11 LabelMap holds {held:.4} B/entry (ceiling {CEILING})"
+    );
+}
+
 #[test]
 fn steady_state_operations_reach_zero_allocations() {
     for backend in [Backend::Classic, Backend::Deamortized] {
@@ -309,4 +360,6 @@ fn steady_state_operations_reach_zero_allocations() {
     footprint_stays_pinned();
     label_map_footprint_stays_pinned();
     corollary11_build_allocations_stay_pinned();
+    corollary11_template_build_allocations_stay_pinned();
+    lone_label_map_keeps_no_template();
 }
