@@ -16,8 +16,16 @@
 //! hand-rolled because this workspace builds offline, with a
 //! compile-time table so the hot path is one lookup per byte.
 
-// lll-check: enforce(panic-free-decode)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 
 use crate::persist::{Codec, SnapshotError};
 use std::io::Read;
@@ -53,6 +61,7 @@ pub fn decode_framed_bytes<R: Read + ?Sized>(r: &mut R) -> Result<Vec<u8>, Snaps
 }
 
 /// The byte-indexed CRC32 lookup table, computed at compile time.
+#[allow(clippy::indexing_slicing, reason = "i < 256 is the loop guard; const-evaluated")]
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i: u32 = 0;
@@ -63,7 +72,6 @@ const CRC32_TABLE: [u32; 256] = {
             c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        // lll-check: allow(panic-free-decode, i < 256 is the loop guard; const-evaluated)
         table[i as usize] = c;
         i += 1;
     }
@@ -105,8 +113,9 @@ impl Crc32 {
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
         for &b in bytes {
-            // lll-check: allow(panic-free-decode, index is (x & 0xFF) — always < 256, in-bounds)
-            c = (c >> 8) ^ CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
+            #[allow(clippy::indexing_slicing, reason = "the index is masked to 8 bits, so < 256")]
+            let entry = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
+            c = (c >> 8) ^ entry;
         }
         self.state = c;
     }
@@ -126,7 +135,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 mod tests {
     use super::*;
 

@@ -336,11 +336,14 @@ impl<V, L: RawList> OrderedList<V, L> {
         Some((h, v))
     }
 
-    /// Remove every element, invalidating all handles. The backend (and its
-    /// cost counters) stays alive; deletions run back-to-front, so this is
-    /// O(n) plus at most O(n) shrink-rebuild moves.
+    /// Remove every element, invalidating all handles, with one backend
+    /// [`reset`](RawList::reset): no element moves, the epoch bumps once,
+    /// and no handle issued afterwards repeats one from before. The backend
+    /// (and its cost counters) stays alive.
     pub fn clear(&mut self) {
-        while self.pop_back().is_some() {}
+        self.list.reset();
+        self.label.clear();
+        self.value.clear();
     }
 
     /// Iterate `(handle, &value)` in list order — a label-to-label walk of
@@ -588,6 +591,48 @@ impl<V: fmt::Debug, L: RawList> fmt::Debug for OrderedList<V, L> {
 mod tests {
     use super::*;
     use crate::backend::Backend;
+
+    #[test]
+    fn clear_empties_by_reset_on_every_backend() {
+        use rand::{Rng, SeedableRng};
+        for backend in Backend::ALL {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xC1EA);
+            let mut list: OrderedList<u32> =
+                ListBuilder::new().backend(backend).seed(5).ordered_list();
+            // A bulk-loaded, then churned list.
+            let mut handles = list.extend_back(0..2048);
+            for v in 0..500 {
+                let i = rng.gen_range(0..handles.len());
+                if rng.gen_bool(0.5) {
+                    let h = list.insert_after(handles[i], v);
+                    handles.push(h);
+                } else {
+                    assert!(list.remove(handles.swap_remove(i)).is_some());
+                }
+            }
+            list.check_labels();
+
+            let before: HashSet<Handle> = handles.iter().copied().collect();
+            let (moves, epoch) = (list.total_moves(), list.backend().epoch());
+            list.clear();
+            assert_eq!(list.total_moves(), moves, "{backend}: clear moved elements");
+            assert_eq!(list.backend().epoch(), epoch + 1, "{backend}: one epoch bump");
+            assert!(list.is_empty() && list.iter().next().is_none());
+            list.check_labels();
+            assert!(handles.iter().all(|&h| !list.contains(h)), "{backend}: a handle survived");
+
+            // The cleared list is usable, and its new handles are fresh ids.
+            let mut fresh = list.extend_back(0..300);
+            for v in 300..600 {
+                fresh.push(list.push_front(v));
+            }
+            list.check_labels();
+            let expected: Vec<u32> = (300..600).rev().chain(0..300).collect();
+            assert!(list.values().copied().eq(expected), "{backend}: reuse after clear diverged");
+            let reissued = fresh.iter().filter(|h| before.contains(h)).count();
+            assert_eq!(reissued, 0, "{backend}: a handle issued after clear repeats an old one");
+        }
+    }
 
     #[test]
     fn order_queries_match_ground_truth() {

@@ -54,8 +54,16 @@
 //! orders of magnitude slower. In-memory targets (`Vec<u8>`, byte slices)
 //! need no wrapping.
 
-// lll-check: enforce(panic-free-decode)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 
 use crate::backend::{Backend, ListConfig};
 use std::fmt;
@@ -444,7 +452,16 @@ impl Header {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 mod tests {
     use super::*;
 

@@ -1,43 +1,29 @@
-//! # lll-check — hand-rolled workspace invariant linter
+//! # lll-check — the lexical half of the workspace's invariants
 //!
-//! The workspace's load-bearing invariants — panic-free decoders, the
-//! maintenance→shard lock order, the zero-alloc steady-state insert path,
-//! and the no-`unsafe` baseline — exist as comments and reviewer
-//! discipline. This crate turns them into a mechanical gate: a token-level
-//! static-analysis pass (the offline workspace has no `syn`; the rules
-//! below need no type information) run as `cargo run -p lll-check`
-//! locally and in CI, exiting non-zero on any finding.
+//! Two of the workspace's invariants have no compiler lint that can state
+//! them: the nesting of the sharded map's locks and the allocation-free
+//! hot paths. This crate checks both with a token-level static-analysis
+//! pass (the offline workspace has no `syn`; neither rule needs type
+//! information), run by `cargo test` through `workspace_scans_clean` and
+//! by hand as `cargo run -p lll-check`, exiting non-zero on any finding.
 //!
 //! ## Rules
 //!
-//! * **panic-free-decode** — in decode modules opted in with an
-//!   `enforce(...)` directive, forbid `.unwrap()` / `.expect()`,
-//!   `panic!` / `unreachable!` / `todo!` / `unimplemented!`, direct
-//!   indexing (`x[i]`, `x[a..b]`), and possibly-truncating `as` casts.
-//!   `#[cfg(test)]` modules are exempt; individual lines escape with a
-//!   justified `allow(...)` directive.
-//! * **lock-order** — fields annotated with a `lock-order:` comment
-//!   (levels `maintenance` and `shard`) declare the locking protocol;
-//!   acquisition sites — `rlock(..)` / `wlock(..)` calls carrying a
-//!   `Level::` argument, and `mlock(..)` (always maintenance) — are
-//!   scanned lexically with guard lifetimes simulated by brace depth.
-//!   Findings: a second shard lock without the maintenance lock held, the
-//!   maintenance lock under a shard guard, maintenance re-entry, a
-//!   directory `publish(..)` while a shard guard is live, and any raw
-//!   `.read()` / `.write()` / `.lock()` or `.try_read()` / `.try_write()`
-//!   / `.try_lock()` on an annotated field (it would bypass the runtime
-//!   tracker).
-//! * **unsafe-discipline** — every crate root must carry
-//!   `#![forbid(unsafe_code)]`; `unsafe` may appear only in the
-//!   [`UNSAFE_ALLOWED`] whitelist (the counting-allocator harness), and
-//!   every whitelisted site needs a `// SAFETY:` comment on or just above
-//!   the line.
+//! * **lock-order** — every non-`#[cfg(test)]` line of every file is
+//!   scanned for the sharded map's tracked acquisitions, with guard
+//!   lifetimes simulated by brace depth: `rlock(..)` and `wlock(..)` take
+//!   a shard lock, `mlock(..)` the maintenance lock. Findings: a second
+//!   shard lock without the maintenance lock held, the maintenance lock
+//!   under a shard guard, maintenance re-entry, and a directory
+//!   `publish(..)` while a shard guard is live.
 //! * **no-alloc** — functions annotated with a `no-alloc` directive may
 //!   not call allocating constructors (`Vec::new`, `with_capacity`,
 //!   `collect`, `to_vec`, `format!`, `Box::new`, …).
 //!
-//! The full annotation grammar and the rationale for each rule live in
-//! `docs/static-analysis.md`. The linter is itself pinned by committed
+//! An unknown directive is itself a finding, so a typo cannot silently
+//! disable a gate. Which tool enforces each of the other invariants
+//! (panic-free decoders, the `unsafe` ban, untracked lock acquisitions) is
+//! in `docs/static-analysis.md`. The linter is pinned by committed
 //! known-bad fixtures under `tests/fixtures/` that it must flag.
 
 #![forbid(unsafe_code)]
@@ -47,25 +33,12 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Rule name: panic-free decode modules.
-pub const RULE_PANIC_FREE: &str = "panic-free-decode";
-/// Rule name: maintenance→shard lock order.
+/// Rule name: the sharded map's lock nesting.
 pub const RULE_LOCK_ORDER: &str = "lock-order";
-/// Rule name: `#![forbid(unsafe_code)]` + `// SAFETY:` discipline.
-pub const RULE_UNSAFE: &str = "unsafe-discipline";
 /// Rule name: allocation-free hot paths.
 pub const RULE_NO_ALLOC: &str = "no-alloc";
-/// Rule name: the linter's own annotation grammar (unknown directives,
-/// unjustified allows).
+/// Rule name: the linter's own annotation grammar (unknown directives).
 pub const RULE_GRAMMAR: &str = "annotation-grammar";
-
-/// Files allowed to contain `unsafe` (every site still needs a
-/// `// SAFETY:` comment). Entries ending in `/` whitelist a directory.
-pub const UNSAFE_ALLOWED: &[&str] = &[
-    // The counting #[global_allocator] harness: GlobalAlloc is an unsafe
-    // trait by definition; the impl forwards verbatim to System.
-    "tests/zero_alloc.rs",
-];
 
 /// One finding: file, 1-based line, rule, and what was seen.
 #[derive(Clone, Debug)]
@@ -138,7 +111,7 @@ impl SourceFile {
                     if c == '/' && next == Some('/') {
                         st = LexState::LineComment;
                         i += 2;
-                        // Skip doc-comment markers so `/// SAFETY:` and
+                        // Skip doc-comment markers so `/// ...` and
                         // `//! ...` surface their text directly.
                         if matches!(chars.get(i), Some('/' | '!')) {
                             i += 1;
@@ -235,10 +208,6 @@ impl SourceFile {
         }
         Self { path: path.to_string(), code, comments }
     }
-
-    fn has_directive(&self, directive: &str) -> bool {
-        self.comments.iter().any(|c| check_directive(c) == Some(directive))
-    }
 }
 
 fn prev_is_ident_char(chars: &[char], i: usize) -> bool {
@@ -271,44 +240,7 @@ fn check_directive(comment: &str) -> Option<&str> {
     comment.trim().strip_prefix("lll-check:").map(str::trim)
 }
 
-/// Parse `allow(<rule>, <justification>)` → `(rule, justification)`.
-fn parse_allow(directive: &str) -> Option<(&str, &str)> {
-    let inner = directive.strip_prefix("allow(")?.strip_suffix(')')?;
-    Some(match inner.split_once(',') {
-        Some((rule, just)) => (rule.trim(), just.trim()),
-        None => (inner.trim(), ""),
-    })
-}
-
-/// Is line `i` covered by an `allow(rule, ..)` — trailing on the same
-/// line, or on a standalone comment line directly above? Returns whether
-/// the allow carries a justification.
-fn allow_for(sf: &SourceFile, line: usize, rule: &str) -> Option<bool> {
-    let allow_on = |i: usize| -> Option<bool> {
-        let (r, just) = parse_allow(check_directive(&sf.comments[i])?)?;
-        (r == rule).then_some(!just.is_empty())
-    };
-    if let Some(v) = allow_on(line) {
-        return Some(v);
-    }
-    let mut i = line;
-    while i > 0 {
-        i -= 1;
-        if !sf.code[i].trim().is_empty() {
-            break; // a code line above ends the comment run
-        }
-        if let Some(v) = allow_on(i) {
-            return Some(v);
-        }
-        if sf.comments[i].trim().is_empty() {
-            break; // a fully blank line ends the comment run
-        }
-    }
-    None
-}
-
-/// Push a finding unless a justified allow covers the line; an
-/// *unjustified* allow is itself a finding.
+/// Record a finding on 0-based line `line`.
 fn emit(
     sf: &SourceFile,
     line: usize,
@@ -316,16 +248,7 @@ fn emit(
     msg: String,
     diags: &mut Vec<Diagnostic>,
 ) {
-    match allow_for(sf, line, rule) {
-        Some(true) => {}
-        Some(false) => diags.push(Diagnostic {
-            file: sf.path.clone(),
-            line: line + 1,
-            rule: RULE_GRAMMAR,
-            msg: format!("allow({rule}) needs a justification: allow(<rule>, <why>)"),
-        }),
-        None => diags.push(Diagnostic { file: sf.path.clone(), line: line + 1, rule, msg }),
-    }
+    diags.push(Diagnostic { file: sf.path.clone(), line: line + 1, rule, msg });
 }
 
 /// Identifier token spans of one code line.
@@ -352,10 +275,6 @@ fn idents(line: &str) -> Vec<(usize, usize)> {
     out
 }
 
-fn prev_nonspace(line: &str, idx: usize) -> Option<char> {
-    line[..idx].chars().rev().find(|c| !c.is_whitespace())
-}
-
 fn next_nonspace(line: &str, idx: usize) -> Option<char> {
     line[idx..].chars().find(|c| !c.is_whitespace())
 }
@@ -366,7 +285,7 @@ fn has_ident(line: &str, tok: &str) -> bool {
 }
 
 /// Mark every line inside a `#[cfg(test)]`-attributed block (module or
-/// function) — those are exempt from panic-free-decode.
+/// function) — those are exempt from the lock-order rule.
 fn test_mod_lines(sf: &SourceFile) -> Vec<bool> {
     let mut out = vec![false; sf.code.len()];
     let mut i = 0;
@@ -410,275 +329,70 @@ fn brace_span(sf: &SourceFile, from: usize) -> Option<(usize, usize)> {
     None
 }
 
-const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Rule 1: panic-free decode modules. Active only in files carrying the
-/// enforce directive for this rule.
-pub fn check_panic_free(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    if !sf.has_directive("enforce(panic-free-decode)") {
-        return;
-    }
-    let in_tests = test_mod_lines(sf);
-    for (i, line) in sf.code.iter().enumerate() {
-        if in_tests[i] {
-            continue;
-        }
-        let toks = idents(line);
-        for (t, &(s, e)) in toks.iter().enumerate() {
-            let tok = &line[s..e];
-            if (tok == "unwrap" || tok == "expect")
-                && prev_nonspace(line, s) == Some('.')
-                && next_nonspace(line, e) == Some('(')
-            {
-                emit(sf, i, RULE_PANIC_FREE, format!("`.{tok}()` in a decode module"), diags);
-            } else if PANIC_MACROS.contains(&tok) && next_nonspace(line, e) == Some('!') {
-                emit(sf, i, RULE_PANIC_FREE, format!("`{tok}!` in a decode module"), diags);
-            } else if tok == "as" {
-                if let Some(&(s2, e2)) = toks.get(t + 1) {
-                    let target = &line[s2..e2];
-                    if NARROW_CASTS.contains(&target) {
-                        emit(
-                            sf,
-                            i,
-                            RULE_PANIC_FREE,
-                            format!(
-                                "possibly truncating `as {target}` cast (use `try_from` or \
-                                 allow with a width argument)"
-                            ),
-                            diags,
-                        );
-                    }
-                }
-            }
-        }
-        for (j, ch) in line.char_indices() {
-            if ch == '[' && is_index_bracket(line, j) {
-                emit(
-                    sf,
-                    i,
-                    RULE_PANIC_FREE,
-                    "direct indexing can panic; decode paths must use checked access".to_string(),
-                    diags,
-                );
-            }
-        }
-    }
-}
-
-/// Is the `[` at byte `j` an indexing/slicing bracket? It is when it
-/// follows a value expression — an identifier, `)`, or `]` — but not when
-/// the identifier is a keyword: `&mut [u8]` is a slice type and
-/// `let [a, b] = ..` is a pattern, not indexing.
-fn is_index_bracket(line: &str, j: usize) -> bool {
-    let before = line[..j].trim_end();
-    let Some(last) = before.chars().next_back() else { return false };
-    if last == ')' || last == ']' {
-        return true;
-    }
-    if !(last.is_alphanumeric() || last == '_') {
-        return false;
-    }
-    let tail: Vec<char> =
-        before.chars().rev().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-    let word: String = tail.into_iter().rev().collect();
-    !matches!(
-        word.as_str(),
-        "mut"
-            | "let"
-            | "dyn"
-            | "ref"
-            | "in"
-            | "as"
-            | "move"
-            | "return"
-            | "match"
-            | "else"
-            | "box"
-            | "static"
-            | "const"
-            | "impl"
-            | "where"
-    )
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum LockLevel {
     Maintenance,
     Shard,
 }
 
-/// Rule 2: the locking protocol around the sharded map. Active only in
-/// files that annotate at least one lock field with a `lock-order:`
-/// comment. Levels: `maintenance` (outermost mutex) and `shard` (one
-/// rebalance domain's `RwLock`). The directory's stripe locks are leaves,
-/// taken only inside its `load` and `publish`, and carry no level.
+/// Rule 1: the locking protocol around the sharded map, over every line
+/// outside `#[cfg(test)]` blocks. Levels come from the method names: the
+/// shard lock's `rlock`/`wlock` and the maintenance lock's `mlock` (the
+/// lock types in `lll-sharded`'s `lock_order` module expose no other
+/// acquisition). The directory's stripe locks are leaves, taken only
+/// inside its `load` and `publish`, and carry no level.
 pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    // Collect annotated field names: the annotation line's own code if it
-    // has any, else the next non-blank code line, holds the field.
-    let mut fields: Vec<(String, LockLevel)> = Vec::new();
-    for i in 0..sf.comments.len() {
-        let Some(level) = sf.comments[i].trim().strip_prefix("lock-order:").map(str::trim) else {
-            continue;
-        };
-        let field_line = if sf.code[i].trim().is_empty() {
-            (i + 1..sf.code.len()).find(|&j| !sf.code[j].trim().is_empty())
-        } else {
-            Some(i)
-        };
-        let name = field_line.and_then(|j| field_name(&sf.code[j]));
-        match (level, name) {
-            (_, None) => diags.push(Diagnostic {
-                file: sf.path.clone(),
-                line: i + 1,
-                rule: RULE_GRAMMAR,
-                msg: "lock-order annotation is not attached to a field".to_string(),
-            }),
-            ("maintenance", Some(n)) => fields.push((n, LockLevel::Maintenance)),
-            ("shard", Some(n)) => fields.push((n, LockLevel::Shard)),
-            (other, Some(_)) => diags.push(Diagnostic {
-                file: sf.path.clone(),
-                line: i + 1,
-                rule: RULE_GRAMMAR,
-                msg: format!("unknown lock-order level `{other}` (expected maintenance|shard)"),
-            }),
-        }
-    }
-    if fields.is_empty() {
-        return;
-    }
-
-    let classify = |text: &str| -> Option<LockLevel> {
-        for (token, level) in
-            [("Level::Shard", LockLevel::Shard), ("Level::Maintenance", LockLevel::Maintenance)]
-        {
-            if text.contains(token) {
-                return Some(level);
-            }
-        }
-        // Field-name fallback: a call naming an annotated field takes that
-        // field's level (shard first, the more nested one).
-        [LockLevel::Shard, LockLevel::Maintenance]
-            .into_iter()
-            .find(|&want| fields.iter().any(|(f, l)| *l == want && has_ident(text, f)))
-    };
-
+    let in_tests = test_mod_lines(sf);
     let mut depth: i64 = 0;
     let mut guards: Vec<(LockLevel, i64)> = Vec::new();
-    for i in 0..sf.code.len() {
-        let line = &sf.code[i];
-
-        // Raw acquisitions bypass the runtime tracker entirely. Only an
-        // annotated field as the *receiver* counts (`self.maint.lock()`,
-        // `dir.read()`) — a call further down a chain rooted at an
-        // annotated field (`dir.shards[i].write()`, where `write` is a
-        // tracked helper on the element) is a different receiver.
-        if ["read", "write", "lock", "try_read", "try_write", "try_lock"].iter().any(|m| {
-            line.match_indices(&format!(".{m}()")).any(|(at, _)| {
-                let recv = line[..at].trim_end();
-                fields.iter().any(|(f, _)| {
-                    recv.ends_with(f.as_str())
-                        && !recv[..recv.len() - f.len()]
-                            .ends_with(|c: char| c.is_alphanumeric() || c == '_')
-                })
-            })
-        }) {
-            emit(
-                sf,
-                i,
-                RULE_LOCK_ORDER,
-                "raw .read()/.write()/.lock() (or a try_ variant) on an annotated lock field \
-                 bypasses the order tracker; acquire through the rlock()/wlock()/mlock() \
-                 wrappers"
-                    .to_string(),
-                diags,
-            );
+    for (i, line) in sf.code.iter().enumerate() {
+        if in_tests[i] {
+            continue;
         }
-
-        let live =
-            |guards: &[(LockLevel, i64)], lvl: LockLevel| guards.iter().any(|&(l, _)| l == lvl);
         let toks = idents(line);
         let has_let = toks.iter().any(|&(s, e)| &line[s..e] == "let");
         for &(s, e) in &toks {
-            let tok = &line[s..e];
             if next_nonspace(line, e) != Some('(') {
                 continue;
             }
-            if tok == "publish" {
+            let shard_live = guards.iter().any(|&(l, _)| l == LockLevel::Shard);
+            let maint_live = guards.iter().any(|&(l, _)| l == LockLevel::Maintenance);
+            let (level, finding) = match &line[s..e] {
                 // A publication precondition the runtime tracker enforces
                 // (maintenance-held is cross-function, so only the
                 // same-scope shard guard is checked lexically).
-                if live(&guards, LockLevel::Shard) {
-                    emit(
-                        sf,
-                        i,
-                        RULE_LOCK_ORDER,
+                "publish" => (
+                    None,
+                    shard_live.then_some(
                         "publishes a new directory while a shard guard is live (retire the \
-                         shard and release its lock before publishing)"
-                            .to_string(),
-                        diags,
-                    );
-                }
-                continue;
-            }
-            let level = match tok {
-                "mlock" => Some(LockLevel::Maintenance),
-                // The level argument may have been wrapped to the next
-                // line — but only consult the next line when this one
-                // can't classify, so a *different* acquisition below
-                // never bleeds in.
-                "rlock" | "wlock" => {
-                    let level = classify(&line[s..])
-                        .or_else(|| sf.code.get(i + 1).and_then(|nxt| classify(nxt)));
-                    let Some(level) = level else {
-                        emit(
-                            sf,
-                            i,
-                            RULE_LOCK_ORDER,
-                            format!(
-                                "cannot classify `{tok}(..)` acquisition: pass an explicit \
-                                 Level::"
-                            ),
-                            diags,
-                        );
-                        continue;
-                    };
-                    Some(level)
-                }
-                _ => None,
+                         shard and release its lock before publishing)",
+                    ),
+                ),
+                "rlock" | "wlock" => (
+                    Some(LockLevel::Shard),
+                    (shard_live && !maint_live).then_some(
+                        "takes a second shard lock without the maintenance lock (point ops \
+                         hold at most one shard; only maintenance stacks them)",
+                    ),
+                ),
+                "mlock" => (
+                    Some(LockLevel::Maintenance),
+                    if shard_live {
+                        Some(
+                            "takes the maintenance lock under a shard guard (order is \
+                              maintenance → shard)",
+                        )
+                    } else {
+                        maint_live
+                            .then_some("re-enters the maintenance lock (Mutex is not re-entrant)")
+                    },
+                ),
+                _ => continue,
             };
-            let Some(level) = level else { continue };
-            let maint_live = live(&guards, LockLevel::Maintenance);
-            let shard_live = live(&guards, LockLevel::Shard);
-            match level {
-                LockLevel::Shard if shard_live && !maint_live => emit(
-                    sf,
-                    i,
-                    RULE_LOCK_ORDER,
-                    "takes a second shard lock without the maintenance lock (point ops hold \
-                     at most one shard; only maintenance stacks them)"
-                        .to_string(),
-                    diags,
-                ),
-                LockLevel::Maintenance if shard_live => emit(
-                    sf,
-                    i,
-                    RULE_LOCK_ORDER,
-                    "takes the maintenance lock under a shard guard (order is maintenance → \
-                     shard)"
-                        .to_string(),
-                    diags,
-                ),
-                LockLevel::Maintenance if maint_live => emit(
-                    sf,
-                    i,
-                    RULE_LOCK_ORDER,
-                    "re-enters the maintenance lock (Mutex is not re-entrant)".to_string(),
-                    diags,
-                ),
-                _ => {}
+            if let Some(msg) = finding {
+                emit(sf, i, RULE_LOCK_ORDER, msg.to_string(), diags);
             }
-            if has_let {
+            if let Some(level) = level.filter(|_| has_let) {
                 guards.push((level, depth));
             }
         }
@@ -696,89 +410,6 @@ pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `   pub dir: RwLock<..>` → `dir` (the last identifier before the
-/// field's `:`, skipping visibility).
-fn field_name(code_line: &str) -> Option<String> {
-    let prefix = code_line.split(':').next()?;
-    let toks = idents(prefix);
-    let &(s, e) = toks.last()?;
-    let name = &prefix[s..e];
-    (name != "pub").then(|| name.to_string())
-}
-
-/// Per-file configuration the unsafe rule needs (derived from the path by
-/// [`config_for`]; fixtures override via `assume(..)` directives).
-pub struct FileConfig {
-    /// Is this a crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`)
-    /// that must carry `#![forbid(unsafe_code)]`?
-    pub crate_root: bool,
-    /// May this file contain `unsafe` at all (see [`UNSAFE_ALLOWED`])?
-    pub unsafe_allowed: bool,
-}
-
-/// Rule 3: unsafe discipline — forbid at every crate root, whitelist +
-/// `// SAFETY:` comments elsewhere.
-pub fn check_unsafe(sf: &SourceFile, cfg: &FileConfig, diags: &mut Vec<Diagnostic>) {
-    if cfg.crate_root
-        && !cfg.unsafe_allowed
-        && !sf.code.iter().any(|l| l.replace(' ', "").contains("#![forbid(unsafe_code)]"))
-    {
-        diags.push(Diagnostic {
-            file: sf.path.clone(),
-            line: 1,
-            rule: RULE_UNSAFE,
-            msg: "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        });
-    }
-    for (i, line) in sf.code.iter().enumerate() {
-        if !has_ident(line, "unsafe") {
-            continue;
-        }
-        if !cfg.unsafe_allowed {
-            emit(
-                sf,
-                i,
-                RULE_UNSAFE,
-                "`unsafe` outside the whitelist (UNSAFE_ALLOWED in lll-check)".to_string(),
-                diags,
-            );
-        } else if !safety_comment_near(sf, i) {
-            emit(
-                sf,
-                i,
-                RULE_UNSAFE,
-                "whitelisted `unsafe` without a `// SAFETY:` comment on or above the line"
-                    .to_string(),
-                diags,
-            );
-        }
-    }
-}
-
-/// Does a `SAFETY:` comment cover `line` — trailing on the line itself, or
-/// anywhere in the contiguous comment run directly above it? (Multi-line
-/// safety arguments put the marker on their first line.)
-fn safety_comment_near(sf: &SourceFile, line: usize) -> bool {
-    if sf.comments[line].trim().starts_with("SAFETY:") {
-        return true;
-    }
-    let mut i = line;
-    while i > 0 {
-        i -= 1;
-        if !sf.code[i].trim().is_empty() {
-            return false; // a code line ends the comment run
-        }
-        let c = sf.comments[i].trim();
-        if c.is_empty() {
-            return false; // a fully blank line ends the comment run
-        }
-        if c.starts_with("SAFETY:") {
-            return true;
-        }
-    }
-    false
-}
-
 const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned", "with_capacity"];
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 const ALLOC_PATHS: &[&str] = &[
@@ -792,7 +423,7 @@ const ALLOC_PATHS: &[&str] = &[
     "VecDeque::new",
 ];
 
-/// Rule 4: allocation-free functions. Active on every function annotated
+/// Rule 2: allocation-free functions. Active on every function annotated
 /// with a `no-alloc` directive.
 pub fn check_no_alloc(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     for i in 0..sf.comments.len() {
@@ -802,12 +433,8 @@ pub fn check_no_alloc(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
         // The annotated fn may sit under attributes/visibility lines.
         let fn_line = (i..sf.code.len().min(i + 7)).find(|&j| has_ident(&sf.code[j], "fn"));
         let Some(j) = fn_line else {
-            diags.push(Diagnostic {
-                file: sf.path.clone(),
-                line: i + 1,
-                rule: RULE_GRAMMAR,
-                msg: "no-alloc annotation is not followed by a fn".to_string(),
-            });
+            let msg = "no-alloc annotation is not followed by a fn".to_string();
+            emit(sf, i, RULE_GRAMMAR, msg, diags);
             continue;
         };
         let Some((_, end)) = brace_span(sf, j) else {
@@ -856,61 +483,25 @@ pub fn check_no_alloc(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Validate the annotation grammar itself: unknown directives and allows
-/// naming unknown rules are findings, so a typo cannot silently disable a
-/// gate.
+/// Validate the annotation grammar itself: an unknown directive is a
+/// finding, so a typo cannot silently disable a gate.
 pub fn check_grammar(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    const RULES: &[&str] = &[RULE_PANIC_FREE, RULE_LOCK_ORDER, RULE_UNSAFE, RULE_NO_ALLOC];
     for (i, comment) in sf.comments.iter().enumerate() {
-        let Some(d) = check_directive(comment) else { continue };
-        if let Some((rule, _)) = parse_allow(d) {
-            if !RULES.contains(&rule) {
-                diags.push(Diagnostic {
-                    file: sf.path.clone(),
-                    line: i + 1,
-                    rule: RULE_GRAMMAR,
-                    msg: format!("allow names unknown rule `{rule}`"),
-                });
+        match check_directive(comment) {
+            None | Some("no-alloc") => {}
+            Some(d) => {
+                emit(sf, i, RULE_GRAMMAR, format!("unknown lll-check directive `{d}`"), diags)
             }
-            continue;
-        }
-        let known = d == "enforce(panic-free-decode)"
-            || d == "no-alloc"
-            || d == "assume(crate-root)"
-            || d == "assume(unsafe-allowed)";
-        if !known {
-            diags.push(Diagnostic {
-                file: sf.path.clone(),
-                line: i + 1,
-                rule: RULE_GRAMMAR,
-                msg: format!("unknown lll-check directive `{d}`"),
-            });
         }
     }
-}
-
-/// Derive a file's config from its workspace-relative path plus any
-/// `assume(..)` directives (the fixture escape hatch).
-pub fn config_for(rel: &str, sf: &SourceFile) -> FileConfig {
-    let unsafe_allowed = UNSAFE_ALLOWED.iter().any(|p| rel == *p || rel.starts_with(p))
-        || sf.has_directive("assume(unsafe-allowed)");
-    let crate_root = rel == "src/lib.rs"
-        || rel.ends_with("/src/lib.rs")
-        || rel.ends_with("/src/main.rs")
-        || rel.contains("/src/bin/")
-        || sf.has_directive("assume(crate-root)");
-    FileConfig { crate_root, unsafe_allowed }
 }
 
 /// Run every rule over one file's text.
 pub fn check_file(rel: &str, text: &str) -> Vec<Diagnostic> {
     let sf = SourceFile::parse(rel, text);
-    let cfg = config_for(rel, &sf);
     let mut diags = Vec::new();
     check_grammar(&sf, &mut diags);
-    check_panic_free(&sf, &mut diags);
     check_lock_order(&sf, &mut diags);
-    check_unsafe(&sf, &cfg, &mut diags);
     check_no_alloc(&sf, &mut diags);
     diags
 }

@@ -4,8 +4,7 @@
 //!   up from the current directory to the `[workspace]` manifest); exit 0
 //!   iff no rule fires.
 //! * `cargo run -p lll-check -- <file>...` — scan specific files (used by
-//!   the fixture self-tests); paths are taken verbatim as the
-//!   workspace-relative names rules key their path-based config on.
+//!   the fixture self-tests); diagnostics name each path as given.
 
 #![forbid(unsafe_code)]
 

@@ -1,14 +1,12 @@
 // Known-bad fixture: acquisition sites that violate the sharded map's
 // locking protocol — the maintenance → shard order, the
-// one-shard-per-point-op rule, the publication precondition, and the
-// tracked-wrapper rule. (Fixtures are lexed, never compiled: the wrapper
-// fns and the `Striped` cell are the real crate's names, not imports.)
-
-use std::sync::{Mutex, RwLock};
+// one-shard-per-point-op rule, and the publication precondition.
+// (Fixtures are lexed, never compiled: `rlock`/`wlock` and `mlock` are the
+// methods of the real crate's `ShardLock` and `MaintLock`, and `publish`
+// is its `Striped` cell's.)
 
 pub struct Shard {
-    // lock-order: shard
-    pub map: RwLock<Vec<u64>>,
+    pub map: ShardLock<Vec<u64>>,
 }
 
 pub struct Directory {
@@ -17,56 +15,44 @@ pub struct Directory {
 
 pub struct Map {
     pub dir: Striped<Directory>,
-    // lock-order: maintenance
-    pub maint: Mutex<()>,
+    pub maint: MaintLock,
 }
 
 impl Map {
     pub fn bad_second_shard(&self, d: &Directory) {
-        let a = rlock(&d.shards[0].map, Level::Shard);
+        let a = d.shards[0].map.rlock();
         // finding: second shard acquisition without the maintenance lock
-        let b = rlock(&d.shards[1].map, Level::Shard);
+        let b = d.shards[1].map.rlock();
         drop((a, b));
     }
 
     pub fn bad_maintenance_under_shard(&self, d: &Directory) {
-        let s = rlock(&d.shards[0].map, Level::Shard);
+        let s = d.shards[0].map.rlock();
         // finding: maintenance lock requested under a shard guard
-        let m = mlock(&self.maint);
+        let m = self.maint.mlock();
         drop((s, m));
     }
 
     pub fn bad_maintenance_reentry(&self) {
-        let outer = mlock(&self.maint);
+        let outer = self.maint.mlock();
         // finding: the maintenance mutex is not re-entrant
-        let inner = mlock(&self.maint);
+        let inner = self.maint.mlock();
         drop((outer, inner));
     }
 
     pub fn bad_publish_under_shard(&self, d: &Directory, next: Directory) {
-        let m = mlock(&self.maint);
-        let s = wlock(&d.shards[0].map, Level::Shard);
+        let m = self.maint.mlock();
+        let s = d.shards[0].map.wlock();
         // finding: publishing while a shard guard is still live
         self.dir.publish(next);
         drop((m, s));
     }
 
-    pub fn bad_raw_acquire(&self, s: &Shard) {
-        // findings: each raw acquisition on an annotated field bypasses
-        // the tracker, the blocking ones and the non-blocking probes
-        let _r = s.map.read();
-        let _w = s.map.write();
-        let _g = self.maint.lock();
-        let _tr = s.map.try_read();
-        let _tw = s.map.try_write();
-        let _tl = self.maint.try_lock();
-    }
-
     pub fn fine_maintenance_stacks_shards(&self, d: &Directory, next: Directory) {
-        let m = mlock(&self.maint);
+        let m = self.maint.mlock();
         {
-            let a = wlock(&d.shards[0].map, Level::Shard);
-            let b = wlock(&d.shards[1].map, Level::Shard);
+            let a = d.shards[0].map.wlock();
+            let b = d.shards[1].map.wlock();
             drop((a, b));
         }
         self.dir.publish(next);
@@ -75,21 +61,33 @@ impl Map {
 
     pub fn fine_read_path(&self) -> usize {
         let dir = self.dir.load();
-        let shard = rlock(&dir.shards[0].map, Level::Shard);
+        let shard = dir.shards[0].map.rlock();
         shard.len()
     }
 
     pub fn fine_sequential(&self) -> usize {
         let n = {
             let dir = self.dir.load();
-            let left = rlock(&dir.shards[0].map, Level::Shard);
+            let left = dir.shards[0].map.rlock();
             left.len()
         };
         let m = {
             let dir = self.dir.load();
-            let right = rlock(&dir.shards[1].map, Level::Shard);
+            let right = dir.shards[1].map.rlock();
             right.len()
         };
         n + m
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // Test code is exempt: the tracker's own tests invert the order on
+    // purpose, to show that a debug build panics.
+    #[test]
+    fn fine_inversion_under_test() {
+        let a = SHARD_A.rlock();
+        let b = SHARD_B.rlock();
+        drop((a, b));
     }
 }

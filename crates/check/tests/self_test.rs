@@ -1,13 +1,10 @@
 //! The linter's own gate: every committed known-bad fixture must be
-//! flagged (with the expected rules), the known-good fixture must be
-//! silent, the CLI must exit non-zero on bad input, and the live
-//! workspace must scan clean — so `cargo test` fails the moment a rule
-//! regresses *or* the workspace picks up a violation.
+//! flagged (with the expected rules), the CLI must exit non-zero on bad
+//! input and zero on the workspace, and the live workspace must scan
+//! clean — so `cargo test` fails the moment a rule regresses *or* the
+//! workspace picks up a violation.
 
-use lll_check::{
-    check_file, Diagnostic, RULE_GRAMMAR, RULE_LOCK_ORDER, RULE_NO_ALLOC, RULE_PANIC_FREE,
-    RULE_UNSAFE,
-};
+use lll_check::{check_file, Diagnostic, RULE_GRAMMAR, RULE_LOCK_ORDER, RULE_NO_ALLOC};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -27,44 +24,13 @@ fn count(diags: &[Diagnostic], rule: &str) -> usize {
 }
 
 #[test]
-fn flags_panic_free_violations() {
-    let diags = run("bad_panic_free.rs");
-    // indexing, unwrap, expect, truncating cast, panic!, unreachable!
-    assert_eq!(count(&diags, RULE_PANIC_FREE), 6, "{diags:#?}");
-    assert_eq!(diags.len(), 6, "only panic-free findings expected: {diags:#?}");
-}
-
-#[test]
-fn flags_wal_decode_regressions() {
-    let diags = run("bad_wal_decode.rs");
-    // 7 index expressions (4 header bytes, the unwrap line's slice, the
-    // expect line's slice — see the fixture), unwrap, expect, panic!,
-    // unreachable!, truncating cast
-    assert_eq!(count(&diags, RULE_PANIC_FREE), 11, "{diags:#?}");
-    assert_eq!(diags.len(), 11, "only panic-free findings expected: {diags:#?}");
-}
-
-#[test]
 fn flags_lock_order_violations() {
     let diags = run("bad_lock_order.rs");
     // second shard lock without maintenance, maintenance under a shard
-    // guard, maintenance re-entry, publish under a live shard guard, and
-    // six raw acquisitions (.read/.write/.lock and their try_ variants) —
-    // the three `fine_` fns must stay silent
-    assert_eq!(count(&diags, RULE_LOCK_ORDER), 10, "{diags:#?}");
-    assert_eq!(diags.len(), 10, "{diags:#?}");
-}
-
-#[test]
-fn flags_unsafe_violations() {
-    let diags = run("bad_unsafe.rs");
-    // missing #![forbid(unsafe_code)] + un-whitelisted unsafe block
-    assert_eq!(count(&diags, RULE_UNSAFE), 2, "{diags:#?}");
-
-    let diags = run("bad_unsafe_whitelisted.rs");
-    // whitelisted file: only the SAFETY-less block fires
-    assert_eq!(count(&diags, RULE_UNSAFE), 1, "{diags:#?}");
-    assert_eq!(diags.len(), 1, "{diags:#?}");
+    // guard, maintenance re-entry, publish under a live shard guard — the
+    // three `fine_` fns and the `#[cfg(test)]` module must stay silent
+    assert_eq!(count(&diags, RULE_LOCK_ORDER), 4, "{diags:#?}");
+    assert_eq!(diags.len(), 4, "{diags:#?}");
 }
 
 #[test]
@@ -76,39 +42,31 @@ fn flags_no_alloc_violations() {
 }
 
 #[test]
-fn flags_grammar_violations() {
-    let diags = run("bad_allow_missing_justification.rs");
-    // naked allow + allow naming an unknown rule
-    assert_eq!(count(&diags, RULE_GRAMMAR), 2, "{diags:#?}");
-    // the mis-spelled allow suppresses nothing: the indexing still fires
-    assert_eq!(count(&diags, RULE_PANIC_FREE), 1, "{diags:#?}");
+fn flags_unknown_directives() {
+    // A misspelled directive would otherwise disable its gate silently.
+    let text = concat!(
+        "// lll-check: no-aloc\n",
+        "pub fn hot(xs: &[u64]) -> Vec<u64> {\n",
+        "    xs.to_vec()\n",
+        "}\n",
+    );
+    let diags = check_file("typo_probe.rs", text);
+    assert_eq!(count(&diags, RULE_GRAMMAR), 1, "{diags:#?}");
+    assert_eq!(diags.len(), 1, "the misspelled directive guards nothing: {diags:#?}");
 }
 
 #[test]
-fn good_fixture_is_silent() {
-    let diags = run("good_allow.rs");
-    assert!(diags.is_empty(), "justified allows must suppress cleanly: {diags:#?}");
-}
-
-#[test]
-fn cli_exits_nonzero_on_every_bad_fixture() {
-    let bad = [
-        "bad_panic_free.rs",
-        "bad_wal_decode.rs",
-        "bad_lock_order.rs",
-        "bad_unsafe.rs",
-        "bad_unsafe_whitelisted.rs",
-        "bad_no_alloc.rs",
-        "bad_allow_missing_justification.rs",
-    ];
-    for name in bad {
+fn cli_exit_codes() {
+    for name in ["bad_lock_order.rs", "bad_no_alloc.rs"] {
         let (path, _) = fixture(name);
         let out = Command::new(env!("CARGO_BIN_EXE_lll-check")).arg(&path).output().unwrap();
         assert!(!out.status.success(), "CLI must fail on {name}");
     }
-    let (path, _) = fixture("good_allow.rs");
-    let out = Command::new(env!("CARGO_BIN_EXE_lll-check")).arg(&path).output().unwrap();
-    assert!(out.status.success(), "CLI must pass on good_allow.rs");
+    let out = Command::new(env!("CARGO_BIN_EXE_lll-check"))
+        .current_dir(workspace_root())
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "CLI must pass on the workspace: {out:?}");
 }
 
 #[test]
@@ -130,19 +88,21 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn lexer_ignores_strings_comments_and_lifetimes() {
-    // Tokens inside strings, raw strings, and doc comments must not fire.
+    // Tokens inside strings, raw strings, char literals and comments must
+    // not fire, and a lifetime must not open a char literal.
     let text = concat!(
-        "// lll-check: enforce(panic-free-decode)\n",
+        "// lll-check: no-alloc\n",
         "pub fn f<'a>(s: &'a str) -> &'a str {\n",
-        "    let _msg = \"call .unwrap() and panic! freely in here x[0]\";\n",
-        "    let _raw = r#\"also here: buf[1].expect(\"no\")\"#;\n",
-        "    let _ch = '[';\n",
+        "    let _msg = \"Vec::new() and format!(..) freely in here\";\n",
+        "    let _raw = r#\"also here: xs.to_vec() \"quoted\"\"#;\n",
+        "    let _ch = '{';\n",
+        "    // a comment may say vec![0; 8] or Box::new(x)\n",
         "    s\n",
         "}\n",
-        "pub fn slices_and_patterns(buf: &mut [u8]) -> u8 {\n",
-        "    let [first, rest @ ..] = buf else { return 0 };\n",
-        "    let _ty: &[u8] = rest;\n",
-        "    *first\n",
+        "pub fn one_shard(&self) -> usize {\n",
+        "    let g = self.map.rlock();\n",
+        "    let _msg = \"a second self.map.rlock() here would be a finding\";\n",
+        "    g.len()\n",
         "}\n",
     );
     let diags = check_file("lexer_probe.rs", text);

@@ -26,8 +26,16 @@
 //! actually arrive. A stream that ends mid-frame is
 //! [`WireError::Truncated`], never a hang on a lying length.
 
-// lll-check: enforce(panic-free-decode)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 
 use lll_api::codec::decode_framed_bytes;
 use lll_api::persist::{Codec, SnapshotError};
@@ -168,9 +176,8 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, opcode: u8, body: &[u8]) -> Res
 /// Clean EOF before the buffer fills is [`WireError::Truncated`].
 pub(crate) fn read_full<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<(), WireError> {
     let mut filled = 0;
-    while filled < buf.len() {
-        // lll-check: allow(panic-free-decode, filled < buf.len() is the loop guard one line up)
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => filled += n,
             Err(e)
@@ -203,7 +210,6 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Frame, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { declared: len as u64 });
     }
-    // lll-check: allow(panic-free-decode, u32 → usize is widening on every supported target)
     let mut body = vec![0u8; len as usize];
     read_full(r, &mut body)?;
     Ok(Frame { opcode, body })

@@ -13,8 +13,16 @@
 //! ordered application key works once serialized order-preservingly.
 //! See `docs/server.md` for the full wire tables.
 
-// lll-check: enforce(panic-free-decode)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 
 use crate::frame::{
     decode_bytes, decode_opt_bytes, encode_bytes, encode_opt_bytes, read_frame, write_frame, Frame,

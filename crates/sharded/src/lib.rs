@@ -55,9 +55,11 @@
 //! one shard lock outside maintenance — and directory publication happens
 //! only under the maintenance mutex with no shard lock held. The
 //! directory's stripe locks are leaves: each is held for one `Arc` clone
-//! or swap, never around another lock. The `lock_order` module enforces
-//! the order at runtime in debug builds; lll-check's `lock-order` rule
-//! enforces it statically. See
+//! or swap, never around another lock. The shard and maintenance locks
+//! are types whose only acquisitions are tracked, so an untracked one does
+//! not compile; the `lock_order` module enforces the order at runtime in
+//! debug builds, and lll-check's `lock-order` rule checks the nesting
+//! statically. See
 //! `docs/sharding.md` in the repository root for the full runbook (policy
 //! knobs, concurrency model, split/merge invariants).
 

@@ -1,16 +1,21 @@
 //! Runtime enforcement of the locking protocol, and the cell that
 //! publishes the directory.
 //!
-//! The crate's invariant has three parts, enforced twice — statically by
-//! `lll-check` (every acquisition site names its [`Level`], and the linter
-//! simulates guard lifetimes lexically) and dynamically by the debug-build
-//! tracker in this module, which counts the guards each thread holds and
-//! panics the moment an acquisition would invert the order:
+//! The crate's invariant has three parts. The lock types carry the level:
+//! a shard's lock is a [`ShardLock`] and the maintenance mutex a
+//! [`MaintLock`], and each exposes only its tracked acquisitions
+//! ([`rlock`](ShardLock::rlock), [`wlock`](ShardLock::wlock),
+//! [`mlock`](MaintLock::mlock)), so a raw `.read()`, `.write()` or
+//! `.lock()` does not compile. The nesting is enforced twice: statically by
+//! `lll-check`, which simulates guard lifetimes lexically over those three
+//! method names, and dynamically by the debug-build tracker in this module,
+//! which counts the guards each thread holds and panics the moment an
+//! acquisition would invert the order:
 //!
 //! 1. The **maintenance mutex** (`ShardedMap::maint`) is the outermost
 //!    level: splits, merges, batches, and snapshots serialize under it.
 //!    It is acquired only with no shard guard live.
-//! 2. Each **shard lock** (`RwLock<LabelMap>`) guards one rebalance
+//! 2. Each **shard lock** (`ShardLock<LabelMap>`) guards one rebalance
 //!    domain. Point operations hold at most one; only a maintenance
 //!    holder may stack several (merges lock a neighboring pair, snapshots
 //!    read-lock every shard for one atomic picture).
@@ -41,11 +46,11 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The lock levels of the protocol, outermost first.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Level {
-    /// The structural-maintenance mutex (`ShardedMap::maint`): splits,
-    /// merges, batches, snapshots.
+enum Level {
+    /// The structural-maintenance mutex, a [`MaintLock`]: splits, merges,
+    /// batches, snapshots.
     Maintenance,
-    /// One shard's `LabelMap` (an entry of `Directory::shards`).
+    /// One shard's [`ShardLock`] (an entry of `Directory::shards`).
     Shard,
 }
 
@@ -182,28 +187,53 @@ impl<G: DerefMut> DerefMut for Tracked<G> {
     }
 }
 
-/// Shared-lock acquisition that survives a poisoned lock: the maps hold no
-/// invariant that a panicking reader could have broken mid-flight, and a
-/// panicking *writer* aborts the whole differential test run anyway — so
-/// recovery beats cascading poison panics across unrelated threads.
-pub(crate) fn rlock<T>(lock: &RwLock<T>, level: Level) -> Tracked<RwLockReadGuard<'_, T>> {
-    let order = tracker::Token::acquire(level);
-    Tracked { guard: lock.read().unwrap_or_else(|e| e.into_inner()), _order: order }
+/// A shard's lock: an `RwLock` whose only acquisitions are the tracked
+/// [`rlock`](Self::rlock) and [`wlock`](Self::wlock), so the tracker sees
+/// every one at the shard level.
+pub(crate) struct ShardLock<T>(RwLock<T>);
+
+impl<T> ShardLock<T> {
+    pub(crate) fn new(value: T) -> Self {
+        Self(RwLock::new(value))
+    }
+
+    /// Shared-lock acquisition that survives a poisoned lock: the maps hold
+    /// no invariant that a panicking reader could have broken mid-flight,
+    /// and a panicking *writer* aborts the whole differential test run
+    /// anyway — so recovery beats cascading poison panics across unrelated
+    /// threads.
+    pub(crate) fn rlock(&self) -> Tracked<RwLockReadGuard<'_, T>> {
+        let order = tracker::Token::acquire(Level::Shard);
+        Tracked { guard: self.0.read().unwrap_or_else(|e| e.into_inner()), _order: order }
+    }
+
+    /// Exclusive-lock counterpart of [`rlock`](Self::rlock).
+    pub(crate) fn wlock(&self) -> Tracked<RwLockWriteGuard<'_, T>> {
+        let order = tracker::Token::acquire(Level::Shard);
+        Tracked { guard: self.0.write().unwrap_or_else(|e| e.into_inner()), _order: order }
+    }
 }
 
-/// Exclusive-lock counterpart of [`rlock`].
-pub(crate) fn wlock<T>(lock: &RwLock<T>, level: Level) -> Tracked<RwLockWriteGuard<'_, T>> {
-    let order = tracker::Token::acquire(level);
-    Tracked { guard: lock.write().unwrap_or_else(|e| e.into_inner()), _order: order }
-}
+/// A held maintenance mutex.
+pub(crate) type MaintGuard<'a> = Tracked<MutexGuard<'a, ()>>;
 
-/// Acquire the maintenance mutex — the outermost level. Poison recovery as
-/// in [`rlock`]; also bumps the always-on per-thread acquisition count
-/// behind [`maintenance_acquisitions`].
-pub(crate) fn mlock<T>(lock: &Mutex<T>) -> Tracked<MutexGuard<'_, T>> {
-    let order = tracker::Token::acquire(Level::Maintenance);
-    MAINT_ACQUIRED.with(|c| c.set(c.get() + 1));
-    Tracked { guard: lock.lock().unwrap_or_else(|e| e.into_inner()), _order: order }
+/// The maintenance mutex, the outermost level: its only acquisition is
+/// the tracked [`mlock`](Self::mlock).
+pub(crate) struct MaintLock(Mutex<()>);
+
+impl MaintLock {
+    pub(crate) fn new() -> Self {
+        Self(Mutex::new(()))
+    }
+
+    /// Acquire the mutex. Poison recovery as in [`ShardLock::rlock`]; also
+    /// bumps the always-on per-thread acquisition count behind
+    /// [`maintenance_acquisitions`].
+    pub(crate) fn mlock(&self) -> MaintGuard<'_> {
+        let order = tracker::Token::acquire(Level::Maintenance);
+        MAINT_ACQUIRED.with(|c| c.set(c.get() + 1));
+        Tracked { guard: self.0.lock().unwrap_or_else(|e| e.into_inner()), _order: order }
+    }
 }
 
 /// Stripes of a [`Striped`] cell. Readers spread over them, so readers on
@@ -289,21 +319,21 @@ mod tests {
 
     #[test]
     fn legal_orders_are_silent() {
-        let maint = Mutex::new(());
-        let shard_a = RwLock::new(0u32);
-        let shard_b = RwLock::new(0u32);
+        let maint = MaintLock::new();
+        let shard_a = ShardLock::new(0u32);
+        let shard_b = ShardLock::new(0u32);
         let cell = Striped::new(1u32);
         {
             // The read path: directory load, then one shard.
             let d = cell.load();
-            let a = rlock(&shard_a, Level::Shard);
+            let a = shard_a.rlock();
             assert_eq!(**d, 1 + *a);
         }
         {
             // Scans: one shard at a time, sequentially, under one load.
             let _d = cell.load();
             for s in [&shard_a, &shard_b] {
-                let g = rlock(s, Level::Shard);
+                let g = s.rlock();
                 assert_eq!(*g, 0);
             }
         }
@@ -311,11 +341,11 @@ mod tests {
             // Maintenance stacks shard guards (merge locks a pair) and
             // publishes with all of them released — with a loaded
             // directory still in hand, as every split and merge has.
-            let _m = mlock(&maint);
+            let _m = maint.mlock();
             let _d = cell.load();
             {
-                let _a = wlock(&shard_a, Level::Shard);
-                let _b = wlock(&shard_b, Level::Shard);
+                let _a = shard_a.wlock();
+                let _b = shard_b.wlock();
             }
             cell.publish(2);
         }
@@ -325,11 +355,11 @@ mod tests {
 
     #[test]
     fn a_publish_reaches_every_stripe() {
-        let maint = Mutex::new(());
+        let maint = MaintLock::new();
         let cell = Striped::new(1u64);
         let pinned = cell.load();
         {
-            let _m = mlock(&maint);
+            let _m = maint.mlock();
             cell.publish(2);
         }
         for i in 0..STRIPES {
@@ -360,8 +390,8 @@ mod tests {
                     }
                 });
             }
-            let maint = Mutex::new(());
-            let _m = mlock(&maint);
+            let maint = MaintLock::new();
+            let _m = maint.mlock();
             start.wait();
             for a in 1..=2000u64 {
                 cell.publish((a, a + 1));
@@ -375,17 +405,17 @@ mod tests {
     fn tracker_state_survives_a_panic() {
         // An inversion panic must unwind cleanly: the poisoned attempt's
         // guards drop, and the thread can lock legally again.
-        let maint = Mutex::new(());
-        let shard = RwLock::new(0u32);
+        let maint = MaintLock::new();
+        let shard = ShardLock::new(0u32);
         if cfg!(debug_assertions) {
             let result = std::panic::catch_unwind(|| {
-                let _s = rlock(&shard, Level::Shard);
-                let _m = mlock(&maint);
+                let _s = shard.rlock();
+                let _m = maint.mlock();
             });
             assert!(result.is_err(), "inversion must panic in debug builds");
         }
-        let _m = mlock(&maint);
-        let _s = rlock(&shard, Level::Shard);
+        let _m = maint.mlock();
+        let _s = shard.rlock();
     }
 
     #[test]
@@ -394,16 +424,16 @@ mod tests {
         should_panic(expected = "lock-order inversion: maintenance lock requested while 1 shard")
     )]
     fn maintenance_under_shard_panics_in_debug() {
-        let maint = Mutex::new(());
-        let shard = RwLock::new(0u32);
-        let _s = rlock(&shard, Level::Shard);
+        let maint = MaintLock::new();
+        let shard = ShardLock::new(0u32);
+        let _s = shard.rlock();
         // In release builds the tracker is compiled out and these are two
         // unrelated locks, so the body completes without panicking and the
         // should_panic expectation is compiled out with it. The same
         // gating pattern protects every inversion test below: the release
         // body simply skips the offending acquisition.
         if cfg!(debug_assertions) {
-            let _m = mlock(&maint);
+            let _m = maint.mlock();
         }
     }
 
@@ -413,11 +443,11 @@ mod tests {
         should_panic(expected = "lock-order inversion: a second shard lock")
     )]
     fn two_shards_without_maintenance_panic_in_debug() {
-        let shard_a = RwLock::new(0u32);
-        let shard_b = RwLock::new(0u32);
-        let _a = rlock(&shard_a, Level::Shard);
+        let shard_a = ShardLock::new(0u32);
+        let shard_b = ShardLock::new(0u32);
+        let _a = shard_a.rlock();
         if cfg!(debug_assertions) {
-            let _b = rlock(&shard_b, Level::Shard);
+            let _b = shard_b.rlock();
         }
     }
 
@@ -433,11 +463,11 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "publish while 1 shard guard"))]
     fn publish_with_a_live_shard_guard_panics_in_debug() {
-        let maint = Mutex::new(());
-        let shard = RwLock::new(0u32);
+        let maint = MaintLock::new();
+        let shard = ShardLock::new(0u32);
         let cell = Striped::new(0u32);
-        let _m = mlock(&maint);
-        let _s = wlock(&shard, Level::Shard);
+        let _m = maint.mlock();
+        let _s = shard.wlock();
         if cfg!(debug_assertions) {
             cell.publish(1);
         }

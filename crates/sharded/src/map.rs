@@ -17,7 +17,8 @@
 //! * The **maintenance mutex** (`ShardedMap::maint`) is the outermost
 //!   lock level: splits, merges, batches, and snapshots serialize under
 //!   it, so at most one thread restructures (and publishes) at a time.
-//! * Each **shard** ([`Shard`]) pairs a `RwLock<LabelMap>` with a
+//! * Each **shard** ([`Shard`]) pairs a `ShardLock<LabelMap>` (an
+//!   `RwLock` reachable only through the tracked acquisitions) with a
 //!   **retired** flag. Readers take the shared lock, writers the exclusive
 //!   one, and both check the flag under it. A split or merge sets the flag
 //!   under the exclusive lock once the shard's keys live elsewhere.
@@ -28,11 +29,13 @@
 //! with **no** shard lock held, after the retiring shard's flag is set —
 //! a reader of the old snapshot therefore either sees the shard's
 //! pre-retirement content (consistent) or the flag, which sends it back
-//! to reload the directory. The `lock_order` module enforces the order
-//! dynamically in debug builds; lll-check's `lock-order` rule enforces it
+//! to reload the directory. The `lock_order` module's lock types admit
+//! only tracked acquisitions, so a raw `.write()` does not compile; its
+//! tracker enforces the order dynamically in debug builds, and lll-check's
+//! `lock-order` rule checks the nesting of `rlock`/`wlock`/`mlock` calls
 //! statically.
 
-use crate::lock_order::{mlock, rlock, wlock, Level, Striped, Tracked};
+use crate::lock_order::{MaintGuard, MaintLock, ShardLock, Striped, Tracked};
 use lll_api::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_api::{LabelMap, ListBuilder, RawList};
 use lll_core::rng::derive_seed;
@@ -42,7 +45,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, RwLockWriteGuard};
 
 /// Events the per-map [`TraceRing`] holds before the oldest is overwritten.
 const TRACE_CAPACITY: usize = 256;
@@ -80,19 +83,18 @@ struct Shard<K: Ord, V> {
     /// replaced this shard. Read under the lock, so `Relaxed` suffices:
     /// the lock orders it against every access to the map.
     retired: AtomicBool,
-    // lock-order: shard
-    map: RwLock<LabelMap<K, V>>,
+    map: ShardLock<LabelMap<K, V>>,
 }
 
 impl<K: Ord, V> Shard<K, V> {
     fn new(map: LabelMap<K, V>) -> Self {
-        Self { obs: ShardObs::default(), retired: AtomicBool::new(false), map: RwLock::new(map) }
+        Self { obs: ShardObs::default(), retired: AtomicBool::new(false), map: ShardLock::new(map) }
     }
 
     /// Run `f` under the shared lock. `None` if the shard is retired —
     /// the caller must reload the directory.
     fn read<R>(&self, f: impl FnOnce(&LabelMap<K, V>) -> R) -> Option<R> {
-        let guard = rlock(&self.map, Level::Shard);
+        let guard = self.map.rlock();
         if self.retired.load(Ordering::Relaxed) {
             return None;
         }
@@ -102,7 +104,7 @@ impl<K: Ord, V> Shard<K, V> {
     /// Take the exclusive lock. `None` if the shard is retired — the
     /// caller must reload the directory.
     fn write(&self) -> Option<ShardWrite<'_, K, V>> {
-        let guard = wlock(&self.map, Level::Shard);
+        let guard = self.map.wlock();
         (!self.retired.load(Ordering::Relaxed)).then_some(guard)
     }
 
@@ -181,8 +183,7 @@ pub struct ShardedMap<K: Ord + Clone, V> {
     dir: Striped<Directory<K, V>>,
     /// Serializes splits, merges, batches, snapshots — and thereby every
     /// directory publication. Point operations never touch it.
-    // lock-order: maintenance
-    maint: Mutex<()>,
+    maint: MaintLock,
     builder: ListBuilder,
     seed: u64,
     policy: ShardPolicy,
@@ -275,7 +276,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     fn shell(builder: ListBuilder, seed: u64, policy: ShardPolicy) -> Self {
         Self {
             dir: Striped::new(Directory { bounds: Vec::new(), shards: Vec::new() }),
-            maint: Mutex::new(()),
+            maint: MaintLock::new(),
             builder,
             seed,
             policy,
@@ -292,7 +293,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// Publish `dir` as the map's directory, through the same
     /// maintenance-serialized path structural changes use.
     fn install(&self, dir: Directory<K, V>) {
-        let _m = mlock(&self.maint);
+        let _m = self.maint.mlock();
         self.dir.publish(dir);
     }
 
@@ -431,7 +432,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// ceiling allows, under the maintenance mutex: the split that makes
     /// room for a new key.
     fn split_full(&self, key: &K) {
-        let _m = mlock(&self.maint);
+        let _m = self.maint.mlock();
         let dir = self.dir.load();
         if dir.shards.len() < self.policy.max_shards
             && self.split_shard(&dir, dir.locate(key), self.policy.max_shard_len)
@@ -598,10 +599,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// mid-walk (no entry visited twice or skipped); concurrent point ops
     /// proceed shard by shard.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        let _m = mlock(&self.maint);
+        let _m = self.maint.mlock();
         let dir = self.dir.load();
         for shard in &dir.shards {
-            let g = rlock(&shard.map, Level::Shard);
+            let g = shard.map.rlock();
             for (k, v) in g.iter() {
                 f(k, v);
             }
@@ -619,7 +620,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         );
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_entries.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let m = mlock(&self.maint);
+        let m = self.maint.mlock();
         let mut overflow = false;
         {
             let dir = self.dir.load();
@@ -760,7 +761,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// Rebalance the shard map until every shard is inside the policy
     /// band, under the maintenance mutex.
     fn maintain(&self) {
-        let m = mlock(&self.maint);
+        let m = self.maint.mlock();
         self.maintain_locked(&m);
     }
 
@@ -777,12 +778,11 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// a pass that finds nothing actionable (or loses its candidate to a
     /// concurrent writer) re-probes fresh lengths and exits once the map
     /// is inside the band.
-    fn maintain_locked(&self, _m: &Tracked<MutexGuard<'_, ()>>) {
+    fn maintain_locked(&self, _m: &MaintGuard<'_>) {
         loop {
             let dir = self.dir.load();
             let n = dir.shards.len();
-            let lens: Vec<usize> =
-                dir.shards.iter().map(|s| rlock(&s.map, Level::Shard).len()).collect();
+            let lens: Vec<usize> = dir.shards.iter().map(|s| s.map.rlock().len()).collect();
             if n < self.policy.max_shards {
                 if let Some(i) = (0..n).find(|&i| lens[i] > self.policy.max_shard_len) {
                     if self.split_shard(&dir, i, self.policy.max_shard_len + 1) {
@@ -915,12 +915,12 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         K: Codec,
         V: Codec,
     {
-        let _m = mlock(&self.maint);
+        let _m = self.maint.mlock();
         let dir = self.dir.load();
         // Stacking every shard's read lock is legal under the maintenance
         // mutex (the tracker's rule 2) and deadlock-free: maintenance is
         // the only path that takes more than one shard lock, and we are it.
-        let guards: Vec<_> = dir.shards.iter().map(|s| rlock(&s.map, Level::Shard)).collect();
+        let guards: Vec<_> = dir.shards.iter().map(|s| s.map.rlock()).collect();
         let total: usize = guards.iter().map(|g| g.len()).sum();
         self.trace.record(TraceKind::Snapshot, total as u64, dir.shards.len() as u64, 0);
         let mut cfg = self.builder.config();
@@ -1031,7 +1031,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// ascending. Runs under the maintenance mutex so the picture is
     /// stable. O(n); test/diagnostic use only.
     pub fn check_invariants(&self) {
-        let _m = mlock(&self.maint);
+        let _m = self.maint.mlock();
         let dir = self.dir.load();
         assert_eq!(dir.shards.len(), dir.bounds.len() + 1, "directory shape");
         assert!(

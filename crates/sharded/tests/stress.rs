@@ -289,10 +289,13 @@ fn readers_never_take_maintenance_under_churning_writer() {
                 })
             })
             .collect();
-        let total_stable: u64 =
-            handles.into_iter().map(|h| h.join().expect("reader thread panicked")).sum();
+        // Stop the writer before a reader's panic propagates: the scope
+        // waits for the writer, and the writer runs until `stop`.
+        let readers_done: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         writer.join().expect("writer thread panicked");
+        let total_stable: u64 =
+            readers_done.into_iter().map(|r| r.expect("reader thread panicked")).sum();
         assert!(total_stable > 0);
     });
     map.check_invariants();

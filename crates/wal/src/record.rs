@@ -26,8 +26,16 @@
 //! can stop at the damage and truncate. Only real I/O failures (and the
 //! clean end of a segment, [`ReadFrame::End`]) are something else.
 
-// lll-check: enforce(panic-free-decode)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 
 use crate::WalError;
 use lll_api::codec::{Crc32, PREALLOC_CAP};
@@ -121,9 +129,8 @@ pub enum ReadFrame {
 /// returns the bytes read (less than `buf.len()` only at end of stream).
 pub(crate) fn fill<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<usize, WalError> {
     let mut filled = 0;
-    while filled < buf.len() {
-        // lll-check: allow(panic-free-decode, filled < buf.len() is the loop guard one line up)
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -186,8 +193,8 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<ReadFrame, WalError> {
     }
     let payload_len = (len - 8) as u64;
     // Capped reservation + bounded read: the shared length-guard idiom.
-    // lll-check: allow(panic-free-decode, len <= MAX_RECORD_LEN (64 MiB) fits usize on every supported target)
-    let mut payload = Vec::with_capacity((payload_len as usize).min(PREALLOC_CAP));
+    let reserve = usize::try_from(payload_len).map_or(PREALLOC_CAP, |n| n.min(PREALLOC_CAP));
+    let mut payload = Vec::with_capacity(reserve);
     let got = r.take(payload_len).read_to_end(&mut payload)?;
     if (got as u64) < payload_len {
         return Ok(ReadFrame::Torn(TornReason::TruncatedFrame {
@@ -271,7 +278,16 @@ impl<K: Codec, V: Codec> WalOp<K, V> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 mod tests {
     use super::*;
 

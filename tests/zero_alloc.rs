@@ -26,8 +26,11 @@
 //! Everything runs in ONE `#[test]` so no concurrent test thread can
 //! pollute the process-global counter.
 
+#![allow(unsafe_code, reason = "a #[global_allocator] implements the unsafe GlobalAlloc trait")]
+
 use lll_api::{Backend, ListBuilder, RawList};
 use lll_core::ids::IdGen;
+use lll_core::metrics::ListMetrics;
 use lll_sharded::ShardedBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,6 +355,11 @@ fn lone_label_map_keeps_no_template() {
 
 #[test]
 fn steady_state_operations_reach_zero_allocations() {
+    // The process-wide disabled metrics handle is built on first use, by
+    // whichever span first builds a Corollary 11 structure. Build it here,
+    // outside every span, so no live-bytes figure depends on the order the
+    // spans run in.
+    drop(ListMetrics::disabled());
     for backend in [Backend::Classic, Backend::Deamortized] {
         label_map_churn(backend);
         ordered_list_churn(backend);
