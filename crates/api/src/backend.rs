@@ -354,8 +354,6 @@ pub struct ListConfig {
     pub backend: Backend,
     /// The random-tape seed.
     pub seed: u64,
-    /// The pre-growth capacity floor (a hint, not persisted state).
-    pub initial_capacity: usize,
 }
 
 /// Configuration entry point for every container in this crate.
@@ -380,7 +378,6 @@ pub struct ListBuilder {
     backend: Backend,
     seed: u64,
     initial_capacity: usize,
-    metrics: bool,
     templates: Arc<TemplateStore>,
 }
 
@@ -390,7 +387,6 @@ impl Default for ListBuilder {
             backend: Backend::Corollary11,
             seed: 0x11,
             initial_capacity: 64,
-            metrics: true,
             templates: Arc::default(),
         }
     }
@@ -406,25 +402,17 @@ impl ListBuilder {
         Self::default()
     }
 
-    /// A builder replaying a previously captured [`ListConfig`] — the
-    /// snapshot-restore path rebuilds the recorded backend through here.
+    /// A builder replaying a previously captured [`ListConfig`], at the
+    /// default initial capacity — the snapshot-restore path rebuilds the
+    /// recorded backend through here.
     pub fn from_config(cfg: ListConfig) -> Self {
-        Self {
-            backend: cfg.backend,
-            seed: cfg.seed,
-            initial_capacity: cfg.initial_capacity.max(1),
-            ..Self::default()
-        }
+        Self { backend: cfg.backend, seed: cfg.seed, ..Self::default() }
     }
 
     /// The builder's current configuration (what [`ListBuilder::build`]
     /// stamps into the [`ErasedList`] and snapshots persist).
     pub fn config(&self) -> ListConfig {
-        ListConfig {
-            backend: self.backend,
-            seed: self.seed,
-            initial_capacity: self.initial_capacity,
-        }
+        ListConfig { backend: self.backend, seed: self.seed }
     }
 
     /// Select the algorithm.
@@ -446,39 +434,25 @@ impl ListBuilder {
         self
     }
 
-    /// Enable or disable metrics recording (default: enabled). With
-    /// `false` the built backend reports into the shared
-    /// [`ListMetrics::disabled`] handle, a no-op on every recording path —
-    /// the knob overhead benchmarks use to pin the enabled/disabled gap.
-    /// Not part of [`ListConfig`]: an operational setting, not persisted
-    /// state, so snapshot headers are unaffected.
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
-    }
-
     /// Build the configured backend as a dynamically sized, type-erased
     /// list. This is what [`OrderedList`](crate::OrderedList) and
     /// [`LabelMap`](crate::LabelMap) sit on.
     pub fn build(&self) -> ErasedList {
         let cap = self.initial_capacity;
-        let m = || self.metrics_sink();
         // Each arm's unsize coercion doubles as a compile-time proof that
         // every selectable backend is `Send + Sync` — a non-thread-safe
         // regression in any algorithm crate fails right here.
         let inner: Box<dyn RawList + Send + Sync> = match self.backend {
-            Backend::Classic => Box::new(Growable::with_metrics(ClassicBuilder, cap, m())),
-            Backend::Deamortized => Box::new(Growable::with_metrics(DeamortizedBuilder, cap, m())),
-            Backend::Randomized => Box::new(Growable::with_metrics(
+            Backend::Classic => Box::new(Growable::new(ClassicBuilder, cap)),
+            Backend::Deamortized => Box::new(Growable::new(DeamortizedBuilder, cap)),
+            Backend::Randomized => Box::new(Growable::new(
                 RandomizedBuilder::with_seed(derive_seed(self.seed, 0x59)),
                 cap,
-                m(),
             )),
-            Backend::Adaptive => Box::new(Growable::with_metrics(AdaptiveBuilder, cap, m())),
-            Backend::Corollary11 => Box::new(Growable::with_metrics(
+            Backend::Adaptive => Box::new(Growable::new(AdaptiveBuilder, cap)),
+            Backend::Corollary11 => Box::new(Growable::new(
                 TemplatedCorollary11::new(self.seed, Arc::clone(&self.templates)),
                 cap,
-                m(),
             )),
         };
         ErasedList { inner, config: self.config() }
@@ -512,17 +486,8 @@ impl ListBuilder {
                 Box::new(corollary11_builder(self.seed).build_default(capacity))
             }
         };
-        built.set_metrics(self.metrics_sink());
+        built.set_metrics(ListMetrics::handle(true));
         built
-    }
-
-    /// A fresh enabled metrics instance, or the shared disabled one.
-    fn metrics_sink(&self) -> MetricsHandle {
-        if self.metrics {
-            ListMetrics::handle(true)
-        } else {
-            ListMetrics::disabled()
-        }
     }
 
     /// Statically dispatched escape hatch: wrap **any** algorithm builder
@@ -534,7 +499,7 @@ impl ListBuilder {
     /// [`OrderedList::with_backend`]: crate::OrderedList::with_backend
     /// [`LabelMap::with_backend`]: crate::LabelMap::with_backend
     pub fn build_growable<B: LabelingBuilder>(&self, builder: B) -> Growable<B> {
-        Growable::with_metrics(builder, self.initial_capacity, self.metrics_sink())
+        Growable::new(builder, self.initial_capacity)
     }
 
     /// An [`OrderedList`](crate::OrderedList) on the configured backend.

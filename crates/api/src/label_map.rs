@@ -640,10 +640,10 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
 
     /// Drain the entries of ranks `at..len` (the upper part of the key
     /// space), returning them sorted ascending. The retained prefix keeps
-    /// its handles and layout. This is the shard **split** hook: the caller
-    /// lands the returned run in a fresh map via
-    /// [`extend_sorted`](LabelMap::extend_sorted), making a split O(shard)
-    /// total.
+    /// its handles and layout. The tail is deleted one element at a time,
+    /// so each deletion pays the backend's rebalances and shrink rebuilds;
+    /// to move a whole map, [`into_sorted_vec`](Self::into_sorted_vec)
+    /// walks its labels with no moves.
     ///
     /// Panics if `at > len`.
     pub fn split_off_at_rank(&mut self, at: usize) -> Vec<(K, V)> {
@@ -668,9 +668,9 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         self.split_off_at_rank(at)
     }
 
-    /// Move every entry of `other` into `self`, leaving `other` empty — the
-    /// shard **merge** hook. `other` is emptied by one label walk and one
-    /// backend [`reset`](RawList::reset), with no element moves. Runs of
+    /// Move every entry of `other` into `self`, leaving `other` empty.
+    /// `other` is emptied by one label walk and one backend
+    /// [`reset`](RawList::reset), with no element moves. Runs of
     /// `other`'s keys that fall between `self`'s keys land as single
     /// backend splices (equal keys replace the value, last write wins, as
     /// with sequential inserts).
@@ -683,25 +683,14 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     /// new keys that land in the same gap between existing keys become one
     /// backend splice (one evenly-spread sweep) instead of per-key
     /// insertions. Keys equal to existing ones replace the value in place;
-    /// equal adjacent batch keys collapse to the last occurrence.
+    /// equal adjacent batch keys collapse to the last occurrence
+    /// ([`dedup_sorted_batch`]).
     ///
     /// This is the engine under [`from_sorted_iter`](LabelMap::from_sorted_iter)
     /// and sorted [`extend`](Extend::extend); call it directly when you
     /// already hold a sorted `Vec`. Panics if the batch is not ascending.
     pub fn extend_sorted(&mut self, mut batch: Vec<(K, V)>) {
-        assert!(
-            batch.windows(2).all(|w| w[0].0.cmp(&w[1].0).is_le()),
-            "extend_sorted requires keys in ascending order"
-        );
-        // Last write wins among equal batch keys, as with sequential inserts.
-        batch.dedup_by(|next, kept| {
-            if next.0.cmp(&kept.0).is_eq() {
-                std::mem::swap(next, kept);
-                true
-            } else {
-                false
-            }
-        });
+        dedup_sorted_batch(&mut batch);
         // The open gap's run and the label of its successor (`None`: the
         // gap is at the end). Labels stay valid until the run lands: nothing
         // else changes the backend meanwhile.
@@ -748,6 +737,28 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         }
         self.sync_fences(pre_epoch, Some(&rep));
     }
+}
+
+/// Check that `batch` ascends by key, then keep the last of each run of
+/// equal keys: last write wins, as with sequential inserts. Keys are equal
+/// when [`Ord::cmp`] says so, as everywhere in [`LabelMap`], so a key type
+/// whose `Eq` reads more than its `Ord` still leaves one entry per map key.
+/// [`LabelMap::extend_sorted`] runs every batch through here, and so does
+/// a caller that cuts or counts a batch before it lands.
+///
+/// Panics if the keys are not ascending.
+pub fn dedup_sorted_batch<K: Ord, V>(batch: &mut Vec<(K, V)>) {
+    assert!(
+        batch.windows(2).all(|w| w[0].0.cmp(&w[1].0).is_le()),
+        "a sorted batch requires keys in ascending order"
+    );
+    batch.dedup_by(|next, kept| {
+        let equal = next.0.cmp(&kept.0).is_eq();
+        if equal {
+            std::mem::swap(next, kept);
+        }
+        equal
+    });
 }
 
 impl<K: Ord + Clone + Codec, V: Codec> LabelMap<K, V> {

@@ -391,14 +391,9 @@ impl Header {
         Self { container, backend: cfg.backend, seed: cfg.seed, count }
     }
 
-    /// The [`ListConfig`] this header describes (initial capacity is a
-    /// non-persisted hint and comes back as the default).
+    /// The [`ListConfig`] this header describes.
     pub fn config(&self) -> ListConfig {
-        ListConfig {
-            backend: self.backend,
-            seed: self.seed,
-            initial_capacity: crate::ListBuilder::new().config().initial_capacity,
-        }
+        ListConfig { backend: self.backend, seed: self.seed }
     }
 
     /// Write magic, version, and every header field.

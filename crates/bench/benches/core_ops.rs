@@ -45,6 +45,8 @@
 use lll_api::{Backend, ListBuilder, RawList};
 use lll_bench::report::Json;
 use lll_core::bitmap::Bitmap;
+use lll_core::growable::Growable;
+use lll_core::metrics::ListMetrics;
 use rand::Rng;
 use std::time::Instant;
 
@@ -236,8 +238,10 @@ fn kernel_row(density_pct: u64, calls: usize) -> Json {
 /// Wall-clock seconds for `n` random-rank classic inserts with metrics
 /// recording on or off (same seeds either way, so the work is identical).
 fn classic_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
-    let mut s =
-        ListBuilder::new().seed(7).backend(Backend::Classic).metrics(metrics).build_fixed(n);
+    let mut s = ListBuilder::new().seed(7).backend(Backend::Classic).build_fixed(n);
+    if !metrics {
+        s.set_metrics(ListMetrics::disabled());
+    }
     let mut rng = lll_core::rng::rng_from_seed(0xC0DE ^ salt);
     let mut rep = lll_core::report::OpReport::default();
     let t = Instant::now();
@@ -255,11 +259,8 @@ fn classic_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
 /// `note_op_moves`, the moves-per-op histogram record a fixed-capacity
 /// structure never makes.
 fn growable_insert_secs(n: usize, metrics: bool, salt: u64) -> f64 {
-    let mut s = ListBuilder::new()
-        .seed(7)
-        .metrics(metrics)
-        .initial_capacity(n)
-        .build_growable(lll_classic::ClassicBuilder);
+    let sink = if metrics { ListMetrics::handle(true) } else { ListMetrics::disabled() };
+    let mut s = Growable::with_metrics(lll_classic::ClassicBuilder, n, sink);
     let mut rng = lll_core::rng::rng_from_seed(0xC0DE ^ salt);
     let mut rep = lll_core::report::OpReport::default();
     let t = Instant::now();

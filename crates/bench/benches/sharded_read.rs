@@ -14,8 +14,8 @@
 //! the same warm keyset. The target is that the sharded read costs < 5%
 //! more than what a single-threaded map would pay. A sharded read is a
 //! shared lock on the thread's directory stripe and an `Arc` clone, the
-//! owning shard's shared lock, a retired-flag check and one per-shard
-//! read counter; the baseline is one mutex acquisition.
+//! owning shard's shared lock, a check that the shard still holds its map
+//! and one per-shard read counter; the baseline is one mutex acquisition.
 //!
 //! Results are printed as JSON and — in full mode — written to
 //! `BENCH_sharded_read.json` at the repo root, committed so subsequent

@@ -10,12 +10,15 @@
 //! ## Rules
 //!
 //! * **lock-order** — every non-`#[cfg(test)]` line of every file is
-//!   scanned for the sharded map's tracked acquisitions, with guard
-//!   lifetimes simulated by brace depth: `rlock(..)` and `wlock(..)` take
-//!   a shard lock, `mlock(..)` the maintenance lock. Findings: a second
-//!   shard lock without the maintenance lock held, the maintenance lock
-//!   under a shard guard, maintenance re-entry, and a directory
-//!   `publish(..)` while a shard guard is live.
+//!   scanned for the sharded map's tracked acquisitions: `rlock(..)` and
+//!   `wlock(..)` take a shard lock, `mlock(..)` the maintenance lock. A
+//!   `let`-bound guard lives to the end of its block, any other
+//!   acquisition to its call's closing parenthesis (so a closure passed to
+//!   it runs inside the lock), and a `fn` taking a `MaintGuard` parameter
+//!   holds maintenance from its first line. Findings: a second shard lock
+//!   without the maintenance lock held, the maintenance lock under a shard
+//!   guard, maintenance re-entry, and a directory `publish(..)` while a
+//!   shard guard is live.
 //! * **no-alloc** — functions annotated with a `no-alloc` directive may
 //!   not call allocating constructors (`Vec::new`, `with_capacity`,
 //!   `collect`, `to_vec`, `format!`, `Box::new`, …).
@@ -335,79 +338,128 @@ enum LockLevel {
     Shard,
 }
 
+/// Where a lexically live guard ends.
+#[derive(Clone, Copy)]
+enum Until {
+    /// When the block at this brace depth closes: a `let`-bound guard, or
+    /// the maintenance a `MaintGuard` parameter brings into a fn body.
+    Block(i64),
+    /// When the parenthesis opened at this depth closes: an acquisition no
+    /// `let` binds, so a closure passed to it runs inside the lock.
+    Paren(i64),
+}
+
 /// Rule 1: the locking protocol around the sharded map, over every line
 /// outside `#[cfg(test)]` blocks. Levels come from the method names: the
 /// shard lock's `rlock`/`wlock` and the maintenance lock's `mlock` (the
 /// lock types in `lll-sharded`'s `lock_order` module expose no other
-/// acquisition). The directory's stripe locks are leaves, taken only
-/// inside its `load` and `publish`, and carry no level.
+/// acquisition, and its shards' closure-taking accessors share the names).
+/// A guard bound on a line with a `let` lives to the end of its block; any
+/// other acquisition holds its level until its call's closing parenthesis.
+/// A `fn` with a `MaintGuard` among its parameters starts its body with
+/// maintenance held. The directory's stripe locks are leaves, taken only
+/// inside its `load` and `publish`, and carry no level. `drop(..)` is not
+/// read: a guard that must end early ends with its block.
 pub fn check_lock_order(sf: &SourceFile, diags: &mut Vec<Diagnostic>) {
     let in_tests = test_mod_lines(sf);
-    let mut depth: i64 = 0;
-    let mut guards: Vec<(LockLevel, i64)> = Vec::new();
+    let (mut depth, mut parens): (i64, i64) = (0, 0);
+    let mut guards: Vec<(LockLevel, Until)> = Vec::new();
+    // A `fn` signature being read: the paren depth it starts at, and
+    // whether a parameter names `MaintGuard`.
+    let mut sig: Option<(i64, bool)> = None;
     for (i, line) in sf.code.iter().enumerate() {
         if in_tests[i] {
             continue;
         }
         let toks = idents(line);
         let has_let = toks.iter().any(|&(s, e)| &line[s..e] == "let");
-        for &(s, e) in &toks {
-            if next_nonspace(line, e) != Some('(') {
-                continue;
+        let mut toks = toks.into_iter().peekable();
+        for (at, ch) in line.char_indices() {
+            if let Some((s, e)) = toks.next_if(|&(s, _)| s == at) {
+                let tok = &line[s..e];
+                match (tok, &mut sig) {
+                    ("fn", _) => sig = Some((parens, false)),
+                    ("MaintGuard", Some((from, maint))) if parens > *from => *maint = true,
+                    _ => {}
+                }
+                if next_nonspace(line, e) == Some('(') {
+                    if let Some((level, finding)) = acquisition(tok, &guards) {
+                        if let Some(msg) = finding {
+                            emit(sf, i, RULE_LOCK_ORDER, msg.to_string(), diags);
+                        }
+                        if let Some(level) = level {
+                            let until =
+                                if has_let { Until::Block(depth) } else { Until::Paren(parens) };
+                            guards.push((level, until));
+                        }
+                    }
+                }
             }
-            let shard_live = guards.iter().any(|&(l, _)| l == LockLevel::Shard);
-            let maint_live = guards.iter().any(|&(l, _)| l == LockLevel::Maintenance);
-            let (level, finding) = match &line[s..e] {
-                // A publication precondition the runtime tracker enforces
-                // (maintenance-held is cross-function, so only the
-                // same-scope shard guard is checked lexically).
-                "publish" => (
-                    None,
-                    shard_live.then_some(
-                        "publishes a new directory while a shard guard is live (retire the \
-                         shard and release its lock before publishing)",
-                    ),
-                ),
-                "rlock" | "wlock" => (
-                    Some(LockLevel::Shard),
-                    (shard_live && !maint_live).then_some(
-                        "takes a second shard lock without the maintenance lock (point ops \
-                         hold at most one shard; only maintenance stacks them)",
-                    ),
-                ),
-                "mlock" => (
-                    Some(LockLevel::Maintenance),
-                    if shard_live {
-                        Some(
-                            "takes the maintenance lock under a shard guard (order is \
-                              maintenance → shard)",
-                        )
-                    } else {
-                        maint_live
-                            .then_some("re-enters the maintenance lock (Mutex is not re-entrant)")
-                    },
-                ),
-                _ => continue,
-            };
-            if let Some(msg) = finding {
-                emit(sf, i, RULE_LOCK_ORDER, msg.to_string(), diags);
-            }
-            if let Some(level) = level.filter(|_| has_let) {
-                guards.push((level, depth));
-            }
-        }
-
-        for ch in line.chars() {
             match ch {
-                '{' => depth += 1,
+                '{' => {
+                    depth += 1;
+                    if let Some((_, maint)) = sig.take() {
+                        if maint {
+                            guards.push((LockLevel::Maintenance, Until::Block(depth)));
+                        }
+                    }
+                }
                 '}' => {
                     depth -= 1;
-                    guards.retain(|&(_, d)| d <= depth);
+                    guards.retain(|&(_, u)| !matches!(u, Until::Block(d) if d > depth));
                 }
+                '(' => parens += 1,
+                ')' => {
+                    parens -= 1;
+                    guards.retain(|&(_, u)| !matches!(u, Until::Paren(p) if p >= parens));
+                }
+                ';' if sig.is_some_and(|(from, _)| from == parens) => sig = None,
                 _ => {}
             }
         }
     }
+}
+
+/// What a call of `tok` does under the live `guards`: the level it takes
+/// (if any) and the finding it makes (if any). `None` for a call the rule
+/// does not read.
+fn acquisition(
+    tok: &str,
+    guards: &[(LockLevel, Until)],
+) -> Option<(Option<LockLevel>, Option<&'static str>)> {
+    let shard_live = guards.iter().any(|&(l, _)| l == LockLevel::Shard);
+    let maint_live = guards.iter().any(|&(l, _)| l == LockLevel::Maintenance);
+    Some(match tok {
+        // A publication precondition the runtime tracker enforces
+        // (maintenance-held is cross-function, so only the same-scope
+        // shard guard is checked lexically).
+        "publish" => (
+            None,
+            shard_live.then_some(
+                "publishes a new directory while a shard guard is live (take the shard's \
+                 map and release its lock before publishing)",
+            ),
+        ),
+        "rlock" | "wlock" => (
+            Some(LockLevel::Shard),
+            (shard_live && !maint_live).then_some(
+                "takes a second shard lock without the maintenance lock (point ops hold at \
+                 most one shard; only maintenance stacks them)",
+            ),
+        ),
+        "mlock" => (
+            Some(LockLevel::Maintenance),
+            if shard_live {
+                Some(
+                    "takes the maintenance lock under a shard guard (order is maintenance → \
+                     shard)",
+                )
+            } else {
+                maint_live.then_some("re-enters the maintenance lock (Mutex is not re-entrant)")
+            },
+        ),
+        _ => return None,
+    })
 }
 
 const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned", "with_capacity"];

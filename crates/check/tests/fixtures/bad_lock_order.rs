@@ -2,8 +2,8 @@
 // locking protocol — the maintenance → shard order, the
 // one-shard-per-point-op rule, and the publication precondition.
 // (Fixtures are lexed, never compiled: `rlock`/`wlock` and `mlock` are the
-// methods of the real crate's `ShardLock` and `MaintLock`, and `publish`
-// is its `Striped` cell's.)
+// methods of the real crate's `ShardLock` and `MaintLock`, and of its
+// shards' closure-taking accessors; `publish` is its `Striped` cell's.)
 
 pub struct Shard {
     pub map: ShardLock<Vec<u64>>,
@@ -24,6 +24,14 @@ impl Map {
         // finding: second shard acquisition without the maintenance lock
         let b = d.shards[1].map.rlock();
         drop((a, b));
+    }
+
+    pub fn bad_second_shard_in_closure(&self, d: &Directory) -> Option<usize> {
+        // The closure runs inside the first shard's lock.
+        d.shards[0].wlock(|left| {
+            // finding: second shard acquisition without the maintenance lock
+            d.shards[1].rlock(|right| left.len() + right.len())
+        })
     }
 
     pub fn bad_maintenance_under_shard(&self, d: &Directory) {
@@ -57,6 +65,14 @@ impl Map {
         }
         self.dir.publish(next);
         drop(m);
+    }
+
+    // A `MaintGuard` parameter: the caller holds maintenance for the
+    // whole body.
+    fn fine_maintenance_helper_stacks_shards(&self, _m: &MaintGuard<'_>, d: &Directory) {
+        let a = d.shards[0].map.wlock();
+        let b = d.shards[1].map.wlock();
+        drop((a, b));
     }
 
     pub fn fine_read_path(&self) -> usize {

@@ -26,11 +26,17 @@ fn count(diags: &[Diagnostic], rule: &str) -> usize {
 #[test]
 fn flags_lock_order_violations() {
     let diags = run("bad_lock_order.rs");
-    // second shard lock without maintenance, maintenance under a shard
-    // guard, maintenance re-entry, publish under a live shard guard — the
-    // three `fine_` fns and the `#[cfg(test)]` module must stay silent
-    assert_eq!(count(&diags, RULE_LOCK_ORDER), 4, "{diags:#?}");
-    assert_eq!(diags.len(), 4, "{diags:#?}");
+    // second shard lock without maintenance (`let`-bound, and inside the
+    // first lock's closure), maintenance under a shard guard, maintenance
+    // re-entry, publish under a live shard guard — the four `fine_` fns
+    // and the `#[cfg(test)]` module must stay silent
+    assert_eq!(count(&diags, RULE_LOCK_ORDER), 5, "{diags:#?}");
+    assert_eq!(diags.len(), 5, "{diags:#?}");
+    let (_, text) = fixture("bad_lock_order.rs");
+    for d in &diags {
+        let owner = text.lines().take(d.line).filter_map(|l| l.split_once("fn ")).last();
+        assert!(owner.is_some_and(|(_, f)| f.starts_with("bad_")), "outside a bad_ fn: {d}");
+    }
 }
 
 #[test]

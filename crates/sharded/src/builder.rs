@@ -19,8 +19,9 @@ use lll_api::{Backend, ListBuilder};
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShardedBuilder {
-    backend: Backend,
-    seed: u64,
+    /// The shards' backend and the map's seed; the backend default is
+    /// [`ListBuilder`]'s.
+    list: ListBuilder,
     max_shard_len: usize,
     min_shard_len: usize,
     max_shards: usize,
@@ -29,8 +30,7 @@ pub struct ShardedBuilder {
 impl Default for ShardedBuilder {
     fn default() -> Self {
         Self {
-            backend: Backend::Corollary11,
-            seed: 0x5AD,
+            list: ListBuilder::new().seed(0x5AD),
             max_shard_len: 4096,
             min_shard_len: 256,
             max_shards: 1024,
@@ -39,17 +39,18 @@ impl Default for ShardedBuilder {
 }
 
 impl ShardedBuilder {
-    /// A builder with the defaults: the Corollary 11 layered backend per
-    /// shard (the paper's reproduction, slower and larger than any one of
-    /// its layers — see [`Backend::Corollary11`] for the measured trade),
-    /// shards kept between 256 and 4096 entries, at most 1024 shards.
+    /// A builder with the defaults: [`ListBuilder`]'s default backend per
+    /// shard, the Corollary 11 layered structure (the paper's
+    /// reproduction, slower and larger than any one of its layers — see
+    /// [`Backend::Corollary11`] for the measured trade), shards kept
+    /// between 256 and 4096 entries, at most 1024 shards.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Select the per-shard list-labeling algorithm.
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.list = self.list.backend(backend);
         self
     }
 
@@ -57,16 +58,16 @@ impl ShardedBuilder {
     /// stream; runs are deterministic per seed **given** a deterministic
     /// operation interleaving).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.list = self.list.seed(seed);
         self
     }
 
     /// The most entries a shard holds below the shard-count ceiling:
     /// a new key for a shard this full splits the shard before it lands,
     /// and a sorted batch that overfills a shard splits it afterwards (see
-    /// [`ShardPolicy::max_shard_len`]). Clamped to ≥ 2.
+    /// [`ShardPolicy::max_shard_len`]). Clamped at build time to ≥ 2.
     pub fn max_shard_len(mut self, len: usize) -> Self {
-        self.max_shard_len = len.max(2);
+        self.max_shard_len = len;
         self
     }
 
@@ -79,34 +80,25 @@ impl ShardedBuilder {
         self
     }
 
-    /// Hard ceiling on the shard count (≥ 1). Past it, shards grow beyond
-    /// `max_shard_len` rather than split.
+    /// Hard ceiling on the shard count, clamped at build time to ≥ 1. Past
+    /// it, shards grow beyond `max_shard_len` rather than split.
     pub fn max_shards(mut self, n: usize) -> Self {
-        self.max_shards = n.max(1);
+        self.max_shards = n;
         self
-    }
-
-    fn policy(&self) -> ShardPolicy {
-        ShardPolicy {
-            max_shard_len: self.max_shard_len,
-            min_shard_len: self.min_shard_len.min(self.max_shard_len / 4),
-            max_shards: self.max_shards,
-        }
-    }
-
-    fn list_builder(&self) -> ListBuilder {
-        ListBuilder::new().backend(self.backend)
     }
 
     /// An empty [`ShardedMap`] (one shard; splitting is data-driven).
     pub fn build<K: Ord + Clone, V>(&self) -> ShardedMap<K, V> {
-        ShardedMap::new(self.list_builder(), self.seed, self.policy())
+        self.build_from_sorted(Vec::new())
     }
 
     /// A [`ShardedMap`] pre-sharded from entries **sorted ascending by
     /// key**: the run is cut into half-full shards, each landed in one
     /// O(shard) bulk sweep. Panics if the keys are not ascending.
     pub fn build_from_sorted<K: Ord + Clone, V>(&self, entries: Vec<(K, V)>) -> ShardedMap<K, V> {
-        ShardedMap::from_sorted(self.list_builder(), self.seed, self.policy(), entries)
+        let policy = ShardPolicy::new(self.max_shard_len, self.min_shard_len, self.max_shards);
+        // A builder of the map's own: its shards share one template store,
+        // and no other map's do.
+        ShardedMap::from_sorted(ListBuilder::from_config(self.list.config()), policy, entries)
     }
 }

@@ -18,12 +18,13 @@
 //! * **Point writes** (`insert` / `get_mut_with` / `remove`) take exactly
 //!   **one** shard lock, exclusively — writers on different shards never
 //!   contend.
-//! * **Splits and merges** run under the maintenance mutex: they
-//!   restructure into *fresh* shards, mark the replaced shards retired — a
-//!   flag every reader and writer checks under the shard lock — and then
-//!   publish a successor directory, bouncing in-flight users of the old
-//!   snapshot to a reload. Both are bulk moves over the `splice` path,
-//!   so re-sharding costs O(shard), not O(n · polylog n).
+//! * **Splits and merges** run under the maintenance mutex: they take the
+//!   map out of each shard they replace — every reader and writer finds
+//!   the map, or its absence, under the shard lock — restructure into the
+//!   shards they keep, and then publish a successor directory, bouncing
+//!   in-flight users of the old snapshot to a reload. Both are bulk moves
+//!   over the `splice` path, so re-sharding costs O(shard), not
+//!   O(n · polylog n).
 //! * **Snapshots** ([`ShardedMap::write_snapshot`] /
 //!   [`ShardedMap::read_snapshot`]) persist the split-key directory and
 //!   each shard's sorted run under the maintenance mutex with every shard

@@ -8,7 +8,9 @@
 //! [`mlock`](MaintLock::mlock)), so a raw `.read()`, `.write()` or
 //! `.lock()` does not compile. The nesting is enforced twice: statically by
 //! `lll-check`, which simulates guard lifetimes lexically over those three
-//! method names, and dynamically by the debug-build tracker in this module,
+//! method names (a shard's closure-taking accessors share the first two,
+//! and a [`MaintGuard`] parameter stands for a held maintenance mutex),
+//! and dynamically by the debug-build tracker in this module,
 //! which counts the guards each thread holds and panics the moment an
 //! acquisition would invert the order:
 //!
@@ -26,9 +28,8 @@
 //!    one, so a stripe lock is a leaf: no other lock is ever taken under
 //!    it, and the tracker does not count it. Publication requires the
 //!    maintenance mutex and *no* live shard guard: a split or merge
-//!    retires the old shard and releases its lock first, so a reader of
-//!    the old directory meets either the shard's old content or its
-//!    retired flag.
+//!    takes the old shard's map and releases its lock first, so a reader
+//!    of the old directory meets either the shard's old content or no map.
 //!
 //! The check runs *before* blocking, so an ordering bug surfaces as an
 //! immediate panic with a message instead of a silent deadlock. In release

@@ -17,25 +17,26 @@
 //! * The **maintenance mutex** (`ShardedMap::maint`) is the outermost
 //!   lock level: splits, merges, batches, and snapshots serialize under
 //!   it, so at most one thread restructures (and publishes) at a time.
-//! * Each **shard** ([`Shard`]) pairs a `ShardLock<LabelMap>` (an
-//!   `RwLock` reachable only through the tracked acquisitions) with a
-//!   **retired** flag. Readers take the shared lock, writers the exclusive
-//!   one, and both check the flag under it. A split or merge sets the flag
-//!   under the exclusive lock once the shard's keys live elsewhere.
+//! * Each **shard** ([`Shard`]) is a `ShardLock<Option<LabelMap>>` (an
+//!   `RwLock` reachable only through the tracked acquisitions). Readers
+//!   take the shared lock, writers the exclusive one, and both find the
+//!   map under it. A split or merge takes the map out under the exclusive
+//!   lock once the shard's keys live elsewhere, leaving `None`.
 //!
 //! Point operations hold at most one shard lock; only a maintenance
 //! holder stacks several (merges lock a neighboring pair, snapshots
 //! read-lock every shard for one atomic picture). Publication happens
-//! with **no** shard lock held, after the retiring shard's flag is set —
+//! with **no** shard lock held, after the retiring shard's map is taken —
 //! a reader of the old snapshot therefore either sees the shard's
-//! pre-retirement content (consistent) or the flag, which sends it back
+//! pre-retirement content (consistent) or no map, which sends it back
 //! to reload the directory. The `lock_order` module's lock types admit
 //! only tracked acquisitions, so a raw `.write()` does not compile; its
 //! tracker enforces the order dynamically in debug builds, and lll-check's
 //! `lock-order` rule checks the nesting of `rlock`/`wlock`/`mlock` calls
 //! statically.
 
-use crate::lock_order::{MaintGuard, MaintLock, ShardLock, Striped, Tracked};
+use crate::lock_order::{MaintGuard, MaintLock, ShardLock, Striped};
+use lll_api::label_map::dedup_sorted_batch;
 use lll_api::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_api::{LabelMap, ListBuilder, RawList};
 use lll_core::rng::derive_seed;
@@ -44,11 +45,16 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Events the per-map [`TraceRing`] holds before the oldest is overwritten.
 const TRACE_CAPACITY: usize = 256;
+
+/// Only a split or merge takes a shard's map, under the maintenance mutex,
+/// and it publishes a directory without that shard before it lets go: a
+/// maintenance holder never meets a taken map in the live directory.
+const LIVE: &str = "a shard of the live directory lost its map under the maintenance lock";
 
 /// Per-shard operation counters. The counters are atomic, so concurrent
 /// readers and writers bump them without coordination; merges fold the
@@ -70,61 +76,36 @@ impl ShardObs {
     }
 }
 
-/// An exclusive shard guard.
-type ShardWrite<'a, K, V> = Tracked<RwLockWriteGuard<'a, LabelMap<K, V>>>;
-
-/// One rebalance domain: a `LabelMap` behind its lock, the shard's op
-/// counters, and the flag that marks it replaced. Shards are shared
-/// (`Arc`) between successive directory snapshots — a split or merge
-/// replaces only the entries it restructures.
+/// One rebalance domain: the shard's op counters and its `LabelMap` behind
+/// its lock. Shards are shared (`Arc`) between successive directory
+/// snapshots — a split or merge replaces only the entries it restructures,
+/// and takes the map of each shard it replaces, leaving `None`.
 struct Shard<K: Ord, V> {
     obs: ShardObs,
-    /// Set once, under the exclusive lock, by the split or merge that
-    /// replaced this shard. Read under the lock, so `Relaxed` suffices:
-    /// the lock orders it against every access to the map.
-    retired: AtomicBool,
-    map: ShardLock<LabelMap<K, V>>,
+    map: ShardLock<Option<LabelMap<K, V>>>,
 }
 
 impl<K: Ord, V> Shard<K, V> {
-    fn new(map: LabelMap<K, V>) -> Self {
-        Self { obs: ShardObs::default(), retired: AtomicBool::new(false), map: ShardLock::new(map) }
+    /// Run `f` under the shared lock. `None` if a split or merge took the
+    /// map — the caller must reload the directory.
+    fn rlock<R>(&self, f: impl FnOnce(&LabelMap<K, V>) -> R) -> Option<R> {
+        self.map.rlock().as_ref().map(f)
     }
 
-    /// Run `f` under the shared lock. `None` if the shard is retired —
-    /// the caller must reload the directory.
-    fn read<R>(&self, f: impl FnOnce(&LabelMap<K, V>) -> R) -> Option<R> {
-        let guard = self.map.rlock();
-        if self.retired.load(Ordering::Relaxed) {
-            return None;
-        }
-        Some(f(&guard))
-    }
-
-    /// Take the exclusive lock. `None` if the shard is retired — the
-    /// caller must reload the directory.
-    fn write(&self) -> Option<ShardWrite<'_, K, V>> {
-        let guard = self.map.wlock();
-        (!self.retired.load(Ordering::Relaxed)).then_some(guard)
-    }
-
-    /// Mark the shard replaced, then release `guard`, its exclusive lock:
-    /// every later reader and writer of an old directory snapshot sees the
-    /// flag and reloads. Call only once the successor directory that covers
-    /// the shard's keys is built, and publish it after this returns.
-    fn retire(&self, guard: ShardWrite<'_, K, V>) {
-        self.retired.store(true, Ordering::Relaxed);
-        drop(guard);
+    /// Run `f` under the exclusive lock. `None` if a split or merge took
+    /// the map — the caller must reload the directory.
+    fn wlock<R>(&self, f: impl FnOnce(&mut LabelMap<K, V>) -> R) -> Option<R> {
+        self.map.wlock().as_mut().map(f)
     }
 }
 
 /// The size band shards are kept inside, plus the shard-count ceiling.
 ///
-/// Invariants enforced by [`ShardedBuilder`](crate::ShardedBuilder):
-/// `min_shard_len <= max_shard_len / 4`, so a freshly split half
-/// (`>= max/2`) is never immediately merge-eligible and a freshly merged
-/// shard (`<= max`) is never immediately split-eligible — maintenance
-/// always terminates.
+/// Invariants every map's policy keeps (the builder and a snapshot restore
+/// both clamp to them): `min_shard_len <= max_shard_len / 4`, so a freshly
+/// split half (`>= max/2`) is never immediately merge-eligible and a
+/// freshly merged shard (`<= max`) is never immediately split-eligible —
+/// maintenance always terminates.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPolicy {
     /// The most entries a shard holds while the shard count is below
@@ -139,6 +120,20 @@ pub struct ShardPolicy {
     pub min_shard_len: usize,
     /// Hard ceiling on the number of shards.
     pub max_shards: usize,
+}
+
+impl ShardPolicy {
+    /// The policy with its clamps applied: `max_shard_len >= 2`,
+    /// `max_shards >= 1` and `min_shard_len <= max_shard_len / 4`, so that
+    /// no policy, built or restored, can make maintenance livelock.
+    pub(crate) fn new(max_shard_len: usize, min_shard_len: usize, max_shards: usize) -> Self {
+        let max_shard_len = max_shard_len.max(2);
+        Self {
+            max_shard_len,
+            min_shard_len: min_shard_len.min(max_shard_len / 4),
+            max_shards: max_shards.max(1),
+        }
+    }
 }
 
 /// The split-key table: `shards[i]` owns keys `k` with
@@ -184,8 +179,9 @@ pub struct ShardedMap<K: Ord + Clone, V> {
     /// Serializes splits, merges, batches, snapshots — and thereby every
     /// directory publication. Point operations never touch it.
     maint: MaintLock,
+    /// Builds every shard's backend; its seed is the map's, from which
+    /// each shard's tape derives.
     builder: ListBuilder,
-    seed: u64,
     policy: ShardPolicy,
     /// Monotone per-map shard counter: each shard's backend gets an
     /// independent random tape derived from (seed, sequence number).
@@ -273,12 +269,11 @@ impl fmt::Display for ShardedStats {
 impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// A shell with no shards at all — only valid as an intermediate while
     /// a constructor installs the real directory.
-    fn shell(builder: ListBuilder, seed: u64, policy: ShardPolicy) -> Self {
+    fn shell(builder: ListBuilder, policy: ShardPolicy) -> Self {
         Self {
             dir: Striped::new(Directory { bounds: Vec::new(), shards: Vec::new() }),
             maint: MaintLock::new(),
             builder,
-            seed,
             policy,
             shard_seq: AtomicU64::new(0),
             splits: AtomicU64::new(0),
@@ -297,41 +292,21 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         self.dir.publish(dir);
     }
 
-    /// Build an empty map: one shard, no split keys. Splitting is
-    /// data-driven from there. Called by
-    /// [`ShardedBuilder`](crate::ShardedBuilder).
-    pub(crate) fn new(builder: ListBuilder, seed: u64, policy: ShardPolicy) -> Self {
-        let map = Self::shell(builder, seed, policy);
-        let first = Arc::new(Shard::new(map.fresh_shard()));
-        map.install(Directory { bounds: Vec::new(), shards: vec![first] });
-        map
-    }
-
     /// Build a map pre-sharded from entries sorted ascending by key: the
     /// run is cut into half-full chunks, each bulk-loaded into its own
-    /// fresh shard in one O(chunk) sweep — a true O(n) import, no split
-    /// cascade. Panics if the keys are not ascending (equal adjacent keys
-    /// collapse, last write wins, as in [`LabelMap::from_sorted_iter`]).
+    /// shard in one O(chunk) sweep — a true O(n) import, no split cascade.
+    /// No entries make one empty shard. Panics if the keys are not
+    /// ascending (equal adjacent keys collapse, last write wins, as in
+    /// [`LabelMap::extend_sorted`]). Called by
+    /// [`ShardedBuilder`](crate::ShardedBuilder).
     pub(crate) fn from_sorted(
         builder: ListBuilder,
-        seed: u64,
         policy: ShardPolicy,
         mut entries: Vec<(K, V)>,
     ) -> Self {
-        assert!(
-            entries.windows(2).all(|w| w[0].0.cmp(&w[1].0).is_le()),
-            "from_sorted requires keys in ascending order"
-        );
         // Dedup before chunking so equal keys never straddle a split key.
-        entries.dedup_by(|next, kept| {
-            if next.0.cmp(&kept.0).is_eq() {
-                std::mem::swap(next, kept);
-                true
-            } else {
-                false
-            }
-        });
-        let map = Self::shell(builder, seed, policy);
+        dedup_sorted_batch(&mut entries);
+        let map = Self::shell(builder, policy);
         // Half-full shards: room to grow before splitting, full enough not
         // to merge. Respect the shard-count ceiling by growing the chunk
         // size if the run is enormous.
@@ -344,17 +319,21 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             if i > 0 {
                 bounds.push(chunk[0].0.clone());
             }
-            let mut shard = map.fresh_shard();
-            shard.extend_sorted(chunk);
-            shards.push(Arc::new(Shard::new(shard)));
+            shards.push(map.shard_from_sorted(chunk));
         }
         map.install(Directory { bounds, shards });
         map
     }
 
-    fn fresh_shard(&self) -> LabelMap<K, V> {
+    /// A new shard holding `run` (ascending, no equal keys), landed in one
+    /// bulk sweep. Its backend's random tape derives from the map's seed
+    /// and the next shard sequence number.
+    fn shard_from_sorted(&self, run: Vec<(K, V)>) -> Arc<Shard<K, V>> {
         let seq = self.shard_seq.fetch_add(1, Ordering::Relaxed);
-        self.builder.clone().seed(derive_seed(self.seed, seq)).label_map()
+        let seed = derive_seed(self.builder.config().seed, seq);
+        let mut map = self.builder.clone().seed(seed).label_map();
+        map.extend_sorted(run);
+        Arc::new(Shard { obs: ShardObs::default(), map: ShardLock::new(Some(map)) })
     }
 
     /// The policy this map maintains its shards against.
@@ -363,7 +342,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     }
 
     /// Run `attempt` against the current directory until it returns
-    /// `Some`. `None` means it met a shard that a split or merge retired:
+    /// `Some`. `None` means it met a shard whose map a split or merge took:
     /// the reload routes the keys to the shard that owns them now.
     fn route<R>(&self, mut attempt: impl FnMut(&Directory<K, V>) -> Option<R>) -> R {
         loop {
@@ -379,7 +358,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// Total entries — one shared lock per shard, O(#shards). The count
     /// is a consistent snapshot only if no writer is concurrent.
     pub fn len(&self) -> usize {
-        self.route(|dir| dir.shards.iter().map(|s| s.read(LabelMap::len)).sum())
+        self.route(|dir| dir.shards.iter().map(|s| s.rlock(LabelMap::len)).sum())
     }
 
     /// True if no entries are stored (same snapshot caveat as
@@ -410,16 +389,18 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             let landed = self.route(|dir| {
                 let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
                 let shard = &dir.shards[dir.locate(key)];
-                let mut g = shard.write()?;
-                if g.len() >= self.policy.max_shard_len
-                    && dir.shards.len() < self.policy.max_shards
-                    && !g.contains_key(key)
-                {
-                    return Some(None);
-                }
-                shard.obs.writes.inc();
-                let (key, value) = kv.take().expect("a landed entry ends the loop");
-                Some(Some(g.insert(key, value)))
+                shard.wlock(|m| {
+                    let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
+                    if m.len() >= self.policy.max_shard_len
+                        && dir.shards.len() < self.policy.max_shards
+                        && !m.contains_key(key)
+                    {
+                        return None;
+                    }
+                    shard.obs.writes.inc();
+                    let (key, value) = kv.take().expect("a landed entry ends the loop");
+                    Some(m.insert(key, value))
+                })
             });
             match landed {
                 Some(prev) => return prev,
@@ -428,16 +409,13 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Split the shard that owns `key` if it is still full and the shard
-    /// ceiling allows, under the maintenance mutex: the split that makes
-    /// room for a new key.
+    /// Split the shard that owns `key` if the shard ceiling allows, under
+    /// the maintenance mutex: the split that makes room for a new key.
     fn split_full(&self, key: &K) {
-        let _m = self.maint.mlock();
+        let m = self.maint.mlock();
         let dir = self.dir.load();
-        if dir.shards.len() < self.policy.max_shards
-            && self.split_shard(&dir, dir.locate(key), self.policy.max_shard_len)
-        {
-            self.splits.fetch_add(1, Ordering::Relaxed);
+        if dir.shards.len() < self.policy.max_shards {
+            self.split_shard(&m, &dir, dir.locate(key));
         }
     }
 
@@ -451,16 +429,17 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     {
         let (prev, underflow) = self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            let mut g = shard.write()?;
-            shard.obs.writes.inc();
-            let prev = g.remove(key);
-            // Trigger only on the exact threshold crossing: a shard stuck
-            // underfull because no neighbor merge fits must not pay a
-            // maintenance round trip on every subsequent remove. Once a
-            // neighbor later shrinks, *its* own crossing re-runs
-            // maintenance, which scans globally and finds the pair.
-            let crossed = prev.is_some() && g.len() + 1 == self.policy.min_shard_len;
-            Some((prev, crossed && dir.shards.len() > 1))
+            shard.wlock(|m| {
+                shard.obs.writes.inc();
+                let prev = m.remove(key);
+                // Trigger only on the exact threshold crossing: a shard
+                // stuck underfull because no neighbor merge fits must not
+                // pay a maintenance round trip on every subsequent remove.
+                // Once a neighbor later shrinks, *its* own crossing re-runs
+                // maintenance, which scans globally and finds the pair.
+                let crossed = prev.is_some() && m.len() + 1 == self.policy.min_shard_len;
+                (prev, crossed && dir.shards.len() > 1)
+            })
         });
         if underflow {
             self.maintain();
@@ -483,7 +462,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         let mut f = Some(f);
         self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            shard.read(|m| {
+            shard.rlock(|m| {
                 // Counted under the read guard: a merge can absorb this
                 // shard's ShardObs into the survivor the instant the guard
                 // drops, and an increment after that loses the read from
@@ -516,9 +495,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         let mut f = Some(f);
         self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            let mut g = shard.write()?;
-            shard.obs.writes.inc();
-            Some(g.get_mut(key).map(|v| (f.take().expect("mut closure ran twice"))(v)))
+            shard.wlock(|m| {
+                shard.obs.writes.inc();
+                m.get_mut(key).map(|v| (f.take().expect("mut closure ran twice"))(v))
+            })
         })
     }
 
@@ -530,7 +510,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     {
         self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            shard.read(|m| {
+            shard.rlock(|m| {
                 // Under the guard, as in `get_with`: survives a racing
                 // merge's ShardObs absorption.
                 shard.obs.reads.inc();
@@ -547,7 +527,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         self.route(|dir| {
             for shard in &dir.shards {
                 let kv =
-                    shard.read(|m| m.first_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
+                    shard.rlock(|m| m.first_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
                 if kv.is_some() {
                     return Some(kv);
                 }
@@ -563,7 +543,8 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     {
         self.route(|dir| {
             for shard in dir.shards.iter().rev() {
-                let kv = shard.read(|m| m.last_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
+                let kv =
+                    shard.rlock(|m| m.last_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
                 if kv.is_some() {
                     return Some(kv);
                 }
@@ -602,24 +583,21 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         let _m = self.maint.mlock();
         let dir = self.dir.load();
         for shard in &dir.shards {
-            let g = shard.map.rlock();
-            for (k, v) in g.iter() {
-                f(k, v);
-            }
+            shard.rlock(|m| m.iter().for_each(|(k, v)| f(k, v))).expect(LIVE);
         }
     }
 
     /// Merge entries **sorted ascending by key** in bulk: the batch is cut
     /// at the split keys and each piece lands in its shard via the O(piece)
     /// [`LabelMap::extend_sorted`] sweep; overflowing shards are split
-    /// afterwards. Panics if the batch is not ascending.
-    pub fn extend_sorted(&self, mut batch: Vec<(K, V)>) {
-        assert!(
-            batch.windows(2).all(|w| w[0].0.cmp(&w[1].0).is_le()),
-            "extend_sorted requires keys in ascending order"
-        );
+    /// afterwards. Equal adjacent keys collapse, last write wins. Returns
+    /// the number of entries landed, after that collapse. Panics if the
+    /// batch is not ascending.
+    pub fn extend_sorted(&self, mut batch: Vec<(K, V)>) -> usize {
+        dedup_sorted_batch(&mut batch);
+        let landed = batch.len();
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_entries.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.batched_entries.fetch_add(landed as u64, Ordering::Relaxed);
         let m = self.maint.mlock();
         let mut overflow = false;
         {
@@ -633,41 +611,32 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             }
             chunks.push(batch);
             chunks.reverse();
-            for (i, chunk) in chunks.into_iter().enumerate() {
+            for (shard, chunk) in dir.shards.iter().zip(chunks) {
                 if chunk.is_empty() {
                     continue;
                 }
-                let mut g =
-                    dir.shards[i].write().expect("shards cannot retire under the maintenance lock");
-                g.extend_sorted(chunk);
-                overflow |= g.len() > self.policy.max_shard_len;
+                let len = shard.wlock(|s| {
+                    s.extend_sorted(chunk);
+                    s.len()
+                });
+                overflow |= len.expect(LIVE) > self.policy.max_shard_len;
             }
         }
         if overflow {
             self.maintain_locked(&m);
         }
+        landed
     }
 
     /// Merge an **arbitrary-order** batch in bulk: the batch is sorted
-    /// (stable, so equal keys keep arrival order), deduplicated with
-    /// last-write-wins, and routed through the split-key-cutting
+    /// (stable, so equal keys keep arrival order and the last arrival
+    /// wins) and routed through the split-key-cutting
     /// [`extend_sorted`](Self::extend_sorted) — callers can never silently
     /// hit the per-op slow path. Returns the number of unique entries
     /// landed.
     pub fn extend_from_unsorted(&self, mut batch: Vec<(K, V)>) -> usize {
         batch.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut deduped: Vec<(K, V)> = Vec::with_capacity(batch.len());
-        for entry in batch {
-            match deduped.last_mut() {
-                // Stable sort kept arrival order within equal keys, so the
-                // later arrival overwrites: last write wins.
-                Some(last) if last.0 == entry.0 => *last = entry,
-                _ => deduped.push(entry),
-            }
-        }
-        let landed = deduped.len();
-        self.extend_sorted(deduped);
-        landed
+        self.extend_sorted(batch)
     }
 
     /// [`range`](Self::range) capped at `limit` entries: stops reading and
@@ -702,7 +671,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             // sizes the result only up to one shard's worth.
             let mut out = Vec::with_capacity(limit.min(self.policy.max_shard_len));
             for shard in &dir.shards[lo..=hi] {
-                let truncated = shard.read(|m| {
+                let truncated = shard.rlock(|m| {
                     for (k, v) in m.range((range.start_bound(), range.end_bound())) {
                         if out.len() == limit {
                             return true;
@@ -739,7 +708,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             };
             for shard in &dir.shards {
                 let (len, moves, capacity) =
-                    shard.read(|m| (m.len(), m.total_moves(), m.backend().capacity()))?;
+                    shard.rlock(|m| (m.len(), m.total_moves(), m.backend().capacity()))?;
                 stats.len += len;
                 stats.total_moves += moves;
                 stats.shard_lens.push(len);
@@ -778,16 +747,15 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// a pass that finds nothing actionable (or loses its candidate to a
     /// concurrent writer) re-probes fresh lengths and exits once the map
     /// is inside the band.
-    fn maintain_locked(&self, _m: &MaintGuard<'_>) {
+    fn maintain_locked(&self, m: &MaintGuard<'_>) {
         loop {
             let dir = self.dir.load();
             let n = dir.shards.len();
-            let lens: Vec<usize> = dir.shards.iter().map(|s| s.map.rlock().len()).collect();
+            let lens: Vec<usize> =
+                dir.shards.iter().map(|s| s.rlock(LabelMap::len).expect(LIVE)).collect();
             if n < self.policy.max_shards {
                 if let Some(i) = (0..n).find(|&i| lens[i] > self.policy.max_shard_len) {
-                    if self.split_shard(&dir, i, self.policy.max_shard_len + 1) {
-                        self.splits.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.split_shard(m, &dir, i);
                     continue;
                 }
             }
@@ -809,9 +777,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                     None
                 });
                 if let Some(left) = mergeable {
-                    if self.merge_into_left(&dir, left) {
-                        self.merges.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.merge_into_left(m, &dir, left);
                     continue;
                 }
             }
@@ -819,86 +785,82 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Split shard `i` at its median rank if it holds at least `min_len`
-    /// entries: drain it under its write lock (one snapshot sweep — a pure
-    /// read, no backend deletes), bulk-load both halves into fresh shards,
-    /// publish a successor directory that carries them, and retire the
-    /// drained shard. Returns false if the shard is retired or a
-    /// concurrent writer shrank it below `min_len` first.
+    /// Split shard `i` at its median rank if it holds at least
+    /// `max_shard_len` entries: under its exclusive lock, take its map,
+    /// drain it (one label walk — a pure read, no backend deletes),
+    /// bulk-load both halves into new shards and build the successor
+    /// directory that carries them; then, with the lock released, publish
+    /// that directory. Counts and traces the split. Does nothing if a
+    /// concurrent writer shrank the shard below the limit first.
     ///
-    /// Ordering is load-bearing: the old shard's retired flag is set (and
-    /// its lock releases) *before* the publication, so a reader of the old
+    /// Ordering is load-bearing: the old shard's map is taken (and its
+    /// lock released) *before* the publication, so a reader of the old
     /// directory can never observe the drained shard as live.
-    fn split_shard(&self, dir: &Directory<K, V>, i: usize, min_len: usize) -> bool {
+    fn split_shard(&self, _m: &MaintGuard<'_>, dir: &Directory<K, V>, i: usize) {
         let old = &dir.shards[i];
-        let Some(mut g) = old.write() else { return false };
-        if g.len() < min_len {
-            return false;
-        }
-        let old_map = std::mem::replace(&mut *g, self.fresh_shard());
-        self.retired_moves.fetch_add(old_map.total_moves(), Ordering::Relaxed);
-        let mut lower = old_map.into_sorted_vec();
-        let entries = lower.len() as u64;
-        let upper = lower.split_off(lower.len() / 2);
-        debug_assert!(!upper.is_empty(), "split of a shard with < 2 entries");
-        let split_key = upper[0].0.clone();
-        let mut lo_map = self.fresh_shard();
-        lo_map.extend_sorted(lower);
-        let mut hi_map = self.fresh_shard();
-        hi_map.extend_sorted(upper);
-        let lo_shard = Arc::new(Shard::new(lo_map));
-        // The lower half inherits the old shard's counters (the survivor
-        // of a key span keeps its history, as merges do).
-        lo_shard.obs.absorb(&old.obs);
-        let mut bounds = dir.bounds.clone();
-        let mut shards = dir.shards.clone();
-        bounds.insert(i, split_key);
-        shards[i] = lo_shard;
-        shards.insert(i + 1, Arc::new(Shard::new(hi_map)));
-        let shard_count = shards.len() as u64;
-        let next = Directory { bounds, shards };
-        old.retire(g);
+        let (next, entries) = {
+            let mut g = old.map.wlock();
+            let Some(old_map) = g.take_if(|m| m.len() >= self.policy.max_shard_len) else {
+                return;
+            };
+            self.retired_moves.fetch_add(old_map.total_moves(), Ordering::Relaxed);
+            let mut lower = old_map.into_sorted_vec();
+            let entries = lower.len() as u64;
+            let upper = lower.split_off(lower.len() / 2);
+            let split_key = upper[0].0.clone();
+            let lo_shard = self.shard_from_sorted(lower);
+            // The lower half inherits the old shard's counters (the
+            // survivor of a key span keeps its history, as merges do).
+            lo_shard.obs.absorb(&old.obs);
+            let mut bounds = dir.bounds.clone();
+            let mut shards = dir.shards.clone();
+            bounds.insert(i, split_key);
+            shards[i] = lo_shard;
+            shards.insert(i + 1, self.shard_from_sorted(upper));
+            (Directory { bounds, shards }, entries)
+        };
+        let shard_count = next.shards.len() as u64;
         self.dir.publish(next);
+        self.splits.fetch_add(1, Ordering::Relaxed);
         self.trace.record(TraceKind::Split, i as u64, shard_count, entries);
-        true
     }
 
-    /// Merge shard `left + 1` into shard `left`: the right shard is
-    /// drained sorted and appended to the left **in place** (the left
-    /// shard object survives into the successor directory), the right is
-    /// retired, and the successor without its split key is published.
-    /// Returns false if the pair no longer fits inside the band.
+    /// Merge shard `left + 1` into shard `left`: under both exclusive
+    /// locks, the right shard's map is taken, drained sorted and appended
+    /// to the left **in place** (the left shard object survives into the
+    /// successor directory); then, with the locks released, the successor
+    /// without its split key is published. Counts and traces the merge.
+    /// Does nothing if the pair no longer fits inside the band.
     ///
     /// A reader of the old directory that targets the left shard sees
     /// either the pre-merge or post-merge content — both consistent for
-    /// its span. One that targets the right shard finds it retired (the
-    /// flag is set before either lock releases) and reloads; scans restart
-    /// wholesale on a retired shard, so no entry is seen twice.
-    fn merge_into_left(&self, dir: &Directory<K, V>, left: usize) -> bool {
-        let l = &dir.shards[left];
-        let r = &dir.shards[left + 1];
-        let Some(mut lg) = l.write() else { return false };
-        let Some(mut rg) = r.write() else { return false };
-        if lg.len() + rg.len() > self.policy.max_shard_len {
-            return false;
-        }
-        let right_map = std::mem::replace(&mut *rg, self.fresh_shard());
-        self.retired_moves.fetch_add(right_map.total_moves(), Ordering::Relaxed);
-        l.obs.absorb(&r.obs);
-        let run = right_map.into_sorted_vec();
-        let merged = run.len() as u64;
-        lg.extend_sorted(run);
-        let mut bounds = dir.bounds.clone();
-        let mut shards = dir.shards.clone();
-        bounds.remove(left);
-        shards.remove(left + 1);
-        let shard_count = shards.len() as u64;
-        let next = Directory { bounds, shards };
-        r.retire(rg);
-        drop(lg);
+    /// its span. One that targets the right shard finds its map taken
+    /// (before either lock releases) and reloads; scans restart wholesale
+    /// on a taken map, so no entry is seen twice.
+    fn merge_into_left(&self, _m: &MaintGuard<'_>, dir: &Directory<K, V>, left: usize) {
+        let (l, r) = (&dir.shards[left], &dir.shards[left + 1]);
+        let (next, merged) = {
+            let mut lg = l.map.wlock();
+            let mut rg = r.map.wlock();
+            let Some(left_map) = lg.as_mut() else { return };
+            let fits =
+                |m: &mut LabelMap<K, V>| left_map.len() + m.len() <= self.policy.max_shard_len;
+            let Some(right_map) = rg.take_if(fits) else { return };
+            self.retired_moves.fetch_add(right_map.total_moves(), Ordering::Relaxed);
+            l.obs.absorb(&r.obs);
+            let run = right_map.into_sorted_vec();
+            let merged = run.len() as u64;
+            left_map.extend_sorted(run);
+            let mut bounds = dir.bounds.clone();
+            let mut shards = dir.shards.clone();
+            bounds.remove(left);
+            shards.remove(left + 1);
+            (Directory { bounds, shards }, merged)
+        };
+        let shard_count = next.shards.len() as u64;
         self.dir.publish(next);
+        self.merges.fetch_add(1, Ordering::Relaxed);
         self.trace.record(TraceKind::Merge, left as u64, shard_count, merged);
-        true
     }
 
     /// Write a durable snapshot of the map: the versioned header (backend,
@@ -921,11 +883,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         // mutex (the tracker's rule 2) and deadlock-free: maintenance is
         // the only path that takes more than one shard lock, and we are it.
         let guards: Vec<_> = dir.shards.iter().map(|s| s.map.rlock()).collect();
-        let total: usize = guards.iter().map(|g| g.len()).sum();
+        let maps: Vec<&LabelMap<K, V>> = guards.iter().map(|g| g.as_ref().expect(LIVE)).collect();
+        let total: usize = maps.iter().map(|m| m.len()).sum();
         self.trace.record(TraceKind::Snapshot, total as u64, dir.shards.len() as u64, 0);
-        let mut cfg = self.builder.config();
-        cfg.seed = self.seed;
-        Header::new(ContainerKind::ShardedMap, cfg, total as u64).write_to(w)?;
+        Header::new(ContainerKind::ShardedMap, self.builder.config(), total as u64).write_to(w)?;
         (self.policy.max_shard_len as u64).encode(w)?;
         (self.policy.min_shard_len as u64).encode(w)?;
         (self.policy.max_shards as u64).encode(w)?;
@@ -933,9 +894,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         for b in &dir.bounds {
             b.encode(w)?;
         }
-        for g in &guards {
-            (g.len() as u64).encode(w)?;
-            for (k, v) in g.iter() {
+        for m in maps {
+            (m.len() as u64).encode(w)?;
+            for (k, v) in m.iter() {
                 k.encode(w)?;
                 v.encode(w)?;
             }
@@ -963,16 +924,12 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         V: Codec,
     {
         let header = Header::read_expecting(r, ContainerKind::ShardedMap)?;
-        let max_shard_len = usize::decode(r)?.max(2);
+        let max_shard_len = usize::decode(r)?;
         let min_shard_len = usize::decode(r)?;
-        let max_shards = usize::decode(r)?.max(1);
-        // Re-clamp exactly as ShardedBuilder does, so a hand-edited policy
-        // can never re-introduce split/merge livelock.
-        let policy = ShardPolicy {
-            max_shard_len,
-            min_shard_len: min_shard_len.min(max_shard_len / 4),
-            max_shards,
-        };
+        let max_shards = usize::decode(r)?;
+        // Clamped as the builder's are, so a hand-edited policy can never
+        // re-introduce split/merge livelock.
+        let policy = ShardPolicy::new(max_shard_len, min_shard_len, max_shards);
         let shard_count = usize::decode(r)?;
         if shard_count == 0 {
             return Err(SnapshotError::Corrupt("a sharded map has at least one shard".into()));
@@ -990,7 +947,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         if !bounds.windows(2).all(|w| w[0].cmp(&w[1]).is_lt()) {
             return Err(SnapshotError::Corrupt("split keys must be strictly ascending".into()));
         }
-        let map = Self::shell(ListBuilder::from_config(header.config()), header.seed, policy);
+        let map = Self::shell(ListBuilder::from_config(header.config()), policy);
         let mut shards = Vec::with_capacity(shard_count);
         let mut total = 0u64;
         for i in 0..shard_count {
@@ -1012,9 +969,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 }
             }
             total += run.len() as u64;
-            let mut shard = map.fresh_shard();
-            shard.extend_sorted(run);
-            shards.push(Arc::new(Shard::new(shard)));
+            shards.push(map.shard_from_sorted(run));
         }
         if total != header.count {
             return Err(SnapshotError::Corrupt(format!(
@@ -1040,7 +995,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         );
         for (i, s) in dir.shards.iter().enumerate() {
             let keys: Vec<K> = s
-                .read(|m| m.keys().cloned().collect())
+                .rlock(|m| m.keys().cloned().collect())
                 .unwrap_or_else(|| panic!("shard {i} of the live directory is retired"));
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "shard {i} keys unsorted");
             if let (Some(first), Some(lo)) =
@@ -1060,7 +1015,7 @@ impl<K: Ord + Clone + fmt::Debug, V> fmt::Debug for ShardedMap<K, V> {
         // Walks the shards like `len`.
         self.route(|dir| {
             let lens: Vec<usize> =
-                dir.shards.iter().map(|s| s.read(LabelMap::len)).collect::<Option<_>>()?;
+                dir.shards.iter().map(|s| s.rlock(LabelMap::len)).collect::<Option<_>>()?;
             Some(
                 f.debug_struct("ShardedMap")
                     .field("shards", &lens)
@@ -1301,6 +1256,45 @@ mod tests {
     }
 
     #[test]
+    fn extend_sorted_counts_the_entries_it_lands() {
+        let map = tiny().build::<u32, char>();
+        assert_eq!(map.extend_sorted(vec![(1, 'a'), (1, 'b'), (2, 'c')]), 2);
+        assert_eq!(map.stats().batched_entries, 2, "counted after the equal keys collapse");
+        assert_eq!(map.to_vec(), [(1, 'b'), (2, 'c')], "the last of equal keys wins");
+    }
+
+    /// Ordered by `id` alone, while `Eq` also compares `tag`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Tagged {
+        id: u32,
+        tag: u32,
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.id.cmp(&other.id)
+        }
+    }
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    #[test]
+    fn batches_collapse_keys_that_ord_calls_equal() {
+        // The map keeps one entry per `Ord`-equal key, so a batch counts
+        // keys the same way, whatever `Eq` says.
+        let map = tiny().build::<Tagged, u32>();
+        let batch = vec![(Tagged { id: 1, tag: 0 }, 10), (Tagged { id: 1, tag: 1 }, 11)];
+        assert_eq!(map.extend_from_unsorted(batch), 1);
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.stats().batched_entries, 1);
+        assert_eq!(map.to_vec(), [(Tagged { id: 1, tag: 1 }, 11)]);
+    }
+
+    #[test]
     fn extend_from_unsorted_sorts_dedups_last_write_wins() {
         let map = tiny().build::<u32, u32>();
         // Shuffled batch with duplicate keys: the later arrival must win.
@@ -1407,8 +1401,8 @@ mod tests {
         }
         assert_eq!(map.stats().splits, 1, "33 entries over a max of 32 split once");
         let shard = &old.shards[0];
-        assert!(shard.read(|m| m.len()).is_none(), "a reader of the old directory must reload");
-        assert!(shard.write().is_none(), "a writer of the old directory must reload");
+        assert!(shard.rlock(|m| m.len()).is_none(), "a reader of the old directory must reload");
+        assert!(shard.wlock(|m| m.len()).is_none(), "a writer of the old directory must reload");
         for k in 0..=32 {
             assert_eq!(map.get(&k), Some(k), "key {k} after the split");
         }
@@ -1469,6 +1463,35 @@ mod tests {
             assert_eq!(splits.len() as u64, map.stats().splits);
             assert!(splits.len() > 10 && splits.iter().all(|&c| c == MAX as u64), "{splits:?}");
         }
+    }
+
+    #[test]
+    fn splits_and_merges_build_only_the_shards_they_keep() {
+        // A split builds its two halves and a merge no shard at all: the
+        // drained shard gives up its map rather than swap in a new one.
+        let map = ShardedBuilder::new().max_shard_len(256).min_shard_len(16).build::<u64, u64>();
+        let builds = |capacity| -> u64 {
+            let sizes = map.builder.template_sizes();
+            let sizes = sizes.iter().filter(|s| s.capacity == capacity);
+            sizes.map(|s| s.fresh_builds + s.cloned_builds).sum()
+        };
+        for k in 0..5000 {
+            map.insert(k, k);
+        }
+        let stats = map.stats();
+        assert_eq!((stats.splits, stats.merges), (38, 0));
+        // The first shard, then two halves per split, each built at 64 and
+        // grown to 128 by its bulk load; the last shard, which takes the
+        // ascending inserts, grows on to 256.
+        assert_eq!([builds(64), builds(128), builds(256)], [77, 77, 39]);
+        for k in 0..4800 {
+            map.remove(&k);
+        }
+        let stats = map.stats();
+        assert_eq!((stats.splits, stats.merges), (38, 37));
+        assert_eq!([builds(64), builds(128), builds(256)], [114, 114, 76]);
+        map.check_invariants();
+        assert_eq!(map.to_vec(), (4800..5000).map(|k| (k, k)).collect::<Vec<_>>());
     }
 
     #[test]

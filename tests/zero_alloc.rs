@@ -171,8 +171,8 @@ fn ordered_list_churn(backend: Backend) {
 /// `get`/`get_with`/`contains_key` round over present and absent keys
 /// must not allocate at all — the path is a directory load (a shared
 /// lock on the thread's stripe and an `Arc` clone, linted as
-/// allocation-free), one shared shard lock, a flag check and one
-/// counter. Unlike the churn rounds above there is no convergence
+/// allocation-free), one shared shard lock, a check that the shard
+/// still holds its map, and one counter. Unlike the churn rounds above there is no convergence
 /// allowance: reads allocate zero from round one.
 fn sharded_read_churn() {
     let map = ShardedBuilder::new()
