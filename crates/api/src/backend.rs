@@ -8,8 +8,7 @@
 //! stable handles) and erases the concrete type behind [`RawList`], so
 //! [`OrderedList`](crate::OrderedList) and [`LabelMap`](crate::LabelMap)
 //! never name an algorithm in their types. Callers who want static
-//! dispatch instead pass any [`LabelingBuilder`] to
-//! [`ListBuilder::build_growable`] (or construct [`Growable`] directly) —
+//! dispatch instead wrap any [`LabelingBuilder`] in [`Growable::new`] —
 //! both container types are generic over [`RawList`] and accept either
 //! form.
 
@@ -490,18 +489,6 @@ impl ListBuilder {
         built
     }
 
-    /// Statically dispatched escape hatch: wrap **any** algorithm builder
-    /// (including compositions the [`Backend`] enum doesn't enumerate) in
-    /// the same dynamic-capacity machinery, with no type erasure. The
-    /// result plugs into [`OrderedList::with_backend`]
-    /// [`LabelMap::with_backend`] via their [`RawList`] parameter.
-    ///
-    /// [`OrderedList::with_backend`]: crate::OrderedList::with_backend
-    /// [`LabelMap::with_backend`]: crate::LabelMap::with_backend
-    pub fn build_growable<B: LabelingBuilder>(&self, builder: B) -> Growable<B> {
-        Growable::new(builder, self.initial_capacity)
-    }
-
     /// An [`OrderedList`](crate::OrderedList) on the configured backend.
     pub fn ordered_list<V>(&self) -> crate::OrderedList<V> {
         crate::OrderedList::with_backend(self.build())
@@ -649,7 +636,7 @@ mod tests {
     #[test]
     fn static_dispatch_matches_erased() {
         let b = ListBuilder::new().seed(3);
-        let mut stat = b.build_growable(ClassicBuilder);
+        let mut stat = Growable::new(ClassicBuilder, 64);
         let mut dynn = b.backend(Backend::Classic).build();
         for i in 0..200 {
             stat.insert(i % (i / 2 + 1));

@@ -109,7 +109,6 @@ impl Crc32 {
 
     /// Fold `bytes` into the digest. Allocation-free and panic-free: the
     /// table index is masked to 8 bits.
-    // lll-check: no-alloc
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
         for &b in bytes {

@@ -211,7 +211,7 @@ impl<K: Ord + Clone, V> LabelMap<K, V> {
     /// Equal adjacent keys collapse to the last occurrence (the
     /// `BTreeMap`-shaped "last write wins"). Panics if a key is smaller
     /// than its predecessor; use `collect()` for unordered input, which
-    /// detects sortedness and falls back to point insertion when absent.
+    /// sorts it first.
     ///
     /// ```
     /// use lll_api::LabelMap;
@@ -525,7 +525,8 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
 
 impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     /// Wrap an already-built backend — erased ([`ListBuilder::build`]) or
-    /// concrete ([`ListBuilder::build_growable`]) for static dispatch.
+    /// concrete ([`Growable::new`](lll_core::growable::Growable::new)) for
+    /// static dispatch.
     ///
     /// Panics if the backend is non-empty.
     pub fn with_backend(list: L) -> Self {
@@ -816,25 +817,22 @@ impl<K: Ord + Clone + Codec, V: Codec> LabelMap<K, V> {
 }
 
 impl<K: Ord + Clone, V, L: RawList> Extend<(K, V)> for LabelMap<K, V, L> {
-    /// Bulk-aware extension: the input is buffered, and if it arrives
-    /// sorted ascending by key it is merged via the O(n) bulk path
-    /// ([`extend_sorted`](LabelMap::extend_sorted)); unsorted input falls
-    /// back to per-key insertion.
+    /// Bulk extension in any order: the input is buffered, stably sorted
+    /// by key and merged via the bulk path
+    /// ([`extend_sorted`](LabelMap::extend_sorted)). Among keys that
+    /// [`Ord`] calls equal, the last value wins, as with sequential
+    /// inserts; unlike them, a key new to the map keeps the last of those
+    /// key objects, not the first. A key already in the map keeps its key
+    /// object and takes the last value.
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        let batch: Vec<(K, V)> = iter.into_iter().collect();
-        if batch.windows(2).all(|w| w[0].0.cmp(&w[1].0).is_le()) {
-            self.extend_sorted(batch);
-        } else {
-            for (k, v) in batch {
-                self.insert(k, v);
-            }
-        }
+        let mut batch: Vec<(K, V)> = iter.into_iter().collect();
+        batch.sort_by(|a, b| a.0.cmp(&b.0));
+        self.extend_sorted(batch);
     }
 }
 
 impl<K: Ord + Clone, V> FromIterator<(K, V)> for LabelMap<K, V> {
-    /// Collects through the bulk-load path when the input is sorted (see
-    /// [`Extend::extend`]).
+    /// Collects through the bulk-load path (see [`Extend::extend`]).
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut map = Self::new();
         map.extend(iter);
@@ -1223,10 +1221,18 @@ mod tests {
         let map: LabelMap<i32, i32> = (0..50).map(|k| (k, -k)).collect();
         assert_eq!(map.len(), 50);
         assert_eq!(map.get(&30), Some(&-30));
-        // Unsorted input still collects correctly (per-key fallback).
-        let map: LabelMap<i32, i32> = (0..50).rev().map(|k| (k, -k)).collect();
-        assert_eq!(map.len(), 50);
-        assert_eq!(map.get(&30), Some(&-30));
+        // Unsorted input with repeated keys, collected and then extended
+        // into the non-empty map: the values a `BTreeMap` holds, the last
+        // write winning.
+        let batch: Vec<(i32, i32)> = (0..200).map(|i| ((i * 37) % 61, i)).collect();
+        let mut map: LabelMap<i32, i32> = batch.iter().copied().collect();
+        let mut model: BTreeMap<i32, i32> = batch.iter().copied().collect();
+        assert!(map.iter().eq(model.iter()));
+        let shifted = batch.iter().map(|&(k, v)| (k + 30, v + 1000));
+        map.extend(shifted.clone());
+        model.extend(shifted);
+        assert!(map.iter().eq(model.iter()));
+        assert_eq!(map.get(&60), Some(&1197), "the last of the batch's four writes to 60");
     }
 
     #[test]
@@ -1433,7 +1439,7 @@ mod tests {
         use lll_classic::ClassicBuilder;
         use lll_core::growable::Growable;
         let mut map: LabelMap<u32, u32, _> =
-            LabelMap::with_backend(ListBuilder::new().build_growable(ClassicBuilder));
+            LabelMap::with_backend(Growable::new(ClassicBuilder, 64));
         for k in 0..500 {
             map.insert(k * 2, k);
         }

@@ -37,7 +37,7 @@
 //!   Backends are selected at runtime ([`Backend`]), wrapped in
 //!   [`Growable`](lll_core::growable::Growable) for dynamic capacity (users
 //!   never choose `n` up front), and erased behind [`RawList`] — or kept
-//!   concrete for static dispatch via [`ListBuilder::build_growable`].
+//!   concrete for static dispatch by building the `Growable` directly.
 //!
 //! Both containers are generic over [`RawList`], so the same code runs on
 //! the type-erased [`ErasedList`] or any concrete

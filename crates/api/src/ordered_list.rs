@@ -62,7 +62,8 @@ impl<V> Default for OrderedList<V> {
 
 impl<V, L: RawList> OrderedList<V, L> {
     /// Wrap an already-built backend — erased ([`ListBuilder::build`]) or
-    /// concrete ([`ListBuilder::build_growable`]) for static dispatch.
+    /// concrete ([`Growable::new`](lll_core::growable::Growable::new)) for
+    /// static dispatch.
     ///
     /// Panics if the backend is non-empty: the label table must observe
     /// every operation.
@@ -803,7 +804,8 @@ mod tests {
         // report must alternate between the same two buffers at unchanged
         // capacities: one drain per operation, no reallocation.
         use lll_classic::ClassicBuilder;
-        let backend = ListBuilder::new().initial_capacity(1024).build_growable(ClassicBuilder);
+        use lll_core::growable::Growable;
+        let backend = Growable::new(ClassicBuilder, 1024);
         let mut ol: OrderedList<u32, _> = OrderedList::with_backend(backend);
         for i in 0..512 {
             ol.push_back(i);
@@ -824,7 +826,8 @@ mod tests {
     #[test]
     fn iter_walks_labels_without_rank_resolution() {
         use lll_classic::ClassicBuilder;
-        let backend = ListBuilder::new().build_growable(ClassicBuilder);
+        use lll_core::growable::Growable;
+        let backend = Growable::new(ClassicBuilder, 64);
         let mut ol: OrderedList<u32, _> = OrderedList::with_backend(backend);
         for i in 0..400 {
             ol.insert_at(i / 2, i as u32);

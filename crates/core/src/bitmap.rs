@@ -109,7 +109,6 @@ impl Bitmap {
     }
 
     /// Set the clear bit at `pos`.
-    // lll-check: no-alloc
     #[inline]
     pub fn set(&mut self, pos: usize) {
         debug_assert!(pos < self.len && !self.get(pos), "set: bit {pos} already set");
@@ -119,7 +118,6 @@ impl Bitmap {
     }
 
     /// Clear the set bit at `pos`.
-    // lll-check: no-alloc
     #[inline]
     pub fn clear(&mut self, pos: usize) {
         debug_assert!(pos < self.len && self.get(pos), "clear: bit {pos} already clear");
@@ -132,7 +130,6 @@ impl Bitmap {
     /// block's count is updated once for its whole run of new bits, not
     /// once per bit. (Positions out of order still give the right counts,
     /// at one update per run.)
-    // lll-check: no-alloc
     pub fn set_ascending(&mut self, positions: impl IntoIterator<Item = usize>) {
         let (mut block, mut run) = (0, 0);
         for pos in positions {
@@ -158,7 +155,6 @@ impl Bitmap {
 
     /// Move the set bit at `from` to the clear position `to`. Within one
     /// block no count changes.
-    // lll-check: no-alloc
     #[inline]
     pub fn move_bit(&mut self, from: usize, to: usize) {
         debug_assert!(from < self.len && self.get(from), "move_bit: bit {from} is clear");
@@ -174,7 +170,6 @@ impl Bitmap {
 
     /// Number of set bits at positions strictly before `pos` (all of them
     /// if `pos >= len`).
-    // lll-check: no-alloc
     #[inline]
     pub fn rank(&self, pos: usize) -> usize {
         let pos = pos.min(self.len);
@@ -190,7 +185,6 @@ impl Bitmap {
     }
 
     /// Position of the `k`-th (0-based) set bit; `None` if `k >= count_ones()`.
-    // lll-check: no-alloc
     #[inline]
     pub fn select(&self, k: usize) -> Option<usize> {
         if k >= self.ones {
@@ -214,7 +208,6 @@ impl Bitmap {
     /// a longer one popcounts at most one block of words from the hint's
     /// word, and anything farther falls back to `select`. The answer is
     /// `select(k)`'s; only the work depends on the distance.
-    // lll-check: no-alloc
     #[inline]
     pub fn select_near(&self, k: usize, hint: usize, hint_rank: usize) -> Option<usize> {
         debug_assert!(hint <= self.len && hint_rank == self.rank(hint), "stale finger");
@@ -292,7 +285,6 @@ impl Bitmap {
 
     /// Position of the `k`-th (0-based) clear bit; `None` if there are no
     /// more than `k` clear bits.
-    // lll-check: no-alloc
     #[inline]
     pub fn select_zero(&self, k: usize) -> Option<usize> {
         if k >= self.len - self.ones {

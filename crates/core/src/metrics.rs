@@ -108,7 +108,6 @@ impl ListMetrics {
     }
 
     /// `words` occupancy-bitmap words scanned.
-    // lll-check: no-alloc
     #[inline]
     pub fn note_scan(&self, words: u64) {
         if !self.enabled {
@@ -118,7 +117,6 @@ impl ListMetrics {
     }
 
     /// A move-log drain of `moves` moves.
-    // lll-check: no-alloc
     #[inline]
     pub fn note_log_drain(&self, moves: u64) {
         if !self.enabled {
@@ -128,7 +126,6 @@ impl ListMetrics {
     }
 
     /// One label → rank resolution.
-    // lll-check: no-alloc
     #[inline]
     pub fn note_rank_resolution(&self) {
         if !self.enabled {
@@ -138,7 +135,6 @@ impl ListMetrics {
     }
 
     /// A mutating operation finished with `cost` element moves.
-    // lll-check: no-alloc
     #[inline]
     pub fn note_op_moves(&self, cost: u64) {
         if !self.enabled {
@@ -148,7 +144,6 @@ impl ListMetrics {
     }
 
     /// A window rebalance over `window` slots.
-    // lll-check: no-alloc
     #[inline]
     pub fn note_rebalance(&self, window: u64) {
         if !self.enabled {
@@ -159,7 +154,6 @@ impl ListMetrics {
     }
 
     /// A capacity-changing rebuild.
-    // lll-check: no-alloc
     #[inline]
     pub fn note_epoch_bump(&self) {
         if !self.enabled {

@@ -749,14 +749,11 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 placed_pos = Some(mv.to as usize);
             }
         }
-        if let (Some(tag), Some((_, ppos))) = (placed_tag, rep.placed) {
-            // Only if the placement entry never appeared in the stream
-            // (all ListLabeling impls log placements; this is a fallback).
-            if placed_pos.is_none() {
-                self.tags.retag(ppos as usize, tag);
-                placed_pos = Some(ppos as usize);
-            }
-        }
+        assert!(
+            placed_tag.is_none() || pid.is_none() || placed_pos.is_some(),
+            "every slot array logs a placement as a from == to move, but the shell's stream \
+             lacks one"
+        );
         placed_pos
     }
 
@@ -1124,7 +1121,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         let mut sim_rep = std::mem::take(&mut self.sim_scratch);
         self.sim.insert_into(rank, emb_id, &mut sim_rep);
         let c_e = sim_rep.cost();
-        let (_, sim_fidx) = sim_rep.placed.expect("sim insert must place");
+        assert!(sim_rep.placed.is_some(), "sim insert must place");
         let placed_pos;
         if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
             // Fast path: emulate F directly, interleaving the placement at
@@ -1144,10 +1141,11 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
                 }
                 self.emulator_relocate(mv.from as usize, mv.to as usize);
             }
-            if !placed {
-                // Fallback for simulations that do not log placements.
-                self.place_f(sim_fidx as usize, emb_id);
-            }
+            assert!(
+                placed,
+                "every slot array logs a placement as a from == to move, but the simulation's \
+                 stream lacks one"
+            );
             let fidx_now = match self.elem_loc.get(emb_id).map(|p| p.loc()) {
                 Some(Loc::F(f)) => f,
                 _ => unreachable!("fast path cannot buffer"),

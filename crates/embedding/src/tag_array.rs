@@ -161,7 +161,6 @@ impl TagArray {
     /// [`f_pos`](Self::f_pos) from the finger `cur`, which then points at
     /// the answer: a short walk from the finger's F-slot while no F-bit
     /// has changed since it was set, else a select from the root.
-    // lll-check: no-alloc
     #[inline]
     pub fn f_pos_via(&self, fidx: usize, cur: &mut FCursor) -> usize {
         let pos = if cur.epoch == self.f_epoch {

@@ -38,14 +38,12 @@ impl Counter {
     }
 
     /// Count one event.
-    // lll-check: no-alloc
     #[inline]
     pub fn inc(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count `n` events.
-    // lll-check: no-alloc
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -118,7 +116,6 @@ impl Histogram {
     }
 
     /// Record one sample.
-    // lll-check: no-alloc
     #[inline]
     pub fn record(&self, value: u64) {
         let idx = self.bucket_index(value);
@@ -400,7 +397,6 @@ impl TraceRing {
     /// Models?" (MSPC 2012): invalidate, release fence, payload, publish.
     /// The fence keeps every payload store after the invalidation, so a
     /// reader that sees any new payload word also sees `seq` change.
-    // lll-check: no-alloc
     pub fn record(&self, kind: TraceKind, a: u64, b: u64, c: u64) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];

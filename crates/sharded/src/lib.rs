@@ -58,9 +58,12 @@
 //! directory's stripe locks are leaves: each is held for one `Arc` clone
 //! or swap, never around another lock. The shard and maintenance locks
 //! are types whose only acquisitions are tracked, so an untracked one does
-//! not compile; the `lock_order` module enforces the order at runtime in
-//! debug builds, and lll-check's `lock-order` rule checks the nesting
-//! statically. See
+//! not compile, and each acquisition borrows a lock token that every
+//! locking method claims once, so an inverted nesting is a borrow error.
+//! A callback passed to [`ShardedMap::get_with`],
+//! [`get_mut_with`](ShardedMap::get_mut_with) or
+//! [`for_each`](ShardedMap::for_each) runs under a lock and must not call
+//! back into the map; debug builds panic if it does. See
 //! `docs/sharding.md` in the repository root for the full runbook (policy
 //! knobs, concurrency model, split/merge invariants).
 

@@ -1,45 +1,57 @@
-//! Runtime enforcement of the locking protocol, and the cell that
-//! publishes the directory.
+//! The locking protocol in types, its debug-build tracker, and the cell
+//! that publishes the directory.
 //!
-//! The crate's invariant has three parts. The lock types carry the level:
-//! a shard's lock is a [`ShardLock`] and the maintenance mutex a
-//! [`MaintLock`], and each exposes only its tracked acquisitions
-//! ([`rlock`](ShardLock::rlock), [`wlock`](ShardLock::wlock),
-//! [`mlock`](MaintLock::mlock)), so a raw `.read()`, `.write()` or
-//! `.lock()` does not compile. The nesting is enforced twice: statically by
-//! `lll-check`, which simulates guard lifetimes lexically over those three
-//! method names (a shard's closure-taking accessors share the first two,
-//! and a [`MaintGuard`] parameter stands for a held maintenance mutex),
-//! and dynamically by the debug-build tracker in this module,
-//! which counts the guards each thread holds and panics the moment an
-//! acquisition would invert the order:
+//! The protocol has three levels, outermost first:
 //!
-//! 1. The **maintenance mutex** (`ShardedMap::maint`) is the outermost
-//!    level: splits, merges, batches, and snapshots serialize under it.
-//!    It is acquired only with no shard guard live.
-//! 2. Each **shard lock** (`ShardLock<LabelMap>`) guards one rebalance
-//!    domain. Point operations hold at most one; only a maintenance
-//!    holder may stack several (merges lock a neighboring pair, snapshots
-//!    read-lock every shard for one atomic picture).
+//! 1. The **maintenance mutex** (`ShardedMap::maint`, a [`MaintLock`]):
+//!    splits, merges, batches, and snapshots serialize under it. It is
+//!    acquired only with no shard guard live.
+//! 2. Each **shard lock** ([`ShardLock`]) guards one rebalance domain.
+//!    Point operations hold at most one; only a maintenance holder may
+//!    stack several (merges lock a neighboring pair, snapshots read-lock
+//!    every shard for one atomic picture).
 //! 3. The **directory** lives in a [`Striped`] cell: [`STRIPES`] copies,
 //!    each behind its own `RwLock`. [`load`](Striped::load) holds its
 //!    stripe's shared lock only to clone an `Arc`, and
 //!    [`publish`](Striped::publish) holds each exclusive lock only to swap
 //!    one, so a stripe lock is a leaf: no other lock is ever taken under
-//!    it, and the tracker does not count it. Publication requires the
+//!    it, and nothing here tracks it. Publication requires the
 //!    maintenance mutex and *no* live shard guard: a split or merge
 //!    takes the old shard's map and releases its lock first, so a reader
 //!    of the old directory meets either the shard's old content or no map.
 //!
-//! The check runs *before* blocking, so an ordering bug surfaces as an
-//! immediate panic with a message instead of a silent deadlock. In release
+//! The lock types hold the order. Their inner locks are private, and
+//! every acquisition borrows a zero-sized [`Unlocked`] token that each
+//! locking `ShardedMap` method claims once, at its top:
+//!
+//! * [`ShardLock::rlock`] and [`wlock`](ShardLock::wlock) run a closure
+//!   under the lock and keep the token mutably borrowed while it runs, so
+//!   the closure can take neither a second shard lock nor the maintenance
+//!   mutex;
+//! * [`MaintLock::mlock`] returns a [`MaintGuard`] that keeps the token
+//!   borrowed, so its holder can neither re-enter the mutex nor take a
+//!   point lock;
+//! * a maintenance holder stacks shard guards through
+//!   [`ShardLock::read`] and [`write`](ShardLock::write), which borrow the
+//!   [`MaintGuard`];
+//! * [`Striped::publish`] takes the [`MaintGuard`] mutably, so it cannot
+//!   run while a stacked shard guard lives.
+//!
+//! So each inversion among one token's acquisitions is a borrow error,
+//! however the code is laid out. A user callback that calls back into the
+//! map (an `insert` inside a `get_with` closure) claims a token of its
+//! own, and only the debug-build tracker in this module sees that
+//! inversion: it counts the guards each thread holds and panics *before*
+//! an acquisition that would invert the order blocks, so the bug surfaces
+//! as a panic with a message instead of a silent deadlock. In release
 //! builds the tracker compiles to nothing — [`Tracked`] is a newtype over
-//! the guard and the token is a zero-sized no-op — except for one
+//! the guard and its witness is a zero-sized no-op — except for one
 //! always-on per-thread count of maintenance acquisitions
 //! ([`maintenance_acquisitions`]), which the release-mode stress suite
 //! uses to prove reader threads never take the maintenance mutex.
 
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -70,6 +82,25 @@ pub fn maintenance_acquisitions() -> u64 {
     MAINT_ACQUIRED.with(|c| c.get())
 }
 
+/// The right to take this crate's locks: zero-sized, and neither `Send`
+/// nor `Sync`, so it stays on the thread that claimed it. Every
+/// acquisition borrows it (see the module docs), so the borrow checker
+/// rejects any nesting of one token's acquisitions that would invert the
+/// lock order.
+pub(crate) struct Unlocked(PhantomData<*const ()>);
+
+impl Unlocked {
+    /// Claim a token. Only the first statement of a public `ShardedMap`
+    /// method (or of its `Debug` impl) and tests claim one; every other
+    /// function takes its caller's token, or its caller's [`MaintGuard`],
+    /// as an argument. A token claimed anywhere else could sit beside a
+    /// caller's token that a held lock still borrows, and then only the
+    /// debug tracker checks the order between them.
+    pub(crate) fn claim() -> Self {
+        Self(PhantomData)
+    }
+}
+
 #[cfg(debug_assertions)]
 mod tracker {
     use super::Level;
@@ -84,11 +115,11 @@ mod tracker {
     /// lock — a would-be self-deadlock panics instead of hanging — and
     /// dropped *after* the guard it tracks (field order in `Tracked`
     /// guarantees the lock is released first).
-    pub(crate) struct Token {
+    pub(crate) struct Witness {
         level: Level,
     }
 
-    impl Token {
+    impl Witness {
         pub(crate) fn acquire(level: Level) -> Self {
             HELD.with(|h| {
                 let (maint, shard) = h.get();
@@ -116,11 +147,11 @@ mod tracker {
                     }
                 }
             });
-            Token { level }
+            Witness { level }
         }
     }
 
-    impl Drop for Token {
+    impl Drop for Witness {
         fn drop(&mut self) {
             HELD.with(|h| {
                 let (maint, shard) = h.get();
@@ -131,47 +162,28 @@ mod tracker {
             });
         }
     }
-
-    /// Publication preconditions (see the module docs, rule 3).
-    pub(crate) fn assert_publish_safe() {
-        HELD.with(|h| {
-            let (maint, shard) = h.get();
-            assert!(
-                maint > 0,
-                "publish without the maintenance lock: publication must be serialized"
-            );
-            assert!(
-                shard == 0,
-                "publish while {shard} shard guard(s) are live: retire the shard and release \
-                 its lock before publishing"
-            );
-        });
-    }
 }
 
 #[cfg(not(debug_assertions))]
 mod tracker {
     /// Release builds: no state, no checks, no code.
-    pub(crate) struct Token;
+    pub(crate) struct Witness;
 
-    impl Token {
+    impl Witness {
         #[inline(always)]
         pub(crate) fn acquire(_level: super::Level) -> Self {
-            Token
+            Witness
         }
     }
-
-    #[inline(always)]
-    pub(crate) fn assert_publish_safe() {}
 }
 
-/// A lock guard paired with its order-tracker token. Derefs to the
+/// A lock guard paired with its order-tracker witness. Derefs to the
 /// guarded value exactly like the bare guard would.
 pub(crate) struct Tracked<G> {
     // Field order is load-bearing: `guard` drops first, so the lock is
-    // released before the token decrements this thread's hold count.
+    // released before the witness decrements this thread's hold count.
     guard: G,
-    _order: tracker::Token,
+    _order: tracker::Witness,
 }
 
 impl<G: Deref> Deref for Tracked<G> {
@@ -189,8 +201,9 @@ impl<G: DerefMut> DerefMut for Tracked<G> {
 }
 
 /// A shard's lock: an `RwLock` whose only acquisitions are the tracked
-/// [`rlock`](Self::rlock) and [`wlock`](Self::wlock), so the tracker sees
-/// every one at the shard level.
+/// [`rlock`](Self::rlock)/[`wlock`](Self::wlock) of a point operation and
+/// the [`read`](Self::read)/[`write`](Self::write) a maintenance holder
+/// stacks.
 pub(crate) struct ShardLock<T>(RwLock<T>);
 
 impl<T> ShardLock<T> {
@@ -198,25 +211,55 @@ impl<T> ShardLock<T> {
         Self(RwLock::new(value))
     }
 
+    /// Run `f` under the shared lock. The token stays borrowed while `f`
+    /// runs, so `f` takes no other lock through it: a point operation
+    /// holds one shard lock at a time.
+    pub(crate) fn rlock<R>(&self, _: &mut Unlocked, f: impl FnOnce(&T) -> R) -> R {
+        f(&self.shared())
+    }
+
+    /// Exclusive-lock counterpart of [`rlock`](Self::rlock).
+    pub(crate) fn wlock<R>(&self, _: &mut Unlocked, f: impl FnOnce(&mut T) -> R) -> R {
+        f(&mut self.exclusive())
+    }
+
+    /// A shared guard for a maintenance holder, which may stack several.
+    /// It borrows the [`MaintGuard`], so it ends before the holder can
+    /// [`publish`](Striped::publish).
+    pub(crate) fn read<'a>(&'a self, _: &'a MaintGuard<'_>) -> Tracked<RwLockReadGuard<'a, T>> {
+        self.shared()
+    }
+
+    /// Exclusive counterpart of [`read`](Self::read).
+    pub(crate) fn write<'a>(&'a self, _: &'a MaintGuard<'_>) -> Tracked<RwLockWriteGuard<'a, T>> {
+        self.exclusive()
+    }
+
     /// Shared-lock acquisition that survives a poisoned lock: the maps hold
     /// no invariant that a panicking reader could have broken mid-flight,
     /// and a panicking *writer* aborts the whole differential test run
     /// anyway — so recovery beats cascading poison panics across unrelated
     /// threads.
-    pub(crate) fn rlock(&self) -> Tracked<RwLockReadGuard<'_, T>> {
-        let order = tracker::Token::acquire(Level::Shard);
+    fn shared(&self) -> Tracked<RwLockReadGuard<'_, T>> {
+        let order = tracker::Witness::acquire(Level::Shard);
         Tracked { guard: self.0.read().unwrap_or_else(|e| e.into_inner()), _order: order }
     }
 
-    /// Exclusive-lock counterpart of [`rlock`](Self::rlock).
-    pub(crate) fn wlock(&self) -> Tracked<RwLockWriteGuard<'_, T>> {
-        let order = tracker::Token::acquire(Level::Shard);
+    /// Exclusive-lock counterpart of [`shared`](Self::shared).
+    fn exclusive(&self) -> Tracked<RwLockWriteGuard<'_, T>> {
+        let order = tracker::Witness::acquire(Level::Shard);
         Tracked { guard: self.0.write().unwrap_or_else(|e| e.into_inner()), _order: order }
     }
 }
 
-/// A held maintenance mutex.
-pub(crate) type MaintGuard<'a> = Tracked<MutexGuard<'a, ()>>;
+/// A held maintenance mutex. It keeps the token it was taken with
+/// borrowed, so its holder locks shards only through it
+/// ([`ShardLock::read`]/[`write`](ShardLock::write)) and publishes through
+/// it ([`Striped::publish`]).
+pub(crate) struct MaintGuard<'a> {
+    _guard: Tracked<MutexGuard<'a, ()>>,
+    _token: PhantomData<&'a mut Unlocked>,
+}
 
 /// The maintenance mutex, the outermost level: its only acquisition is
 /// the tracked [`mlock`](Self::mlock).
@@ -227,13 +270,15 @@ impl MaintLock {
         Self(Mutex::new(()))
     }
 
-    /// Acquire the mutex. Poison recovery as in [`ShardLock::rlock`]; also
+    /// Acquire the mutex. Poison recovery as for a shard lock; also
     /// bumps the always-on per-thread acquisition count behind
     /// [`maintenance_acquisitions`].
-    pub(crate) fn mlock(&self) -> MaintGuard<'_> {
-        let order = tracker::Token::acquire(Level::Maintenance);
+    pub(crate) fn mlock<'a>(&'a self, _: &'a mut Unlocked) -> MaintGuard<'a> {
+        let order = tracker::Witness::acquire(Level::Maintenance);
         MAINT_ACQUIRED.with(|c| c.set(c.get() + 1));
-        Tracked { guard: self.0.lock().unwrap_or_else(|e| e.into_inner()), _order: order }
+        let guard =
+            Tracked { guard: self.0.lock().unwrap_or_else(|e| e.into_inner()), _order: order };
+        MaintGuard { _guard: guard, _token: PhantomData }
     }
 }
 
@@ -289,7 +334,6 @@ impl<T: Clone> Striped<T> {
 
     /// The published value: this thread's stripe's shared lock, held for
     /// one `Arc` clone. Waits only while a publish swaps this stripe.
-    // lll-check: no-alloc
     pub(crate) fn load(&self) -> Arc<Padded<T>> {
         self.stripe(reader_stripe())
     }
@@ -298,11 +342,10 @@ impl<T: Clone> Striped<T> {
         Arc::clone(&self.stripes[i].0.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Publish `value`: a fresh copy into each stripe in turn. Debug
-    /// builds first check the preconditions (maintenance held, no shard
-    /// guard live on this thread).
-    pub(crate) fn publish(&self, value: T) {
-        tracker::assert_publish_safe();
+    /// Publish `value`: a fresh copy into each stripe in turn. It borrows
+    /// the maintenance guard mutably, so publication is serialized and no
+    /// shard guard stacked on that guard is live.
+    pub(crate) fn publish(&self, _: &mut MaintGuard<'_>, value: T) {
         for stripe in &self.stripes {
             let copy = Arc::new(Padded(value.clone()));
             // The old copy drops after the lock is released.
@@ -320,35 +363,28 @@ mod tests {
 
     #[test]
     fn legal_orders_are_silent() {
+        let u = &mut Unlocked::claim();
         let maint = MaintLock::new();
         let shard_a = ShardLock::new(0u32);
         let shard_b = ShardLock::new(0u32);
         let cell = Striped::new(1u32);
-        {
-            // The read path: directory load, then one shard.
-            let d = cell.load();
-            let a = shard_a.rlock();
-            assert_eq!(**d, 1 + *a);
-        }
-        {
-            // Scans: one shard at a time, sequentially, under one load.
-            let _d = cell.load();
-            for s in [&shard_a, &shard_b] {
-                let g = s.rlock();
-                assert_eq!(*g, 0);
-            }
+        // The read path: directory load, then one shard.
+        let d = cell.load();
+        assert_eq!(**d, 1 + shard_a.rlock(u, |a| *a));
+        // Scans: one shard at a time, sequentially, under one load.
+        for s in [&shard_a, &shard_b] {
+            assert_eq!(s.rlock(u, |g| *g), 0);
         }
         {
             // Maintenance stacks shard guards (merge locks a pair) and
             // publishes with all of them released — with a loaded
             // directory still in hand, as every split and merge has.
-            let _m = maint.mlock();
-            let _d = cell.load();
+            let mut m = maint.mlock(u);
             {
-                let _a = shard_a.wlock();
-                let _b = shard_b.wlock();
+                let _a = shard_a.write(&m);
+                let _b = shard_b.write(&m);
             }
-            cell.publish(2);
+            cell.publish(&mut m, 2);
         }
         assert_eq!(**cell.load(), 2);
         assert!(maintenance_acquisitions() >= 1, "mlock bumps the always-on count");
@@ -359,10 +395,7 @@ mod tests {
         let maint = MaintLock::new();
         let cell = Striped::new(1u64);
         let pinned = cell.load();
-        {
-            let _m = maint.mlock();
-            cell.publish(2);
-        }
+        cell.publish(&mut maint.mlock(&mut Unlocked::claim()), 2);
         for i in 0..STRIPES {
             assert_eq!(**cell.stripe(i), 2, "stripe {i} missed the publish");
         }
@@ -392,15 +425,21 @@ mod tests {
                 });
             }
             let maint = MaintLock::new();
-            let _m = maint.mlock();
+            let u = &mut Unlocked::claim();
+            let mut m = maint.mlock(u);
             start.wait();
             for a in 1..=2000u64 {
-                cell.publish((a, a + 1));
+                cell.publish(&mut m, (a, a + 1));
             }
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(**cell.load(), (2000, 2001));
     }
+
+    // One token cannot express an inversion: the borrow checker rejects
+    // it. The tests below claim a second token inside the lock, as a
+    // callback that calls back into the map does, so only the tracker
+    // stands between them and a deadlock.
 
     #[test]
     fn tracker_state_survives_a_panic() {
@@ -410,13 +449,13 @@ mod tests {
         let shard = ShardLock::new(0u32);
         if cfg!(debug_assertions) {
             let result = std::panic::catch_unwind(|| {
-                let _s = shard.rlock();
-                let _m = maint.mlock();
+                shard.rlock(&mut Unlocked::claim(), |_| drop(maint.mlock(&mut Unlocked::claim())))
             });
             assert!(result.is_err(), "inversion must panic in debug builds");
         }
-        let _m = maint.mlock();
-        let _s = shard.rlock();
+        let u = &mut Unlocked::claim();
+        let m = maint.mlock(u);
+        let _s = shard.read(&m);
     }
 
     #[test]
@@ -427,15 +466,16 @@ mod tests {
     fn maintenance_under_shard_panics_in_debug() {
         let maint = MaintLock::new();
         let shard = ShardLock::new(0u32);
-        let _s = shard.rlock();
-        // In release builds the tracker is compiled out and these are two
-        // unrelated locks, so the body completes without panicking and the
-        // should_panic expectation is compiled out with it. The same
-        // gating pattern protects every inversion test below: the release
-        // body simply skips the offending acquisition.
-        if cfg!(debug_assertions) {
-            let _m = maint.mlock();
-        }
+        shard.rlock(&mut Unlocked::claim(), |_| {
+            // In release builds the tracker is compiled out and these are
+            // two unrelated locks, so the body completes without panicking
+            // and the should_panic expectation is compiled out with it.
+            // The same gating protects the inversion test below: the
+            // release body skips the offending acquisition.
+            if cfg!(debug_assertions) {
+                drop(maint.mlock(&mut Unlocked::claim()));
+            }
+        });
     }
 
     #[test]
@@ -446,31 +486,10 @@ mod tests {
     fn two_shards_without_maintenance_panic_in_debug() {
         let shard_a = ShardLock::new(0u32);
         let shard_b = ShardLock::new(0u32);
-        let _a = shard_a.rlock();
-        if cfg!(debug_assertions) {
-            let _b = shard_b.rlock();
-        }
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "publish without the maintenance"))]
-    fn publish_without_maintenance_panics_in_debug() {
-        let cell = Striped::new(0u32);
-        if cfg!(debug_assertions) {
-            cell.publish(1);
-        }
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "publish while 1 shard guard"))]
-    fn publish_with_a_live_shard_guard_panics_in_debug() {
-        let maint = MaintLock::new();
-        let shard = ShardLock::new(0u32);
-        let cell = Striped::new(0u32);
-        let _m = maint.mlock();
-        let _s = shard.wlock();
-        if cfg!(debug_assertions) {
-            cell.publish(1);
-        }
+        shard_a.rlock(&mut Unlocked::claim(), |_| {
+            if cfg!(debug_assertions) {
+                shard_b.rlock(&mut Unlocked::claim(), |_| ());
+            }
+        });
     }
 }

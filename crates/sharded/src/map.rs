@@ -30,12 +30,14 @@
 //! a reader of the old snapshot therefore either sees the shard's
 //! pre-retirement content (consistent) or no map, which sends it back
 //! to reload the directory. The `lock_order` module's lock types admit
-//! only tracked acquisitions, so a raw `.write()` does not compile; its
-//! tracker enforces the order dynamically in debug builds, and lll-check's
-//! `lock-order` rule checks the nesting of `rlock`/`wlock`/`mlock` calls
-//! statically.
+//! only tracked acquisitions, so a raw `.write()` does not compile, and
+//! each acquisition borrows the lock token (`Unlocked`) that the public
+//! method claimed, or the maintenance guard taken with it, so an
+//! inverted nesting is a borrow error. Its tracker catches, in debug
+//! builds, the one inversion the types cannot see: a callback that calls
+//! back into the map.
 
-use crate::lock_order::{MaintGuard, MaintLock, ShardLock, Striped};
+use crate::lock_order::{MaintGuard, MaintLock, ShardLock, Striped, Unlocked};
 use lll_api::label_map::dedup_sorted_batch;
 use lll_api::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_api::{LabelMap, ListBuilder, RawList};
@@ -88,14 +90,14 @@ struct Shard<K: Ord, V> {
 impl<K: Ord, V> Shard<K, V> {
     /// Run `f` under the shared lock. `None` if a split or merge took the
     /// map — the caller must reload the directory.
-    fn rlock<R>(&self, f: impl FnOnce(&LabelMap<K, V>) -> R) -> Option<R> {
-        self.map.rlock().as_ref().map(f)
+    fn rlock<R>(&self, u: &mut Unlocked, f: impl FnOnce(&LabelMap<K, V>) -> R) -> Option<R> {
+        self.map.rlock(u, |m| m.as_ref().map(f))
     }
 
     /// Run `f` under the exclusive lock. `None` if a split or merge took
     /// the map — the caller must reload the directory.
-    fn wlock<R>(&self, f: impl FnOnce(&mut LabelMap<K, V>) -> R) -> Option<R> {
-        self.map.wlock().as_mut().map(f)
+    fn wlock<R>(&self, u: &mut Unlocked, f: impl FnOnce(&mut LabelMap<K, V>) -> R) -> Option<R> {
+        self.map.wlock(u, |m| m.as_mut().map(f))
     }
 }
 
@@ -268,7 +270,9 @@ impl fmt::Display for ShardedStats {
 
 impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// A shell with no shards at all — only valid as an intermediate while
-    /// a constructor installs the real directory.
+    /// a constructor builds the shards of its directory. The constructor
+    /// owns the shell, so it sets the directory without the maintenance
+    /// path a shared map publishes through.
     fn shell(builder: ListBuilder, policy: ShardPolicy) -> Self {
         Self {
             dir: Striped::new(Directory { bounds: Vec::new(), shards: Vec::new() }),
@@ -285,13 +289,6 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Publish `dir` as the map's directory, through the same
-    /// maintenance-serialized path structural changes use.
-    fn install(&self, dir: Directory<K, V>) {
-        let _m = self.maint.mlock();
-        self.dir.publish(dir);
-    }
-
     /// Build a map pre-sharded from entries sorted ascending by key: the
     /// run is cut into half-full chunks, each bulk-loaded into its own
     /// shard in one O(chunk) sweep — a true O(n) import, no split cascade.
@@ -306,7 +303,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     ) -> Self {
         // Dedup before chunking so equal keys never straddle a split key.
         dedup_sorted_batch(&mut entries);
-        let map = Self::shell(builder, policy);
+        let mut map = Self::shell(builder, policy);
         // Half-full shards: room to grow before splitting, full enough not
         // to merge. Respect the shard-count ceiling by growing the chunk
         // size if the run is enormous.
@@ -321,7 +318,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             }
             shards.push(map.shard_from_sorted(chunk));
         }
-        map.install(Directory { bounds, shards });
+        map.dir = Striped::new(Directory { bounds, shards });
         map
     }
 
@@ -358,7 +355,8 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// Total entries — one shared lock per shard, O(#shards). The count
     /// is a consistent snapshot only if no writer is concurrent.
     pub fn len(&self) -> usize {
-        self.route(|dir| dir.shards.iter().map(|s| s.rlock(LabelMap::len)).sum())
+        let u = &mut Unlocked::claim();
+        self.route(|dir| dir.shards.iter().map(|s| s.rlock(u, LabelMap::len)).sum())
     }
 
     /// True if no entries are stored (same snapshot caveat as
@@ -381,6 +379,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// split. At the shard-count ceiling a full shard simply keeps growing
     /// (documented degradation).
     pub fn insert(&self, key: K, value: V) -> Option<V> {
+        let u = &mut Unlocked::claim();
         // Only the attempt that lands the entry takes it, and that attempt
         // ends the loop.
         let mut kv = Some((key, value));
@@ -389,7 +388,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             let landed = self.route(|dir| {
                 let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
                 let shard = &dir.shards[dir.locate(key)];
-                shard.wlock(|m| {
+                shard.wlock(u, |m| {
                     let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
                     if m.len() >= self.policy.max_shard_len
                         && dir.shards.len() < self.policy.max_shards
@@ -404,18 +403,18 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             });
             match landed {
                 Some(prev) => return prev,
-                None => self.split_full(&kv.as_ref().expect("the entry has not landed").0),
+                None => self.split_full(u, &kv.as_ref().expect("the entry has not landed").0),
             }
         }
     }
 
     /// Split the shard that owns `key` if the shard ceiling allows, under
     /// the maintenance mutex: the split that makes room for a new key.
-    fn split_full(&self, key: &K) {
-        let m = self.maint.mlock();
+    fn split_full(&self, u: &mut Unlocked, key: &K) {
+        let mut maint = self.maint.mlock(u);
         let dir = self.dir.load();
         if dir.shards.len() < self.policy.max_shards {
-            self.split_shard(&m, &dir, dir.locate(key));
+            self.split_shard(&mut maint, &dir, dir.locate(key));
         }
     }
 
@@ -427,9 +426,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        let u = &mut Unlocked::claim();
         let (prev, underflow) = self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            shard.wlock(|m| {
+            shard.wlock(u, |m| {
                 shard.obs.writes.inc();
                 let prev = m.remove(key);
                 // Trigger only on the exact threshold crossing: a shard
@@ -442,7 +442,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             })
         });
         if underflow {
-            self.maintain();
+            self.maintain(u);
         }
         prev
     }
@@ -451,18 +451,23 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// v.summarize())`. Returns `None` if the key is absent. Takes the
     /// directory's stripe lock only for its load, then the owning shard's
     /// shared lock.
+    ///
+    /// `f` runs under that shard lock and must not call back into the
+    /// map: debug builds panic with a `lock-order inversion` message, and
+    /// release builds can deadlock.
     pub fn get_with<Q, R>(&self, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        let u = &mut Unlocked::claim();
         // `route` runs the attempt again after meeting a retired shard,
         // but `f` runs only in the attempt that reads; the take() lets the
         // FnOnce ride along.
         let mut f = Some(f);
         self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            shard.rlock(|m| {
+            shard.rlock(u, |m| {
                 // Counted under the read guard: a merge can absorb this
                 // shard's ShardObs into the survivor the instant the guard
                 // drops, and an increment after that loses the read from
@@ -487,15 +492,20 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// Mutate `key`'s value in place under the owning shard's exclusive
     /// lock: `map.get_mut_with(&k, |v| *v += 1)`. Returns `None` (without
     /// running `f`) if the key is absent.
+    ///
+    /// `f` runs under that shard lock and must not call back into the
+    /// map: debug builds panic with a `lock-order inversion` message, and
+    /// release builds can deadlock.
     pub fn get_mut_with<Q, R>(&self, key: &Q, f: impl FnOnce(&mut V) -> R) -> Option<R>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        let u = &mut Unlocked::claim();
         let mut f = Some(f);
         self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            shard.wlock(|m| {
+            shard.wlock(u, |m| {
                 shard.obs.writes.inc();
                 m.get_mut(key).map(|v| (f.take().expect("mut closure ran twice"))(v))
             })
@@ -508,9 +518,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        let u = &mut Unlocked::claim();
         self.route(|dir| {
             let shard = &dir.shards[dir.locate(key)];
-            shard.rlock(|m| {
+            shard.rlock(u, |m| {
                 // Under the guard, as in `get_with`: survives a racing
                 // merge's ShardObs absorption.
                 shard.obs.reads.inc();
@@ -524,10 +535,11 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     where
         V: Clone,
     {
+        let u = &mut Unlocked::claim();
         self.route(|dir| {
             for shard in &dir.shards {
                 let kv =
-                    shard.rlock(|m| m.first_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
+                    shard.rlock(u, |m| m.first_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
                 if kv.is_some() {
                     return Some(kv);
                 }
@@ -541,10 +553,11 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     where
         V: Clone,
     {
+        let u = &mut Unlocked::claim();
         self.route(|dir| {
             for shard in dir.shards.iter().rev() {
                 let kv =
-                    shard.rlock(|m| m.last_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
+                    shard.rlock(u, |m| m.last_key_value().map(|(k, v)| (k.clone(), v.clone())))?;
                 if kv.is_some() {
                     return Some(kv);
                 }
@@ -579,11 +592,16 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// under the maintenance mutex so the directory cannot reshard
     /// mid-walk (no entry visited twice or skipped); concurrent point ops
     /// proceed shard by shard.
+    ///
+    /// `f` runs under the maintenance mutex and a shard's shared lock, and
+    /// must not call back into the map: debug builds panic with a
+    /// `lock-order inversion` message, and release builds can deadlock.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        let _m = self.maint.mlock();
+        let u = &mut Unlocked::claim();
+        let maint = self.maint.mlock(u);
         let dir = self.dir.load();
         for shard in &dir.shards {
-            shard.rlock(|m| m.iter().for_each(|(k, v)| f(k, v))).expect(LIVE);
+            shard.map.read(&maint).as_ref().expect(LIVE).iter().for_each(|(k, v)| f(k, v));
         }
     }
 
@@ -594,11 +612,12 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// the number of entries landed, after that collapse. Panics if the
     /// batch is not ascending.
     pub fn extend_sorted(&self, mut batch: Vec<(K, V)>) -> usize {
+        let u = &mut Unlocked::claim();
         dedup_sorted_batch(&mut batch);
         let landed = batch.len();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_entries.fetch_add(landed as u64, Ordering::Relaxed);
-        let m = self.maint.mlock();
+        let mut maint = self.maint.mlock(u);
         let mut overflow = false;
         {
             let dir = self.dir.load();
@@ -615,15 +634,14 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 if chunk.is_empty() {
                     continue;
                 }
-                let len = shard.wlock(|s| {
-                    s.extend_sorted(chunk);
-                    s.len()
-                });
-                overflow |= len.expect(LIVE) > self.policy.max_shard_len;
+                let mut g = shard.map.write(&maint);
+                let s = g.as_mut().expect(LIVE);
+                s.extend_sorted(chunk);
+                overflow |= s.len() > self.policy.max_shard_len;
             }
         }
         if overflow {
-            self.maintain_locked(&m);
+            self.maintain_locked(&mut maint);
         }
         landed
     }
@@ -655,6 +673,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         R: RangeBounds<Q>,
         V: Clone,
     {
+        let u = &mut Unlocked::claim();
         self.route(|dir| {
             if dir.shards.is_empty() {
                 return Some((Vec::new(), false));
@@ -671,7 +690,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             // sizes the result only up to one shard's worth.
             let mut out = Vec::with_capacity(limit.min(self.policy.max_shard_len));
             for shard in &dir.shards[lo..=hi] {
-                let truncated = shard.rlock(|m| {
+                let truncated = shard.rlock(u, |m| {
                     for (k, v) in m.range((range.start_bound(), range.end_bound())) {
                         if out.len() == limit {
                             return true;
@@ -692,6 +711,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// locks. The pass itself is not counted: reading the read counters
     /// leaves them unchanged.
     pub fn stats(&self) -> ShardedStats {
+        let u = &mut Unlocked::claim();
         self.route(|dir| {
             let mut stats = ShardedStats {
                 shards: dir.shards.len(),
@@ -708,7 +728,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             };
             for shard in &dir.shards {
                 let (len, moves, capacity) =
-                    shard.rlock(|m| (m.len(), m.total_moves(), m.backend().capacity()))?;
+                    shard.rlock(u, |m| (m.len(), m.total_moves(), m.backend().capacity()))?;
                 stats.len += len;
                 stats.total_moves += moves;
                 stats.shard_lens.push(len);
@@ -729,9 +749,8 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
 
     /// Rebalance the shard map until every shard is inside the policy
     /// band, under the maintenance mutex.
-    fn maintain(&self) {
-        let m = self.maint.mlock();
-        self.maintain_locked(&m);
+    fn maintain(&self, u: &mut Unlocked) {
+        self.maintain_locked(&mut self.maint.mlock(u));
     }
 
     /// The maintenance loop: split any shard above `max_shard_len` (while
@@ -747,15 +766,15 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// a pass that finds nothing actionable (or loses its candidate to a
     /// concurrent writer) re-probes fresh lengths and exits once the map
     /// is inside the band.
-    fn maintain_locked(&self, m: &MaintGuard<'_>) {
+    fn maintain_locked(&self, maint: &mut MaintGuard<'_>) {
         loop {
             let dir = self.dir.load();
             let n = dir.shards.len();
             let lens: Vec<usize> =
-                dir.shards.iter().map(|s| s.rlock(LabelMap::len).expect(LIVE)).collect();
+                dir.shards.iter().map(|s| s.map.read(maint).as_ref().expect(LIVE).len()).collect();
             if n < self.policy.max_shards {
                 if let Some(i) = (0..n).find(|&i| lens[i] > self.policy.max_shard_len) {
-                    self.split_shard(m, &dir, i);
+                    self.split_shard(maint, &dir, i);
                     continue;
                 }
             }
@@ -777,7 +796,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                     None
                 });
                 if let Some(left) = mergeable {
-                    self.merge_into_left(m, &dir, left);
+                    self.merge_into_left(maint, &dir, left);
                     continue;
                 }
             }
@@ -796,10 +815,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// Ordering is load-bearing: the old shard's map is taken (and its
     /// lock released) *before* the publication, so a reader of the old
     /// directory can never observe the drained shard as live.
-    fn split_shard(&self, _m: &MaintGuard<'_>, dir: &Directory<K, V>, i: usize) {
+    fn split_shard(&self, maint: &mut MaintGuard<'_>, dir: &Directory<K, V>, i: usize) {
         let old = &dir.shards[i];
         let (next, entries) = {
-            let mut g = old.map.wlock();
+            let mut g = old.map.write(maint);
             let Some(old_map) = g.take_if(|m| m.len() >= self.policy.max_shard_len) else {
                 return;
             };
@@ -820,7 +839,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             (Directory { bounds, shards }, entries)
         };
         let shard_count = next.shards.len() as u64;
-        self.dir.publish(next);
+        self.dir.publish(maint, next);
         self.splits.fetch_add(1, Ordering::Relaxed);
         self.trace.record(TraceKind::Split, i as u64, shard_count, entries);
     }
@@ -837,11 +856,11 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// its span. One that targets the right shard finds its map taken
     /// (before either lock releases) and reloads; scans restart wholesale
     /// on a taken map, so no entry is seen twice.
-    fn merge_into_left(&self, _m: &MaintGuard<'_>, dir: &Directory<K, V>, left: usize) {
+    fn merge_into_left(&self, maint: &mut MaintGuard<'_>, dir: &Directory<K, V>, left: usize) {
         let (l, r) = (&dir.shards[left], &dir.shards[left + 1]);
         let (next, merged) = {
-            let mut lg = l.map.wlock();
-            let mut rg = r.map.wlock();
+            let mut lg = l.map.write(maint);
+            let mut rg = r.map.write(maint);
             let Some(left_map) = lg.as_mut() else { return };
             let fits =
                 |m: &mut LabelMap<K, V>| left_map.len() + m.len() <= self.policy.max_shard_len;
@@ -858,7 +877,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             (Directory { bounds, shards }, merged)
         };
         let shard_count = next.shards.len() as u64;
-        self.dir.publish(next);
+        self.dir.publish(maint, next);
         self.merges.fetch_add(1, Ordering::Relaxed);
         self.trace.record(TraceKind::Merge, left as u64, shard_count, merged);
     }
@@ -877,12 +896,13 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         K: Codec,
         V: Codec,
     {
-        let _m = self.maint.mlock();
+        let u = &mut Unlocked::claim();
+        let maint = self.maint.mlock(u);
         let dir = self.dir.load();
         // Stacking every shard's read lock is legal under the maintenance
-        // mutex (the tracker's rule 2) and deadlock-free: maintenance is
-        // the only path that takes more than one shard lock, and we are it.
-        let guards: Vec<_> = dir.shards.iter().map(|s| s.map.rlock()).collect();
+        // mutex and deadlock-free: maintenance is the only path that takes
+        // more than one shard lock, and we are it.
+        let guards: Vec<_> = dir.shards.iter().map(|s| s.map.read(&maint)).collect();
         let maps: Vec<&LabelMap<K, V>> = guards.iter().map(|g| g.as_ref().expect(LIVE)).collect();
         let total: usize = maps.iter().map(|m| m.len()).sum();
         self.trace.record(TraceKind::Snapshot, total as u64, dir.shards.len() as u64, 0);
@@ -947,7 +967,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         if !bounds.windows(2).all(|w| w[0].cmp(&w[1]).is_lt()) {
             return Err(SnapshotError::Corrupt("split keys must be strictly ascending".into()));
         }
-        let map = Self::shell(ListBuilder::from_config(header.config()), policy);
+        let mut map = Self::shell(ListBuilder::from_config(header.config()), policy);
         let mut shards = Vec::with_capacity(shard_count);
         let mut total = 0u64;
         for i in 0..shard_count {
@@ -977,7 +997,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 header.count
             )));
         }
-        map.install(Directory { bounds, shards });
+        map.dir = Striped::new(Directory { bounds, shards });
         Ok(map)
     }
 
@@ -986,7 +1006,8 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// ascending. Runs under the maintenance mutex so the picture is
     /// stable. O(n); test/diagnostic use only.
     pub fn check_invariants(&self) {
-        let _m = self.maint.mlock();
+        let u = &mut Unlocked::claim();
+        let maint = self.maint.mlock(u);
         let dir = self.dir.load();
         assert_eq!(dir.shards.len(), dir.bounds.len() + 1, "directory shape");
         assert!(
@@ -994,9 +1015,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
             "split keys must be strictly ascending"
         );
         for (i, s) in dir.shards.iter().enumerate() {
-            let keys: Vec<K> = s
-                .rlock(|m| m.keys().cloned().collect())
-                .unwrap_or_else(|| panic!("shard {i} of the live directory is retired"));
+            let keys: Vec<K> = s.map.read(&maint).as_ref().expect(LIVE).keys().cloned().collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "shard {i} keys unsorted");
             if let (Some(first), Some(lo)) =
                 (keys.first(), i.checked_sub(1).map(|j| &dir.bounds[j]))
@@ -1012,10 +1031,11 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
 
 impl<K: Ord + Clone + fmt::Debug, V> fmt::Debug for ShardedMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let u = &mut Unlocked::claim();
         // Walks the shards like `len`.
         self.route(|dir| {
             let lens: Vec<usize> =
-                dir.shards.iter().map(|s| s.rlock(LabelMap::len)).collect::<Option<_>>()?;
+                dir.shards.iter().map(|s| s.rlock(u, LabelMap::len)).collect::<Option<_>>()?;
             Some(
                 f.debug_struct("ShardedMap")
                     .field("shards", &lens)
@@ -1043,6 +1063,7 @@ fn exact_chunks<T>(entries: Vec<T>, per_shard: usize) -> Vec<Vec<T>> {
 
 #[cfg(test)]
 mod tests {
+    use crate::lock_order::Unlocked;
     use crate::ShardedBuilder;
     use std::collections::BTreeMap;
 
@@ -1400,12 +1421,24 @@ mod tests {
             map.insert(k, k);
         }
         assert_eq!(map.stats().splits, 1, "33 entries over a max of 32 split once");
-        let shard = &old.shards[0];
-        assert!(shard.rlock(|m| m.len()).is_none(), "a reader of the old directory must reload");
-        assert!(shard.wlock(|m| m.len()).is_none(), "a writer of the old directory must reload");
+        let (shard, u) = (&old.shards[0], &mut Unlocked::claim());
+        assert!(shard.rlock(u, |m| m.len()).is_none(), "a reader of the old directory must reload");
+        assert!(shard.wlock(u, |m| m.len()).is_none(), "a writer of the old directory must reload");
         for k in 0..=32 {
             assert_eq!(map.get(&k), Some(k), "key {k} after the split");
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock-order inversion: a second shard lock")]
+    fn a_callback_that_calls_back_into_the_map_panics() {
+        // The callback claims a token of its own, so the types let it
+        // through; the debug tracker turns the would-be deadlock into a
+        // panic (in release builds the writer waits on its own reader).
+        let map = tiny().build::<u32, u32>();
+        map.insert(1, 1);
+        map.get_with(&1, |_| map.insert(2, 2));
     }
 
     #[test]

@@ -145,7 +145,6 @@ pub(crate) fn fill<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<usize,
 /// before touching the buffer, so a failed append never leaves a partial
 /// frame staged. Writes into the caller's reused buffer; allocation-free
 /// once the buffer has warmed to the workload's record size.
-// lll-check: no-alloc
 pub fn encode_frame_into(buf: &mut Vec<u8>, lsn: u64, payload: &[u8]) -> Result<(), WalError> {
     let body_len = payload.len() as u64 + 8;
     let len = match u32::try_from(body_len) {

@@ -160,7 +160,7 @@ fn fixed_size_churn_reuses_indices_on_every_backend() {
     // The layered backend once more, statically dispatched so the test can
     // see the embedding: indices must come back while a rebuild is pending,
     // that is while deleted elements may still be ghosts in its layout.
-    let backend = ListBuilder::new().build_growable(corollary11_builder(0xC4));
+    let backend = Growable::new(corollary11_builder(0xC4), 64);
     let map = LabelMap::with_backend(backend);
     let reused = churn_against_btreemap(map, "corollary11 static", 3000, |m| {
         m.backend().inner().rebuild_pending()
@@ -485,7 +485,7 @@ fn cursor_walk_does_no_rank_resolution() {
     use layered_list_labeling::classic::ClassicBuilder;
 
     let n = 10_000u32;
-    let mut ol = OrderedList::with_backend(ListBuilder::new().build_growable(ClassicBuilder));
+    let mut ol = OrderedList::with_backend(Growable::new(ClassicBuilder, 64));
     for i in 0..n {
         ol.insert_at(ol.len(), i);
     }

@@ -1,9 +1,10 @@
-//! Runtime teeth for the zero-alloc steady-state insert path (PR 4): a
-//! counting global allocator pins the property "once warm, churn does not
+//! Runtime teeth for the zero-alloc steady-state insert path: a counting
+//! global allocator pins the property "once warm, churn does not
 //! allocate" on [`LabelMap`] and [`OrderedList`], for both the classic and
 //! the deamortized backend — plus the property "a `ShardedMap` read
 //! allocates nothing, ever" (no convergence allowance: zero from round
-//! one). The same allocator
+//! one), and runs each primitive those paths rely on not to allocate
+//! (`hot_path_primitives_allocate_nothing`). The same allocator
 //! keeps a live-bytes gauge, which pins each backend's heap footprint
 //! after a bulk load (see `footprint_stays_pinned`), what a `LabelMap`
 //! holds beyond its backend (`label_map_footprint_stays_pinned`) and what
@@ -28,10 +29,17 @@
 
 #![allow(unsafe_code, reason = "a #[global_allocator] implements the unsafe GlobalAlloc trait")]
 
+use lll_api::codec::Crc32;
 use lll_api::{Backend, ListBuilder, RawList};
+use lll_core::bitmap::Bitmap;
 use lll_core::ids::IdGen;
 use lll_core::metrics::ListMetrics;
+use lll_embedding::tag_array::FCursor;
+use lll_embedding::{SlotTag, TagArray};
+use lll_obs::{Counter, Histogram, TraceKind, TraceRing};
 use lll_sharded::ShardedBuilder;
+use lll_wal::record::encode_frame_into;
+use lll_wal::MAX_RECORD_LEN;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,8 +114,114 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> u64 {
     after - before
 }
 
+/// Run `f`, which must allocate nothing.
+fn assert_allocates_nothing(what: &str, f: impl FnOnce()) {
+    let allocs = allocs_in(f);
+    assert_eq!(allocs, 0, "{what} allocated {allocs} times");
+}
+
 const N: u64 = 1024;
 const ROUNDS: u64 = 8;
+
+/// The primitives the steady-state paths call on every operation, each run
+/// in a span that must allocate nothing, on inputs that take each of its
+/// branches: the occupancy bitmap's updates and queries, the `ListMetrics`
+/// recorders (enabled and disabled), `lll-obs`'s counter, histogram and
+/// trace ring, the CRC update, the WAL frame encoder (into a warm buffer,
+/// and refusing an oversized payload), and the embedding's F-slot lookup
+/// (from a stale and from a fresh finger). The directory `load` runs in
+/// `sharded_read_churn`'s reads. Each structure is built outside its span.
+fn hot_path_primitives_allocate_nothing() {
+    // 2,048 positions: four 512-bit blocks.
+    let mut bits = Bitmap::new(2048);
+    assert_allocates_nothing("Bitmap::set", || bits.set(3));
+    assert_allocates_nothing("Bitmap::clear", || bits.clear(3));
+    assert_allocates_nothing("Bitmap::set_ascending", || {
+        // The first run crosses blocks; the second skips block 0 untouched.
+        bits.set_ascending([5, 64, 600, 1500]);
+        bits.set_ascending([1000, 1001]);
+    });
+    assert_allocates_nothing("Bitmap::move_bit", || {
+        bits.move_bit(5, 6); // within a block
+        bits.move_bit(6, 1600); // across blocks
+    });
+    // Set: 64, 600, 1000, 1001, 1500, 1600.
+    assert_allocates_nothing("Bitmap::rank", || {
+        assert_eq!((bits.rank(64), bits.rank(601), bits.rank(4096)), (0, 2, 6));
+    });
+    assert_allocates_nothing("Bitmap::select", || {
+        assert_eq!((bits.select(0), bits.select(5), bits.select(6)), (Some(64), Some(1600), None));
+    });
+    assert_allocates_nothing("Bitmap::select_near", || {
+        let hint_rank = bits.rank(1000);
+        assert_eq!(bits.select_near(4, 1000, hint_rank), Some(1500), "forward");
+        assert_eq!(bits.select_near(0, 1000, hint_rank), Some(64), "backward");
+        assert_eq!(bits.select_near(5, 64, 0), Some(1600), "too far: select");
+        assert_eq!(bits.select_near(6, 64, 0), None, "past the last");
+    });
+    assert_allocates_nothing("Bitmap::select_zero", || {
+        assert_eq!((bits.select_zero(64), bits.select_zero(2042)), (Some(65), None));
+    });
+
+    for enabled in [true, false] {
+        let metrics = ListMetrics::new(enabled);
+        assert_allocates_nothing("ListMetrics recorders", || {
+            metrics.note_scan(3);
+            metrics.note_log_drain(2);
+            metrics.note_rank_resolution();
+            metrics.note_op_moves(5);
+            metrics.note_rebalance(8);
+            metrics.note_epoch_bump();
+        });
+        assert_eq!(metrics.moves.get(), if enabled { 2 } else { 0 });
+    }
+
+    let counter = Counter::new();
+    assert_allocates_nothing("Counter::inc and add", || {
+        counter.inc();
+        counter.add(2);
+    });
+    assert_eq!(counter.get(), 3);
+    let histogram = Histogram::moves();
+    assert_allocates_nothing("Histogram::record", || {
+        histogram.record(0); // under range, no new maximum
+        histogram.record(1 << 30); // overflow, a new maximum
+        histogram.record(5);
+    });
+    assert_eq!(histogram.count(), 3);
+    let ring = TraceRing::new(8);
+    assert_allocates_nothing("TraceRing::record", || {
+        for i in 0..9 {
+            ring.record(TraceKind::Split, i, 0, 0); // the ninth wraps
+        }
+    });
+    assert_eq!(ring.recorded(), 9);
+
+    let mut crc = Crc32::new();
+    assert_allocates_nothing("Crc32::update", || {
+        crc.update(&[]);
+        crc.update(b"123456789");
+    });
+    assert_eq!(crc.finish(), 0xCBF4_3926);
+    let mut frames = Vec::with_capacity(64);
+    let oversized = vec![0u8; MAX_RECORD_LEN as usize];
+    assert_allocates_nothing("encode_frame_into", || {
+        encode_frame_into(&mut frames, 7, b"payload").expect("a small frame encodes");
+        assert!(encode_frame_into(&mut frames, 8, &oversized).is_err());
+    });
+    assert_eq!(frames.len(), 4 + 4 + 8 + 7);
+    drop(oversized);
+
+    let mut tags = TagArray::new(256);
+    for pos in [3, 70, 140, 200] {
+        tags.retag(pos, SlotTag::F);
+    }
+    let mut finger = FCursor::default();
+    assert_allocates_nothing("TagArray::f_pos_via", || {
+        assert_eq!(tags.f_pos_via(2, &mut finger), 140, "stale finger: select");
+        assert_eq!(tags.f_pos_via(3, &mut finger), 200, "fresh finger: select_near");
+    });
+}
 
 /// Run `round` repeatedly; require convergence to an allocation-free
 /// round within [`ROUNDS`] attempts. Returns the per-round history for
@@ -170,10 +284,10 @@ fn ordered_list_churn(backend: Backend) {
 /// one warm-up read has paid any lazy thread-local setup, a
 /// `get`/`get_with`/`contains_key` round over present and absent keys
 /// must not allocate at all — the path is a directory load (a shared
-/// lock on the thread's stripe and an `Arc` clone, linted as
-/// allocation-free), one shared shard lock, a check that the shard
-/// still holds its map, and one counter. Unlike the churn rounds above there is no convergence
-/// allowance: reads allocate zero from round one.
+/// lock on the thread's stripe and an `Arc` clone), one shared shard
+/// lock, a check that the shard still holds its map, and one counter.
+/// Unlike the churn rounds above there is no convergence allowance: reads
+/// allocate zero from round one.
 fn sharded_read_churn() {
     let map = ShardedBuilder::new()
         .backend(Backend::Classic)
@@ -355,6 +469,7 @@ fn lone_label_map_keeps_no_template() {
 
 #[test]
 fn steady_state_operations_reach_zero_allocations() {
+    hot_path_primitives_allocate_nothing();
     // The process-wide disabled metrics handle is built on first use, by
     // whichever span first builds a Corollary 11 structure. Build it here,
     // outside every span, so no live-bytes figure depends on the order the
