@@ -25,6 +25,7 @@ use lll_embedding::layered::corollary11_builder;
 use lll_randomized::RandomizedBuilder;
 use std::sync::Arc;
 
+use crate::label_map::dedup_sorted_batch;
 use crate::templates::{TemplateSize, TemplateStore, TemplatedCorollary11};
 
 /// The rank-addressed operations the API layer needs from a dynamically
@@ -263,8 +264,9 @@ pub enum Backend {
     /// The default because it is the paper's reproduction, not because it
     /// is fastest: end to end it trails each of its own layers. On
     /// ladderbench (`ShardedMap`, n = 2^18, `--seconds 10`, 2-vCPU x86-64
-    /// VM; medians over ten seeds) a clustered-ingest insert costs 38× a
-    /// `BTreeMap` insert and a uniform-mix insert 2.2×. Adaptive,
+    /// VM; medians over twelve seeds) a clustered-ingest insert costs 31×
+    /// a `BTreeMap` insert (39× before a shard taking an ascending run
+    /// split early) and a uniform-mix insert 2.5×. Adaptive,
     /// randomized or deamortized alone read 9.7–13.5× and 1.9–2.1×
     /// (medians over three seeds, measured before the `LabelMap` search
     /// index made every backend's uniform-mix operations cheaper). It takes
@@ -437,21 +439,32 @@ impl ListBuilder {
     /// list. This is what [`OrderedList`](crate::OrderedList) and
     /// [`LabelMap`](crate::LabelMap) sit on.
     pub fn build(&self) -> ErasedList {
+        self.build_for(0)
+    }
+
+    /// [`build`](Self::build) with room for `len` elements: the list's
+    /// first structure is built at the initial capacity doubled until
+    /// `len` fits ([`Growable::with_room_for`]), so a bulk load of `len`
+    /// lands in it in place instead of replacing it. The list still
+    /// shrinks down to the initial capacity.
+    fn build_for(&self, len: usize) -> ErasedList {
         let cap = self.initial_capacity;
         // Each arm's unsize coercion doubles as a compile-time proof that
         // every selectable backend is `Send + Sync` — a non-thread-safe
         // regression in any algorithm crate fails right here.
         let inner: Box<dyn RawList + Send + Sync> = match self.backend {
-            Backend::Classic => Box::new(Growable::new(ClassicBuilder, cap)),
-            Backend::Deamortized => Box::new(Growable::new(DeamortizedBuilder, cap)),
-            Backend::Randomized => Box::new(Growable::new(
+            Backend::Classic => Box::new(Growable::with_room_for(ClassicBuilder, cap, len)),
+            Backend::Deamortized => Box::new(Growable::with_room_for(DeamortizedBuilder, cap, len)),
+            Backend::Randomized => Box::new(Growable::with_room_for(
                 RandomizedBuilder::with_seed(derive_seed(self.seed, 0x59)),
                 cap,
+                len,
             )),
-            Backend::Adaptive => Box::new(Growable::new(AdaptiveBuilder, cap)),
-            Backend::Corollary11 => Box::new(Growable::new(
+            Backend::Adaptive => Box::new(Growable::with_room_for(AdaptiveBuilder, cap, len)),
+            Backend::Corollary11 => Box::new(Growable::with_room_for(
                 TemplatedCorollary11::new(self.seed, Arc::clone(&self.templates)),
                 cap,
+                len,
             )),
         };
         ErasedList { inner, config: self.config() }
@@ -497,6 +510,22 @@ impl ListBuilder {
     /// A [`LabelMap`](crate::LabelMap) on the configured backend.
     pub fn label_map<K: Ord + Clone, V>(&self) -> crate::LabelMap<K, V> {
         crate::LabelMap::with_backend(self.build())
+    }
+
+    /// A [`LabelMap`](crate::LabelMap) on the configured backend holding
+    /// `entries`, **sorted ascending by key**, landed in one bulk load
+    /// ([`LabelMap::extend_sorted`](crate::LabelMap::extend_sorted): equal
+    /// adjacent keys collapse, last write wins; panics if the keys are not
+    /// ascending). The backend is built once, with room for the entries,
+    /// instead of at the initial capacity and again at theirs.
+    pub fn label_map_from_sorted<K: Ord + Clone, V>(
+        &self,
+        mut entries: Vec<(K, V)>,
+    ) -> crate::LabelMap<K, V> {
+        dedup_sorted_batch(&mut entries);
+        let mut map = crate::LabelMap::with_backend(self.build_for(entries.len()));
+        map.extend_sorted(entries);
+        map
     }
 }
 

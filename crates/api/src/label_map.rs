@@ -41,7 +41,7 @@ use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::MapCursor;
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::growable::Handle;
-use lll_core::report::{BulkReport, MoveRec, OpReport};
+use lll_core::report::{MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use std::borrow::Borrow;
 use std::fmt;
@@ -76,6 +76,12 @@ const GROUP_BITS: u64 = (1 << GROUP) - 1;
 /// `K: Ord`. Building and changing a map also needs `K: Clone`: its
 /// search index keeps a copy of one key per 32 slots (see the
 /// [module docs](crate::label_map)). `ShardedMap` asks the same of its keys.
+///
+/// The fields keep their declaration order (`repr(C)`): first the three a
+/// keyed read touches, then the state only writes touch, so the
+/// ascending-run counter a point insertion bumps lies more than a cache
+/// line past the read fields.
+#[repr(C)]
 pub struct LabelMap<K: Ord, V, L: RawList = ErasedList> {
     list: L,
     /// Entries by element-id index. The backend gives a deleted element's
@@ -86,6 +92,26 @@ pub struct LabelMap<K: Ord, V, L: RawList = ErasedList> {
     fences: Fences<K>,
     /// The reused move log of point insertions and deletions.
     report: OpReport,
+    /// The ascending run of point insertions the map is taking.
+    run: AscendingRun,
+}
+
+/// The point insertions in a row that each landed directly after the one
+/// before it: the run's length and the rank just past its last insertion.
+/// Zeroed, it is no run at all.
+#[derive(Default)]
+struct AscendingRun {
+    len: usize,
+    next_rank: usize,
+}
+
+impl AscendingRun {
+    /// Count an insertion at `rank`: the run's next one, or the first of a
+    /// new run.
+    fn note_insert(&mut self, rank: usize) {
+        self.len = if rank == self.next_rank { self.len + 1 } else { 1 };
+        self.next_rank = rank + 1;
+    }
 }
 
 /// The fence-key index of a [`LabelMap`]: `keys[g]` is a copy of the key
@@ -203,10 +229,11 @@ impl<K: Ord + Clone, V> LabelMap<K, V> {
     }
 
     /// Build a map from entries **already sorted ascending by key** in one
-    /// bulk load: the whole run lands in the backend as a single
-    /// evenly-spread sweep (one rebuild epoch, ~one move per element)
-    /// instead of `n` point insertions through the doubling cascade —
-    /// O(n) ingest instead of O(n · polylog n).
+    /// bulk load ([`ListBuilder::label_map_from_sorted`]): the whole run
+    /// lands as a single evenly-spread sweep (~one move per element) in a
+    /// backend built once with room for it, instead of `n` point
+    /// insertions through the doubling cascade — O(n) ingest instead of
+    /// O(n · polylog n).
     ///
     /// Equal adjacent keys collapse to the last occurrence (the
     /// `BTreeMap`-shaped "last write wins"). Panics if a key is smaller
@@ -221,9 +248,7 @@ impl<K: Ord + Clone, V> LabelMap<K, V> {
     /// assert_eq!(map.get(&720), Some(&1440));
     /// ```
     pub fn from_sorted_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut map = Self::new();
-        map.extend_sorted(iter.into_iter().collect());
-        map
+        ListBuilder::new().label_map_from_sorted(iter.into_iter().collect())
     }
 }
 
@@ -285,6 +310,18 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     pub(crate) fn entry_at(&self, label: usize) -> (&K, &V) {
         let (k, v) = self.entry(self.handle_at(label));
         (k, v)
+    }
+
+    /// How many point insertions in a row have each landed directly after
+    /// the one before it (ranks r, r+1, r+2, …), the first of them
+    /// included: the length of the ascending run the map is taking, 0 if
+    /// none. A removal, a sorted batch ([`extend_sorted`](Self::extend_sorted),
+    /// [`append`](Self::append), [`Extend`]), [`clear`](Self::clear) or an
+    /// insertion anywhere else starts the count again; overwriting the
+    /// value of a present key leaves it as it is. `lll-sharded` splits a
+    /// shard that is taking a long run early.
+    pub fn ascending_run(&self) -> usize {
+        self.run.len
     }
 
     /// Read-only access to the underlying backend (cost counters, labels,
@@ -532,7 +569,8 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     pub fn with_backend(list: L) -> Self {
         assert!(list.is_empty(), "LabelMap requires an empty backend");
         let fences = Fences::new(list.slots().num_slots());
-        Self { list, slab: Vec::new(), fences, report: OpReport::default() }
+        let report = OpReport::default();
+        Self { list, slab: Vec::new(), fences, report, run: AscendingRun::default() }
     }
 
     /// Store the entry of the new element `h`.
@@ -547,32 +585,34 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
 
     /// Bring the fences up to date after a change to the backend that
     /// began at epoch `pre_epoch`: re-lay them all if the change rebuilt
-    /// the backend, else refresh the groups that `bulk`'s moves touched, or
-    /// for a point operation (`None`) those of the reused report's moves
-    /// and removed slot.
-    fn sync_fences(&mut self, pre_epoch: u64, bulk: Option<&BulkReport>) {
+    /// the backend, else refresh the groups marked since it began.
+    fn sync_fences(&mut self, pre_epoch: u64) {
         if self.list.epoch() != pre_epoch {
             self.fences.relay(self.list.slots(), &self.slab);
-            return;
+        } else {
+            self.fences.refresh(self.list.slots(), &self.slab);
         }
-        match bulk {
-            Some(rep) => self.fences.mark_moves(&rep.moves),
-            None => {
-                self.fences.mark_moves(&self.report.moves);
-                if let Some((_, pos)) = self.report.removed {
-                    self.fences.mark(pos);
-                }
+    }
+
+    /// [`sync_fences`](Self::sync_fences) after a point operation: mark
+    /// the groups of the reused report's moves and removed slot first.
+    fn sync_fences_after_point_op(&mut self, pre_epoch: u64) {
+        if self.list.epoch() == pre_epoch {
+            self.fences.mark_moves(&self.report.moves);
+            if let Some((_, pos)) = self.report.removed {
+                self.fences.mark(pos);
             }
         }
-        self.fences.refresh(self.list.slots(), &self.slab);
+        self.sync_fences(pre_epoch);
     }
 
     /// Delete the entry of `rank` and return it.
     fn delete_at(&mut self, rank: usize) -> (K, V) {
+        self.run = AscendingRun::default();
         let pre_epoch = self.list.epoch();
         let h = self.list.delete_reported_into(rank, &mut self.report);
         let kv = self.slab[h.index()].take().expect("slab entry for deleted element");
-        self.sync_fences(pre_epoch, None);
+        self.sync_fences_after_point_op(pre_epoch);
         kv
     }
 
@@ -588,10 +628,11 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
             }
         }
         let rank = self.rank_of_label(label);
+        self.run.note_insert(rank);
         let pre_epoch = self.list.epoch();
         let h = self.list.insert_reported_into(rank, &mut self.report);
         self.put(h, (key, value));
-        self.sync_fences(pre_epoch, None);
+        self.sync_fences_after_point_op(pre_epoch);
         None
     }
 
@@ -619,10 +660,11 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     /// element moves and the epoch bumps once. The backend returns to its
     /// initial capacity and keeps its cost counters.
     pub fn clear(&mut self) {
+        self.run = AscendingRun::default();
         let pre_epoch = self.list.epoch();
         self.list.reset();
         self.slab = Vec::new();
-        self.sync_fences(pre_epoch, None);
+        self.sync_fences(pre_epoch);
     }
 
     /// Take every entry, sorted ascending, with one label walk, then
@@ -692,6 +734,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     /// already hold a sorted `Vec`. Panics if the batch is not ascending.
     pub fn extend_sorted(&mut self, mut batch: Vec<(K, V)>) {
         dedup_sorted_batch(&mut batch);
+        self.run = AscendingRun::default();
         // The open gap's run and the label of its successor (`None`: the
         // gap is at the end). Labels stay valid until the run lands: nothing
         // else changes the backend meanwhile.
@@ -731,12 +774,17 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         let pre_epoch = self.list.epoch();
         let (handles, rep) = self.list.splice_reported(rank, run.len());
         debug_assert_eq!(handles.len(), run.len());
+        // Mark the groups the splice's moves touched, then free its log, 16
+        // bytes a move, before the slab grows. (A splice that rebuilt the
+        // backend logs nothing: its fences are re-laid.)
+        self.fences.mark_moves(&rep.moves);
+        drop(rep);
         let slab_len = handles.iter().map(|h| h.index() + 1).max().unwrap_or(0);
         self.slab.reserve(slab_len.saturating_sub(self.slab.len()));
         for (h, kv) in handles.into_iter().zip(run.drain(..)) {
             self.put(h, kv);
         }
-        self.sync_fences(pre_epoch, Some(&rep));
+        self.sync_fences(pre_epoch);
     }
 }
 
@@ -810,9 +858,7 @@ impl<K: Ord + Clone + Codec, V: Codec> LabelMap<K, V> {
         let count = usize::try_from(header.count)
             .map_err(|_| SnapshotError::Corrupt("entry count exceeds host width".into()))?;
         let entries = crate::persist::decode_sorted_run::<K, V, R>(r, count, "LabelMap")?;
-        let mut map: Self = ListBuilder::from_config(header.config()).label_map();
-        map.extend_sorted(entries);
-        Ok(map)
+        Ok(ListBuilder::from_config(header.config()).label_map_from_sorted(entries))
     }
 }
 
@@ -1306,6 +1352,59 @@ mod tests {
         model.extend(batch);
         assert_eq!(map.len(), model.len());
         assert!(map.iter().map(|(k, v)| (*k, *v)).eq(model.iter().map(|(k, v)| (*k, *v))));
+    }
+
+    #[test]
+    fn ascending_run_counts_insertions_at_consecutive_ranks() {
+        // The run's length after each insertion of `keys`.
+        let runs = |map: &mut LabelMap<u32, u32>, keys: &[u32]| -> Vec<usize> {
+            keys.iter()
+                .map(|&k| {
+                    map.insert(k, k);
+                    map.ascending_run()
+                })
+                .collect()
+        };
+        let mut map = LabelMap::new();
+        assert_eq!(map.ascending_run(), 0, "a new map takes no run");
+        assert_eq!(runs(&mut map, &[10, 20, 30, 40]), [1, 2, 3, 4], "appends");
+        assert_eq!(runs(&mut map, &[11, 12, 13]), [1, 2, 3], "between present keys");
+        assert_eq!(runs(&mut map, &[9, 8, 7]), [1, 1, 1], "descending keys");
+        // 14 lands elsewhere and starts a run; overwriting 20 inserts
+        // nothing and leaves the run as it is.
+        assert_eq!(runs(&mut map, &[14, 15, 20, 16]), [1, 2, 2, 3]);
+        map.remove(&40);
+        assert_eq!(map.ascending_run(), 0, "a removal ends the run");
+        assert_eq!(runs(&mut map, &[17, 18]), [1, 2]);
+        map.extend_sorted(vec![(18, 0)]);
+        assert_eq!(map.ascending_run(), 0, "a sorted batch ends the run");
+        assert_eq!(runs(&mut map, &[51, 52]), [1, 2]);
+        map.append(&mut LabelMap::from_sorted_iter([(60, 60)]));
+        assert_eq!(map.ascending_run(), 0, "a merge ends the run");
+        assert_eq!(runs(&mut map, &[61, 62]), [1, 2]);
+        map.pop_last();
+        assert_eq!(map.ascending_run(), 0, "a pop ends the run");
+        map.insert(63, 63);
+        map.clear();
+        assert_eq!(map.ascending_run(), 0, "clear ends the run");
+    }
+
+    #[test]
+    fn the_run_counter_sits_a_cache_line_past_the_read_fields() {
+        use std::mem::{offset_of, size_of};
+        type M = LabelMap<u64, [u8; 32]>;
+        let read_fields_end = [
+            offset_of!(M, list) + size_of::<ErasedList>(),
+            offset_of!(M, slab) + size_of::<Vec<Option<(u64, [u8; 32])>>>(),
+            offset_of!(M, fences) + offset_of!(Fences<u64>, keys) + size_of::<Vec<u64>>(),
+        ];
+        let read_fields_end = read_fields_end.into_iter().max().expect("three fields");
+        assert!(
+            offset_of!(M, run) >= read_fields_end + 64,
+            "the run counter at byte {} is within a cache line of the read fields, which end \
+             at byte {read_fields_end}",
+            offset_of!(M, run)
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Multi-writer insert throughput: `ShardedMap` versus one mutex-guarded
 //! `LabelMap` (the whole-map coarse lock a caller would otherwise reach
-//! for), on a uniform-random keyed workload.
+//! for), on a uniform-random keyed workload; then one writer's ascending
+//! runs on the default builder, the sharding layer's own figure for
+//! clustered ingest.
 //!
 //! The acceptance bar for the sharded subsystem is printed explicitly:
 //! 4 writers on `ShardedMap` must beat a single `Mutex<LabelMap>` fed by
@@ -12,7 +14,13 @@
 //!   stay at O(polylog shard) while the monolithic map's grow with the
 //!   total n, so the ratio *widens* as the map grows even on one core.
 //!
-//! Run with `cargo bench --bench sharded_throughput` (release codegen).
+//! Modes:
+//!
+//! * full (default): `cargo bench -p lll-bench --bench sharded_throughput`
+//!   — 150k (classic) and 75k (Corollary 11) uniform inserts per writer,
+//!   and 200 ascending runs.
+//! * smoke (CI): `... -- --smoke` — 5k uniform inserts per writer and 20
+//!   runs; the acceptance line is printed as INFO.
 
 use lll_api::{Backend, LabelMap, ListBuilder};
 use lll_bench::mix;
@@ -63,6 +71,26 @@ fn run_sharded(map: &Arc<ShardedMap<u64, u64>>, threads: u64, n_per: usize) -> f
     total as f64 / secs
 }
 
+/// Inserts/second for one writer feeding `runs` ascending runs of
+/// `run_len` fresh keys, each at its own random anchor, into a map from
+/// `builder`; and the map's shard and split counts at the end.
+fn run_ascending(builder: &ShardedBuilder, runs: u64, run_len: u64) -> (f64, usize, u64) {
+    let map = builder.build::<u64, u64>();
+    let start = Instant::now();
+    for run in 0..runs {
+        // Anchors below 2^63 leave room for the run above them; two runs
+        // overlap with negligible odds.
+        let anchor = mix(run) >> 1;
+        for k in anchor..anchor + run_len {
+            map.insert(k, k);
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    let stats = map.stats();
+    assert_eq!(stats.len as u64, runs * run_len, "all inserts must land (runs are disjoint)");
+    ((runs * run_len) as f64 / secs, stats.shards, stats.splits)
+}
+
 fn bench_backend(backend: Backend, builder: &ShardedBuilder, n_per: usize, acceptance: bool) {
     println!("== {} backend, {} inserts/writer, uniform-random u64 keys ==", backend.name(), n_per);
     for threads in [1u64, 2, 4] {
@@ -104,6 +132,7 @@ fn bench_backend(backend: Backend, builder: &ShardedBuilder, n_per: usize, accep
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let cores = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "{cores} core(s) available; with 1 core all speedups below come from bounded \
@@ -115,17 +144,27 @@ fn main() {
     bench_backend(
         Backend::Classic,
         &ShardedBuilder::new().backend(Backend::Classic),
-        150_000,
-        true,
+        if smoke { 5_000 } else { 150_000 },
+        !smoke,
     );
-    // The production-default layered backend: its amortized cost barely
-    // grows with n (that is Corollary 11's point), so bounded domains win
-    // less on one core; shards are kept larger because its per-shard
-    // rebuild constants are heavier.
+    // The default layered backend at the default policy. Its cost per
+    // insert grows with the shard an ascending run lands in: on the
+    // ladder's clustered ingest, `max_shard_len` 2,048 and 1,024 cut the
+    // insert mean by 15% and 25%, while on uniform keys 1,024 cost 2.9% of
+    // op time and every workload more memory (see docs/sharding.md). So
+    // the policy keeps 4,096 and splits only a shard that takes an
+    // ascending run early, at a quarter of that.
     bench_backend(
         Backend::Corollary11,
-        &ShardedBuilder::new().backend(Backend::Corollary11).max_shard_len(16_384),
-        75_000,
+        &ShardedBuilder::new().backend(Backend::Corollary11),
+        if smoke { 5_000 } else { 75_000 },
         false,
+    );
+    let runs = if smoke { 20 } else { 200 };
+    println!("== default builder, one writer, {runs} ascending runs of 1,000 fresh keys ==");
+    let (inserts, shards, splits) = run_ascending(&ShardedBuilder::new(), runs, 1000);
+    println!(
+        "sharded_throughput/default/ascending_runs/1w: {inserts:>9.0} inserts/s \
+         ({shards} shards, {splits} splits)"
     );
 }

@@ -73,21 +73,35 @@ pub struct Growable<B: LabelingBuilder> {
 impl<B: LabelingBuilder> Growable<B> {
     /// New empty list with an initial capacity floor.
     pub fn new(builder: B, initial_capacity: usize) -> Self {
-        Self::with_metrics(builder, initial_capacity, ListMetrics::handle(true))
+        Self::with_room_for(builder, initial_capacity, 0)
+    }
+
+    /// New empty list whose first structure already has room for `len`
+    /// elements: the initial capacity doubled until `len` fits, the
+    /// capacity a [`bulk_load`](Self::bulk_load) of `len` into a new list
+    /// grows it to. That load then lands in place, and no structure is
+    /// built only to be replaced. The list still shrinks down to the
+    /// initial capacity.
+    pub fn with_room_for(builder: B, initial_capacity: usize, len: usize) -> Self {
+        Self::construct(builder, initial_capacity, len, ListMetrics::handle(true))
     }
 
     /// [`new`](Self::new) with a caller-provided metrics handle — pass
     /// [`ListMetrics::disabled`] to make every recording path a no-op
     /// (overhead benchmarks pin the enabled/disabled gap via this knob).
     pub fn with_metrics(builder: B, initial_capacity: usize, metrics: MetricsHandle) -> Self {
-        let cap = initial_capacity.max(16);
-        let mut inner = builder.build_default(cap);
+        Self::construct(builder, initial_capacity, 0, metrics)
+    }
+
+    fn construct(builder: B, initial_capacity: usize, len: usize, metrics: MetricsHandle) -> Self {
+        let floor = initial_capacity.max(16);
+        let mut inner = builder.build_default(doubled_to_fit(floor, len));
         inner.set_metrics(metrics.clone());
         Self {
             builder,
             inner,
             ids: IdAllocator::new(),
-            min_capacity: cap,
+            min_capacity: floor,
             stats: GrowableStats::default(),
             retired_moves: 0,
             epoch: 0,
@@ -299,10 +313,7 @@ impl<B: LabelingBuilder> Growable<B> {
             return (Vec::new(), BulkReport::default());
         }
         if self.len() + count > self.capacity() {
-            let mut cap = self.capacity();
-            while cap < self.len() + count {
-                cap *= 2;
-            }
+            let cap = doubled_to_fit(self.capacity(), self.len() + count);
             self.stats.grows += 1;
             let handles = self.rebuild_merged(cap, rank, count);
             return (handles, BulkReport::default());
@@ -357,11 +368,7 @@ impl<B: LabelingBuilder> Growable<B> {
             );
         }
         let Some(max_index) = max_index else { return };
-        let mut cap = self.capacity();
-        while cap < handles.len() {
-            cap *= 2;
-        }
-        self.rebuild_with_order(cap, handles);
+        self.rebuild_with_order(doubled_to_fit(self.capacity(), handles.len()), handles);
         self.ids.skip_through(max_index as u32);
     }
 
@@ -397,6 +404,15 @@ impl<B: LabelingBuilder> Growable<B> {
     pub fn total_moves(&self) -> u64 {
         self.retired_moves + self.inner.slots().lifetime_moves()
     }
+}
+
+/// `capacity` doubled until `len` fits: the capacity every growth that
+/// lands many elements at once sizes its structure to.
+fn doubled_to_fit(mut capacity: usize, len: usize) -> usize {
+    while capacity < len {
+        capacity *= 2;
+    }
+    capacity
 }
 
 /// A convenience: run an op sequence through a growable list, verifying
@@ -536,6 +552,32 @@ mod tests {
         );
         // The bulk path is a true one-pass load: ~1 move per element.
         assert!(bulk.total_moves() <= 2 * n as u64, "bulk load not O(n): {}", bulk.total_moves());
+    }
+
+    #[test]
+    fn room_for_a_bulk_load_builds_its_structure_once() {
+        let n = 1500;
+        let mut grown = Growable::new(ClassicBuilder, 64);
+        let (_, rep) = grown.bulk_load(n);
+        assert_eq!(rep.cost(), 0, "a growth splice reports through the epoch");
+        let mut roomy = Growable::with_room_for(ClassicBuilder, 64, n);
+        assert_eq!(roomy.capacity(), 2048, "64 doubled until 1,500 fits");
+        let (handles, rep) = roomy.bulk_load(n);
+        assert_eq!((roomy.epoch(), roomy.stats().grows), (0, 0), "the load landed in place");
+        assert_eq!(rep.cost(), n as u64, "one placement per element");
+        assert_eq!(roomy.iter().collect::<Vec<_>>(), handles);
+        // The same layout and moves as the load that grew a new list.
+        assert_eq!(roomy.capacity(), grown.capacity());
+        assert_eq!(roomy.total_moves(), grown.total_moves());
+        let slots = |g: &Growable<ClassicBuilder>| -> Vec<usize> {
+            g.inner().slots().iter_occupied().map(|(pos, _)| pos).collect()
+        };
+        assert_eq!(slots(&roomy), slots(&grown));
+        // The shrink floor is still the initial capacity.
+        while roomy.len() > 1 {
+            roomy.delete(0);
+        }
+        assert_eq!(roomy.capacity(), 64);
     }
 
     #[test]

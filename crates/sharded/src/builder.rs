@@ -65,23 +65,34 @@ impl ShardedBuilder {
     /// The most entries a shard holds below the shard-count ceiling:
     /// a new key for a shard this full splits the shard before it lands,
     /// and a sorted batch that overfills a shard splits it afterwards (see
-    /// [`ShardPolicy::max_shard_len`]). Clamped at build time to ≥ 2.
+    /// [`ShardPolicy::max_shard_len`]). A shard taking an ascending run of
+    /// point inserts splits at `max(len / 4, 4 · min_shard_len)` instead
+    /// while the map has fewer than `max_shards / 2` shards (see
+    /// [`ShardPolicy`]). Clamped at build time to ≥ 2.
+    ///
+    /// Smaller shards make Corollary 11's inserts on ascending runs
+    /// cheaper and cost memory: on the ladder, 2,048 and 1,024 cut the
+    /// clustered insert mean by 15% and 25% against 4,096, and raised
+    /// `rss_bytes_per_entry` by 1.1% and 4.3% (see `docs/sharding.md`).
     pub fn max_shard_len(mut self, len: usize) -> Self {
         self.max_shard_len = len;
         self
     }
 
     /// Merge a shard into a neighbor once it falls below this many
-    /// entries. Clamped at build time to `max_shard_len / 4` so split
-    /// halves are never immediately merge-eligible (maintenance always
-    /// terminates; see [`ShardPolicy`]).
+    /// entries; also the length an ascending run must reach before its
+    /// shard splits early, if at least `max_shard_len / 16`. Clamped at
+    /// build time to `max_shard_len / 4` so
+    /// split halves are never immediately merge-eligible (maintenance
+    /// always terminates; see [`ShardPolicy`]).
     pub fn min_shard_len(mut self, len: usize) -> Self {
         self.min_shard_len = len;
         self
     }
 
     /// Hard ceiling on the shard count, clamped at build time to ≥ 1. Past
-    /// it, shards grow beyond `max_shard_len` rather than split.
+    /// it, shards grow beyond `max_shard_len` rather than split. Early
+    /// splits of shards taking ascending runs stop at half of it.
     pub fn max_shards(mut self, n: usize) -> Self {
         self.max_shards = n;
         self

@@ -105,16 +105,23 @@ impl<K: Ord, V> Shard<K, V> {
 ///
 /// Invariants every map's policy keeps (the builder and a snapshot restore
 /// both clamp to them): `min_shard_len <= max_shard_len / 4`, so a freshly
-/// split half (`>= max/2`) is never immediately merge-eligible and a
-/// freshly merged shard (`<= max`) is never immediately split-eligible —
-/// maintenance always terminates.
+/// split half (`>= max/2`, or `>= 2·min` after an early split) is never
+/// immediately merge-eligible and a freshly merged shard (`<= max`) is
+/// never immediately split-eligible — maintenance always terminates.
+///
+/// A shard taking an ascending run of point inserts splits early: once
+/// the run ([`LabelMap::ascending_run`]) reaches `max(min_shard_len,
+/// max_shard_len / 16)`, and while the map has fewer than `max_shards / 2`
+/// shards, at `max(max_shard_len / 4, 4 · min_shard_len)` entries.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPolicy {
     /// The most entries a shard holds while the shard count is below
     /// [`max_shards`](Self::max_shards). A point insert of a new key into
-    /// a shard this full splits the shard first and lands in a half. A
-    /// sorted batch ([`ShardedMap::extend_sorted`]) lands first and splits
-    /// any shard it took past this length afterwards.
+    /// a shard this full splits the shard first and lands in a half; a
+    /// shard taking an ascending run splits at a quarter of this length
+    /// (see above). A sorted batch
+    /// ([`ShardedMap::extend_sorted`]) lands first and splits any shard it
+    /// took past this length afterwards.
     pub max_shard_len: usize,
     /// Merge a shard into a neighbor once it falls below this many entries
     /// (if the combined shard stays within
@@ -134,6 +141,31 @@ impl ShardPolicy {
             max_shard_len,
             min_shard_len: min_shard_len.min(max_shard_len / 4),
             max_shards: max_shards.max(1),
+        }
+    }
+
+    /// The length at which a point insert of a new key splits a shard
+    /// first, for a shard whose map is taking an ascending run of `run`
+    /// insertions ([`LabelMap::ascending_run`]) in a map of `shards`
+    /// shards. Normally [`max_shard_len`](Self::max_shard_len). While the
+    /// map has fewer than `max_shards / 2` shards, a run of a quarter of
+    /// `early = max(max_shard_len / 4, 4 · min_shard_len)` (that is,
+    /// `min_shard_len` unless it is below `max_shard_len / 16`, and at
+    /// least 2) makes it `early` instead: the run then rebalances in a
+    /// domain a quarter the size, where each insert costs less on the
+    /// layered backend. Both halves of such a split hold at least
+    /// `2 · min_shard_len` entries, so no merge undoes it, and the
+    /// shard-count gate leaves half the ceiling to ordinary splits. The
+    /// run must be long even when `min_shard_len` is tiny: random keys
+    /// land at consecutive ranks now and then, and at `max_shard_len` 256
+    /// with a run of 2 enough, 157 of 195 splits of 20,000 random inserts
+    /// came early.
+    pub(crate) fn split_len(&self, run: usize, shards: usize) -> usize {
+        let early = (self.max_shard_len / 4).max(4 * self.min_shard_len);
+        if run >= (early / 4).max(2) && shards < self.max_shards / 2 {
+            early
+        } else {
+            self.max_shard_len
         }
     }
 }
@@ -328,8 +360,7 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     fn shard_from_sorted(&self, run: Vec<(K, V)>) -> Arc<Shard<K, V>> {
         let seq = self.shard_seq.fetch_add(1, Ordering::Relaxed);
         let seed = derive_seed(self.builder.config().seed, seq);
-        let mut map = self.builder.clone().seed(seed).label_map();
-        map.extend_sorted(run);
+        let map = self.builder.clone().seed(seed).label_map_from_sorted(run);
         Arc::new(Shard { obs: ShardObs::default(), map: ShardLock::new(Some(map)) })
     }
 
@@ -376,8 +407,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
     /// `max_shard_len` entries splits the shard first, under the
     /// maintenance mutex and with no shard lock held, then lands in its
     /// half: the full shard is never grown only to be dropped by the
-    /// split. At the shard-count ceiling a full shard simply keeps growing
-    /// (documented degradation).
+    /// split. A shard taking an ascending run splits at a quarter of that
+    /// length (see [`ShardPolicy`]). At the shard-count ceiling a full
+    /// shard simply keeps growing (documented degradation).
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         let u = &mut Unlocked::claim();
         // Only the attempt that lands the entry takes it, and that attempt
@@ -390,8 +422,9 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
                 let shard = &dir.shards[dir.locate(key)];
                 shard.wlock(u, |m| {
                     let (key, _) = kv.as_ref().expect("a landed entry ends the loop");
-                    if m.len() >= self.policy.max_shard_len
-                        && dir.shards.len() < self.policy.max_shards
+                    let shards = dir.shards.len();
+                    if m.len() >= self.policy.split_len(m.ascending_run(), shards)
+                        && shards < self.policy.max_shards
                         && !m.contains_key(key)
                     {
                         return None;
@@ -804,13 +837,14 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Split shard `i` at its median rank if it holds at least
-    /// `max_shard_len` entries: under its exclusive lock, take its map,
+    /// Split shard `i` at its median rank if it holds at least its split
+    /// length ([`ShardPolicy::split_len`]): under its exclusive lock, take its map,
     /// drain it (one label walk — a pure read, no backend deletes),
     /// bulk-load both halves into new shards and build the successor
     /// directory that carries them; then, with the lock released, publish
     /// that directory. Counts and traces the split. Does nothing if a
-    /// concurrent writer shrank the shard below the limit first.
+    /// concurrent writer shrank the shard below that length, or ended its
+    /// run, first.
     ///
     /// Ordering is load-bearing: the old shard's map is taken (and its
     /// lock released) *before* the publication, so a reader of the old
@@ -819,9 +853,10 @@ impl<K: Ord + Clone, V> ShardedMap<K, V> {
         let old = &dir.shards[i];
         let (next, entries) = {
             let mut g = old.map.write(maint);
-            let Some(old_map) = g.take_if(|m| m.len() >= self.policy.max_shard_len) else {
-                return;
+            let due = |m: &mut LabelMap<K, V>| {
+                m.len() >= self.policy.split_len(m.ascending_run(), dir.shards.len())
             };
+            let Some(old_map) = g.take_if(due) else { return };
             self.retired_moves.fetch_add(old_map.total_moves(), Ordering::Relaxed);
             let mut lower = old_map.into_sorted_vec();
             let entries = lower.len() as u64;
@@ -1063,8 +1098,10 @@ fn exact_chunks<T>(entries: Vec<T>, per_shard: usize) -> Vec<Vec<T>> {
 
 #[cfg(test)]
 mod tests {
+    use super::ShardedMap;
     use crate::lock_order::Unlocked;
     use crate::ShardedBuilder;
+    use lll_obs::TraceKind;
     use std::collections::BTreeMap;
 
     fn tiny() -> ShardedBuilder {
@@ -1453,56 +1490,222 @@ mod tests {
         assert_eq!(super::exact_chunks(Vec::<u32>::new(), 8), [Vec::<u32>::new()]);
     }
 
+    /// The entry count of each shard a split took, oldest first, with the
+    /// shard count the split left: the trace ring's `Split` events.
+    fn splits<K: Ord + Clone, V>(map: &ShardedMap<K, V>) -> Vec<(u64, u64)> {
+        let events = map.trace().snapshot();
+        let splits = events.iter().filter(|e| e.kind == TraceKind::Split);
+        let splits: Vec<(u64, u64)> = splits.map(|e| (e.c, e.b)).collect();
+        assert_eq!(splits.len() as u64, map.stats().splits, "the ring kept every split");
+        splits
+    }
+
+    /// Insert `keys` into `map` and `model`, checking every result, and
+    /// check after each insert that no shard holds more than `most`
+    /// entries or has grown past capacity `most`.
+    fn insert_all(
+        map: &ShardedMap<u64, u64>,
+        model: &mut BTreeMap<u64, u64>,
+        keys: impl IntoIterator<Item = u64>,
+        most: usize,
+    ) {
+        for k in keys {
+            assert_eq!(map.insert(k, k), model.insert(k, k), "insert({k})");
+            let stats = map.stats();
+            assert!(stats.max_shard_len() <= most, "a shard passed {most} at {k}");
+            assert!(
+                stats.shard_capacities.iter().all(|&c| c <= most),
+                "a shard grew past capacity {most} at {k}: {:?}",
+                stats.shard_capacities
+            );
+        }
+    }
+
     #[test]
     fn a_full_shard_splits_before_the_insert_that_would_grow_it() {
         use lll_api::Backend;
         const MAX: usize = 256;
+        const TOP: u64 = 3000;
         for backend in [Backend::Classic, Backend::Corollary11] {
             let map = ShardedBuilder::new()
                 .backend(backend)
                 .max_shard_len(MAX)
                 .min_shard_len(16)
                 .build::<u64, u64>();
+            // Descending keys: no ascending run, so no split comes early.
             // Shards start at capacity 64 and double: MAX entries need 256.
-            let need = MAX;
             let mut model = BTreeMap::new();
-            for k in 0..MAX as u64 {
-                assert_eq!(map.insert(k, k), model.insert(k, k));
-            }
+            insert_all(&map, &mut model, (TOP - MAX as u64..TOP).rev(), MAX);
             // Overwriting a key of a full shard adds no entry: no split.
-            assert_eq!(map.insert(5, 50), model.insert(5, 50));
+            assert_eq!(map.insert(TOP - 5, 50), model.insert(TOP - 5, 50));
             assert_eq!((map.shard_count(), map.stats().splits), (1, 0), "{backend}");
-            for k in MAX as u64..3000 {
-                assert_eq!(map.insert(k, k), model.insert(k, k), "{backend}: insert({k})");
-                let stats = map.stats();
-                assert!(stats.max_shard_len() <= MAX, "{backend}: a shard passed {MAX} at {k}");
-                assert!(
-                    stats.shard_capacities.iter().all(|&c| c <= need),
-                    "{backend}: a shard grew past capacity {need} at {k}: {:?}",
-                    stats.shard_capacities
-                );
-            }
+            insert_all(&map, &mut model, (0..TOP - MAX as u64).rev(), MAX);
             map.check_invariants();
             assert_eq!(map.to_vec(), model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
             // Every split took a shard at exactly MAX entries, not one grown
             // past it.
-            let splits: Vec<u64> = map
-                .trace()
-                .snapshot()
-                .iter()
-                .filter(|e| e.kind == lll_obs::TraceKind::Split)
-                .map(|e| e.c)
-                .collect();
-            assert_eq!(splits.len() as u64, map.stats().splits);
-            assert!(splits.len() > 10 && splits.iter().all(|&c| c == MAX as u64), "{splits:?}");
+            let splits = splits(&map);
+            assert!(
+                splits.len() > 10 && splits.iter().all(|&(c, _)| c == MAX as u64),
+                "{splits:?}"
+            );
         }
+    }
+
+    #[test]
+    fn a_shard_taking_an_ascending_run_splits_at_a_quarter_of_max_shard_len() {
+        use lll_api::Backend;
+        const MIN: usize = 16;
+        const EARLY: usize = 64;
+        for backend in [Backend::Classic, Backend::Corollary11] {
+            let map = ShardedBuilder::new()
+                .backend(backend)
+                .max_shard_len(256)
+                .min_shard_len(MIN)
+                .build::<u64, u64>();
+            assert_eq!(map.policy().split_len(MIN, 1), EARLY, "max(256 / 4, 4 · 16)");
+            // Each split takes the receiving shard at 64 entries, so no
+            // shard outgrows its first capacity of 64.
+            let mut model = BTreeMap::new();
+            for k in 0..3000 {
+                insert_all(&map, &mut model, [k], EARLY);
+                // Both halves of an early split hold at least 2 · MIN.
+                let stats = map.stats();
+                assert!(stats.shards == 1 || stats.min_shard_len() >= 2 * MIN, "at {k}");
+            }
+            map.check_invariants();
+            assert_eq!(map.to_vec(), model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+            let splits = splits(&map);
+            assert!(
+                splits.len() > 10 && splits.iter().all(|&(c, _)| c == EARLY as u64),
+                "{splits:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_other_insert_order_shortens_the_split_length() {
+        const MAX: usize = 256;
+        let build = || ShardedBuilder::new().max_shard_len(MAX).min_shard_len(16).seed(3);
+        let every_split_at_max = |map: &ShardedMap<u64, u64>, what: &str| {
+            let splits = splits(map);
+            assert!(!splits.is_empty(), "{what}: no split");
+            assert!(splits.iter().all(|&(c, _)| c == MAX as u64), "{what}: {splits:?}");
+        };
+        // Descending runs, at descending anchors.
+        let map = build().build();
+        let mut model = BTreeMap::new();
+        for anchor in (0..6).rev() {
+            insert_all(&map, &mut model, (anchor * 1000..anchor * 1000 + 200).rev(), MAX);
+        }
+        every_split_at_max(&map, "descending runs");
+        // Random keys, also under a policy whose `min_shard_len` is too
+        // small to mark a run as long.
+        for min in [16, 1] {
+            let map = build().min_shard_len(min).build();
+            let mut model = BTreeMap::new();
+            let mut x = 7u64;
+            let keys = std::iter::repeat_with(|| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x >> 1
+            });
+            insert_all(&map, &mut model, keys.take(3000), MAX);
+            every_split_at_max(&map, &format!("random keys, min_shard_len {min}"));
+        }
+        // Two writers' ascending runs interleaved on one shard: no insert
+        // lands directly after the one before it, so the shard splits at
+        // MAX. The split parts the writers, and each half then takes a
+        // run of its own.
+        let map = build().build();
+        let mut model = BTreeMap::new();
+        insert_all(&map, &mut model, (0..128).flat_map(|i| [i, 100_000 + i]), MAX);
+        assert_eq!(map.stats().splits, 0, "interleaved runs split early");
+        insert_all(&map, &mut model, [128], MAX);
+        assert_eq!(splits(&map), [(MAX as u64, 2)], "interleaved runs");
+        // A run long enough to split its shard of 64 early, ended by a
+        // removal or by a sorted batch: the shard does not split until a
+        // new run reaches 16.
+        for end in ["removal", "batch"] {
+            let map = build().build();
+            let mut model = BTreeMap::new();
+            insert_all(&map, &mut model, 0..64, MAX);
+            match end {
+                "removal" => assert_eq!(map.remove(&0), model.remove(&0)),
+                _ => {
+                    assert_eq!(map.extend_sorted(vec![(1000, 1000)]), 1);
+                    model.insert(1000, 1000);
+                }
+            }
+            insert_all(&map, &mut model, 64..80, MAX);
+            assert_eq!(map.stats().splits, 0, "{end} ended the run, yet the shard split");
+            insert_all(&map, &mut model, [80], MAX);
+            assert_eq!(splits(&map), [(model.len() as u64 - 1, 2)], "{end}: a new run");
+        }
+    }
+
+    #[test]
+    fn early_splits_stop_at_half_the_shard_ceiling() {
+        const MAX_SHARDS: u64 = 32;
+        let map = ShardedBuilder::new()
+            .max_shard_len(256)
+            .min_shard_len(16)
+            .max_shards(MAX_SHARDS as usize)
+            .build::<u64, u64>();
+        let mut model = BTreeMap::new();
+        // Ascending runs of 200 at spread anchors: early splits until the
+        // map holds 16 shards, then splits at 256.
+        for anchor in 0..6 {
+            insert_all(&map, &mut model, anchor * 1000..anchor * 1000 + 200, 256);
+        }
+        let splits = splits(&map);
+        for &(c, shards) in &splits {
+            let before = shards - 1;
+            let early = c == 64 && before < MAX_SHARDS / 2;
+            assert!(c == 256 || early, "a shard of {c} split among {before}: {splits:?}");
+        }
+        assert!(splits.iter().any(|&(c, _)| c == 64), "no early split: {splits:?}");
+        assert!(splits.iter().any(|&(c, s)| c == 256 && s > MAX_SHARDS / 2), "{splits:?}");
+        map.check_invariants();
+        assert_eq!(map.to_vec(), model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
     fn splits_and_merges_build_only_the_shards_they_keep() {
         // A split builds its two halves and a merge no shard at all: the
         // drained shard gives up its map rather than swap in a new one.
+        // Descending keys take no ascending run.
         let map = ShardedBuilder::new().max_shard_len(256).min_shard_len(16).build::<u64, u64>();
+        let builds = |capacity| -> u64 {
+            let sizes = map.builder.template_sizes();
+            let sizes = sizes.iter().filter(|s| s.capacity == capacity);
+            sizes.map(|s| s.fresh_builds + s.cloned_builds).sum()
+        };
+        for k in (0..5000).rev() {
+            map.insert(k, k);
+        }
+        let stats = map.stats();
+        assert_eq!((stats.splits, stats.merges), (38, 0));
+        // The first shard, empty at 64; then two halves per split, each
+        // built once at its 128 entries; the lowest shard, which takes the
+        // descending inserts, grows on to 256.
+        assert_eq!([builds(64), builds(128), builds(256)], [1, 77, 39]);
+        for k in 0..4800 {
+            map.remove(&k);
+        }
+        let stats = map.stats();
+        assert_eq!((stats.splits, stats.merges), (38, 37));
+        // Each drained shard shrinks to 128 and then 64; the merge grows it
+        // back to 256.
+        assert_eq!([builds(64), builds(128), builds(256)], [38, 114, 76]);
+        map.check_invariants();
+        assert_eq!(map.to_vec(), (4800..5000).map(|k| (k, k)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn early_splits_build_only_the_shards_they_keep() {
+        // max(1024 / 4, 4 · 64): a run splits its shard at 256, into
+        // halves of 128, each built once at capacity 128.
+        let map = ShardedBuilder::new().max_shard_len(1024).min_shard_len(64).build::<u64, u64>();
         let builds = |capacity| -> u64 {
             let sizes = map.builder.template_sizes();
             let sizes = sizes.iter().filter(|s| s.capacity == capacity);
@@ -1513,35 +1716,60 @@ mod tests {
         }
         let stats = map.stats();
         assert_eq!((stats.splits, stats.merges), (38, 0));
-        // The first shard, then two halves per split, each built at 64 and
-        // grown to 128 by its bulk load; the last shard, which takes the
-        // ascending inserts, grows on to 256.
-        assert_eq!([builds(64), builds(128), builds(256)], [77, 77, 39]);
+        let splits = splits(&map);
+        assert!(splits.iter().all(|&(c, _)| c == 256), "{splits:?}");
+        // The first shard, empty at 64; two halves per split, each built
+        // at 128; the receiving half grows to 256 before it splits.
+        assert_eq!([builds(64), builds(128), builds(256)], [1, 77, 39]);
         for k in 0..4800 {
             map.remove(&k);
         }
         let stats = map.stats();
         assert_eq!((stats.splits, stats.merges), (38, 37));
-        assert_eq!([builds(64), builds(128), builds(256)], [114, 114, 76]);
+        // Each drained shard shrinks to 128 at 64 entries and merges at 63,
+        // before it would shrink to 64; the merge grows it back to 256.
+        assert_eq!([builds(64), builds(128), builds(256)], [1, 114, 76]);
         map.check_invariants();
         assert_eq!(map.to_vec(), (4800..5000).map(|k| (k, k)).collect::<Vec<_>>());
     }
 
     #[test]
+    fn bulk_loads_splits_and_restores_build_each_shard_once() {
+        // Eight shards of 128 keys, multiples of 3. Keys between them, at
+        // non-consecutive ranks, then fill the first shard to 256, and one
+        // more splits it into two of 128.
+        let map = ShardedBuilder::new()
+            .max_shard_len(256)
+            .min_shard_len(16)
+            .build_from_sorted((0..8 * 128u64).map(|k| (3 * k, k)).collect());
+        for k in (0..128).map(|k| 3 * k + 1).chain([2]) {
+            map.insert(k, k);
+        }
+        assert_eq!((map.shard_count(), map.stats().splits), (9, 1));
+        let mut buf = Vec::new();
+        map.write_snapshot(&mut buf).unwrap();
+        let back = ShardedMap::<u64, u64>::read_snapshot(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.to_vec(), map.to_vec());
+        // Every shard holds more than 64 entries, so a build at the
+        // initial capacity 64 would be one its bulk load threw away.
+        for (what, builder) in [("built", &map.builder), ("restored", &back.builder)] {
+            let sizes = builder.template_sizes();
+            assert!(sizes.iter().all(|s| s.capacity > 64), "{what}: {sizes:?}");
+        }
+        let built: Vec<usize> = map.builder.template_sizes().iter().map(|s| s.capacity).collect();
+        assert_eq!(built, [128, 256], "bulk loads and split halves at 128, a growth to 256");
+    }
+
+    #[test]
     fn shards_share_one_template_store() {
-        // 64 shards of 128 entries: each shard is built empty at capacity
-        // 64, then rebuilt at 128 by its bulk load.
+        // 64 shards of 128 entries, each built once, at capacity 128.
         let map = ShardedBuilder::new()
             .max_shard_len(256)
             .build_from_sorted((0..64 * 128u64).map(|k| (k, k)).collect());
         assert_eq!(map.shard_count(), 64);
-        let sizes = map.builder.template_sizes();
-        assert_eq!(sizes.iter().map(|s| s.capacity).collect::<Vec<_>>(), [64, 128]);
-        for size in sizes {
-            assert_eq!(size.fresh_builds, 2, "{size:?}");
-            assert_eq!(size.fresh_builds + size.cloned_builds, 64, "{size:?}");
-            assert!(size.held, "{size:?}");
-        }
+        let [size] = map.builder.template_sizes()[..] else { panic!("one size built") };
+        assert_eq!(size.capacity, 128);
+        assert_eq!((size.fresh_builds, size.cloned_builds, size.held), (2, 62, true));
         for k in (0..64 * 128).step_by(97) {
             assert_eq!(map.get(&k), Some(k));
         }

@@ -6,7 +6,9 @@
 //!   stripes are disjoint, so each thread's view of its own keys is
 //!   sequentially consistent even under concurrent foreign writes), and the
 //!   final map must equal the union of the models. The policy band is tight
-//!   enough that the run exercises both splits and merges.
+//!   enough that the run splits shards; if the writers' removals merged
+//!   none, a single-threaded drain of the lowest keys makes sure one
+//!   merges.
 //! * `scans_stay_sorted_under_concurrent_writers`: readers stitch range
 //!   scans while writers churn; every stitched scan must be sorted and
 //!   duplicate-free even though it is not an atomic snapshot.
@@ -108,6 +110,18 @@ fn differential_stress(backend: Backend) {
     for part in parts {
         expected.extend(part);
     }
+    // Only a removal that takes a shard across `min_shard_len` merges, and
+    // whether the writers' removals made one depends on how they
+    // interleaved. So this thread drains the lowest keys, each removal
+    // checked against the merged models, until a merge: once the lowest
+    // shard is empty, its neighbor's crossing merges the two.
+    let mut drained = 0;
+    while map.stats().merges == 0 {
+        let Some((&k, _)) = expected.first_key_value() else { break };
+        assert_eq!(map.remove(&k), expected.remove(&k), "drain of {k} on {}", backend.name());
+        drained += 1;
+    }
+    map.check_invariants();
     assert_eq!(map.len(), expected.len(), "{} length diverged", backend.name());
     assert_eq!(
         map.to_vec(),
@@ -139,10 +153,11 @@ fn differential_stress(backend: Backend) {
     assert!(stats.min_shard_len() as f64 <= stats.mean_shard_len());
     assert!(stats.mean_shard_len() <= stats.max_shard_len() as f64);
     // Every striped writer touched every shard's key range: per-shard
-    // write counts must account for all 4 × ops_per_thread mutations.
+    // write counts must account for all 4 × ops_per_thread mutations and
+    // the drain's.
     assert_eq!(
         stats.shard_writes.iter().sum::<u64>(),
-        THREADS * ops_per_thread,
+        THREADS * ops_per_thread + drained,
         "{}: write counts lost under concurrency",
         backend.name()
     );
