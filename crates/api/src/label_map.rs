@@ -9,19 +9,25 @@
 //! ([`ElemId::index`](lll_core::ids::ElemId::index)). Beside the slot
 //! array sits a sparse **fence-key index**, a search index kept next to
 //! the packed-memory array as in De Leo and Boncz's "Packed Memory
-//! Arrays – Rewired" (ICDE 2019): for every group of 32 slots up to the
-//! last element's, a copy of the key of the first element at or after the
-//! group's first slot. An empty group carries its successor's key, so the
-//! fences ascend, and a keyed search is
+//! Arrays – Rewired" (ICDE 2019): for every group of 64 slots (one
+//! occupancy-bitmap word) up to the last element's, a copy of the key of
+//! the first element at or after the group's first slot. An empty group
+//! carries its successor's key, so the fences ascend. A top level holds
+//! every 8th fence, so that each level of a search reads about one cache
+//! line, as in Khuong and Morin's "Array Layouts for Comparison-Based
+//! Searching" (ACM JEA 2017). A keyed search is
 //!
-//! 1. a lower bound over the fences, a contiguous array of a few hundred
-//!    keys per shard, which finds the first group whose fence fails the
+//! 1. a lower bound over the top level (at most 26 keys for a shard of
+//!    4,096 entries), which finds the first top key that fails the
 //!    search. The standard library's `partition_point` steps without a
 //!    data-dependent branch, so an unpredictable compare costs no
 //!    misprediction;
-//! 2. a check, through the slab, of the occupied slots (at most 32) of the
-//!    group just before it, read off one occupancy-bitmap word;
-//! 3. else the first element at or after the failing group.
+//! 2. a count of the passing fences among the at most 7 that lie between
+//!    the last passing top key and the first failing one, one contiguous
+//!    run, which finds the first fence that fails;
+//! 3. a check, through the slab, of the occupied slots (at most 64) of the
+//!    group just before it, read off its bitmap word;
+//! 4. else the first element at or after the failing group.
 //!
 //! No step resolves a rank or hashes. Only an insertion or removal
 //! resolves one rank, for the backend. Range scans walk label to label,
@@ -31,11 +37,13 @@
 //! label table does. Every move's source and destination slot, and a
 //! deletion's slot, mark their groups dirty. Each dirty group is then
 //! refreshed, highest first, with one slab read and one fill that also
-//! covers the empty groups before it. A growth or shrink rebuild bumps the
-//! backend's epoch, and the fences are re-laid in one pass. Keeping copies
-//! of keys is why the map requires `K: Clone` to insert. The index costs
-//! one key per 32 slots (8 B for a `u64` key), where a per-slot key column
-//! would cost one key per slot.
+//! covers the empty groups before it and the top entries among them. A
+//! growth or shrink rebuild bumps the backend's epoch, and a bulk load
+//! into an empty map fills every group; both re-lay the two levels in one
+//! pass. Keeping copies of keys is why the map requires `K: Clone` to
+//! insert. The index costs one key per 64 slots plus one per 512 (about
+//! 9 B per 64 slots for a `u64` key), where a per-slot key column would
+//! cost one key per slot.
 
 use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::MapCursor;
@@ -48,12 +56,12 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::ops::{Bound, RangeBounds};
 
-/// Slots per fence-key group. A divisor of 64, so a group's occupancy is
-/// one aligned part of one bitmap word.
-const GROUP: usize = 32;
-const _: () = assert!(64 % GROUP == 0 && GROUP < 64);
-/// The low `GROUP` bits of a word.
-const GROUP_BITS: u64 = (1 << GROUP) - 1;
+/// Slots per fence-key group: one occupancy-bitmap word, so group `g`'s
+/// occupied slots are the set bits of `word(g)`.
+const GROUP: usize = 64;
+/// Fences per top-level key: the top level holds fences `0, 8, 16, …`, so
+/// a search counts at most 7 fences past it, 56 bytes for 8-byte keys.
+const STRIDE: usize = 8;
 
 /// A dynamically sized sorted map with `BTreeMap`-shaped point operations
 /// and PMA-backed range scans.
@@ -74,7 +82,7 @@ const GROUP_BITS: u64 = (1 << GROUP) - 1;
 ///
 /// Reads (lookups, bounds, ranges, iteration, cursors) work for any
 /// `K: Ord`. Building and changing a map also needs `K: Clone`: its
-/// search index keeps a copy of one key per 32 slots (see the
+/// search index keeps a copy of one key per 64 slots (see the
 /// [module docs](crate::label_map)). `ShardedMap` asks the same of its keys.
 ///
 /// The fields keep their declaration order (`repr(C)`): first the three a
@@ -116,11 +124,14 @@ impl AscendingRun {
 
 /// The fence-key index of a [`LabelMap`]: `keys[g]` is a copy of the key
 /// of the first element at or after slot `GROUP * g`, for every group `g`
-/// up to the last element's. Between operations it is exact; an operation
-/// marks the groups its moves touched and refreshes them before it
-/// returns.
+/// up to the last element's, and `top[t]` is a copy of `keys[STRIDE * t]`.
+/// Between operations it is exact; an operation marks the groups its
+/// moves touched and refreshes them before it returns.
 struct Fences<K> {
     keys: Vec<K>,
+    /// The top level: every `STRIDE`-th fence, `keys.len().div_ceil(STRIDE)`
+    /// of them.
+    top: Vec<K>,
     /// Groups marked since the last refresh, one bit each, sized for the
     /// slot array of the current epoch.
     dirty: Vec<u64>,
@@ -135,10 +146,28 @@ fn key_at<'a, K, V>(slots: &SlotArray, slab: &'a [Option<(K, V)>], label: usize)
     &slab[h.index()].as_ref().expect("slab entry for live element").0
 }
 
+impl<K> Fences<K> {
+    /// The first fence that fails `before`, or the fence count if every
+    /// fence passes; the keys that pass must be a prefix of the key order.
+    /// A lower bound over the top level, then a count of the passing
+    /// fences in the one run of at most `STRIDE - 1` between the last
+    /// passing top key and the first failing one.
+    #[inline]
+    fn partition_point(&self, mut before: impl FnMut(&K) -> bool) -> usize {
+        let t = self.top.partition_point(&mut before);
+        t.checked_sub(1).map_or(0, |t| {
+            let first = STRIDE * t + 1;
+            let run = &self.keys[first..self.keys.len().min(first + STRIDE - 1)];
+            first + run.iter().map(|k| usize::from(before(k))).sum::<usize>()
+        })
+    }
+}
+
 impl<K: Clone> Fences<K> {
     /// An index for an empty slot array of `slots` positions.
     fn new(slots: usize) -> Self {
-        Self { keys: Vec::new(), dirty: vec![0; slots.div_ceil(GROUP).div_ceil(64)], lo: 1, hi: 0 }
+        let dirty = vec![0; slots.div_ceil(GROUP).div_ceil(64)];
+        Self { keys: Vec::new(), top: Vec::new(), dirty, lo: 1, hi: 0 }
     }
 
     /// Mark the group of slot `pos`.
@@ -181,11 +210,11 @@ impl<K: Clone> Fences<K> {
     }
 
     /// Recompute the fence of group `g` and of the empty groups just
-    /// before it, with one slab read and one fill; if no element sits at
-    /// or after the group, end the fences at the last element's group.
-    /// Returns the first group the fill covered. The fill clones with
-    /// `clone_from`, so a key that owns a buffer (a `String`) reuses the
-    /// fence's.
+    /// before it, and the top keys among them, with one slab read and one
+    /// fill; if no element sits at or after the group, end the fences at
+    /// the last element's group. Returns the first group the fill covered.
+    /// The fill clones with `clone_from`, so a key that owns a buffer (a
+    /// `String`) reuses the fence's.
     fn refresh_group<V>(&mut self, g: usize, slots: &SlotArray, slab: &[Option<(K, V)>]) -> usize {
         let start = g * GROUP;
         let run = start
@@ -197,28 +226,43 @@ impl<K: Clone> Fences<K> {
                 let key = key_at(slots, slab, p);
                 if self.keys.len() <= g {
                     self.keys.resize(g + 1, key.clone());
+                    self.top.resize((g + 1).div_ceil(STRIDE), key.clone());
                 }
-                for fence in &mut self.keys[run..=g] {
+                let fences = self.keys[run..=g].iter_mut();
+                let tops = self.top[run.div_ceil(STRIDE)..=g / STRIDE].iter_mut();
+                for fence in fences.chain(tops) {
                     fence.clone_from(key);
                 }
             }
-            None => self.keys.truncate(run),
+            None => {
+                self.keys.truncate(run);
+                self.top.truncate(run.div_ceil(STRIDE));
+            }
         }
         run
     }
 
-    /// Re-lay every fence from the slot array of a new epoch, in buffers
-    /// sized for it: the operations of an epoch then allocate nothing.
+    /// Re-lay both levels from the slot array, in buffers sized for this
+    /// epoch's: the operations of an epoch then allocate nothing. The mark
+    /// bitset is cleared and resized in its own buffer: a fresh one per
+    /// re-lay placed the heap so that a bulk-loaded `ShardedMap` held
+    /// about 2.5 B per entry more.
     fn relay<V>(&mut self, slots: &SlotArray, slab: &[Option<(K, V)>]) {
         let groups = slots.num_slots().div_ceil(GROUP);
-        *self = Self::new(slots.num_slots());
-        self.keys.reserve_exact(groups);
+        let words = groups.div_ceil(64);
+        self.dirty.clear();
+        self.dirty.reserve_exact(words);
+        self.dirty.resize(words, 0);
+        (self.lo, self.hi) = (1, 0);
+        self.keys = Vec::with_capacity(groups);
+        self.top = Vec::with_capacity(groups.div_ceil(STRIDE));
         let mut g = 0;
         while let Some(p) = slots.next_occupied_at_or_after(g * GROUP) {
             let pg = p / GROUP;
             self.keys.resize(pg + 1, key_at(slots, slab, p).clone());
             g = pg + 1;
         }
+        self.top.extend(self.keys.iter().step_by(STRIDE).cloned());
     }
 }
 
@@ -348,34 +392,35 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// every key passes; the keys that pass must be a prefix of the key
     /// order. A search of the fence-key index (see the module docs):
     ///
-    /// 1. a lower bound over the fences finds `g`, the first group whose
-    ///    fence fails;
+    /// 1. a lower bound over the top level, then a count over at most 7
+    ///    fences, finds `g`, the first group whose fence fails;
     /// 2. group `g - 1`'s fence passes, so the group holds an element, and
     ///    the answer is its first element that fails, if any. Its occupied
-    ///    slots come off one bitmap word and their keys through the slab;
-    ///    the first of them is the fence itself, so it is skipped;
+    ///    slots are the set bits of its bitmap word and their keys come
+    ///    through the slab; the first of them is the fence itself, so it is
+    ///    skipped;
     /// 3. else the answer is the first element at or after group `g`,
     ///    whose key is fence `g`, or `None` past the last fence.
     ///
-    /// About log₂(slots / 32) + 1 fence compares and at most 31 in-group
-    /// compares, with no rank resolution and no scan-word accounting.
+    /// About log₂(slots / 512) + 1 top-level compares, 7 fence compares
+    /// (fewer in the last run) and at most 63 in-group compares, with no
+    /// rank resolution and no scan-word accounting.
     fn partition_label(&self, mut before: impl FnMut(&K) -> bool) -> Option<usize> {
-        let fences = &self.fences.keys;
-        let g = fences.partition_point(&mut before);
+        let g = self.fences.partition_point(&mut before);
+        debug_assert_eq!(g, self.fences.keys.partition_point(&mut before), "two-level search");
         let slots = self.list.slots();
         if let Some(prev) = g.checked_sub(1) {
-            let start = prev * GROUP;
-            let mut occupied = slots.bitmap().word(start / 64) >> (start % 64) & GROUP_BITS;
+            let mut occupied = slots.bitmap().word(prev);
             occupied &= occupied.wrapping_sub(1);
             while occupied != 0 {
-                let p = start + occupied.trailing_zeros() as usize;
+                let p = prev * GROUP + occupied.trailing_zeros() as usize;
                 if !before(key_at(slots, &self.slab, p)) {
                     return Some(p);
                 }
                 occupied &= occupied - 1;
             }
         }
-        if g < fences.len() {
+        if g < self.fences.keys.len() {
             slots.next_occupied_at_or_after(g * GROUP)
         } else {
             None
@@ -771,20 +816,29 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     /// at `succ` (at the end for `None`), as one backend splice.
     fn splice_pending(&mut self, succ: Option<usize>, run: &mut Vec<(K, V)>) {
         let rank = self.rank_of_label(succ);
+        // A load into an empty map fills every group it lands in, so its
+        // fences are re-laid in one pass, as after a rebuild.
+        let relay = self.is_empty();
         let pre_epoch = self.list.epoch();
         let (handles, rep) = self.list.splice_reported(rank, run.len());
         debug_assert_eq!(handles.len(), run.len());
-        // Mark the groups the splice's moves touched, then free its log, 16
-        // bytes a move, before the slab grows. (A splice that rebuilt the
-        // backend logs nothing: its fences are re-laid.)
-        self.fences.mark_moves(&rep.moves);
+        // Unless re-laying, mark the groups the splice's moves touched; then
+        // free its log, 16 bytes a move, before the slab grows. (A splice
+        // that rebuilt the backend logs nothing: its fences are re-laid.)
+        if !relay {
+            self.fences.mark_moves(&rep.moves);
+        }
         drop(rep);
         let slab_len = handles.iter().map(|h| h.index() + 1).max().unwrap_or(0);
         self.slab.reserve(slab_len.saturating_sub(self.slab.len()));
         for (h, kv) in handles.into_iter().zip(run.drain(..)) {
             self.put(h, kv);
         }
-        self.sync_fences(pre_epoch);
+        if relay {
+            self.fences.relay(self.list.slots(), &self.slab);
+        } else {
+            self.sync_fences(pre_epoch);
+        }
     }
 }
 
@@ -1013,8 +1067,9 @@ mod tests {
     /// Recompute every fence from the slot array and the slab, and check
     /// the index against them: one fence per group up to the last
     /// element's, each equal to the key of the first element at or after
-    /// its group, and no group left marked. Returns the longest run of
-    /// empty groups under the fences.
+    /// its group, a top level of every `STRIDE`-th fence, and no group
+    /// left marked. Returns the longest run of empty groups under the
+    /// fences.
     fn check_fences<K: Ord + fmt::Debug, V, L: RawList>(map: &LabelMap<K, V, L>) -> usize {
         let slots = map.list.slots();
         let groups = map.list.last_label().map_or(0, |l| l / GROUP + 1);
@@ -1029,6 +1084,16 @@ mod tests {
             );
             run = if p / GROUP == g { 0 } else { run + 1 };
             longest = longest.max(run);
+        }
+        let top = &map.fences.top;
+        assert_eq!(top.len(), groups.div_ceil(STRIDE), "one top key per {STRIDE} fences");
+        for (t, key) in top.iter().enumerate() {
+            let fence = &map.fences.keys[STRIDE * t];
+            assert!(
+                key.cmp(fence).is_eq(),
+                "top key {t} is {key:?}, fence {} {fence:?}",
+                STRIDE * t
+            );
         }
         let words = slots.num_slots().div_ceil(GROUP).div_ceil(64);
         assert_eq!(map.fences.dirty.len(), words, "marks sized for this epoch's slot array");
@@ -1187,12 +1252,77 @@ mod tests {
         for backend in Backend::ALL {
             let longest = fences_follow_every_op(backend);
             // Corollary 11's ascending runs leave empty stretches of more
-            // than a hundred groups (166 at this seed), each refilled from
-            // the group after it.
+            // than 64 groups (83 at this seed), each refilled from the
+            // group after it.
             if backend == Backend::Corollary11 {
                 assert!(longest >= 64, "ascending runs left no long empty stretch ({longest})");
             }
         }
+    }
+
+    /// The two-level search against a lower bound over every fence, for
+    /// every fence count from 0 to 80 (so every multiple of `STRIDE` and
+    /// its neighbours), on `u32` and `String` keys, with repeated fences as
+    /// empty groups leave them, and predicates that pass no fence, some
+    /// fences and every fence.
+    #[test]
+    fn two_level_search_matches_partition_point() {
+        fn check<K: Ord + Clone + fmt::Debug>(keys: Vec<K>, probes: &[K]) {
+            let top = keys.iter().step_by(STRIDE).cloned().collect();
+            let fences = Fences { keys, top, dirty: Vec::new(), lo: 1, hi: 0 };
+            for probe in probes {
+                for strict in [true, false] {
+                    let before = |k: &K| if strict { k < probe } else { k <= probe };
+                    assert_eq!(
+                        fences.partition_point(before),
+                        fences.keys.partition_point(before),
+                        "{} fences, probe {probe:?}, strict {strict}",
+                        fences.keys.len()
+                    );
+                }
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x70F);
+        for n in 0..=80 {
+            let mut keys = Vec::with_capacity(n);
+            let mut key = 10u32;
+            for _ in 0..n {
+                keys.push(key);
+                key += 2 * rng.gen_range(0..3u32);
+            }
+            // From below every fence to above every fence, between and on.
+            let probes: Vec<u32> = (0..=key + 1).collect();
+            let text = |k: &u32| format!("{k:05}");
+            check(keys.iter().map(text).collect(), &probes.iter().map(text).collect::<Vec<_>>());
+            check(keys, &probes);
+        }
+    }
+
+    /// A search that lands in the last group of a slot array whose length
+    /// is not a multiple of 64 reads that group's bitmap word, whose bits
+    /// past the end are clear: no slot past the end is taken for an
+    /// element.
+    #[test]
+    fn searches_in_a_partial_last_group_stay_in_the_array() {
+        const N: u32 = 2048;
+        let builder = ListBuilder::new().backend(Backend::Corollary11).seed(3);
+        let map = builder.label_map_from_sorted((0..N).map(|k| (2 * k, k)).collect());
+        check_fences(&map);
+        let slots = map.backend().slots();
+        assert_eq!(slots.num_slots(), 6442, "Corollary 11 at capacity {N}");
+        let g = slots.num_slots() / GROUP;
+        let word = slots.bitmap().word(g);
+        assert_eq!(word >> (slots.num_slots() % GROUP), 0, "no bit past the end");
+        assert!(word.count_ones() > 1, "the last group holds {} elements", word.count_ones());
+        for label in (g * GROUP..slots.num_slots()).filter(|&l| slots.is_occupied(l)) {
+            let (&k, &v) = map.entry_at(label);
+            assert_eq!(map.get(&k), Some(&v));
+            assert_eq!(map.lower_bound_label(&k), Some(label));
+            assert_eq!(map.lower_bound_label(&(k + 1)), map.upper_bound_label(&k), "after {k}");
+            assert_eq!(map.get(&(k + 1)), None);
+        }
+        assert_eq!(map.lower_bound_label(&(2 * N - 2)), map.backend().last_label());
+        assert_eq!(map.upper_bound_label(&(2 * N - 2)), None, "past the last key");
     }
 
     #[test]
@@ -1397,8 +1527,9 @@ mod tests {
             offset_of!(M, list) + size_of::<ErasedList>(),
             offset_of!(M, slab) + size_of::<Vec<Option<(u64, [u8; 32])>>>(),
             offset_of!(M, fences) + offset_of!(Fences<u64>, keys) + size_of::<Vec<u64>>(),
+            offset_of!(M, fences) + offset_of!(Fences<u64>, top) + size_of::<Vec<u64>>(),
         ];
-        let read_fields_end = read_fields_end.into_iter().max().expect("three fields");
+        let read_fields_end = read_fields_end.into_iter().max().expect("four fields");
         assert!(
             offset_of!(M, run) >= read_fields_end + 64,
             "the run counter at byte {} is within a cache line of the read fields, which end \

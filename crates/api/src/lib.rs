@@ -16,7 +16,8 @@
 //!   `remove` / `range` / `iter`, with `BTreeMap`-style borrowed-key
 //!   lookups) that keeps keys physically sorted in one slot array, so
 //!   range scans are contiguous memory sweeps, and finds keys through a
-//!   fence-key index of one key per 32 slots. Sorted ingest takes the
+//!   two-level fence-key index: one key per 64 slots, and a top level of
+//!   every 8th of those. Sorted ingest takes the
 //!   O(n) bulk path: [`LabelMap::from_sorted_iter`] and sorted
 //!   [`extend`](Extend::extend) merge runs in evenly-spread sweeps instead
 //!   of point insertions.

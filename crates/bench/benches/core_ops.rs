@@ -12,6 +12,13 @@
 //! Corollary 11 build clones a template of the empty structure. The `kernels` rows time the occupancy bitmap's rank and
 //! select kernels themselves, in ns per call, on a bitmap the size of one
 //! 4,096-capacity shard's physical array at 30%, 60% and 90% density.
+//! The `shard_gets` rows time keyed lookups at shard scale, per backend:
+//! `LabelMap<u64, [u8; 32]>::get` of live keys, in random map order,
+//! over 128 maps of 2,048 keys each grown to capacity 4,096 (a
+//! `ShardedMap` shard's size, so each search runs over one shard's
+//! fence-key index), in ns per get, beside a `BTreeMap` holding every
+//! key, on the same queries. The gets run back to back, so the misses of
+//! one overlap the next: a throughput figure, not one get's latency.
 //! Results are printed as JSON and — in full mode — written to
 //! `BENCH_core_ops.json` at the repo root, which is committed so
 //! subsequent PRs have a perf baseline to diff against.
@@ -20,11 +27,12 @@
 //!
 //! * full (default): `cargo bench -p lll-bench --bench core_ops`
 //!   — n = 2^20 for the PMA-skeleton backends, 2^17 for the layered
-//!   embeddings, 2^16 calls per kernel timing; writes the JSON file.
+//!   embeddings, 2^16 calls per kernel timing, 2^20 gets per shard-scale
+//!   timing; writes the JSON file.
 //! * smoke (CI): `cargo bench -p lll-bench --bench core_ops -- --smoke`
 //!   — n = 2^14 everywhere, builds at 256 and growth from 128, 2^10
-//!   calls per kernel timing, JSON to stdout only (a liveness check, not
-//!   a measurement).
+//!   calls per kernel timing, 4 shard-sized maps and 2^10 gets, JSON to
+//!   stdout only (a liveness check, not a measurement).
 //! * overhead gate (CI):
 //!   `cargo bench -p lll-bench --bench core_ops -- --overhead-gate`
 //!   — runs *only* the metrics-overhead check: 41 pairs of classic insert
@@ -42,12 +50,13 @@
 //! 97_457 inserts/s at 5.06 moves/op — the O(m)-scan-per-rebalance regime
 //! this bench exists to keep buried.
 
-use lll_api::{Backend, ListBuilder, RawList};
+use lll_api::{Backend, LabelMap, ListBuilder, RawList};
 use lll_bench::report::Json;
 use lll_core::bitmap::Bitmap;
 use lll_core::growable::Growable;
 use lll_core::metrics::ListMetrics;
 use rand::Rng;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Timed builds per backend and row, one seed each.
@@ -177,7 +186,8 @@ fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Json 
 /// Slots of one 4,096-capacity Corollary 11 shard's physical array: the
 /// size of bitmap the stack's rank and select mostly run on.
 const KERNEL_SLOTS: usize = 12_900;
-/// Timed runs per kernel; a row reports their median.
+/// Timed runs per kernel or shard-scale lookup; a row reports their
+/// median.
 const KERNEL_RUNS: usize = 5;
 
 /// Median over [`KERNEL_RUNS`] runs of the ns per call of `kernel`, called
@@ -233,6 +243,67 @@ fn kernel_row(density_pct: u64, calls: usize) -> Json {
         .num("select_near_1_ns", ns_per_call(&near_1, near), 1)
         .num("select_near_20_ns", ns_per_call(&near_20, near), 1)
         .num("select_zero_ns", ns_per_call(&zero_ranks, |k| bits.select_zero(k)), 1)
+}
+
+/// Entries each map of the shard-scale lookup rows holds when it is timed.
+const SHARD_KEYS: usize = 2048;
+/// The capacity each of those maps has grown to: a shard's at the default
+/// `max_shard_len`.
+const SHARD_CAPACITY: usize = 4096;
+/// The value type of the shard-scale maps: the ladder's 32-byte values.
+type Value = [u8; 32];
+
+/// One map of the shard-scale lookup rows and its live keys: point
+/// inserts of random keys until it holds `SHARD_KEYS`, then inserts of
+/// fresh keys alternating with removes of random live ones until it has
+/// grown to `SHARD_CAPACITY`.
+fn shard_map(builder: ListBuilder, rng: &mut impl Rng) -> (LabelMap<u64, Value>, Vec<u64>) {
+    let mut map = builder.label_map();
+    let mut keys = Vec::with_capacity(SHARD_KEYS + 1);
+    while keys.len() < SHARD_KEYS || map.backend().capacity() < SHARD_CAPACITY {
+        let k = rng.gen::<u64>();
+        if map.insert(k, [k as u8; 32]).is_none() {
+            keys.push(k);
+        }
+        if keys.len() > SHARD_KEYS {
+            let gone = keys.swap_remove(rng.gen_range(0..keys.len()));
+            map.remove(&gone).expect("a live key");
+        }
+    }
+    assert_eq!((map.len(), map.backend().capacity()), (SHARD_KEYS, SHARD_CAPACITY));
+    (map, keys)
+}
+
+/// One `shard_gets` row: ns per `get` of a live key of `maps` shard-sized
+/// maps on `backend`, in random map order, and ns per `get` of the same
+/// keys in one `BTreeMap` of every map's entries; each the median over
+/// [`KERNEL_RUNS`] runs of the same `gets` queries.
+fn shard_get_row(backend: Backend, maps: usize, gets: usize) -> Json {
+    let mut rng = lll_core::rng::rng_from_seed(0x5EA4C4);
+    let builder = ListBuilder::new().backend(backend);
+    let shards: Vec<_> =
+        (0..maps as u64).map(|seed| shard_map(builder.clone().seed(seed), &mut rng)).collect();
+    let queries: Vec<(usize, u64)> = (0..gets)
+        .map(|_| {
+            let m = rng.gen_range(0..maps);
+            let keys = &shards[m].1;
+            (m, keys[rng.gen_range(0..keys.len())])
+        })
+        .collect();
+    let get = |(m, k): (usize, u64)| shards[m].0.get(&k).map(|v| usize::from(v[0]));
+    let get_ns = ns_per_call(&queries, get);
+    let btree: BTreeMap<u64, Value> =
+        shards.iter().flat_map(|(map, _)| map.iter().map(|(k, v)| (*k, *v))).collect();
+    let btree_get = |(_, k): (usize, u64)| btree.get(&k).map(|v| usize::from(v[0]));
+    let btree_get_ns = ns_per_call(&queries, btree_get);
+    Json::new()
+        .str("name", backend.name())
+        .int("maps", maps as u64)
+        .int("keys_per_map", SHARD_KEYS as u64)
+        .int("capacity", SHARD_CAPACITY as u64)
+        .int("num_slots", shards[0].0.backend().slots().num_slots() as u64)
+        .num("get_ns", get_ns, 1)
+        .num("btreemap_get_ns", btree_get_ns, 1)
 }
 
 /// Wall-clock seconds for `n` random-rank classic inserts with metrics
@@ -331,6 +402,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let build_n = if smoke { 256 } else { 4096 };
     let kernel_calls = if smoke { 1 << 10 } else { 1 << 16 };
+    let (shard_maps, shard_gets) = if smoke { (4, 1 << 10) } else { (128, 1 << 20) };
     let mut rows = Vec::new();
     for backend in Backend::ALL {
         let n = if smoke {
@@ -352,5 +424,9 @@ fn main() {
         .int("reference_pre_bitmap_classic_insert_ops_per_sec_n1m", 97457)
         .rows("backends", rows)
         .rows("kernels", [30, 60, 90].map(|density| kernel_row(density, kernel_calls)))
+        .rows(
+            "shard_gets",
+            Backend::ALL.map(|backend| shard_get_row(backend, shard_maps, shard_gets)),
+        )
         .emit("BENCH_core_ops.json", smoke);
 }
