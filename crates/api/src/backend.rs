@@ -16,7 +16,7 @@ use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
 use lll_core::growable::{Growable, GrowableStats, Handle};
 use lll_core::metrics::{ListMetrics, MetricsHandle};
-use lll_core::report::{BulkReport, OpReport};
+use lll_core::report::OpReport;
 use lll_core::rng::derive_seed;
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
@@ -69,30 +69,13 @@ pub trait RawList {
     /// caveat for shrink rebuilds).
     fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle;
 
-    /// Insert at `rank`, returning the new element's stable handle and the
-    /// operation's move log — allocating convenience over
-    /// [`insert_reported_into`](Self::insert_reported_into).
-    fn insert_reported(&mut self, rank: usize) -> (Handle, OpReport) {
-        let mut rep = OpReport::default();
-        let h = self.insert_reported_into(rank, &mut rep);
-        (h, rep)
-    }
-
-    /// Delete at `rank`, returning the removed element's handle and the
-    /// operation's move log — allocating convenience over
-    /// [`delete_reported_into`](Self::delete_reported_into).
-    fn delete_reported(&mut self, rank: usize) -> (Handle, OpReport) {
-        let mut rep = OpReport::default();
-        let h = self.delete_reported_into(rank, &mut rep);
-        (h, rep)
-    }
-
     /// Batch-insert `count` new elements at consecutive final ranks
     /// `rank .. rank + count` as one logical operation — the bulk-ingest
     /// path ([`Growable::splice_at`]). Returns the new handles in rank
-    /// order and one move log for the whole batch; if the batch forced a
-    /// growth rebuild the log is empty and the epoch bumps once instead.
-    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, BulkReport);
+    /// order and one report for the whole batch, its moves in time order;
+    /// if the batch forced a growth rebuild the report is empty and the
+    /// epoch bumps once instead.
+    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport);
 
     /// The physical slot array of the current epoch: a label is a position
     /// in it, and the element stored there is the element's handle (move
@@ -162,7 +145,8 @@ pub trait RawList {
     /// The underlying algorithm's name.
     fn backend_name(&self) -> &'static str;
 
-    /// Total element moves performed (operations + rebuilds).
+    /// Total element moves performed (operations + rebuilds): the metrics
+    /// handle's `moves`.
     fn total_moves(&self) -> u64;
 
     /// Grow/shrink statistics.
@@ -203,7 +187,7 @@ impl<B: LabelingBuilder> RawList for Growable<B> {
         Growable::delete_reported_into(self, rank, out)
     }
 
-    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, BulkReport) {
+    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport) {
         Growable::splice_at(self, rank, count)
     }
 
@@ -541,17 +525,6 @@ pub struct ErasedList {
 }
 
 impl ErasedList {
-    /// Insert at `rank`, returning the new element's stable handle (the
-    /// move log drains through the backend's internal reusable buffer).
-    pub fn insert(&mut self, rank: usize) -> Handle {
-        self.inner.insert(rank)
-    }
-
-    /// Delete at `rank`, returning the removed element's handle.
-    pub fn delete(&mut self, rank: usize) -> Handle {
-        self.inner.delete(rank)
-    }
-
     /// The configuration this list was built from — what a snapshot header
     /// records so restore can rebuild an equivalent backend.
     pub fn config(&self) -> ListConfig {
@@ -588,7 +561,7 @@ impl RawList for ErasedList {
         self.inner.delete_reported_into(rank, out)
     }
 
-    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, BulkReport) {
+    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport) {
         self.inner.splice_reported(rank, count)
     }
 

@@ -825,6 +825,9 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         // Unless re-laying, mark the groups the splice's moves touched; then
         // free its log, 16 bytes a move, before the slab grows. (A splice
         // that rebuilt the backend logs nothing: its fences are re-laid.)
+        // A re-lay reads no log: the backend read what it needed before
+        // handing the log out (see `Growable::rebuild_with_order`), so a
+        // load into an empty map drops this copy unread (ROADMAP item 3).
         if !relay {
             self.fences.mark_moves(&rep.moves);
         }

@@ -65,7 +65,7 @@ pub use templates::TemplateSize;
 // Re-exported so API users can hold handles and read reports without
 // depending on lll-core directly.
 pub use lll_core::growable::{GrowableStats, Handle};
-pub use lll_core::report::{BulkReport, MoveRec, OpReport};
+pub use lll_core::report::{MoveRec, OpReport};
 
 /// Compile-time thread-safety audit: every backend and both containers
 /// must stay `Send + Sync` — the `lll-sharded` façade parks them behind

@@ -16,7 +16,7 @@ use crate::cursor::{Cursor, CursorMut};
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::growable::Handle;
 use lll_core::ids::ElemId;
-use lll_core::report::{BulkReport, OpReport};
+use lll_core::report::OpReport;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -39,8 +39,9 @@ use std::io::{Read, Write};
 /// ```
 pub struct OrderedList<V, L: RawList = ErasedList> {
     list: L,
-    label: HashMap<Handle, u32>,
-    value: HashMap<Handle, V>,
+    /// Each live element's label (slot position) and value, by handle:
+    /// following a move costs one hash.
+    entries: HashMap<Handle, (u32, V)>,
     /// Reusable report buffer: point operations drain the backend's move
     /// log into it and apply the label updates in place, so steady-state
     /// inserts allocate nothing on the logging path.
@@ -69,7 +70,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// every operation.
     pub fn with_backend(list: L) -> Self {
         assert!(list.is_empty(), "OrderedList requires an empty backend");
-        Self { list, label: HashMap::new(), value: HashMap::new(), scratch: OpReport::default() }
+        Self { list, entries: HashMap::new(), scratch: OpReport::default() }
     }
 
     /// Current element count.
@@ -108,17 +109,17 @@ impl<V, L: RawList> OrderedList<V, L> {
 
     /// True if `h` refers to a live element.
     pub fn contains(&self, h: Handle) -> bool {
-        self.value.contains_key(&h)
+        self.entries.contains_key(&h)
     }
 
     /// The value of `h`.
     pub fn get(&self, h: Handle) -> Option<&V> {
-        self.value.get(&h)
+        self.entries.get(&h).map(|(_, v)| v)
     }
 
     /// Mutable access to the value of `h`.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut V> {
-        self.value.get_mut(&h)
+        self.entries.get_mut(&h).map(|(_, v)| v)
     }
 
     /// The handle of the first element.
@@ -134,7 +135,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// The current rank of `h` — O(log m) via its label. Ranks shift as
     /// neighbors are inserted/deleted; handles don't.
     pub fn rank(&self, h: Handle) -> Option<usize> {
-        self.label.get(&h).map(|&l| self.list.rank_at_label(l as usize))
+        self.label_of(h).map(|l| self.list.rank_at_label(l as usize))
     }
 
     /// The handle of the element of `rank`.
@@ -159,7 +160,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     }
 
     pub(crate) fn label_of(&self, h: Handle) -> Option<u32> {
-        self.label.get(&h).copied()
+        self.entries.get(&h).map(|&(l, _)| l)
     }
 
     /// How `a` and `b` compare in list order — O(1), one label comparison.
@@ -167,7 +168,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// Panics if either handle is stale (use [`contains`](Self::contains)
     /// to probe).
     pub fn order(&self, a: Handle, b: Handle) -> Ordering {
-        self.label[&a].cmp(&self.label[&b])
+        self.entries[&a].0.cmp(&self.entries[&b].0)
     }
 
     /// True if `a` precedes `b` in list order — O(1).
@@ -176,38 +177,29 @@ impl<V, L: RawList> OrderedList<V, L> {
     }
 
     /// Absorb one operation's or batch's label churn, or resync after a
-    /// rebuild. Move logs name elements by handle. Updates apply in stream
-    /// order, last write winning — bulk move logs are chronological (a
-    /// later move may relocate a just-placed element) — and skip an element
-    /// the operation deleted after moving it.
-    fn sync_updates(&mut self, pre_epoch: u64, updates: impl Iterator<Item = (ElemId, usize)>) {
+    /// rebuild. Move logs name elements by handle. Updates apply in time
+    /// order, last write winning — a batch's log may relocate a just-placed
+    /// element — and skip an element the operation deleted after moving it.
+    fn sync(&mut self, pre_epoch: u64, rep: &OpReport) {
         if self.list.epoch() != pre_epoch {
             self.resync();
             return;
         }
-        for (h, pos) in updates {
-            if self.value.contains_key(&h) {
-                self.label.insert(h, pos as u32);
+        for (h, pos) in rep.label_updates() {
+            if let Some(entry) = self.entries.get_mut(&h) {
+                entry.0 = pos as u32;
             }
         }
     }
 
-    /// Absorb one operation's label churn, or resync after a rebuild.
-    fn sync(&mut self, pre_epoch: u64, rep: &OpReport) {
-        self.sync_updates(pre_epoch, rep.label_updates());
-    }
-
-    /// Batch counterpart of [`sync`](Self::sync).
-    fn sync_bulk(&mut self, pre_epoch: u64, rep: &BulkReport) {
-        self.sync_updates(pre_epoch, rep.label_updates());
-    }
-
-    /// Rebuild the label table from one occupancy sweep of the backend's
-    /// slot array (the post-rebuild path: a rebuild rewrites every label).
+    /// Relabel every entry from one occupancy sweep of the backend's slot
+    /// array (the post-rebuild path: a rebuild rewrites every label).
     fn resync(&mut self) {
-        self.label.clear();
-        for (pos, h) in self.list.slots().iter_occupied() {
-            self.label.insert(h, pos as u32);
+        let Self { list, entries, .. } = self;
+        for (pos, h) in list.slots().iter_occupied() {
+            if let Some(entry) = entries.get_mut(&h) {
+                entry.0 = pos as u32;
+            }
         }
     }
 
@@ -218,7 +210,8 @@ impl<V, L: RawList> OrderedList<V, L> {
         let mut rep = std::mem::take(&mut self.scratch);
         let pre_epoch = self.list.epoch();
         let h = self.list.insert_reported_into(rank, &mut rep);
-        self.value.insert(h, value);
+        // The label comes with the report's updates.
+        self.entries.insert(h, (0, value));
         self.sync(pre_epoch, &rep);
         self.scratch = rep;
         h
@@ -262,9 +255,9 @@ impl<V, L: RawList> OrderedList<V, L> {
         let pre_epoch = self.list.epoch();
         let (handles, rep) = self.list.splice_reported(rank, vals.len());
         for (&h, v) in handles.iter().zip(vals) {
-            self.value.insert(h, v);
+            self.entries.insert(h, (0, v));
         }
-        self.sync_bulk(pre_epoch, &rep);
+        self.sync(pre_epoch, &rep);
         handles
     }
 
@@ -316,8 +309,7 @@ impl<V, L: RawList> OrderedList<V, L> {
         let pre_epoch = self.list.epoch();
         let gone = self.list.delete_reported_into(rank, &mut rep);
         debug_assert_eq!(gone, h, "label table pointed at the wrong rank");
-        self.label.remove(&h);
-        let value = self.value.remove(&h);
+        let value = self.entries.remove(&h).map(|(_, v)| v);
         self.sync(pre_epoch, &rep);
         self.scratch = rep;
         value
@@ -343,8 +335,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// (and its cost counters) stays alive.
     pub fn clear(&mut self) {
         self.list.reset();
-        self.label.clear();
-        self.value.clear();
+        self.entries.clear();
     }
 
     /// Iterate `(handle, &value)` in list order — a label-to-label walk of
@@ -353,7 +344,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     pub fn iter(&self) -> Iter<'_, V, L> {
         Iter {
             list: &self.list,
-            values: &self.value,
+            entries: &self.entries,
             label: self.list.first_label(),
             remaining: self.len(),
         }
@@ -401,10 +392,9 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// tests).
     pub fn check_labels(&self) {
         let slots = self.list.slots();
-        assert_eq!(slots.len(), self.label.len(), "label table size diverged");
-        assert_eq!(slots.len(), self.value.len(), "value table size diverged");
+        assert_eq!(slots.len(), self.entries.len(), "label table size diverged");
         for (pos, h) in slots.iter_occupied() {
-            assert_eq!(self.label.get(&h), Some(&(pos as u32)), "stale label for {h:?}");
+            assert_eq!(self.label_of(h), Some(pos as u32), "stale label for {h:?}");
         }
     }
 }
@@ -463,7 +453,7 @@ impl<V: Codec> OrderedList<V> {
         let count = usize::try_from(header.count)
             .map_err(|_| SnapshotError::Corrupt("element count exceeds host width".into()))?;
         let mut handles: Vec<Handle> = Vec::with_capacity(count.min(1 << 16));
-        let mut values: HashMap<Handle, V> = HashMap::with_capacity(count.min(1 << 16));
+        let mut entries: HashMap<Handle, (u32, V)> = HashMap::with_capacity(count.min(1 << 16));
         let mut indices: HashSet<usize> = HashSet::with_capacity(count.min(1 << 16));
         for _ in 0..count {
             let h = ElemId(u64::decode(r)?);
@@ -479,13 +469,12 @@ impl<V: Codec> OrderedList<V> {
                     h.index()
                 )));
             }
-            values.insert(h, v);
+            entries.insert(h, (0, v));
             handles.push(h);
         }
         let mut list = ListBuilder::from_config(header.config()).build();
         list.load_with_handles(&handles);
-        let mut restored =
-            Self { list, label: HashMap::new(), value: values, scratch: OpReport::default() };
+        let mut restored = Self { list, entries, scratch: OpReport::default() };
         restored.resync();
         Ok(restored)
     }
@@ -495,7 +484,7 @@ impl<V: Codec> OrderedList<V> {
 /// a label-to-label occupancy walk, O(1) space.
 pub struct Iter<'a, V, L: RawList = ErasedList> {
     list: &'a L,
-    values: &'a HashMap<Handle, V>,
+    entries: &'a HashMap<Handle, (u32, V)>,
     label: Option<usize>,
     remaining: usize,
 }
@@ -508,7 +497,7 @@ impl<'a, V, L: RawList> Iterator for Iter<'a, V, L> {
         let h = self.list.handle_at_label(l)?;
         self.label = self.list.next_label_after(l);
         self.remaining -= 1;
-        Some((h, &self.values[&h]))
+        Some((h, &self.entries[&h].1))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -523,7 +512,7 @@ impl<V, L: RawList> ExactSizeIterator for Iter<'_, V, L> {}
 pub struct IntoIter<V, L: RawList = ErasedList> {
     list: L,
     label: Option<usize>,
-    values: HashMap<Handle, V>,
+    entries: HashMap<Handle, (u32, V)>,
 }
 
 impl<V, L: RawList> Iterator for IntoIter<V, L> {
@@ -533,11 +522,11 @@ impl<V, L: RawList> Iterator for IntoIter<V, L> {
         let l = self.label?;
         let h = self.list.handle_at_label(l)?;
         self.label = self.list.next_label_after(l);
-        self.values.remove(&h)
+        self.entries.remove(&h).map(|(_, v)| v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.values.len(), Some(self.values.len()))
+        (self.entries.len(), Some(self.entries.len()))
     }
 }
 
@@ -561,7 +550,7 @@ impl<V, L: RawList> IntoIterator for OrderedList<V, L> {
     /// moved-in backend.
     fn into_iter(self) -> Self::IntoIter {
         let label = self.list.first_label();
-        IntoIter { list: self.list, label, values: self.value }
+        IntoIter { list: self.list, label, entries: self.entries }
     }
 }
 

@@ -146,7 +146,7 @@ fn bench_backend(backend: Backend, n: usize, build_n: usize, seed: u64) -> Json 
         std::hint::black_box(rep.cost());
     }
     let insert_secs = t.elapsed().as_secs_f64();
-    let moves_per_op = s.slots().lifetime_moves() as f64 / n as f64;
+    let moves_per_op = s.slots().metrics().moves.get() as f64 / n as f64;
 
     // Rank → label queries: one occupancy-bitmap select each.
     let selects = (n / 2).max(1 << 12);

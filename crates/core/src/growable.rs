@@ -23,11 +23,22 @@
 //! operations, adding amortized O(polylog n) per operation on top of the
 //! inner structure's own bound (the appends performed during the rebuild
 //! are the inner structure's cheapest workload).
+//!
+//! An operation hands its moves to the caller in one [`OpReport`]:
+//! [`insert_reported_into`](Growable::insert_reported_into) and
+//! [`delete_reported_into`](Growable::delete_reported_into) drain the log
+//! into the caller's report, [`splice_at`](Growable::splice_at) returns
+//! one, and the report-free [`insert`](Growable::insert) and
+//! [`delete`](Growable::delete) drain it into a reused scratch report. A
+//! rebuild hands out no log: it bumps the [`epoch`](Growable::epoch). Every
+//! drained log, a rebuild's included, adds its length to the metrics
+//! handle's `moves`, and the handle outlives every rebuild, so
+//! [`total_moves`](Growable::total_moves) reads it.
 
 use crate::ids::{ElemId, IdAllocator};
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::ops::Op;
-use crate::report::{BulkReport, OpReport};
+use crate::report::OpReport;
 use crate::traits::{LabelingBuilder, ListLabeling};
 
 /// A stable, rebuild-surviving element handle: the element's [`ElemId`].
@@ -51,9 +62,6 @@ pub struct Growable<B: LabelingBuilder> {
     ids: IdAllocator,
     min_capacity: usize,
     stats: GrowableStats,
-    /// The physical moves of the structures that rebuilds replaced: with
-    /// the current one's, [`total_moves`](Self::total_moves).
-    retired_moves: u64,
     /// Bumped on every rebuild. All labels (slot positions) are invalidated
     /// when this changes; see [`Growable::epoch`].
     epoch: u64,
@@ -61,7 +69,7 @@ pub struct Growable<B: LabelingBuilder> {
     /// ([`insert`](Self::insert)/[`delete`](Self::delete)): steady-state
     /// operations through them allocate nothing for move logging.
     scratch: OpReport,
-    /// Shared observability sink: counters (including label→rank
+    /// Shared observability sink: counters (the move total, and label→rank
     /// resolutions — instrumentation for callers that promise label-native
     /// navigation, the `lll-api` cursors, and want to prove they keep it),
     /// and the moves-per-op and rebalance-window histograms. Installed
@@ -78,17 +86,18 @@ impl<B: LabelingBuilder> Growable<B> {
 
     /// New empty list whose first structure already has room for `len`
     /// elements: the initial capacity doubled until `len` fits, the
-    /// capacity a [`bulk_load`](Self::bulk_load) of `len` into a new list
-    /// grows it to. That load then lands in place, and no structure is
-    /// built only to be replaced. The list still shrinks down to the
-    /// initial capacity.
+    /// capacity a [`splice_at`](Self::splice_at) of `len` elements into a
+    /// new list grows it to. That load then lands in place, and no
+    /// structure is built only to be replaced. The list still shrinks down
+    /// to the initial capacity.
     pub fn with_room_for(builder: B, initial_capacity: usize, len: usize) -> Self {
         Self::construct(builder, initial_capacity, len, ListMetrics::handle(true))
     }
 
     /// [`new`](Self::new) with a caller-provided metrics handle — pass
     /// [`ListMetrics::disabled`] to make every recording path a no-op
-    /// (overhead benchmarks pin the enabled/disabled gap via this knob).
+    /// (overhead benchmarks pin the enabled/disabled gap via this knob);
+    /// [`total_moves`](Self::total_moves) then reads 0.
     pub fn with_metrics(builder: B, initial_capacity: usize, metrics: MetricsHandle) -> Self {
         Self::construct(builder, initial_capacity, 0, metrics)
     }
@@ -103,7 +112,6 @@ impl<B: LabelingBuilder> Growable<B> {
             ids: IdAllocator::new(),
             min_capacity: floor,
             stats: GrowableStats::default(),
-            retired_moves: 0,
             epoch: 0,
             scratch: OpReport::default(),
             metrics,
@@ -206,8 +214,13 @@ impl<B: LabelingBuilder> Growable<B> {
         // Install the shared handle before the bulk splice so the rebuild's
         // own moves are observed too.
         fresh.set_metrics(self.metrics.clone());
-        fresh.splice_into(0, order, &mut BulkReport::default());
-        self.retired_moves += self.inner.slots().lifetime_moves();
+        // The splice's log is dropped unread: a rebuild tells the caller
+        // through the epoch instead. The backend read what it needed before
+        // handing the log out (the PMA skeleton feeds `on_insert` from it,
+        // the deamortized PMA its position table, and the embedding places
+        // its simulation's splice log as its layout). Only this copy goes
+        // unread, at 16 bytes per element (ROADMAP item 3).
+        fresh.splice_into(0, order, &mut OpReport::default());
         self.inner = fresh;
         self.epoch += 1;
         self.metrics.note_epoch_bump();
@@ -220,17 +233,6 @@ impl<B: LabelingBuilder> Growable<B> {
         let h = self.insert_reported_into(rank, &mut rep);
         self.scratch = rep;
         h
-    }
-
-    /// [`insert`](Self::insert), also returning the operation's move log.
-    ///
-    /// Allocating convenience over
-    /// [`insert_reported_into`](Self::insert_reported_into), which hot
-    /// paths call with a reused buffer instead.
-    pub fn insert_reported(&mut self, rank: usize) -> (Handle, OpReport) {
-        let mut rep = OpReport::default();
-        let h = self.insert_reported_into(rank, &mut rep);
-        (h, rep)
     }
 
     /// Insert at `rank`, draining the operation's move log into `out`
@@ -262,15 +264,6 @@ impl<B: LabelingBuilder> Growable<B> {
         h
     }
 
-    /// [`delete`](Self::delete), also returning the operation's move log —
-    /// the allocating convenience over
-    /// [`delete_reported_into`](Self::delete_reported_into).
-    pub fn delete_reported(&mut self, rank: usize) -> (Handle, OpReport) {
-        let mut rep = OpReport::default();
-        let h = self.delete_reported_into(rank, &mut rep);
-        (h, rep)
-    }
-
     /// Delete at `rank`, draining the move log into `out` (same rebuild
     /// caveat as [`insert_reported_into`](Self::insert_reported_into): a
     /// shrink that follows the deletion is signalled by the epoch, not by
@@ -291,8 +284,8 @@ impl<B: LabelingBuilder> Growable<B> {
 
     /// Batch-insert `count` new elements at consecutive final ranks
     /// `rank .. rank + count`, growing at most once. Returns the new
-    /// handles in rank order plus one [`BulkReport`] move log for the whole
-    /// batch.
+    /// handles in rank order plus one [`OpReport`] for the whole batch (see
+    /// [`ListLabeling::splice_into`]).
     ///
     /// Two regimes, both a single logical operation:
     ///
@@ -307,30 +300,22 @@ impl<B: LabelingBuilder> Growable<B> {
     ///   bulk load never pays the incremental doubling cascade). The
     ///   report is empty and the **epoch bumps once**; label-table callers
     ///   resync exactly as for any rebuild.
-    pub fn splice_at(&mut self, rank: usize, count: usize) -> (Vec<Handle>, BulkReport) {
+    pub fn splice_at(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport) {
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         if count == 0 {
-            return (Vec::new(), BulkReport::default());
+            return (Vec::new(), OpReport::default());
         }
         if self.len() + count > self.capacity() {
             let cap = doubled_to_fit(self.capacity(), self.len() + count);
             self.stats.grows += 1;
             let handles = self.rebuild_merged(cap, rank, count);
-            return (handles, BulkReport::default());
+            return (handles, OpReport::default());
         }
         let ids = self.ids.fresh_n(count);
-        let mut bulk = BulkReport::default();
+        let mut bulk = OpReport::default();
         self.inner.splice_into(rank, &ids, &mut bulk);
         self.metrics.note_op_moves(bulk.cost());
         (ids, bulk)
-    }
-
-    /// Bulk-load `count` new elements at the tail (final ranks
-    /// `len .. len + count`) — the sorted-ingest path: a caller holding a
-    /// pre-sorted run appends it here in one sweep instead of `count`
-    /// point insertions. Equivalent to `splice_at(len, count)`.
-    pub fn bulk_load(&mut self, count: usize) -> (Vec<Handle>, BulkReport) {
-        self.splice_at(self.len(), count)
     }
 
     /// Restore an **empty** structure to `handles.len()` elements in one
@@ -384,25 +369,16 @@ impl<B: LabelingBuilder> Growable<B> {
         self.rebuild_with_order(self.min_capacity, &[]);
     }
 
-    /// Apply an [`Op`].
-    pub fn apply(&mut self, op: Op) -> Handle {
-        match op {
-            Op::Insert(r) => self.insert(r),
-            Op::Delete(r) => self.delete(r),
-        }
-    }
-
     /// Iterate handles in rank order.
     pub fn iter(&self) -> impl Iterator<Item = Handle> + '_ {
         self.inner.slots().iter_occupied().map(|(_, e)| e)
     }
 
     /// Every physical element move since construction, rebuilds included:
-    /// the [`lifetime_moves`](crate::slot_array::SlotArray::lifetime_moves)
-    /// of the structures that rebuilds replaced plus the current one's. It
-    /// counts with metrics disabled too.
+    /// the metrics handle's `moves`, which every drained log adds to and
+    /// every rebuild keeps. It reads 0 on a disabled handle.
     pub fn total_moves(&self) -> u64 {
-        self.retired_moves + self.inner.slots().lifetime_moves()
+        self.metrics.moves.get()
     }
 }
 
@@ -506,7 +482,8 @@ mod tests {
     fn reported_ops_epoch_and_snapshot() {
         let mut g = Growable::new(ClassicBuilder, 16);
         let e0 = g.epoch();
-        let (h0, rep) = g.insert_reported(0);
+        let mut rep = OpReport::default();
+        let h0 = g.insert_reported_into(0, &mut rep);
         // The placement reaches the report under the handle itself.
         assert_eq!(rep.placed_elem(), Some(h0));
         assert_eq!(g.epoch(), e0, "no rebuild yet");
@@ -523,10 +500,10 @@ mod tests {
         // The inner structure is reachable for introspection.
         assert_eq!(g.inner().len(), g.len());
         assert_eq!(g.backend_name(), g.inner().name());
-        // Deleting returns the handle and its report.
-        let (gone, rep) = g.delete_reported(0);
+        // Deleting returns the handle and reports it.
+        let gone = g.delete_reported_into(0, &mut rep);
         assert_eq!(gone, handles[0]);
-        assert_eq!(rep.removed.map(|(e, _)| e), rep.removed_elem());
+        assert_eq!(rep.removed_elem(), Some(gone));
     }
 
     #[test]
@@ -534,7 +511,7 @@ mod tests {
         let n = 4096;
         let mut bulk = Growable::new(ClassicBuilder, 16);
         let e0 = bulk.epoch();
-        let (handles, _) = bulk.bulk_load(n);
+        let (handles, _) = bulk.splice_at(0, n);
         assert_eq!(bulk.len(), n);
         assert_eq!(handles.len(), n);
         assert_eq!(bulk.epoch(), e0 + 1, "one growth rebuild, one epoch bump");
@@ -558,11 +535,11 @@ mod tests {
     fn room_for_a_bulk_load_builds_its_structure_once() {
         let n = 1500;
         let mut grown = Growable::new(ClassicBuilder, 64);
-        let (_, rep) = grown.bulk_load(n);
+        let (_, rep) = grown.splice_at(0, n);
         assert_eq!(rep.cost(), 0, "a growth splice reports through the epoch");
         let mut roomy = Growable::with_room_for(ClassicBuilder, 64, n);
         assert_eq!(roomy.capacity(), 2048, "64 doubled until 1,500 fits");
-        let (handles, rep) = roomy.bulk_load(n);
+        let (handles, rep) = roomy.splice_at(0, n);
         assert_eq!((roomy.epoch(), roomy.stats().grows), (0, 0), "the load landed in place");
         assert_eq!(rep.cost(), n as u64, "one placement per element");
         assert_eq!(roomy.iter().collect::<Vec<_>>(), handles);

@@ -16,6 +16,11 @@
 //!   element motion goes through it, so costs are *derived from the move
 //!   log*, never self-reported, and sortedness can be asserted after every
 //!   atomic move.
+//! * [`OpReport`](report::OpReport) — the one report an insert, a delete
+//!   or a splice hands its caller: the drained move log in time order, and
+//!   the placed or removed element. Each drain adds the log's length to
+//!   [`ListMetrics::moves`](metrics::ListMetrics::moves), the one running
+//!   total of the paper's cost.
 //! * [`Bitmap`](bitmap::Bitmap) — the one occupancy index: a bit per slot
 //!   plus a set-bit count per 512-bit block, answering window scans, rank,
 //!   select and free-slot searches.
@@ -56,7 +61,7 @@ pub mod prelude {
     pub use crate::metrics::{ListMetrics, MetricsHandle};
     pub use crate::ops::Op;
     pub use crate::pma::{PmaBase, RebalancePolicy};
-    pub use crate::report::{BulkReport, MoveRec, OpReport};
+    pub use crate::report::{MoveRec, OpReport};
     pub use crate::slot_array::SlotArray;
     pub use crate::traits::{LabelingBuilder, ListLabeling};
 }

@@ -16,11 +16,13 @@
 //! [`disabled`](ListMetrics::disabled) handle. Every count here, `moves`
 //! included, is therefore the physical array's.
 //!
+//! `moves` is the one running total of the paper's cost: it takes each
+//! drained move log's length once per drain, and nothing else counts the
+//! moves, so a structure on the disabled handle keeps no total.
+//!
 //! Every recording path is an inlined early-return when the handle was
 //! built disabled, and a few relaxed atomic RMWs when enabled — no locks,
-//! no allocation. None runs per element move: `moves` takes each drained
-//! move log's length once per drain, while the slot array's plain
-//! `lifetime_moves` counts the moves themselves. The workspace zero-alloc
+//! no allocation. None runs per element move. The workspace zero-alloc
 //! harness pins steady-state churn at 0 allocations/round *with metrics
 //! enabled*.
 
@@ -42,7 +44,7 @@ static DISABLED: LazyLock<MetricsHandle> = LazyLock::new(|| ListMetrics::handle(
 pub struct ListMetrics {
     enabled: bool,
     /// Element moves of the physical array (the paper's cost unit), added
-    /// once per move-log drain.
+    /// once per move-log drain: the one move total (0 when disabled).
     pub moves: Counter,
     /// Window rebalances triggered.
     pub rebalances: Counter,

@@ -28,7 +28,7 @@
 use crate::density::{even_targets_into, SegTree, Thresholds};
 use crate::ids::{ElemId, IdGen};
 use crate::ops::Op;
-use crate::report::{BulkReport, OpReport};
+use crate::report::OpReport;
 use crate::slot_array::{merge_sorted, spread_moves, SlotArray};
 use crate::traits::{LabelingBuilder, ListLabeling};
 
@@ -353,7 +353,7 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
     /// within its upper threshold, as **one** evenly-spread sweep — at most
     /// one move per resident of the window plus one placement per new
     /// element, instead of `count` independent rebalance cascades.
-    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut OpReport) {
         let count = ids.len();
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         assert!(
@@ -368,7 +368,8 @@ impl<P: RebalancePolicy> ListLabeling for PmaBase<P> {
         }
         if count == 1 {
             // A run of one is an ordinary insertion — same cost either way.
-            out.absorb_op(&self.insert(rank, ids[0]));
+            self.insert_into(rank, ids[0], out);
+            out.placed = None;
             return;
         }
         let height = self.tree.height();

@@ -5,8 +5,9 @@
 //! motion through this type, which gives three guarantees:
 //!
 //! 1. **Cost integrity** — each move/placement is appended to an internal
-//!    move log; an operation's cost is the length of the log segment it
-//!    produced, so algorithms cannot misreport their cost.
+//!    move log; an operation's cost is the length of the log it drains,
+//!    so algorithms cannot misreport their cost. Each drain adds that
+//!    length to the installed metrics' `moves`, the one running total.
 //! 2. **Safety discipline** — each move targets a free slot and (checked in
 //!    debug builds) crosses no occupied slot, which is exactly the condition
 //!    under which a single move preserves sorted order. Rebalances that obey
@@ -43,10 +44,6 @@ pub struct SlotArray {
     /// Occupancy index, one bit per slot.
     bits: Bitmap,
     log: Vec<MoveRec>,
-    /// Total moves ever logged (survives log draining). Kept plain (not
-    /// behind the metrics handle) because it is the cost-model contract —
-    /// it always counts, even with metrics disabled.
-    lifetime_moves: u64,
     /// Shared observability sink: moves (added once per drained log) and
     /// scan words (the instrumentation that pins rebalance work to
     /// O(window), not O(m) — counters are atomic/relaxed only so `&self`
@@ -63,7 +60,6 @@ impl Clone for SlotArray {
             contents: self.contents.clone(),
             bits: self.bits.clone(),
             log: self.log.clone(),
-            lifetime_moves: self.lifetime_moves,
             // Detach: the clone keeps the current readings but records
             // independently from here on. A disabled handle records
             // nothing, so the clone shares it and allocates none.
@@ -83,7 +79,6 @@ impl SlotArray {
             contents: vec![ElemId::NONE; m],
             bits: Bitmap::new(m),
             log: Vec::new(),
-            lifetime_moves: 0,
             metrics: ListMetrics::disabled(),
         }
     }
@@ -227,7 +222,6 @@ impl SlotArray {
         self.contents[pos] = elem;
         self.bits.set(pos);
         self.log.push(MoveRec { elem, from: pos as u32, to: pos as u32 });
-        self.lifetime_moves += 1;
     }
 
     /// Place a run of brand-new elements, given as `(position, elem)` at
@@ -236,7 +230,7 @@ impl SlotArray {
     /// the occupancy index updates each 512-slot block's count once for
     /// the whole run ([`Bitmap::set_ascending`]).
     pub fn place_run(&mut self, run: impl IntoIterator<Item = (usize, ElemId)>) {
-        let Self { contents, bits, log, lifetime_moves, .. } = self;
+        let Self { contents, bits, log, .. } = self;
         let (occupied, m) = (bits.count_ones(), contents.len());
         let run = run.into_iter();
         log.reserve(run.size_hint().0);
@@ -250,7 +244,6 @@ impl SlotArray {
             );
             contents[pos] = elem;
             log.push(MoveRec { elem, from: pos as u32, to: pos as u32 });
-            *lifetime_moves += 1;
             pos
         }));
     }
@@ -307,7 +300,6 @@ impl SlotArray {
         self.contents[to] = elem;
         self.bits.move_bit(from, to);
         self.log.push(MoveRec { elem, from: from as u32, to: to as u32 });
-        self.lifetime_moves += 1;
         elem
     }
 
@@ -336,12 +328,6 @@ impl SlotArray {
     #[inline]
     pub fn pending_log_len(&self) -> usize {
         self.log.len()
-    }
-
-    /// Total moves ever performed.
-    #[inline]
-    pub fn lifetime_moves(&self) -> u64 {
-        self.lifetime_moves
     }
 
     /// Iterate `(position, elem)` over occupied slots in position order —
@@ -505,7 +491,6 @@ mod tests {
         assert_eq!(log[1].from, 0);
         assert_eq!(log[1].to, 2);
         assert_eq!(s.drain_log().len(), 0);
-        assert_eq!(s.lifetime_moves(), 2);
     }
 
     #[test]
@@ -556,7 +541,6 @@ mod tests {
         run.check_consistent();
         assert_eq!(run.layout(), single.layout());
         assert_eq!(run.bitmap(), single.bitmap());
-        assert_eq!(run.lifetime_moves(), single.lifetime_moves());
         assert_eq!(run.drain_log(), single.drain_log());
     }
 
@@ -688,9 +672,9 @@ mod tests {
         // 4 occupants, 4 new: at most 4 old moves + exactly 4 placements.
         let (mut s, _) = filled(&[0, 1, 2, 3], 16);
         let fresh: Vec<ElemId> = (100..104).map(ElemId).collect();
-        let before = s.lifetime_moves();
+        let before = s.pending_log_len();
         merge_sorted(&mut s, 0, 16, 4, &fresh);
-        let swept = s.lifetime_moves() - before;
+        let swept = s.pending_log_len() - before;
         assert!(swept <= 8, "one sweep should cost ≤ n moves, got {swept}");
         s.check_consistent();
     }

@@ -15,7 +15,7 @@
 use crate::ids::{ElemId, IdGen};
 use crate::metrics::MetricsHandle;
 use crate::ops::Op;
-use crate::report::{BulkReport, OpReport};
+use crate::report::OpReport;
 use crate::slot_array::SlotArray;
 
 /// A list-labeling data structure of fixed capacity `n` over `m` slots
@@ -56,7 +56,9 @@ pub trait ListLabeling {
 
     /// Insert the new elements `ids` at consecutive final ranks
     /// `rank .. rank + ids.len()`, in that order — the batch-ingest
-    /// primitive — reporting the whole batch into `out` (cleared first).
+    /// primitive — reporting the whole batch into `out` (cleared first):
+    /// its `moves` in time order, placements included, and `placed` and
+    /// `removed` left `None`.
     ///
     /// The default decomposes into single insertions (always correct,
     /// never cheaper). Algorithms with a native bulk path override it: the
@@ -67,7 +69,7 @@ pub trait ListLabeling {
     /// cascades.
     ///
     /// Panics if `rank > len` or `len + ids.len() > capacity`.
-    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut OpReport) {
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         assert!(
             self.len() + ids.len() <= self.capacity(),
@@ -80,7 +82,7 @@ pub trait ListLabeling {
         let mut rep = OpReport::default();
         for (i, &id) in ids.iter().enumerate() {
             self.insert_into(rank + i, id, &mut rep);
-            out.absorb_op(&rep);
+            out.moves.extend_from_slice(&rep.moves);
         }
     }
 
@@ -99,8 +101,8 @@ pub trait ListLabeling {
     }
 
     /// [`splice_into`](Self::splice_into) into a fresh report (allocates).
-    fn splice(&mut self, rank: usize, ids: &[ElemId]) -> BulkReport {
-        let mut out = BulkReport::default();
+    fn splice(&mut self, rank: usize, ids: &[ElemId]) -> OpReport {
+        let mut out = OpReport::default();
         self.splice_into(rank, ids, &mut out);
         out
     }
@@ -304,6 +306,29 @@ mod tests {
         let bulk = s.splice(1, &batch);
         assert_eq!(bulk.cost(), 3 + 3, "three placements plus three shifts of the tail");
         assert_eq!((1..4).map(|r| s.elem_at_rank(r)).collect::<Vec<_>>(), batch);
+    }
+
+    #[test]
+    fn a_splice_report_is_chronological() {
+        // The default splice inserts one by one, and each insert shifts the
+        // packed tail: the element after the batch moves once per newcomer.
+        let mut s = Shifty::new(8, 8);
+        let mut ids = IdGen::new();
+        s.insert(0, ids.fresh());
+        let tail = ids.fresh();
+        s.insert(1, tail);
+        let rep = s.splice(1, &ids.fresh_n(3));
+        assert_eq!((rep.placed, rep.removed), (None, None));
+        let ups: Vec<(ElemId, usize)> = rep.label_updates().collect();
+        assert_eq!(ups.len(), 6, "three placements plus three shifts");
+        assert_eq!(ups.iter().filter(|&&(e, _)| e == tail).count(), 3);
+        // Applied in order, the last entry of each element wins: every
+        // label lands where the array holds the element.
+        let last: std::collections::HashMap<ElemId, usize> = ups.into_iter().collect();
+        assert_eq!(last.len(), 4);
+        for (pos, e) in s.slots().iter_occupied().skip(1) {
+            assert_eq!(last[&e], pos, "{e:?}");
+        }
     }
 
     #[test]

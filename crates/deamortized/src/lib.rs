@@ -38,7 +38,7 @@
 
 use lll_core::density::{even_targets_into, SegTree, Thresholds};
 use lll_core::ids::{ElemId, IdTable};
-use lll_core::report::{BulkReport, OpReport};
+use lll_core::report::OpReport;
 use lll_core::slot_array::{merge_sorted, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
 use std::num::NonZeroU32;
@@ -659,7 +659,7 @@ impl ListLabeling for DeamortizedPma {
     /// The per-operation worst-case bound applies to single operations; a
     /// batch of `count` is one operation costing at most one sweep of its
     /// window (≤ window population + `count` moves).
-    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut OpReport) {
         let (len, count) = (self.len(), ids.len());
         assert!(rank <= len, "splice rank {rank} > len {len}");
         assert!(len + count <= self.capacity, "splice of {count} overflows capacity");
@@ -668,7 +668,8 @@ impl ListLabeling for DeamortizedPma {
             return;
         }
         if count == 1 {
-            out.absorb_op(&self.insert(rank, ids[0]));
+            self.insert_into(rank, ids[0], out);
+            out.placed = None;
             return;
         }
         let height = self.tree.height();

@@ -73,7 +73,7 @@ use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::{ElemId, IdAllocator, IdTable};
 use lll_core::metrics::MetricsHandle;
-use lll_core::report::{BulkReport, MoveRec, OpReport};
+use lll_core::report::{MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use std::collections::HashMap;
@@ -613,7 +613,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// The body of [`splice_into`](ListLabeling::splice_into). `one_walk`
     /// permits the one-walk placement into an empty embedding; the tests
     /// turn it off to compare against the per-move mirror.
-    fn splice_with(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport, one_walk: bool) {
+    fn splice_with(&mut self, rank: usize, ids: &[ElemId], out: &mut OpReport, one_walk: bool) {
         let (len, count) = (self.len(), ids.len());
         assert!(rank <= len, "splice rank {rank} > len {len}");
         assert!(len + count <= self.capacity, "splice of {count} overflows capacity");
@@ -622,7 +622,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             return;
         }
         if count == 1 {
-            out.absorb_op(&self.insert(rank, ids[0]));
+            self.insert_into(rank, ids[0], out);
+            out.placed = None;
             return;
         }
         // Catch-up moves are part of the batch: they are drained into the
@@ -672,8 +673,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// [`splice_into`](ListLabeling::splice_into) through the per-move
     /// mirror only: the reference for the one-walk placement.
     #[cfg(test)]
-    pub(crate) fn splice_per_move(&mut self, rank: usize, ids: &[ElemId]) -> BulkReport {
-        let mut out = BulkReport::default();
+    pub(crate) fn splice_per_move(&mut self, rank: usize, ids: &[ElemId]) -> OpReport {
+        let mut out = OpReport::default();
         self.splice_with(rank, ids, &mut out, false);
         out
     }
@@ -912,12 +913,14 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
 
     /// Execute pending rebuild work, spending at most `budget` physical
     /// moves (deadweight included, as the paper specifies). Completes the
-    /// checkpoint and immediately freezes the next one when done.
+    /// checkpoint and immediately freezes the next one when done. The
+    /// moves spent are the physical array's log growth: the operation
+    /// drains that log only when it ends.
     fn run_checkpoint(&mut self, budget: u64) {
         let Some(mut cp) = self.checkpoint.take() else { return };
-        let start = self.tags.contents.lifetime_moves();
+        let start = self.tags.contents.pending_log_len() as u64;
         while cp.job_idx < cp.jobs.len() {
-            if self.tags.contents.lifetime_moves() - start >= budget {
+            if self.tags.contents.pending_log_len() as u64 - start >= budget {
                 break;
             }
             let job = &mut cp.jobs[cp.job_idx];
@@ -1185,7 +1188,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
     /// the F-slots ([`TagArray::place_f_run`]). Otherwise its move log is
     /// mirrored 1:1, exactly as the fast path does per operation. Both give
     /// the same layout, tables and move log.
-    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut BulkReport) {
+    fn splice_into(&mut self, rank: usize, ids: &[ElemId], out: &mut OpReport) {
         self.splice_with(rank, ids, out, true);
     }
 

@@ -629,9 +629,9 @@ mod tests {
         assert_eq!(t.tag(3), Buf);
         assert_eq!(t.buffered_real_count(), 1);
         // moving the F slot (free): zero cost, tag travels
-        let before = t.contents.lifetime_moves();
+        let before = t.contents.pending_log_len();
         assert_eq!(t.move_slot(4, 6), None);
-        assert_eq!(t.contents.lifetime_moves(), before);
+        assert_eq!(t.contents.pending_log_len(), before);
         assert_eq!(t.tag(6), F);
         t.check_consistent();
     }

@@ -6,7 +6,9 @@ use layered_list_labeling::adaptive::AdaptiveBuilder;
 use layered_list_labeling::api::{Backend, ListBuilder};
 use layered_list_labeling::classic::ClassicBuilder;
 use layered_list_labeling::core::ids::IdGen;
+use layered_list_labeling::core::metrics::ListMetrics;
 use layered_list_labeling::core::ops::Op;
+use layered_list_labeling::core::report::OpReport;
 use layered_list_labeling::core::testkit::run_against_oracle;
 use layered_list_labeling::core::traits::{LabelingBuilder, ListLabeling};
 use layered_list_labeling::deamortized::DeamortizedBuilder;
@@ -94,14 +96,45 @@ proptest! {
     #[test]
     fn report_costs_equal_move_log(ops in op_seq(250, 80)) {
         // The cost contract: OpReport::cost() == number of logged moves,
-        // and the slot array's lifetime total equals the sum of reports.
+        // and the metrics' move total equals the sum of reports.
         let mut s = ClassicBuilder.build_default(80);
+        let metrics = ListMetrics::handle(true);
+        s.set_metrics(metrics.clone());
         let mut total = 0u64;
         let mut ids = IdGen::new();
         for op in ops {
             total += s.apply(op, &mut ids).cost();
         }
-        prop_assert_eq!(total, s.slots().lifetime_moves());
+        prop_assert_eq!(total, metrics.moves.get());
+    }
+
+    #[test]
+    fn a_splice_of_one_is_an_insert(ops in op_seq(300, 120)) {
+        // A one-element splice takes the insert path on every native
+        // splice: the same moves and layout as `insert_into` at that rank,
+        // reported as a splice, with `placed` left `None`.
+        for backend in [Backend::Classic, Backend::Deamortized, Backend::Corollary11] {
+            let builder = ListBuilder::new().backend(backend).seed(5);
+            let (mut spliced, mut inserted) = (builder.build_fixed(120), builder.build_fixed(120));
+            let (mut a, mut b) = (OpReport::default(), OpReport::default());
+            let mut ids = IdGen::new();
+            for &op in &ops {
+                match op {
+                    Op::Insert(r) => {
+                        let id = ids.fresh();
+                        spliced.splice_into(r, &[id], &mut a);
+                        inserted.insert_into(r, id, &mut b);
+                        prop_assert_eq!((a.placed, b.placed_elem()), (None, Some(id)));
+                    }
+                    Op::Delete(r) => {
+                        spliced.delete_into(r, &mut a);
+                        inserted.delete_into(r, &mut b);
+                    }
+                }
+                prop_assert_eq!(&a.moves, &b.moves, "{}", backend);
+            }
+            prop_assert_eq!(spliced.slots().layout(), inserted.slots().layout(), "{}", backend);
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! (`lone_label_map_keeps_no_template`), and its count pins the
 //! allocations of one Corollary 11 build, computed
 //! (`corollary11_build_allocations_stay_pinned`) and served from a
-//! template (`corollary11_template_build_allocations_stay_pinned`).
+//! template (`corollary11_template_build_allocations_stay_pinned`), and of
+//! one template-served growth
+//! (`corollary11_template_growth_allocations_stay_pinned`).
 //!
 //! Methodology: structures allocate while *growing* (slot-array doubling,
 //! hash-table growth, rebalance scratch buffers reaching their high-water
@@ -442,6 +444,35 @@ fn corollary11_template_build_allocations_stay_pinned() {
     assert_eq!(allocs, EXACT, "a Corollary 11 list built from a template allocated {allocs} times");
 }
 
+/// Allocations of one template-served Corollary 11 growth, pinned at the
+/// exact count: the insert that grows a list bulk-loaded full at 2,048 to
+/// capacity 4,096, the growth `core_ops`' `grow_template_us_n2048` times.
+/// Two lists grown first leave the builder a template of capacity 4,096,
+/// so the insert clones it, splices the 2,048 survivors in (their move log
+/// included, which the caller drops unread), drops the old structure and
+/// inserts. Exact in debug and release builds; a rebuild that logs no
+/// moves (ROADMAP item 3) shows here.
+fn corollary11_template_growth_allocations_stay_pinned() {
+    const EXACT: u64 = 49;
+    let builder = ListBuilder::new().backend(Backend::Corollary11);
+    let full = |seed| {
+        let mut list = builder.clone().seed(seed).build();
+        drop(list.splice_reported(0, 2048));
+        assert_eq!(list.capacity(), 2048, "the bulk load lands full");
+        list
+    };
+    for seed in [1, 2] {
+        full(seed).insert(1024);
+    }
+    let mut list = full(11);
+    let allocs = allocs_in(|| list.insert(1024));
+    assert_eq!(list.capacity(), 4096, "the insert grows the list");
+    let sizes = builder.template_sizes();
+    let grown = sizes.iter().find(|s| s.capacity == 4096).expect("capacity 4,096 built");
+    assert_eq!((grown.fresh_builds, grown.cloned_builds), (2, 1), "{sizes:?}");
+    assert_eq!(allocs, EXACT, "a template-served Corollary 11 growth allocated {allocs} times");
+}
+
 /// A lone `LabelMap` that grows from empty to 2^14 entries builds each
 /// capacity once, so its builder keeps no Corollary 11 template (one would
 /// hold about 148 B/entry), and the live bytes per entry it holds stay
@@ -485,5 +516,6 @@ fn steady_state_operations_reach_zero_allocations() {
     label_map_footprint_stays_pinned();
     corollary11_build_allocations_stay_pinned();
     corollary11_template_build_allocations_stay_pinned();
+    corollary11_template_growth_allocations_stay_pinned();
     lone_label_map_keeps_no_template();
 }
