@@ -277,7 +277,7 @@ mod tests {
         let mut classic = ClassicBuilder.build(n, m);
         let mut cost_a = 0u64;
         let mut cost_c = 0u64;
-        for i in 0..n as u64 {
+        for i in 0..n as u32 {
             cost_a += apma.insert(hammer_rank, ElemId(i)).cost();
             cost_c += classic.insert(hammer_rank, ElemId(i)).cost();
         }
@@ -293,7 +293,7 @@ mod tests {
         let n = 2048;
         let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         for i in 0..n / 2 {
-            apma.insert(0, ElemId(i as u64));
+            apma.insert(0, ElemId(i as u32));
         }
         // The head of the array should be the hottest region.
         let tree = apma.tree().clone();
@@ -310,7 +310,7 @@ mod tests {
         let n = 4096;
         let mut apma = AdaptiveBuilder.build(n, n * 13 / 10);
         for i in 0..n / 2 {
-            apma.insert(i / 7, ElemId(i as u64));
+            apma.insert(i / 7, ElemId(i as u32));
         }
         assert_eq!(apma.len(), n / 2);
         let labels: Vec<usize> = (0..apma.len()).map(|r| apma.label_of_rank(r)).collect();
@@ -324,7 +324,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let mut total = 0u64;
         for len in 0..n {
-            total += apma.insert(rng.gen_range(0..=len), ElemId(len as u64)).cost();
+            total += apma.insert(rng.gen_range(0..=len), ElemId(len as u32)).cost();
         }
         let amortized = total as f64 / n as f64;
         assert!(amortized < 80.0, "adaptive amortized {amortized} too high on random input");

@@ -15,6 +15,7 @@
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
 use lll_core::growable::{Growable, GrowableStats, Handle};
+use lll_core::ids::ElemId;
 use lll_core::metrics::{ListMetrics, MetricsHandle};
 use lll_core::report::OpReport;
 use lll_core::rng::derive_seed;
@@ -78,9 +79,14 @@ pub trait RawList {
     fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport);
 
     /// The physical slot array of the current epoch: a label is a position
-    /// in it, and the element stored there is the element's handle (move
-    /// logs therefore name elements by handle).
+    /// in it, and what it stores there is the element's bare index, the
+    /// [`ElemId`] of its handle (move logs therefore name elements by
+    /// index; [`handle`](Self::handle) attaches the generation).
     fn slots(&self) -> &SlotArray;
+
+    /// The handle of the stored element `elem`: its index with the
+    /// generation of its lifetime attached.
+    fn handle(&self, elem: ElemId) -> Handle;
 
     /// The rank of the element whose label is `label` — the one
     /// label→rank resolution, counted in the backend's metrics.
@@ -113,12 +119,13 @@ pub trait RawList {
     /// The handle of the element stored at `label` (`None` on a free slot
     /// or past the end).
     fn handle_at_label(&self, label: usize) -> Option<Handle> {
-        (label < self.slots().num_slots()).then(|| self.slots().get(label)).flatten()
+        let elem = (label < self.slots().num_slots()).then(|| self.slots().get(label)).flatten();
+        elem.map(|e| self.handle(e))
     }
 
     /// The handle of the element of `rank`.
     fn handle_at_rank(&self, rank: usize) -> Handle {
-        self.slots().get(self.label_of_rank(rank)).expect("select lands on an element")
+        self.handle(self.slots().get(self.label_of_rank(rank)).expect("select lands on an element"))
     }
 
     /// The label (slot position) of the element of `rank`.
@@ -195,6 +202,10 @@ impl<B: LabelingBuilder> RawList for Growable<B> {
         self.inner().slots()
     }
 
+    fn handle(&self, elem: ElemId) -> Handle {
+        Growable::handle(self, elem)
+    }
+
     fn rank_at_label(&self, label: usize) -> usize {
         Growable::rank_at_label(self, label)
     }
@@ -254,7 +265,7 @@ pub enum Backend {
     /// randomized or deamortized alone read 9.7–13.5× and 1.9–2.1×
     /// (medians over three seeds, measured before the `LabelMap` search
     /// index made every backend's uniform-mix operations cheaper). It takes
-    /// 0.13–0.14 s to set up against 0.05–0.08 s, and holds 174 resident
+    /// 0.13–0.14 s to set up against 0.05–0.08 s, and holds 121 resident
     /// bytes per entry against 40. Pick a single layer when time or memory
     /// matters more than the combined move bounds.
     Corollary11,
@@ -569,6 +580,10 @@ impl RawList for ErasedList {
         self.inner.slots()
     }
 
+    fn handle(&self, elem: ElemId) -> Handle {
+        self.inner.handle(elem)
+    }
+
     fn rank_at_label(&self, label: usize) -> usize {
         self.inner.rank_at_label(label)
     }
@@ -682,6 +697,22 @@ mod tests {
         }
         for r in 0..100 {
             assert_eq!(a.label_of_rank(r), c.label_of_rank(r), "layout diverged at rank {r}");
+        }
+    }
+
+    #[test]
+    fn the_read_fields_share_the_backends_first_cache_line() {
+        // A keyed read goes from the boxed backend (a `Growable`) through
+        // its inner structure to the physical slot array, then to the
+        // array's contents and bitmap words. Each layer puts the next one
+        // first, so those fields end within 64 bytes of the allocation's
+        // start on every backend.
+        for backend in Backend::ALL {
+            let list = ListBuilder::new().backend(backend).build();
+            let start = std::ptr::from_ref(&*list.inner).cast::<u8>().addr();
+            let slots = std::ptr::from_ref(list.slots()).addr();
+            let end = slots - start + SlotArray::READ_FIELDS_END;
+            assert!(end <= 64, "{backend}: the read fields end at byte {end}");
         }
     }
 

@@ -48,7 +48,7 @@
 use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::MapCursor;
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
-use lll_core::growable::Handle;
+use lll_core::ids::ElemId;
 use lll_core::report::{MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use std::borrow::Borrow;
@@ -336,23 +336,23 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.list.metrics_handle()
     }
 
-    /// The entry of the live element `h`.
-    fn entry(&self, h: Handle) -> &(K, V) {
-        self.slab[h.index()].as_ref().expect("slab entry for live element")
+    /// The entry of the live element `e`.
+    fn entry(&self, e: ElemId) -> &(K, V) {
+        self.slab[e.index()].as_ref().expect("slab entry for live element")
     }
 
-    fn entry_mut(&mut self, h: Handle) -> &mut (K, V) {
-        self.slab[h.index()].as_mut().expect("slab entry for live element")
+    fn entry_mut(&mut self, e: ElemId) -> &mut (K, V) {
+        self.slab[e.index()].as_mut().expect("slab entry for live element")
     }
 
     /// The element stored at the occupied slot `label`.
-    fn handle_at(&self, label: usize) -> Handle {
+    fn elem_at(&self, label: usize) -> ElemId {
         self.list.slots().get(label).expect("label of a live element")
     }
 
     /// The entry stored at the occupied slot `label`.
     pub(crate) fn entry_at(&self, label: usize) -> (&K, &V) {
-        let (k, v) = self.entry(self.handle_at(label));
+        let (k, v) = self.entry(self.elem_at(label));
         (k, v)
     }
 
@@ -379,7 +379,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// **Panics** if `rank >= len`; [`get_key_at_rank`](Self::get_key_at_rank)
     /// is the checked variant.
     pub fn key_at_rank(&self, rank: usize) -> &K {
-        &self.entry(self.list.handle_at_rank(rank)).0
+        &self.entry(self.elem_at(self.list.label_of_rank(rank))).0
     }
 
     /// The key of rank `rank`, or `None` if `rank >= len` — the checked
@@ -506,7 +506,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let h = self.handle_at(self.label_of_key(key)?);
+        let h = self.elem_at(self.label_of_key(key)?);
         Some(&mut self.entry_mut(h).1)
     }
 
@@ -618,9 +618,9 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         Self { list, slab: Vec::new(), fences, report, run: AscendingRun::default() }
     }
 
-    /// Store the entry of the new element `h`.
-    fn put(&mut self, h: Handle, kv: (K, V)) {
-        let i = h.index();
+    /// Store the entry of the new element `e`.
+    fn put(&mut self, e: ElemId, kv: (K, V)) {
+        let i = e.index();
         if i >= self.slab.len() {
             self.slab.resize_with(i + 1, || None);
         }
@@ -667,7 +667,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let label = self.lower_bound_label(&key);
         if let Some(l) = label {
-            let entry = self.entry_mut(self.handle_at(l));
+            let entry = self.entry_mut(self.elem_at(l));
             if entry.0.cmp(&key).is_eq() {
                 return Some(std::mem::replace(&mut entry.1, value));
             }
@@ -676,7 +676,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         self.run.note_insert(rank);
         let pre_epoch = self.list.epoch();
         let h = self.list.insert_reported_into(rank, &mut self.report);
-        self.put(h, (key, value));
+        self.put(h.elem(), (key, value));
         self.sync_fences_after_point_op(pre_epoch);
         None
     }
@@ -718,7 +718,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         let mut entries = Vec::with_capacity(self.len());
         let mut label = self.list.first_label();
         while let Some(l) = label {
-            let h = self.handle_at(l);
+            let h = self.elem_at(l);
             entries.push(self.slab[h.index()].take().expect("slab entry for live element"));
             label = self.list.next_label_after(l);
         }
@@ -799,7 +799,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
             match label {
                 // Existing key: replace the value, keep position and handle.
                 Some(l) if self.entry_at(l).0.cmp(&k).is_eq() => {
-                    self.entry_mut(self.handle_at(l)).1 = v;
+                    self.entry_mut(self.elem_at(l)).1 = v;
                 }
                 _ => {
                     pending_succ = label;
@@ -823,7 +823,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         let (handles, rep) = self.list.splice_reported(rank, run.len());
         debug_assert_eq!(handles.len(), run.len());
         // Unless re-laying, mark the groups the splice's moves touched; then
-        // free its log, 16 bytes a move, before the slab grows. (A splice
+        // free its log, 12 bytes a move, before the slab grows. (A splice
         // that rebuilt the backend logs nothing: its fences are re-laid.)
         // A re-lay reads no log: the backend read what it needed before
         // handing the log out (see `Growable::rebuild_with_order`), so a
@@ -835,7 +835,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         let slab_len = handles.iter().map(|h| h.index() + 1).max().unwrap_or(0);
         self.slab.reserve(slab_len.saturating_sub(self.slab.len()));
         for (h, kv) in handles.into_iter().zip(run.drain(..)) {
-            self.put(h, kv);
+            self.put(h.elem(), kv);
         }
         if relay {
             self.fences.relay(self.list.slots(), &self.slab);
@@ -1003,10 +1003,10 @@ impl<K, V, L: RawList> Iterator for IntoIter<K, V, L> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let l = self.label?;
-        let h = self.list.handle_at_label(l)?;
+        let e = self.list.slots().get(l)?;
         self.label = self.list.next_label_after(l);
         self.remaining -= 1;
-        self.slab[h.index()].take()
+        self.slab[e.index()].take()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1064,6 +1064,7 @@ impl<K: Ord, V, L: RawList> ExactSizeIterator for Range<'_, K, V, L> {}
 mod tests {
     use super::*;
     use crate::backend::Backend;
+    use lll_core::growable::Handle;
     use rand::{Rng, SeedableRng};
     use std::collections::{BTreeMap, HashSet};
 
@@ -1604,7 +1605,7 @@ mod tests {
 
     /// The live handles of `map`'s backend.
     fn live_handles<L: RawList>(map: &LabelMap<u32, u32, L>) -> Vec<Handle> {
-        map.backend().slots().iter_occupied().map(|(_, h)| h).collect()
+        map.backend().slots().iter_occupied().map(|(_, e)| map.backend().handle(e)).collect()
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! queries — Dietz '82, the application the paper's footnote 1 motivates.
 //!
 //! The list stores values in a list-labeling backend and keeps a **label
-//! table** (handle → slot position) maintained *incrementally from the
-//! move logs*: each operation's [`OpReport`] lists exactly the elements
-//! whose labels changed, so the total label-maintenance work equals the
-//! backend's move cost — precisely why low-cost list labeling matters for
-//! order maintenance. `order(a, b)` is then a single label comparison.
+//! table** (element index → slot position) maintained *incrementally from
+//! the move logs*: each operation's [`OpReport`] lists exactly the
+//! elements whose labels changed, by index, so the total
+//! label-maintenance work equals the backend's move cost — precisely why
+//! low-cost list labeling matters for order maintenance. `order(a, b)` is
+//! then a single label comparison. The table also keeps each element's
+//! generation, and a caller's [`Handle`] resolves only if its generation
+//! matches: a handle kept past its element's deletion stays stale after
+//! the backend reissues its index.
 //! Growth/shrink rebuilds (which relabel everything) are detected via the
 //! backend's epoch and resynchronized with one O(n) sweep, amortized free
 //! against the Ω(n) operations between rebuilds.
@@ -15,10 +19,10 @@ use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::{Cursor, CursorMut};
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::growable::Handle;
-use lll_core::ids::ElemId;
+use lll_core::ids::{ElemId, Stamp};
 use lll_core::report::OpReport;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -39,13 +43,29 @@ use std::io::{Read, Write};
 /// ```
 pub struct OrderedList<V, L: RawList = ErasedList> {
     list: L,
-    /// Each live element's label (slot position) and value, by handle:
-    /// following a move costs one hash.
-    entries: HashMap<Handle, (u32, V)>,
+    /// Each live element's generation, label (slot position) and value, by
+    /// index: following a move costs one hash.
+    entries: HashMap<ElemId, Entry<V>>,
     /// Reusable report buffer: point operations drain the backend's move
     /// log into it and apply the label updates in place, so steady-state
     /// inserts allocate nothing on the logging path.
     scratch: OpReport,
+}
+
+/// A live element's entry in an [`OrderedList`]'s label table.
+struct Entry<V> {
+    /// The generation of the element's handle.
+    generation: u32,
+    /// The element's slot position.
+    label: u32,
+    value: V,
+}
+
+impl<V> Entry<V> {
+    /// A new element's entry; its label comes with the operation's report.
+    fn new(h: Handle, value: V) -> Self {
+        Entry { generation: h.generation(), label: 0, value }
+    }
 }
 
 impl<V> OrderedList<V> {
@@ -107,19 +127,26 @@ impl<V, L: RawList> OrderedList<V, L> {
         self.list.metrics_handle()
     }
 
+    /// The entry of `h`, if `h` names a live element: its index is held,
+    /// under `h`'s generation.
+    fn entry(&self, h: Handle) -> Option<&Entry<V>> {
+        self.entries.get(&h.elem()).filter(|e| e.generation == h.generation())
+    }
+
     /// True if `h` refers to a live element.
     pub fn contains(&self, h: Handle) -> bool {
-        self.entries.contains_key(&h)
+        self.entry(h).is_some()
     }
 
     /// The value of `h`.
     pub fn get(&self, h: Handle) -> Option<&V> {
-        self.entries.get(&h).map(|(_, v)| v)
+        self.entry(h).map(|e| &e.value)
     }
 
     /// Mutable access to the value of `h`.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut V> {
-        self.entries.get_mut(&h).map(|(_, v)| v)
+        let entry = self.entries.get_mut(&h.elem())?;
+        (entry.generation == h.generation()).then_some(&mut entry.value)
     }
 
     /// The handle of the first element.
@@ -160,7 +187,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     }
 
     pub(crate) fn label_of(&self, h: Handle) -> Option<u32> {
-        self.entries.get(&h).map(|&(l, _)| l)
+        self.entry(h).map(|e| e.label)
     }
 
     /// How `a` and `b` compare in list order — O(1), one label comparison.
@@ -168,7 +195,8 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// Panics if either handle is stale (use [`contains`](Self::contains)
     /// to probe).
     pub fn order(&self, a: Handle, b: Handle) -> Ordering {
-        self.entries[&a].0.cmp(&self.entries[&b].0)
+        let label = |h| self.label_of(h).unwrap_or_else(|| panic!("order of a stale handle {h:?}"));
+        label(a).cmp(&label(b))
     }
 
     /// True if `a` precedes `b` in list order — O(1).
@@ -177,7 +205,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     }
 
     /// Absorb one operation's or batch's label churn, or resync after a
-    /// rebuild. Move logs name elements by handle. Updates apply in time
+    /// rebuild. Move logs name elements by index. Updates apply in time
     /// order, last write winning — a batch's log may relocate a just-placed
     /// element — and skip an element the operation deleted after moving it.
     fn sync(&mut self, pre_epoch: u64, rep: &OpReport) {
@@ -185,9 +213,9 @@ impl<V, L: RawList> OrderedList<V, L> {
             self.resync();
             return;
         }
-        for (h, pos) in rep.label_updates() {
-            if let Some(entry) = self.entries.get_mut(&h) {
-                entry.0 = pos as u32;
+        for (e, pos) in rep.label_updates() {
+            if let Some(entry) = self.entries.get_mut(&e) {
+                entry.label = pos as u32;
             }
         }
     }
@@ -196,9 +224,9 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// array (the post-rebuild path: a rebuild rewrites every label).
     fn resync(&mut self) {
         let Self { list, entries, .. } = self;
-        for (pos, h) in list.slots().iter_occupied() {
-            if let Some(entry) = entries.get_mut(&h) {
-                entry.0 = pos as u32;
+        for (pos, e) in list.slots().iter_occupied() {
+            if let Some(entry) = entries.get_mut(&e) {
+                entry.label = pos as u32;
             }
         }
     }
@@ -211,7 +239,7 @@ impl<V, L: RawList> OrderedList<V, L> {
         let pre_epoch = self.list.epoch();
         let h = self.list.insert_reported_into(rank, &mut rep);
         // The label comes with the report's updates.
-        self.entries.insert(h, (0, value));
+        self.entries.insert(h.elem(), Entry::new(h, value));
         self.sync(pre_epoch, &rep);
         self.scratch = rep;
         h
@@ -255,7 +283,7 @@ impl<V, L: RawList> OrderedList<V, L> {
         let pre_epoch = self.list.epoch();
         let (handles, rep) = self.list.splice_reported(rank, vals.len());
         for (&h, v) in handles.iter().zip(vals) {
-            self.entries.insert(h, (0, v));
+            self.entries.insert(h.elem(), Entry::new(h, v));
         }
         self.sync(pre_epoch, &rep);
         handles
@@ -309,7 +337,7 @@ impl<V, L: RawList> OrderedList<V, L> {
         let pre_epoch = self.list.epoch();
         let gone = self.list.delete_reported_into(rank, &mut rep);
         debug_assert_eq!(gone, h, "label table pointed at the wrong rank");
-        let value = self.entries.remove(&h).map(|(_, v)| v);
+        let value = self.entries.remove(&h.elem()).map(|e| e.value);
         self.sync(pre_epoch, &rep);
         self.scratch = rep;
         value
@@ -388,13 +416,14 @@ impl<V, L: RawList> OrderedList<V, L> {
         Some(CursorMut::new_at(self, h, rank))
     }
 
-    /// Verify the label table exactly mirrors the backend (O(n); used by
-    /// tests).
+    /// Verify the label table exactly mirrors the backend, labels and
+    /// generations (O(n); used by tests).
     pub fn check_labels(&self) {
         let slots = self.list.slots();
         assert_eq!(slots.len(), self.entries.len(), "label table size diverged");
-        for (pos, h) in slots.iter_occupied() {
-            assert_eq!(self.label_of(h), Some(pos as u32), "stale label for {h:?}");
+        for (pos, e) in slots.iter_occupied() {
+            let h = self.list.handle(e);
+            assert_eq!(self.label_of(h), Some(pos as u32), "stale label or generation for {h:?}");
         }
     }
 }
@@ -453,23 +482,21 @@ impl<V: Codec> OrderedList<V> {
         let count = usize::try_from(header.count)
             .map_err(|_| SnapshotError::Corrupt("element count exceeds host width".into()))?;
         let mut handles: Vec<Handle> = Vec::with_capacity(count.min(1 << 16));
-        let mut entries: HashMap<Handle, (u32, V)> = HashMap::with_capacity(count.min(1 << 16));
-        let mut indices: HashSet<usize> = HashSet::with_capacity(count.min(1 << 16));
+        let mut entries: HashMap<ElemId, Entry<V>> = HashMap::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let h = ElemId(u64::decode(r)?);
-            if h.index() == ElemId::NONE.index() {
+            let h = Stamp(u64::decode(r)?);
+            if h.elem() == ElemId::NONE {
                 return Err(SnapshotError::Corrupt("reserved handle index".into()));
             }
             let v = V::decode(r)?;
             // Live elements never share an index: the backend's id
             // allocator gives each index to one element at a time.
-            if !indices.insert(h.index()) {
+            if entries.insert(h.elem(), Entry::new(h, v)).is_some() {
                 return Err(SnapshotError::Corrupt(format!(
                     "duplicate handle index {}",
                     h.index()
                 )));
             }
-            entries.insert(h, (0, v));
             handles.push(h);
         }
         let mut list = ListBuilder::from_config(header.config()).build();
@@ -484,7 +511,7 @@ impl<V: Codec> OrderedList<V> {
 /// a label-to-label occupancy walk, O(1) space.
 pub struct Iter<'a, V, L: RawList = ErasedList> {
     list: &'a L,
-    entries: &'a HashMap<Handle, (u32, V)>,
+    entries: &'a HashMap<ElemId, Entry<V>>,
     label: Option<usize>,
     remaining: usize,
 }
@@ -494,10 +521,11 @@ impl<'a, V, L: RawList> Iterator for Iter<'a, V, L> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let l = self.label?;
-        let h = self.list.handle_at_label(l)?;
+        let e = self.list.slots().get(l)?;
         self.label = self.list.next_label_after(l);
         self.remaining -= 1;
-        Some((h, &self.entries[&h].1))
+        let entry = &self.entries[&e];
+        Some((Stamp::new(e, entry.generation), &entry.value))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -512,7 +540,7 @@ impl<V, L: RawList> ExactSizeIterator for Iter<'_, V, L> {}
 pub struct IntoIter<V, L: RawList = ErasedList> {
     list: L,
     label: Option<usize>,
-    entries: HashMap<Handle, (u32, V)>,
+    entries: HashMap<ElemId, Entry<V>>,
 }
 
 impl<V, L: RawList> Iterator for IntoIter<V, L> {
@@ -520,9 +548,9 @@ impl<V, L: RawList> Iterator for IntoIter<V, L> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let l = self.label?;
-        let h = self.list.handle_at_label(l)?;
+        let e = self.list.slots().get(l)?;
         self.label = self.list.next_label_after(l);
-        self.entries.remove(&h).map(|(_, v)| v)
+        self.entries.remove(&e).map(|e| e.value)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -581,6 +609,36 @@ impl<V: fmt::Debug, L: RawList> fmt::Debug for OrderedList<V, L> {
 mod tests {
     use super::*;
     use crate::backend::Backend;
+    use std::collections::HashSet;
+
+    #[test]
+    fn a_stale_handle_is_rejected_after_its_index_is_reissued() {
+        for backend in Backend::ALL {
+            let mut ol: OrderedList<u32> =
+                ListBuilder::new().backend(backend).seed(9).ordered_list();
+            let handles = ol.extend_back(0..100);
+            let old = handles[40];
+            assert_eq!(ol.remove(old), Some(40));
+            let new = ol.push_back(1000);
+            assert_eq!(new.elem(), old.elem(), "{backend}: the freed index is reissued");
+            assert_eq!(new.generation(), old.generation() + 1, "{backend}");
+            // The old handle names nothing, wherever it is asked about.
+            assert!(!ol.contains(old), "{backend}");
+            assert_eq!((ol.get(old), ol.rank(old)), (None, None), "{backend}");
+            assert!(ol.get_mut(old).is_none() && ol.cursor_at(old).is_none(), "{backend}");
+            assert!(ol.cursor_at_mut(old).is_none(), "{backend}");
+            assert_eq!(ol.remove(old), None, "{backend}");
+            // Against the reference model: every live handle and value, in
+            // order, the newcomer last.
+            let model: Vec<(Handle, u32)> = (handles.iter().copied().zip(0..))
+                .filter(|&(h, _)| h != old)
+                .chain([(new, 1000)])
+                .collect();
+            assert_eq!(ol.iter().map(|(h, v)| (h, *v)).collect::<Vec<_>>(), model, "{backend}");
+            assert_eq!(ol.rank(new), Some(99), "{backend}");
+            ol.check_labels();
+        }
+    }
 
     #[test]
     fn clear_empties_by_reset_on_every_backend() {

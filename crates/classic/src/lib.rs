@@ -74,7 +74,7 @@ mod tests {
             let mut pma = ClassicBuilder.build(n, n * 13 / 10);
             let mut total = 0u64;
             for i in 0..n {
-                total += pma.insert(0, ElemId(i as u64)).cost();
+                total += pma.insert(0, ElemId(i as u32)).cost();
             }
             points.push((n, total as f64 / n as f64));
         }
@@ -92,10 +92,10 @@ mod tests {
         let n = 100;
         let mut pma = ClassicBuilder.build(n, 130);
         for i in 0..n {
-            pma.insert(i, ElemId(i as u64));
+            pma.insert(i, ElemId(i as u32));
         }
         assert_eq!(pma.len(), n);
-        let overflow = std::panic::AssertUnwindSafe(|| pma.insert(0, ElemId(n as u64)));
+        let overflow = std::panic::AssertUnwindSafe(|| pma.insert(0, ElemId(n as u32)));
         assert!(std::panic::catch_unwind(overflow).is_err());
     }
 

@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn tail_insert_costs_are_constant() {
         let mut s = ShiftArray::new(64, 64);
-        let costs: Vec<u64> = (0..64).map(|i| s.insert(i, ElemId(i as u64)).cost()).collect();
+        let costs: Vec<u64> = (0..64).map(|i| s.insert(i, ElemId(i as u32)).cost()).collect();
         assert!(costs.iter().all(|&c| c == 1));
     }
 }

@@ -34,8 +34,11 @@ const BLOCK_WORDS: usize = BLOCK_BITS / 64;
 /// before it starts counting whole words.
 const SHORT_HOPS: usize = 8;
 
-/// A fixed-length bitmap with rank and select.
+/// A fixed-length bitmap with rank and select. The words come first
+/// (`repr(C)`): a keyed read of a slot array reads them and nothing else
+/// here.
 #[derive(Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct Bitmap {
     words: Vec<u64>,
     /// Fenwick array (1-based) over per-block set-bit counts: `counts[i]`
@@ -66,6 +69,11 @@ impl Clone for Bitmap {
 }
 
 impl Bitmap {
+    /// Bytes from the start of a `Bitmap` to the end of its words, the
+    /// field a keyed read reads.
+    pub const READ_FIELDS_END: usize =
+        std::mem::offset_of!(Bitmap, words) + std::mem::size_of::<Vec<u64>>();
+
     /// An all-zero bitmap over `len` positions.
     pub fn new(len: usize) -> Self {
         Self {

@@ -8,16 +8,18 @@
 //! keeps a **stable handle** across rebuilds, so applications can hold
 //! references to elements without tracking migrations.
 //!
-//! A handle *is* the element's [`ElemId`]: `Growable` allocates every id it
-//! hands to the inner structure, from an [`IdAllocator`], and passes the
-//! survivors' ids into the rebuilt one. The id's index part is reused after
-//! a deletion, under the next generation, so indices stay below the peak
-//! population and callers can keep per-element data in a `Vec` indexed by
-//! [`ElemId::index`] (as `lll-api`'s `LabelMap` does, and as the inner
-//! structures do with an [`IdTable`](crate::ids::IdTable)). The generation
-//! keeps a reused index from repeating a whole id that the inner structure
-//! may still track (the embedding's ghosts) or that a caller may still
-//! hold.
+//! `Growable` allocates every element index it hands to the inner
+//! structure, from an [`IdAllocator`], and passes the survivors' indices
+//! into the rebuilt one. A deleted element's index is reused by a later
+//! insertion, so indices stay below the peak population and callers can
+//! keep per-element data in a `Vec` indexed by [`ElemId::index`] (as
+//! `lll-api`'s `LabelMap` does, and as the inner structures do with an
+//! [`IdTable`](crate::ids::IdTable)). The inner structure stores, moves
+//! and logs bare indices; a [`Handle`] adds the generation of the index's
+//! lifetime, which `Growable` keeps in its [`Generations`] table and
+//! attaches wherever it hands out a handle, so a handle a caller keeps
+//! past its element's deletion never names the element that took the
+//! index next.
 //!
 //! Rebuild costs amortize: a rebuild of size `n` happens only after Ω(n)
 //! operations, adding amortized O(polylog n) per operation on top of the
@@ -35,14 +37,18 @@
 //! handle's `moves`, and the handle outlives every rebuild, so
 //! [`total_moves`](Growable::total_moves) reads it.
 
-use crate::ids::{ElemId, IdAllocator};
+use crate::ids::{ElemId, Generations, IdAllocator, Stamp};
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::ops::Op;
 use crate::report::OpReport;
 use crate::traits::{LabelingBuilder, ListLabeling};
 
-/// A stable, rebuild-surviving element handle: the element's [`ElemId`].
-pub type Handle = ElemId;
+/// A stable, rebuild-surviving element handle: the element's index and
+/// the generation of its lifetime, a [`Stamp`] (index in the low 32 bits,
+/// generation in the high 32). A handle of a deleted element stays stale
+/// after its index is reissued: the new element's handle has the next
+/// generation.
+pub type Handle = Stamp;
 
 /// Statistics for the growth machinery.
 #[derive(Clone, Copy, Debug, Default)]
@@ -54,12 +60,21 @@ pub struct GrowableStats {
 }
 
 /// A dynamically sized sorted list over any list-labeling algorithm.
+///
+/// The inner structure comes first (`repr(C)`): a keyed read goes through
+/// it to its physical slot array, whose read fields then share the cache
+/// line that starts the list (see [`SlotArray`](crate::slot_array)).
+#[repr(C)]
 pub struct Growable<B: LabelingBuilder> {
-    builder: B,
     inner: B::Structure,
-    /// Issues every element id; a deletion releases its id, and the next
-    /// insertion takes that index under the next generation.
+    builder: B,
+    /// Issues every element index; a deletion releases its index, and the
+    /// next insertion takes it.
     ids: IdAllocator,
+    /// Each issued index's generation: its current lifetime's while live,
+    /// its next one's while free. Dense below the largest capacity the
+    /// list has had.
+    generations: Generations,
     min_capacity: usize,
     stats: GrowableStats,
     /// Bumped on every rebuild. All labels (slot positions) are invalidated
@@ -107,8 +122,9 @@ impl<B: LabelingBuilder> Growable<B> {
         let mut inner = builder.build_default(doubled_to_fit(floor, len));
         inner.set_metrics(metrics.clone());
         Self {
-            builder,
+            generations: Generations::new(inner.capacity()),
             inner,
+            builder,
             ids: IdAllocator::new(),
             min_capacity: floor,
             stats: GrowableStats::default(),
@@ -181,6 +197,24 @@ impl<B: LabelingBuilder> Growable<B> {
         self.inner.name()
     }
 
+    /// The handle of the stored element `elem`: its index with the
+    /// generation of its lifetime attached.
+    #[inline]
+    pub fn handle(&self, elem: ElemId) -> Handle {
+        Stamp::new(elem, self.generations.get(elem))
+    }
+
+    /// Make the deleted element `elem`'s index reusable: its next lifetime
+    /// takes the next generation. An index whose generation is spent
+    /// (`u32::MAX`) is retired instead, so no handle is ever issued twice.
+    fn release(ids: &mut IdAllocator, generations: &mut Generations, elem: ElemId) {
+        let generation = generations.get(elem);
+        if generation < u32::MAX {
+            generations.set(elem, generation + 1);
+            ids.release(elem);
+        }
+    }
+
     /// Rebuild into a structure of the given capacity, preserving order and
     /// handles.
     fn rebuild(&mut self, new_capacity: usize) {
@@ -201,7 +235,7 @@ impl<B: LabelingBuilder> Growable<B> {
         let fresh = self.ids.fresh_n(count);
         order.splice(rank..rank, fresh.iter().copied());
         self.rebuild_with_order(new_capacity, &order);
-        fresh
+        fresh.into_iter().map(|e| self.handle(e)).collect()
     }
 
     /// The shared rebuild tail: land `order` (every element's id, in final
@@ -219,9 +253,10 @@ impl<B: LabelingBuilder> Growable<B> {
         // handing the log out (the PMA skeleton feeds `on_insert` from it,
         // the deamortized PMA its position table, and the embedding places
         // its simulation's splice log as its layout). Only this copy goes
-        // unread, at 16 bytes per element (ROADMAP item 3).
+        // unread, at 12 bytes per element (ROADMAP item 3).
         fresh.splice_into(0, order, &mut OpReport::default());
         self.inner = fresh;
+        self.generations.raise_dense_limit(new_capacity);
         self.epoch += 1;
         self.metrics.note_epoch_bump();
     }
@@ -252,7 +287,7 @@ impl<B: LabelingBuilder> Growable<B> {
         let id = self.ids.fresh();
         self.inner.insert_into(rank, id, out);
         self.metrics.note_op_moves(out.cost());
-        id
+        self.handle(id)
     }
 
     /// Delete the element of `rank`, shrinking at quarter load. Move
@@ -273,13 +308,14 @@ impl<B: LabelingBuilder> Growable<B> {
         self.inner.delete_into(rank, out);
         self.metrics.note_op_moves(out.cost());
         let (gone, _) = out.removed.expect("delete removes");
-        self.ids.release(gone);
+        let handle = self.handle(gone);
+        Self::release(&mut self.ids, &mut self.generations, gone);
         if self.capacity() > self.min_capacity && self.len() * 4 <= self.capacity() {
             self.stats.shrinks += 1;
             let target = (self.capacity() / 2).max(self.min_capacity);
             self.rebuild(target);
         }
-        gone
+        handle
     }
 
     /// Batch-insert `count` new elements at consecutive final ranks
@@ -315,7 +351,7 @@ impl<B: LabelingBuilder> Growable<B> {
         let mut bulk = OpReport::default();
         self.inner.splice_into(rank, &ids, &mut bulk);
         self.metrics.note_op_moves(bulk.cost());
-        (ids, bulk)
+        (ids.into_iter().map(|e| self.handle(e)).collect(), bulk)
     }
 
     /// Restore an **empty** structure to `handles.len()` elements in one
@@ -324,9 +360,10 @@ impl<B: LabelingBuilder> Growable<B> {
     /// valid in the restored structure, so no caller has to re-key. The
     /// whole population lands via a single
     /// [`splice_into`](ListLabeling::splice_into) into a structure sized
-    /// for it (~1 move per element) and the epoch bumps exactly once. New
-    /// ids then take indices above every restored one: the generations of
-    /// the indices in between were not persisted, so they are not reused.
+    /// for it (~1 move per element), each handle's generation is kept, and
+    /// the epoch bumps exactly once. New ids then take indices above every
+    /// restored one: the generations of the indices in between were not
+    /// persisted, so they are not reused.
     ///
     /// Panics if the structure is non-empty or if any handle has the
     /// reserved index `u32::MAX` (the index of [`ElemId::NONE`]). The
@@ -353,7 +390,11 @@ impl<B: LabelingBuilder> Growable<B> {
             );
         }
         let Some(max_index) = max_index else { return };
-        self.rebuild_with_order(doubled_to_fit(self.capacity(), handles.len()), handles);
+        let order: Vec<ElemId> = handles.iter().map(|h| h.elem()).collect();
+        self.rebuild_with_order(doubled_to_fit(self.capacity(), handles.len()), &order);
+        for h in handles {
+            self.generations.set(h.elem(), h.generation());
+        }
         self.ids.skip_through(max_index as u32);
     }
 
@@ -363,15 +404,16 @@ impl<B: LabelingBuilder> Growable<B> {
     /// only under its next generation, so no id issued after the reset
     /// repeats one from before it.
     pub fn reset(&mut self) {
-        for (_, id) in self.inner.slots().iter_occupied() {
-            self.ids.release(id);
+        let Self { inner, ids, generations, .. } = self;
+        for (_, id) in inner.slots().iter_occupied() {
+            Self::release(ids, generations, id);
         }
         self.rebuild_with_order(self.min_capacity, &[]);
     }
 
     /// Iterate handles in rank order.
     pub fn iter(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.inner.slots().iter_occupied().map(|(_, e)| e)
+        self.inner.slots().iter_occupied().map(|(_, e)| self.handle(e))
     }
 
     /// Every physical element move since construction, rebuilds included:
@@ -456,7 +498,7 @@ mod tests {
         // several growths happened; order must match insertion order
         let got: Vec<Handle> = g.iter().collect();
         assert_eq!(got, handles);
-        assert_eq!(g.inner().elem_at_rank(137), handles[137]);
+        assert_eq!(g.inner().elem_at_rank(137), handles[137].elem());
         let (label, _) = g.inner().slots().iter_occupied().nth(42).expect("rank 42");
         assert_eq!(g.rank_at_label(label), 42);
     }
@@ -484,8 +526,8 @@ mod tests {
         let e0 = g.epoch();
         let mut rep = OpReport::default();
         let h0 = g.insert_reported_into(0, &mut rep);
-        // The placement reaches the report under the handle itself.
-        assert_eq!(rep.placed_elem(), Some(h0));
+        // The placement reaches the report under the handle's index.
+        assert_eq!(rep.placed_elem(), Some(h0.elem()));
         assert_eq!(g.epoch(), e0, "no rebuild yet");
         // Fill past capacity: epoch must bump, the new layout must keep
         // the handles in order.
@@ -494,8 +536,8 @@ mod tests {
             handles.push(g.insert(i));
         }
         assert!(g.epoch() > e0, "growth must bump the epoch");
-        for (rank, (pos, h)) in g.inner().slots().iter_occupied().enumerate() {
-            assert_eq!((h, g.rank_at_label(pos)), (handles[rank], rank));
+        for (rank, (pos, e)) in g.inner().slots().iter_occupied().enumerate() {
+            assert_eq!((g.handle(e), g.rank_at_label(pos)), (handles[rank], rank));
         }
         // The inner structure is reachable for introspection.
         assert_eq!(g.inner().len(), g.len());
@@ -503,7 +545,7 @@ mod tests {
         // Deleting returns the handle and reports it.
         let gone = g.delete_reported_into(0, &mut rep);
         assert_eq!(gone, handles[0]);
-        assert_eq!(rep.removed_elem(), Some(gone));
+        assert_eq!(rep.removed_elem(), Some(gone.elem()));
     }
 
     #[test]
@@ -599,7 +641,8 @@ mod tests {
         let n = 1000usize;
         // Persisted handles are arbitrary distinct u64s, not necessarily
         // contiguous — mimic a restored snapshot with gaps.
-        let handles: Vec<Handle> = (0..n as u64).map(|i| ElemId(i * 3 + 5)).collect();
+        let handles: Vec<Handle> =
+            (0..n as u32).map(|i| Stamp::new(ElemId(i * 3 + 5), i % 4)).collect();
         let mut g = Growable::new(ClassicBuilder, 16);
         let e0 = g.epoch();
         g.load_with_handles(&handles);
@@ -608,9 +651,9 @@ mod tests {
         assert_eq!(g.iter().collect::<Vec<_>>(), handles, "rank order == handle order");
         // O(n) restore: exactly one move (placement) per element.
         assert_eq!(g.total_moves(), n as u64, "restore must be 1 move/element");
-        // Fresh insertions never reuse a restored handle value.
+        // Fresh insertions never reuse a restored index.
         let fresh = g.insert(0);
-        assert!(fresh.0 > handles.iter().map(|h| h.0).max().unwrap());
+        assert!(fresh.index() > handles.iter().map(|h| h.index()).max().unwrap());
     }
 
     #[test]
@@ -618,7 +661,7 @@ mod tests {
     fn load_with_handles_rejects_non_empty() {
         let mut g = Growable::new(ClassicBuilder, 16);
         g.insert(0);
-        g.load_with_handles(&[ElemId(9)]);
+        g.load_with_handles(&[Stamp(9)]);
     }
 
     #[test]
@@ -627,7 +670,7 @@ mod tests {
         // Index u32::MAX is the sentinel's: the allocator cannot issue
         // past it.
         let mut g = Growable::new(ClassicBuilder, 16);
-        g.load_with_handles(&[ElemId(3), ElemId::new(u32::MAX, 1)]);
+        g.load_with_handles(&[Stamp(3), Stamp::new(ElemId::NONE, 1)]);
     }
 
     #[test]
@@ -652,6 +695,41 @@ mod tests {
         }
         assert!(max_index < 2 * peak, "index {max_index} outgrew peak population {peak}");
         assert_eq!(g.iter().collect::<Vec<_>>(), live);
+    }
+
+    #[test]
+    fn a_reissued_index_takes_the_next_generation() {
+        // Against a model that keeps every index's generation: each handle
+        // the list hands out, by insertion, deletion, splice, iteration or
+        // lookup, carries its index's current generation, and a spent
+        // generation retires its index.
+        let mut g = Growable::new(ClassicBuilder, 16);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut model: std::collections::HashMap<ElemId, u32> = Default::default();
+        let mut live: Vec<Handle> = Vec::new();
+        for step in 0..4000 {
+            if live.is_empty() || rng.gen_bool(0.5) {
+                let r = rng.gen_range(0..=live.len());
+                let h = g.insert(r);
+                assert_eq!(h.generation(), model.get(&h.elem()).copied().unwrap_or(0), "{step}");
+                live.insert(r, h);
+            } else {
+                let r = rng.gen_range(0..live.len());
+                let h = g.delete(r);
+                assert_eq!(h, live.remove(r), "{step}");
+                *model.entry(h.elem()).or_default() += 1;
+            }
+        }
+        assert!(live.iter().any(|h| h.generation() > 0), "no index was reissued");
+        assert_eq!(g.iter().collect::<Vec<_>>(), live);
+        for (pos, e) in g.inner().slots().iter_occupied() {
+            assert_eq!(g.handle(e), live[g.rank_at_label(pos)]);
+        }
+        // A handle whose generation is spent retires its index.
+        let mut g = Growable::new(ClassicBuilder, 16);
+        g.load_with_handles(&[Stamp::new(ElemId(0), u32::MAX)]);
+        assert_eq!(g.delete(0), Stamp::new(ElemId(0), u32::MAX));
+        assert_eq!(g.insert(0).elem(), ElemId(1), "a spent index was reissued");
     }
 
     #[test]

@@ -1,56 +1,67 @@
-//! Opaque element identities, their allocator, and tables indexed by them.
+//! Element indices, element lifetimes, their allocator, and tables indexed
+//! by them.
 //!
 //! List-labeling algorithms treat stored elements as black boxes (paper §2:
 //! "the only information that it knows about the elements is their relative
-//! ranks"). An [`ElemId`] is that black box: a unique, copyable token that
-//! the *caller* hands to each insertion and that comes back in move logs.
-//! Structures store ids; they never allocate them. The two layers that
-//! number elements for the structure below them (`Growable`, and the
-//! layered embedding for its R-shell) share one [`IdAllocator`], and a
-//! structure that keeps data per element keeps it in an [`IdTable`].
+//! ranks"). An [`ElemId`] is that black box: a 4-byte index that the
+//! *caller* hands to each insertion and that comes back in move logs.
+//! Structures store, move and log indices; they never allocate them. The
+//! two layers that number elements for the structure below them
+//! (`Growable`, and the layered embedding for its R-shell) each draw them
+//! from an [`IdAllocator`], which reissues a deleted element's index to the
+//! next insertion, so indices stay below the peak population and
+//! per-element data can live in a `Vec` (or an [`IdTable`]) at
+//! [`ElemId::index`].
+//!
+//! ## Index against lifetime
+//!
+//! An index names one element while it is stored, and no two stored
+//! elements share one, so every slot array, move log and read of a live
+//! element uses the bare index. A [`Stamp`] adds a 4-byte generation and
+//! names one *lifetime* of an index: the pair is needed only where an id
+//! outlives its element and the index may meanwhile come back as another
+//! element. Three places keep generations, each for that reason:
+//!
+//! * `Growable` hands its callers [`Handle`](crate::growable::Handle)s,
+//!   which a caller may keep past the element's deletion: its allocator
+//!   keeps each issued index's generation in a [`Generations`] table and
+//!   attaches it wherever it hands out a handle.
+//! * The layered embedding (`lll-embedding`'s `Embed`) keeps a deleted
+//!   element as a ghost until its pending checkpoint clears it, and a
+//!   frozen checkpoint names its targets for many operations: the ghosts,
+//!   and the checkpoint's record of the targets deleted since its freeze,
+//!   hold stamps.
+//! * The deamortized PMA (`lll-deamortized`) queues a frozen plan whose
+//!   entries may outlive their elements: queue entries hold stamps.
+//!
+//! The two structures keep their stamps' generations in their own
+//! [`IdTable`], which assigns them: each insertion of an index that the
+//! table does not hold starts a lifetime, and a removal ends it under the
+//! next generation.
 
 use std::collections::HashMap;
 use std::fmt;
 
-/// A unique identity for one stored element.
+/// The index of one stored element: 4 bytes in every slot and move record.
 ///
-/// The low 32 bits are a slab index and the high 32 bits a generation.
-/// [`IdAllocator`] is the one allocator that issues them, and it has two
-/// users: [`Growable`](crate::growable::Growable) numbers the stored
-/// elements with it (so a handle is an `ElemId`), and the layered
-/// embedding (`lll-embedding`'s `Embed`) numbers the slots of its R-shell.
-/// Both reuse a deleted element's index under the next generation, so the
-/// indices in use stay below the peak population and per-element data can
-/// live in a `Vec` (or an [`IdTable`]) indexed by [`index`](Self::index),
-/// while no live element, and no deleted one a structure may still track,
-/// ever shares a whole id with another. Equality/ordering on `ElemId` is
-/// identity only — it says nothing about element rank.
+/// Indices are issued by an [`IdAllocator`] (or, in tests and experiments,
+/// an [`IdGen`]); no two elements a structure stores share one, and a
+/// deleted element's index may be issued again at once. Equality/ordering
+/// on `ElemId` is identity only — it says nothing about element rank.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ElemId(pub u64);
+pub struct ElemId(pub u32);
 
 impl ElemId {
     /// Sentinel for "no element" in packed slot storage (the
     /// [`SlotArray`](crate::slot_array::SlotArray) contents array stores
-    /// bare `ElemId`s at 8 bytes per slot instead of 16-byte
-    /// `Option<ElemId>`s). Its index, `u32::MAX`, is never issued.
-    pub const NONE: ElemId = ElemId(u64::MAX);
+    /// bare `ElemId`s at 4 bytes per slot instead of 8-byte
+    /// `Option<ElemId>`s). Index `u32::MAX` is never issued.
+    pub const NONE: ElemId = ElemId(u32::MAX);
 
-    /// The id with the given slab index and generation.
-    #[inline]
-    pub fn new(index: u32, generation: u32) -> Self {
-        ElemId(u64::from(generation) << 32 | u64::from(index))
-    }
-
-    /// The slab index (low 32 bits).
+    /// The index, for per-element tables.
     #[inline]
     pub fn index(self) -> usize {
-        (self.0 & u64::from(u32::MAX)) as usize
-    }
-
-    /// The generation (high 32 bits).
-    #[inline]
-    pub fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
+        self.0 as usize
     }
 }
 
@@ -66,15 +77,52 @@ impl fmt::Display for ElemId {
     }
 }
 
-/// The generational id allocator: a deleted id's index is issued again
-/// under the next generation, most recently freed first, so the indices
-/// in use stay below the peak number of live ids. An index whose
-/// generation is spent (`u32::MAX`) is retired instead, so no id is ever
-/// issued twice; index `u32::MAX` belongs to [`ElemId::NONE`] and is never
-/// issued.
+/// One lifetime of an element index: the [`ElemId`] in the low 32 bits and
+/// a generation in the high 32 bits. Two lifetimes of one index differ in
+/// generation, so a stamp held past its element's deletion never matches
+/// the element that takes the index next.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Stamp(pub u64);
+
+impl Stamp {
+    /// The lifetime `generation` of `elem`'s index.
+    #[inline]
+    pub fn new(elem: ElemId, generation: u32) -> Self {
+        Stamp(u64::from(generation) << 32 | u64::from(elem.0))
+    }
+
+    /// The element index (low 32 bits).
+    #[inline]
+    pub fn elem(self) -> ElemId {
+        ElemId(self.0 as u32)
+    }
+
+    /// The element index as a `usize`.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.elem().index()
+    }
+
+    /// The generation (high 32 bits).
+    #[inline]
+    pub fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
+
+impl fmt::Debug for Stamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "e{}g{}", self.elem().0, self.generation())
+    }
+}
+
+/// The index allocator: a deleted element's index is issued again, most
+/// recently freed first, so the indices in use stay below the peak number
+/// of live elements. Index `u32::MAX` belongs to [`ElemId::NONE`] and is
+/// never issued.
 #[derive(Clone, Debug, Default)]
 pub struct IdAllocator {
-    /// Released ids, most recent last.
+    /// Released indices, most recent last.
     free: Vec<ElemId>,
     /// One past the largest index issued so far.
     next_index: u32,
@@ -86,35 +134,33 @@ impl IdAllocator {
         Self::default()
     }
 
-    /// A fresh id: the most recently released index under its next
-    /// generation, else the next unissued index.
+    /// A fresh index: the most recently released one, else the next
+    /// unissued one.
     #[inline]
     pub fn fresh(&mut self) -> ElemId {
-        if let Some(old) = self.free.pop() {
-            return ElemId::new(old.index() as u32, old.generation() + 1);
+        if let Some(id) = self.free.pop() {
+            return id;
         }
         let index = self.next_index;
         assert!(index < u32::MAX, "element id space exhausted");
         self.next_index += 1;
-        ElemId::new(index, 0)
+        ElemId(index)
     }
 
-    /// `count` fresh ids, in allocation order.
+    /// `count` fresh indices, in allocation order.
     pub fn fresh_n(&mut self, count: usize) -> Vec<ElemId> {
         (0..count).map(|_| self.fresh()).collect()
     }
 
-    /// Make a deleted id's index reusable.
+    /// Make a deleted element's index reusable.
     #[inline]
     pub fn release(&mut self, id: ElemId) {
-        if id.generation() < u32::MAX {
-            self.free.push(id);
-        }
+        self.free.push(id);
     }
 
     /// Never issue an index at or below `max_index` again, and forget the
-    /// released ones: ids minted elsewhere (a restored snapshot's handles)
-    /// now hold indices whose generations this allocator does not know.
+    /// released ones: indices minted elsewhere (a restored snapshot's
+    /// handles) now hold values this allocator did not issue.
     pub fn skip_through(&mut self, max_index: u32) {
         self.free.clear();
         self.next_index = self.next_index.max(max_index.saturating_add(1));
@@ -127,7 +173,7 @@ impl IdAllocator {
 /// elements use [`IdAllocator`].
 #[derive(Clone, Debug, Default)]
 pub struct IdGen {
-    next: u64,
+    next: u32,
 }
 
 impl IdGen {
@@ -150,25 +196,139 @@ impl IdGen {
     }
 }
 
-/// Data of type `T` for each id a structure currently holds, stored at the
-/// id's [`index`](ElemId::index) and checked against its generation: a
-/// lookup is a bounds check and one compare, no hashing. An entry whose
-/// index now belongs to a newer generation answers `None` for the old id.
+/// The capacity a dense `Vec` that doubles on demand reaches to hold index
+/// `i`, from `cap`, never past `limit` (which `i` is below).
+#[inline]
+fn doubled_for(cap: usize, i: usize, limit: usize) -> usize {
+    (2 * cap).clamp(i + 1, limit)
+}
+
+/// Grow `dense` to hold index `i`: its capacity doubles, clamped to
+/// `limit`, so a full table holds exactly `limit` entries, not the next
+/// power of two.
+#[inline]
+fn grow_to<E>(dense: &mut Vec<E>, i: usize, limit: usize, vacant: impl FnMut() -> E) {
+    if i >= dense.len() {
+        if i >= dense.capacity() {
+            let want = doubled_for(dense.capacity(), i, limit);
+            dense.reserve_exact(want - dense.len());
+        }
+        dense.resize_with(i + 1, vacant);
+    }
+}
+
+/// The generation of every index an [`IdAllocator`] issues: the
+/// generation of the index's current lifetime while it is live, of its
+/// next one while it is free. A generation of 0 is not stored, so a table
+/// over indices that were never reused holds nothing: every index a bulk
+/// load issues is in its first lifetime.
+///
+/// Indices below the dense limit live in a `Vec` grown on demand to the
+/// largest one with a nonzero generation (doubling, but never past the
+/// limit); larger ones go to a `HashMap`, so the table never allocates in
+/// proportion to an index a restored snapshot brought in.
+#[derive(Clone, Debug, Default)]
+pub struct Generations {
+    dense: Vec<u32>,
+    sparse: HashMap<ElemId, u32>,
+    dense_limit: usize,
+}
+
+impl Generations {
+    /// A table in which every index has generation 0, dense below
+    /// `dense_limit`.
+    pub fn new(dense_limit: usize) -> Self {
+        Self { dense: Vec::new(), sparse: HashMap::new(), dense_limit }
+    }
+
+    /// The generation of `id`'s index.
+    #[inline]
+    pub fn get(&self, id: ElemId) -> u32 {
+        let i = id.index();
+        if i < self.dense_limit {
+            self.dense.get(i).copied().unwrap_or(0)
+        } else {
+            self.sparse.get(&id).copied().unwrap_or(0)
+        }
+    }
+
+    /// Set the generation of `id`'s index.
+    pub fn set(&mut self, id: ElemId, generation: u32) {
+        let i = id.index();
+        if i >= self.dense_limit {
+            if generation == 0 {
+                self.sparse.remove(&id);
+            } else {
+                self.sparse.insert(id, generation);
+            }
+        } else if generation != 0 || i < self.dense.len() {
+            grow_to(&mut self.dense, i, self.dense_limit, || 0);
+            self.dense[i] = generation;
+        }
+    }
+
+    /// Keep indices below `limit` dense from now on, moving those the map
+    /// holds into the `Vec`. A lower limit changes nothing: the table stays
+    /// dense below the largest limit it has had.
+    pub fn raise_dense_limit(&mut self, limit: usize) {
+        if limit <= self.dense_limit {
+            return;
+        }
+        self.dense_limit = limit;
+        let moved: Vec<(ElemId, u32)> = self
+            .sparse
+            .iter()
+            .filter(|(id, _)| id.index() < limit)
+            .map(|(&id, &g)| (id, g))
+            .collect();
+        for (id, generation) in moved {
+            self.sparse.remove(&id);
+            self.set(id, generation);
+        }
+    }
+}
+
+/// One index's entry in an [`IdTable`]: the generation of its current
+/// lifetime (or of its next one, while vacant) and its value while held.
+#[derive(Clone, Debug)]
+struct Entry<T> {
+    generation: u32,
+    value: Option<T>,
+}
+
+impl<T> Entry<T> {
+    const VACANT: Self = Entry { generation: 0, value: None };
+}
+
+/// Data of type `T` for each element a structure currently holds, stored
+/// at the element's [`index`](ElemId::index): a lookup of a held element
+/// is a bounds check and one read, no hashing.
+///
+/// The table also numbers the lifetimes of each index: inserting an index
+/// it does not hold starts a lifetime, and [`remove`](Self::remove) ends
+/// it, so the index's next insertion starts one under the next generation.
+/// A [`Stamp`] of an index and a generation names one lifetime, and
+/// [`get_stamped`](Self::get_stamped) answers only for the lifetime it
+/// names: this is how a structure that keeps an element's id past its
+/// deletion (a ghost, a frozen plan entry) tells it from the element that
+/// took its index next. Generations wrap after 2³² lifetimes of one index,
+/// far more than any stamp a structure holds lives through.
 ///
 /// Indices below `dense_limit` (which the owner sets to its own capacity)
 /// live in a `Vec` grown on demand to the largest one inserted. Its
 /// capacity doubles as it grows but never passes `dense_limit`, so a full
 /// table holds exactly `dense_limit` entries, not the next power of two.
 /// Larger indices go to a `HashMap`, so the table never allocates in
-/// proportion to an index. Ids from an [`IdAllocator`] stay below the peak
-/// number of live ids; only ids that outlived a shrink, or came in from a
-/// restored snapshot, can land there.
+/// proportion to an index. Indices from an [`IdAllocator`] stay below the
+/// peak number of live ids; only ids that outlived a shrink, or came in
+/// from a restored snapshot, can land there.
 #[derive(Clone, Debug)]
 pub struct IdTable<T> {
-    /// `dense[i]`: the generation and value of the held id of index `i`.
-    dense: Vec<Option<(u32, T)>>,
-    /// Entries of ids whose index is `dense_limit` or more.
-    sparse: HashMap<ElemId, T>,
+    /// `dense[i]`: the entry of index `i`.
+    dense: Vec<Entry<T>>,
+    /// Entries of indices at `dense_limit` or more, vacant ones included,
+    /// so that their generations persist.
+    sparse: HashMap<ElemId, Entry<T>>,
     dense_limit: usize,
 }
 
@@ -178,60 +338,64 @@ impl<T> IdTable<T> {
         Self { dense: Vec::new(), sparse: HashMap::new(), dense_limit }
     }
 
+    #[inline]
+    fn entry(&self, id: ElemId) -> Option<&Entry<T>> {
+        let i = id.index();
+        if i < self.dense_limit {
+            self.dense.get(i)
+        } else {
+            self.sparse.get(&id)
+        }
+    }
+
+    #[inline]
+    fn entry_mut(&mut self, id: ElemId) -> Option<&mut Entry<T>> {
+        let i = id.index();
+        if i < self.dense_limit {
+            self.dense.get_mut(i)
+        } else {
+            self.sparse.get_mut(&id)
+        }
+    }
+
     /// The value of `id`, if the table holds it.
     #[inline]
     pub fn get(&self, id: ElemId) -> Option<&T> {
-        let i = id.index();
-        if i >= self.dense_limit {
-            return self.sparse.get(&id);
-        }
-        match self.dense.get(i) {
-            Some(Some((generation, value))) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
+        self.entry(id)?.value.as_ref()
     }
 
     /// Mutable access to the value of `id`, if the table holds it.
     #[inline]
     pub fn get_mut(&mut self, id: ElemId) -> Option<&mut T> {
-        let i = id.index();
-        if i >= self.dense_limit {
-            return self.sparse.get_mut(&id);
-        }
-        match self.dense.get_mut(i) {
-            Some(Some((generation, value))) if *generation == id.generation() => Some(value),
-            _ => None,
-        }
+        self.entry_mut(id)?.value.as_mut()
     }
 
-    /// Does the table hold `id`?
+    /// The stamp of `id`'s lifetime: the current one if the table holds
+    /// `id`, else the one its next insertion starts.
     #[inline]
-    pub fn contains(&self, id: ElemId) -> bool {
-        self.get(id).is_some()
+    pub fn stamp(&self, id: ElemId) -> Stamp {
+        Stamp::new(id, self.entry(id).map_or(0, |e| e.generation))
     }
 
-    /// Set the value of `id`. The id's index must not be held by another
-    /// generation (remove the old id first).
+    /// The value of the lifetime `stamp` names, if the table holds its
+    /// index in that lifetime.
+    #[inline]
+    pub fn get_stamped(&self, stamp: Stamp) -> Option<&T> {
+        let entry = self.entry(stamp.elem())?;
+        (entry.generation == stamp.generation()).then_some(entry.value.as_ref()).flatten()
+    }
+
+    /// Set the value of `id`: a held index keeps its lifetime, any other
+    /// starts one under its current generation.
     #[inline]
     pub fn insert(&mut self, id: ElemId, value: T) {
         let i = id.index();
         if i >= self.dense_limit {
-            self.sparse.insert(id, value);
+            self.sparse.entry(id).or_insert(Entry::VACANT).value = Some(value);
             return;
         }
-        if i >= self.dense.len() {
-            if i >= self.dense.capacity() {
-                let want = (2 * self.dense.capacity()).clamp(i + 1, self.dense_limit);
-                self.dense.reserve_exact(want - self.dense.len());
-            }
-            self.dense.resize_with(i + 1, || None);
-        }
-        let slot = &mut self.dense[i];
-        debug_assert!(
-            !matches!(slot, Some((g, _)) if *g != id.generation()),
-            "index {i} is still held by another generation"
-        );
-        *slot = Some((id.generation(), value));
+        grow_to(&mut self.dense, i, self.dense_limit, || Entry::VACANT);
+        self.dense[i].value = Some(value);
     }
 
     /// Reserve, in one allocation, the dense capacity that inserting `ids`
@@ -242,35 +406,29 @@ impl<T> IdTable<T> {
         let mut cap = self.dense.capacity();
         for i in ids.into_iter().map(ElemId::index) {
             if i < self.dense_limit && i >= cap {
-                cap = (2 * cap).clamp(i + 1, self.dense_limit);
+                cap = doubled_for(cap, i, self.dense_limit);
             }
         }
         self.dense.reserve_exact(cap - self.dense.len());
     }
 
-    /// Remove `id`, returning its value if the table held it.
+    /// Remove `id`, returning its value if the table held it. Its index's
+    /// next insertion starts a lifetime under the next generation.
     #[inline]
     pub fn remove(&mut self, id: ElemId) -> Option<T> {
-        let i = id.index();
-        if i >= self.dense_limit {
-            return self.sparse.remove(&id);
-        }
-        let slot = self.dense.get_mut(i)?;
-        match slot {
-            Some((generation, _)) if *generation == id.generation() => {
-                slot.take().map(|(_, value)| value)
-            }
-            _ => None,
-        }
+        let entry = self.entry_mut(id)?;
+        let value = entry.value.take()?;
+        entry.generation = entry.generation.wrapping_add(1);
+        Some(value)
     }
 
     /// Every held id with its value: dense indices ascending, then the
     /// sparse ones in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (ElemId, &T)> + '_ {
-        let dense = self.dense.iter().enumerate().filter_map(|(i, slot)| {
-            slot.as_ref().map(|(generation, value)| (ElemId::new(i as u32, *generation), value))
-        });
-        dense.chain(self.sparse.iter().map(|(&id, value)| (id, value)))
+        let dense = self.dense.iter().enumerate().map(|(i, e)| (ElemId(i as u32), e));
+        dense
+            .chain(self.sparse.iter().map(|(&id, e)| (id, e)))
+            .filter_map(|(id, e)| e.value.as_ref().map(|value| (id, value)))
     }
 }
 
@@ -289,62 +447,96 @@ mod tests {
     }
 
     #[test]
-    fn index_and_generation_split_the_id() {
-        let id = ElemId::new(7, 3);
-        assert_eq!((id.index(), id.generation()), (7, 3));
-        assert_eq!(ElemId(5).index(), 5);
-        assert_eq!(ElemId(5).generation(), 0);
+    fn ids_are_four_bytes_and_stamps_eight() {
+        assert_eq!(std::mem::size_of::<ElemId>(), 4);
+        assert_eq!(std::mem::size_of::<Stamp>(), 8);
         assert_eq!(ElemId::NONE.index(), u32::MAX as usize);
     }
 
+    /// A `Growable` handle is a stamp: this is its bit layout, which
+    /// `OrderedList` snapshots persist.
     #[test]
-    fn allocator_reuses_indices_under_new_generations() {
+    fn a_stamp_keeps_the_index_low_and_the_generation_high() {
+        let s = Stamp::new(ElemId(7), 3);
+        assert_eq!(s.0, 3 << 32 | 7);
+        assert_eq!((s.elem(), s.index(), s.generation()), (ElemId(7), 7, 3));
+        assert_eq!(Stamp(5).elem(), ElemId(5));
+        assert_eq!(Stamp(5).generation(), 0);
+        assert_eq!(format!("{s:?}"), "e7g3");
+    }
+
+    #[test]
+    fn allocator_reuses_indices_most_recent_first() {
         let mut ids = IdAllocator::new();
         let (a, b) = (ids.fresh(), ids.fresh());
-        assert_eq!((a, b), (ElemId::new(0, 0), ElemId::new(1, 0)));
+        assert_eq!((a, b), (ElemId(0), ElemId(1)));
         ids.release(a);
         ids.release(b);
-        // Most recently released first, one generation up.
-        assert_eq!(ids.fresh_n(3), [ElemId::new(1, 1), ElemId::new(0, 1), ElemId::new(2, 0)]);
-        // A spent generation retires its index.
-        ids.release(ElemId::new(1, u32::MAX));
-        assert_eq!(ids.fresh(), ElemId::new(3, 0));
+        assert_eq!(ids.fresh_n(3), [ElemId(1), ElemId(0), ElemId(2)]);
         // Restored ids push new indices past them and void the free list.
-        ids.release(ElemId::new(0, 1));
+        ids.release(ElemId(0));
         ids.skip_through(9);
-        assert_eq!(ids.fresh(), ElemId::new(10, 0));
+        assert_eq!(ids.fresh(), ElemId(10));
     }
 
     #[test]
-    fn table_checks_generations() {
+    fn generations_store_only_nonzero_values() {
+        let mut g = Generations::new(8);
+        assert_eq!(g.get(ElemId(3)), 0);
+        g.set(ElemId(3), 0);
+        assert_eq!(g.dense.capacity(), 0, "a zero generation allocated");
+        g.set(ElemId(3), 2);
+        g.set(ElemId(u32::MAX - 1), 5);
+        assert_eq!((g.get(ElemId(3)), g.get(ElemId(u32::MAX - 1))), (2, 5));
+        assert!(g.dense.len() <= 8, "the far index reached the dense table");
+        g.set(ElemId(u32::MAX - 1), 0);
+        assert!(g.sparse.is_empty());
+        // Raising the limit moves the map's entries below it into the Vec.
+        g.set(ElemId(12), 4);
+        g.raise_dense_limit(16);
+        assert!(g.sparse.is_empty());
+        assert_eq!((g.get(ElemId(12)), g.get(ElemId(3)), g.get(ElemId(13))), (4, 2, 0));
+        g.raise_dense_limit(4);
+        assert_eq!(g.get(ElemId(12)), 4, "a lower limit moved an entry");
+    }
+
+    #[test]
+    fn table_stamps_each_lifetime_of_an_index() {
         let mut t: IdTable<u32> = IdTable::new(16);
-        let old = ElemId::new(3, 0);
-        t.insert(old, 7);
-        assert_eq!(t.get(old), Some(&7));
-        *t.get_mut(old).unwrap() += 1;
-        assert_eq!(t.remove(old), Some(8));
-        // The index comes back under the next generation: the old id
-        // misses, even where the slot is occupied.
-        let new = ElemId::new(3, 1);
-        t.insert(new, 9);
-        assert!(t.contains(new) && !t.contains(old));
-        assert_eq!(t.get(old), None);
-        assert_eq!(t.remove(old), None);
-        assert_eq!(t.iter().collect::<Vec<_>>(), [(new, &9)]);
+        let e = ElemId(3);
+        let first = t.stamp(e);
+        t.insert(e, 7);
+        assert_eq!(t.stamp(e), first, "an insertion takes the stamp it was promised");
+        assert_eq!((t.get(e), t.get_stamped(first)), (Some(&7), Some(&7)));
+        *t.get_mut(e).unwrap() += 1;
+        t.insert(e, 9);
+        assert_eq!(t.stamp(e), first, "overwriting a held index keeps its lifetime");
+        assert_eq!(t.remove(e), Some(9));
+        assert_eq!(t.remove(e), None);
+        // The index comes back under the next generation: the old stamp
+        // misses, even where the index is held.
+        let second = t.stamp(e);
+        assert_eq!((second.elem(), second.generation()), (e, first.generation() + 1));
+        t.insert(e, 10);
+        assert_eq!((t.get_stamped(first), t.get_stamped(second)), (None, Some(&10)));
+        assert_eq!(t.iter().collect::<Vec<_>>(), [(e, &10)]);
     }
 
     #[test]
-    fn table_keeps_large_indices_sparse() {
+    fn table_keeps_large_indices_sparse_with_their_generations() {
         let mut t: IdTable<u64> = IdTable::new(8);
-        let far = ElemId::new(u32::MAX - 1, 2);
+        let far = ElemId(u32::MAX - 1);
         t.insert(far, 1);
-        t.insert(ElemId::new(2, 0), 2);
+        t.insert(ElemId(2), 2);
+        let old = t.stamp(far);
         assert_eq!(t.get(far), Some(&1));
-        assert_eq!(t.get(ElemId::new(u32::MAX - 1, 1)), None);
         // Nothing was allocated for the far index.
         assert!(t.dense.len() <= 8);
         assert_eq!(t.remove(far), Some(1));
         assert_eq!(t.iter().count(), 1);
+        t.insert(far, 3);
+        assert_eq!((t.get_stamped(old), t.get(far)), (None, Some(&3)));
+        assert_eq!(t.stamp(far).generation(), 1);
     }
 
     #[test]
@@ -355,7 +547,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for (limit, held, n) in [(6828, 0, 6828), (4096, 0, 2049), (4096, 300, 2048), (100, 0, 150)]
         {
-            let mut order: Vec<ElemId> = (held..held + n).map(|i| ElemId::new(i, 0)).collect();
+            let mut order: Vec<ElemId> = (held..held + n).map(ElemId).collect();
             for shuffled in [false, true] {
                 if shuffled {
                     for i in (1..order.len()).rev() {
@@ -365,14 +557,14 @@ mod tests {
                 let (mut doubled, mut reserved) = (IdTable::new(limit), IdTable::new(limit));
                 for t in [&mut doubled, &mut reserved] {
                     for i in 0..held.min(20) {
-                        t.insert(ElemId::new(i, 0), i);
+                        t.insert(ElemId(i), i);
                     }
                 }
                 reserved.reserve_for(order.iter().copied());
                 let buffer = reserved.dense.as_ptr();
                 for &id in &order {
-                    doubled.insert(id, id.index() as u32);
-                    reserved.insert(id, id.index() as u32);
+                    doubled.insert(id, id.0);
+                    reserved.insert(id, id.0);
                 }
                 let what = format!("limit {limit}, {held} held, {n} new, shuffled {shuffled}");
                 assert_eq!(reserved.dense.capacity(), doubled.dense.capacity(), "{what}");
@@ -391,18 +583,18 @@ mod tests {
     fn table_growth_stops_at_the_dense_limit() {
         let limit = 4838;
         let mut t: IdTable<u32> = IdTable::new(limit);
-        for i in 0..limit {
-            t.insert(ElemId::new(i as u32, 0), i as u32);
+        for i in 0..limit as u32 {
+            t.insert(ElemId(i), i);
         }
         // Doubling alone would end at 8,192 entries.
         assert_eq!(t.dense.capacity(), limit);
-        assert_eq!(t.get(ElemId::new(4837, 0)), Some(&4837));
+        assert_eq!(t.get(ElemId(4837)), Some(&4837));
         // The limit itself and beyond go to the side map.
-        t.insert(ElemId::new(limit as u32, 0), 1);
-        t.insert(ElemId::new(9000, 0), 2);
+        t.insert(ElemId(limit as u32), 1);
+        t.insert(ElemId(9000), 2);
         assert_eq!(t.dense.capacity(), limit);
         assert_eq!(t.sparse.len(), 2);
-        assert_eq!(t.get(ElemId::new(limit as u32, 0)), Some(&1));
+        assert_eq!(t.get(ElemId(limit as u32)), Some(&1));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! *Layered List Labeling* (Bender, Conway, Farach-Colton, Komlós, Kuszmaul;
 //! PODS 2024):
 //!
-//! * [`ElemId`](ids::ElemId) — opaque element identities. List-labeling
-//!   structures see elements as black boxes; only relative rank matters.
+//! * [`ElemId`](ids::ElemId) — 4-byte element indices, what every slot
+//!   and move record holds. List-labeling structures see elements as black
+//!   boxes; only relative rank matters. A [`Stamp`](ids::Stamp) adds a
+//!   generation where an id outlives its element.
 //! * [`Op`](ops::Op) — the operation alphabet (`insert(rank)` /
 //!   `delete(rank)`), exactly as in Definition 1 of the paper.
 //! * [`ListLabeling`](traits::ListLabeling) — the trait every algorithm in
@@ -57,7 +59,7 @@ pub mod prelude {
     //! Convenient glob import: `use lll_core::prelude::*;`
     pub use crate::density::{SegTree, Thresholds};
     pub use crate::growable::{Growable, Handle};
-    pub use crate::ids::ElemId;
+    pub use crate::ids::{ElemId, Stamp};
     pub use crate::metrics::{ListMetrics, MetricsHandle};
     pub use crate::ops::Op;
     pub use crate::pma::{PmaBase, RebalancePolicy};

@@ -75,13 +75,14 @@ pub trait RebalancePolicy {
     fn name(&self) -> &'static str;
 }
 
-/// The PMA skeleton parameterized by a rebalance policy.
+/// The PMA skeleton parameterized by a rebalance policy. The slot array
+/// comes first (`repr(C)`; see [`SlotArray`]'s read fields).
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct PmaBase<P: RebalancePolicy> {
     slots: SlotArray,
     tree: SegTree,
     capacity: usize,
-    policy: P,
     rebalances: u64,
     /// Reusable `(from, to)` buffer for rebalance sweeps (no per-rebalance
     /// allocation).
@@ -89,6 +90,7 @@ pub struct PmaBase<P: RebalancePolicy> {
     /// Reusable buffer handed to [`RebalancePolicy::targets_into`] — the
     /// other half of the zero-alloc steady-state rebalance.
     targets_scratch: Vec<usize>,
+    policy: P,
 }
 
 impl<P: RebalancePolicy> PmaBase<P> {
@@ -673,7 +675,7 @@ mod tests {
         let mut pma = ClassicBuilder.build(n, n * 13 / 10);
         let mut rep = OpReport::default();
         for i in 0..n / 2 {
-            pma.insert_into(i / 2, ElemId(i as u64), &mut rep);
+            pma.insert_into(i / 2, ElemId(i as u32), &mut rep);
         }
         let mut cycle = || {
             let last = pma.len() - 1;

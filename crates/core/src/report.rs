@@ -12,13 +12,15 @@
 
 use crate::ids::ElemId;
 
-/// One physical element move from slot `from` to slot `to`.
+/// One physical element move from slot `from` to slot `to`: 12 bytes.
 ///
 /// Positions are `u32` — arrays of more than 2³² slots are far beyond the
-/// scales this library targets, and the smaller record keeps move logs cheap.
+/// scales this library targets, and the smaller record keeps move logs
+/// cheap. The element is named by its bare index, as the slot array
+/// stores it: no two stored elements share one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MoveRec {
-    /// The element that moved.
+    /// The index of the element that moved.
     pub elem: ElemId,
     /// Source slot position.
     pub from: u32,
@@ -92,6 +94,11 @@ impl OpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_move_record_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<MoveRec>(), 12);
+    }
 
     #[test]
     fn cost_counts_moves() {

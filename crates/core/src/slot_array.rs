@@ -20,9 +20,20 @@
 //!    O(log(m/512)) count reads plus one block's words.
 //!
 //! The contents array is sentinel-packed (`ElemId::NONE` marks a free
-//! slot): 8 bytes per slot plus one bitmap bit, where a `Vec<Option<ElemId>>`
-//! would spend 16 — half the memory, double the cache density on the scans
-//! that dominate rebalances.
+//! slot) and holds bare 4-byte element indices, no generations: 4 bytes per
+//! slot plus one bitmap bit, where a `Vec<Option<ElemId>>` would spend 8.
+//! No two stored elements share an index, so nothing read from a slot, a
+//! move or a drained log needs more; the tables that keep an id past its
+//! element's deletion keep its generation themselves (see
+//! [`crate::ids`]). Every structure's slots are most of its memory (five
+//! arrays in a Corollary 11 list), and a denser array also means fewer
+//! cache lines on the scans that dominate rebalances.
+//!
+//! A keyed read goes from the backend to its physical slot array, then to
+//! the array's `contents` and its bitmap's `words`. Those two fields come
+//! first (`repr(C)`), and every backend puts its physical array first, so
+//! a read's fields share the cache line that starts the backend; the
+//! end of these fields is [`SlotArray::READ_FIELDS_END`].
 
 use crate::bitmap::Bitmap;
 use crate::density::EvenTargets;
@@ -38,6 +49,7 @@ const POPCOUNT_WINDOW_MAX: usize = 2048;
 /// An array of slots holding at most one element each, with an occupancy
 /// index and an append-only move log.
 #[derive(Debug)]
+#[repr(C)]
 pub struct SlotArray {
     /// Sentinel-packed contents: `ElemId::NONE` marks a free slot.
     contents: Vec<ElemId>,
@@ -73,6 +85,11 @@ impl Clone for SlotArray {
 }
 
 impl SlotArray {
+    /// Bytes from the start of a `SlotArray` to the end of the fields a
+    /// keyed read reads: the contents array and the bitmap's words.
+    pub const READ_FIELDS_END: usize =
+        std::mem::offset_of!(SlotArray, bits) + Bitmap::READ_FIELDS_END;
+
     /// An empty array of `m` slots.
     pub fn new(m: usize) -> Self {
         Self {
@@ -518,7 +535,7 @@ mod tests {
     fn a_bulk_log_leaves_with_its_drain() {
         let mut s = SlotArray::new(8192);
         for i in 0..4096 {
-            s.place(2 * i, ElemId(i as u64));
+            s.place(2 * i, ElemId(i as u32));
         }
         let mut dst = Vec::new();
         s.drain_log_into(&mut dst);
@@ -533,7 +550,7 @@ mod tests {
         let (mut single, _) = filled(&[3, 701, 1501], 2048);
         let (mut run, _) = filled(&[3, 701, 1501], 2048);
         let placed: Vec<(usize, ElemId)> =
-            (0..2048).step_by(5).filter(|p| p % 3 != 0).map(|p| (p, ElemId(p as u64))).collect();
+            (0..2048).step_by(5).filter(|p| p % 3 != 0).map(|p| (p, ElemId(p as u32))).collect();
         for &(pos, e) in &placed {
             single.place(pos, e);
         }
@@ -736,12 +753,19 @@ mod tests {
     }
 
     #[test]
-    fn memory_is_eight_bytes_and_a_bit_per_slot() {
+    fn memory_is_four_bytes_and_a_bit_per_slot() {
         let m = 1 << 12;
         let s = SlotArray::new(m);
         let per_slot = s.memory_bytes() as f64 / m as f64;
-        // 8 (contents) + 1/8 (bitmap) + 4 bytes per 512-slot block count.
-        assert!(per_slot < 8.25, "per-slot memory {per_slot} too high");
-        assert!(per_slot >= 8.125, "per-slot memory {per_slot} suspiciously low");
+        // 4 (contents) + 1/8 (bitmap) + 4 bytes per 512-slot block count.
+        assert_eq!(per_slot, 4.0 + 0.125 + 4.0 * 9.0 / m as f64);
+    }
+
+    #[test]
+    fn the_read_fields_come_first() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(offset_of!(SlotArray, contents), 0);
+        assert_eq!(offset_of!(SlotArray, bits), size_of::<Vec<ElemId>>());
+        assert_eq!(SlotArray::READ_FIELDS_END, 2 * size_of::<Vec<u64>>());
     }
 }

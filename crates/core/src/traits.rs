@@ -42,8 +42,10 @@ pub trait ListLabeling {
     /// touches the heap not at all.
     ///
     /// The caller allocates ids: `id` must differ from every element the
-    /// structure stores or still tracks (the embedding keeps deleted
-    /// elements as ghosts until a rebuild drops them).
+    /// structure stores. A deleted element's index may come back at once:
+    /// a structure that keeps a deleted element (the embedding's ghosts, a
+    /// queued plan entry) tells its lifetime from the new one by the
+    /// generations of its own [`IdTable`](crate::ids::IdTable).
     ///
     /// Panics if `rank > len` or the structure is full.
     fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport);

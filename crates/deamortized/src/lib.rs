@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 
 use lll_core::density::{even_targets_into, SegTree, Thresholds};
-use lll_core::ids::{ElemId, IdTable};
+use lll_core::ids::{ElemId, IdTable, Stamp};
 use lll_core::report::OpReport;
 use lll_core::slot_array::{merge_sorted, SlotArray};
 use lll_core::traits::{log2f, LabelingBuilder, ListLabeling};
@@ -60,8 +60,11 @@ const SOFT_MARGIN: f64 = 0.10;
 struct Job {
     a: usize,
     b: usize,
-    /// Remaining `(elem, target)` entries in safe execution order.
-    queue: Vec<(ElemId, usize)>,
+    /// Remaining `(element, target)` entries in safe execution order. An
+    /// entry names its element's lifetime, a [`Stamp`] from `elem_pos`: the
+    /// element may be deleted, and its index reissued, before the entry
+    /// runs.
+    queue: Vec<(Stamp, usize)>,
     /// Next queue index to execute.
     cursor: usize,
 }
@@ -87,18 +90,21 @@ pub struct DeamortizedStats {
     pub clamped_moves: u64,
 }
 
-/// The deamortized PMA.
+/// The deamortized PMA. The slot array comes first (`repr(C)`; see
+/// [`SlotArray`]'s read fields).
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct DeamortizedPma {
     slots: SlotArray,
     tree: SegTree,
     thresholds: Thresholds,
     capacity: usize,
     jobs: Vec<Job>,
-    /// Each stored element's slot plus one, by id: the generation check is
-    /// what lets a queued plan entry whose element was deleted (and its
-    /// index reissued) be skipped. The offset gives the entry a niche, so
-    /// it takes 8 bytes with its generation instead of 12.
+    /// Each stored element's slot plus one, by index, with the generation
+    /// of each index's lifetime: a queued plan entry whose element was
+    /// deleted (and its index reissued) misses its stamp and is skipped.
+    /// The offset gives the value a niche, so an entry takes 8 bytes with
+    /// its generation instead of 12.
     elem_pos: IdTable<NonZeroU32>,
     stats: DeamortizedStats,
     work_quota: usize,
@@ -107,11 +113,11 @@ pub struct DeamortizedPma {
     /// Reusable buffer for the even-spread plan in [`Self::create_job`].
     targets_scratch: Vec<usize>,
     /// Reusable buffer for the right-moving half of a plan.
-    movers_scratch: Vec<(ElemId, usize)>,
+    movers_scratch: Vec<(Stamp, usize)>,
     /// Retired job queues, recycled by [`Self::create_job`] — steady-state
     /// churn creates and completes jobs constantly, and reusing their
     /// queues keeps that cycle allocation-free once warm.
-    queue_pool: Vec<Vec<(ElemId, usize)>>,
+    queue_pool: Vec<Vec<(Stamp, usize)>>,
 }
 
 impl DeamortizedPma {
@@ -173,10 +179,11 @@ impl DeamortizedPma {
 
     // ----- tracked movement -------------------------------------------------
 
-    /// The slot of the stored element `e`, if it is stored.
+    /// The slot of the element lifetime `s` names, if that element is
+    /// still stored.
     #[inline]
-    fn pos_of(&self, e: ElemId) -> Option<usize> {
-        self.elem_pos.get(e).map(|p| p.get() as usize - 1)
+    fn pos_of(&self, s: Stamp) -> Option<usize> {
+        self.elem_pos.get_stamped(s).map(|p| p.get() as usize - 1)
     }
 
     /// Record that `e` now sits at slot `pos`.
@@ -235,9 +242,9 @@ impl DeamortizedPma {
         for (i, (pos, elem)) in self.slots.iter_occupied_in(a, b).enumerate() {
             let t = targets[i];
             if t < pos {
-                queue.push((elem, t));
+                queue.push((self.elem_pos.stamp(elem), t));
             } else if t > pos {
-                right_movers.push((elem, t));
+                right_movers.push((self.elem_pos.stamp(elem), t));
             }
         }
         // Safe order: left-movers ascending, then right-movers descending.
@@ -284,7 +291,7 @@ impl DeamortizedPma {
     }
 
     /// Return a finished job's queue to the pool (bounded; excess is freed).
-    fn recycle_queue(&mut self, mut queue: Vec<(ElemId, usize)>) {
+    fn recycle_queue(&mut self, mut queue: Vec<(Stamp, usize)>) {
         if queue.capacity() > 0 && self.queue_pool.len() < 16 {
             queue.clear();
             self.queue_pool.push(queue);
@@ -295,9 +302,9 @@ impl DeamortizedPma {
     fn drain_job(&mut self, job: &mut Job, budget: usize) -> usize {
         let mut done = 0usize;
         while job.cursor < job.queue.len() && done < budget {
-            let (elem, target) = job.queue[job.cursor];
+            let (stamp, target) = job.queue[job.cursor];
             job.cursor += 1;
-            let Some(cur) = self.pos_of(elem) else {
+            let Some(cur) = self.pos_of(stamp) else {
                 continue; // deleted since the plan froze
             };
             if cur == target {
@@ -803,7 +810,7 @@ mod tests {
         let budget = builder.worst_case_hint(n) * 3.0; // generous constant
         let mut max = 0u64;
         for i in 0..n as u64 {
-            max = max.max(z.insert(0, ElemId(i)).cost());
+            max = max.max(z.insert(0, ElemId(i as u32)).cost());
         }
         assert!((max as f64) < budget, "worst op {max} exceeded deamortized budget {budget}");
         assert_eq!(z.stats().forced_syncs, 0, "safety valve should not fire");
@@ -818,8 +825,8 @@ mod tests {
         let mut c = ClassicBuilder.build(n, n * 14 / 10);
         let (mut max_z, mut max_c) = (0u64, 0u64);
         for i in 0..n as u64 {
-            max_z = max_z.max(z.insert(0, ElemId(i)).cost());
-            max_c = max_c.max(c.insert(0, ElemId(i)).cost());
+            max_z = max_z.max(z.insert(0, ElemId(i as u32)).cost());
+            max_c = max_c.max(c.insert(0, ElemId(i as u32)).cost());
         }
         assert!(
             max_z < max_c / 2,
@@ -846,8 +853,10 @@ mod tests {
     #[test]
     fn stale_plan_entry_skips_a_reissued_index() {
         // Delete the element of a queued plan entry and give its index to a
-        // new element under the next generation before the job drains: the
-        // entry is stale and must be skipped, never applied to the newcomer.
+        // new element at the same rank before the job drains: the entry
+        // names the old lifetime and must be skipped, never applied to the
+        // newcomer. The reference model is the element order, which the
+        // reissue leaves as it was and the drain must keep.
         let n = 2048;
         let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         let mut ids = IdAllocator::new();
@@ -856,7 +865,7 @@ mod tests {
         while z.jobs.iter().all(|j| j.remaining() <= 3 * z.work_quota) {
             z.insert(0, ids.fresh());
         }
-        let entries: Vec<(ElemId, usize)> =
+        let entries: Vec<(Stamp, usize)> =
             z.jobs.iter().flat_map(|j| j.queue[j.cursor..].iter().copied()).collect();
         let mut checked = 0;
         for (old, target) in entries {
@@ -865,26 +874,31 @@ mod tests {
             let Some(pos) = z.pos_of(old) else { continue };
             let rank = z.slots.rank_at(pos);
             z.delete(rank);
-            ids.release(old);
+            ids.release(old.elem());
             let new = ids.fresh();
-            assert_eq!((new.index(), new.generation()), (old.index(), old.generation() + 1));
+            assert_eq!(new, old.elem(), "the freed index is reissued");
             z.insert(rank, new);
+            let stamp = z.elem_pos.stamp(new);
+            assert_eq!(stamp.generation(), old.generation() + 1);
             // Keep only cases where the stale entry is still queued and
             // applying it to the newcomer would move it.
             let Some(j) = z.jobs.iter().position(|j| j.queue[j.cursor..].contains(&(old, target)))
             else {
                 continue;
             };
-            let cur = z.pos_of(new).expect("newcomer is tracked");
+            let cur = z.pos_of(stamp).expect("newcomer is tracked");
             let step = if target > cur { cur + 1 } else { cur.wrapping_sub(1) };
             if cur == target || step >= z.num_slots() || z.slots.is_occupied(step) {
                 continue;
             }
+            let model: Vec<ElemId> = z.slots.iter_occupied().map(|(_, e)| e).collect();
             let mut job = z.jobs.remove(j);
             z.drain_job(&mut job, usize::MAX);
             let log = z.slots.drain_log();
             assert!(log.iter().all(|mv| mv.elem != new), "stale entry moved {new:?}");
-            assert_eq!(z.pos_of(new), Some(cur));
+            assert_eq!(z.pos_of(stamp), Some(cur));
+            assert!(z.slots.iter_occupied().map(|(_, e)| e).eq(model), "the drain broke the order");
+            z.slots.check_consistent();
             checked += 1;
         }
         assert!(checked > 0, "no stale entry survived to be checked");
@@ -895,7 +909,7 @@ mod tests {
         let n = 1000;
         let mut z = DeamortizedBuilder.build(n, n * 14 / 10);
         for i in 0..n {
-            z.insert(i / 2, ElemId(i as u64));
+            z.insert(i / 2, ElemId(i as u32));
         }
         assert_eq!(z.len(), n);
         for _ in 0..n {

@@ -20,9 +20,10 @@
 //! The insert, delete, relocate and checkpoint paths index what they keep
 //! per element; none hashes a live element's id:
 //!
-//! * `elem_loc`, an [`IdTable`] at the id's [`index`](ElemId::index): each
-//!   live element's [`Loc`] and, while it is buffered, its deadweight count
-//!   (12 bytes per id, generation included);
+//! * `elem_loc`, an [`IdTable`] at the element's [`index`](ElemId::index):
+//!   each live element's [`Loc`] and, while it is buffered, its deadweight
+//!   count, with the generation of each index's lifetime (12 bytes per
+//!   index);
 //! * `cur_f_occ`, a bitmap over F-coordinates marking those the physical
 //!   F-layout occupies, ghosts included. Who occupies one is not stored
 //!   again: a live occupant is the tagged array's content at that F-slot,
@@ -37,23 +38,36 @@
 //!   position. That checkpoint's targets come from one walk of the
 //!   simulation's occupancy bitmap.
 //!
-//! Ghosts stay in two small `HashMap`s, `ghosts` by id and `ghost_at` by
-//! F-coordinate. A ghost is a deleted element whose slot the pending
+//! The slot arrays, move logs and every read of a live element use bare
+//! indices. A deleted element's index may come back at once as a new
+//! element (the caller reissues it), so an id that outlives its element is
+//! a [`Stamp`], the index and the generation `elem_loc` gave that lifetime:
+//! the ghosts, and each element the pending checkpoint still targets that
+//! was deleted after the freeze. A frozen target, a deferred entry and the
+//! in-flight insertion are bare indices: each names the lifetime its index
+//! had at the freeze, which is the live one unless the checkpoint's
+//! `dead` map records that lifetime's deletion. Deletions record their
+//! stamp there, where the freeze would otherwise read a generation per
+//! target (a scratch build that stamped every target at the freeze
+//! doubled the freeze's time and raised the clustered insert tail).
+//!
+//! Ghosts stay in two small `HashMap`s, `ghosts` by stamp and `ghost_at`
+//! by F-coordinate. A ghost is a deleted element whose slot the pending
 //! rebuild has not cleared yet, and its index may already be reissued to a
-//! live element under the next generation, so it cannot share that
-//! element's table entry. The maps are consulted only for ids that are not
-//! live and for occupied F-slots with no content — a few per deletion,
-//! never per move of a live element — and a ghost records the rebuild
-//! count at its deletion, which tells the pending checkpoint whether it
-//! still holds the ghost as a target.
+//! live element, so it cannot share that element's table entry. The maps
+//! are consulted only for targets that are not live and for occupied
+//! F-slots with no content — a few per deletion, never per move of a live
+//! element — and a ghost records the rebuild count at its deletion, which
+//! tells the pending checkpoint whether it still holds the ghost as a
+//! target.
 //!
 //! Which ids each level sees, in `X ⊳ (Y ⊳ Z)`: the outer embedding and
 //! its simulated `X` see the caller's ids (from `Growable`, dense below the
 //! peak population). The inner `Y ⊳ Z` sees the outer R-shell's slot ids,
 //! and `Z` the inner shell's: each embedding numbers its shell's slots
-//! with its own [`IdAllocator`] and hands the index of the dummy slot a
-//! slow-path insert deletes to the buffer slot it inserts, so those ids
-//! stay below the shell's capacity. Only caller ids can be sparse (the
+//! with its own plain index allocator ([`IdAllocator`]) and hands the
+//! index of the dummy slot a slow-path insert deletes to the buffer slot
+//! it inserts, so those ids stay below the shell's capacity. Only caller ids can be sparse (the
 //! survivors of a shrink, or a restored snapshot's handles); the table
 //! keeps indices at or above the embedding's capacity in a side map.
 //!
@@ -71,7 +85,7 @@
 
 use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
-use lll_core::ids::{ElemId, IdAllocator, IdTable};
+use lll_core::ids::{ElemId, IdAllocator, IdTable, Stamp};
 use lll_core::metrics::MetricsHandle;
 use lll_core::report::{MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
@@ -89,7 +103,7 @@ pub enum Loc {
 
 /// A live element's [`Loc`] and, while it is buffered, the deadweight
 /// moves it has suffered: 8 bytes, 12 with the generation that
-/// [`Embed`]'s id table keeps beside it.
+/// [`Embed`]'s id table keeps beside it for each index.
 #[derive(Clone, Copy, Debug)]
 struct Placed {
     /// F-coordinate, or physical position when `buffered`.
@@ -199,7 +213,8 @@ impl EmbedStats {
 #[derive(Clone, Debug)]
 struct IntervalJob {
     f_hi: usize,
-    /// Target layout within the interval: `(f_index, element)` ascending.
+    /// Target layout within the interval: `(f_index, element)` ascending,
+    /// each element named by its index (see [`Checkpoint::dead`]).
     targets: Vec<(usize, ElemId)>,
     /// 0 = left-align (pack), 1 = rightward placement (descending),
     /// 2 = deferred leftward incorporations (ascending).
@@ -224,6 +239,10 @@ struct IntervalJob {
 #[derive(Clone, Debug)]
 struct Checkpoint {
     jobs: Vec<IntervalJob>,
+    /// The lifetime each index held at the freeze, for every index whose
+    /// element has been deleted since: a target of that index names this
+    /// deleted element, not the one that may hold the index now.
+    dead: HashMap<ElemId, Stamp>,
     job_idx: usize,
 }
 
@@ -246,10 +265,14 @@ impl Checkpoint {
 /// A clone is an independent copy in the same state, random tapes
 /// included; its physical array records into a detached copy of the
 /// metrics (see [`SlotArray`]'s `Clone`).
+///
+/// The tagged array, whose contents are the physical slot array, comes
+/// first (`repr(C)`; see [`SlotArray`]'s read fields).
 #[derive(Clone)]
+#[repr(C)]
 pub struct Embed<F: ListLabeling, R: ListLabeling> {
-    capacity: usize,
     tags: TagArray,
+    capacity: usize,
     /// The simulated copy of F (processes every operation immediately,
     /// under the same element ids as the physical array).
     sim: F,
@@ -259,15 +282,16 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     /// included. A live occupant is the content of its F-slot; an occupied
     /// coordinate whose F-slot is empty holds a ghost.
     cur_f_occ: Bitmap,
-    /// Live elements → location and deadweight, indexed by id.
+    /// Live elements → location and deadweight, indexed by index; it also
+    /// numbers the lifetimes of each index (see the module docs).
     elem_loc: IdTable<Placed>,
-    /// Deleted elements still present in the physical F-layout (ghosts).
-    /// Looked up only for ids that are not live, so hashing here costs
-    /// nothing per move.
-    ghosts: HashMap<ElemId, Ghost>,
+    /// Deleted elements still present in the physical F-layout (ghosts),
+    /// by stamp. Looked up only for targets that are not live, so hashing
+    /// here costs nothing per move.
+    ghosts: HashMap<Stamp, Ghost>,
     /// `ghosts` inverted: the ghost at each F-coordinate that holds one.
     /// Looked up only for occupied F-slots with no content.
-    ghost_at: HashMap<usize, ElemId>,
+    ghost_at: HashMap<usize, Stamp>,
     /// The element of the in-flight insertion, between its simulation
     /// insert and its physical placement. A checkpoint created in that
     /// window (e.g. by a forced catch-up inside `buffer_insert`) must not
@@ -332,8 +356,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         let buf_count = r_cap - f_count;
         assert!(m <= u32::MAX as usize, "slot positions must fit in u32");
         let mut this = Self {
-            capacity,
             tags: TagArray::new(m),
+            capacity,
             sim,
             shell,
             cur_f_occ: Bitmap::new(f_count),
@@ -586,19 +610,19 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             self.emulator_move(src, dst, to_fidx);
             self.elem_loc.insert(e, Placed::f(to_fidx));
         } else {
-            let e = self.ghost_at.remove(&from_fidx).expect("dead F-slot occupant is a ghost");
-            self.ghosts.get_mut(&e).expect("ghost of its coordinate").fidx = to_fidx;
-            self.ghost_at.insert(to_fidx, e);
+            let s = self.ghost_at.remove(&from_fidx).expect("dead F-slot occupant is a ghost");
+            self.ghosts.get_mut(&s).expect("ghost of its coordinate").fidx = to_fidx;
+            self.ghost_at.insert(to_fidx, s);
         }
         self.cur_f_occ.move_bit(from_fidx, to_fidx);
     }
 
-    /// Keep the deleted element `e` as a ghost at the occupied
+    /// Keep the deleted element lifetime `s` as a ghost at the occupied
     /// F-coordinate `fidx`.
-    fn add_ghost(&mut self, e: ElemId, fidx: usize) {
+    fn add_ghost(&mut self, s: Stamp, fidx: usize) {
         let deleted_during = self.stats.rebuilds_started;
-        self.ghosts.insert(e, Ghost { fidx, deleted_during });
-        self.ghost_at.insert(fidx, e);
+        self.ghosts.insert(s, Ghost { fidx, deleted_during });
+        self.ghost_at.insert(fidx, s);
     }
 
     /// Place the new element `e` physically at the free F-coordinate `fidx`
@@ -685,6 +709,24 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     pub(crate) fn placements(&self) -> (&Bitmap, Vec<(ElemId, Loc, u16)>) {
         let locs = self.elem_loc.iter().map(|(e, p)| (e, p.loc(), p.deadweight)).collect();
         (&self.cur_f_occ, locs)
+    }
+
+    /// The element lifetimes the pending checkpoint has yet to place, each
+    /// with its location if that lifetime is live.
+    #[cfg(test)]
+    pub(crate) fn unplaced_targets(&self) -> Vec<(Stamp, Option<Loc>)> {
+        let Some(cp) = &self.checkpoint else { return Vec::new() };
+        cp.jobs[cp.job_idx..]
+            .iter()
+            .flat_map(|j| {
+                let descending = &j.targets[..j.targets.len() - j.placed];
+                descending.iter().chain(&j.deferred[..j.deferred.len() - j.placed2])
+            })
+            .map(|&(_, e)| match cp.dead.get(&e) {
+                Some(&s) => (s, None),
+                None => (self.elem_loc.stamp(e), self.elem_loc.get(e).map(|p| p.loc())),
+            })
+            .collect()
     }
 
     /// Mirror the simulated copy's moves onto the physical array (fast path
@@ -884,7 +926,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         }
         let Some((lo, hi)) = open else { return };
         jobs.push(self.make_job(lo, hi));
-        self.checkpoint = Some(Checkpoint { jobs, job_idx: 0 });
+        self.checkpoint = Some(Checkpoint { jobs, job_idx: 0, dead: HashMap::new() });
         self.stats.rebuilds_started += 1;
         self.rebuild_span = 0;
     }
@@ -939,13 +981,16 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     // A ghost. The checkpoint holds it (as a target of
                     // this interval) iff it was deleted after the
                     // checkpoint froze; otherwise drop it.
-                    let e = self.ghost_at[&i];
-                    let held = self.ghosts[&e].deleted_during == self.stats.rebuilds_started;
-                    debug_assert_eq!(held, job.targets.iter().any(|&(_, t)| t == e));
+                    let s = self.ghost_at[&i];
+                    let held = self.ghosts[&s].deleted_during == self.stats.rebuilds_started;
+                    debug_assert_eq!(
+                        held,
+                        job.targets.iter().any(|&(_, t)| cp.dead.get(&t) == Some(&s))
+                    );
                     if !held {
                         self.cur_f_occ.clear(i);
                         self.ghost_at.remove(&i);
-                        self.ghosts.remove(&e);
+                        self.ghosts.remove(&s);
                         continue;
                     }
                 }
@@ -962,18 +1007,21 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 let idx = job.targets.len() - 1 - job.placed;
                 let (t_fidx, e) = job.targets[idx];
                 job.placed += 1;
+                let dead = cp.dead.get(&e).copied();
                 // Defer buffered elements whose slot is right of their
                 // target: incorporating them leftward now would park their
                 // crossed deadweight into the path of the next leftward
                 // incorporation (re-crossing). They run in ascending order
                 // in phase 2 instead.
-                if let Some(Loc::Buffer(pos)) = self.elem_loc.get(e).map(|p| p.loc()) {
+                if let (None, Some(Loc::Buffer(pos))) =
+                    (dead, self.elem_loc.get(e).map(|p| p.loc()))
+                {
                     if pos > self.tags.f_pos_via(t_fidx, &mut self.dst_finger) {
                         job.deferred.push((t_fidx, e));
                         continue;
                     }
                 }
-                self.place_target(t_fidx, e);
+                self.place_target(t_fidx, e, dead);
             } else {
                 if job.placed2 >= job.deferred.len() {
                     cp.job_idx += 1;
@@ -984,7 +1032,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 let idx = job.deferred.len() - 1 - job.placed2;
                 let (t_fidx, e) = job.deferred[idx];
                 job.placed2 += 1;
-                self.place_target(t_fidx, e);
+                let dead = cp.dead.get(&e).copied();
+                self.place_target(t_fidx, e, dead);
             }
         }
         if cp.job_idx >= cp.jobs.len() {
@@ -998,10 +1047,12 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         }
     }
 
-    /// Phase-1 placement of one checkpoint target (rightward placement /
-    /// incorporation of Figure 4).
-    fn place_target(&mut self, t_fidx: usize, e: ElemId) {
-        match self.elem_loc.get(e).copied() {
+    /// Phase-1 placement of one checkpoint target, the element of index
+    /// `e` at the freeze, whose lifetime is `dead` if it was deleted since
+    /// (rightward placement / incorporation of Figure 4).
+    fn place_target(&mut self, t_fidx: usize, e: ElemId, dead: Option<Stamp>) {
+        let live = if dead.is_some() { None } else { self.elem_loc.get(e).copied() };
+        match live {
             Some(Placed { pos: fidx, buffered: false, .. }) => {
                 self.emulator_relocate(fidx as usize, t_fidx);
             }
@@ -1017,22 +1068,24 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 self.stats.record_deadweight(deadweight.into());
             }
             None => {
-                if self.pending_insert == Some(e) {
+                let Some(s) = dead else {
                     // The in-flight insertion: it exists in the simulation
                     // but has no physical slot yet. Leave its target to the
                     // next checkpoint (re-mark it dirty so that checkpoint
                     // is created).
+                    debug_assert_eq!(self.pending_insert, Some(e), "a target vanished");
                     self.mark_dirty(t_fidx);
                     return;
-                }
-                // Deleted element that the frozen checkpoint still contains.
-                if let Some(g) = self.ghosts.get(&e) {
+                };
+                // Deleted element that the frozen checkpoint still contains
+                // (its index may be live again, as a newer lifetime).
+                if let Some(g) = self.ghosts.get(&s) {
                     self.emulator_relocate(g.fidx, t_fidx);
                 } else {
                     // Deleted while buffered (its deadweight was recorded
                     // then): materialize as a ghost.
                     self.cur_f_occ.set(t_fidx);
-                    self.add_ghost(e, t_fidx);
+                    self.add_ghost(s, t_fidx);
                 }
             }
         }
@@ -1073,11 +1126,11 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             let pos = self.tags.f_pos(fidx);
             let phys = self.tags.contents.get(pos);
             let ghost = self.ghost_at.get(&fidx).copied();
-            if let Some(e) = ghost {
-                assert!(self.cur_f_occ.get(fidx), "ghost {e:?} at free F-slot {fidx}");
-                assert_eq!(self.ghosts.get(&e).map(|g| g.fidx), Some(fidx), "ghost maps disagree");
+            if let Some(s) = ghost {
+                assert!(self.cur_f_occ.get(fidx), "ghost {s:?} at free F-slot {fidx}");
+                assert_eq!(self.ghosts.get(&s).map(|g| g.fidx), Some(fidx), "ghost maps disagree");
                 assert_eq!(phys, None, "ghost slot {fidx} has physical content");
-                assert!(!self.elem_loc.contains(e), "ghost {e:?} is also live");
+                assert!(self.elem_loc.get_stamped(s).is_none(), "ghost {s:?} is also live");
             } else if let Some(e) = phys {
                 assert!(self.cur_f_occ.get(fidx), "free F-slot {fidx} has content");
                 assert_eq!(self.elem_loc.get(e).map(|p| p.loc()), Some(Loc::F(fidx)));
@@ -1205,6 +1258,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         self.sim.delete_into(rank, &mut sim_rep);
         let c_e = sim_rep.cost();
         debug_assert_eq!(sim_rep.removed_elem(), Some(e), "sim deleted a different element");
+        let stamp = self.elem_loc.stamp(e);
         let placed = self.elem_loc.remove(e).expect("deleting unknown element");
         if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
             // Fast path.
@@ -1218,8 +1272,11 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.stats.slow_ops += 1;
             self.note_dirty(&sim_rep);
             self.tags.remove_content(pos);
+            if let Some(cp) = &mut self.checkpoint {
+                cp.dead.entry(e).or_insert(stamp);
+            }
             match placed.loc() {
-                Loc::F(fidx) => self.add_ghost(e, fidx),
+                Loc::F(fidx) => self.add_ghost(stamp, fidx),
                 Loc::Buffer(_) => self.stats.record_deadweight(placed.deadweight.into()),
             }
             self.rebuild_work();

@@ -56,8 +56,10 @@ pub enum SlotTag {
     Buf,
 }
 
-/// The tagged physical array of the embedding.
+/// The tagged physical array of the embedding. The contents come first
+/// (`repr(C)`; see [`SlotArray`]'s read fields).
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct TagArray {
     /// Real-element contents; all physical motion flows through this.
     pub contents: SlotArray,

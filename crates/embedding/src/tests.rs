@@ -2,7 +2,7 @@
 //! the paper's lemma-level invariants, Figure-1 view consistency, and
 //! composition (nesting) mechanics.
 
-use crate::embed::{Embed, EmbedBuilder, EmbedConfig, EmbedStats};
+use crate::embed::{Embed, EmbedBuilder, EmbedConfig, EmbedStats, Loc};
 use crate::layered::{corollary11, corollary12, inner_yz_builder};
 use crate::tag_array::{SlotTag, TagArray};
 use crate::views;
@@ -432,6 +432,111 @@ fn clustered_runs_pin_every_decision() {
         clamped_moves: 126_958,
     };
     assert_eq!(format!("{:?}", g.inner().stats()), format!("{z:?}"));
+}
+
+/// Delete an element that the pending checkpoint still has to place (in
+/// A_F, so it stays a ghost, or `buffered`), so that the target outlives
+/// the deletion; give its index to the next insertion, at the far end of
+/// the list; and run that checkpoint out. The checkpoint names the deleted
+/// element by its stamp, so it must never take the newcomer for it: the
+/// layout matches the oracle and `check` holds after every operation, and
+/// the stale target stays dead until its checkpoint places it.
+fn reissue_a_pending_target<F, R>(
+    mut e: Embed<F, R>,
+    seed: u64,
+    buffered: bool,
+    check: impl Fn(&Embed<F, R>),
+) where
+    F: ListLabeling + Clone,
+    R: ListLabeling + Clone,
+{
+    let n = e.capacity();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (mut ids, mut oracle) = (IdAllocator::new(), Oracle::new());
+    let step = |e: &mut Embed<F, R>, op: Op, ids: &mut IdAllocator, oracle: &mut Oracle| {
+        match op {
+            Op::Insert(r) => {
+                let id = ids.fresh();
+                let rep = e.insert(r, id);
+                assert_eq!(rep.placed_elem(), Some(id));
+                oracle.insert(r, id);
+            }
+            Op::Delete(r) => {
+                let gone = e.delete(r).removed_elem().expect("delete removes");
+                oracle.delete(r, gone);
+                ids.release(gone);
+            }
+        }
+        oracle.check(e);
+        e.check_invariants();
+        check(e);
+    };
+    let stale =
+        |e: &Embed<F, R>, target| e.unplaced_targets().into_iter().find(|&(s, _)| s == target);
+    // Hammer one rank, with some deletions, until the pending checkpoint
+    // holds a live target where the case wants it, whose deletion leaves
+    // it unplaced (tried on a copy).
+    let hot = n / 3;
+    let (target, rank) = loop {
+        let wanted = e.unplaced_targets().into_iter().find(|&(_, loc)| match loc {
+            Some(Loc::F(_)) => !buffered,
+            Some(Loc::Buffer(_)) => buffered,
+            None => false,
+        });
+        if let Some((s, _)) = wanted {
+            let rank = oracle.sequence().iter().position(|&x| x == s.elem()).expect("live");
+            let mut trial = (e.clone(), ids.clone(), oracle.clone());
+            step(&mut trial.0, Op::Delete(rank), &mut trial.1, &mut trial.2);
+            if stale(&trial.0, s) == Some((s, None)) {
+                (e, ids, oracle) = trial;
+                break (s, rank);
+            }
+        }
+        let len = e.len();
+        assert!(e.stats().slow_ops < 50_000, "seed {seed}: no pending target found");
+        let op = if len < n / 2 || (len < n - 1 && rng.gen_bool(0.7)) {
+            Op::Insert(hot.min(len))
+        } else {
+            Op::Delete(rng.gen_range(0..len))
+        };
+        step(&mut e, op, &mut ids, &mut oracle);
+    };
+    // Reissue its index at the far end of the list.
+    let at = if rank < e.len() / 2 { e.len() } else { 0 };
+    step(&mut e, Op::Insert(at), &mut ids, &mut oracle);
+    assert_eq!(oracle.sequence()[at.min(e.len() - 1)], target.elem(), "the index is reissued");
+    // Run the checkpoint out with point operations away from the hot rank.
+    let completed = e.stats().rebuilds_completed;
+    loop {
+        if let Some((_, loc)) = stale(&e, target) {
+            assert_eq!(loc, None, "seed {seed}: the deleted target took the newcomer's place");
+        }
+        if e.stats().rebuilds_completed > completed {
+            break;
+        }
+        let len = e.len();
+        let op = if len < n - 1 && rng.gen_bool(0.5) {
+            Op::Insert(rng.gen_range(0..=len))
+        } else {
+            Op::Delete(rng.gen_range(0..len))
+        };
+        step(&mut e, op, &mut ids, &mut oracle);
+    }
+}
+
+#[test]
+fn a_reissued_index_is_not_a_pending_target() {
+    use lll_randomized::RandomizedBuilder;
+    for seed in 0..4 {
+        for buffered in [false, true] {
+            reissue_a_pending_target(corollary11(512, seed), seed, buffered, |e| {
+                e.shell().check_invariants()
+            });
+            let e = EmbedBuilder::new(RandomizedBuilder::with_seed(seed), ClassicBuilder)
+                .build_default(512);
+            reissue_a_pending_target(e, seed, buffered, |_| {});
+        }
+    }
 }
 
 #[test]

@@ -478,7 +478,7 @@ mod tests {
         let mut s =
             PredictedBuilder { eta: 64, predictor: VecPredictor::default() }.build(n, n * 14 / 10);
         for i in 0..n {
-            s.insert(i / 2, ElemId(i as u64));
+            s.insert(i / 2, ElemId(i as u32));
         }
         assert_eq!(s.len(), n);
     }

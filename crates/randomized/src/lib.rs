@@ -250,7 +250,7 @@ mod tests {
         let build_layout = |seed| {
             let mut pma = RandomizedBuilder::with_seed(seed).build(n, n * 13 / 10);
             for i in 0..n / 2 {
-                pma.insert(i, ElemId(i as u64));
+                pma.insert(i, ElemId(i as u32));
             }
             pma.slots().layout()
         };
@@ -262,7 +262,7 @@ mod tests {
         let n = 600;
         let mut pma = RandomizedBuilder::with_seed(3).build(n, n * 13 / 10);
         for i in 0..n {
-            pma.insert(0, ElemId(i as u64));
+            pma.insert(0, ElemId(i as u32));
         }
         assert_eq!(pma.len(), n);
     }
@@ -275,7 +275,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let mut total = 0u64;
         for len in 0..n {
-            total += pma.insert(rng.gen_range(0..=len), ElemId(len as u64)).cost();
+            total += pma.insert(rng.gen_range(0..=len), ElemId(len as u32)).cost();
         }
         let amortized = total as f64 / n as f64;
         assert!(amortized < 80.0, "randomized amortized {amortized} too high");
@@ -289,7 +289,7 @@ mod tests {
         let mut max = 0u64;
         let mut total = 0u64;
         for i in 0..n {
-            let c = pma.insert(0, ElemId(i as u64)).cost();
+            let c = pma.insert(0, ElemId(i as u32)).cost();
             max = max.max(c);
             total += c;
         }

@@ -28,7 +28,7 @@ fn main() {
     // Fill half the capacity at the front (hammer) — cheap ops take the
     // fast path; expensive simulated ops buffer in the R-shell.
     for i in 0..n / 2 {
-        e.insert(0, ElemId(i as u64));
+        e.insert(0, ElemId(i as u32));
         if [1, 4, 8, n / 2 - 1].contains(&i) {
             println!("after {} head-inserts:", i + 1);
             println!("{}", figure1(&e));

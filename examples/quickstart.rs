@@ -46,7 +46,7 @@ fn main() {
     let mut total = 0u64;
     let mut worst = 0u64;
     for i in 0..n {
-        let cost = list.insert(0, ElemId(i as u64)).cost();
+        let cost = list.insert(0, ElemId(i as u32)).cost();
         total += cost;
         worst = worst.max(cost);
     }

@@ -106,7 +106,7 @@ fn embedding_capacity_is_exact() {
     let n = 512;
     let mut e = corollary11(n, 23);
     for i in 0..n {
-        e.insert(i / 2, ElemId(i as u64));
+        e.insert(i / 2, ElemId(i as u32));
     }
     assert_eq!(e.len(), n);
     for _ in 0..n {

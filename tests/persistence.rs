@@ -314,7 +314,7 @@ fn vm_peak_bytes() -> Option<u64> {
 /// proportion to the index.
 #[test]
 fn restoring_a_far_handle_index_is_bounded_on_every_backend() {
-    let far = ElemId::new(u32::MAX - 1, 3);
+    let far = Handle::new(ElemId(u32::MAX - 1), 3);
     let before = vm_peak_bytes();
     for backend in Backend::ALL {
         let cfg = ListBuilder::new().backend(backend).config();

@@ -336,14 +336,16 @@ fn bulk_loaded_bytes_per_entry(backend: Backend, n: usize) -> f64 {
 /// n = 3,000, stays under a pinned ceiling in bytes per entry. The
 /// figures are exact for a build, slack included; each ceiling sits just
 /// above the larger of its two, so memory a change stores twice, or
-/// reserves past a table's owner, fails here.
+/// reserves past a table's owner, fails here. Slots hold 4-byte indices:
+/// Corollary 11's five slot arrays (26,326 slots at n = 2,048) cost 51.4
+/// B/entry, so slots of 8-byte ids (102.8) would fail here.
 fn footprint_stays_pinned() {
     let ceilings = [
-        (Backend::Classic, 13.5),
-        (Backend::Deamortized, 22.0),
-        (Backend::Randomized, 13.5),
-        (Backend::Adaptive, 14.0),
-        (Backend::Corollary11, 165.5),
+        (Backend::Classic, 5.6),
+        (Backend::Deamortized, 13.9),
+        (Backend::Randomized, 5.6),
+        (Backend::Adaptive, 6.2),
+        (Backend::Corollary11, 110.8),
     ];
     assert_eq!(ceilings.map(|(b, _)| b), Backend::ALL, "one ceiling per backend");
     for (backend, ceiling) in ceilings {
@@ -430,9 +432,18 @@ fn corollary11_build_allocations_stay_pinned() {
 /// cloning the template the second one kept: pinned at the exact count.
 /// The clone makes 41 of the 45 and the list's metrics handle and box the
 /// other 4; a computed build of the structure makes 46 (`build_fixed`'s 50
-/// above, with its own handle and box).
+/// above, with its own handle and box). The bytes such a clone copies are
+/// pinned exactly too: 394,508, of which 210,576 are the five slot
+/// arrays' contents at 4 bytes a slot (ROADMAP item 2).
 fn corollary11_template_build_allocations_stay_pinned() {
     const EXACT: u64 = 45;
+    const COPIED: u64 = 394_508;
+    let template = lll_embedding::corollary11(4096, 11);
+    let before = LIVE.load(Ordering::Relaxed);
+    let copy = template.clone();
+    let copied = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    drop((copy, template));
+    assert_eq!(copied, COPIED, "a Corollary 11 template of capacity 4,096 copies {copied} bytes");
     let builder = ListBuilder::new().backend(Backend::Corollary11).initial_capacity(4096);
     for seed in [1, 2] {
         drop(builder.clone().seed(seed).build());
@@ -475,13 +486,14 @@ fn corollary11_template_growth_allocations_stay_pinned() {
 
 /// A lone `LabelMap` that grows from empty to 2^14 entries builds each
 /// capacity once, so its builder keeps no Corollary 11 template (one would
-/// hold about 148 B/entry), and the live bytes per entry it holds stay
-/// under a ceiling at the exact figure. That figure is the 252.868 B/entry
+/// hold about 96 B/entry), and the live bytes per entry it holds stay
+/// under a ceiling at the exact figure. That figure is the 192.076 B/entry
 /// the map holds apart from the template store, plus the store's record of
-/// the nine sizes it saw built: one 640-byte table, 0.039 B/entry.
+/// the nine sizes it saw built: one 640-byte table, 0.039 B/entry. Slots of
+/// 8-byte ids would read about 252.9.
 fn lone_label_map_keeps_no_template() {
     const N: u64 = 1 << 14;
-    const CEILING: f64 = 252.907;
+    const CEILING: f64 = 192.115;
     let builder = ListBuilder::new().backend(Backend::Corollary11).seed(11);
     let before = LIVE.load(Ordering::Relaxed);
     let mut map = builder.label_map::<u64, u64>();
