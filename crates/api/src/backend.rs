@@ -1,239 +1,29 @@
-//! Backend selection and construction: [`Backend`], [`ListBuilder`],
-//! [`RawList`] and the type-erased [`ErasedList`].
+//! Backend selection and construction: [`Backend`], [`ListBuilder`] and
+//! the type-erased [`ErasedList`].
 //!
 //! Every algorithm in the workspace is a fixed-capacity
 //! [`ListLabeling`]; production callers want dynamic capacity and a
 //! runtime-selectable algorithm. [`ListBuilder`] provides both: it wraps
 //! the chosen algorithm in [`Growable`] (global doubling/halving with
-//! stable handles) and erases the concrete type behind [`RawList`], so
-//! [`OrderedList`](crate::OrderedList) and [`LabelMap`](crate::LabelMap)
-//! never name an algorithm in their types. Callers who want static
-//! dispatch instead wrap any [`LabelingBuilder`] in [`Growable::new`] —
-//! both container types are generic over [`RawList`] and accept either
-//! form.
+//! stable handles) and boxes it behind [`RawList`], the list interface
+//! `Growable` implements. [`OrderedList`](crate::OrderedList) and
+//! [`LabelMap`](crate::LabelMap) hold the resulting [`ErasedList`], so they
+//! never name an algorithm in their types.
 
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
-use lll_core::growable::{Growable, GrowableStats, Handle};
-use lll_core::ids::ElemId;
-use lll_core::metrics::{ListMetrics, MetricsHandle};
-use lll_core::report::OpReport;
+use lll_core::growable::{Growable, RawList};
+use lll_core::metrics::ListMetrics;
 use lll_core::rng::derive_seed;
-use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
 use lll_deamortized::DeamortizedBuilder;
 use lll_embedding::layered::corollary11_builder;
 use lll_randomized::RandomizedBuilder;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::label_map::dedup_sorted_batch;
 use crate::templates::{TemplateSize, TemplateStore, TemplatedCorollary11};
-
-/// The rank-addressed operations the API layer needs from a dynamically
-/// sized list-labeling backend. Implemented by [`Growable`] over every
-/// algorithm in the workspace; object-safe, so backends can be erased
-/// ([`ErasedList`]) or kept concrete for static dispatch.
-pub trait RawList {
-    /// Current element count.
-    fn len(&self) -> usize;
-
-    /// True if no elements are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current capacity (changes across rebuilds).
-    fn capacity(&self) -> usize;
-
-    /// The rebuild epoch: labels from before the last epoch change are
-    /// stale (see [`Growable::epoch`]).
-    fn epoch(&self) -> u64;
-
-    /// Insert at `rank`, returning the new element's stable handle; the
-    /// move log drains through the backend's internal reusable buffer (no
-    /// per-op allocation). Callers that need the log use
-    /// [`insert_reported_into`](Self::insert_reported_into).
-    fn insert(&mut self, rank: usize) -> Handle;
-
-    /// Delete at `rank`, returning the removed element's handle (log
-    /// discarded through the internal buffer, as for
-    /// [`insert`](Self::insert)).
-    fn delete(&mut self, rank: usize) -> Handle;
-
-    /// Insert at `rank`, draining the operation's move log into `out`
-    /// (cleared, then its move buffer traded for the log's — the
-    /// zero-allocation label-table maintenance path). The log excludes any
-    /// growth rebuild, which is signalled by the epoch instead.
-    fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle;
-
-    /// Delete at `rank`, draining the move log into `out` (same epoch
-    /// caveat for shrink rebuilds).
-    fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle;
-
-    /// Batch-insert `count` new elements at consecutive final ranks
-    /// `rank .. rank + count` as one logical operation — the bulk-ingest
-    /// path ([`Growable::splice_at`]). Returns the new handles in rank
-    /// order and one report for the whole batch, its moves in time order;
-    /// if the batch forced a growth rebuild the report is empty and the
-    /// epoch bumps once instead.
-    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport);
-
-    /// The physical slot array of the current epoch: a label is a position
-    /// in it, and what it stores there is the element's bare index, the
-    /// [`ElemId`] of its handle (move logs therefore name elements by
-    /// index; [`handle`](Self::handle) attaches the generation).
-    fn slots(&self) -> &SlotArray;
-
-    /// The handle of the stored element `elem`: its index with the
-    /// generation of its lifetime attached.
-    fn handle(&self, elem: ElemId) -> Handle;
-
-    /// The rank of the element whose label is `label` — the one
-    /// label→rank resolution, counted in the backend's metrics.
-    fn rank_at_label(&self, label: usize) -> usize;
-
-    /// The label of the first element, if any.
-    fn first_label(&self) -> Option<usize> {
-        self.slots().next_occupied_at_or_after(0)
-    }
-
-    /// The label of the last element, if any.
-    fn last_label(&self) -> Option<usize> {
-        self.slots()
-            .num_slots()
-            .checked_sub(1)
-            .and_then(|l| self.slots().prev_occupied_at_or_before(l))
-    }
-
-    /// The label of the next element strictly after `label` — one
-    /// occupancy query, no rank resolution (the cursor walking primitive).
-    fn next_label_after(&self, label: usize) -> Option<usize> {
-        self.slots().next_occupied_at_or_after(label + 1)
-    }
-
-    /// The label of the previous element strictly before `label`.
-    fn prev_label_before(&self, label: usize) -> Option<usize> {
-        label.checked_sub(1).and_then(|l| self.slots().prev_occupied_at_or_before(l))
-    }
-
-    /// The handle of the element stored at `label` (`None` on a free slot
-    /// or past the end).
-    fn handle_at_label(&self, label: usize) -> Option<Handle> {
-        let elem = (label < self.slots().num_slots()).then(|| self.slots().get(label)).flatten();
-        elem.map(|e| self.handle(e))
-    }
-
-    /// The handle of the element of `rank`.
-    fn handle_at_rank(&self, rank: usize) -> Handle {
-        self.handle(self.slots().get(self.label_of_rank(rank)).expect("select lands on an element"))
-    }
-
-    /// The label (slot position) of the element of `rank`.
-    fn label_of_rank(&self, rank: usize) -> usize {
-        self.slots().select(rank)
-    }
-
-    /// Restore an **empty** backend to `handles.len()` elements in one
-    /// O(n) bulk sweep, binding `handles[r]` to rank `r` — the
-    /// snapshot-restore path ([`Growable::load_with_handles`]): persisted
-    /// handles stay valid and future insertions never collide with them.
-    ///
-    /// Panics if the backend is non-empty or any handle has the reserved
-    /// index `u32::MAX`. Handle indices must be distinct (checked in debug
-    /// builds; decode paths validate before calling).
-    fn load_with_handles(&mut self, handles: &[Handle]);
-
-    /// Remove every element in one reset ([`Growable::reset`]): every id is
-    /// released, the backend is rebuilt empty at its initial capacity, and
-    /// the epoch bumps once. No element moves, and no handle issued
-    /// afterwards repeats one from before.
-    fn reset(&mut self);
-
-    /// The underlying algorithm's name.
-    fn backend_name(&self) -> &'static str;
-
-    /// Total element moves performed (operations + rebuilds): the metrics
-    /// handle's `moves`.
-    fn total_moves(&self) -> u64;
-
-    /// Grow/shrink statistics.
-    fn grow_stats(&self) -> GrowableStats;
-
-    /// The observability handle this backend's physical slot array reports
-    /// into: counters and the moves-per-op and rebalance-window histograms
-    /// (see [`lll_core::metrics::ListMetrics`]).
-    fn metrics_handle(&self) -> MetricsHandle;
-}
-
-impl<B: LabelingBuilder> RawList for Growable<B> {
-    fn len(&self) -> usize {
-        Growable::len(self)
-    }
-
-    fn capacity(&self) -> usize {
-        Growable::capacity(self)
-    }
-
-    fn epoch(&self) -> u64 {
-        Growable::epoch(self)
-    }
-
-    fn insert(&mut self, rank: usize) -> Handle {
-        Growable::insert(self, rank)
-    }
-
-    fn delete(&mut self, rank: usize) -> Handle {
-        Growable::delete(self, rank)
-    }
-
-    fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
-        Growable::insert_reported_into(self, rank, out)
-    }
-
-    fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
-        Growable::delete_reported_into(self, rank, out)
-    }
-
-    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport) {
-        Growable::splice_at(self, rank, count)
-    }
-
-    fn slots(&self) -> &SlotArray {
-        self.inner().slots()
-    }
-
-    fn handle(&self, elem: ElemId) -> Handle {
-        Growable::handle(self, elem)
-    }
-
-    fn rank_at_label(&self, label: usize) -> usize {
-        Growable::rank_at_label(self, label)
-    }
-
-    fn load_with_handles(&mut self, handles: &[Handle]) {
-        Growable::load_with_handles(self, handles)
-    }
-
-    fn reset(&mut self) {
-        Growable::reset(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        Growable::backend_name(self)
-    }
-
-    fn total_moves(&self) -> u64 {
-        Growable::total_moves(self)
-    }
-
-    fn grow_stats(&self) -> GrowableStats {
-        Growable::stats(self)
-    }
-
-    fn metrics_handle(&self) -> MetricsHandle {
-        Growable::metrics(self).clone()
-    }
-}
 
 /// The algorithms a [`ListBuilder`] can instantiate at runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -355,7 +145,7 @@ pub struct ListConfig {
 /// Configuration entry point for every container in this crate.
 ///
 /// ```
-/// use lll_api::{Backend, ListBuilder, RawList};
+/// use lll_api::{Backend, ListBuilder};
 ///
 /// let mut list = ListBuilder::new().backend(Backend::Corollary11).seed(42).build();
 /// let first = list.insert(0);
@@ -525,8 +315,13 @@ impl ListBuilder {
 }
 
 /// A dynamically sized list-labeling backend with the algorithm erased —
-/// the default backend type of [`OrderedList`](crate::OrderedList) and
+/// the backend of [`OrderedList`](crate::OrderedList) and
 /// [`LabelMap`](crate::LabelMap). Build one with [`ListBuilder::build`].
+///
+/// It boxes a [`Growable`] behind [`RawList`] and derefs to it, so every
+/// `RawList` method is called on the list directly, as one virtual call,
+/// with no import of the trait. It adds only the [`config`](Self::config)
+/// it was built from.
 ///
 /// The boxed trait object is `Send + Sync`, so erased containers can move
 /// across threads and sit behind locks (see the `lll-sharded` crate).
@@ -543,73 +338,17 @@ impl ErasedList {
     }
 }
 
-impl RawList for ErasedList {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
+impl Deref for ErasedList {
+    type Target = dyn RawList + Send + Sync;
 
-    fn capacity(&self) -> usize {
-        self.inner.capacity()
+    fn deref(&self) -> &Self::Target {
+        &*self.inner
     }
+}
 
-    fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    fn insert(&mut self, rank: usize) -> Handle {
-        self.inner.insert(rank)
-    }
-
-    fn delete(&mut self, rank: usize) -> Handle {
-        self.inner.delete(rank)
-    }
-
-    fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
-        self.inner.insert_reported_into(rank, out)
-    }
-
-    fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
-        self.inner.delete_reported_into(rank, out)
-    }
-
-    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport) {
-        self.inner.splice_reported(rank, count)
-    }
-
-    fn slots(&self) -> &SlotArray {
-        self.inner.slots()
-    }
-
-    fn handle(&self, elem: ElemId) -> Handle {
-        self.inner.handle(elem)
-    }
-
-    fn rank_at_label(&self, label: usize) -> usize {
-        self.inner.rank_at_label(label)
-    }
-
-    fn load_with_handles(&mut self, handles: &[Handle]) {
-        self.inner.load_with_handles(handles)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-
-    fn total_moves(&self) -> u64 {
-        self.inner.total_moves()
-    }
-
-    fn grow_stats(&self) -> GrowableStats {
-        self.inner.grow_stats()
-    }
-
-    fn metrics_handle(&self) -> MetricsHandle {
-        self.inner.metrics_handle()
+impl DerefMut for ErasedList {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut *self.inner
     }
 }
 
@@ -647,21 +386,6 @@ mod tests {
             assert_eq!(s.len(), 64);
             let labels: Vec<usize> = (0..s.len()).map(|r| s.label_of_rank(r)).collect();
             assert!(labels.windows(2).all(|w| w[0] < w[1]), "{}", backend.name());
-        }
-    }
-
-    #[test]
-    fn static_dispatch_matches_erased() {
-        let b = ListBuilder::new().seed(3);
-        let mut stat = Growable::new(ClassicBuilder, 64);
-        let mut dynn = b.backend(Backend::Classic).build();
-        for i in 0..200 {
-            stat.insert(i % (i / 2 + 1));
-            dynn.insert(i % (i / 2 + 1));
-        }
-        assert_eq!(stat.len(), RawList::len(&dynn));
-        for r in (0..200).step_by(17) {
-            assert_eq!(stat.label_of_rank(r), dynn.label_of_rank(r));
         }
     }
 
@@ -711,7 +435,7 @@ mod tests {
             let list = ListBuilder::new().backend(backend).build();
             let start = std::ptr::from_ref(&*list.inner).cast::<u8>().addr();
             let slots = std::ptr::from_ref(list.slots()).addr();
-            let end = slots - start + SlotArray::READ_FIELDS_END;
+            let end = slots - start + lll_core::slot_array::SlotArray::READ_FIELDS_END;
             assert!(end <= 64, "{backend}: the read fields end at byte {end}");
         }
     }

@@ -25,7 +25,7 @@
 //!   **handle** and re-reads the label from the list's epoch-resynced label
 //!   table on the next step, so it stays valid across both.
 
-use crate::backend::{ErasedList, RawList};
+use crate::backend::ErasedList;
 use crate::label_map::LabelMap;
 use crate::ordered_list::OrderedList;
 use lll_core::growable::Handle;
@@ -50,7 +50,7 @@ impl Pos {
     /// One step toward the back: from the start ghost onto the first
     /// element, from an element to its successor, sticking at the end
     /// ghost.
-    fn step_next<L: RawList>(self, list: &L) -> Pos {
+    fn step_next(self, list: &ErasedList) -> Pos {
         match self {
             Pos::Before => Pos::of(list.first_label()),
             Pos::On(l) => Pos::of(list.next_label_after(l)),
@@ -60,7 +60,7 @@ impl Pos {
 
     /// One step toward the front; the mirror of
     /// [`step_next`](Self::step_next).
-    fn step_prev<L: RawList>(self, list: &L) -> Pos {
+    fn step_prev(self, list: &ErasedList) -> Pos {
         match self {
             Pos::After => match list.last_label() {
                 Some(l) => Pos::On(l),
@@ -90,13 +90,13 @@ impl Pos {
 /// }
 /// assert_eq!(seen, ["a", "b", "c"]);
 /// ```
-pub struct Cursor<'a, V, L: RawList = ErasedList> {
-    list: &'a OrderedList<V, L>,
+pub struct Cursor<'a, V> {
+    list: &'a OrderedList<V>,
     pos: Pos,
 }
 
-impl<'a, V, L: RawList> Cursor<'a, V, L> {
-    pub(crate) fn new(list: &'a OrderedList<V, L>, label: Option<usize>) -> Self {
+impl<'a, V> Cursor<'a, V> {
+    pub(crate) fn new(list: &'a OrderedList<V>, label: Option<usize>) -> Self {
         Self { list, pos: Pos::of(label) }
     }
 
@@ -151,13 +151,13 @@ impl<'a, V, L: RawList> Cursor<'a, V, L> {
 /// cur.move_prev();
 /// assert_eq!(cur.key(), Some(&39));
 /// ```
-pub struct MapCursor<'a, K: Ord, V, L: RawList = ErasedList> {
-    map: &'a LabelMap<K, V, L>,
+pub struct MapCursor<'a, K: Ord, V> {
+    map: &'a LabelMap<K, V>,
     pos: Pos,
 }
 
-impl<'a, K: Ord, V, L: RawList> MapCursor<'a, K, V, L> {
-    pub(crate) fn new(map: &'a LabelMap<K, V, L>, label: Option<usize>) -> Self {
+impl<'a, K: Ord, V> MapCursor<'a, K, V> {
+    pub(crate) fn new(map: &'a LabelMap<K, V>, label: Option<usize>) -> Self {
         Self { map, pos: Pos::of(label) }
     }
 
@@ -215,8 +215,8 @@ impl<'a, K: Ord, V, L: RawList> MapCursor<'a, K, V, L> {
 /// let vals: Vec<i32> = list.into_iter().collect();
 /// assert_eq!(vals, [1, 2, 3]);
 /// ```
-pub struct CursorMut<'a, V, L: RawList = ErasedList> {
-    list: &'a mut OrderedList<V, L>,
+pub struct CursorMut<'a, V> {
+    list: &'a mut OrderedList<V>,
     /// The current element; `None` is the end ghost.
     cur: Option<Handle>,
     /// Rank of the current element (`len` on the end ghost), maintained
@@ -224,13 +224,13 @@ pub struct CursorMut<'a, V, L: RawList = ErasedList> {
     rank: usize,
 }
 
-impl<'a, V, L: RawList> CursorMut<'a, V, L> {
-    pub(crate) fn new_front(list: &'a mut OrderedList<V, L>) -> Self {
+impl<'a, V> CursorMut<'a, V> {
+    pub(crate) fn new_front(list: &'a mut OrderedList<V>) -> Self {
         let cur = list.front();
         Self { list, cur, rank: 0 }
     }
 
-    pub(crate) fn new_at(list: &'a mut OrderedList<V, L>, h: Handle, rank: usize) -> Self {
+    pub(crate) fn new_at(list: &'a mut OrderedList<V>, h: Handle, rank: usize) -> Self {
         Self { list, cur: Some(h), rank }
     }
 

@@ -45,7 +45,7 @@
 //! 9 B per 64 slots for a `u64` key), where a per-slot key column would
 //! cost one key per slot.
 
-use crate::backend::{ErasedList, ListBuilder, RawList};
+use crate::backend::{ErasedList, ListBuilder};
 use crate::cursor::MapCursor;
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::ids::ElemId;
@@ -90,8 +90,8 @@ const STRIDE: usize = 8;
 /// ascending-run counter a point insertion bumps lies more than a cache
 /// line past the read fields.
 #[repr(C)]
-pub struct LabelMap<K: Ord, V, L: RawList = ErasedList> {
-    list: L,
+pub struct LabelMap<K: Ord, V> {
+    list: ErasedList,
     /// Entries by element-id index. The backend gives a deleted element's
     /// index to a later insertion, so the slab stays at the map's peak
     /// population.
@@ -302,7 +302,7 @@ impl<K: Ord + Clone, V> Default for LabelMap<K, V> {
     }
 }
 
-impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
+impl<K: Ord, V> LabelMap<K, V> {
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.list.len()
@@ -370,7 +370,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
 
     /// Read-only access to the underlying backend (cost counters, labels,
     /// slot-array introspection).
-    pub fn backend(&self) -> &L {
+    pub fn backend(&self) -> &ErasedList {
         &self.list
     }
 
@@ -544,7 +544,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     ///
     /// Unlike `BTreeMap::range`, an inverted range (start > end) yields an
     /// empty iterator instead of panicking.
-    pub fn range<Q, R>(&self, range: R) -> Range<'_, K, V, L>
+    pub fn range<Q, R>(&self, range: R) -> Range<'_, K, V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -567,7 +567,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// Iterate all entries in ascending key order — a label-to-label walk
     /// of the backend's occupancy structure, allocating nothing and
     /// resolving no ranks.
-    pub fn iter(&self) -> Iter<'_, K, V, L> {
+    pub fn iter(&self) -> Iter<'_, K, V> {
         Iter { map: self, label: self.list.first_label(), remaining: self.len() }
     }
 
@@ -584,19 +584,19 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// A read-only cursor parked on the smallest entry (or exhausted if the
     /// map is empty). Cursors step through the backend's occupancy
     /// structure label-to-label — no per-step rank→label resolution.
-    pub fn cursor_front(&self) -> MapCursor<'_, K, V, L> {
+    pub fn cursor_front(&self) -> MapCursor<'_, K, V> {
         MapCursor::new(self, self.list.first_label())
     }
 
     /// A read-only cursor parked on the largest entry.
-    pub fn cursor_back(&self) -> MapCursor<'_, K, V, L> {
+    pub fn cursor_back(&self) -> MapCursor<'_, K, V> {
         MapCursor::new(self, self.list.last_label())
     }
 
     /// A read-only cursor parked on the first entry with key ≥ `key`
     /// (exhausted if every key is smaller). One label search at creation;
     /// stepping is label-native from there.
-    pub fn cursor_at<Q>(&self, key: &Q) -> MapCursor<'_, K, V, L>
+    pub fn cursor_at<Q>(&self, key: &Q) -> MapCursor<'_, K, V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -605,13 +605,11 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     }
 }
 
-impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
-    /// Wrap an already-built backend — erased ([`ListBuilder::build`]) or
-    /// concrete ([`Growable::new`](lll_core::growable::Growable::new)) for
-    /// static dispatch.
+impl<K: Ord + Clone, V> LabelMap<K, V> {
+    /// Wrap an already-built, empty backend ([`ListBuilder::build`]).
     ///
     /// Panics if the backend is non-empty.
-    pub fn with_backend(list: L) -> Self {
+    pub fn with_backend(list: ErasedList) -> Self {
         assert!(list.is_empty(), "LabelMap requires an empty backend");
         let fences = Fences::new(list.slots().num_slots());
         let report = OpReport::default();
@@ -701,7 +699,7 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         (!self.is_empty()).then(|| self.delete_at(self.len() - 1))
     }
 
-    /// Remove every entry in one backend [`reset`](RawList::reset): no
+    /// Remove every entry in one backend [`reset`](crate::RawList::reset): no
     /// element moves and the epoch bumps once. The backend returns to its
     /// initial capacity and keeps its cost counters.
     pub fn clear(&mut self) {
@@ -758,11 +756,11 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
 
     /// Move every entry of `other` into `self`, leaving `other` empty.
     /// `other` is emptied by one label walk and one backend
-    /// [`reset`](RawList::reset), with no element moves. Runs of
+    /// [`reset`](crate::RawList::reset), with no element moves. Runs of
     /// `other`'s keys that fall between `self`'s keys land as single
     /// backend splices (equal keys replace the value, last write wins, as
     /// with sequential inserts).
-    pub fn append<M: RawList>(&mut self, other: &mut LabelMap<K, V, M>) {
+    pub fn append(&mut self, other: &mut LabelMap<K, V>) {
         let drained = other.take_sorted();
         self.extend_sorted(drained);
     }
@@ -820,8 +818,8 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
         // fences are re-laid in one pass, as after a rebuild.
         let relay = self.is_empty();
         let pre_epoch = self.list.epoch();
-        let (handles, rep) = self.list.splice_reported(rank, run.len());
-        debug_assert_eq!(handles.len(), run.len());
+        let (elems, rep) = self.list.splice_reported(rank, run.len());
+        debug_assert_eq!(elems.len(), run.len());
         // Unless re-laying, mark the groups the splice's moves touched; then
         // free its log, 12 bytes a move, before the slab grows. (A splice
         // that rebuilt the backend logs nothing: its fences are re-laid.)
@@ -832,10 +830,10 @@ impl<K: Ord + Clone, V, L: RawList> LabelMap<K, V, L> {
             self.fences.mark_moves(&rep.moves);
         }
         drop(rep);
-        let slab_len = handles.iter().map(|h| h.index() + 1).max().unwrap_or(0);
+        let slab_len = elems.iter().map(|e| e.index() + 1).max().unwrap_or(0);
         self.slab.reserve(slab_len.saturating_sub(self.slab.len()));
-        for (h, kv) in handles.into_iter().zip(run.drain(..)) {
-            self.put(h.elem(), kv);
+        for (e, kv) in elems.into_iter().zip(run.drain(..)) {
+            self.put(e, kv);
         }
         if relay {
             self.fences.relay(self.list.slots(), &self.slab);
@@ -919,7 +917,7 @@ impl<K: Ord + Clone + Codec, V: Codec> LabelMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V, L: RawList> Extend<(K, V)> for LabelMap<K, V, L> {
+impl<K: Ord + Clone, V> Extend<(K, V)> for LabelMap<K, V> {
     /// Bulk extension in any order: the input is buffered, stably sorted
     /// by key and merged via the bulk path
     /// ([`extend_sorted`](LabelMap::extend_sorted)). Among keys that
@@ -943,9 +941,9 @@ impl<K: Ord + Clone, V> FromIterator<(K, V)> for LabelMap<K, V> {
     }
 }
 
-impl<'a, K: Ord, V, L: RawList> IntoIterator for &'a LabelMap<K, V, L> {
+impl<'a, K: Ord, V> IntoIterator for &'a LabelMap<K, V> {
     type Item = (&'a K, &'a V);
-    type IntoIter = Iter<'a, K, V, L>;
+    type IntoIter = Iter<'a, K, V>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -954,13 +952,13 @@ impl<'a, K: Ord, V, L: RawList> IntoIterator for &'a LabelMap<K, V, L> {
 
 /// Iterator over all entries of a [`LabelMap`] in ascending key order (see
 /// [`LabelMap::iter`]): a label-to-label occupancy walk, O(1) space.
-pub struct Iter<'a, K: Ord, V, L: RawList> {
-    map: &'a LabelMap<K, V, L>,
+pub struct Iter<'a, K: Ord, V> {
+    map: &'a LabelMap<K, V>,
     label: Option<usize>,
     remaining: usize,
 }
 
-impl<'a, K: Ord, V, L: RawList> Iterator for Iter<'a, K, V, L> {
+impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -975,11 +973,11 @@ impl<'a, K: Ord, V, L: RawList> Iterator for Iter<'a, K, V, L> {
     }
 }
 
-impl<K: Ord, V, L: RawList> ExactSizeIterator for Iter<'_, K, V, L> {}
+impl<K: Ord, V> ExactSizeIterator for Iter<'_, K, V> {}
 
-impl<K: Ord, V, L: RawList> IntoIterator for LabelMap<K, V, L> {
+impl<K: Ord, V> IntoIterator for LabelMap<K, V> {
     type Item = (K, V);
-    type IntoIter = IntoIter<K, V, L>;
+    type IntoIter = IntoIter<K, V>;
 
     /// Consume the map, yielding owned entries in ascending key order —
     /// the same O(1)-space occupancy walk as [`LabelMap::iter`], over the
@@ -991,14 +989,14 @@ impl<K: Ord, V, L: RawList> IntoIterator for LabelMap<K, V, L> {
 }
 
 /// Owning iterator over a [`LabelMap`]'s entries in ascending key order.
-pub struct IntoIter<K, V, L: RawList = ErasedList> {
-    list: L,
+pub struct IntoIter<K, V> {
+    list: ErasedList,
     label: Option<usize>,
     slab: Vec<Option<(K, V)>>,
     remaining: usize,
 }
 
-impl<K, V, L: RawList> Iterator for IntoIter<K, V, L> {
+impl<K, V> Iterator for IntoIter<K, V> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1014,9 +1012,9 @@ impl<K, V, L: RawList> Iterator for IntoIter<K, V, L> {
     }
 }
 
-impl<K, V, L: RawList> ExactSizeIterator for IntoIter<K, V, L> {}
+impl<K, V> ExactSizeIterator for IntoIter<K, V> {}
 
-impl<K: Ord + fmt::Debug, V: fmt::Debug, L: RawList> fmt::Debug for LabelMap<K, V, L> {
+impl<K: Ord + fmt::Debug, V: fmt::Debug> fmt::Debug for LabelMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
@@ -1025,8 +1023,8 @@ impl<K: Ord + fmt::Debug, V: fmt::Debug, L: RawList> fmt::Debug for LabelMap<K, 
 /// Iterator over a key range of a [`LabelMap`], in ascending key order: a
 /// label-to-label walk. Its exact [`len`](ExactSizeIterator::len) costs up
 /// to two rank resolutions per call; stepping costs none.
-pub struct Range<'a, K: Ord, V, L: RawList> {
-    map: &'a LabelMap<K, V, L>,
+pub struct Range<'a, K: Ord, V> {
+    map: &'a LabelMap<K, V>,
     /// The label of the next entry to yield.
     next: Option<usize>,
     /// The label of the first entry past the range (`None`: the range runs
@@ -1034,14 +1032,14 @@ pub struct Range<'a, K: Ord, V, L: RawList> {
     end: Option<usize>,
 }
 
-impl<K: Ord, V, L: RawList> Range<'_, K, V, L> {
+impl<K: Ord, V> Range<'_, K, V> {
     /// The next label, if it is still inside the range.
     fn pending(&self) -> Option<usize> {
         self.next.filter(|&l| self.end.is_none_or(|e| l < e))
     }
 }
 
-impl<'a, K: Ord, V, L: RawList> Iterator for Range<'a, K, V, L> {
+impl<'a, K: Ord, V> Iterator for Range<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1058,7 +1056,7 @@ impl<'a, K: Ord, V, L: RawList> Iterator for Range<'a, K, V, L> {
     }
 }
 
-impl<K: Ord, V, L: RawList> ExactSizeIterator for Range<'_, K, V, L> {}
+impl<K: Ord, V> ExactSizeIterator for Range<'_, K, V> {}
 
 #[cfg(test)]
 mod tests {
@@ -1074,7 +1072,7 @@ mod tests {
     /// its group, a top level of every `STRIDE`-th fence, and no group
     /// left marked. Returns the longest run of empty groups under the
     /// fences.
-    fn check_fences<K: Ord + fmt::Debug, V, L: RawList>(map: &LabelMap<K, V, L>) -> usize {
+    fn check_fences<K: Ord + fmt::Debug, V>(map: &LabelMap<K, V>) -> usize {
         let slots = map.list.slots();
         let groups = map.list.last_label().map_or(0, |l| l / GROUP + 1);
         assert_eq!(map.fences.keys.len(), groups, "one fence per group up to the last element's");
@@ -1604,7 +1602,7 @@ mod tests {
     }
 
     /// The live handles of `map`'s backend.
-    fn live_handles<L: RawList>(map: &LabelMap<u32, u32, L>) -> Vec<Handle> {
+    fn live_handles(map: &LabelMap<u32, u32>) -> Vec<Handle> {
         map.backend().slots().iter_occupied().map(|(_, e)| map.backend().handle(e)).collect()
     }
 
@@ -1670,22 +1668,16 @@ mod tests {
 
     #[test]
     fn iter_walks_labels_without_rank_resolution_or_snapshot_allocs() {
-        use lll_classic::ClassicBuilder;
-        use lll_core::growable::Growable;
-        let mut map: LabelMap<u32, u32, _> =
-            LabelMap::with_backend(Growable::new(ClassicBuilder, 64));
+        let mut map: LabelMap<u32, u32> = ListBuilder::new().backend(Backend::Classic).label_map();
         for k in 0..500 {
             map.insert(k * 2, k);
         }
-        let before = map.backend().rank_resolutions();
+        let resolutions = |map: &LabelMap<u32, u32>| map.metrics().rank_resolutions.get();
+        let before = resolutions(&map);
         let collected: Vec<(u32, u32)> = map.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(collected.len(), 500);
         assert!(collected.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(
-            map.backend().rank_resolutions(),
-            before,
-            "iter must walk labels, not resolve ranks"
-        );
+        assert_eq!(resolutions(&map), before, "iter must walk labels, not resolve ranks");
         // ExactSizeIterator stays honest mid-walk.
         let mut it = map.iter();
         assert_eq!(it.len(), 500);
@@ -1693,8 +1685,6 @@ mod tests {
         it.next();
         assert_eq!(it.len(), 498);
         // Keyed lookups search labels: they resolve no rank at all.
-        type Map = LabelMap<u32, u32, Growable<ClassicBuilder>>;
-        let resolutions = |map: &Map| map.backend().rank_resolutions();
         let r0 = resolutions(&map);
         for k in 0..1000 {
             assert_eq!(map.get(&k).is_some(), map.contains_key(&k));

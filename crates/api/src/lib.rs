@@ -37,13 +37,10 @@
 //!   `ListBuilder::new().backend(Backend::Corollary11).seed(42).build()`.
 //!   Backends are selected at runtime ([`Backend`]), wrapped in
 //!   [`Growable`](lll_core::growable::Growable) for dynamic capacity (users
-//!   never choose `n` up front), and erased behind [`RawList`] — or kept
-//!   concrete for static dispatch by building the `Growable` directly.
-//!
-//! Both containers are generic over [`RawList`], so the same code runs on
-//! the type-erased [`ErasedList`] or any concrete
-//! `Growable<B>` — including layered compositions the [`Backend`] enum
-//! doesn't enumerate.
+//!   never choose `n` up front), and boxed as an [`ErasedList`], which
+//!   derefs to [`RawList`], the list interface `Growable` implements.
+//!   Both containers hold an `ErasedList`, so each of their calls into the
+//!   backend is one virtual call.
 
 #![forbid(unsafe_code)]
 
@@ -55,16 +52,16 @@ pub mod ordered_list;
 pub mod persist;
 mod templates;
 
-pub use backend::{Backend, ErasedList, ListBuilder, ListConfig, ParseBackendError, RawList};
+pub use backend::{Backend, ErasedList, ListBuilder, ListConfig, ParseBackendError};
 pub use cursor::{Cursor, CursorMut, MapCursor};
 pub use label_map::{LabelMap, Range};
 pub use ordered_list::OrderedList;
 pub use persist::{Codec, SnapshotError};
 pub use templates::TemplateSize;
 
-// Re-exported so API users can hold handles and read reports without
-// depending on lll-core directly.
-pub use lll_core::growable::{GrowableStats, Handle};
+// Re-exported so API users can hold handles, name the list interface and
+// read reports without depending on lll-core directly.
+pub use lll_core::growable::{GrowableStats, Handle, RawList};
 pub use lll_core::report::{MoveRec, OpReport};
 
 /// Compile-time thread-safety audit: every backend and both containers

@@ -15,7 +15,7 @@
 //! backend's epoch and resynchronized with one O(n) sweep, amortized free
 //! against the Ω(n) operations between rebuilds.
 
-use crate::backend::{ErasedList, ListBuilder, RawList};
+use crate::backend::{ErasedList, ListBuilder};
 use crate::cursor::{Cursor, CursorMut};
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
 use lll_core::growable::Handle;
@@ -41,8 +41,8 @@ use std::io::{Read, Write};
 /// assert!(list.precedes(a, c));
 /// assert_eq!(list.iter().map(|(_, v)| *v).collect::<Vec<_>>(), ["a", "c"]);
 /// ```
-pub struct OrderedList<V, L: RawList = ErasedList> {
-    list: L,
+pub struct OrderedList<V> {
+    list: ErasedList,
     /// Each live element's generation, label (slot position) and value, by
     /// index: following a move costs one hash.
     entries: HashMap<ElemId, Entry<V>>,
@@ -81,14 +81,12 @@ impl<V> Default for OrderedList<V> {
     }
 }
 
-impl<V, L: RawList> OrderedList<V, L> {
-    /// Wrap an already-built backend — erased ([`ListBuilder::build`]) or
-    /// concrete ([`Growable::new`](lll_core::growable::Growable::new)) for
-    /// static dispatch.
+impl<V> OrderedList<V> {
+    /// Wrap an already-built, empty backend ([`ListBuilder::build`]).
     ///
     /// Panics if the backend is non-empty: the label table must observe
     /// every operation.
-    pub fn with_backend(list: L) -> Self {
+    pub fn with_backend(list: ErasedList) -> Self {
         assert!(list.is_empty(), "OrderedList requires an empty backend");
         Self { list, entries: HashMap::new(), scratch: OpReport::default() }
     }
@@ -182,7 +180,7 @@ impl<V, L: RawList> OrderedList<V, L> {
 
     /// Read-only access to the underlying backend (cost counters, labels,
     /// slot-array introspection).
-    pub fn backend(&self) -> &L {
+    pub fn backend(&self) -> &ErasedList {
         &self.list
     }
 
@@ -281,9 +279,12 @@ impl<V, L: RawList> OrderedList<V, L> {
     pub fn splice_at<I: IntoIterator<Item = V>>(&mut self, rank: usize, values: I) -> Vec<Handle> {
         let vals: Vec<V> = values.into_iter().collect();
         let pre_epoch = self.list.epoch();
-        let (handles, rep) = self.list.splice_reported(rank, vals.len());
-        for (&h, v) in handles.iter().zip(vals) {
-            self.entries.insert(h.elem(), Entry::new(h, v));
+        let (elems, rep) = self.list.splice_reported(rank, vals.len());
+        let mut handles = Vec::with_capacity(elems.len());
+        for (e, v) in elems.into_iter().zip(vals) {
+            let h = self.list.handle(e);
+            self.entries.insert(e, Entry::new(h, v));
+            handles.push(h);
         }
         self.sync(pre_epoch, &rep);
         handles
@@ -358,7 +359,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     }
 
     /// Remove every element, invalidating all handles, with one backend
-    /// [`reset`](RawList::reset): no element moves, the epoch bumps once,
+    /// [`reset`](crate::RawList::reset): no element moves, the epoch bumps once,
     /// and no handle issued afterwards repeats one from before. The backend
     /// (and its cost counters) stays alive.
     pub fn clear(&mut self) {
@@ -369,7 +370,7 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// Iterate `(handle, &value)` in list order — a label-to-label walk of
     /// the backend's occupancy structure: O(1) space, no per-step rank
     /// resolution.
-    pub fn iter(&self) -> Iter<'_, V, L> {
+    pub fn iter(&self) -> Iter<'_, V> {
         Iter {
             list: &self.list,
             entries: &self.entries,
@@ -386,18 +387,18 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// A read-only cursor parked on the first element (exhausted if the
     /// list is empty). Cursors walk the backend's occupancy structure
     /// label-to-label — no per-step rank→label resolution.
-    pub fn cursor_front(&self) -> Cursor<'_, V, L> {
+    pub fn cursor_front(&self) -> Cursor<'_, V> {
         Cursor::new(self, self.list.first_label())
     }
 
     /// A read-only cursor parked on the last element.
-    pub fn cursor_back(&self) -> Cursor<'_, V, L> {
+    pub fn cursor_back(&self) -> Cursor<'_, V> {
         Cursor::new(self, self.list.last_label())
     }
 
     /// A read-only cursor parked on `h`, or `None` if `h` is stale.
     /// Positioning is one O(1) label-table lookup.
-    pub fn cursor_at(&self, h: Handle) -> Option<Cursor<'_, V, L>> {
+    pub fn cursor_at(&self, h: Handle) -> Option<Cursor<'_, V>> {
         let label = self.label_of(h)?;
         Some(Cursor::new(self, Some(label as usize)))
     }
@@ -405,13 +406,13 @@ impl<V, L: RawList> OrderedList<V, L> {
     /// A mutating cursor parked on the first element (on the end ghost if
     /// the list is empty): walk with `move_next`/`move_prev`, and edit in
     /// place with `insert_before_here`/`insert_after_here`/`remove_here`.
-    pub fn cursor_front_mut(&mut self) -> CursorMut<'_, V, L> {
+    pub fn cursor_front_mut(&mut self) -> CursorMut<'_, V> {
         CursorMut::new_front(self)
     }
 
     /// A mutating cursor parked on `h`, or `None` if `h` is stale. One
     /// rank resolution at creation; walking is label-native from there.
-    pub fn cursor_at_mut(&mut self, h: Handle) -> Option<CursorMut<'_, V, L>> {
+    pub fn cursor_at_mut(&mut self, h: Handle) -> Option<CursorMut<'_, V>> {
         let rank = self.rank(h)?;
         Some(CursorMut::new_at(self, h, rank))
     }
@@ -465,7 +466,7 @@ impl<V: Codec> OrderedList<V> {
     /// Restore a list from a snapshot written by
     /// [`write_snapshot`](Self::write_snapshot): rebuild the recorded
     /// backend, land the decoded run through the O(n) handle-preserving
-    /// bulk sweep ([`Growable::load_with_handles`]), and resync the label
+    /// bulk sweep ([`RawList::load_with_handles`]), and resync the label
     /// table once. Handles held from before the snapshot resolve to the
     /// same elements — same values, same relative order — and fresh
     /// insertions never collide with restored handles.
@@ -476,7 +477,7 @@ impl<V: Codec> OrderedList<V> {
     /// reserved index `u32::MAX`, are [`SnapshotError::Corrupt`]). Reading
     /// from a `File`? Wrap it in a [`std::io::BufReader`].
     ///
-    /// [`Growable::load_with_handles`]: lll_core::growable::Growable::load_with_handles
+    /// [`RawList::load_with_handles`]: crate::RawList::load_with_handles
     pub fn read_snapshot<R: Read + ?Sized>(r: &mut R) -> Result<Self, SnapshotError> {
         let header = Header::read_expecting(r, ContainerKind::OrderedList)?;
         let count = usize::try_from(header.count)
@@ -509,14 +510,14 @@ impl<V: Codec> OrderedList<V> {
 
 /// Iterator over `(Handle, &V)` in list order (see [`OrderedList::iter`]):
 /// a label-to-label occupancy walk, O(1) space.
-pub struct Iter<'a, V, L: RawList = ErasedList> {
-    list: &'a L,
+pub struct Iter<'a, V> {
+    list: &'a ErasedList,
     entries: &'a HashMap<ElemId, Entry<V>>,
     label: Option<usize>,
     remaining: usize,
 }
 
-impl<'a, V, L: RawList> Iterator for Iter<'a, V, L> {
+impl<'a, V> Iterator for Iter<'a, V> {
     type Item = (Handle, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -533,17 +534,17 @@ impl<'a, V, L: RawList> Iterator for Iter<'a, V, L> {
     }
 }
 
-impl<V, L: RawList> ExactSizeIterator for Iter<'_, V, L> {}
+impl<V> ExactSizeIterator for Iter<'_, V> {}
 
 /// Owning iterator over values in list order (see
 /// [`OrderedList::into_iter`](IntoIterator)).
-pub struct IntoIter<V, L: RawList = ErasedList> {
-    list: L,
+pub struct IntoIter<V> {
+    list: ErasedList,
     label: Option<usize>,
     entries: HashMap<ElemId, Entry<V>>,
 }
 
-impl<V, L: RawList> Iterator for IntoIter<V, L> {
+impl<V> Iterator for IntoIter<V> {
     type Item = V;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -558,20 +559,20 @@ impl<V, L: RawList> Iterator for IntoIter<V, L> {
     }
 }
 
-impl<V, L: RawList> ExactSizeIterator for IntoIter<V, L> {}
+impl<V> ExactSizeIterator for IntoIter<V> {}
 
-impl<'a, V, L: RawList> IntoIterator for &'a OrderedList<V, L> {
+impl<'a, V> IntoIterator for &'a OrderedList<V> {
     type Item = (Handle, &'a V);
-    type IntoIter = Iter<'a, V, L>;
+    type IntoIter = Iter<'a, V>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
-impl<V, L: RawList> IntoIterator for OrderedList<V, L> {
+impl<V> IntoIterator for OrderedList<V> {
     type Item = V;
-    type IntoIter = IntoIter<V, L>;
+    type IntoIter = IntoIter<V>;
 
     /// Consume the list, yielding owned values in list order — the same
     /// O(1)-space occupancy walk as [`OrderedList::iter`], over the
@@ -582,7 +583,7 @@ impl<V, L: RawList> IntoIterator for OrderedList<V, L> {
     }
 }
 
-impl<V, L: RawList> Extend<V> for OrderedList<V, L> {
+impl<V> Extend<V> for OrderedList<V> {
     /// Append values at the back via the bulk path
     /// ([`extend_back`](OrderedList::extend_back)).
     fn extend<I: IntoIterator<Item = V>>(&mut self, iter: I) {
@@ -599,7 +600,7 @@ impl<V> FromIterator<V> for OrderedList<V> {
     }
 }
 
-impl<V: fmt::Debug, L: RawList> fmt::Debug for OrderedList<V, L> {
+impl<V: fmt::Debug> fmt::Debug for OrderedList<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.values()).finish()
     }
@@ -850,10 +851,8 @@ mod tests {
         // tail keeps the layout, so after one warm-up cycle the scratch
         // report must alternate between the same two buffers at unchanged
         // capacities: one drain per operation, no reallocation.
-        use lll_classic::ClassicBuilder;
-        use lll_core::growable::Growable;
-        let backend = Growable::new(ClassicBuilder, 1024);
-        let mut ol: OrderedList<u32, _> = OrderedList::with_backend(backend);
+        let mut ol: OrderedList<u32> =
+            ListBuilder::new().backend(Backend::Classic).initial_capacity(1024).ordered_list();
         for i in 0..512 {
             ol.push_back(i);
         }
@@ -872,18 +871,15 @@ mod tests {
 
     #[test]
     fn iter_walks_labels_without_rank_resolution() {
-        use lll_classic::ClassicBuilder;
-        use lll_core::growable::Growable;
-        let backend = Growable::new(ClassicBuilder, 64);
-        let mut ol: OrderedList<u32, _> = OrderedList::with_backend(backend);
+        let mut ol: OrderedList<u32> = ListBuilder::new().backend(Backend::Classic).ordered_list();
         for i in 0..400 {
             ol.insert_at(i / 2, i as u32);
         }
-        let before = ol.backend().rank_resolutions();
+        let before = ol.metrics().rank_resolutions.get();
         let walked: Vec<u32> = ol.iter().map(|(_, v)| *v).collect();
         assert_eq!(walked.len(), 400);
         assert_eq!(
-            ol.backend().rank_resolutions(),
+            ol.metrics().rank_resolutions.get(),
             before,
             "iter must walk labels, not resolve ranks"
         );

@@ -8,6 +8,11 @@
 //! keeps a **stable handle** across rebuilds, so applications can hold
 //! references to elements without tracking migrations.
 //!
+//! [`RawList`] is the growable list's interface, declared once here:
+//! `Growable` implements it over every builder, and `lll-api`'s
+//! `ErasedList` boxes one behind it, so containers name no algorithm in
+//! their types.
+//!
 //! `Growable` allocates every element index it hands to the inner
 //! structure, from an [`IdAllocator`], and passes the survivors' indices
 //! into the rebuilt one. A deleted element's index is reused by a later
@@ -27,20 +32,21 @@
 //! are the inner structure's cheapest workload).
 //!
 //! An operation hands its moves to the caller in one [`OpReport`]:
-//! [`insert_reported_into`](Growable::insert_reported_into) and
-//! [`delete_reported_into`](Growable::delete_reported_into) drain the log
-//! into the caller's report, [`splice_at`](Growable::splice_at) returns
-//! one, and the report-free [`insert`](Growable::insert) and
-//! [`delete`](Growable::delete) drain it into a reused scratch report. A
-//! rebuild hands out no log: it bumps the [`epoch`](Growable::epoch). Every
+//! [`insert_reported_into`](RawList::insert_reported_into) and
+//! [`delete_reported_into`](RawList::delete_reported_into) drain the log
+//! into the caller's report, [`splice_reported`](RawList::splice_reported)
+//! returns one, and the report-free [`insert`](RawList::insert) and
+//! [`delete`](RawList::delete) drain it into a reused scratch report. A
+//! rebuild hands out no log: it bumps the [`epoch`](RawList::epoch). Every
 //! drained log, a rebuild's included, adds its length to the metrics
 //! handle's `moves`, and the handle outlives every rebuild, so
-//! [`total_moves`](Growable::total_moves) reads it.
+//! [`total_moves`](RawList::total_moves) reads it.
 
 use crate::ids::{ElemId, Generations, IdAllocator, Stamp};
 use crate::metrics::{ListMetrics, MetricsHandle};
 use crate::ops::Op;
 use crate::report::OpReport;
+use crate::slot_array::SlotArray;
 use crate::traits::{LabelingBuilder, ListLabeling};
 
 /// A stable, rebuild-surviving element handle: the element's index and
@@ -57,6 +63,181 @@ pub struct GrowableStats {
     pub grows: u64,
     /// Rebuilds that shrank the structure.
     pub shrinks: u64,
+}
+
+/// The rank-addressed operations of a dynamically sized list-labeling
+/// list: what `lll-api`'s containers need from their backend.
+///
+/// [`Growable`] implements it, over every [`LabelingBuilder`] in the
+/// workspace, and nothing else does. It is object-safe: `lll-api`'s
+/// `ErasedList` boxes a `Growable` behind `dyn RawList` and derefs to it,
+/// so each call a container makes into its backend is one virtual call.
+pub trait RawList {
+    /// Current element count.
+    fn len(&self) -> usize;
+
+    /// True if no elements are stored.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Current capacity (changes across rebuilds).
+    fn capacity(&self) -> usize;
+
+    /// The rebuild epoch. Labels returned before the epoch last changed are
+    /// stale: a rebuild rewrites every slot position. Callers maintaining
+    /// label tables from operation reports (see `lll-api`) compare epochs
+    /// around each operation and resynchronize with one occupancy sweep of
+    /// the new slot array after a rebuild.
+    fn epoch(&self) -> u64;
+
+    /// Insert a new element at `rank`, growing if necessary, and return its
+    /// handle. The move log drains through an internal reusable buffer: no
+    /// per-op allocation. Callers that need the log use
+    /// [`insert_reported_into`](Self::insert_reported_into).
+    fn insert(&mut self, rank: usize) -> Handle;
+
+    /// Delete the element of `rank`, shrinking at quarter load, and return
+    /// its handle. Move logging reuses the internal buffer, as for
+    /// [`insert`](Self::insert).
+    fn delete(&mut self, rank: usize) -> Handle;
+
+    /// Insert at `rank`, draining the operation's move log into `out`
+    /// (cleared, then its move buffer traded for the log's — the
+    /// zero-allocation label-table maintenance path).
+    ///
+    /// The report covers the insertion itself, not any growth rebuild that
+    /// preceded it: a rebuild rewrites *every* label, which the report
+    /// format cannot express compactly. Callers detect rebuilds by
+    /// comparing [`epoch`](Self::epoch) around the call and resynchronize
+    /// from the new slot array.
+    fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle;
+
+    /// Delete at `rank`, draining the move log into `out` (same rebuild
+    /// caveat as [`insert_reported_into`](Self::insert_reported_into): a
+    /// shrink that follows the deletion is signalled by the epoch, not by
+    /// the report).
+    fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle;
+
+    /// Batch-insert `count` new elements at consecutive final ranks
+    /// `rank .. rank + count`, growing at most once — the bulk-ingest path.
+    /// Returns the new elements' indices in rank order
+    /// ([`handle`](Self::handle) attaches their generations) plus one
+    /// [`OpReport`] for the whole batch, its moves in time order (see
+    /// [`ListLabeling::splice_into`]).
+    ///
+    /// Two regimes, both a single logical operation:
+    ///
+    /// * **Fits in place** — the inner structure's
+    ///   [`splice_into`](ListLabeling::splice_into) interleaves the run in
+    ///   one evenly-spread sweep (PMA-skeleton backends) or per-insert
+    ///   (fallback); the report carries the move log, the epoch is
+    ///   untouched.
+    /// * **Needs growth** — the batch rides the rebuild: survivors and
+    ///   newcomers land together in one sweep into a structure sized for
+    ///   the combined population (capacity doubles until it fits, so a
+    ///   bulk load never pays the incremental doubling cascade). The
+    ///   report is empty and the **epoch bumps once**; label-table callers
+    ///   resync exactly as for any rebuild.
+    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<ElemId>, OpReport);
+
+    /// The physical slot array of the current epoch: a label is a position
+    /// in it, and what it stores there is the element's bare index, the
+    /// [`ElemId`] of its handle (move logs therefore name elements by
+    /// index; [`handle`](Self::handle) attaches the generation).
+    fn slots(&self) -> &SlotArray;
+
+    /// The handle of the stored element `elem`: its index with the
+    /// generation of its lifetime attached.
+    fn handle(&self, elem: ElemId) -> Handle;
+
+    /// The rank of the element whose label (slot position) is `label` —
+    /// the one label→rank resolution, counted in the metrics handle's
+    /// `rank_resolutions`. Cursors navigate the occupancy structure
+    /// label-to-label and perform none per step, which the cursor tests
+    /// pin through that counter.
+    fn rank_at_label(&self, label: usize) -> usize;
+
+    /// The label of the first element, if any.
+    fn first_label(&self) -> Option<usize> {
+        self.slots().next_occupied_at_or_after(0)
+    }
+
+    /// The label of the last element, if any.
+    fn last_label(&self) -> Option<usize> {
+        self.slots()
+            .num_slots()
+            .checked_sub(1)
+            .and_then(|l| self.slots().prev_occupied_at_or_before(l))
+    }
+
+    /// The label of the next element strictly after `label` — one
+    /// occupancy query, no rank resolution (the cursor walking primitive).
+    fn next_label_after(&self, label: usize) -> Option<usize> {
+        self.slots().next_occupied_at_or_after(label + 1)
+    }
+
+    /// The label of the previous element strictly before `label`.
+    fn prev_label_before(&self, label: usize) -> Option<usize> {
+        label.checked_sub(1).and_then(|l| self.slots().prev_occupied_at_or_before(l))
+    }
+
+    /// The handle of the element stored at `label` (`None` on a free slot
+    /// or past the end).
+    fn handle_at_label(&self, label: usize) -> Option<Handle> {
+        let elem = (label < self.slots().num_slots()).then(|| self.slots().get(label)).flatten();
+        elem.map(|e| self.handle(e))
+    }
+
+    /// The handle of the element of `rank`.
+    fn handle_at_rank(&self, rank: usize) -> Handle {
+        self.handle(self.slots().get(self.label_of_rank(rank)).expect("select lands on an element"))
+    }
+
+    /// The label (slot position) of the element of `rank`.
+    fn label_of_rank(&self, rank: usize) -> usize {
+        self.slots().select(rank)
+    }
+
+    /// Restore an **empty** list to `handles.len()` elements in one O(n)
+    /// bulk sweep, binding `handles[r]` to rank `r` — the snapshot-restore
+    /// path: handles persisted before the snapshot stay valid in the
+    /// restored list, so no caller has to re-key. The whole population
+    /// lands via a single [`splice_into`](ListLabeling::splice_into) into a
+    /// structure sized for it (~1 move per element), each handle's
+    /// generation is kept, and the epoch bumps exactly once. New ids then
+    /// take indices above every restored one: the generations of the
+    /// indices in between were not persisted, so they are not reused.
+    ///
+    /// Panics if the list is non-empty or if any handle has the reserved
+    /// index `u32::MAX` (the index of [`ElemId::NONE`]). The handles'
+    /// indices must also be distinct — decoders (see `lll-api`'s `persist`
+    /// module) validate this before calling, so it is re-checked in debug
+    /// builds only, keeping the restore hot path to one pass.
+    fn load_with_handles(&mut self, handles: &[Handle]);
+
+    /// Remove every element in one reset: release every live id, rebuild
+    /// the inner structure empty at the initial capacity, and bump the
+    /// epoch once. No element moves. A released id's index is issued again
+    /// only under its next generation, so no id issued after the reset
+    /// repeats one from before it.
+    fn reset(&mut self);
+
+    /// The inner algorithm's name (stable across rebuilds).
+    fn backend_name(&self) -> &'static str;
+
+    /// Every physical element move since construction, rebuilds included:
+    /// the metrics handle's `moves`, which every drained log adds to and
+    /// every rebuild keeps. It reads 0 on a disabled handle.
+    fn total_moves(&self) -> u64;
+
+    /// Grow/shrink statistics.
+    fn grow_stats(&self) -> GrowableStats;
+
+    /// The observability handle this list and its inner layers report
+    /// into: counters and the moves-per-op and rebalance-window histograms
+    /// (see [`ListMetrics`]).
+    fn metrics_handle(&self) -> MetricsHandle;
 }
 
 /// A dynamically sized sorted list over any list-labeling algorithm.
@@ -78,11 +259,12 @@ pub struct Growable<B: LabelingBuilder> {
     min_capacity: usize,
     stats: GrowableStats,
     /// Bumped on every rebuild. All labels (slot positions) are invalidated
-    /// when this changes; see [`Growable::epoch`].
+    /// when this changes; see [`RawList::epoch`].
     epoch: u64,
     /// Reusable report buffer for report-free entry points
-    /// ([`insert`](Self::insert)/[`delete`](Self::delete)): steady-state
-    /// operations through them allocate nothing for move logging.
+    /// ([`insert`](RawList::insert)/[`delete`](RawList::delete)):
+    /// steady-state operations through them allocate nothing for move
+    /// logging.
     scratch: OpReport,
     /// Shared observability sink: counters (the move total, and label→rank
     /// resolutions — instrumentation for callers that promise label-native
@@ -101,10 +283,10 @@ impl<B: LabelingBuilder> Growable<B> {
 
     /// New empty list whose first structure already has room for `len`
     /// elements: the initial capacity doubled until `len` fits, the
-    /// capacity a [`splice_at`](Self::splice_at) of `len` elements into a
-    /// new list grows it to. That load then lands in place, and no
-    /// structure is built only to be replaced. The list still shrinks down
-    /// to the initial capacity.
+    /// capacity a [`splice_reported`](RawList::splice_reported) of `len`
+    /// elements into a new list grows it to. That load then lands in
+    /// place, and no structure is built only to be replaced. The list
+    /// still shrinks down to the initial capacity.
     pub fn with_room_for(builder: B, initial_capacity: usize, len: usize) -> Self {
         Self::construct(builder, initial_capacity, len, ListMetrics::handle(true))
     }
@@ -112,7 +294,7 @@ impl<B: LabelingBuilder> Growable<B> {
     /// [`new`](Self::new) with a caller-provided metrics handle — pass
     /// [`ListMetrics::disabled`] to make every recording path a no-op
     /// (overhead benchmarks pin the enabled/disabled gap via this knob);
-    /// [`total_moves`](Self::total_moves) then reads 0.
+    /// [`total_moves`](RawList::total_moves) then reads 0.
     pub fn with_metrics(builder: B, initial_capacity: usize, metrics: MetricsHandle) -> Self {
         Self::construct(builder, initial_capacity, 0, metrics)
     }
@@ -134,42 +316,6 @@ impl<B: LabelingBuilder> Growable<B> {
         }
     }
 
-    /// The metrics handle this structure (and its inner layers) report
-    /// into.
-    #[inline]
-    pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
-    }
-
-    /// Current element count.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Current capacity (changes across rebuilds).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    /// Growth statistics.
-    pub fn stats(&self) -> GrowableStats {
-        self.stats
-    }
-
-    /// The rebuild epoch. Labels returned before the epoch last changed are
-    /// stale: a rebuild rewrites every slot position. Callers maintaining
-    /// label tables from operation reports (see `lll-api`) compare epochs
-    /// around each operation and resynchronize with one occupancy sweep of
-    /// the new slot array after a rebuild.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The inner fixed-capacity structure of the current epoch (for
     /// introspection — diagnostics, views, slot-array access). It is
     /// replaced wholesale on every rebuild.
@@ -177,31 +323,9 @@ impl<B: LabelingBuilder> Growable<B> {
         &self.inner
     }
 
-    /// The rank of the element whose label (slot position) is `label`.
-    pub fn rank_at_label(&self, label: usize) -> usize {
-        self.metrics.note_rank_resolution();
-        self.inner.slots().rank_at(label)
-    }
-
-    /// How many label→rank resolutions ([`rank_at_label`]) this structure
-    /// has served. Cursors navigate the occupancy structure label-to-label
-    /// and perform none per step; tests pin that here.
-    ///
-    /// [`rank_at_label`]: Self::rank_at_label
-    pub fn rank_resolutions(&self) -> u64 {
-        self.metrics.rank_resolutions.get()
-    }
-
-    /// The inner algorithm's name (stable across rebuilds).
-    pub fn backend_name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    /// The handle of the stored element `elem`: its index with the
-    /// generation of its lifetime attached.
-    #[inline]
-    pub fn handle(&self, elem: ElemId) -> Handle {
-        Stamp::new(elem, self.generations.get(elem))
+    /// Iterate handles in rank order.
+    pub fn iter(&self) -> impl Iterator<Item = Handle> + '_ {
+        self.inner.slots().iter_occupied().map(|(_, e)| self.handle(e))
     }
 
     /// Make the deleted element `elem`'s index reusable: its next lifetime
@@ -227,15 +351,15 @@ impl<B: LabelingBuilder> Growable<B> {
     /// [`splice_into`](ListLabeling::splice_into) into the fresh structure
     /// (a single evenly-spread sweep on PMA-skeleton backends), and the
     /// epoch bumps exactly once. The survivors' ids come from one
-    /// left-to-right occupancy sweep. Returns the newcomers' handles in
+    /// left-to-right occupancy sweep. Returns the newcomers' indices in
     /// rank order.
-    fn rebuild_merged(&mut self, new_capacity: usize, rank: usize, count: usize) -> Vec<Handle> {
+    fn rebuild_merged(&mut self, new_capacity: usize, rank: usize, count: usize) -> Vec<ElemId> {
         let mut order: Vec<ElemId> = Vec::with_capacity(self.len() + count);
         order.extend(self.inner.slots().iter_occupied().map(|(_, e)| e));
         let fresh = self.ids.fresh_n(count);
         order.splice(rank..rank, fresh.iter().copied());
         self.rebuild_with_order(new_capacity, &order);
-        fresh.into_iter().map(|e| self.handle(e)).collect()
+        fresh
     }
 
     /// The shared rebuild tail: land `order` (every element's id, in final
@@ -260,25 +384,36 @@ impl<B: LabelingBuilder> Growable<B> {
         self.epoch += 1;
         self.metrics.note_epoch_bump();
     }
+}
 
-    /// Insert a new element at `rank`, growing if necessary. The move log
-    /// drains through an internal reusable buffer: no per-op allocation.
-    pub fn insert(&mut self, rank: usize) -> Handle {
+impl<B: LabelingBuilder> RawList for Growable<B> {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn insert(&mut self, rank: usize) -> Handle {
         let mut rep = std::mem::take(&mut self.scratch);
         let h = self.insert_reported_into(rank, &mut rep);
         self.scratch = rep;
         h
     }
 
-    /// Insert at `rank`, draining the operation's move log into `out`
-    /// (cleared, then its move buffer traded for the log's).
-    ///
-    /// The report covers the insertion itself, not any growth rebuild that
-    /// preceded it: a rebuild rewrites *every* label, which the report
-    /// format cannot express compactly. Callers detect rebuilds by
-    /// comparing [`epoch`](Self::epoch) around the call and resynchronize
-    /// from the new slot array.
-    pub fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
+    fn delete(&mut self, rank: usize) -> Handle {
+        let mut rep = std::mem::take(&mut self.scratch);
+        let h = self.delete_reported_into(rank, &mut rep);
+        self.scratch = rep;
+        h
+    }
+
+    fn insert_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
         assert!(rank <= self.len(), "insert rank {rank} > len {}", self.len());
         if self.len() == self.capacity() {
             self.stats.grows += 1;
@@ -290,20 +425,7 @@ impl<B: LabelingBuilder> Growable<B> {
         self.handle(id)
     }
 
-    /// Delete the element of `rank`, shrinking at quarter load. Move
-    /// logging reuses the internal buffer (no per-op allocation).
-    pub fn delete(&mut self, rank: usize) -> Handle {
-        let mut rep = std::mem::take(&mut self.scratch);
-        let h = self.delete_reported_into(rank, &mut rep);
-        self.scratch = rep;
-        h
-    }
-
-    /// Delete at `rank`, draining the move log into `out` (same rebuild
-    /// caveat as [`insert_reported_into`](Self::insert_reported_into): a
-    /// shrink that follows the deletion is signalled by the epoch, not by
-    /// the report).
-    pub fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
+    fn delete_reported_into(&mut self, rank: usize, out: &mut OpReport) -> Handle {
         assert!(rank < self.len(), "delete rank {rank} >= len {}", self.len());
         self.inner.delete_into(rank, out);
         self.metrics.note_op_moves(out.cost());
@@ -318,25 +440,7 @@ impl<B: LabelingBuilder> Growable<B> {
         handle
     }
 
-    /// Batch-insert `count` new elements at consecutive final ranks
-    /// `rank .. rank + count`, growing at most once. Returns the new
-    /// handles in rank order plus one [`OpReport`] for the whole batch (see
-    /// [`ListLabeling::splice_into`]).
-    ///
-    /// Two regimes, both a single logical operation:
-    ///
-    /// * **Fits in place** — the inner structure's
-    ///   [`splice`](ListLabeling::splice) interleaves the run in one
-    ///   evenly-spread sweep (PMA-skeleton backends) or per-insert
-    ///   (fallback); the report carries the move log, the epoch is
-    ///   untouched.
-    /// * **Needs growth** — the batch rides the rebuild: survivors and
-    ///   newcomers land together in one sweep into a structure sized for
-    ///   the combined population (capacity doubles until it fits, so a
-    ///   bulk load never pays the incremental doubling cascade). The
-    ///   report is empty and the **epoch bumps once**; label-table callers
-    ///   resync exactly as for any rebuild.
-    pub fn splice_at(&mut self, rank: usize, count: usize) -> (Vec<Handle>, OpReport) {
+    fn splice_reported(&mut self, rank: usize, count: usize) -> (Vec<ElemId>, OpReport) {
         assert!(rank <= self.len(), "splice rank {rank} > len {}", self.len());
         if count == 0 {
             return (Vec::new(), OpReport::default());
@@ -344,33 +448,30 @@ impl<B: LabelingBuilder> Growable<B> {
         if self.len() + count > self.capacity() {
             let cap = doubled_to_fit(self.capacity(), self.len() + count);
             self.stats.grows += 1;
-            let handles = self.rebuild_merged(cap, rank, count);
-            return (handles, OpReport::default());
+            return (self.rebuild_merged(cap, rank, count), OpReport::default());
         }
         let ids = self.ids.fresh_n(count);
         let mut bulk = OpReport::default();
         self.inner.splice_into(rank, &ids, &mut bulk);
         self.metrics.note_op_moves(bulk.cost());
-        (ids.into_iter().map(|e| self.handle(e)).collect(), bulk)
+        (ids, bulk)
     }
 
-    /// Restore an **empty** structure to `handles.len()` elements in one
-    /// O(n) bulk sweep, binding `handles[r]` to rank `r` — the
-    /// snapshot-restore path: handles persisted before the snapshot stay
-    /// valid in the restored structure, so no caller has to re-key. The
-    /// whole population lands via a single
-    /// [`splice_into`](ListLabeling::splice_into) into a structure sized
-    /// for it (~1 move per element), each handle's generation is kept, and
-    /// the epoch bumps exactly once. New ids then take indices above every
-    /// restored one: the generations of the indices in between were not
-    /// persisted, so they are not reused.
-    ///
-    /// Panics if the structure is non-empty or if any handle has the
-    /// reserved index `u32::MAX` (the index of [`ElemId::NONE`]). The
-    /// handles' indices must also be distinct — decoders (see `lll-api`'s
-    /// `persist` module) validate this before calling, so it is re-checked
-    /// in debug builds only, keeping the restore hot path to one pass.
-    pub fn load_with_handles(&mut self, handles: &[Handle]) {
+    fn slots(&self) -> &SlotArray {
+        self.inner.slots()
+    }
+
+    #[inline]
+    fn handle(&self, elem: ElemId) -> Handle {
+        Stamp::new(elem, self.generations.get(elem))
+    }
+
+    fn rank_at_label(&self, label: usize) -> usize {
+        self.metrics.note_rank_resolution();
+        self.inner.slots().rank_at(label)
+    }
+
+    fn load_with_handles(&mut self, handles: &[Handle]) {
         // Validate before touching any state, so the panic paths leave the
         // structure exactly as it was.
         assert!(self.is_empty(), "load_with_handles requires an empty structure");
@@ -398,12 +499,7 @@ impl<B: LabelingBuilder> Growable<B> {
         self.ids.skip_through(max_index as u32);
     }
 
-    /// Remove every element in one reset: release every live id, rebuild
-    /// the inner structure empty at the initial capacity, and bump the
-    /// epoch once. No element moves. A released id's index is issued again
-    /// only under its next generation, so no id issued after the reset
-    /// repeats one from before it.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         let Self { inner, ids, generations, .. } = self;
         for (_, id) in inner.slots().iter_occupied() {
             Self::release(ids, generations, id);
@@ -411,16 +507,20 @@ impl<B: LabelingBuilder> Growable<B> {
         self.rebuild_with_order(self.min_capacity, &[]);
     }
 
-    /// Iterate handles in rank order.
-    pub fn iter(&self) -> impl Iterator<Item = Handle> + '_ {
-        self.inner.slots().iter_occupied().map(|(_, e)| self.handle(e))
+    fn backend_name(&self) -> &'static str {
+        self.inner.name()
     }
 
-    /// Every physical element move since construction, rebuilds included:
-    /// the metrics handle's `moves`, which every drained log adds to and
-    /// every rebuild keeps. It reads 0 on a disabled handle.
-    pub fn total_moves(&self) -> u64 {
+    fn total_moves(&self) -> u64 {
         self.metrics.moves.get()
+    }
+
+    fn grow_stats(&self) -> GrowableStats {
+        self.stats
+    }
+
+    fn metrics_handle(&self) -> MetricsHandle {
+        self.metrics.clone()
     }
 }
 
@@ -470,7 +570,7 @@ mod tests {
         }
         assert_eq!(g.len(), 1000);
         assert!(g.capacity() >= 1000);
-        assert!(g.stats().grows >= 5, "expected several doublings");
+        assert!(g.grow_stats().grows >= 5, "expected several doublings");
     }
 
     #[test]
@@ -484,7 +584,7 @@ mod tests {
             g.delete(0);
         }
         assert!(g.capacity() < grown, "expected shrink");
-        assert!(g.stats().shrinks >= 1);
+        assert!(g.grow_stats().shrinks >= 1);
         assert_eq!(g.len(), 12);
     }
 
@@ -553,11 +653,15 @@ mod tests {
         let n = 4096;
         let mut bulk = Growable::new(ClassicBuilder, 16);
         let e0 = bulk.epoch();
-        let (handles, _) = bulk.splice_at(0, n);
+        let (elems, _) = bulk.splice_reported(0, n);
         assert_eq!(bulk.len(), n);
-        assert_eq!(handles.len(), n);
+        assert_eq!(elems.len(), n);
         assert_eq!(bulk.epoch(), e0 + 1, "one growth rebuild, one epoch bump");
-        assert_eq!(bulk.iter().collect::<Vec<_>>(), handles, "rank order == load order");
+        assert_eq!(
+            bulk.iter().map(|h| h.elem()).collect::<Vec<_>>(),
+            elems,
+            "rank order == load order"
+        );
 
         let mut inc = Growable::new(ClassicBuilder, 16);
         for i in 0..n {
@@ -577,14 +681,14 @@ mod tests {
     fn room_for_a_bulk_load_builds_its_structure_once() {
         let n = 1500;
         let mut grown = Growable::new(ClassicBuilder, 64);
-        let (_, rep) = grown.splice_at(0, n);
+        let (_, rep) = grown.splice_reported(0, n);
         assert_eq!(rep.cost(), 0, "a growth splice reports through the epoch");
         let mut roomy = Growable::with_room_for(ClassicBuilder, 64, n);
         assert_eq!(roomy.capacity(), 2048, "64 doubled until 1,500 fits");
-        let (handles, rep) = roomy.splice_at(0, n);
-        assert_eq!((roomy.epoch(), roomy.stats().grows), (0, 0), "the load landed in place");
+        let (elems, rep) = roomy.splice_reported(0, n);
+        assert_eq!((roomy.epoch(), roomy.grow_stats().grows), (0, 0), "the load landed in place");
         assert_eq!(rep.cost(), n as u64, "one placement per element");
-        assert_eq!(roomy.iter().collect::<Vec<_>>(), handles);
+        assert_eq!(roomy.iter().map(|h| h.elem()).collect::<Vec<_>>(), elems);
         // The same layout and moves as the load that grew a new list.
         assert_eq!(roomy.capacity(), grown.capacity());
         assert_eq!(roomy.total_moves(), grown.total_moves());
@@ -600,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn splice_at_interleaves_and_reports() {
+    fn splice_reported_interleaves_and_reports() {
         let mut g = Growable::new(ClassicBuilder, 64);
         let mut reference: Vec<Handle> = Vec::new();
         for i in 0..20 {
@@ -608,20 +712,20 @@ mod tests {
         }
         // In-place splice (fits in capacity): report carries the batch.
         let e0 = g.epoch();
-        let (mid, rep) = g.splice_at(10, 8);
+        let (mid, rep) = g.splice_reported(10, 8);
         assert_eq!(g.epoch(), e0, "no growth, no epoch bump");
         assert_eq!(mid.len(), 8);
         assert!(rep.cost() >= 8, "each newcomer costs at least its placement");
-        for (i, h) in mid.iter().enumerate() {
-            reference.insert(10 + i, *h);
+        for (i, &e) in mid.iter().enumerate() {
+            reference.insert(10 + i, g.handle(e));
         }
         assert_eq!(g.iter().collect::<Vec<_>>(), reference);
         // Growth splice: epoch bumps once, report is empty, order holds.
-        let (tail, rep) = g.splice_at(5, 100);
+        let (tail, rep) = g.splice_reported(5, 100);
         assert_eq!(g.epoch(), e0 + 1);
         assert_eq!(rep.cost(), 0, "growth splice reports via the epoch");
-        for (i, h) in tail.iter().enumerate() {
-            reference.insert(5 + i, *h);
+        for (i, &e) in tail.iter().enumerate() {
+            reference.insert(5 + i, g.handle(e));
         }
         assert_eq!(g.iter().collect::<Vec<_>>(), reference);
         assert_eq!(g.len(), 128);
@@ -630,8 +734,8 @@ mod tests {
     #[test]
     fn empty_splice_is_free() {
         let mut g = Growable::new(ClassicBuilder, 16);
-        let (handles, rep) = g.splice_at(0, 0);
-        assert!(handles.is_empty());
+        let (elems, rep) = g.splice_reported(0, 0);
+        assert!(elems.is_empty());
         assert_eq!(rep.cost(), 0);
         assert_eq!(g.total_moves(), 0);
     }

@@ -14,6 +14,10 @@
 //!   this workspace implements, and [`LabelingBuilder`](traits::LabelingBuilder)
 //!   which lets algorithms be composed (the embedding of the paper is itself
 //!   a `ListLabeling` built out of two `LabelingBuilder`s).
+//! * [`Growable`](growable::Growable) — dynamic capacity over any
+//!   builder, with handles that survive its rebuilds, behind
+//!   [`RawList`](growable::RawList), the one list interface `lll-api`'s
+//!   containers call.
 //! * [`SlotArray`](slot_array::SlotArray) — the physical array of slots. All
 //!   element motion goes through it, so costs are *derived from the move
 //!   log*, never self-reported, and sortedness can be asserted after every
@@ -58,7 +62,7 @@ pub mod traits;
 pub mod prelude {
     //! Convenient glob import: `use lll_core::prelude::*;`
     pub use crate::density::{SegTree, Thresholds};
-    pub use crate::growable::{Growable, Handle};
+    pub use crate::growable::{Growable, Handle, RawList};
     pub use crate::ids::{ElemId, Stamp};
     pub use crate::metrics::{ListMetrics, MetricsHandle};
     pub use crate::ops::Op;

@@ -419,17 +419,8 @@ impl DeamortizedPma {
             }
         }
         // 2. Shift within shift_cap.
-        let anchor = pred.or(succ).unwrap();
-        let left = succ.map(|q| q.saturating_sub(1)).or(pred).and_then(|s| self.slots.prev_free(s));
-        let right = pred.map(|p| p + 1).or(succ).and_then(|s| self.slots.next_free(s));
-        let dl = left.map(|l| anchor.saturating_sub(l)).unwrap_or(usize::MAX);
-        let dr = right.map(|r| r.saturating_sub(anchor)).unwrap_or(usize::MAX);
-        if dl.min(dr) <= self.shift_cap {
-            return if dl <= dr {
-                self.shift_left(left.unwrap(), pred, succ)
-            } else {
-                self.shift_right(right.unwrap(), pred, succ)
-            };
+        if let Some(slot) = self.shift_to_nearest_free(pred, succ, self.shift_cap) {
+            return slot;
         }
         // 3. Inline rebalance around the insertion point, capped at
         //    inline_cap slots: prefer the smallest hard-feasible window, but
@@ -532,22 +523,36 @@ impl DeamortizedPma {
                 }
             }
         }
+        self.shift_to_nearest_free(pred, succ, usize::MAX).expect("no free slot in array")
+    }
+
+    /// The gap between `pred` and `succ` (at least one of them present) has
+    /// no free slot: find the nearest free slot on each side of it and, if
+    /// the nearer one (the left on a tie) lies within `cap` slots of the
+    /// gap, shift the elements between toward it. Returns the vacated slot
+    /// where the new element belongs, or `None` if no free slot is that
+    /// near.
+    fn shift_to_nearest_free(
+        &mut self,
+        pred: Option<usize>,
+        succ: Option<usize>,
+        cap: usize,
+    ) -> Option<usize> {
+        let anchor = pred.or(succ).expect("a gap with a neighbour");
         let left = succ.map(|q| q.saturating_sub(1)).or(pred).and_then(|s| self.slots.prev_free(s));
         let right = pred.map(|p| p + 1).or(succ).and_then(|s| self.slots.next_free(s));
-        let anchor = pred.or(succ).unwrap();
         let dl = left.map(|l| anchor.saturating_sub(l)).unwrap_or(usize::MAX);
         let dr = right.map(|r| r.saturating_sub(anchor)).unwrap_or(usize::MAX);
-        assert!(dl != usize::MAX || dr != usize::MAX, "no free slot in array");
-        if dl <= dr {
-            self.shift_left(left.unwrap(), pred, succ)
-        } else {
-            self.shift_right(right.unwrap(), pred, succ)
+        let nearest = dl.min(dr);
+        if nearest == usize::MAX || nearest > cap {
+            return None;
         }
+        Some(if dl <= dr { self.shift_left(left?, pred) } else { self.shift_right(right?, succ) })
     }
 
     /// Shift `(l, p]` one slot left into free `l`; returns the vacated slot
     /// adjacent to the gap (where the new element belongs).
-    fn shift_left(&mut self, l: usize, pred: Option<usize>, _succ: Option<usize>) -> usize {
+    fn shift_left(&mut self, l: usize, pred: Option<usize>) -> usize {
         let p = pred.expect("left shift requires a predecessor");
         for q in l + 1..=p {
             self.move_tracked(q, q - 1);
@@ -556,7 +561,7 @@ impl DeamortizedPma {
     }
 
     /// Shift `[q, r)` one slot right into free `r`; returns the vacated slot.
-    fn shift_right(&mut self, r: usize, _pred: Option<usize>, succ: Option<usize>) -> usize {
+    fn shift_right(&mut self, r: usize, succ: Option<usize>) -> usize {
         let q = succ.expect("right shift requires a successor");
         for t in (q..r).rev() {
             self.move_tracked(t, t + 1);

@@ -663,14 +663,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         if one_walk && len == 0 && placed_in_order(&sim_bulk.moves) {
             self.place_sim_layout(&sim_bulk.moves);
         } else {
-            for mv in &sim_bulk.moves {
-                if mv.from == mv.to {
-                    // Placement of a new element.
-                    self.place_f(mv.from as usize, mv.elem);
-                } else {
-                    self.emulator_relocate(mv.from as usize, mv.to as usize);
-                }
-            }
+            self.mirror_sim(&sim_bulk.moves);
         }
         self.tags.contents.drain_log_into(&mut out.moves);
     }
@@ -729,14 +722,20 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             .collect()
     }
 
-    /// Mirror the simulated copy's moves onto the physical array (fast path
-    /// only: the physical F-layout matches the simulation's pre-op state).
-    fn mirror_sim_moves(&mut self, rep: &OpReport) {
-        for mv in &rep.moves {
+    /// Replay the simulation's move log onto the physical array, in log
+    /// order: a `from == to` entry places its new element, any other
+    /// relocates an F-slot's occupant. Fast paths and the per-move splice
+    /// only: the physical F-layout matches the simulation's pre-op state.
+    /// An insertion's log places only the new element (a simulated F that
+    /// is itself an embedding may place it mid-stream and move it again),
+    /// a deletion's places none, and a splice's places every newcomer.
+    fn mirror_sim(&mut self, moves: &[MoveRec]) {
+        for mv in moves {
             if mv.from == mv.to {
-                continue; // placement, handled by the caller
+                self.place_f(mv.from as usize, mv.elem);
+            } else {
+                self.emulator_relocate(mv.from as usize, mv.to as usize);
             }
-            self.emulator_relocate(mv.from as usize, mv.to as usize);
         }
     }
 
@@ -1178,7 +1177,6 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         self.sim.insert_into(rank, emb_id, &mut sim_rep);
         let c_e = sim_rep.cost();
         assert!(sim_rep.placed.is_some(), "sim insert must place");
-        let placed_pos;
         if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
             // Fast path: emulate F directly, interleaving the placement at
             // its position in the simulation's move stream (a simulated F
@@ -1186,27 +1184,12 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             // the new element again before the operation ends).
             self.stats.fast_ops += 1;
             debug_assert_eq!(self.buffered(), 0);
-            let mut placed = false;
-            for mv in &sim_rep.moves {
-                if mv.from == mv.to {
-                    if mv.elem == emb_id {
-                        self.place_f(mv.from as usize, emb_id);
-                        placed = true;
-                    }
-                    continue;
-                }
-                self.emulator_relocate(mv.from as usize, mv.to as usize);
-            }
+            self.mirror_sim(&sim_rep.moves);
             assert!(
-                placed,
+                matches!(self.elem_loc.get(emb_id).map(|p| p.loc()), Some(Loc::F(_))),
                 "every slot array logs a placement as a from == to move, but the simulation's \
                  stream lacks one"
             );
-            let fidx_now = match self.elem_loc.get(emb_id).map(|p| p.loc()) {
-                Some(Loc::F(f)) => f,
-                _ => unreachable!("fast path cannot buffer"),
-            };
-            placed_pos = self.tags.f_pos_via(fidx_now, &mut self.dst_finger);
         } else {
             // Slow path: buffer in the R-shell, then do rebuild work. The
             // rebuild may incorporate the fresh element immediately, so the
@@ -1217,11 +1200,11 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.buffer_insert(rank, emb_id);
             self.pending_insert = None;
             self.rebuild_work();
-            placed_pos = match self.elem_loc.get(emb_id).expect("inserted element").loc() {
-                Loc::F(f) => self.tags.f_pos_via(f, &mut self.dst_finger),
-                Loc::Buffer(p) => p,
-            };
         }
+        let placed_pos = match self.elem_loc.get(emb_id).expect("inserted element").loc() {
+            Loc::F(f) => self.tags.f_pos_via(f, &mut self.dst_finger),
+            Loc::Buffer(p) => p,
+        };
         self.sim_scratch = sim_rep;
         self.tags.contents.drain_log_into(&mut out.moves);
         out.placed = Some((emb_id, placed_pos as u32));
@@ -1266,7 +1249,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             let Loc::F(fidx) = placed.loc() else { unreachable!("buffered element on fast path") };
             self.tags.remove_content(pos);
             self.cur_f_occ.clear(fidx);
-            self.mirror_sim_moves(&sim_rep);
+            self.mirror_sim(&sim_rep.moves);
         } else {
             // Slow path: remove physically, leave a ghost if it was in A_F.
             self.stats.slow_ops += 1;

@@ -8,7 +8,7 @@ use crate::tag_array::{SlotTag, TagArray};
 use crate::views;
 use lll_adaptive::AdaptiveBuilder;
 use lll_classic::ClassicBuilder;
-use lll_core::growable::Growable;
+use lll_core::growable::{Growable, RawList};
 use lll_core::ids::{IdAllocator, IdGen};
 use lll_core::ops::Op;
 use lll_core::report::OpReport;
@@ -421,7 +421,7 @@ fn clustered_runs_pin_every_decision() {
         fold_moves(&mut fingerprint, &rep);
     }
     assert_eq!((g.total_moves(), fingerprint), (1_208_756, 0x0215_3ac4_a40e_d904));
-    let (grown, m) = (g.stats(), g.metrics());
+    let (grown, m) = (g.grow_stats(), g.metrics_handle());
     let rebuild_moves = m.moves.get() - m.moves_per_op.sum();
     assert_eq!((grown.grows, grown.shrinks, rebuild_moves), (8, 0, 4080));
     let z = DeamortizedStats {

@@ -40,7 +40,7 @@
 use crate::lock_order::{MaintGuard, MaintLock, ShardLock, Striped, Unlocked};
 use lll_api::label_map::dedup_sorted_batch;
 use lll_api::persist::{Codec, ContainerKind, Header, SnapshotError};
-use lll_api::{LabelMap, ListBuilder, RawList};
+use lll_api::{LabelMap, ListBuilder};
 use lll_core::rng::derive_seed;
 use lll_obs::{Counter, TraceKind, TraceRing};
 use std::borrow::Borrow;

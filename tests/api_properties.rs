@@ -107,24 +107,31 @@ proptest! {
 /// then insert an absent one, `steps` times at `n` entries. Every
 /// insertion must reuse the index the deletion just freed, under a new
 /// generation, so the id space stays below twice the peak population.
-/// Returns how many insertions reused an index while `pending(map)` held.
-fn churn_against_btreemap<L: RawList>(
-    mut map: LabelMap<u32, u32, L>,
+/// `lockstep` sees each insertion and deletion the map makes, as an [`Op`]
+/// at the rank it was made, with the map after it, and says whether a
+/// rebuild is pending then. Returns how many insertions reused an index
+/// while the deletion before them left one pending.
+fn churn_against_btreemap(
+    mut map: LabelMap<u32, u32>,
     name: &str,
     steps: u32,
-    pending: impl Fn(&LabelMap<u32, u32, L>) -> bool,
+    mut lockstep: impl FnMut(&LabelMap<u32, u32>, Op) -> bool,
 ) -> usize {
     use rand::{Rng, SeedableRng};
     let n = 600u32;
     let mut model = BTreeMap::new();
     for k in 0..n {
+        let rank = map.lower_bound(&(2 * k));
         assert_eq!(map.insert(2 * k, k), model.insert(2 * k, k));
+        lockstep(&map, Op::Insert(rank));
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x6057);
     let (mut reused_while_pending, mut max_index) = (0, 0);
     for step in 0..steps {
         let victim = *model.keys().nth(rng.gen_range(0..model.len())).expect("non-empty");
+        let rank = map.lower_bound(&victim);
         assert_eq!(map.remove(&victim), model.remove(&victim), "[{name}] remove({victim})");
+        let ghosts_live = lockstep(&map, Op::Delete(rank));
         assert_eq!(map.get(&victim), None, "[{name}] get({victim}) after remove");
         let fresh = loop {
             let k = rng.gen_range(0..4 * n);
@@ -132,10 +139,11 @@ fn churn_against_btreemap<L: RawList>(
                 break k;
             }
         };
-        let ghosts_live = pending(&map);
+        let rank = map.lower_bound(&fresh);
         assert_eq!(map.insert(fresh, step), model.insert(fresh, step), "[{name}] insert({fresh})");
+        lockstep(&map, Op::Insert(rank));
         assert_eq!(map.get(&fresh), model.get(&fresh), "[{name}] get({fresh})");
-        let h = map.backend().handle_at_rank(map.lower_bound(&fresh));
+        let h = map.backend().handle_at_rank(rank);
         assert!(h.generation() > 0, "[{name}] insertion took a never-used index: {h:?}");
         max_index = max_index.max(h.index());
         reused_while_pending += usize::from(ghosts_live);
@@ -155,15 +163,23 @@ fn churn_against_btreemap<L: RawList>(
 fn fixed_size_churn_reuses_indices_on_every_backend() {
     for backend in Backend::ALL {
         let map = ListBuilder::new().backend(backend).seed(0xC4).label_map();
-        churn_against_btreemap(map, backend.name(), 3000, |_| false);
+        churn_against_btreemap(map, backend.name(), 3000, |_, _| false);
     }
-    // The layered backend once more, statically dispatched so the test can
-    // see the embedding: indices must come back while a rebuild is pending,
-    // that is while deleted elements may still be ghosts in its layout.
-    let backend = Growable::new(corollary11_builder(0xC4), 64);
-    let map = LabelMap::with_backend(backend);
-    let reused = churn_against_btreemap(map, "corollary11 static", 3000, |m| {
-        m.backend().inner().rebuild_pending()
+    // The layered backend once more, beside a list built directly from the
+    // same seed and initial capacity and fed the same ranks. The map's
+    // backend is that list move for move (a template-served build behaves
+    // like a computed one), so the list shows the embedding: indices must
+    // come back while a rebuild is pending, that is while deleted elements
+    // may still be ghosts in its layout.
+    let map = ListBuilder::new().backend(Backend::Corollary11).seed(0xC4).label_map();
+    let mut list = Growable::new(corollary11_builder(0xC4), 64);
+    let reused = churn_against_btreemap(map, "corollary11 lockstep", 3000, |map, op| {
+        match op {
+            Op::Insert(rank) => list.insert(rank),
+            Op::Delete(rank) => list.delete(rank),
+        };
+        assert_eq!(list.total_moves(), map.total_moves(), "the lockstep list left the backend");
+        list.inner().rebuild_pending()
     });
     assert!(reused > 0, "no index was reused while an embedding rebuild was pending");
 }
@@ -331,7 +347,8 @@ fn label_map_index_adds_no_accounting_on_every_backend() {
         map.pop_first();
         raw.delete(0);
         map.pop_last();
-        raw.delete(RawList::len(&raw) - 1);
+        let last = raw.len() - 1;
+        raw.delete(last);
         same(&map, &raw, "the pops");
         // Keys past every key: one gap, so the map makes one splice.
         raw.splice_reported(map.len(), 300);
@@ -475,20 +492,17 @@ fn cursor_walks_match_iteration_under_churn_on_every_backend() {
 
 /// A full cursor walk performs **zero** rank→label resolutions: the cursor
 /// steps through the occupancy structure, never re-deriving position from
-/// rank. Pinned via the backend's [`rank_resolutions`] counter on a
-/// statically dispatched backend.
-///
-/// [`rank_resolutions`]: layered_list_labeling::core::growable::Growable::rank_resolutions
+/// rank. Pinned via the `rank_resolutions` counter of the backend's metrics
+/// handle.
 #[test]
 fn cursor_walk_does_no_rank_resolution() {
-    use layered_list_labeling::classic::ClassicBuilder;
-
     let n = 10_000u32;
-    let mut ol = OrderedList::with_backend(Growable::new(ClassicBuilder, 64));
+    let mut ol: OrderedList<u32> = ListBuilder::new().backend(Backend::Classic).ordered_list();
     for i in 0..n {
         ol.insert_at(ol.len(), i);
     }
-    let before = ol.backend().rank_resolutions();
+    let resolutions = |ol: &OrderedList<u32>| ol.metrics().rank_resolutions.get();
+    let before = resolutions(&ol);
     let mut cur = ol.cursor_front();
     let mut walked = 0usize;
     while cur.current().is_some() {
@@ -496,11 +510,11 @@ fn cursor_walk_does_no_rank_resolution() {
         cur.move_next();
     }
     assert_eq!(walked, n as usize);
-    assert_eq!(ol.backend().rank_resolutions(), before, "cursor walk resolved rank→label mid-walk");
+    assert_eq!(resolutions(&ol), before, "cursor walk resolved rank→label mid-walk");
     // The rank-addressed equivalent pays one resolution per step.
     let h = ol.handle_at_rank(0);
     let _ = ol.rank(h);
-    assert!(ol.backend().rank_resolutions() > before, "counter is live");
+    assert!(resolutions(&ol) > before, "counter is live");
 }
 
 /// ISSUE 2 acceptance: a 100k-key pre-sorted bulk load performs strictly

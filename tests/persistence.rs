@@ -410,7 +410,7 @@ fn restore_is_one_move_per_element() {
     );
 
     // OrderedList's handle-preserving restore has the same cost shape.
-    let mut ol: OrderedList<u64, _> =
+    let mut ol: OrderedList<u64> =
         OrderedList::with_backend(ListBuilder::new().backend(Backend::Classic).build());
     ol.extend_back(0..n);
     let mut buf = Vec::new();

@@ -12,9 +12,10 @@
 //! (`lone_label_map_keeps_no_template`), and its count pins the
 //! allocations of one Corollary 11 build, computed
 //! (`corollary11_build_allocations_stay_pinned`) and served from a
-//! template (`corollary11_template_build_allocations_stay_pinned`), and of
+//! template (`corollary11_template_build_allocations_stay_pinned`), of
 //! one template-served growth
-//! (`corollary11_template_growth_allocations_stay_pinned`).
+//! (`corollary11_template_growth_allocations_stay_pinned`) and of one
+//! classic bulk load (`classic_bulk_load_allocations_stay_pinned`).
 //!
 //! Methodology: structures allocate while *growing* (slot-array doubling,
 //! hash-table growth, rebalance scratch buffers reaching their high-water
@@ -32,7 +33,7 @@
 #![allow(unsafe_code, reason = "a #[global_allocator] implements the unsafe GlobalAlloc trait")]
 
 use lll_api::codec::Crc32;
-use lll_api::{Backend, ListBuilder, RawList};
+use lll_api::{Backend, ListBuilder};
 use lll_core::bitmap::Bitmap;
 use lll_core::ids::IdGen;
 use lll_core::metrics::ListMetrics;
@@ -484,6 +485,22 @@ fn corollary11_template_growth_allocations_stay_pinned() {
     assert_eq!(allocs, EXACT, "a template-served Corollary 11 growth allocated {allocs} times");
 }
 
+/// Allocations of one classic `ListBuilder::label_map_from_sorted` of
+/// 2,048 entries, made outside the span, pinned at the exact count: the
+/// backend, built once with room for them, its one in-place splice, the
+/// map's slab and search index, and the run the map gathers the batch
+/// into. The splice hands back the indices it allocated and the map
+/// stores its entries at them; a splice that made a list of handles for
+/// the map would read 24. Every shard's bulk load, split half and restore
+/// goes through here.
+fn classic_bulk_load_allocations_stay_pinned() {
+    const EXACT: u64 = 23;
+    let builder = ListBuilder::new().backend(Backend::Classic).seed(11);
+    let entries: Vec<(u64, u64)> = (0..2048).map(|k| (k, k)).collect();
+    let allocs = allocs_in(|| builder.label_map_from_sorted(entries));
+    assert_eq!(allocs, EXACT, "a classic bulk load of 2,048 entries allocated {allocs} times");
+}
+
 /// A lone `LabelMap` that grows from empty to 2^14 entries builds each
 /// capacity once, so its builder keeps no Corollary 11 template (one would
 /// hold about 96 B/entry), and the live bytes per entry it holds stay
@@ -530,4 +547,5 @@ fn steady_state_operations_reach_zero_allocations() {
     corollary11_template_build_allocations_stay_pinned();
     corollary11_template_growth_allocations_stay_pinned();
     lone_label_map_keeps_no_template();
+    classic_bulk_load_allocations_stay_pinned();
 }
