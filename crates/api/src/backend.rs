@@ -309,7 +309,7 @@ impl ListBuilder {
     ) -> crate::LabelMap<K, V> {
         dedup_sorted_batch(&mut entries);
         let mut map = crate::LabelMap::with_backend(self.build_for(entries.len()));
-        map.extend_sorted(entries);
+        map.extend_deduped(entries);
         map
     }
 }

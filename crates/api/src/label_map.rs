@@ -777,7 +777,21 @@ impl<K: Ord + Clone, V> LabelMap<K, V> {
     /// already hold a sorted `Vec`. Panics if the batch is not ascending.
     pub fn extend_sorted(&mut self, mut batch: Vec<(K, V)>) {
         dedup_sorted_batch(&mut batch);
+        self.extend_deduped(batch);
+    }
+
+    /// [`extend_sorted`](Self::extend_sorted) of a batch that
+    /// [`dedup_sorted_batch`] has already checked and deduplicated.
+    pub(crate) fn extend_deduped(&mut self, mut batch: Vec<(K, V)>) {
         self.run = AscendingRun::default();
+        // Into an empty map the whole batch is one run of new keys, landed
+        // from the batch itself.
+        if self.is_empty() {
+            if !batch.is_empty() {
+                self.splice_pending(None, &mut batch);
+            }
+            return;
+        }
         // The open gap's run and the label of its successor (`None`: the
         // gap is at the end). Labels stay valid until the run lands: nothing
         // else changes the backend meanwhile.

@@ -19,12 +19,12 @@
 //! insertion, so indices stay below the peak population and callers can
 //! keep per-element data in a `Vec` indexed by [`ElemId::index`] (as
 //! `lll-api`'s `LabelMap` does, and as the inner structures do with an
-//! [`IdTable`](crate::ids::IdTable)). The inner structure stores, moves
-//! and logs bare indices; a [`Handle`] adds the generation of the index's
-//! lifetime, which `Growable` keeps in its [`Generations`] table and
-//! attaches wherever it hands out a handle, so a handle a caller keeps
-//! past its element's deletion never names the element that took the
-//! index next.
+//! [`IdTable`](crate::ids::IdTable), which holds no generation). The inner
+//! structure stores, moves and logs bare indices; a [`Handle`] adds the
+//! generation of the index's lifetime, which `Growable` keeps in its
+//! [`Generations`] table and attaches wherever it hands out a handle, so a
+//! handle a caller keeps past its element's deletion never names the
+//! element that took the index next.
 //!
 //! Rebuild costs amortize: a rebuild of size `n` happens only after Ω(n)
 //! operations, adding amortized O(polylog n) per operation on top of the

@@ -16,28 +16,27 @@
 //! ## Index against lifetime
 //!
 //! An index names one element while it is stored, and no two stored
-//! elements share one, so every slot array, move log and read of a live
-//! element uses the bare index. A [`Stamp`] adds a 4-byte generation and
-//! names one *lifetime* of an index: the pair is needed only where an id
-//! outlives its element and the index may meanwhile come back as another
-//! element. Three places keep generations, each for that reason:
+//! elements share one, so every slot array, move log, per-element table
+//! and read of a live element uses the bare index. A [`Stamp`] adds a
+//! 4-byte generation and names one *lifetime* of an index: the pair is
+//! needed only where an id outlives its element and the index may
+//! meanwhile come back as another element. Two places keep generations,
+//! each for that reason:
 //!
 //! * `Growable` hands its callers [`Handle`](crate::growable::Handle)s,
 //!   which a caller may keep past the element's deletion: its allocator
 //!   keeps each issued index's generation in a [`Generations`] table and
 //!   attaches it wherever it hands out a handle.
-//! * The layered embedding (`lll-embedding`'s `Embed`) keeps a deleted
-//!   element as a ghost until its pending checkpoint clears it, and a
-//!   frozen checkpoint names its targets for many operations: the ghosts,
-//!   and the checkpoint's record of the targets deleted since its freeze,
-//!   hold stamps.
 //! * The deamortized PMA (`lll-deamortized`) queues a frozen plan whose
-//!   entries may outlive their elements: queue entries hold stamps.
+//!   entries may outlive their elements: queue entries hold stamps, and
+//!   the PMA keeps each index's generation beside its slot, in its own
+//!   table's 8-byte entry.
 //!
-//! The two structures keep their stamps' generations in their own
-//! [`IdTable`], which assigns them: each insertion of an index that the
-//! table does not hold starts a lifetime, and a removal ends it under the
-//! next generation.
+//! An [`IdTable`] numbers no lifetimes: it holds a value per held index
+//! and nothing for a vacant one. The layered embedding (`lll-embedding`'s
+//! `Embed`) keeps deleted elements too, as ghosts and as a pending
+//! checkpoint's deleted targets, but names each by a ticket its deletion
+//! takes from a per-embedding counter, so its table holds no generation.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -288,31 +287,16 @@ impl Generations {
     }
 }
 
-/// One index's entry in an [`IdTable`]: the generation of its current
-/// lifetime (or of its next one, while vacant) and its value while held.
-#[derive(Clone, Debug)]
-struct Entry<T> {
-    generation: u32,
-    value: Option<T>,
-}
-
-impl<T> Entry<T> {
-    const VACANT: Self = Entry { generation: 0, value: None };
-}
-
 /// Data of type `T` for each element a structure currently holds, stored
 /// at the element's [`index`](ElemId::index): a lookup of a held element
 /// is a bounds check and one read, no hashing.
 ///
-/// The table also numbers the lifetimes of each index: inserting an index
-/// it does not hold starts a lifetime, and [`remove`](Self::remove) ends
-/// it, so the index's next insertion starts one under the next generation.
-/// A [`Stamp`] of an index and a generation names one lifetime, and
-/// [`get_stamped`](Self::get_stamped) answers only for the lifetime it
-/// names: this is how a structure that keeps an element's id past its
-/// deletion (a ghost, a frozen plan entry) tells it from the element that
-/// took its index next. Generations wrap after 2³² lifetimes of one index,
-/// far more than any stamp a structure holds lives through.
+/// An entry is an `Option<T>`, `None` while its index is vacant, and holds
+/// nothing else: the table does not number an index's lifetimes. A `T`
+/// with a niche (a `NonZeroU32`, say) puts the `None` in it, so an entry
+/// takes exactly `size_of::<T>()` bytes. A structure that must tell two
+/// lifetimes of an index apart keeps that in its own `T` or names the
+/// lifetime some other way (see the module docs).
 ///
 /// Indices below `dense_limit` (which the owner sets to its own capacity)
 /// live in a `Vec` grown on demand to the largest one inserted. Its
@@ -324,11 +308,10 @@ impl<T> Entry<T> {
 /// from a restored snapshot, can land there.
 #[derive(Clone, Debug)]
 pub struct IdTable<T> {
-    /// `dense[i]`: the entry of index `i`.
-    dense: Vec<Entry<T>>,
-    /// Entries of indices at `dense_limit` or more, vacant ones included,
-    /// so that their generations persist.
-    sparse: HashMap<ElemId, Entry<T>>,
+    /// `dense[i]`: the value of index `i`, if held.
+    dense: Vec<Option<T>>,
+    /// Values of held indices at `dense_limit` or more.
+    sparse: HashMap<ElemId, T>,
     dense_limit: usize,
 }
 
@@ -338,64 +321,38 @@ impl<T> IdTable<T> {
         Self { dense: Vec::new(), sparse: HashMap::new(), dense_limit }
     }
 
+    /// The value of `id`, if the table holds it.
     #[inline]
-    fn entry(&self, id: ElemId) -> Option<&Entry<T>> {
+    pub fn get(&self, id: ElemId) -> Option<&T> {
         let i = id.index();
         if i < self.dense_limit {
-            self.dense.get(i)
+            self.dense.get(i)?.as_ref()
         } else {
             self.sparse.get(&id)
         }
     }
 
+    /// Mutable access to the value of `id`, if the table holds it.
     #[inline]
-    fn entry_mut(&mut self, id: ElemId) -> Option<&mut Entry<T>> {
+    pub fn get_mut(&mut self, id: ElemId) -> Option<&mut T> {
         let i = id.index();
         if i < self.dense_limit {
-            self.dense.get_mut(i)
+            self.dense.get_mut(i)?.as_mut()
         } else {
             self.sparse.get_mut(&id)
         }
     }
 
-    /// The value of `id`, if the table holds it.
-    #[inline]
-    pub fn get(&self, id: ElemId) -> Option<&T> {
-        self.entry(id)?.value.as_ref()
-    }
-
-    /// Mutable access to the value of `id`, if the table holds it.
-    #[inline]
-    pub fn get_mut(&mut self, id: ElemId) -> Option<&mut T> {
-        self.entry_mut(id)?.value.as_mut()
-    }
-
-    /// The stamp of `id`'s lifetime: the current one if the table holds
-    /// `id`, else the one its next insertion starts.
-    #[inline]
-    pub fn stamp(&self, id: ElemId) -> Stamp {
-        Stamp::new(id, self.entry(id).map_or(0, |e| e.generation))
-    }
-
-    /// The value of the lifetime `stamp` names, if the table holds its
-    /// index in that lifetime.
-    #[inline]
-    pub fn get_stamped(&self, stamp: Stamp) -> Option<&T> {
-        let entry = self.entry(stamp.elem())?;
-        (entry.generation == stamp.generation()).then_some(entry.value.as_ref()).flatten()
-    }
-
-    /// Set the value of `id`: a held index keeps its lifetime, any other
-    /// starts one under its current generation.
+    /// Set the value of `id`.
     #[inline]
     pub fn insert(&mut self, id: ElemId, value: T) {
         let i = id.index();
         if i >= self.dense_limit {
-            self.sparse.entry(id).or_insert(Entry::VACANT).value = Some(value);
+            self.sparse.insert(id, value);
             return;
         }
-        grow_to(&mut self.dense, i, self.dense_limit, || Entry::VACANT);
-        self.dense[i].value = Some(value);
+        grow_to(&mut self.dense, i, self.dense_limit, || None);
+        self.dense[i] = Some(value);
     }
 
     /// Reserve, in one allocation, the dense capacity that inserting `ids`
@@ -412,23 +369,24 @@ impl<T> IdTable<T> {
         self.dense.reserve_exact(cap - self.dense.len());
     }
 
-    /// Remove `id`, returning its value if the table held it. Its index's
-    /// next insertion starts a lifetime under the next generation.
+    /// Remove `id`, returning its value if the table held it.
     #[inline]
     pub fn remove(&mut self, id: ElemId) -> Option<T> {
-        let entry = self.entry_mut(id)?;
-        let value = entry.value.take()?;
-        entry.generation = entry.generation.wrapping_add(1);
-        Some(value)
+        let i = id.index();
+        if i < self.dense_limit {
+            self.dense.get_mut(i)?.take()
+        } else {
+            self.sparse.remove(&id)
+        }
     }
 
     /// Every held id with its value: dense indices ascending, then the
     /// sparse ones in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (ElemId, &T)> + '_ {
-        let dense = self.dense.iter().enumerate().map(|(i, e)| (ElemId(i as u32), e));
+        let dense = self.dense.iter().enumerate();
         dense
-            .chain(self.sparse.iter().map(|(&id, e)| (id, e)))
-            .filter_map(|(id, e)| e.value.as_ref().map(|value| (id, value)))
+            .filter_map(|(i, v)| v.as_ref().map(|value| (ElemId(i as u32), value)))
+            .chain(self.sparse.iter().map(|(&id, value)| (id, value)))
     }
 }
 
@@ -501,42 +459,47 @@ mod tests {
     }
 
     #[test]
-    fn table_stamps_each_lifetime_of_an_index() {
+    fn table_holds_values_of_held_indices_only() {
         let mut t: IdTable<u32> = IdTable::new(16);
         let e = ElemId(3);
-        let first = t.stamp(e);
+        assert_eq!(t.get(e), None);
         t.insert(e, 7);
-        assert_eq!(t.stamp(e), first, "an insertion takes the stamp it was promised");
-        assert_eq!((t.get(e), t.get_stamped(first)), (Some(&7), Some(&7)));
         *t.get_mut(e).unwrap() += 1;
+        assert_eq!(t.get(e), Some(&8));
         t.insert(e, 9);
-        assert_eq!(t.stamp(e), first, "overwriting a held index keeps its lifetime");
         assert_eq!(t.remove(e), Some(9));
-        assert_eq!(t.remove(e), None);
-        // The index comes back under the next generation: the old stamp
-        // misses, even where the index is held.
-        let second = t.stamp(e);
-        assert_eq!((second.elem(), second.generation()), (e, first.generation() + 1));
+        assert_eq!((t.remove(e), t.get(e)), (None, None));
+        assert_eq!(t.get_mut(e), None);
+        // A reissued index starts from nothing: the table keeps no trace of
+        // the lifetime before it.
         t.insert(e, 10);
-        assert_eq!((t.get_stamped(first), t.get_stamped(second)), (None, Some(&10)));
         assert_eq!(t.iter().collect::<Vec<_>>(), [(e, &10)]);
     }
 
+    /// An entry is the value's own size when the value has a niche: the
+    /// table stores no generation beside it.
     #[test]
-    fn table_keeps_large_indices_sparse_with_their_generations() {
+    fn an_entry_with_a_niche_costs_its_value_alone() {
+        use std::num::NonZeroU32;
+        let mut t: IdTable<NonZeroU32> = IdTable::new(4);
+        t.insert(ElemId(3), NonZeroU32::MIN);
+        assert_eq!(std::mem::size_of_val(&t.dense[..]), 4 * t.dense.len());
+    }
+
+    #[test]
+    fn table_keeps_large_indices_sparse() {
         let mut t: IdTable<u64> = IdTable::new(8);
         let far = ElemId(u32::MAX - 1);
         t.insert(far, 1);
         t.insert(ElemId(2), 2);
-        let old = t.stamp(far);
         assert_eq!(t.get(far), Some(&1));
         // Nothing was allocated for the far index.
         assert!(t.dense.len() <= 8);
         assert_eq!(t.remove(far), Some(1));
         assert_eq!(t.iter().count(), 1);
+        assert!(t.sparse.is_empty(), "a removed far index left an entry behind");
         t.insert(far, 3);
-        assert_eq!((t.get_stamped(old), t.get(far)), (None, Some(&3)));
-        assert_eq!(t.stamp(far).generation(), 1);
+        assert_eq!(t.get(far), Some(&3));
     }
 
     #[test]

@@ -43,9 +43,10 @@ pub trait ListLabeling {
     ///
     /// The caller allocates ids: `id` must differ from every element the
     /// structure stores. A deleted element's index may come back at once:
-    /// a structure that keeps a deleted element (the embedding's ghosts, a
-    /// queued plan entry) tells its lifetime from the new one by the
-    /// generations of its own [`IdTable`](crate::ids::IdTable).
+    /// a structure that keeps a deleted element tells it from the one that
+    /// takes the index next by its own means (the embedding names its
+    /// ghosts by deletion tickets, and the deamortized PMA keeps a
+    /// generation beside each slot; see [`ids`](crate::ids)).
     ///
     /// Panics if `rank > len` or the structure is full.
     fn insert_into(&mut self, rank: usize, id: ElemId, out: &mut OpReport);

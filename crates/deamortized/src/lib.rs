@@ -75,6 +75,27 @@ impl Job {
     }
 }
 
+/// An index's entry in [`DeamortizedPma`]'s `elem_pos`: the generation of
+/// its current lifetime (of its next one, while the index is vacant) and
+/// its element's slot plus one, or [`VACANT`](Self::VACANT). A queued plan
+/// entry whose element was deleted, and its index reissued, misses its
+/// stamp's generation and is skipped. The offset keeps 0 free for the
+/// table's `None`, an index never held, which reads as generation 0: an
+/// entry takes 8 bytes, the generation included.
+#[derive(Clone, Copy, Debug)]
+struct Tracked {
+    generation: u32,
+    slot: NonZeroU32,
+}
+
+impl Tracked {
+    /// The `slot` of a vacant index. Slots stay below `u32::MAX - 1`
+    /// ([`DeamortizedPma::new`]), so no slot plus one reaches it.
+    const VACANT: NonZeroU32 = NonZeroU32::MAX;
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Tracked>>() == 8, "an elem_pos entry is 8 bytes");
+
 /// Counters exposed for experiments.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeamortizedStats {
@@ -100,12 +121,9 @@ pub struct DeamortizedPma {
     thresholds: Thresholds,
     capacity: usize,
     jobs: Vec<Job>,
-    /// Each stored element's slot plus one, by index, with the generation
-    /// of each index's lifetime: a queued plan entry whose element was
-    /// deleted (and its index reissued) misses its stamp and is skipped.
-    /// The offset gives the value a niche, so an entry takes 8 bytes with
-    /// its generation instead of 12.
-    elem_pos: IdTable<NonZeroU32>,
+    /// Each stored element's slot, by index, with the generation of each
+    /// index's lifetime ([`Tracked`]).
+    elem_pos: IdTable<Tracked>,
     stats: DeamortizedStats,
     work_quota: usize,
     shift_cap: usize,
@@ -124,7 +142,7 @@ impl DeamortizedPma {
     /// New empty structure for `capacity` elements on `num_slots` slots.
     pub fn new(capacity: usize, num_slots: usize) -> Self {
         assert!(num_slots as f64 >= capacity as f64 * 1.05, "deamortized PMA needs ≥1.05x slack");
-        assert!(num_slots <= u32::MAX as usize, "slot positions must fit in u32");
+        assert!(num_slots < u32::MAX as usize, "slot positions plus one must stay below u32::MAX");
         let lg = log2f(num_slots);
         Self {
             slots: SlotArray::new(num_slots),
@@ -179,18 +197,33 @@ impl DeamortizedPma {
 
     // ----- tracked movement -------------------------------------------------
 
+    /// The stamp of `e`'s lifetime: the current one if `e` is stored, else
+    /// the one its next insertion starts.
+    #[inline]
+    fn stamp(&self, e: ElemId) -> Stamp {
+        Stamp::new(e, self.elem_pos.get(e).map_or(0, |t| t.generation))
+    }
+
     /// The slot of the element lifetime `s` names, if that element is
     /// still stored.
     #[inline]
     fn pos_of(&self, s: Stamp) -> Option<usize> {
-        self.elem_pos.get_stamped(s).map(|p| p.get() as usize - 1)
+        let t = self.elem_pos.get(s.elem())?;
+        (t.generation == s.generation() && t.slot != Tracked::VACANT)
+            .then(|| t.slot.get() as usize - 1)
     }
 
-    /// Record that `e` now sits at slot `pos`.
+    /// Record that `e` now sits at slot `pos`: a stored element keeps its
+    /// lifetime, a new one starts the lifetime its index's entry holds.
     #[inline]
     fn track(&mut self, e: ElemId, pos: usize) {
-        // `pos < num_slots <= u32::MAX`, so `pos + 1` fits and is nonzero.
-        self.elem_pos.insert(e, NonZeroU32::new(pos as u32 + 1).expect("slot + 1 is nonzero"));
+        // `pos < num_slots < u32::MAX`, so `pos + 1` is nonzero and never
+        // `VACANT`.
+        let slot = NonZeroU32::MIN.saturating_add(pos as u32);
+        match self.elem_pos.get_mut(e) {
+            Some(t) => t.slot = slot,
+            None => self.elem_pos.insert(e, Tracked { generation: 0, slot }),
+        }
     }
 
     fn place_tracked(&mut self, pos: usize, id: ElemId) {
@@ -203,9 +236,12 @@ impl DeamortizedPma {
         self.track(e, to);
     }
 
+    /// Remove the element at `pos`; its index's next insertion starts a
+    /// lifetime under the next generation.
     fn remove_tracked(&mut self, pos: usize) -> ElemId {
         let e = self.slots.remove(pos);
-        self.elem_pos.remove(e);
+        let t = self.elem_pos.get_mut(e).expect("a stored element is tracked");
+        *t = Tracked { generation: t.generation.wrapping_add(1), slot: Tracked::VACANT };
         e
     }
 
@@ -242,9 +278,9 @@ impl DeamortizedPma {
         for (i, (pos, elem)) in self.slots.iter_occupied_in(a, b).enumerate() {
             let t = targets[i];
             if t < pos {
-                queue.push((self.elem_pos.stamp(elem), t));
+                queue.push((self.stamp(elem), t));
             } else if t > pos {
-                right_movers.push((self.elem_pos.stamp(elem), t));
+                right_movers.push((self.stamp(elem), t));
             }
         }
         // Safe order: left-movers ascending, then right-movers descending.
@@ -883,7 +919,7 @@ mod tests {
             let new = ids.fresh();
             assert_eq!(new, old.elem(), "the freed index is reissued");
             z.insert(rank, new);
-            let stamp = z.elem_pos.stamp(new);
+            let stamp = z.stamp(new);
             assert_eq!(stamp.generation(), old.generation() + 1);
             // Keep only cases where the stale entry is still queued and
             // applying it to the newcomer would move it.

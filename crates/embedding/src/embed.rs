@@ -18,12 +18,17 @@
 //! ## Per-element tables
 //!
 //! The insert, delete, relocate and checkpoint paths index what they keep
-//! per element; none hashes a live element's id:
+//! per element, and hash a live element's id only to count its deadweight:
 //!
 //! * `elem_loc`, an [`IdTable`] at the element's [`index`](ElemId::index):
-//!   each live element's [`Loc`] and, while it is buffered, its deadweight
-//!   count, with the generation of each index's lifetime (12 bytes per
-//!   index);
+//!   each live element's [`Loc`], 4 bytes per index. One `NonZeroU32`
+//!   packs the F-coordinate or buffer position with a buffered bit, and
+//!   its niche holds the table's `None`. It keeps no generation;
+//! * `deadweight`, a side map of the deadweight moves each buffered
+//!   element has suffered. It holds only buffered elements displaced at
+//!   least once, and costs a hash operation per deadweight move and per
+//!   incorporation (about one per insert on clustered ingest) instead of
+//!   2 bytes per index;
 //! * `cur_f_occ`, a bitmap over F-coordinates marking those the physical
 //!   F-layout occupies, ghosts included. Who occupies one is not stored
 //!   again: a live occupant is the tagged array's content at that F-slot,
@@ -40,18 +45,19 @@
 //!
 //! The slot arrays, move logs and every read of a live element use bare
 //! indices. A deleted element's index may come back at once as a new
-//! element (the caller reissues it), so an id that outlives its element is
-//! a [`Stamp`], the index and the generation `elem_loc` gave that lifetime:
-//! the ghosts, and each element the pending checkpoint still targets that
-//! was deleted after the freeze. A frozen target, a deferred entry and the
-//! in-flight insertion are bare indices: each names the lifetime its index
-//! had at the freeze, which is the live one unless the checkpoint's
-//! `dead` map records that lifetime's deletion. Deletions record their
-//! stamp there, where the freeze would otherwise read a generation per
-//! target (a scratch build that stamped every target at the freeze
-//! doubled the freeze's time and raised the clustered insert tail).
+//! element (the caller reissues it), so a deleted element the embedding
+//! still keeps is named by a *ticket*: each slow-path deletion takes the
+//! next value of a per-embedding `u64` counter. Two kinds are kept: the
+//! ghosts, and each element the pending checkpoint still targets that was
+//! deleted after the freeze. A frozen target, a deferred entry and the
+//! in-flight insertion are bare indices: each names the element its index
+//! held at the freeze, which is the live one unless the checkpoint's
+//! `dead` map records that element's deletion under its ticket. Deletions
+//! record their ticket there, where the freeze would otherwise name each
+//! target's lifetime (a scratch build that stamped every target at the
+//! freeze doubled the freeze's time and raised the clustered insert tail).
 //!
-//! Ghosts stay in two small `HashMap`s, `ghosts` by stamp and `ghost_at`
+//! Ghosts stay in two small `HashMap`s, `ghosts` by ticket and `ghost_at`
 //! by F-coordinate. A ghost is a deleted element whose slot the pending
 //! rebuild has not cleared yet, and its index may already be reissued to a
 //! live element, so it cannot share that element's table entry. The maps
@@ -71,6 +77,11 @@
 //! survivors of a shrink, or a restored snapshot's handles); the table
 //! keeps indices at or above the embedding's capacity in a side map.
 //!
+//! A checkpoint's buffers (its jobs, their targets, the running job's
+//! deferred entries and the `dead` map) stay in the embedding and are
+//! cleared at the next freeze, so a warm embedding freezes without
+//! allocating. A target is an F-coordinate and an index, 8 bytes.
+//!
 //! ## Coordinate translations
 //!
 //! Every mirrored move and every placement turns F-coordinates into
@@ -85,12 +96,25 @@
 
 use crate::tag_array::{FCursor, RealGap, SlotTag, TagArray};
 use lll_core::bitmap::Bitmap;
-use lll_core::ids::{ElemId, IdAllocator, IdTable, Stamp};
+use lll_core::ids::{ElemId, IdAllocator, IdTable};
 use lll_core::metrics::MetricsHandle;
 use lll_core::report::{MoveRec, OpReport};
 use lll_core::slot_array::SlotArray;
 use lll_core::traits::{LabelingBuilder, ListLabeling};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::num::NonZeroU32;
+use std::ops::Range;
+
+/// The embedding's hash maps. They hash with fixed keys, so a map grows at
+/// the same operation in every process and an allocation count of the
+/// embedding is exact. Their keys are tickets, F-coordinates and element
+/// indices, and an index can come from outside (a restored snapshot's
+/// handles); but each map holds few entries (buffered elements, which
+/// Lemma 7 keeps few, ghosts, and a pending checkpoint's deleted
+/// targets), so keys crafted to collide cost at most a scan of those.
+type Map<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Where a live element physically lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,32 +125,44 @@ pub enum Loc {
     Buffer(usize),
 }
 
-/// A live element's [`Loc`] and, while it is buffered, the deadweight
-/// moves it has suffered: 8 bytes, 12 with the generation that
-/// [`Embed`]'s id table keeps beside it for each index.
-#[derive(Clone, Copy, Debug)]
-struct Placed {
-    /// F-coordinate, or physical position when `buffered`.
-    pos: u32,
-    /// Saturating; Lemma 5 bounds it by 4.
-    deadweight: u16,
-    buffered: bool,
-}
+/// A live element's [`Loc`] in 4 bytes: its F-coordinate, or its physical
+/// position while buffered, plus one in the low 31 bits, and
+/// [`BUFFERED`](Self::BUFFERED) while it is buffered. The value is never
+/// 0, so the niche holds the id table's `None` and an entry of
+/// [`Embed`]'s `elem_loc` takes 4 bytes. [`Embed::new`] keeps every
+/// position below `2^31 - 1`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Placed(NonZeroU32);
+
+const _: () = assert!(std::mem::size_of::<Option<Placed>>() == 4, "an elem_loc entry is 4 bytes");
 
 impl Placed {
+    const BUFFERED: u32 = 1 << 31;
+
     fn f(fidx: usize) -> Self {
-        Self { pos: fidx as u32, deadweight: 0, buffered: false }
+        Self::at(fidx, 0)
     }
 
     fn buffer(pos: usize) -> Self {
-        Self { pos: pos as u32, deadweight: 0, buffered: true }
+        Self::at(pos, Self::BUFFERED)
+    }
+
+    #[inline]
+    fn at(pos: usize, flag: u32) -> Self {
+        debug_assert!(pos < Self::BUFFERED as usize - 1, "position {pos} needs more than 31 bits");
+        Placed(NonZeroU32::MIN.saturating_add(pos as u32) | flag)
+    }
+
+    fn buffered(self) -> bool {
+        self.0.get() & Self::BUFFERED != 0
     }
 
     fn loc(self) -> Loc {
-        if self.buffered {
-            Loc::Buffer(self.pos as usize)
+        let pos = (self.0.get() & !Self::BUFFERED) as usize - 1;
+        if self.buffered() {
+            Loc::Buffer(pos)
         } else {
-            Loc::F(self.pos as usize)
+            Loc::F(pos)
         }
     }
 }
@@ -213,9 +249,8 @@ impl EmbedStats {
 #[derive(Clone, Debug)]
 struct IntervalJob {
     f_hi: usize,
-    /// Target layout within the interval: `(f_index, element)` ascending,
-    /// each element named by its index (see [`Checkpoint::dead`]).
-    targets: Vec<(usize, ElemId)>,
+    /// Its target layout: this range of [`Checkpoint::targets`].
+    targets: Range<usize>,
     /// 0 = left-align (pack), 1 = rightward placement (descending),
     /// 2 = deferred leftward incorporations (ascending).
     phase: u8,
@@ -225,38 +260,84 @@ struct IntervalJob {
     pack_next: usize,
     /// Phase-1 progress (targets placed, from the right).
     placed: usize,
-    /// Buffered elements whose slot lies right of their target, deferred
-    /// out of the descending pass (pushed in descending target order) and
-    /// incorporated in ascending order — under which no deadweight element
-    /// is crossed twice (see `run_checkpoint`).
-    deferred: Vec<(usize, ElemId)>,
     /// Phase-2 progress (deferred entries placed, from the back = ascending).
     placed2: usize,
 }
 
-/// A pending rebuild: transform the physical F-layout into the frozen
-/// checkpoint `C(t) = F(t₀)`.
-#[derive(Clone, Debug)]
+/// A rebuild: transform the physical F-layout into the frozen checkpoint
+/// `C(t) = F(t₀)`. It is pending until its last job completes. [`Embed`]
+/// keeps one for good and clears it at each freeze, so a freeze fills the
+/// buffers of the checkpoints before it.
+#[derive(Clone, Debug, Default)]
 struct Checkpoint {
     jobs: Vec<IntervalJob>,
-    /// The lifetime each index held at the freeze, for every index whose
-    /// element has been deleted since: a target of that index names this
-    /// deleted element, not the one that may hold the index now.
-    dead: HashMap<ElemId, Stamp>,
+    /// Every job's target layout, `(f_index, element)` ascending within a
+    /// job, each element named by its index (see [`Checkpoint::dead`]).
+    targets: Vec<(u32, ElemId)>,
+    /// The running job's buffered targets whose slot lies right of their
+    /// target, deferred out of its descending pass (pushed in descending
+    /// target order) and incorporated in ascending order — under which no
+    /// deadweight element is crossed twice (see `run_checkpoint`).
+    deferred: Vec<(u32, ElemId)>,
+    /// For every index whose element at the freeze has been deleted since,
+    /// that deletion's ticket: a target of that index names this deleted
+    /// element, not the one that may hold the index now.
+    dead: Map<ElemId, u64>,
     job_idx: usize,
 }
 
 impl Checkpoint {
+    fn is_pending(&self) -> bool {
+        self.job_idx < self.jobs.len()
+    }
+
+    /// Forget the last checkpoint, keeping its buffers.
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.targets.clear();
+        self.deferred.clear();
+        self.dead.clear();
+        self.job_idx = 0;
+    }
+
+    /// Freeze the target layout of the interval `[f_lo, f_hi]` of the
+    /// simulation's slots `sim` as a new job: one walk over its occupancy
+    /// bitmap (not `iter_occupied_in`, which would count the walk as the
+    /// simulation's own scan work).
+    fn push_job(&mut self, sim: &SlotArray, f_lo: usize, f_hi: usize) {
+        let first = self.targets.len();
+        let occupants = sim.bitmap().ones_in(f_lo, f_hi + 1);
+        self.targets.extend(occupants.map(|pos| (pos as u32, sim.get(pos).expect("occupied"))));
+        self.jobs.push(IntervalJob {
+            f_hi,
+            targets: first..self.targets.len(),
+            phase: 0,
+            scan: f_lo,
+            pack_next: f_lo,
+            placed: 0,
+            placed2: 0,
+        });
+    }
+
     /// Upper-bound estimate of the moves left (each unplaced target costs
     /// ≤ 1 pack move + 1 placement move, modulo deadweight).
     fn planned_remaining(&self) -> u64 {
-        self.jobs[self.job_idx..]
-            .iter()
-            .map(|j| {
-                2 * (j.targets.len() - j.placed) as u64 + 2 * (j.deferred.len() - j.placed2) as u64
-            })
-            .sum()
+        let jobs = &self.jobs[self.job_idx..];
+        let targets: usize = jobs.iter().map(|j| j.targets.len() - j.placed).sum();
+        let deferred = jobs.first().map_or(0, |j| self.deferred.len() - j.placed2);
+        2 * (targets + deferred) as u64
     }
+}
+
+/// A target of the pending checkpoint, as
+/// [`Embed::unplaced_targets`] reports it.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Target {
+    /// Its element is live, at this location.
+    Live(Loc),
+    /// Its element was deleted, under this ticket.
+    Dead(u64),
 }
 
 /// The embedding `F ⊳ R` of a fast structure `F` into a reliable structure
@@ -282,16 +363,20 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     /// included. A live occupant is the content of its F-slot; an occupied
     /// coordinate whose F-slot is empty holds a ghost.
     cur_f_occ: Bitmap,
-    /// Live elements → location and deadweight, indexed by index; it also
-    /// numbers the lifetimes of each index (see the module docs).
+    /// Live elements → location, by index (see the module docs).
     elem_loc: IdTable<Placed>,
+    /// The deadweight moves of each buffered element displaced at least
+    /// once. Saturating; Lemma 5 bounds each count by 4.
+    deadweight: Map<ElemId, u16>,
     /// Deleted elements still present in the physical F-layout (ghosts),
-    /// by stamp. Looked up only for targets that are not live, so hashing
+    /// by ticket. Looked up only for targets that are not live, so hashing
     /// here costs nothing per move.
-    ghosts: HashMap<Stamp, Ghost>,
+    ghosts: Map<u64, Ghost>,
     /// `ghosts` inverted: the ghost at each F-coordinate that holds one.
     /// Looked up only for occupied F-slots with no content.
-    ghost_at: HashMap<usize, Stamp>,
+    ghost_at: Map<usize, u64>,
+    /// The ticket of the next slow-path deletion.
+    next_ticket: u64,
     /// The element of the in-flight insertion, between its simulation
     /// insert and its physical placement. A checkpoint created in that
     /// window (e.g. by a forced catch-up inside `buffer_insert`) must not
@@ -307,7 +392,9 @@ pub struct Embed<F: ListLabeling, R: ListLabeling> {
     /// The last gap between buffered reals that an emulator move's a₁
     /// found.
     real_gap: RealGap,
-    checkpoint: Option<Checkpoint>,
+    /// The pending rebuild, if [`is_pending`](Checkpoint::is_pending), and
+    /// the buffers of the next one.
+    checkpoint: Checkpoint,
     /// The fast/slow threshold E_R.
     er_budget: f64,
     /// Rebuild moves per slow-path op (Θ(E_R)).
@@ -354,7 +441,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         assert!(m > r_cap, "shell needs free slots");
         assert!(sim.is_empty() && shell.is_empty(), "sim and shell must start empty");
         let buf_count = r_cap - f_count;
-        assert!(m <= u32::MAX as usize, "slot positions must fit in u32");
+        assert!(m < 1 << 31, "slot positions plus one must fit in 31 bits");
         let mut this = Self {
             tags: TagArray::new(m),
             capacity,
@@ -362,14 +449,16 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             shell,
             cur_f_occ: Bitmap::new(f_count),
             elem_loc: IdTable::new(capacity),
-            ghosts: HashMap::new(),
-            ghost_at: HashMap::new(),
+            deadweight: Map::default(),
+            ghosts: Map::default(),
+            ghost_at: Map::default(),
+            next_ticket: 0,
             pending_insert: None,
             dirty: Bitmap::new(f_count),
             src_finger: FCursor::default(),
             dst_finger: FCursor::default(),
             real_gap: RealGap::default(),
-            checkpoint: None,
+            checkpoint: Checkpoint::default(),
             er_budget: er_budget.max(1.0),
             rebuild_budget: ((er_budget * rebuild_mult).ceil() as u64).max(1),
             shell_ids: IdAllocator::new(),
@@ -406,7 +495,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
 
     /// Is a rebuild pending?
     pub fn rebuild_pending(&self) -> bool {
-        self.checkpoint.is_some()
+        self.checkpoint.is_pending()
     }
 
     /// The fast/slow threshold E_R in use.
@@ -458,18 +547,24 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// Record one deadweight displacement of buffered element `e`, now at
     /// position `pos`.
     fn note_deadweight(&mut self, e: ElemId, pos: usize) {
-        let placed = self.elem_loc.get_mut(e).expect("deadweight of a live element");
-        debug_assert!(placed.buffered, "deadweight of an unbuffered element");
-        placed.pos = pos as u32;
-        placed.deadweight = placed.deadweight.saturating_add(1);
+        self.note_buffer_pos(e, pos);
+        let count = self.deadweight.entry(e).or_insert(0);
+        *count = count.saturating_add(1);
         self.stats.deadweight_moves += 1;
     }
 
     /// A buffered element moved to physical position `pos`.
     fn note_buffer_pos(&mut self, e: ElemId, pos: usize) {
         let placed = self.elem_loc.get_mut(e).expect("buffered element is live");
-        debug_assert!(placed.buffered);
-        placed.pos = pos as u32;
+        debug_assert!(placed.buffered(), "buffer move of an unbuffered element");
+        *placed = Placed::buffer(pos);
+    }
+
+    /// Record the deadweight of the buffered element `e`, which leaves the
+    /// buffer (incorporated or deleted), and drop its count.
+    fn record_leaving(&mut self, e: ElemId) {
+        let count = self.deadweight.remove(&e).unwrap_or(0);
+        self.stats.record_deadweight(count.into());
     }
 
     /// Move the real element at `start` so it becomes the content of
@@ -610,19 +705,19 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             self.emulator_move(src, dst, to_fidx);
             self.elem_loc.insert(e, Placed::f(to_fidx));
         } else {
-            let s = self.ghost_at.remove(&from_fidx).expect("dead F-slot occupant is a ghost");
-            self.ghosts.get_mut(&s).expect("ghost of its coordinate").fidx = to_fidx;
-            self.ghost_at.insert(to_fidx, s);
+            let t = self.ghost_at.remove(&from_fidx).expect("dead F-slot occupant is a ghost");
+            self.ghosts.get_mut(&t).expect("ghost of its coordinate").fidx = to_fidx;
+            self.ghost_at.insert(to_fidx, t);
         }
         self.cur_f_occ.move_bit(from_fidx, to_fidx);
     }
 
-    /// Keep the deleted element lifetime `s` as a ghost at the occupied
+    /// Keep the element deleted under `ticket` as a ghost at the occupied
     /// F-coordinate `fidx`.
-    fn add_ghost(&mut self, s: Stamp, fidx: usize) {
+    fn add_ghost(&mut self, ticket: u64, fidx: usize) {
         let deleted_during = self.stats.rebuilds_started;
-        self.ghosts.insert(s, Ghost { fidx, deleted_during });
-        self.ghost_at.insert(fidx, s);
+        self.ghosts.insert(ticket, Ghost { fidx, deleted_during });
+        self.ghost_at.insert(fidx, ticket);
     }
 
     /// Place the new element `e` physically at the free F-coordinate `fidx`
@@ -700,26 +795,33 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// deadweight in id order.
     #[cfg(test)]
     pub(crate) fn placements(&self) -> (&Bitmap, Vec<(ElemId, Loc, u16)>) {
-        let locs = self.elem_loc.iter().map(|(e, p)| (e, p.loc(), p.deadweight)).collect();
+        let locs = self.elem_loc.iter().map(|(e, p)| (e, p.loc(), self.deadweight_of(e))).collect();
         (&self.cur_f_occ, locs)
     }
 
-    /// The element lifetimes the pending checkpoint has yet to place, each
-    /// with its location if that lifetime is live.
+    /// The targets the pending checkpoint has yet to place, by index, each
+    /// with its live element's location or its element's deletion ticket.
     #[cfg(test)]
-    pub(crate) fn unplaced_targets(&self) -> Vec<(Stamp, Option<Loc>)> {
-        let Some(cp) = &self.checkpoint else { return Vec::new() };
-        cp.jobs[cp.job_idx..]
-            .iter()
-            .flat_map(|j| {
-                let descending = &j.targets[..j.targets.len() - j.placed];
-                descending.iter().chain(&j.deferred[..j.deferred.len() - j.placed2])
-            })
-            .map(|&(_, e)| match cp.dead.get(&e) {
-                Some(&s) => (s, None),
-                None => (self.elem_loc.stamp(e), self.elem_loc.get(e).map(|p| p.loc())),
-            })
-            .collect()
+    pub(crate) fn unplaced_targets(&self) -> Vec<(ElemId, Target)> {
+        let cp = &self.checkpoint;
+        if !cp.is_pending() {
+            return Vec::new();
+        }
+        let jobs = &cp.jobs[cp.job_idx..];
+        let descending =
+            jobs.iter().flat_map(|j| &cp.targets[j.targets.start..j.targets.end - j.placed]);
+        let deferred = &cp.deferred[..cp.deferred.len() - jobs[0].placed2];
+        let target = |e| match cp.dead.get(&e) {
+            Some(&ticket) => Target::Dead(ticket),
+            None => Target::Live(self.elem_loc.get(e).expect("a live target is placed").loc()),
+        };
+        descending.chain(deferred).map(|&(_, e)| (e, target(e))).collect()
+    }
+
+    /// The deadweight count of the live element `e`.
+    #[cfg(test)]
+    pub(crate) fn deadweight_of(&self, e: ElemId) -> u16 {
+        self.deadweight.get(&e).copied().unwrap_or(0)
     }
 
     /// Replay the simulation's move log onto the physical array, in log
@@ -888,7 +990,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// simulation, freeze a new checkpoint (Figure 3's interval
     /// decomposition, computed from the dirty set).
     fn ensure_checkpoint(&mut self) {
-        if self.checkpoint.is_some() || self.dirty.count_ones() == 0 {
+        if self.checkpoint.is_pending() || self.dirty.count_ones() == 0 {
             return;
         }
         // Walk the marked coordinates in ascending order, clearing each,
@@ -897,7 +999,8 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         // the gap between an interval's last difference and the next one.
         // Every mark below `next` is cleared, so the next one is the first
         // set bit, found from `next` (rank 0) by a finger select.
-        let mut jobs: Vec<IntervalJob> = Vec::new();
+        let mut cp = std::mem::take(&mut self.checkpoint);
+        cp.clear();
         let mut open: Option<(usize, usize)> = None;
         let mut next = 0;
         while let Some(d) = self.dirty.select_near(0, next, 0) {
@@ -906,9 +1009,7 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             // Unchanged iff the physical layout holds the simulation's
             // occupant at `d`, or nothing where the simulation holds none.
             let unchanged = match self.sim.slots().get(d) {
-                Some(e) => {
-                    matches!(self.elem_loc.get(e), Some(p) if !p.buffered && p.pos as usize == d)
-                }
+                Some(e) => self.elem_loc.get(e) == Some(&Placed::f(d)),
                 None => !self.cur_f_occ.get(d),
             };
             if unchanged {
@@ -917,39 +1018,18 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             open = Some(match open {
                 Some((lo, hi)) if self.cur_f_occ.ones_in(hi + 1, d).next().is_none() => (lo, d),
                 Some((lo, hi)) => {
-                    jobs.push(self.make_job(lo, hi));
+                    cp.push_job(self.sim.slots(), lo, hi);
                     (d, d)
                 }
                 None => (d, d),
             });
         }
-        let Some((lo, hi)) = open else { return };
-        jobs.push(self.make_job(lo, hi));
-        self.checkpoint = Some(Checkpoint { jobs, job_idx: 0, dead: HashMap::new() });
-        self.stats.rebuilds_started += 1;
-        self.rebuild_span = 0;
-    }
-
-    /// Freeze the target layout of one interval: one walk over the
-    /// simulation's occupancy bitmap (not `iter_occupied_in`, which would
-    /// count the walk as the simulation's own scan work).
-    fn make_job(&self, f_lo: usize, f_hi: usize) -> IntervalJob {
-        let slots = self.sim.slots();
-        let targets = slots
-            .bitmap()
-            .ones_in(f_lo, f_hi + 1)
-            .map(|pos| (pos, slots.get(pos).expect("occupied sim slot")))
-            .collect();
-        IntervalJob {
-            f_hi,
-            targets,
-            phase: 0,
-            scan: f_lo,
-            pack_next: f_lo,
-            placed: 0,
-            deferred: Vec::new(),
-            placed2: 0,
+        if let Some((lo, hi)) = open {
+            cp.push_job(self.sim.slots(), lo, hi);
+            self.stats.rebuilds_started += 1;
+            self.rebuild_span = 0;
         }
+        self.checkpoint = cp;
     }
 
     /// Execute pending rebuild work, spending at most `budget` physical
@@ -958,7 +1038,10 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
     /// moves spent are the physical array's log growth: the operation
     /// drains that log only when it ends.
     fn run_checkpoint(&mut self, budget: u64) {
-        let Some(mut cp) = self.checkpoint.take() else { return };
+        if !self.checkpoint.is_pending() {
+            return;
+        }
+        let mut cp = std::mem::take(&mut self.checkpoint);
         let start = self.tags.contents.pending_log_len() as u64;
         while cp.job_idx < cp.jobs.len() {
             if self.tags.contents.pending_log_len() as u64 - start >= budget {
@@ -980,16 +1063,18 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     // A ghost. The checkpoint holds it (as a target of
                     // this interval) iff it was deleted after the
                     // checkpoint froze; otherwise drop it.
-                    let s = self.ghost_at[&i];
-                    let held = self.ghosts[&s].deleted_during == self.stats.rebuilds_started;
+                    let t = self.ghost_at[&i];
+                    let held = self.ghosts[&t].deleted_during == self.stats.rebuilds_started;
                     debug_assert_eq!(
                         held,
-                        job.targets.iter().any(|&(_, t)| cp.dead.get(&t) == Some(&s))
+                        cp.targets[job.targets.clone()]
+                            .iter()
+                            .any(|(_, e)| cp.dead.get(e) == Some(&t))
                     );
                     if !held {
                         self.cur_f_occ.clear(i);
                         self.ghost_at.remove(&i);
-                        self.ghosts.remove(&s);
+                        self.ghosts.remove(&t);
                         continue;
                     }
                 }
@@ -999,12 +1084,13 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     self.relocate_from(src, i, dest);
                 }
             } else if job.phase == 1 {
-                if job.placed >= job.targets.len() {
+                let targets = &cp.targets[job.targets.clone()];
+                if job.placed >= targets.len() {
                     job.phase = 2;
                     continue;
                 }
-                let idx = job.targets.len() - 1 - job.placed;
-                let (t_fidx, e) = job.targets[idx];
+                let (t_fidx, e) = targets[targets.len() - 1 - job.placed];
+                let t_fidx = t_fidx as usize;
                 job.placed += 1;
                 let dead = cp.dead.get(&e).copied();
                 // Defer buffered elements whose slot is right of their
@@ -1016,58 +1102,55 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     (dead, self.elem_loc.get(e).map(|p| p.loc()))
                 {
                     if pos > self.tags.f_pos_via(t_fidx, &mut self.dst_finger) {
-                        job.deferred.push((t_fidx, e));
+                        cp.deferred.push((t_fidx as u32, e));
                         continue;
                     }
                 }
                 self.place_target(t_fidx, e, dead);
             } else {
-                if job.placed2 >= job.deferred.len() {
+                if job.placed2 >= cp.deferred.len() {
                     cp.job_idx += 1;
+                    cp.deferred.clear();
                     continue;
                 }
                 // deferred was pushed in descending target order; consume
                 // from the back for ascending incorporation.
-                let idx = job.deferred.len() - 1 - job.placed2;
-                let (t_fidx, e) = job.deferred[idx];
+                let (t_fidx, e) = cp.deferred[cp.deferred.len() - 1 - job.placed2];
                 job.placed2 += 1;
                 let dead = cp.dead.get(&e).copied();
-                self.place_target(t_fidx, e, dead);
+                self.place_target(t_fidx as usize, e, dead);
             }
         }
-        if cp.job_idx >= cp.jobs.len() {
+        let completed = !cp.is_pending();
+        self.checkpoint = cp;
+        if completed {
             self.stats.rebuilds_completed += 1;
             self.stats.max_rebuild_span = self.stats.max_rebuild_span.max(self.rebuild_span);
-            self.checkpoint = None;
             // Paper step (b)(iii): freeze the next checkpoint immediately.
             self.ensure_checkpoint();
-        } else {
-            self.checkpoint = Some(cp);
         }
     }
 
     /// Phase-1 placement of one checkpoint target, the element of index
-    /// `e` at the freeze, whose lifetime is `dead` if it was deleted since
-    /// (rightward placement / incorporation of Figure 4).
-    fn place_target(&mut self, t_fidx: usize, e: ElemId, dead: Option<Stamp>) {
-        let live = if dead.is_some() { None } else { self.elem_loc.get(e).copied() };
+    /// `e` at the freeze, deleted under the ticket `dead` if it was deleted
+    /// since (rightward placement / incorporation of Figure 4).
+    fn place_target(&mut self, t_fidx: usize, e: ElemId, dead: Option<u64>) {
+        let live = if dead.is_some() { None } else { self.elem_loc.get(e).map(|p| p.loc()) };
         match live {
-            Some(Placed { pos: fidx, buffered: false, .. }) => {
-                self.emulator_relocate(fidx as usize, t_fidx);
-            }
-            Some(Placed { pos, deadweight, buffered: true }) => {
+            Some(Loc::F(fidx)) => self.emulator_relocate(fidx, t_fidx),
+            Some(Loc::Buffer(pos)) => {
                 // Incorporation: the buffer slot stays a buffer slot (it
                 // becomes a dummy); the element enters A_F. (Its own move
                 // displaces other buffered elements, never itself.)
                 let p_dst = self.tags.f_pos_via(t_fidx, &mut self.dst_finger);
-                self.emulator_move(pos as usize, p_dst, t_fidx);
+                self.emulator_move(pos, p_dst, t_fidx);
                 self.elem_loc.insert(e, Placed::f(t_fidx));
                 self.cur_f_occ.set(t_fidx);
                 self.stats.incorporations += 1;
-                self.stats.record_deadweight(deadweight.into());
+                self.record_leaving(e);
             }
             None => {
-                let Some(s) = dead else {
+                let Some(ticket) = dead else {
                     // The in-flight insertion: it exists in the simulation
                     // but has no physical slot yet. Leave its target to the
                     // next checkpoint (re-mark it dirty so that checkpoint
@@ -1077,14 +1160,14 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                     return;
                 };
                 // Deleted element that the frozen checkpoint still contains
-                // (its index may be live again, as a newer lifetime).
-                if let Some(g) = self.ghosts.get(&s) {
+                // (its index may be live again, as a newer element).
+                if let Some(g) = self.ghosts.get(&ticket) {
                     self.emulator_relocate(g.fidx, t_fidx);
                 } else {
                     // Deleted while buffered (its deadweight was recorded
                     // then): materialize as a ghost.
                     self.cur_f_occ.set(t_fidx);
-                    self.add_ghost(s, t_fidx);
+                    self.add_ghost(ticket, t_fidx);
                 }
             }
         }
@@ -1097,12 +1180,11 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
         self.ensure_checkpoint();
         self.run_checkpoint(self.rebuild_budget);
         for _ in 0..4 {
-            match &self.checkpoint {
-                Some(cp) if (cp.planned_remaining() as f64) < self.er_budget => {
-                    self.run_checkpoint(u64::MAX);
-                }
-                _ => break,
+            let cp = &self.checkpoint;
+            if !cp.is_pending() || cp.planned_remaining() as f64 >= self.er_budget {
+                break;
             }
+            self.run_checkpoint(u64::MAX);
         }
     }
 
@@ -1125,11 +1207,11 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
             let pos = self.tags.f_pos(fidx);
             let phys = self.tags.contents.get(pos);
             let ghost = self.ghost_at.get(&fidx).copied();
-            if let Some(s) = ghost {
-                assert!(self.cur_f_occ.get(fidx), "ghost {s:?} at free F-slot {fidx}");
-                assert_eq!(self.ghosts.get(&s).map(|g| g.fidx), Some(fidx), "ghost maps disagree");
+            if let Some(t) = ghost {
+                assert!(self.cur_f_occ.get(fidx), "ghost {t} at free F-slot {fidx}");
+                assert_eq!(self.ghosts.get(&t).map(|g| g.fidx), Some(fidx), "ghost maps disagree");
                 assert_eq!(phys, None, "ghost slot {fidx} has physical content");
-                assert!(self.elem_loc.get_stamped(s).is_none(), "ghost {s:?} is also live");
+                assert!(t < self.next_ticket, "ghost ticket {t} was never issued");
             } else if let Some(e) = phys {
                 assert!(self.cur_f_occ.get(fidx), "free F-slot {fidx} has content");
                 assert_eq!(self.elem_loc.get(e).map(|p| p.loc()), Some(Loc::F(fidx)));
@@ -1144,8 +1226,23 @@ impl<F: ListLabeling, R: ListLabeling> Embed<F, R> {
                 assert_eq!(self.tags.tag(pos), SlotTag::Buf);
             }
         }
+        // The deadweight map holds buffered elements only, each displaced
+        // at least once, and every deadweight move is counted once: in the
+        // histogram when its element left the buffer, or in the map while
+        // it stays (exact while no element reached the last bucket).
+        for (&e, &count) in &self.deadweight {
+            assert!(count > 0, "{e:?} holds a zero deadweight count");
+            let placed = self.elem_loc.get(e);
+            assert!(placed.is_some_and(|p| p.buffered()), "deadweight of unbuffered {e:?}");
+        }
+        let hist = &self.stats.deadweight_hist;
+        if (self.stats.max_deadweight as usize) < hist.len() - 1 {
+            let recorded: u64 = hist.iter().zip(0..).map(|(&n, d)| n * d).sum();
+            let pending: u64 = self.deadweight.values().map(|&d| u64::from(d)).sum();
+            assert_eq!(recorded + pending, self.stats.deadweight_moves, "deadweight miscounted");
+        }
         // No pending rebuild ⟹ fully caught up (Lemma 10's precondition).
-        if self.checkpoint.is_none() && self.dirty.count_ones() == 0 {
+        if !self.checkpoint.is_pending() && self.dirty.count_ones() == 0 {
             assert_eq!(self.buffered(), 0, "caught up but elements still buffered");
             assert!(self.ghosts.is_empty(), "caught up but ghosts remain");
         }
@@ -1170,14 +1267,14 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         let len = self.len();
         assert!(rank <= len, "insert rank {rank} > len {len}");
         assert!(len < self.capacity, "at capacity");
-        if self.checkpoint.is_some() {
+        if self.checkpoint.is_pending() {
             self.rebuild_span += 1;
         }
         let mut sim_rep = std::mem::take(&mut self.sim_scratch);
         self.sim.insert_into(rank, emb_id, &mut sim_rep);
         let c_e = sim_rep.cost();
         assert!(sim_rep.placed.is_some(), "sim insert must place");
-        if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
+        if !self.checkpoint.is_pending() && (c_e as f64) <= self.er_budget {
             // Fast path: emulate F directly, interleaving the placement at
             // its position in the simulation's move stream (a simulated F
             // that is itself an embedding places mid-operation and may move
@@ -1232,7 +1329,7 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         out.clear();
         let len = self.len();
         assert!(rank < len, "delete rank {rank} >= len {len}");
-        if self.checkpoint.is_some() {
+        if self.checkpoint.is_pending() {
             self.rebuild_span += 1;
         }
         let pos = self.tags.contents.select(rank);
@@ -1241,9 +1338,8 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
         self.sim.delete_into(rank, &mut sim_rep);
         let c_e = sim_rep.cost();
         debug_assert_eq!(sim_rep.removed_elem(), Some(e), "sim deleted a different element");
-        let stamp = self.elem_loc.stamp(e);
         let placed = self.elem_loc.remove(e).expect("deleting unknown element");
-        if self.checkpoint.is_none() && (c_e as f64) <= self.er_budget {
+        if !self.checkpoint.is_pending() && (c_e as f64) <= self.er_budget {
             // Fast path.
             self.stats.fast_ops += 1;
             let Loc::F(fidx) = placed.loc() else { unreachable!("buffered element on fast path") };
@@ -1255,12 +1351,14 @@ impl<F: ListLabeling, R: ListLabeling> ListLabeling for Embed<F, R> {
             self.stats.slow_ops += 1;
             self.note_dirty(&sim_rep);
             self.tags.remove_content(pos);
-            if let Some(cp) = &mut self.checkpoint {
-                cp.dead.entry(e).or_insert(stamp);
+            let ticket = self.next_ticket;
+            self.next_ticket += 1;
+            if self.checkpoint.is_pending() {
+                self.checkpoint.dead.entry(e).or_insert(ticket);
             }
             match placed.loc() {
-                Loc::F(fidx) => self.add_ghost(stamp, fidx),
-                Loc::Buffer(_) => self.stats.record_deadweight(placed.deadweight.into()),
+                Loc::F(fidx) => self.add_ghost(ticket, fidx),
+                Loc::Buffer(_) => self.record_leaving(e),
             }
             self.rebuild_work();
         }

@@ -2,7 +2,7 @@
 //! the paper's lemma-level invariants, Figure-1 view consistency, and
 //! composition (nesting) mechanics.
 
-use crate::embed::{Embed, EmbedBuilder, EmbedConfig, EmbedStats, Loc};
+use crate::embed::{Embed, EmbedBuilder, EmbedConfig, EmbedStats, Loc, Target};
 use crate::layered::{corollary11, corollary12, inner_yz_builder};
 use crate::tag_array::{SlotTag, TagArray};
 use crate::views;
@@ -434,17 +434,36 @@ fn clustered_runs_pin_every_decision() {
     assert_eq!(format!("{:?}", g.inner().stats()), format!("{z:?}"));
 }
 
-/// Delete an element that the pending checkpoint still has to place (in
-/// A_F, so it stays a ghost, or `buffered`), so that the target outlives
-/// the deletion; give its index to the next insertion, at the far end of
-/// the list; and run that checkpoint out. The checkpoint names the deleted
-/// element by its stamp, so it must never take the newcomer for it: the
-/// layout matches the oracle and `check` holds after every operation, and
-/// the stale target stays dead until its checkpoint places it.
+/// Which pending target [`reissue_a_pending_target`] deletes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Case {
+    /// One in A_F: its deletion leaves a ghost.
+    Ghost,
+    /// A buffered one.
+    Buffered,
+    /// A buffered one displaced at least once, so that its deadweight
+    /// count is in the side map when it is deleted.
+    Displaced,
+}
+
+/// Delete an element that the pending checkpoint still has to place, so
+/// that the target outlives the deletion; give its index to the next
+/// insertion, at the far end of the list; and run that checkpoint out.
+/// The checkpoint names the deleted element by its deletion's ticket, so
+/// it must never take the newcomer for it: the layout matches the oracle
+/// and `check` holds after every operation, and the stale target stays
+/// dead, under the same ticket, until its checkpoint places it.
+///
+/// In the [`Case::Displaced`] case the deletion records the deleted
+/// element's count in the histogram, once, and the newcomer is buffered
+/// again before the checkpoint completes, starting at deadweight 0. (The
+/// instance is chosen so that neither operation records or suffers any
+/// other deadweight; `check_invariants`, which counts every deadweight
+/// move once, covers the rest.)
 fn reissue_a_pending_target<F, R>(
     mut e: Embed<F, R>,
     seed: u64,
-    buffered: bool,
+    case: Case,
     check: impl Fn(&Embed<F, R>),
 ) where
     F: ListLabeling + Clone,
@@ -471,29 +490,62 @@ fn reissue_a_pending_target<F, R>(
         e.check_invariants();
         check(e);
     };
-    let stale =
-        |e: &Embed<F, R>, target| e.unplaced_targets().into_iter().find(|&(s, _)| s == target);
+    let stale = |e: &Embed<F, R>, index| {
+        e.unplaced_targets().into_iter().find(|&(i, _)| i == index).map(|(_, t)| t)
+    };
+    // On a copy: delete the target of `index` and reissue the index at the
+    // far end of the list. The copy, and the deletion's ticket, if the
+    // deletion leaves the target unplaced, the checkpoint is still pending
+    // after the reissue and the case's conditions hold.
+    let trial = |e: &Embed<F, R>, ids: &IdAllocator, oracle: &Oracle, index| {
+        let (mut e, mut ids, mut oracle) = (e.clone(), ids.clone(), oracle.clone());
+        let (before, displaced) = (e.stats().clone(), e.deadweight_of(index));
+        let rank = oracle.sequence().iter().position(|&x| x == index).expect("live");
+        step(&mut e, Op::Delete(rank), &mut ids, &mut oracle);
+        let Some(Target::Dead(ticket)) = stale(&e, index) else { return None };
+        let after = e.stats().clone();
+        if case == Case::Displaced {
+            if after.incorporations != before.incorporations {
+                return None;
+            }
+            let mut hist = before.deadweight_hist;
+            hist[usize::from(displaced)] += 1;
+            assert_eq!(after.deadweight_hist, hist, "seed {seed}: the deletion's count");
+        }
+        let at = if rank < e.len() / 2 { e.len() } else { 0 };
+        step(&mut e, Op::Insert(at), &mut ids, &mut oracle);
+        assert_eq!(oracle.sequence()[at.min(e.len() - 1)], index, "the index is reissued");
+        if e.stats().rebuilds_completed != before.rebuilds_completed {
+            return None;
+        }
+        if case == Case::Displaced {
+            let newcomer = e.placements().1.into_iter().find(|&(i, ..)| i == index);
+            let buffered = matches!(newcomer, Some((_, Loc::Buffer(_), _)));
+            if !buffered || e.stats().deadweight_moves != after.deadweight_moves {
+                return None;
+            }
+            assert_eq!(e.deadweight_of(index), 0, "seed {seed}: the newcomer inherited a count");
+        }
+        Some(((e, ids, oracle), ticket))
+    };
     // Hammer one rank, with some deletions, until the pending checkpoint
-    // holds a live target where the case wants it, whose deletion leaves
-    // it unplaced (tried on a copy).
+    // holds a live target where the case wants it that passes the trial.
     let hot = n / 3;
-    let (target, rank) = loop {
-        let wanted = e.unplaced_targets().into_iter().find(|&(_, loc)| match loc {
-            Some(Loc::F(_)) => !buffered,
-            Some(Loc::Buffer(_)) => buffered,
-            None => false,
+    let (index, ticket) = loop {
+        let wanted = e.unplaced_targets().into_iter().find(|&(i, t)| match (case, t) {
+            (Case::Ghost, Target::Live(Loc::F(_))) => true,
+            (Case::Buffered, Target::Live(Loc::Buffer(_))) => true,
+            (Case::Displaced, Target::Live(Loc::Buffer(_))) => e.deadweight_of(i) > 0,
+            _ => false,
         });
-        if let Some((s, _)) = wanted {
-            let rank = oracle.sequence().iter().position(|&x| x == s.elem()).expect("live");
-            let mut trial = (e.clone(), ids.clone(), oracle.clone());
-            step(&mut trial.0, Op::Delete(rank), &mut trial.1, &mut trial.2);
-            if stale(&trial.0, s) == Some((s, None)) {
-                (e, ids, oracle) = trial;
-                break (s, rank);
+        if let Some((index, _)) = wanted {
+            if let Some((state, ticket)) = trial(&e, &ids, &oracle, index) {
+                (e, ids, oracle) = state;
+                break (index, ticket);
             }
         }
         let len = e.len();
-        assert!(e.stats().slow_ops < 50_000, "seed {seed}: no pending target found");
+        assert!(e.stats().slow_ops < 50_000, "seed {seed}, {case:?}: no pending target found");
         let op = if len < n / 2 || (len < n - 1 && rng.gen_bool(0.7)) {
             Op::Insert(hot.min(len))
         } else {
@@ -501,18 +553,11 @@ fn reissue_a_pending_target<F, R>(
         };
         step(&mut e, op, &mut ids, &mut oracle);
     };
-    // Reissue its index at the far end of the list.
-    let at = if rank < e.len() / 2 { e.len() } else { 0 };
-    step(&mut e, Op::Insert(at), &mut ids, &mut oracle);
-    assert_eq!(oracle.sequence()[at.min(e.len() - 1)], target.elem(), "the index is reissued");
     // Run the checkpoint out with point operations away from the hot rank.
     let completed = e.stats().rebuilds_completed;
-    loop {
-        if let Some((_, loc)) = stale(&e, target) {
-            assert_eq!(loc, None, "seed {seed}: the deleted target took the newcomer's place");
-        }
-        if e.stats().rebuilds_completed > completed {
-            break;
+    while e.stats().rebuilds_completed == completed {
+        if let Some(t) = stale(&e, index) {
+            assert_eq!(t, Target::Dead(ticket), "seed {seed}: the target took the newcomer");
         }
         let len = e.len();
         let op = if len < n - 1 && rng.gen_bool(0.5) {
@@ -528,13 +573,13 @@ fn reissue_a_pending_target<F, R>(
 fn a_reissued_index_is_not_a_pending_target() {
     use lll_randomized::RandomizedBuilder;
     for seed in 0..4 {
-        for buffered in [false, true] {
-            reissue_a_pending_target(corollary11(512, seed), seed, buffered, |e| {
+        for case in [Case::Ghost, Case::Buffered, Case::Displaced] {
+            reissue_a_pending_target(corollary11(512, seed), seed, case, |e| {
                 e.shell().check_invariants()
             });
             let e = EmbedBuilder::new(RandomizedBuilder::with_seed(seed), ClassicBuilder)
                 .build_default(512);
-            reissue_a_pending_target(e, seed, buffered, |_| {});
+            reissue_a_pending_target(e, seed, case, |_| {});
         }
     }
 }

@@ -6,15 +6,18 @@
 //! one), and runs each primitive those paths rely on not to allocate
 //! (`hot_path_primitives_allocate_nothing`). The same allocator
 //! keeps a live-bytes gauge, which pins each backend's heap footprint
-//! after a bulk load (see `footprint_stays_pinned`), what a `LabelMap`
-//! holds beyond its backend (`label_map_footprint_stays_pinned`) and what
-//! a lone growing Corollary 11 map holds
-//! (`lone_label_map_keeps_no_template`), and its count pins the
-//! allocations of one Corollary 11 build, computed
+//! after a bulk load (see `footprint_stays_pinned`), each part of
+//! Corollary 11's (`corollary11_footprint_parts_stay_pinned`), what a
+//! `LabelMap` holds beyond its backend
+//! (`label_map_footprint_stays_pinned`) and what a lone growing Corollary
+//! 11 map holds (`lone_label_map_keeps_no_template`), and its count pins
+//! the allocations of one Corollary 11 build, computed
 //! (`corollary11_build_allocations_stay_pinned`) and served from a
 //! template (`corollary11_template_build_allocations_stay_pinned`), of
 //! one template-served growth
-//! (`corollary11_template_growth_allocations_stay_pinned`) and of one
+//! (`corollary11_template_growth_allocations_stay_pinned`), of a warm
+//! Corollary 11 taking ascending runs
+//! (`corollary11_ascending_runs_allocations_stay_pinned`) and of one
 //! classic bulk load (`classic_bulk_load_allocations_stay_pinned`).
 //!
 //! Methodology: structures allocate while *growing* (slot-array doubling,
@@ -35,8 +38,10 @@
 use lll_api::codec::Crc32;
 use lll_api::{Backend, ListBuilder};
 use lll_core::bitmap::Bitmap;
-use lll_core::ids::IdGen;
+use lll_core::ids::{IdAllocator, IdGen};
 use lll_core::metrics::ListMetrics;
+use lll_core::report::OpReport;
+use lll_core::traits::ListLabeling;
 use lll_embedding::tag_array::FCursor;
 use lll_embedding::{SlotTag, TagArray};
 use lll_obs::{Counter, Histogram, TraceKind, TraceRing};
@@ -115,6 +120,15 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> u64 {
     let after = ALLOCS.load(Ordering::Relaxed);
     drop(r);
     after - before
+}
+
+/// Live bytes that cloning `part` allocates.
+fn clone_bytes<T: Clone>(part: &T) -> u64 {
+    let before = LIVE.load(Ordering::Relaxed);
+    let copy = part.clone();
+    let bytes = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    drop(copy);
+    bytes
 }
 
 /// Run `f`, which must allocate nothing.
@@ -339,14 +353,17 @@ fn bulk_loaded_bytes_per_entry(backend: Backend, n: usize) -> f64 {
 /// above the larger of its two, so memory a change stores twice, or
 /// reserves past a table's owner, fails here. Slots hold 4-byte indices:
 /// Corollary 11's five slot arrays (26,326 slots at n = 2,048) cost 51.4
-/// B/entry, so slots of 8-byte ids (102.8) would fail here.
+/// B/entry, so slots of 8-byte ids (102.8) would fail here. Its two
+/// element tables hold 4 bytes an index, 10.67 B/entry at n = 2,048; with
+/// a generation beside each entry they held 32.0 (see
+/// `corollary11_footprint_parts_stay_pinned`, which names the level).
 fn footprint_stays_pinned() {
     let ceilings = [
         (Backend::Classic, 5.6),
         (Backend::Deamortized, 13.9),
         (Backend::Randomized, 5.6),
         (Backend::Adaptive, 6.2),
-        (Backend::Corollary11, 110.8),
+        (Backend::Corollary11, 89.5),
     ];
     assert_eq!(ceilings.map(|(b, _)| b), Backend::ALL, "one ceiling per backend");
     for (backend, ceiling) in ceilings {
@@ -358,6 +375,54 @@ fn footprint_stays_pinned() {
             );
         }
     }
+}
+
+/// The heap of a Corollary 11 bulk-loaded with 2,048 entries, split into
+/// parts, each pinned at its exact bytes: at each level the tagged array
+/// and the simulation, the inner level's R-shell Z, and the level's
+/// remainder, its element table `elem_loc` and its two bitmaps over the
+/// simulation's slots (`cur_f_occ` and `dirty`). A part's bytes are what
+/// cloning it allocates, and a clone copies what it holds: the whole
+/// structure's clone copies its total. The structure is built here
+/// without a list's metrics handle and box, so the total is 179,228
+/// bytes, 87.51 B/entry, where `footprint_stays_pinned` reads 89.47.
+///
+/// Each element table holds 4 bytes an index: the caller's 2,048 ids at
+/// the outer level, and one per slot of the outer R-shell (3,414) at the
+/// inner. A table that kept a generation beside each entry again would
+/// read 24,576 and 40,968 bytes and fail here, naming its level. The part
+/// table of `docs/performance.md` ("Element tables without generations")
+/// is this span's output.
+fn corollary11_footprint_parts_stay_pinned() {
+    const N: usize = 2048;
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut outer = lll_embedding::corollary11(N, 11);
+    drop(outer.splice(0, &IdGen::new().fresh_n(N)));
+    let total = LIVE.load(Ordering::Relaxed).wrapping_sub(before);
+    assert_eq!(clone_bytes(&outer), total, "a clone copies what the structure holds");
+    let inner = outer.shell();
+    let bitmaps = |f_slots| 2 * clone_bytes(&Bitmap::new(f_slots));
+    let (outer_bitmaps, inner_bitmaps) =
+        (bitmaps(outer.sim().num_slots()), bitmaps(inner.sim().num_slots()));
+    let (outer_tags, x, yz) =
+        (clone_bytes(outer.tag_array()), clone_bytes(outer.sim()), clone_bytes(inner));
+    let (inner_tags, y, z) =
+        (clone_bytes(inner.tag_array()), clone_bytes(inner.sim()), clone_bytes(inner.shell()));
+    let parts = [
+        ("outer tagged array", outer_tags, 30_088),
+        ("outer simulation X (adaptive)", x, 12_320),
+        ("outer element table", total - outer_tags - x - yz - outer_bitmaps, 8_192),
+        ("outer bitmaps", outer_bitmaps, 744),
+        ("inner tagged array", inner_tags, 30_088),
+        ("inner simulation Y (randomized)", y, 17_652),
+        ("inner element table", yz - inner_tags - y - z - inner_bitmaps, 13_656),
+        ("inner bitmaps", inner_bitmaps, 1_152),
+        ("Z (deamortized)", z, 65_336),
+    ];
+    for (part, bytes, exact) in parts {
+        assert_eq!(bytes, exact, "{part} of a Corollary 11 bulk-loaded with {N} entries");
+    }
+    assert_eq!((4 * N, 4 * inner.len()), (8_192, 13_656), "4 bytes an index");
 }
 
 /// Live heap bytes per entry that a `LabelMap<u64, u64>` bulk-loaded with
@@ -434,11 +499,14 @@ fn corollary11_build_allocations_stay_pinned() {
 /// The clone makes 41 of the 45 and the list's metrics handle and box the
 /// other 4; a computed build of the structure makes 46 (`build_fixed`'s 50
 /// above, with its own handle and box). The bytes such a clone copies are
-/// pinned exactly too: 394,508, of which 210,576 are the five slot
-/// arrays' contents at 4 bytes a slot (ROADMAP item 2).
+/// pinned exactly too: 339,884, of which 210,576 are the five slot
+/// arrays' contents at 4 bytes a slot (ROADMAP item 2) and 27,312 the
+/// inner element table, 4 bytes for each of the outer R-shell's 6,828
+/// slots (81,936 with a generation beside each). An empty template's
+/// outer element table is empty.
 fn corollary11_template_build_allocations_stay_pinned() {
     const EXACT: u64 = 45;
-    const COPIED: u64 = 394_508;
+    const COPIED: u64 = 339_884;
     let template = lll_embedding::corollary11(4096, 11);
     let before = LIVE.load(Ordering::Relaxed);
     let copy = template.clone();
@@ -485,16 +553,55 @@ fn corollary11_template_growth_allocations_stay_pinned() {
     assert_eq!(allocs, EXACT, "a template-served Corollary 11 growth allocated {allocs} times");
 }
 
+/// Allocations of a warm fixed-capacity Corollary 11 taking ascending
+/// runs, pinned at the exact count: a `build_fixed(4096)` bulk-loaded half
+/// full takes rounds of 500 inserts at consecutive ranks from a uniform
+/// anchor, each followed by 500 uniform deletes, and ten rounds after
+/// twenty warming ones are counted (ids from an `IdAllocator`, as
+/// `Growable` issues them). Each checkpoint freeze refills the buffers of
+/// the checkpoints before it, so once warm the embedding's rebuild work
+/// allocates nothing: every one of the 5,216 comes from the outer
+/// simulation X, whose adaptive policy allocates four vectors per uneven
+/// rebalance (a scratch build that reused them read 0). With new buffers
+/// at every freeze the count read 12,899. The embedding's hash maps hash
+/// with fixed keys, so the count is the same in every process.
+fn corollary11_ascending_runs_allocations_stay_pinned() {
+    use rand::{Rng, SeedableRng};
+    const EXACT: u64 = 5_216;
+    const N: usize = 4096;
+    let mut list = ListBuilder::new().backend(Backend::Corollary11).seed(11).build_fixed(N);
+    let mut ids = IdAllocator::new();
+    drop(list.splice(0, &ids.fresh_n(N / 2)));
+    let (mut rng, mut rep) = (rand::rngs::StdRng::seed_from_u64(7), OpReport::default());
+    let mut round = || {
+        let anchor = rng.gen_range(0..=list.len());
+        for i in 0..500 {
+            list.insert_into(anchor + i, ids.fresh(), &mut rep);
+        }
+        for _ in 0..500 {
+            list.delete_into(rng.gen_range(0..list.len()), &mut rep);
+            ids.release(rep.removed_elem().expect("delete removes"));
+        }
+    };
+    (0..20).for_each(|_| round());
+    let allocs = allocs_in(|| (0..10).for_each(|_| round()));
+    assert_eq!(
+        allocs, EXACT,
+        "ten ascending-run rounds of a warm Corollary 11 allocated {allocs} times"
+    );
+}
+
 /// Allocations of one classic `ListBuilder::label_map_from_sorted` of
 /// 2,048 entries, made outside the span, pinned at the exact count: the
-/// backend, built once with room for them, its one in-place splice, the
-/// map's slab and search index, and the run the map gathers the batch
-/// into. The splice hands back the indices it allocated and the map
+/// backend, built once with room for them, its one in-place splice, and
+/// the map's slab and search index. The batch lands from its own buffer:
+/// a map that gathered it into a run first read 23, ten of them the run's
+/// doublings. The splice hands back the indices it allocated and the map
 /// stores its entries at them; a splice that made a list of handles for
-/// the map would read 24. Every shard's bulk load, split half and restore
+/// the map would read 14. Every shard's bulk load, split half and restore
 /// goes through here.
 fn classic_bulk_load_allocations_stay_pinned() {
-    const EXACT: u64 = 23;
+    const EXACT: u64 = 13;
     let builder = ListBuilder::new().backend(Backend::Classic).seed(11);
     let entries: Vec<(u64, u64)> = (0..2048).map(|k| (k, k)).collect();
     let allocs = allocs_in(|| builder.label_map_from_sorted(entries));
@@ -503,14 +610,17 @@ fn classic_bulk_load_allocations_stay_pinned() {
 
 /// A lone `LabelMap` that grows from empty to 2^14 entries builds each
 /// capacity once, so its builder keeps no Corollary 11 template (one would
-/// hold about 96 B/entry), and the live bytes per entry it holds stay
-/// under a ceiling at the exact figure. That figure is the 192.076 B/entry
+/// hold about 83 B/entry), and the live bytes per entry it holds stay
+/// under a ceiling at the exact figure. That figure is the 178.239 B/entry
 /// the map holds apart from the template store, plus the store's record of
-/// the nine sizes it saw built: one 640-byte table, 0.039 B/entry. Slots of
-/// 8-byte ids would read about 252.9.
+/// the nine sizes it saw built: one 640-byte table, 0.039 B/entry. Of the
+/// 178.239, 8.27 are the buffers of the largest checkpoint the outer
+/// embedding froze (16,384 targets of 8 bytes), which it keeps for the
+/// next freeze. Element tables with a generation beside each entry read
+/// 192.12; slots of 8-byte ids would read about 252.9.
 fn lone_label_map_keeps_no_template() {
     const N: u64 = 1 << 14;
-    const CEILING: f64 = 192.115;
+    const CEILING: f64 = 178.278;
     let builder = ListBuilder::new().backend(Backend::Corollary11).seed(11);
     let before = LIVE.load(Ordering::Relaxed);
     let mut map = builder.label_map::<u64, u64>();
@@ -546,6 +656,8 @@ fn steady_state_operations_reach_zero_allocations() {
     corollary11_build_allocations_stay_pinned();
     corollary11_template_build_allocations_stay_pinned();
     corollary11_template_growth_allocations_stay_pinned();
+    corollary11_footprint_parts_stay_pinned();
+    corollary11_ascending_runs_allocations_stay_pinned();
     lone_label_map_keeps_no_template();
     classic_bulk_load_allocations_stay_pinned();
 }
